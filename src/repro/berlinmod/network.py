@@ -152,7 +152,12 @@ def make_network(
         )
     ]
     for rim in rim_nodes:
-        path = nx.shortest_path(graph, rim, center, weight="length")
+        try:
+            path = nx.shortest_path(graph, rim, center, weight="length")
+        except nx.NetworkXNoPath:
+            # Grid removals cut this corner off; it is outside the
+            # largest component kept below, so it gets no spoke.
+            continue
         for a, b in zip(path, path[1:]):
             _upgrade(graph, a, b, FREEWAY)
 

@@ -28,6 +28,7 @@ from .. import geo
 from ..meos import STBox
 from ..meos.temporal.base import Temporal
 from ..observability import count as _count
+from ..quack.kernels import distinct_rows
 from ..quack.types import BOOLEAN
 from ..quack.vector import Vector
 
@@ -69,28 +70,34 @@ class BoxSoA:
             self.tmax[i] = float(box.tspan.upper)
         self.srid[i] = box.srid
 
+    def take(self, rows: np.ndarray) -> "BoxSoA":
+        """The boxes of ``rows`` (a gather on every array)."""
+        out = BoxSoA.__new__(BoxSoA)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
 
 def _extract(vector: Vector, to_box: Callable[[Any], STBox | None]) -> BoxSoA:
-    count = len(vector)
-    soa = BoxSoA(count)
+    # Join chunks and constant vectors repeat payload objects: convert
+    # each distinct one once and gather the bounds.
+    distinct = distinct_rows([vector], len(vector))
+    if distinct is None:
+        return _fill_rows(vector, to_box)
+    first, inverse = distinct
+    _count("quack.distinct_rows_saved", len(vector) - len(first))
+    return _fill_rows(vector.slice(first), to_box).take(inverse)
+
+
+def _fill_rows(vector: Vector,
+               to_box: Callable[[Any], STBox | None]) -> BoxSoA:
+    soa = BoxSoA(len(vector))
     data = vector.data
-    validity = vector.validity
-    prev_value: Any = None
-    prev_box: STBox | None = None
-    have_prev = False
-    for i in range(count):
-        if not validity[i]:
-            continue
-        value = data[i]
-        # Constant vectors repeat one object: convert it only once.
-        if have_prev and value is prev_value:
-            box = prev_box
-        else:
-            try:
-                box = to_box(value)
-            except Exception:
-                box = None
-            prev_value, prev_box, have_prev = value, box, True
+    for i in np.nonzero(vector.validity)[0]:
+        try:
+            box = to_box(data[i])
+        except Exception:
+            box = None
         if box is not None:
             soa.fill(i, box)
     return soa

@@ -17,6 +17,7 @@ passing the corresponding descriptor.  Values are immutable.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence as Seq
 
 from ... import geo
@@ -34,6 +35,9 @@ from ..timetypes import (
 )
 from .interp import Interp
 from .ttypes import SPATIAL_TYPES, TFLOAT, TINT, TemporalType
+
+
+_instant_time = attrgetter("t")
 
 
 class Temporal:
@@ -423,9 +427,14 @@ class TSequence(Temporal):
             lower_inc = upper_inc = True
         if len(items) == 1:
             lower_inc = upper_inc = True
-        if interp is not Interp.DISCRETE and len(items) > 1 and normalize:
-            items = _normalize(ttype, items, interp, upper_inc)
         self._instants = tuple(items)
+        if interp is not Interp.DISCRETE and len(items) > 2:
+            if normalize:
+                self._instants = tuple(
+                    _normalize(ttype, items, interp, upper_inc)
+                )
+            else:
+                self._instants = _Unnormalized(items)
         self.lower_inc = bool(lower_inc)
         self.upper_inc = bool(upper_inc)
         self._interp = interp
@@ -463,20 +472,34 @@ class TSequence(Temporal):
         return a.value
 
     def value_at_timestamp(self, t: int) -> Any | None:
-        times = [inst.t for inst in self._instants]
-        if self._interp is Interp.DISCRETE:
-            idx = bisect.bisect_left(times, t)
-            if idx < len(times) and times[idx] == t:
-                return self._instants[idx].value
+        instants = self._instants
+        idx = bisect.bisect_left(instants, t, key=_instant_time)
+        if idx == len(instants):
             return None
-        if t < times[0] or t > times[-1]:
+        inst = instants[idx]
+        if inst.t == t:
+            if self._interp is not Interp.DISCRETE and (
+                (idx == 0 and not self.lower_inc)
+                or (idx == len(instants) - 1 and not self.upper_inc)
+            ):
+                return None
+            return inst.value
+        if idx == 0 or self._interp is Interp.DISCRETE:
             return None
-        if t == times[0]:
-            return self._instants[0].value if self.lower_inc else None
-        if t == times[-1]:
-            return self._instants[-1].value if self.upper_inc else None
-        idx = bisect.bisect_right(times, t) - 1
-        return self._segment_value(idx, t)
+        return self._segment_value(idx - 1, t)
+
+    def _instant_at(self, t: int) -> TInstant | None:
+        """The instant at ``t`` with both ends of a continuous sequence
+        taken as inclusive (None outside its time extent)."""
+        instants = self._instants
+        idx = bisect.bisect_right(instants, t, key=_instant_time)
+        if idx == 0:
+            return None
+        if instants[idx - 1].t == t:
+            return instants[idx - 1]
+        if idx == len(instants):
+            return None
+        return TInstant(self.ttype, self._segment_value(idx - 1, t), t)
 
     def time(self) -> SpanSet:
         if self._interp is Interp.DISCRETE:
@@ -540,34 +563,42 @@ class TSequence(Temporal):
         return TSequence(self.ttype, instants, True, True, Interp.DISCRETE)
 
     def _slice(self, span: Span) -> "TSequence | None":
-        """Restrict a continuous sequence to ``span`` (must be within)."""
+        """Restrict a continuous sequence to ``span`` (must be within).
+
+        O(log n + k) for a k-instant result: the interior is a bisected
+        sub-range of the instant tuple, and because that run comes from a
+        sequence the constructor already validated and normalized, only
+        the instants next to the two (possibly interpolated) boundary
+        instants can have become redundant."""
         lo, hi = span.lower, span.upper
+        instants = self._instants
+        first = bisect.bisect_right(instants, lo, key=_instant_time)
+        last = bisect.bisect_left(instants, hi, first, key=_instant_time)
         new_instants: list[TInstant] = []
-        v_lo = self.value_at_timestamp(lo)
-        if v_lo is None and lo == self.start_timestamp():
-            v_lo = self._instants[0].value
-        if v_lo is None and lo == self.end_timestamp():
-            v_lo = self._instants[-1].value
-        if v_lo is not None:
-            new_instants.append(TInstant(self.ttype, v_lo, lo))
-        for inst in self._instants:
-            if lo < inst.t < hi:
-                new_instants.append(inst)
+        start = self._instant_at(lo)
+        if start is not None:
+            new_instants.append(start)
+        new_instants.extend(instants[first:last])
         if hi > lo:
-            v_hi = self.value_at_timestamp(hi)
-            if v_hi is None and hi == self.end_timestamp():
-                v_hi = self._instants[-1].value
-            if v_hi is not None:
-                new_instants.append(TInstant(self.ttype, v_hi, hi))
+            end = self._instant_at(hi)
+            if end is not None:
+                new_instants.append(end)
         if not new_instants:
             return None
-        return TSequence(
-            self.ttype,
-            new_instants,
-            span.lower_inc,
-            span.upper_inc if len(new_instants) > 1 else True,
-            self._interp,
+        single = len(new_instants) == 1
+        upper_inc = True if single else span.upper_inc
+        if isinstance(instants, _Unnormalized):
+            return TSequence(self.ttype, new_instants, span.lower_inc,
+                             upper_inc, self._interp)
+        piece = TSequence.__new__(TSequence)
+        piece.ttype = self.ttype
+        piece._instants = tuple(
+            _normalize_ends(self.ttype, new_instants, self._interp)
         )
+        piece.lower_inc = True if single else span.lower_inc
+        piece.upper_inc = upper_inc
+        piece._interp = self._interp
+        return piece
 
     def at_value(self, value: Any) -> "Temporal | None":
         value = self.ttype.basetype.coerce(value)
@@ -810,6 +841,30 @@ class TSequenceSet(Temporal):
 # ---------------------------------------------------------------------------
 
 
+class _Unnormalized(tuple):
+    """Instant tuple of a continuous sequence built with
+    ``normalize=False``: it may hold redundant instants, so a slice of it
+    takes the validating, fully normalizing constructor."""
+
+    __slots__ = ()
+
+
+def _redundant(ttype: TemporalType, interp: Interp, prev: TInstant,
+               cur: TInstant, nxt: TInstant) -> bool:
+    """Whether ``cur`` adds nothing between ``prev`` and ``nxt``."""
+    eq = ttype.value_eq
+    if interp is Interp.STEP:
+        return eq(prev.value, cur.value)
+    if eq(prev.value, cur.value) and eq(cur.value, nxt.value):
+        return True
+    frac = (cur.t - prev.t) / (nxt.t - prev.t)
+    try:
+        expected = ttype.interpolate(prev.value, nxt.value, frac)
+    except MeosError:
+        return False
+    return expected is not None and _close(ttype, expected, cur.value)
+
+
 def _normalize(
     ttype: TemporalType,
     instants: list[TInstant],
@@ -819,28 +874,33 @@ def _normalize(
     """Drop redundant middle instants (MEOS sequence normalization)."""
     if len(instants) <= 2:
         return instants
-    eq = ttype.value_eq
     kept = [instants[0]]
     for i in range(1, len(instants) - 1):
-        prev = kept[-1]
-        cur = instants[i]
-        nxt = instants[i + 1]
-        if interp is Interp.STEP:
-            if eq(prev.value, cur.value):
-                continue
-        else:
-            if eq(prev.value, cur.value) and eq(cur.value, nxt.value):
-                continue
-            frac = (cur.t - prev.t) / (nxt.t - prev.t)
-            try:
-                expected = ttype.interpolate(prev.value, nxt.value, frac)
-            except MeosError:
-                expected = None
-            if expected is not None and _close(ttype, expected, cur.value):
-                continue
-        kept.append(cur)
+        if not _redundant(ttype, interp, kept[-1], instants[i],
+                          instants[i + 1]):
+            kept.append(instants[i])
     kept.append(instants[-1])
     return kept
+
+
+def _normalize_ends(ttype: TemporalType, instants: list[TInstant],
+                    interp: Interp) -> list[TInstant]:
+    """:func:`_normalize` for a run whose middle instants are consecutive
+    instants of a normalized sequence: each is non-redundant between its
+    own neighbours, so only those that now sit next to a new first or
+    last instant are re-checked."""
+    n = len(instants)
+    head = 1
+    while head < n - 1 and _redundant(ttype, interp, instants[0],
+                                      instants[head], instants[head + 1]):
+        head += 1
+    tail = n - 1
+    if tail - 1 > head and _redundant(ttype, interp, instants[tail - 2],
+                                      instants[tail - 1], instants[tail]):
+        tail -= 1
+    if head == 1 and tail == n - 1:
+        return instants
+    return [instants[0], *instants[head:tail], instants[-1]]
 
 
 def _close(ttype: TemporalType, a: Any, b: Any) -> bool:

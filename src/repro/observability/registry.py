@@ -32,12 +32,12 @@ DECLARED_COUNTERS = frozenset({
     "executor.join_probe_rows",
     "executor.join_kernel_probes",
     "executor.join_fallback_probes",
+    "executor.conjunct_rows_skipped",
     # quack kernel/fallback dispatch
     "quack.kernel_ops",
     "quack.fallback_ops",
     "quack.function_batch_ops",
-    "quack.scalar_memo_rows",
-    "quack.cast_memo_rows",
+    "quack.distinct_rows_saved",
     "quack.bbox_rows_decided",
     "quack.bbox_rows_scalar",
     # pgsim row store

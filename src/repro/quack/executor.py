@@ -2,7 +2,8 @@
 
 Every operator consumes and produces :class:`DataChunk` batches; relational
 work on numeric columns runs on NumPy arrays, extension functions run once
-per value within a batch — the execution model of the paper's host engine.
+per distinct argument tuple among the rows of a batch whose verdict is
+still open — the execution model of the paper's host engine.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..analysis import config as _verification
 from . import kernels
 from . import parallel as _parallel
 from . import storage as _storage
-from .errors import ExecutionError
+from .errors import ConversionError, ExecutionError
 from .kernels import hashable_key as _hashable
 from .plan import (
     BoundCase,
@@ -52,6 +53,7 @@ from .plan import (
 from .optimizer import _subquery_free, streaming_fragment
 from .types import BIGINT, BOOLEAN, LogicalType
 from .vector import (
+    _PHYSICAL_DTYPES,
     DataChunk,
     KernelFallback,
     STANDARD_VECTOR_SIZE,
@@ -230,37 +232,21 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
     count = len(child)
     target = expr.ltype
     if expr.cast is not None:
-        out = np.empty(count, dtype=object)
-        validity = child.validity.copy()
-        # Join chunks repeat payload objects; cast functions are pure, so
-        # an identity memo converts each distinct object once per chunk.
-        memo: dict | None = None
-        if (
-            kernels.kernels_enabled()
-            and count >= 16
-            and child.ltype.physical == "object"
-        ):
-            memo = {}
-        memo_hits = 0
-        for i in range(count):
-            if validity[i]:
-                source = child.data[i]
-                if memo is not None:
-                    hit = memo.get(id(source))
-                    if hit is not None and hit[0] is source:
-                        value = hit[1]
-                        memo_hits += 1
-                    else:
-                        value = expr.cast.apply(source)
-                        memo[id(source)] = (source, value)
-                else:
-                    value = expr.cast.apply(source)
-                out[i] = value
-                if value is None:
-                    validity[i] = False
-        if memo_hits and ctx.stats is not None:
-            ctx.stats.bump("quack.cast_memo_rows", memo_hits)
-        return _pack(target, out, validity, count)
+        # Cast functions are pure: convert each distinct source value of
+        # the chunk once and gather.
+        distinct = kernels.distinct_rows([child], count)
+        if distinct is None:
+            return _cast_rows(expr, child)
+        first, inverse = distinct
+        result = _cast_rows(expr, child.slice(first)).slice(inverse)
+        if ctx.stats is not None:
+            ctx.stats.bump("quack.distinct_rows_saved", count - len(first))
+        if _verification.VERIFICATION_ENABLED:
+            _crosscheck_vectors(
+                result, _cast_rows(expr, child), ctx,
+                f"cast to {target.name} distinct-argument evaluation",
+            )
+        return result
     # Builtin physical casts.
     if target.physical == child.ltype.physical:
         return child.with_type(target)
@@ -281,6 +267,29 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
         if child.validity[i]:
             out[i] = child.value(i)
     return Vector(target, out, child.validity.copy())
+
+
+def _cast_rows(expr: BoundCast, source: Vector) -> Vector:
+    """Apply an extension cast function to every valid row."""
+    out = np.empty(len(source), dtype=object)
+    validity = source.validity.copy()
+    data = source.data
+    for i in np.nonzero(validity)[0]:
+        value = expr.cast.apply(data[i])
+        out[i] = value
+        if value is None:
+            validity[i] = False
+    return _pack(expr.ltype, out, validity, len(source))
+
+
+def _crosscheck_vectors(result: Vector, reference: Vector,
+                        ctx: ExecutionContext, what: str) -> None:
+    """Verification mode: ``result`` must equal the plain evaluation."""
+    from ..analysis.verifier import assert_vectors_match
+
+    assert_vectors_match(result, reference, what)
+    if ctx.stats is not None:
+        ctx.stats.bump("verify.kernel_crosschecks")
 
 
 def _pack(target: LogicalType, out: np.ndarray, validity: np.ndarray,
@@ -320,37 +329,71 @@ def _pack_object_array(out: np.ndarray, validity: np.ndarray, dtype,
 
 
 def _evaluate_conjunction(expr: BoundConjunction, chunk: DataChunk,
-                          ctx: ExecutionContext) -> Vector:
+                          ctx: ExecutionContext,
+                          narrow: bool = True) -> Vector:
+    """Three-valued AND/OR with a selection vector.
+
+    A row is *decided* once an operand is FALSE (AND) or TRUE (OR): no
+    later operand can change its verdict, so later operands run only on
+    the undecided rows and their verdicts are scattered back.  NULL rows
+    stay undecided, which keeps the three-valued result exactly that of
+    evaluating every operand everywhere — except that, like the row
+    engine, an operand never raises on a row an earlier one decided.
+    The leading run of class-0 operands is total and whole-array, so it
+    runs on the full chunk and plain relational filters never gather.
+    ``narrow=False`` is the dense reference of verification mode."""
     count = chunk.count
-    parts = [evaluate(a, chunk, ctx) for a in expr.args]
-    if expr.op == "AND":
-        # 3-valued logic: FALSE dominates NULL.
-        all_true = np.ones(count, dtype=np.bool_)
-        all_valid = np.ones(count, dtype=np.bool_)
-        any_false = np.zeros(count, dtype=np.bool_)
-        for part in parts:
-            part_bool = part.data.astype(np.bool_, copy=False)
-            all_true = np.logical_and(
-                all_true, np.logical_and(part_bool, part.validity)
-            )
-            all_valid = np.logical_and(all_valid, part.validity)
-            any_false = np.logical_or(
-                any_false, np.logical_and(part.validity, ~part_bool)
-            )
-        validity = np.logical_or(any_false, all_valid)
-        return Vector(BOOLEAN, all_true, validity)
-    data = np.zeros(count, dtype=np.bool_)
-    validity = np.ones(count, dtype=np.bool_)
-    any_true = np.zeros(count, dtype=np.bool_)
-    all_valid = np.ones(count, dtype=np.bool_)
-    for part in parts:
-        part_bool = np.logical_and(part.data.astype(np.bool_, copy=False),
-                                   part.validity)
-        any_true = np.logical_or(any_true, part_bool)
-        all_valid = np.logical_and(all_valid, part.validity)
-    data = any_true
-    validity = np.logical_or(any_true, all_valid)
-    return Vector(BOOLEAN, data, validity)
+    is_and = expr.op == "AND"
+    decided = np.zeros(count, dtype=np.bool_)
+    saw_null = np.zeros(count, dtype=np.bool_)
+    evaluated = 0
+    for k, arg in enumerate(expr.args):
+        live = None
+        if narrow and k >= expr.dense and decided.any():
+            live = np.nonzero(~decided)[0]
+            if not len(live):
+                break
+        part = evaluate(
+            arg, chunk if live is None else chunk.slice(live), ctx
+        )
+        evaluated += len(part)
+        truth = part.data.astype(np.bool_, copy=False)
+        wins = np.logical_and(part.validity,
+                              ~truth if is_and else truth)
+        if live is None:
+            decided |= wins
+            saw_null |= ~part.validity
+        else:
+            decided[live[wins]] = True
+            saw_null[live[~part.validity]] = True
+    _count_skipped(ctx, len(expr.args) * count - evaluated)
+    result = Vector(
+        BOOLEAN, ~(decided | saw_null) if is_and else decided,
+        decided | ~saw_null,
+    )
+    if narrow and _verification.VERIFICATION_ENABLED:
+        _crosscheck_dense(_evaluate_conjunction, expr, chunk, ctx, result,
+                          expr.op)
+    return result
+
+
+def _count_skipped(ctx: ExecutionContext, rows: int) -> None:
+    if rows and ctx.stats is not None:
+        ctx.stats.bump("executor.conjunct_rows_skipped", rows)
+
+
+def _crosscheck_dense(evaluator, expr: BoundExpr, chunk: DataChunk,
+                      ctx: ExecutionContext, result: Vector,
+                      what: str) -> None:
+    """Verification mode: the narrowed result must equal evaluating every
+    operand on every row — whenever that dense run does not raise (it may
+    legitimately raise on rows narrowing never visits)."""
+    try:
+        reference = evaluator(expr, chunk, ctx, narrow=False)
+    except (ExecutionError, ConversionError):
+        return
+    _crosscheck_vectors(result, reference, ctx,
+                        f"selection-narrowed {what}")
 
 
 def _evaluate_in_list(expr: BoundInList, chunk: DataChunk,
@@ -373,27 +416,55 @@ def _evaluate_in_list(expr: BoundInList, chunk: DataChunk,
 
 
 def _evaluate_case(expr: BoundCase, chunk: DataChunk,
-                   ctx: ExecutionContext) -> Vector:
+                   ctx: ExecutionContext, narrow: bool = True) -> Vector:
+    """CASE with a selection vector: each WHEN is tested only on the rows
+    no earlier branch claimed, each THEN/ELSE arm runs only on its own
+    rows, and arm results are scattered into place."""
     count = chunk.count
-    out = np.empty(count, dtype=object)
+    physical = expr.ltype.physical
+    out = np.empty(count, dtype=object) if physical == "object" else (
+        np.zeros(count, dtype=_PHYSICAL_DTYPES[physical])
+    )
     validity = np.zeros(count, dtype=np.bool_)
-    decided = np.zeros(count, dtype=np.bool_)
-    for cond, result in expr.branches:
-        cond_vec = evaluate(cond, chunk, ctx)
-        hit = np.logical_and(boolean_selection(cond_vec), ~decided)
-        if hit.any():
-            result_vec = evaluate(result, chunk, ctx)
-            for i in np.nonzero(hit)[0]:
-                out[i] = result_vec.value(i)
-                validity[i] = result_vec.validity[i]
-            decided = np.logical_or(decided, hit)
-    remaining = ~decided
-    if expr.else_result is not None and remaining.any():
-        else_vec = evaluate(expr.else_result, chunk, ctx)
-        for i in np.nonzero(remaining)[0]:
-            out[i] = else_vec.value(i)
-            validity[i] = else_vec.validity[i]
-    return _pack(expr.ltype, out, validity, count)
+    pending = np.arange(count)
+    evaluated = 0
+
+    def on(rows: np.ndarray, part: BoundExpr) -> Vector:
+        if not narrow:
+            return evaluate(part, chunk, ctx).slice(rows)
+        return evaluate(
+            part, chunk if len(rows) == count else chunk.slice(rows), ctx
+        )
+
+    for cond, arm in [*expr.branches, (None, expr.else_result)]:
+        if not len(pending):
+            break
+        rows = pending
+        if cond is not None:
+            evaluated += len(pending)
+            hit = boolean_selection(on(pending, cond))
+            rows, pending = pending[hit], pending[~hit]
+        if arm is None or not len(rows):
+            continue
+        evaluated += len(rows)
+        vec = on(rows, arm)
+        data = vec.data
+        if data.dtype != out.dtype:
+            # Arms are not coerced by the binder: convert through Python
+            # values, like the row engine's results.
+            data = data.astype(object)
+            if physical != "object":
+                data = _pack_object_array(data, vec.validity, out.dtype,
+                                          len(rows))
+        out[rows] = data
+        validity[rows] = vec.validity
+    if narrow:
+        parts = 2 * len(expr.branches) + (expr.else_result is not None)
+        _count_skipped(ctx, parts * count - evaluated)
+    result = Vector(expr.ltype, out, validity)
+    if narrow and _verification.VERIFICATION_ENABLED:
+        _crosscheck_dense(_evaluate_case, expr, chunk, ctx, result, "CASE")
+    return result
 
 
 def _evaluate_subquery(expr: BoundSubqueryExpr, chunk: DataChunk,
@@ -1491,17 +1562,14 @@ def _aggregate_specs_reduce(op: LogicalAggregate,
             if ctx.stats is not None:
                 ctx.stats.bump("quack.kernel_ops")
             if _verification.VERIFICATION_ENABLED:
-                from ..analysis.verifier import assert_vectors_match
-
-                reference = _aggregate_spec_row_loop(spec, arg_vectors[a],
-                                                     codes, n_groups)
-                assert_vectors_match(
-                    vec, reference,
+                _crosscheck_vectors(
+                    vec,
+                    _aggregate_spec_row_loop(spec, arg_vectors[a], codes,
+                                             n_groups),
+                    ctx,
                     f"{op._explain_label()} "
                     f"{spec.function.name}.step_batch",
                 )
-                if ctx.stats is not None:
-                    ctx.stats.bump("verify.kernel_crosschecks")
         else:
             if kstats is not None:
                 kstats.fallback += 1

@@ -53,8 +53,8 @@ class ScalarFunction:
         None
     )
     #: Volatile functions may return different results for equal inputs
-    #: (or have side effects); they are excluded from the per-chunk
-    #: repeated-argument memo used while kernels are enabled.
+    #: (or have side effects); they run on every row instead of once per
+    #: distinct argument tuple of the chunk.
     volatile: bool = False
 
     def evaluate(self, args: list[Vector], count: int) -> Vector:
@@ -82,34 +82,55 @@ class ScalarFunction:
                 if stats is not None:
                     stats.bump("quack.function_batch_ops")
                 if verification_enabled():
-                    self._crosscheck_batch(result, args, count)
+                    self._crosscheck(result, args, count, "evaluate_batch")
                 return result
         return self._scalar_loop(args, count)
 
-    def _crosscheck_batch(self, result: Vector, args: list[Vector],
-                          count: int) -> None:
-        """Verification mode: re-run the scalar fallback and require the
-        batch kernel's output to match it row for row."""
+    def _crosscheck(self, result: Vector, args: list[Vector], count: int,
+                    path: str) -> None:
+        """Verification mode: re-run the plain row loop and require
+        ``path``'s output to match it row for row."""
         from ..analysis.verifier import assert_vectors_match
 
-        reference = self._scalar_loop(args, count)
         assert_vectors_match(
-            result, reference,
-            f"scalar function {self.name!r} evaluate_batch",
+            result, self._row_loop(args, count),
+            f"scalar function {self.name!r} {path}",
         )
         stats = current_stats()
         if stats is not None:
             stats.bump("verify.kernel_crosschecks")
 
     def _scalar_loop(self, args: list[Vector], count: int) -> Vector:
-        """The row-wise fallback path (also the kernel cross-check
-        reference under verification mode)."""
+        """The row-wise path.  Join chunks repeat argument tuples (the
+        same trip against the same period once per row of a third,
+        crossed-in table), so a non-volatile function runs once per
+        distinct tuple of the chunk and the results are gathered back."""
+        distinct = (
+            None if self.volatile else kernels.distinct_rows(args, count)
+        )
+        if distinct is None:
+            return self._row_loop(args, count)
+        first, inverse = distinct
+        result = self._row_loop(
+            [a.slice(first) for a in args], len(first)
+        ).slice(inverse)
+        stats = current_stats()
+        if stats is not None:
+            stats.bump("quack.distinct_rows_saved", count - len(first))
+        if verification_enabled():
+            self._crosscheck(result, args, count,
+                             "distinct-argument evaluation")
+        return result
+
+    def _row_loop(self, args: list[Vector], count: int) -> Vector:
+        """``fn_scalar`` on every row (also the cross-check reference
+        under verification mode)."""
         out = np.empty(count, dtype=object)
         validity = np.ones(count, dtype=np.bool_)
         columns = [a.data for a in args]
-        valid_masks = [a.validity for a in args]
         fn = self.fn_scalar
         if self.handles_null:
+            valid_masks = [a.validity for a in args]
             for i in range(count):
                 out[i] = fn(*[
                     col[i] if mask[i] else None
@@ -124,51 +145,14 @@ class ScalarFunction:
                 )
             else:
                 combined = None
-            # Nested-loop join chunks repeat the same payload objects in
-            # runs (left side) or tiles (right side); memoizing by object
-            # identity skips re-running pure functions on those rows.
-            # Only unary functions qualify: multi-argument rows on join
-            # chunks are distinct pairs, so a memo never hits there.
-            memo: dict | None = None
-            if (
-                kernels.kernels_enabled()
-                and not self.volatile
-                and count >= 16
-                and len(args) == 1
-                and args[0].ltype.physical == "object"
-            ):
-                memo = {}
-            memo_hits = 0
-            if memo is not None:
-                column = columns[0]
-                for i in range(count):
-                    if combined is not None and not combined[i]:
-                        validity[i] = False
-                        continue
-                    source = column[i]
-                    hit = memo.get(id(source))
-                    if hit is not None and hit[0] is source:
-                        result = hit[1]
-                        memo_hits += 1
-                    else:
-                        result = fn(source)
-                        memo[id(source)] = (source, result)
-                    out[i] = result
-                    if result is None:
-                        validity[i] = False
-            else:
-                for i in range(count):
-                    if combined is not None and not combined[i]:
-                        validity[i] = False
-                        continue
-                    result = fn(*[col[i] for col in columns])
-                    out[i] = result
-                    if result is None:
-                        validity[i] = False
-            if memo_hits:
-                stats = current_stats()
-                if stats is not None:
-                    stats.bump("quack.scalar_memo_rows", memo_hits)
+            for i in range(count):
+                if combined is not None and not combined[i]:
+                    validity[i] = False
+                    continue
+                result = fn(*[col[i] for col in columns])
+                out[i] = result
+                if result is None:
+                    validity[i] = False
         return _materialize(self.return_type, out, validity, count)
 
     def evaluate_row(self, args: list[Any]) -> Any:

@@ -9,6 +9,9 @@ DISTINCT hot paths vectorized end to end:
   columns (``np.unique(..., return_inverse=True)`` per column, combined
   pairwise and re-densified), with explicit NULL/NaN/negative-zero
   canonicalization.
+* :func:`distinct_rows` — factorizes a function's argument vectors by
+  identity/bit pattern so pure scalar functions, extension casts and box
+  extraction run once per distinct argument tuple of a chunk.
 * :func:`segment_reduce` — per-group ``ufunc.reduceat`` reduction over
   rows sorted by group code (SUM/MIN/MAX-style kernels).
 * :func:`sort_permutation` — ``np.lexsort``-based ORDER BY with correct
@@ -40,6 +43,7 @@ from .vector import KernelFallback, Vector
 __all__ = [
     "JoinBuild",
     "KERNELS_ENABLED",
+    "distinct_rows",
     "factorize",
     "hashable_key",
     "kernels_enabled",
@@ -167,6 +171,67 @@ def factorize(vectors: Sequence[Vector],
     codes = remap[inverse.astype(np.int64, copy=False)]
     representatives = first_index[order].astype(np.int64, copy=False)
     return codes, representatives
+
+
+#: Chunks shorter than this are not worth factorizing.
+_DISTINCT_MIN_ROWS = 16
+
+
+def distinct_rows(
+    vectors: Sequence[Vector], count: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Factorize a function's argument tuples into ``(first_index,
+    inverse)``: ``first_index`` lists, in row order, the first row of each
+    distinct tuple and ``inverse[i]`` is the position in it of row ``i``'s
+    tuple, so a pure function runs on ``first_index`` and its result is
+    gathered back through ``inverse``.
+
+    Object columns compare by element identity (join chunks repeat the
+    same payload objects; equal-but-distinct objects stay distinct),
+    native columns by bit pattern; NULL is one value per column.  Returns
+    ``None`` — evaluate every row — when all tuples are distinct, the
+    chunk is short, or kernels are disabled for this statement.
+    """
+    if count < _DISTINCT_MIN_ROWS or not kernels_enabled():
+        return None
+    keys: list[np.ndarray] = []
+    for vector in vectors:
+        data = vector.data
+        if data.dtype == object:
+            key = np.fromiter(map(id, data.tolist()), dtype=np.int64,
+                              count=count)
+        elif data.dtype.itemsize == 8:
+            key = data.view(np.int64)
+        else:
+            key = data.astype(np.int64)
+        if not vector.validity.all():
+            key = np.where(vector.validity, key, 0)
+            keys.append(vector.validity)
+        keys.append(key)
+    if not keys:
+        first = np.zeros(1, dtype=np.int64)
+        return first, np.zeros(count, dtype=np.int64)
+    # lexsort is stable, so each run of equal tuples starts at the
+    # tuple's first row.
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(
+        keys[0], kind="stable"
+    )
+    starts = np.zeros(count, dtype=np.bool_)
+    starts[0] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    first = order[starts]
+    if len(first) == count:
+        return None
+    # Number the tuples in row order so the function sees (and raises on)
+    # rows in the order the plain loop would.
+    rank = np.argsort(first, kind="stable")
+    renumber = np.empty(len(first), dtype=np.int64)
+    renumber[rank] = np.arange(len(first), dtype=np.int64)
+    inverse = np.empty(count, dtype=np.int64)
+    inverse[order] = renumber[np.cumsum(starts) - 1]
+    return first[rank], inverse
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .plan import (
     LogicalSetOp,
     LogicalSort,
     PrunePredicate,
+    cost_class,
 )
 from . import stats as table_stats
 from . import storage
@@ -109,6 +110,42 @@ class _Optimizer:
         if self._stats is not None:
             self._stats.bump(f"optimizer.cbo.{name}", n)
 
+    def _ranked(
+        self,
+        conjuncts: list[BoundExpr],
+        selectivity: Callable[[BoundExpr], float] | None = None,
+    ) -> BoundExpr:
+        """The AND of ``conjuncts`` in evaluation order.  The executor
+        narrows a chunk after every conjunct, so cheap ones go first: a
+        stable sort by :func:`~repro.quack.plan.cost_class`, then — when
+        statistics can say — most selective first.  Per-row Python
+        (class 2 and up) can raise on bad payloads, and a query may guard
+        it with a conjunct of the same class written in front of it
+        (``s <> 'abc' AND CAST(s AS INTEGER) > 1``), so those keep their
+        written order: statistics never move a guard behind what it
+        protects."""
+        def rank(conj: BoundExpr) -> tuple[int, float]:
+            cls = cost_class(conj)
+            if cls >= 2 or selectivity is None:
+                return cls, 0.0
+            return cls, selectivity(conj)
+
+        ranked = sorted(conjuncts, key=rank)
+        if any(a is not b for a, b in zip(ranked, conjuncts)):
+            self._fire("conjunct_rank")
+        return _combine(ranked)
+
+    def _leaf_estimator(
+        self, leaf: LogicalOperator
+    ) -> Callable[[BoundExpr], float] | None:
+        """Conjunct selectivity against a base table's ANALYZE statistics
+        (None without them, or under ``SET cbo = off``)."""
+        table = getattr(leaf, "table", None)
+        statistics = getattr(table, "stats", None) if self._cbo else None
+        if statistics is None:
+            return None
+        return lambda conj: _estimate_conjunct(conj, statistics.column)
+
     def rewrite(self, op: LogicalOperator) -> LogicalOperator:
         if isinstance(op, LogicalFilter):
             return self._rewrite_filter(op)
@@ -163,7 +200,9 @@ class _Optimizer:
             child, remaining = self._try_push_into_leaf(child, conjuncts)
             if not remaining:
                 return child
-            return LogicalFilter(_combine(remaining), child)
+            return LogicalFilter(
+                self._ranked(remaining, self._leaf_estimator(child)), child
+            )
 
         # Leaf offsets in the flat column space.
         offsets: list[int] = []
@@ -200,7 +239,10 @@ class _Optimizer:
             leaf = self.rewrite(leaf)
             leaf, remaining = self._try_push_into_leaf(leaf, filters)
             if remaining:
-                leaf = LogicalFilter(_combine(remaining), leaf)
+                leaf = LogicalFilter(
+                    self._ranked(remaining, self._leaf_estimator(leaf)),
+                    leaf,
+                )
             new_leaves.append(leaf)
 
         if self._cbo and len(leaves) >= 2:
@@ -254,11 +296,11 @@ class _Optimizer:
                 new_leaves[i],
                 join_type,
                 equi_keys=equi_keys,
-                residual=_combine(residuals) if residuals else None,
+                residual=self._ranked(residuals) if residuals else None,
                 index_probe=index_probe,
             )
         if top_level:
-            plan = LogicalFilter(_combine(top_level), plan)
+            plan = LogicalFilter(self._ranked(top_level), plan)
         return plan
 
     def _flatten(
@@ -340,7 +382,7 @@ class _Optimizer:
             tree, searcher, leaves, new_leaves, offsets, widths
         )
         if top_level:
-            plan = LogicalFilter(_combine(top_level), plan)
+            plan = LogicalFilter(self._ranked(top_level), plan)
         return plan
 
     def _build_cbo_tree(
@@ -384,6 +426,7 @@ class _Optimizer:
             node_mask = lmask | rmask
             node_start = min(lstart, rstart)
             crossing: list[BoundExpr] = []
+            selectivity: dict[int, float] = {}
             for edge in list(pending):
                 if (edge.mask & lmask and edge.mask & rmask
                         and not edge.mask & ~node_mask):
@@ -392,6 +435,7 @@ class _Optimizer:
                         edge.conj,
                         lambda old: old_to_new[old] - node_start,
                     ))
+                    selectivity[id(crossing[-1])] = edge.selectivity
             boundary = lwidth
             equi_keys: list[tuple[BoundExpr, BoundExpr]] = []
             residuals: list[BoundExpr] = []
@@ -427,7 +471,9 @@ class _Optimizer:
                 right_op,
                 join_type,
                 equi_keys=equi_keys,
-                residual=_combine(residuals) if residuals else None,
+                residual=self._ranked(
+                    residuals, lambda conj: selectivity[id(conj)]
+                ) if residuals else None,
                 index_probe=index_probe,
             )
             join.estimated_rows = int(round(searcher.rows_of(node_mask)))

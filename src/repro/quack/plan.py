@@ -61,6 +61,42 @@ def _children(expr: BoundExpr) -> list[BoundExpr]:
     return []
 
 
+def cost_class(expr: BoundExpr) -> int:
+    """Per-row cost class of an expression, read off the functions it
+    calls (the most expensive node decides):
+
+    0. native ``fn_vector`` comparisons/arithmetic, builtin numeric casts,
+       column references and constants — whole-array NumPy work that
+       cannot raise;
+    1. functions with an ``evaluate_batch`` kernel (``&&``, ``@>``, …);
+    2. per-row Python: scalar payload functions, extension casts, and
+       anything comparing or parsing object payloads;
+    3. subqueries.
+
+    The optimizer ranks conjuncts by it, and the executor evaluates a
+    leading run of class-0 conjuncts on the whole chunk before it starts
+    narrowing."""
+    if isinstance(expr, BoundSubqueryExpr):
+        return 3
+    own = 0
+    if isinstance(expr, BoundFunction):
+        function = expr.function
+        if function.fn_vector is None:
+            own = 1 if function.evaluate_batch is not None else 2
+        elif any(a.ltype.physical == "object" for a in expr.args):
+            own = 2
+    elif isinstance(expr, BoundCast):
+        if expr.cast is not None or (
+            expr.child.ltype.physical == "object"
+            and expr.ltype.physical != "object"
+        ):
+            own = 2
+    elif isinstance(expr, BoundInList):
+        if expr.operand.ltype.physical == "object":
+            own = 2
+    return max([own, *(cost_class(c) for c in _children(expr))])
+
+
 @dataclass
 class BoundConstant(BoundExpr):
     value: Any
@@ -95,6 +131,15 @@ class BoundConjunction(BoundExpr):
     op: str  # 'AND' | 'OR'
     args: list[BoundExpr]
     ltype: LogicalType
+    #: Length of the leading run of class-0 operands, which the executor
+    #: evaluates on the whole chunk before it starts narrowing.
+    dense: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.dense = next(
+            (k for k, arg in enumerate(self.args) if cost_class(arg)),
+            len(self.args),
+        )
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """BerlinMOD-Hanoi generator tests (paper §5, Tables 2/3)."""
 
+import hashlib
+
 import pytest
 
 from repro import geo
@@ -146,6 +148,46 @@ class TestGeneratedDataset:
         a = generate(0.001, seed=1)
         b = generate(0.001, seed=2)
         assert a.trips[0].trip != b.trips[0].trip
+
+    @pytest.mark.parametrize("seed", [129, 153, 274])
+    def test_cut_off_rim_node_gets_no_freeway_spoke(self, seed):
+        # Grid removals disconnect a rim corner on these seeds; routing its
+        # spoke used to raise NetworkXNoPath before the largest component
+        # was taken.
+        dataset = generate(0.0001, seed=seed)
+        assert dataset.trips
+        categories = {
+            data["category"]
+            for _, _, data in dataset.network.graph.edges(data=True)
+        }
+        assert "freeway" in categories
+
+    def test_benchmark_city_is_unchanged(self):
+        # perfbench loads generate(0.0002, 4711); skipping unreachable
+        # rim nodes must not move a byte of it (digest taken before the
+        # fix).
+        dataset = generate(0.0002, seed=4711)
+        graph = dataset.network.graph
+        digest = hashlib.sha1()
+        for node in sorted(graph.nodes):
+            digest.update(
+                repr((node, sorted(graph.nodes[node].items()))).encode()
+            )
+        for a, b in sorted(tuple(sorted(edge)) for edge in graph.edges):
+            digest.update(
+                repr((a, b, sorted(graph.edges[a, b].items()))).encode()
+            )
+        for vehicle in dataset.vehicles:
+            digest.update(repr(vehicle).encode())
+        for trip in dataset.trips:
+            digest.update(repr((
+                trip.trip_id, trip.vehicle_id, trip.day, trip.seq_no,
+                trip.source_node, trip.target_node, trip.trip.as_text(),
+                str(trip.traj),
+            )).encode())
+        assert digest.hexdigest() == (
+            "d2efcc0aec947ac9413427b8845abbb990c83ddf"
+        )
 
     def test_size_grows_with_scale(self, dataset):
         bigger = generate(0.002)
