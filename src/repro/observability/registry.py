@@ -66,10 +66,12 @@ DECLARED_COUNTERS = frozenset({
     "verify.kernel_crosschecks",
     "verify.parallel_crosschecks",
     "verify.zonemap_crosschecks",
+    "verify.segment_copy_crosschecks",
     # persistent columnar storage + spill
     "storage.rowgroups_scanned",
     "storage.rowgroups_skipped",
     "storage.segments_decoded",
+    "storage.segments_copied",
     "storage.bytes_read",
     "storage.bytes_written",
     "storage.checkpoints",
@@ -87,7 +89,6 @@ DECLARED_COUNTERS = frozenset({
     "parallel.batches",
     "parallel.build_partitions",
     "parallel.agg_partials",
-    "parallel.sort_runs",
     # timeline tracing + query log
     "trace.events",
     "querylog.records",

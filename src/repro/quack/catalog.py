@@ -60,7 +60,10 @@ class ColumnData:
         # Same guard as seal(): segment lists are read by concurrently
         # sealing scan workers, so every write goes through the lock.
         with self._seal_lock:
-            self.segments.append(np.array(vector.data, copy=True))
+            self.segments.append(np.array(
+                vector.data, dtype=_PHYSICAL_DTYPES[self.ltype.physical],
+                copy=True,
+            ))
             self.validity_segments.append(
                 np.array(vector.validity, copy=True)
             )
@@ -246,6 +249,22 @@ class Table:
                 index.append(chunk, row_ids)
         return row_ids
 
+    def append_chunk(self, chunk: DataChunk) -> np.ndarray:
+        """Append a chunk of rows column-wise, as one sealed segment;
+        returns their row ids and feeds attached indexes."""
+        if len(chunk.vectors) != self.num_columns:
+            raise ExecutionError(
+                f"expected {self.num_columns} values, "
+                f"got {len(chunk.vectors)}"
+            )
+        start = self.total_rows()
+        for col, vector in zip(self._columns, chunk.vectors):
+            col.append_vector(vector)
+        row_ids = np.arange(start, start + chunk.count, dtype=np.int64)
+        for index in self.indexes:
+            index.append(chunk, row_ids)
+        return row_ids
+
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         before = len(self._deleted_ids)
         self._deleted_ids.update(int(r) for r in row_ids)
@@ -293,33 +312,42 @@ class Table:
 
     # -- scan ---------------------------------------------------------------------
 
+    def segment_masks(
+        self
+    ) -> Iterator[tuple[int, int, int, np.ndarray | None]]:
+        """``(segment, first row id, rows, keep)`` per sealed segment;
+        ``keep`` masks the live rows, ``None`` when the segment holds no
+        tombstone."""
+        for col in self._columns:
+            col.seal()
+        deleted = np.sort(np.fromiter(self._deleted_ids, dtype=np.int64,
+                                      count=len(self._deleted_ids)))
+        offset = 0
+        first = self._columns[0]
+        for seg in range(first.segment_count()):
+            count = first.segment_rows(seg)
+            keep = None
+            lo, hi = np.searchsorted(deleted, (offset, offset + count))
+            if lo < hi:
+                keep = np.ones(count, dtype=np.bool_)
+                keep[deleted[lo:hi] - offset] = False
+            yield seg, offset, count, keep
+            offset += count
+
     def scan(
         self, skip_groups: set[int] | None = None
     ) -> Iterator[tuple[DataChunk, np.ndarray]]:
         """Yield (chunk, row_ids) over live rows, one entry per sealed
         segment; ``skip_groups`` elides row groups by segment index
         without materializing them (zone-map pruning)."""
-        for col in self._columns:
-            col.seal()
-        offset = 0
-        num_segments = self._columns[0].segment_count()
-        for seg in range(num_segments):
-            count = self._columns[0].segment_rows(seg)
+        for seg, offset, count, keep in self.segment_masks():
             if skip_groups and seg in skip_groups:
-                offset += count
                 continue
             vectors = [col.segment_vector(seg) for col in self._columns]
             row_ids = np.arange(offset, offset + count, dtype=np.int64)
-            offset += count
-            if self._deleted_ids:
-                keep = np.fromiter(
-                    (int(r) not in self._deleted_ids for r in row_ids),
-                    dtype=np.bool_,
-                    count=count,
-                )
-                if not keep.all():
-                    vectors = [v.slice(keep) for v in vectors]
-                    row_ids = row_ids[keep]
+            if keep is not None:
+                vectors = [v.slice(keep) for v in vectors]
+                row_ids = row_ids[keep]
             yield DataChunk(vectors), row_ids
 
     def fetch(self, row_ids: np.ndarray) -> DataChunk:

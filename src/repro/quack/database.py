@@ -47,7 +47,13 @@ from .parallel import MorselPool, default_workers
 from .plan import LogicalMaterializedCTE, LogicalOperator
 from .sql import ast, parse_sql
 from .types import LogicalType, TypeRegistry
-from .vector import boolean_selection
+from .vector import (
+    STANDARD_VECTOR_SIZE,
+    DataChunk,
+    Vector,
+    boolean_selection,
+    concat_chunks,
+)
 
 
 @dataclass
@@ -434,8 +440,8 @@ class Connection:
 
     def _execute_checkpoint(self, stmt: ast.CheckpointStatement) -> Result:
         """Write every table to the attached (or explicitly named) file
-        in the columnar segment format, then re-attach so subsequent
-        scans run against the lazily-decoded on-disk segments."""
+        in the columnar segment format and make it the attached path;
+        the catalog's tables stay as they are."""
         from . import storage
 
         path = stmt.path or self.database.attached_path
@@ -659,37 +665,35 @@ class Connection:
 
     def _execute_insert(self, stmt: ast.InsertStatement) -> Result:
         table = self.database.catalog.get_table(stmt.table)
-        if stmt.query is not None:
-            plan = self._plan_select(stmt.query)
-            source_rows = self._run_plan(plan).rows
-            source_types = plan.output_types()
-        else:
-            source_rows = []
-            source_types = None
-            context = BinderContext(
-                self.database.catalog,
-                self.database.functions,
-                self.database.types,
-            )
-            binder = Binder(context)
-            from .binder import _NOT_CONSTANT, fold_constant
-
-            for value_row in stmt.values or []:
-                row = []
-                for expr in value_row:
-                    bound = binder.bind_expr(expr)
-                    value = fold_constant(bound)
-                    if value is _NOT_CONSTANT:
-                        raise BinderError(
-                            "INSERT VALUES must be constant expressions"
-                        )
-                    row.append(value)
-                source_rows.append(tuple(row))
-        # Map into the table's column order, applying coercion casts.
         if stmt.columns is not None:
             positions = [table.column_index(c) for c in stmt.columns]
         else:
             positions = list(range(table.num_columns))
+        if stmt.query is not None:
+            count = self._insert_select(table, positions,
+                                        self._plan_select(stmt.query))
+            return Result(["Count"], [], [(count,)])
+        source_rows = []
+        context = BinderContext(
+            self.database.catalog,
+            self.database.functions,
+            self.database.types,
+        )
+        binder = Binder(context)
+        from .binder import _NOT_CONSTANT, fold_constant
+
+        for value_row in stmt.values or []:
+            row = []
+            for expr in value_row:
+                bound = binder.bind_expr(expr)
+                value = fold_constant(bound)
+                if value is _NOT_CONSTANT:
+                    raise BinderError(
+                        "INSERT VALUES must be constant expressions"
+                    )
+                row.append(value)
+            source_rows.append(tuple(row))
+        # Map into the table's column order, applying coercion casts.
         full_rows = []
         for row in source_rows:
             if len(row) != len(positions):
@@ -705,6 +709,45 @@ class Connection:
             full_rows.append(tuple(full))
         table.append_rows(full_rows)
         return Result(["Count"], [], [(len(full_rows),)])
+
+    def _insert_select(self, table: Table, positions: list[int],
+                       plan: LogicalOperator) -> int:
+        """INSERT … SELECT, column-wise: a source column of the target
+        column's own type is appended as arrays; any other goes through
+        the VALUES coercion value by value.  Unlisted columns are NULL."""
+        stats = current_stats()
+        ctx = self._execution_context(stats)
+        with maybe_span(stats, "execute"):
+            # Drained before the first append: the target may be a source.
+            chunks = [c for c in execute_plan(plan, ctx) if c.count]
+        if not chunks:
+            return 0
+        if len(chunks[0].vectors) != len(positions):
+            raise ExecutionError(
+                f"INSERT expected {len(positions)} values, "
+                f"got {len(chunks[0].vectors)}"
+            )
+        source = concat_chunks(chunks).vectors
+        count = len(source[0])
+        columns = [Vector.constant(t, None, count)
+                   for t in table.column_types]
+        for pos, vector in zip(positions, source):
+            target = table.column_types[pos]
+            if vector.ltype != target:
+                vector = Vector.from_values(target, [
+                    self._coerce_for_storage(value, target)
+                    for value in vector.to_list()
+                ])
+            columns[pos] = vector
+        full = DataChunk(columns)
+        for start in range(0, count, STANDARD_VECTOR_SIZE):
+            table.append_chunk(
+                full.slice(slice(start, start + STANDARD_VECTOR_SIZE))
+            )
+        if stats is not None:
+            stats.bump("executor.result_chunks", len(chunks))
+            stats.bump("executor.rows_returned", count)
+        return count
 
     def _coerce_for_storage(self, value: Any, ltype: LogicalType) -> Any:
         if value is None:

@@ -8,7 +8,6 @@ still open — the execution model of the paper's host engine.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from dataclasses import dataclass
@@ -59,6 +58,7 @@ from .vector import (
     STANDARD_VECTOR_SIZE,
     Vector,
     boolean_selection,
+    concat_chunks,
     concat_vectors,
 )
 
@@ -1011,9 +1011,7 @@ def _materialize(op: LogicalOperator,
         chunks = list(execute_plan(op, ctx))
     if not chunks:
         return None
-    columns = []
-    for i in range(len(chunks[0].vectors)):
-        columns.append(concat_vectors([c.column(i) for c in chunks]))
+    columns = concat_chunks(chunks).vectors
     if ctx.stats is not None:
         ctx.stats.bump("executor.materializations")
         ctx.stats.bump("executor.materialized_chunks", len(chunks))
@@ -1504,25 +1502,33 @@ def _execute_aggregate(op: LogicalAggregate,
     ):
         out = _aggregate_parallel(op, full, count, ctx, kstats)
     if out is None:
-        group_vectors = [evaluate(g, full, ctx) for g in op.groups]
-        codes, representatives, n_groups = _aggregate_codes(
-            op, group_vectors, count, ctx
-        )
-        result = [gv.take(representatives) for gv in group_vectors]
-        arg_vectors = [
-            [evaluate(arg, full, ctx) for arg in spec.args]
-            for spec in op.aggregates
-        ]
-        result.extend(
-            _aggregate_specs_reduce(op, arg_vectors, codes, n_groups, ctx,
-                                    kstats)
-        )
-        out = DataChunk(result)
+        out, _ = _aggregate_reduce(op, full, ctx, kstats)
     n_out = out.count
     for start in range(0, n_out, STANDARD_VECTOR_SIZE):
         yield out.slice(
             np.arange(start, min(start + STANDARD_VECTOR_SIZE, n_out))
         )
+
+
+def _aggregate_reduce(op: LogicalAggregate, full: DataChunk,
+                      ctx: ExecutionContext,
+                      kstats) -> tuple[DataChunk, np.ndarray]:
+    """Serial kernel aggregation of ``full``: the group rows in
+    first-appearance order, and each group's first row in ``full``."""
+    group_vectors = [evaluate(g, full, ctx) for g in op.groups]
+    codes, representatives, n_groups = _aggregate_codes(
+        op, group_vectors, full.count, ctx
+    )
+    result = [gv.take(representatives) for gv in group_vectors]
+    arg_vectors = [
+        [evaluate(arg, full, ctx) for arg in spec.args]
+        for spec in op.aggregates
+    ]
+    result.extend(
+        _aggregate_specs_reduce(op, arg_vectors, codes, n_groups, ctx,
+                                kstats)
+    )
+    return DataChunk(result), representatives
 
 
 def _aggregate_codes(op: LogicalAggregate, group_vectors: list[Vector],
@@ -1798,65 +1804,46 @@ def _aggregate_row_loop(op: LogicalAggregate, full: DataChunk,
                         ctx: ExecutionContext,
                         out_types: list[LogicalType]
                         ) -> Iterator[DataChunk]:
-    """The pre-kernel tuple-at-a-time aggregation (kernels disabled)."""
-    results = _aggregate_fold(
-        op, [(full, list(range(full.count)))], ctx
-    )
-    yield from _rows_to_chunks([row for _, row in results], out_types)
-
-
-def _aggregate_fold(op: LogicalAggregate,
-                    blocks: list[tuple[DataChunk, list[int]]],
-                    ctx: ExecutionContext) -> list[tuple[int, tuple]]:
-    """Tuple-at-a-time aggregation over ``(chunk, global_indices)``
-    blocks; shared by the row-loop fallback (one whole-relation block)
-    and the spilled per-partition fold.
-
-    Returns ``(first_global_index, output_row)`` pairs in
-    first-appearance order of the group keys within ``blocks``."""
+    """The pre-kernel tuple-at-a-time aggregation (kernels disabled);
+    groups come out in first-appearance order."""
     groups: dict[tuple, list] = {}
     group_values: dict[tuple, tuple] = {}
     distinct_seen: dict[tuple, list[set]] = {}
-    first_index: dict[tuple, int] = {}
-    for chunk, global_indices in blocks:
-        group_vectors = [evaluate(g, chunk, ctx) for g in op.groups]
-        arg_vectors = [
-            [evaluate(a, chunk, ctx) for a in spec.args]
-            for spec in op.aggregates
-        ]
-        for i in range(chunk.count):
-            key = tuple(_hashable(gv.value(i)) for gv in group_vectors)
-            state = groups.get(key)
-            if state is None:
-                state = [spec.function.init() for spec in op.aggregates]
-                groups[key] = state
-                group_values[key] = tuple(
-                    gv.value(i) for gv in group_vectors
-                )
-                distinct_seen[key] = [set() for _ in op.aggregates]
-                first_index[key] = int(global_indices[i])
-            for a, spec in enumerate(op.aggregates):
-                values = [vec.value(i) for vec in arg_vectors[a]]
-                if values and not spec.function.accepts_null and any(
-                    v is None for v in values
-                ):
+    group_vectors = [evaluate(g, full, ctx) for g in op.groups]
+    arg_vectors = [
+        [evaluate(a, full, ctx) for a in spec.args]
+        for spec in op.aggregates
+    ]
+    for i in range(full.count):
+        key = tuple(_hashable(gv.value(i)) for gv in group_vectors)
+        state = groups.get(key)
+        if state is None:
+            state = [spec.function.init() for spec in op.aggregates]
+            groups[key] = state
+            group_values[key] = tuple(gv.value(i) for gv in group_vectors)
+            distinct_seen[key] = [set() for _ in op.aggregates]
+        for a, spec in enumerate(op.aggregates):
+            values = [vec.value(i) for vec in arg_vectors[a]]
+            if values and not spec.function.accepts_null and any(
+                v is None for v in values
+            ):
+                continue
+            if spec.distinct:
+                marker = tuple(_hashable(v) for v in values)
+                if marker in distinct_seen[key][a]:
                     continue
-                if spec.distinct:
-                    marker = tuple(_hashable(v) for v in values)
-                    if marker in distinct_seen[key][a]:
-                        continue
-                    distinct_seen[key][a].add(marker)
-                state[a] = spec.function.step(state[a], *values)
-    results = []
-    for key, state in groups.items():
-        finals = [
-            spec.function.final(s)
-            for spec, s in zip(op.aggregates, state)
-        ]
-        results.append(
-            (first_index[key], tuple(group_values[key]) + tuple(finals))
-        )
-    return results
+                distinct_seen[key][a].add(marker)
+            state[a] = spec.function.step(state[a], *values)
+    yield from _rows_to_chunks(
+        [
+            group_values[key] + tuple(
+                spec.function.final(s)
+                for spec, s in zip(op.aggregates, state)
+            )
+            for key, state in groups.items()
+        ],
+        out_types,
+    )
 
 
 def _rows_to_chunks(rows: list[tuple],
@@ -1878,27 +1865,29 @@ def _rows_to_chunks(rows: list[tuple],
 # its input while counting working-set bytes; inputs that stay under
 # the watermark take the exact in-memory path (the buffered chunks are
 # handed to ``_materialize``), so spill-off executions are untouched.
-# Past the watermark the sink switches to a disk-backed algorithm that
-# reproduces the in-memory row order bit-for-bit:
+# Past the watermark the sink switches to a disk-backed algorithm over
+# columnar ``SpillFile`` chunks, built from the in-memory operators'
+# kernels and reproducing their row order bit-for-bit:
 #
-# * sort      — bounded sorted runs + stable ``heapq.merge`` with the
-#               same ``sort_comparator`` key (stable merge of stable
-#               runs in global row order == the serial stable sort);
-# * aggregate — hash partitioning on the group key, per-partition
-#               row-loop fold carrying each group's first-occurrence
-#               global row index, final merge sorted by that index
-#               (== first-appearance order of every in-memory path);
-# * hash join — Grace partitioning of both sides tagged with global
-#               row indices; per-partition dict build/probe emits
-#               (left, right) pairs sorted within the partition, and a
-#               k-way merge on (left, right) reproduces the in-memory
-#               probe-major order.  Only inner equi-joins spill; LEFT
-#               joins and index nested-loop joins keep their build side
-#               in memory (the documented scale ceiling).
+# * sort      — bounded runs sorted by the same permutation kernel and
+#               spilled with their key columns, merged one block per run
+#               by ``kernels.merge_sorted_runs`` (ties go to the lower
+#               run, i.e. the earlier input row: the serial stable sort);
+# * aggregate — hash partitioning on the group key with each row's
+#               global index; every partition runs the in-memory kernel
+#               aggregation, and the group rows sort by the global index
+#               of their first row (== first-appearance order);
+# * hash join — Grace partitioning of both sides tagged with global row
+#               indices; each partition pair joins through the hash-join
+#               kernels into a run sorted by (left, right) index, and the
+#               sort's block merge over those runs reproduces the
+#               in-memory probe-major order.  Only inner equi-joins
+#               spill; LEFT joins and index nested-loop joins keep their
+#               build side in memory (the documented scale ceiling).
 #
 # Partitions assume the classic Grace bound: each of the
 # ``_SPILL_PARTITIONS`` partitions (~1/8 of the input) must fit in
-# memory during its build/fold — inputs needing recursive partitioning
+# memory during its build/reduce — inputs needing recursive partitioning
 # are out of scope.
 
 _SPILL_PARTITIONS = 8
@@ -1934,92 +1923,108 @@ def _chain_chunks(buffered: list[DataChunk],
         yield from overflow
 
 
-def _rows_stream_to_chunks(rows: Iterator[tuple],
-                           types: list[LogicalType]
-                           ) -> Iterator[DataChunk]:
-    """Re-chunk a row stream without materializing it whole (the merge
-    phase of every spill path)."""
+def _bounded_batches(chunks: Iterator[DataChunk], limit: int
+                     ) -> Iterator[list[DataChunk]]:
+    """Cut a chunk stream into consecutive batches that each just pass
+    ``limit`` working-set bytes (the last may fall short)."""
+    batch: list[DataChunk] = []
+    used = 0
+    for chunk in chunks:
+        if not chunk.count:
+            continue
+        batch.append(chunk)
+        used += _storage.chunk_nbytes(chunk)
+        if used > limit:
+            yield batch
+            batch = []
+            used = 0
+    if batch:
+        yield batch
 
-    def emit(block: list[tuple]) -> DataChunk:
-        return DataChunk(
-            [
-                Vector.from_values(t, [row[c] for row in block])
-                for c, t in enumerate(types)
-            ]
+
+def _spill_blocks(run: _storage.SpillFile, chunk: DataChunk,
+                  order: np.ndarray) -> None:
+    """Write ``chunk``'s rows in ``order``, one ``STANDARD_VECTOR_SIZE``
+    block at a time — the unit the merge loads per run."""
+    for start in range(0, len(order), STANDARD_VECTOR_SIZE):
+        run.write_chunk(
+            chunk.slice(order[start : start + STANDARD_VECTOR_SIZE])
         )
 
-    block: list[tuple] = []
-    for row in rows:
-        block.append(row)
-        if len(block) == STANDARD_VECTOR_SIZE:
-            yield emit(block)
-            block = []
-    if block:
-        yield emit(block)
+
+def _scatter(chunk: DataChunk, key_vectors: list[Vector], base: int,
+             parts: list[_storage.SpillFile], drop_null_keys: bool) -> None:
+    """Append each row of ``chunk``, tagged with its global row index
+    (``base`` + position), to the partition its key hashes to."""
+    part_of = kernels.partition_codes(key_vectors, chunk.count, len(parts))
+    if drop_null_keys:
+        for kv in key_vectors:
+            part_of[~kv.validity] = -1
+    tagged = DataChunk(chunk.vectors + [
+        Vector(BIGINT, np.arange(base, base + chunk.count, dtype=np.int64))
+    ])
+    for p in np.unique(part_of[part_of >= 0]):
+        parts[p].write_chunk(tagged.slice(part_of == p))
+
+
+def _spill_sorted_run(op: LogicalSort, chunks: list[DataChunk], key_specs,
+                      ctx: ExecutionContext
+                      ) -> tuple[_storage.SpillFile, bool]:
+    """Sort ``chunks`` into a spilled run: the rows in sorted order, each
+    followed by its evaluated key columns.  Returns the run and whether
+    the sort kernel (not the comparator) ordered it."""
+    full = concat_chunks(chunks)
+    key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
+    perm, from_kernel = kernels.order_permutation(key_vectors, key_specs)
+    keyed = DataChunk(full.vectors + key_vectors)
+    run = _storage.SpillFile([v.ltype for v in keyed.vectors])
+    try:
+        _spill_blocks(run, keyed, perm)
+    except BaseException:
+        run.close()
+        raise
+    return run, from_kernel
 
 
 def _external_sort(op: LogicalSort, buffered: list[DataChunk],
                    overflow: Iterator[DataChunk],
                    ctx: ExecutionContext) -> Iterator[DataChunk]:
     """Past-watermark ORDER BY: bounded sorted runs spilled to disk,
-    merged with a stable k-way merge under the same comparator."""
-    limit = ctx.memory_limit_bytes
-    kstats = _kernel_stats(op, ctx)
+    merged one ``STANDARD_VECTOR_SIZE`` block per run."""
     key_specs = [(asc, nf) for _, asc, nf in op.keys]
-    comparator = kernels.sort_comparator(key_specs)
+    verify = _verification.VERIFICATION_ENABLED
+    seen: list[DataChunk] = []
+    emitted: list[DataChunk] = []
     runs: list[_storage.SpillFile] = []
-
-    def flush_run(chunks: list[DataChunk]) -> None:
-        total = sum(c.count for c in chunks)
-        if not total:
-            return
-        full = DataChunk(
-            [
-                concat_vectors([c.column(i) for c in chunks])
-                for i in range(len(chunks[0].vectors))
-            ]
-        )
-        if kstats is not None:
-            kstats.rows_in += total
-        key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
-        keyed = sorted(
-            (
-                (full.row(i), tuple(kv.value(i) for kv in key_vectors))
-                for i in range(total)
-            ),
-            key=comparator,
-        )
-        run = _storage.SpillFile()
-        # Hand the run to the cleanup list *before* writing: if the
-        # write raises mid-spill, the enclosing finally still closes it.
-        runs.append(run)
-        run.write_rows(keyed)
-
     try:
-        pending: list[DataChunk] = []
-        used = 0
-        for chunk in _chain_chunks(buffered, overflow):
-            pending.append(chunk)
-            used += _storage.chunk_nbytes(chunk)
-            if used > limit:
-                flush_run(pending)
-                pending = []
-                used = 0
-        flush_run(pending)
+        from_kernel = True
+        for batch in _bounded_batches(_chain_chunks(buffered, overflow),
+                                      ctx.memory_limit_bytes):
+            if verify:
+                seen.extend(batch)
+            run, kernel_sorted = _spill_sorted_run(op, batch, key_specs,
+                                                   ctx)
+            runs.append(run)
+            from_kernel &= kernel_sorted
+        _count_sort(op, ctx, sum(run.rows for run in runs), from_kernel)
         if ctx.stats is not None:
             ctx.stats.bump("storage.spilled_sorts")
             ctx.stats.bump("storage.spill_runs", len(runs))
         if ctx.profiler is not None:
             ctx.profiler.annotate(op, "spill_runs", len(runs))
-        # Runs hold ascending global row ranges and heapq.merge breaks
-        # key ties by iterable position, so the merge is the stable
-        # serial sort's exact order.
-        merged = heapq.merge(
-            *(run.read_rows() for run in runs), key=comparator
-        )
-        yield from _rows_stream_to_chunks(
-            (row for row, _ in merged), op.output_types()
-        )
+        for chunk in kernels.merge_sorted_runs(
+            [(run.read_chunks(), run.chunks) for run in runs],
+            len(op.keys), key_specs,
+        ):
+            if verify:
+                emitted.append(chunk)
+            yield chunk
+        if verify and seen:
+            full = concat_chunks(seen)
+            _crosscheck_sort(
+                op, full, [evaluate(k, full, ctx) for k, _, _ in op.keys],
+                key_specs, concat_chunks(emitted), ctx,
+            )
     finally:
         for run in runs:
             run.close()
@@ -2029,70 +2034,49 @@ def _spilled_aggregate(op: LogicalAggregate, buffered: list[DataChunk],
                        overflow: Iterator[DataChunk],
                        ctx: ExecutionContext) -> Iterator[DataChunk]:
     """Past-watermark GROUP BY: hash-partition rows on the group key,
-    fold each partition with the row-loop semantics, merge group rows
-    by first-occurrence global row index."""
+    aggregate each partition with the in-memory kernels, order the group
+    rows by the global index of their first input row."""
     kstats = _kernel_stats(op, ctx)
-    child_types = op.child.output_types()
     # Partitions are allocated inside the try: extend() appends each
     # spill file as it is created, so a failure partway through still
     # leaves every opened handle in the list the finally closes.
     parts: list[_storage.SpillFile] = []
     try:
-        parts.extend(_storage.SpillFile()
-                     for _ in range(_SPILL_PARTITIONS))
+        parts.extend(
+            _storage.SpillFile(op.child.output_types() + [BIGINT])
+            for _ in range(_SPILL_PARTITIONS)
+        )
         base = 0
         for chunk in _chain_chunks(buffered, overflow):
             if not chunk.count:
                 continue
             if kstats is not None:
                 kstats.rows_in += chunk.count
-            group_vectors = [evaluate(g, chunk, ctx) for g in op.groups]
-            pending: list[list[tuple]] = [[] for _ in parts]
-            for i in range(chunk.count):
-                key = tuple(
-                    _hashable(gv.value(i)) for gv in group_vectors
-                )
-                pending[hash(key) % _SPILL_PARTITIONS].append(
-                    (base + i, chunk.row(i))
-                )
-            for part, rows in zip(parts, pending):
-                if rows:
-                    part.write_rows(rows)
+            _scatter(chunk, [evaluate(g, chunk, ctx) for g in op.groups],
+                     base, parts, drop_null_keys=False)
             base += chunk.count
         if ctx.stats is not None:
             ctx.stats.bump("storage.spilled_aggregates")
             ctx.stats.bump("storage.spill_partitions", len(parts))
         if ctx.profiler is not None:
             ctx.profiler.annotate(op, "spill_partitions", len(parts))
-        results: list[tuple[int, tuple]] = []
+        outs: list[DataChunk] = []
+        firsts: list[np.ndarray] = []
         for part in parts:
-            indexed = list(part.read_rows())
-            if not indexed:
+            if not part.rows:
                 continue
-            blocks = []
-            for start in range(0, len(indexed), STANDARD_VECTOR_SIZE):
-                block = indexed[start : start + STANDARD_VECTOR_SIZE]
-                blocks.append(
-                    (
-                        DataChunk(
-                            [
-                                Vector.from_values(
-                                    t, [row[c] for _, row in block]
-                                )
-                                for c, t in enumerate(child_types)
-                            ]
-                        ),
-                        [gidx for gidx, _ in block],
-                    )
-                )
-            results.extend(_aggregate_fold(op, blocks, ctx))
+            tagged = concat_chunks(list(part.read_chunks()))
+            out, representatives = _aggregate_reduce(
+                op, DataChunk(tagged.vectors[:-1]), ctx, kstats
+            )
+            outs.append(out)
+            firsts.append(tagged.vectors[-1].data[representatives])
         # First-occurrence global index order == the first-appearance
-        # group order of both in-memory paths (factorize renumbers by
-        # first appearance; the row loop is insertion-ordered).
-        results.sort(key=lambda item: item[0])
-        yield from _rows_to_chunks(
-            [row for _, row in results], op.output_types()
-        )
+        # group order of the in-memory paths.
+        out = concat_chunks(outs)
+        order = np.argsort(np.concatenate(firsts), kind="stable")
+        for start in range(0, len(order), STANDARD_VECTOR_SIZE):
+            yield out.slice(order[start : start + STANDARD_VECTOR_SIZE])
     finally:
         for part in parts:
             part.close()
@@ -2102,107 +2086,139 @@ def _grace_hash_join(op: LogicalJoin, right_buffered: list[DataChunk],
                      right_overflow: Iterator[DataChunk],
                      ctx: ExecutionContext) -> Iterator[DataChunk]:
     """Past-watermark inner equi-join: Grace hash partitioning of both
-    sides with global row indices, per-partition dict build + probe,
-    k-way merge on (left, right) index pairs."""
+    sides with global row indices; every partition pair joins into a
+    spilled run sorted by (left, right) index, and the runs merge back
+    into the in-memory probe-major order."""
     kstats = _kernel_stats(op, ctx)
     qstats = ctx.stats
-    # Allocated inside the try below (not here): creating sixteen temp
-    # files can fail partway, and handles created before a try are
-    # orphaned when a later allocation raises.
-    build_parts: list[_storage.SpillFile] = []
-    probe_parts: list[_storage.SpillFile] = []
-
-    def scatter(chunk: DataChunk, key_exprs: list, base: int,
-                parts: list) -> None:
-        key_vectors = [evaluate(k, chunk, ctx) for k in key_exprs]
-        pending: list[list[tuple]] = [[] for _ in parts]
-        for i in range(chunk.count):
-            # NULL keys never match an inner equi-join; drop them at
-            # partitioning time exactly like the in-memory build/probe.
-            if not all(kv.validity[i] for kv in key_vectors):
-                continue
-            key = tuple(_hashable(kv.value(i)) for kv in key_vectors)
-            pending[hash(key) % _SPILL_PARTITIONS].append(
-                (base + i, key, chunk.row(i))
-            )
-        for part, rows in zip(parts, pending):
-            if rows:
-                part.write_rows(rows)
-
+    left_types = op.left.output_types()
+    right_types = op.right.output_types()
+    left_keys = [lk for lk, _ in op.equi_keys]
+    right_keys = [rk for _, rk in op.equi_keys]
+    # Allocated inside the try below (not here): creating the temp files
+    # can fail partway, and handles created before a try are orphaned
+    # when a later allocation raises.
+    spills: list[_storage.SpillFile] = []
     try:
-        build_parts.extend(_storage.SpillFile()
-                           for _ in range(_SPILL_PARTITIONS))
-        probe_parts.extend(_storage.SpillFile()
-                           for _ in range(_SPILL_PARTITIONS))
+        spills.extend(_storage.SpillFile(right_types + [BIGINT])
+                      for _ in range(_SPILL_PARTITIONS))
+        spills.extend(_storage.SpillFile(left_types + [BIGINT])
+                      for _ in range(_SPILL_PARTITIONS))
+        build_parts = spills[:_SPILL_PARTITIONS]
+        probe_parts = spills[_SPILL_PARTITIONS:]
         base = 0
         for chunk in _chain_chunks(right_buffered, right_overflow):
             if not chunk.count:
                 continue
             if qstats is not None:
                 qstats.bump("executor.join_build_rows", chunk.count)
-            scatter(chunk, [rk for _, rk in op.equi_keys], base,
-                    build_parts)
+            # NULL keys never match an inner equi-join; drop them at
+            # partitioning time exactly like the in-memory build/probe.
+            _scatter(chunk, [evaluate(k, chunk, ctx) for k in right_keys],
+                     base, build_parts, drop_null_keys=True)
             base += chunk.count
         base = 0
-        for left_chunk in execute_plan(op.left, ctx):
-            if not left_chunk.count:
+        for chunk in execute_plan(op.left, ctx):
+            if not chunk.count:
                 continue
             if kstats is not None:
-                kstats.rows_in += left_chunk.count
+                kstats.rows_in += chunk.count
             if qstats is not None:
-                qstats.bump("executor.join_probe_rows", left_chunk.count)
-            scatter(left_chunk, [lk for lk, _ in op.equi_keys], base,
-                    probe_parts)
-            base += left_chunk.count
+                qstats.bump("executor.join_probe_rows", chunk.count)
+            _scatter(chunk, [evaluate(k, chunk, ctx) for k in left_keys],
+                     base, probe_parts, drop_null_keys=True)
+            base += chunk.count
         if qstats is not None:
             qstats.bump("storage.spilled_joins")
             qstats.bump("storage.spill_partitions", 2 * _SPILL_PARTITIONS)
         if ctx.profiler is not None:
             ctx.profiler.annotate(op, "spill_partitions",
                                   _SPILL_PARTITIONS)
-
-        def partition_pairs(build_part, probe_part):
-            # Probe rows replay in global left order and buckets hold
-            # ascending global right indices, so each partition stream
-            # is sorted by (left, right) — merge-ready.
-            table: dict[tuple, list[tuple[int, tuple]]] = {}
-            for gri, key, row in build_part.read_rows():
-                table.setdefault(key, []).append((gri, row))
-            if not table:
-                return
-            for gli, key, lrow in probe_part.read_rows():
-                for gri, rrow in table.get(key, ()):
-                    yield (gli, gri, lrow + rrow)
-
-        merged = heapq.merge(
-            *(
-                partition_pairs(b, p)
-                for b, p in zip(build_parts, probe_parts)
-            ),
-            key=lambda item: (item[0], item[1]),
+        runs: list[_storage.SpillFile] = []
+        for build_part, probe_part in zip(build_parts, probe_parts):
+            if not build_part.rows or not probe_part.rows:
+                continue
+            run = _storage.SpillFile(
+                left_types + right_types + [BIGINT, BIGINT]
+            )
+            spills.append(run)
+            runs.append(run)
+            _join_partition(op, build_part, probe_part, run, ctx)
+        yield from kernels.merge_sorted_runs(
+            [(run.read_chunks(), run.chunks) for run in runs],
+            2, [(True, None), (True, None)],
         )
-        combined_types = op.left.output_types() + op.right.output_types()
-        for chunk in _rows_stream_to_chunks(
-            (row for _, _, row in merged), combined_types
-        ):
-            if op.residual is not None:
-                mask = boolean_selection(
-                    evaluate(op.residual, chunk, ctx)
-                )
-                chunk = chunk.slice(mask)
-            if chunk.count:
-                yield chunk
     finally:
-        for part in build_parts + probe_parts:
-            part.close()
+        for spill in spills:
+            spill.close()
+
+
+def _join_partition(op: LogicalJoin, build_part: _storage.SpillFile,
+                    probe_part: _storage.SpillFile,
+                    run: _storage.SpillFile, ctx: ExecutionContext) -> None:
+    """Join one Grace partition pair into ``run``: matched rows passing
+    the residual, followed by their (left, right) global indices.  Probe
+    rows replay in global left order and the probe emits build rows
+    ascending, so the run is sorted by that index pair."""
+    right = concat_chunks(list(build_part.read_chunks()))
+    right_index = right.vectors.pop()
+    build_keys = [evaluate(rk, right, ctx) for _, rk in op.equi_keys]
+    try:
+        build = kernels.JoinBuild(build_keys, right.count)
+    except KernelFallback:
+        build = None
+    hash_table = None
+    for left in probe_part.read_chunks():
+        left_index = left.vectors.pop()
+        probe_keys = [evaluate(lk, left, ctx) for lk, _ in op.equi_keys]
+        li = None
+        if build is not None:
+            try:
+                li, ri = build.probe(probe_keys, left.count)
+            except KernelFallback:
+                pass
+        if li is None:
+            if hash_table is None:
+                hash_table = _hash_join_dict_build(build_keys, right.count)
+            li, ri = _hash_join_dict_probe(hash_table, probe_keys,
+                                           left.count)
+        matched = DataChunk(
+            [v.take(li) for v in left.vectors]
+            + [v.take(ri) for v in right.vectors]
+        )
+        keep = np.arange(len(li))
+        if op.residual is not None and len(li):
+            keep = keep[boolean_selection(
+                evaluate(op.residual, matched, ctx)
+            )]
+        _spill_blocks(
+            run,
+            DataChunk(matched.vectors
+                      + [left_index.take(li), right_index.take(ri)]),
+            keep,
+        )
 
 
 # -- sort / distinct ------------------------------------------------------------------
 
 
+def _count_sort(op: LogicalSort, ctx: ExecutionContext, rows: int,
+                from_kernel: bool) -> None:
+    kstats = _kernel_stats(op, ctx)
+    if kstats is not None:
+        kstats.rows_in += rows
+        if from_kernel:
+            kstats.kernel += 1
+        else:
+            kstats.fallback += 1
+    if ctx.stats is not None:
+        ctx.stats.bump(
+            "quack.kernel_ops" if from_kernel else "quack.fallback_ops"
+        )
+
+
 def _execute_sort(op: LogicalSort, ctx: ExecutionContext
                   ) -> Iterator[DataChunk]:
-    kstats = _kernel_stats(op, ctx)
     chunks: list[DataChunk] | None = None
     if ctx.memory_limit_bytes is not None:
         buffered, overflow = _watermark_buffer(op.child, ctx)
@@ -2214,138 +2230,28 @@ def _execute_sort(op: LogicalSort, ctx: ExecutionContext
     if columns is None:
         return
     full = DataChunk(columns)
-    count = full.count
-    if kstats is not None:
-        kstats.rows_in += count
     key_specs = [(asc, nf) for _, asc, nf in op.keys]
-    key_vectors: list[Vector] | None = None
-    if kernels.kernels_enabled():
-        perm = None
-        merged = False
-        if (
-            ctx.can_parallel()
-            and count >= _parallel.MIN_PARALLEL_ROWS
-            and (ctx.profiler is None
-                 or all(_subquery_free(k) for k, _, _ in op.keys))
-        ):
-            perm = _sort_parallel(op, full, count, key_specs, ctx)
-            merged = perm is not None
-        if perm is None:
-            key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
-            try:
-                perm = kernels.sort_permutation(key_vectors, key_specs)
-            except KernelFallback:
-                perm = None
-        if perm is not None:
-            if kstats is not None:
-                kstats.kernel += 1
-            if ctx.stats is not None:
-                ctx.stats.bump("quack.kernel_ops")
-            if _verification.VERIFICATION_ENABLED:
-                if key_vectors is None:
-                    key_vectors = [evaluate(k, full, ctx)
-                                   for k, _, _ in op.keys]
-                _crosscheck_sort(op, full, key_vectors, key_specs, perm,
-                                 ctx)
-                if merged and ctx.stats is not None:
-                    # The comparator reference re-sorts serially, so the
-                    # merged permutation was checked against a serial run.
-                    ctx.stats.bump("verify.parallel_crosschecks")
-            for start in range(0, count, STANDARD_VECTOR_SIZE):
-                yield full.slice(perm[start : start + STANDARD_VECTOR_SIZE])
-            return
-    if key_vectors is None:
-        key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
-    if kstats is not None:
-        kstats.fallback += 1
-    if ctx.stats is not None:
-        ctx.stats.bump("quack.fallback_ops")
-    keyed = sorted(
-        (
-            (full.row(i), tuple(kv.value(i) for kv in key_vectors))
-            for i in range(count)
-        ),
-        key=kernels.sort_comparator(key_specs),
-    )
-    yield from _rows_to_chunks([r for r, _ in keyed], op.output_types())
-
-
-def _sort_parallel(op: LogicalSort, full: DataChunk, count: int,
-                   key_specs, ctx: ExecutionContext) -> np.ndarray | None:
-    """Morsel-parallel sort: per-morsel stable ``sort_permutation`` runs
-    on workers, then a stable k-way ``heapq.merge`` on the coordinator.
-
-    Each run is already in global row order (ranges are ascending and
-    contiguous), and both the per-run lexsort and the merge are stable,
-    so the merged permutation is exactly the serial stable sort's.
-    Returns None (serial takes over) when a morsel kernel declines."""
-    qstats = ctx.stats
-    ranges = _parallel.morsel_ranges(count, ctx.workers)
-    if len(ranges) <= 1:
-        return None
-
-    trace = ctx.trace
-
-    def sort_morsel(bounds: tuple[int, int], worker_stats):
-        start, end = bounds
-        opened = time.perf_counter()
-        wctx = ctx.worker_child(
-            worker_stats if qstats is not None else None
-        )
-        morsel = DataChunk(_parallel.row_range(full.vectors, start, end))
-        kvs = [evaluate(k, morsel, wctx) for k, _, _ in op.keys]
-        try:
-            perm = kernels.sort_permutation(kvs, key_specs)
-        except KernelFallback:
-            return None
-        finally:
-            if trace is not None:
-                trace.emit(
-                    "sort_run", "morsel", opened,
-                    time.perf_counter() - opened, rows=end - start,
-                )
-        rows = (perm + start).tolist()
-        keys = [
-            tuple(kv.value(int(i)) for kv in kvs) for i in perm
-        ]
-        return rows, keys
-
-    runs = _parallel.run_tasks(
-        ctx.pool,
-        [lambda ws, b=bounds: sort_morsel(b, ws) for bounds in ranges],
-        qstats,
-    )
-    if any(run is None for run in runs):
-        return None
-    if qstats is not None:
-        qstats.bump("parallel.batches")
-        qstats.bump("parallel.morsels", len(ranges))
-        qstats.bump("parallel.sort_runs", len(runs))
-    merged = heapq.merge(
-        *[zip(rows, keys) for rows, keys in runs],
-        key=kernels.sort_comparator(key_specs),
-    )
-    return np.fromiter((row for row, _ in merged), dtype=np.int64,
-                       count=count)
+    key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
+    perm, from_kernel = kernels.order_permutation(key_vectors, key_specs)
+    _count_sort(op, ctx, full.count, from_kernel)
+    if from_kernel and _verification.VERIFICATION_ENABLED:
+        _crosscheck_sort(op, full, key_vectors, key_specs,
+                         full.slice(perm), ctx)
+    for start in range(0, full.count, STANDARD_VECTOR_SIZE):
+        yield full.slice(perm[start : start + STANDARD_VECTOR_SIZE])
 
 
 def _crosscheck_sort(op: LogicalSort, full: DataChunk,
-                     key_vectors: list[Vector], key_specs, perm: np.ndarray,
-                     ctx: ExecutionContext) -> None:
-    """Re-sort row-wise with the comparator fallback and compare the row
-    sequence against the lexsort kernel's permutation."""
+                     key_vectors: list[Vector], key_specs,
+                     actual: DataChunk, ctx: ExecutionContext) -> None:
+    """Re-sort ``full`` row-wise with the comparator fallback and compare
+    the row sequence against ``actual``, the kernel-sorted (in-memory or
+    externally merged) output."""
     from ..analysis.verifier import assert_rows_match
 
-    keyed = sorted(
-        (
-            (full.row(i), tuple(kv.value(i) for kv in key_vectors))
-            for i in range(full.count)
-        ),
-        key=kernels.sort_comparator(key_specs),
-    )
-    actual = [full.row(int(i)) for i in perm]
+    reference = kernels.comparator_permutation(key_vectors, key_specs)
     assert_rows_match(
-        actual, [r for r, _ in keyed],
+        actual.rows(), full.slice(reference).rows(),
         f"{op._explain_label()} kernels.sort_permutation",
     )
     if ctx.stats is not None:

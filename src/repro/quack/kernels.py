@@ -15,7 +15,12 @@ DISTINCT hot paths vectorized end to end:
 * :func:`segment_reduce` — per-group ``ufunc.reduceat`` reduction over
   rows sorted by group code (SUM/MIN/MAX-style kernels).
 * :func:`sort_permutation` — ``np.lexsort``-based ORDER BY with correct
-  ``NULLS FIRST/LAST`` handling and NaN-sorts-greatest semantics.
+  ``NULLS FIRST/LAST`` handling and NaN-sorts-greatest semantics;
+  :func:`order_permutation` adds the row-wise comparator fallback.
+* :func:`merge_sorted_runs` — the external sort's stable block merge: one
+  block per run in memory, re-sorted with the same permutation kernel.
+* :func:`partition_codes` — chunk-independent hash partitioning of key
+  tuples for the spilling aggregate and Grace hash join.
 * :class:`JoinBuild` — hash-join build/probe kernels: the equi-keys of
   the build relation are factorize-encoded into dense int64 codes, a
   grouped row index is laid out with the same argsort/bincount/cumsum
@@ -38,7 +43,13 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .keys import _NULL_KEY, hashable_key, sort_comparator
-from .vector import KernelFallback, Vector
+from .vector import (
+    STANDARD_VECTOR_SIZE,
+    DataChunk,
+    KernelFallback,
+    Vector,
+    concat_chunks,
+)
 
 __all__ = [
     "JoinBuild",
@@ -48,6 +59,9 @@ __all__ = [
     "hashable_key",
     "kernels_enabled",
     "kernels_snapshot",
+    "merge_sorted_runs",
+    "order_permutation",
+    "partition_codes",
     "segment_first_valid",
     "segment_reduce",
     "set_kernels_enabled",
@@ -505,3 +519,130 @@ def sort_permutation(
         else:
             lex_keys.append((~vector.validity).astype(np.int8))
     return np.lexsort(tuple(lex_keys))
+
+
+def order_permutation(
+    key_vectors: Sequence[Vector],
+    key_specs: Sequence[tuple[bool, bool | None]],
+) -> tuple[np.ndarray, bool]:
+    """The stable ORDER BY permutation and whether the kernel produced
+    it: :func:`sort_permutation`, or — for keys NumPy cannot order, and
+    with kernels disabled — the row-wise :func:`sort_comparator` sort."""
+    if kernels_enabled():
+        try:
+            return sort_permutation(key_vectors, key_specs), True
+        except KernelFallback:
+            pass
+    return comparator_permutation(key_vectors, key_specs), False
+
+
+def comparator_permutation(
+    key_vectors: Sequence[Vector],
+    key_specs: Sequence[tuple[bool, bool | None]],
+) -> np.ndarray:
+    """Row-wise stable sort under :func:`sort_comparator`, as a
+    permutation (the kernel's fallback and verification reference)."""
+    keys = zip(*(vector.to_list() for vector in key_vectors))
+    ordered = sorted(enumerate(keys), key=sort_comparator(key_specs))
+    return np.fromiter((row for row, _ in ordered), dtype=np.int64,
+                       count=len(ordered))
+
+
+def merge_sorted_runs(
+    runs: Sequence[tuple[Iterator[DataChunk], int]],
+    key_count: int,
+    key_specs: Sequence[tuple[bool, bool | None]],
+) -> Iterator[DataChunk]:
+    """Stable k-way merge of sorted runs, holding one block per run.
+
+    ``runs`` lists, in run order, ``(blocks, n_blocks)``: an iterator
+    over one run's blocks and how many it yields.  Each block carries
+    its rows' sort keys as its last ``key_count`` columns (dropped from
+    the output); each run is sorted by them, and equal keys must come
+    out lowest run first — with runs cut from consecutive input ranges
+    and sorted stably, that is the serial stable sort.
+
+    Every round re-sorts what is loaded (concatenated in run order, so
+    the stable permutation breaks ties by run, then by position in the
+    run) and emits it up to the *bounding row*: the smallest last-loaded
+    row among the runs with blocks still unread.  Nothing unread can sort
+    before it — a run's unread rows follow its last loaded one, and an
+    unread row that ties the bounding row belongs to the bounding run or
+    a later one.  The bounding run is then empty and loads its next
+    block; the other runs keep the unsent tail of theirs.
+    """
+    readers = [iter(blocks) for blocks, _ in runs]
+    unread = [n_blocks for _, n_blocks in runs]
+    loaded: list[DataChunk | None] = [None] * len(runs)
+    while True:
+        for run, reader in enumerate(readers):
+            if loaded[run] is None and unread[run]:
+                loaded[run] = next(reader)
+                unread[run] -= 1
+        live = [run for run, block in enumerate(loaded) if block is not None]
+        if not live:
+            return
+        blocks = [loaded[run] for run in live]
+        merged = blocks[0] if len(blocks) == 1 else concat_chunks(blocks)
+        perm, _ = order_permutation(merged.vectors[-key_count:], key_specs)
+        ends = np.cumsum([block.count for block in blocks])
+        last_rows = [end - 1 for run, end in zip(live, ends) if unread[run]]
+        cut = len(perm)
+        if last_rows:
+            rank = np.empty(len(perm), dtype=np.int64)
+            rank[perm] = np.arange(len(perm), dtype=np.int64)
+            cut = int(rank[last_rows].min()) + 1
+        payload = DataChunk(merged.vectors[:-key_count])
+        for start in range(0, cut, STANDARD_VECTOR_SIZE):
+            yield payload.slice(perm[start:min(start + STANDARD_VECTOR_SIZE,
+                                               cut)])
+        # A run's rows leave in run order, so what it keeps is a tail.
+        sent = np.bincount(np.searchsorted(ends, perm[:cut], side="right"),
+                           minlength=len(live))
+        for run, block, n_sent in zip(live, blocks, sent):
+            loaded[run] = block.slice(slice(int(n_sent), None)) \
+                if n_sent < block.count else None
+
+
+# ---------------------------------------------------------------------------
+# Hash partitioning (spilling aggregate / Grace join)
+# ---------------------------------------------------------------------------
+
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
+_HASH_MASK = (1 << 64) - 1
+
+
+def partition_codes(vectors: Sequence[Vector], count: int,
+                    partitions: int) -> np.ndarray:
+    """Bucket ``0 .. partitions-1`` of every row's key tuple.
+
+    A pure function of the key *values*: rows with equal keys — under
+    :func:`hashable_key` semantics, so all NaNs are one key, ``-0.0`` is
+    ``0.0`` and ``1`` is ``1.0`` — share a bucket across chunks and
+    across the two sides of a join.  NULL hashes as a value of its own.
+    """
+    mixed = np.zeros(count, dtype=np.uint64)
+    for vector in vectors:
+        valid = vector.validity
+        if vector.ltype.physical == "object":
+            hashes = np.fromiter(
+                (
+                    hash(hashable_key(value)) & _HASH_MASK if ok else 0
+                    for value, ok in zip(vector.data.tolist(),
+                                         valid.tolist())
+                ),
+                dtype=np.uint64,
+                count=count,
+            )
+        else:
+            values = vector.data.astype(np.float64) + 0.0  # -0.0 -> +0.0
+            values[np.isnan(values)] = np.nan  # one NaN bit pattern
+            hashes = values.view(np.uint64)
+        hashes = np.where(valid, hashes, _NULL_HASH)
+        mixed = mixed * np.uint64(1000003) ^ hashes
+    # Finalizer (murmur3): float images of small integers differ only in
+    # their high bits, the bucket is taken from the low ones.
+    mixed ^= mixed >> np.uint64(33)
+    mixed *= np.uint64(0xFF51AFD7ED558CCD)
+    mixed ^= mixed >> np.uint64(33)
+    return (mixed % np.uint64(partitions)).astype(np.int64)

@@ -39,8 +39,8 @@ from ..observability.stats import QueryStatistics
 from . import kernels
 from .vector import KernelFallback, Vector
 
-#: Minimum input rows before a blocking sink (join build, aggregate,
-#: sort) fans out; below this the scatter overhead dwarfs the work.
+#: Minimum input rows before a blocking sink (join build, aggregate)
+#: fans out; below this the scatter overhead dwarfs the work.
 MIN_PARALLEL_ROWS = 4096
 
 #: Minimum rows per morsel of a blocking sink's input split.

@@ -34,8 +34,10 @@ inside ``repro.quack`` to this module.
 
 from __future__ import annotations
 
+import itertools
 import json
 import mmap
+import os
 import pickle
 import struct
 import tempfile
@@ -62,7 +64,7 @@ from .stats import (
     box_of,
 )
 from .types import LogicalType
-from .vector import STANDARD_VECTOR_SIZE, Vector
+from .vector import STANDARD_VECTOR_SIZE, DataChunk, Vector, concat_vectors
 
 #: Current on-disk format version.  Readers reject anything newer; the
 #: ``quackdb-v1`` pickle format is still readable through a shim for one
@@ -152,14 +154,16 @@ def encode_segment(vector: Vector) -> tuple[str, bytes, dict]:
         return "raw", data.astype(np.float64, copy=False).tobytes(), {}
     # Object payloads: dictionary-encode when the segment is pure text,
     # otherwise fall back to a zlib-compressed pickle.
-    values = [data[i] if vector.validity[i] else None
-              for i in range(len(data))]
+    values = data.tolist()
+    if not vector.validity.all():
+        values = [v if ok else None
+                  for v, ok in zip(values, vector.validity.tolist())]
     present = [v for v in values if v is not None]
-    if all(isinstance(v, str) for v in present):
+    if all(issubclass(t, str) for t in set(map(type, present))):
         uniques = sorted(set(present))
         mapping = {v: i for i, v in enumerate(uniques)}
         codes = np.fromiter(
-            (mapping[v] if v is not None else 0 for v in values),
+            map(mapping.get, values, itertools.repeat(0)),  # NULL -> 0
             dtype=np.int64,
             count=len(values),
         )
@@ -289,19 +293,45 @@ class ZoneMapEntry:
 
 
 def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
-    """One pass over a sealed segment: bounds, null count, box extents."""
+    """Bounds, null count and box extents of one sealed segment: NumPy
+    reductions for native columns, list builtins for text, a value walk
+    only for extension payloads."""
     rows = len(vector)
-    nulls = int(np.count_nonzero(~vector.validity))
+    valid = vector.validity
+    non_null = int(np.count_nonzero(valid))
+    nulls = rows - non_null
+    physical = vector.ltype.physical
+    if physical != "object":
+        entry = ZoneMapEntry(rows=rows, nulls=nulls,
+                             numeric_complete=non_null > 0)
+        values = vector.data if not nulls else vector.data[valid]
+        if physical == "float64":
+            values = values[~np.isnan(values)]  # NaN matches no comparison
+        if len(values):
+            # argmin/argmax name the first of equal extremes, as a running
+            # min/max over the values would (the sign of a zero bound).
+            entry.lo = float(values[np.argmin(values)])
+            entry.hi = float(values[np.argmax(values)])
+        return entry
+    values = vector.data[valid].tolist()
+    if values and set(map(type, values)) == {str}:
+        return ZoneMapEntry(rows=rows, nulls=nulls, slo=min(values),
+                            shi=max(values), string_complete=True,
+                            distinct=len(set(values)))
+    return _walk_zone_entry(rows, nulls, values)
+
+
+def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
+    """Zone entry of an object segment that is not pure text, from its
+    non-NULL ``values``: extension payloads give box extents, anything
+    with a numeric image (:func:`as_number`) gives numeric bounds."""
     lo = hi = None
     slo = shi = None
-    strings: set[str] | None = set()
+    strings: set[str] = set()
     n_num = n_str = n_box = 0
     axes: dict[str, tuple[float, float]] = {}
     axis_hits: dict[str, int] = {}
-    for i in range(rows):
-        value = vector.value(i)
-        if value is None:
-            continue
+    for value in values:
         number = as_number(value)
         if number is not None:
             n_num += 1
@@ -313,8 +343,7 @@ def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
             n_str += 1
             slo = value if slo is None or value < slo else slo
             shi = value if shi is None or value > shi else shi
-            if strings is not None:
-                strings.add(value)
+            strings.add(value)
             continue
         box = box_of(value)
         if box is not None:
@@ -344,8 +373,8 @@ def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
         numeric_complete=non_null > 0 and n_num == non_null,
         string_complete=non_null > 0 and n_str == non_null,
         box_complete=non_null > 0 and n_box == non_null,
-        distinct=len(strings) if strings is not None and n_str == non_null
-        and non_null > 0 else None,
+        distinct=len(strings) if non_null > 0 and n_str == non_null
+        else None,
     )
 
 
@@ -586,6 +615,10 @@ class StorageTable(Table):
         self.appended_since_load = True
         return super().append_rows(rows)
 
+    def append_chunk(self, chunk) -> np.ndarray:
+        self.appended_since_load = True
+        return super().append_chunk(chunk)
+
     def delete_rows(self, row_ids) -> int:
         self.appended_since_load = True
         return super().delete_rows(row_ids)
@@ -599,87 +632,181 @@ class StorageTable(Table):
 def write_database(database: Any, path: str) -> int:
     """Serialize every catalog table to ``path`` in the columnar format;
     returns the number of tables written.  Live rows are re-chunked into
-    fixed row groups, so tombstones never reach the disk."""
+    fixed row groups, so tombstones never reach the disk.
+
+    The file is built beside ``path`` and renamed over it, so a failed
+    checkpoint leaves the old file complete — and a checkpoint over the
+    attached file never truncates the mapping its own tables read from
+    (the old inode lives on under the open :class:`StorageFile`)."""
     tables = list(database.catalog.tables.values())
-    with open_path(path, "wb") as handle:
-        handle.write(_MAGIC)
-        offset = len(_MAGIC)
-        table_entries = []
-        for table in tables:
-            groups: list[dict] = []
-            buffers: list[list[Any]] = [[] for _ in table.column_types]
-
-            def flush() -> None:
-                nonlocal offset
-                columns = []
-                zones = []
-                for ltype, buffer in zip(table.column_types, buffers):
-                    vector = Vector.from_values(ltype, buffer)
-                    zone = compute_zone_entry(vector)
-                    codec, payload, meta = encode_segment(vector)
-                    validity_blob = encode_validity(vector.validity)
-                    handle.write(payload)
-                    handle.write(validity_blob)
-                    descriptor = {
-                        "codec": codec,
-                        "offset": offset,
-                        "length": len(payload),
-                        "voffset": offset + len(payload),
-                        "vlength": len(validity_blob),
-                    }
-                    if meta:
-                        descriptor["meta"] = meta
-                    columns.append(descriptor)
-                    zones.append(zone.to_json())
-                    offset += len(payload) + len(validity_blob)
-                groups.append({
-                    "rows": len(buffers[0]),
-                    "columns": columns,
-                    "zones": zones,
-                })
-                for buffer in buffers:
-                    buffer.clear()
-
-            for chunk, _ in table.scan():
-                values = [vector.to_list() for vector in chunk.vectors]
-                position = 0
-                remaining = chunk.count
-                while remaining > 0:
-                    take = min(ROW_GROUP_SIZE - len(buffers[0]), remaining)
-                    for buffer, column in zip(buffers, values):
-                        buffer.extend(column[position:position + take])
-                    position += take
-                    remaining -= take
-                    if len(buffers[0]) >= ROW_GROUP_SIZE:
-                        flush()
-            if buffers[0]:
-                flush()
-            table_entries.append({
-                "name": table.name,
-                "columns": [
-                    [name, ltype.name]
-                    for name, ltype in zip(table.column_names,
-                                           table.column_types)
-                ],
-                "indexes": [
-                    [index.name, index.type_name, index.column]
-                    for index in table.indexes
-                ],
-                "row_groups": groups,
-            })
-        footer = {
-            "magic": "quackdb",
-            "format_version": FORMAT_VERSION,
-            "extensions": list(database.loaded_extensions),
-            "tables": table_entries,
-        }
-        handle.write(json.dumps(footer).encode("utf-8"))
-        handle.write(struct.pack("<Q", offset))
-        handle.write(_MAGIC)
-        total = handle.tell()
+    directory, base = os.path.split(os.path.abspath(path))
+    temp = None
+    try:
+        with tempfile.NamedTemporaryFile(
+            "wb", dir=directory, prefix=base + ".", suffix=".tmp",
+            delete=False,
+        ) as handle:
+            temp = handle.name
+            writer = _SegmentWriter(handle)
+            table_entries = [
+                {
+                    "name": table.name,
+                    "columns": [
+                        [name, ltype.name]
+                        for name, ltype in zip(table.column_names,
+                                               table.column_types)
+                    ],
+                    "indexes": [
+                        [index.name, index.type_name, index.column]
+                        for index in table.indexes
+                    ],
+                    "row_groups": writer.write_table(table),
+                }
+                for table in tables
+            ]
+            footer = {
+                "magic": "quackdb",
+                "format_version": FORMAT_VERSION,
+                "extensions": list(database.loaded_extensions),
+                "tables": table_entries,
+            }
+            handle.write(json.dumps(footer).encode("utf-8"))
+            handle.write(struct.pack("<Q", writer.offset))
+            handle.write(_MAGIC)
+            total = handle.tell()
+        os.replace(temp, path)
+    except BaseException:
+        if temp is not None:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+        raise
     count("storage.bytes_written", total)
     count("storage.checkpoints")
     return len(tables)
+
+
+def _stored_segment(column: ColumnData, seg: int) -> bool:
+    """Whether ``seg`` of ``column`` is still an on-disk segment (a
+    rewritten or in-memory column has none)."""
+    return isinstance(column, StorageColumn) and seg < len(column.refs)
+
+
+class _SegmentWriter:
+    """Appends row groups to an open database file, tracking the byte
+    offset the footer descriptors record."""
+
+    def __init__(self, handle: Any):
+        self.handle = handle
+        handle.write(_MAGIC)
+        self.offset = len(_MAGIC)
+
+    def write_table(self, table: Table) -> list[dict]:
+        """Write ``table``'s live rows as row groups of
+        :data:`ROW_GROUP_SIZE`; returns their footer entries.
+
+        A sealed segment that arrives on a group boundary without
+        tombstones, and is itself a whole group (full, or the table's
+        short last one), becomes a group as it stands: its columns still
+        backed by a stored segment are copied byte for byte with their
+        footer zone entry, never decoded.  Everything else is decoded,
+        stripped of tombstones and re-chunked by slicing and
+        concatenating the segment arrays."""
+        groups: list[dict] = []
+        columns = table._columns
+        pending: list[Vector] | None = None  # rows short of a full group
+        segments = list(table.segment_masks())
+        for seg, _, rows, keep in segments:
+            whole = rows == ROW_GROUP_SIZE or (
+                0 < rows < ROW_GROUP_SIZE and seg == segments[-1][0]
+            )
+            if pending is None and keep is None and whole:
+                groups.append(self._write_group(rows, [
+                    (column, seg) if _stored_segment(column, seg)
+                    else column.segment_vector(seg)
+                    for column in columns
+                ]))
+                continue
+            vectors = [column.segment_vector(seg) for column in columns]
+            if keep is not None:
+                vectors = [v.slice(keep) for v in vectors]
+            if pending is not None:
+                vectors = [concat_vectors([p, v])
+                           for p, v in zip(pending, vectors)]
+            total = len(vectors[0])
+            start = 0
+            while total - start >= ROW_GROUP_SIZE:
+                stop = start + ROW_GROUP_SIZE
+                groups.append(self._write_group(
+                    ROW_GROUP_SIZE,
+                    [v.slice(slice(start, stop)) for v in vectors],
+                ))
+                start = stop
+            pending = [v.slice(slice(start, total)) for v in vectors] \
+                if start < total else None
+        if pending is not None:
+            groups.append(self._write_group(len(pending[0]), pending))
+        return groups
+
+    def _write_group(self, rows: int, parts: list) -> dict:
+        """One row group; each part is a :class:`Vector` to encode or the
+        ``(column, segment)`` of a stored segment to copy."""
+        descriptors = []
+        zones = []
+        for part in parts:
+            if isinstance(part, Vector):
+                zone = compute_zone_entry(part)
+                codec, payload, meta = encode_segment(part)
+                validity_blob = encode_validity(part.validity)
+            else:
+                column, seg = part
+                ref = column.refs[seg]
+                codec, meta = ref.codec, ref.meta
+                payload = column.source.read(ref.offset, ref.length)
+                validity_blob = column.source.read(ref.validity_offset,
+                                                   ref.validity_length)
+                zone = column.zone_entry(seg)
+                count("storage.segments_copied")
+                if verification_enabled():
+                    _verify_copied_segment(column, seg, payload,
+                                           validity_blob)
+            self.handle.write(payload)
+            self.handle.write(validity_blob)
+            descriptor = {
+                "codec": codec,
+                "offset": self.offset,
+                "length": len(payload),
+                "voffset": self.offset + len(payload),
+                "vlength": len(validity_blob),
+            }
+            if meta:
+                descriptor["meta"] = meta
+            descriptors.append(descriptor)
+            zones.append(zone.to_json())
+            self.offset += len(payload) + len(validity_blob)
+        return {"rows": rows, "columns": descriptors, "zones": zones}
+
+
+def _verify_copied_segment(column: "StorageColumn", seg: int,
+                           payload: bytes, validity_blob: bytes) -> None:
+    """Verification mode: a segment copied verbatim must be what
+    re-encoding its decoded rows would have written.  Pickled extension
+    payloads are exempt from the byte comparison: objects that queries
+    have touched since carry memoized state the stored bytes lack."""
+    ref = column.refs[seg]
+    vector = column.segment_vector(seg)
+    codec, encoded, meta = encode_segment(vector)
+    if not (
+        codec == ref.codec and meta == ref.meta
+        and encode_validity(vector.validity) == validity_blob
+        and (codec == "pickle" or encoded == payload)
+    ):
+        raise VerificationError(
+            f"storage segment {seg} of {column.source.path}: verbatim "
+            f"copy differs from the re-encoded segment"
+        )
+    count("verify.segment_copy_crosschecks")
 
 
 # ---------------------------------------------------------------------------
@@ -941,39 +1068,56 @@ def _box_dimensions_from_zones(
 
 
 class SpillFile:
-    """Length-prefixed pickled row batches in an anonymous temp file.
+    """:class:`DataChunk` batches as encoded column segments in an
+    anonymous temp file — the database file's codecs, one length-prefixed
+    JSON header per chunk.
 
     One writer, then one sequential reader — exactly the lifecycle of a
     sort run or a join/aggregation partition.  The file is unlinked on
     creation (``tempfile.TemporaryFile``), so crashed queries leak no
     artifacts."""
 
-    def __init__(self) -> None:
+    def __init__(self, types: list[LogicalType]) -> None:
         self._handle = tempfile.TemporaryFile(prefix="quack-spill-")
+        self.types = types
+        self.chunks = 0
         self.rows = 0
-        self.bytes = 0
 
-    def write_rows(self, rows: list[tuple]) -> None:
-        blob = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
-        self._handle.write(struct.pack("<Q", len(blob)))
-        self._handle.write(blob)
-        self.rows += len(rows)
-        self.bytes += len(blob) + 8
-        count("storage.spill_bytes", len(blob) + 8)
-        count("storage.spill_rows", len(rows))
+    def write_chunk(self, chunk: DataChunk) -> None:
+        columns = []
+        blobs = []
+        for vector in chunk.vectors:
+            codec, payload, meta = encode_segment(vector)
+            validity_blob = encode_validity(vector.validity)
+            columns.append([codec, len(payload), len(validity_blob), meta])
+            blobs += (payload, validity_blob)
+        header = json.dumps({"rows": chunk.count,
+                             "columns": columns}).encode("utf-8")
+        body = b"".join(blobs)
+        self._handle.write(struct.pack("<I", len(header)))
+        self._handle.write(header)
+        self._handle.write(body)
+        written = 4 + len(header) + len(body)
+        self.chunks += 1
+        self.rows += chunk.count
+        count("storage.spill_bytes", written)
+        count("storage.spill_rows", chunk.count)
 
-    def read_batches(self) -> Iterator[list[tuple]]:
+    def read_chunks(self) -> Iterator[DataChunk]:
+        """The written chunks in order, one decoded per pull."""
         self._handle.seek(0)
-        while True:
-            header = self._handle.read(8)
-            if not header:
-                return
-            (length,) = struct.unpack("<Q", header)
-            yield pickle.loads(self._handle.read(length))
-
-    def read_rows(self) -> Iterator[tuple]:
-        for batch in self.read_batches():
-            yield from batch
+        for _ in range(self.chunks):
+            (length,) = struct.unpack("<I", self._handle.read(4))
+            header = json.loads(self._handle.read(length))
+            rows = header["rows"]
+            vectors = []
+            for ltype, (codec, size, vsize, meta) in zip(
+                    self.types, header["columns"]):
+                data = decode_segment(codec, self._handle.read(size), meta,
+                                      rows, ltype)
+                validity = decode_validity(self._handle.read(vsize), rows)
+                vectors.append(Vector(ltype, data, validity))
+            yield DataChunk(vectors)
 
     def close(self) -> None:
         self._handle.close()
@@ -997,8 +1141,3 @@ def chunk_nbytes(chunk: Any) -> int:
             total += vector.data.nbytes
         total += vector.validity.nbytes
     return total
-
-
-def rows_nbytes(rows: list[tuple], width: int) -> int:
-    """Watermark estimate for a list of row tuples."""
-    return len(rows) * max(width, 1) * _OBJECT_SLOT_BYTES

@@ -288,6 +288,13 @@ def concat_vectors(parts: list[Vector]) -> Vector:
     return Vector(ltype, data, validity)
 
 
+def concat_chunks(chunks: list[DataChunk]) -> DataChunk:
+    return DataChunk([
+        concat_vectors([chunk.vectors[i] for chunk in chunks])
+        for i in range(len(chunks[0].vectors))
+    ])
+
+
 def boolean_selection(vector: Vector) -> np.ndarray:
     """Boolean mask of rows where the vector is valid and true."""
     if vector.ltype != BOOLEAN:

@@ -44,7 +44,7 @@ def _memo_publish(cache, key, value):
 def copy_rows(rows):
     out = SpillFile()
     try:
-        out.write_rows(rows)
+        out.write_chunk(rows)
     finally:
         out.close()
 

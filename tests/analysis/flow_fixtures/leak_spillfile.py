@@ -9,7 +9,7 @@ from storage import SpillFile
 
 def spill_rows(rows):
     handle = SpillFile()
-    handle.write_rows(rows)
+    handle.write_chunk(rows)
     handle.close()
 
 

@@ -170,10 +170,6 @@ class TestCounters:
         par_con.execute("SELECT g, sum(i) FROM big GROUP BY g")
         assert par_con.last_query_stats.counters["parallel.agg_partials"] >= 1
 
-    def test_sort_runs_fire(self, par_con):
-        par_con.execute("SELECT i FROM big ORDER BY x DESC")
-        assert par_con.last_query_stats.counters["parallel.sort_runs"] >= 2
-
     def test_counter_parity_with_serial(self, serial_con, par_con):
         """A streaming fragment bumps exactly the serial counters — the
         worker-local stats objects must merge without losing or double

@@ -796,3 +796,697 @@ class TestAuxCacheInvalidation:
             set_verification_enabled(
                 os.environ.get("REPRO_VERIFICATION") == "1"
             )
+
+
+# ---------------------------------------------------------------------------
+# Columnar spill: SpillFile chunks, external sort battery, block merge
+# ---------------------------------------------------------------------------
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import meos
+from repro.core.types import STBOX_TYPE, TEMPORAL_TYPES
+from repro.pgsim import RowDatabase
+from repro.quack import kernels
+from repro.quack.vector import DataChunk
+
+_NAN = float("nan")
+_INF = float("inf")
+_BOXES = [meos.stbox(f"STBOX X(({i},{i}),({i + 2},{i + 3}))")
+          for i in range(4)]
+_TRIPS = [
+    meos.tgeompoint(f"[POINT({i} {i})@2020-01-0{i + 1}, "
+                    f"POINT({i + 1} {i + 2})@2020-01-0{i + 2}]")
+    for i in range(4)
+]
+_PAYLOAD_COLUMNS = [
+    (BIGINT, [1, None, 3, -(2**62), 2**62, 7]),
+    (DOUBLE, [1.5, _NAN, -0.0, 0.0, None, -_INF]),
+    (BOOLEAN, [True, False, None, True, True, False]),
+    (VARCHAR, ["red", None, "green", "red", "", "blå"]),
+    (VARCHAR, [None] * 6),
+    (STBOX_TYPE, [_BOXES[0], None, _BOXES[1], _BOXES[2], None, _BOXES[3]]),
+    (TEMPORAL_TYPES["tgeompoint"],
+     [_TRIPS[0], _TRIPS[1], None, _TRIPS[2], _TRIPS[3], None]),
+]
+
+
+class TestSpillFileChunks:
+    def test_round_trip_every_codec(self):
+        types = [ltype for ltype, _ in _PAYLOAD_COLUMNS]
+        chunk = DataChunk([Vector.from_values(ltype, values)
+                           for ltype, values in _PAYLOAD_COLUMNS])
+        with storage.SpillFile(types) as spill:
+            spill.write_chunk(chunk)
+            spill.write_chunk(chunk.slice(np.array([4, 1])))
+            assert (spill.chunks, spill.rows) == (2, 8)
+            back = list(spill.read_chunks())
+        assert [c.count for c in back] == [6, 2]
+        for vector, (_, values) in zip(back[0].vectors, _PAYLOAD_COLUMNS):
+            assert repr(vector.to_list()) == repr(values)
+        for vector, (_, values) in zip(back[1].vectors, _PAYLOAD_COLUMNS):
+            assert repr(vector.to_list()) == repr([values[4], values[1]])
+        assert math.copysign(1.0, back[0].vectors[1].value(2)) == -1.0
+
+    def test_spill_counters(self):
+        con = Database().connect()
+        con.execute("CREATE TABLE t(a BIGINT)")
+        con.database.catalog.get_table("t").append_rows(
+            [(i,) for i in range(STANDARD_VECTOR_SIZE * 3)]
+        )
+        con.execute("SET memory_limit = 0.01")
+        con.execute("SELECT a FROM t ORDER BY a DESC")
+        stats = con.last_query_stats
+        assert stats.counter("storage.spill_rows") == \
+            STANDARD_VECTOR_SIZE * 3
+        assert stats.counter("storage.spill_bytes") > 0
+
+
+def _sorted_runs(rng, n_runs, block):
+    """``n_runs`` stably sorted runs over consecutive input ranges, cut
+    into blocks of ``(input position, run, key)`` + the key column."""
+    runs, position = [], 0
+    for run in range(n_runs):
+        n = rng.randrange(1, block * 4)
+        keys = np.array([rng.randrange(6) for _ in range(n)])
+        order = np.argsort(keys, kind="stable")
+        chunk = DataChunk([
+            Vector(BIGINT, position + order),
+            Vector(BIGINT, np.full(n, run)),
+            Vector(BIGINT, keys[order]),
+            Vector(BIGINT, keys[order]),
+        ])
+        position += n
+        runs.append([chunk.slice(slice(s, s + block))
+                     for s in range(0, n, block)])
+    return runs
+
+
+class TestBlockMerge:
+    @pytest.mark.parametrize("n_runs", [1, 2, 3, 9])
+    def test_stable_and_one_block_per_run(self, n_runs):
+        rng = random.Random(n_runs)
+        block = 16
+        runs = _sorted_runs(rng, n_runs, block)
+        pulled = [0] * n_runs  # rows read from each run so far
+
+        def reader(run):
+            for chunk in runs[run]:
+                pulled[run] += chunk.count
+                yield chunk
+
+        sent = [0] * n_runs
+        out = []
+        for chunk in kernels.merge_sorted_runs(
+            [(reader(r), len(runs[r])) for r in range(n_runs)],
+            1, [(True, None)],
+        ):
+            # Whatever a run has read and not yet handed over is what the
+            # merge holds of it: never more than one block.
+            for run in range(n_runs):
+                assert pulled[run] - sent[run] <= block
+            assert len(chunk.vectors) == 3  # key column dropped
+            for run in chunk.vectors[1].to_list():
+                sent[run] += 1
+            out.extend(chunk.rows())
+        assert sent == pulled == [sum(c.count for c in r) for r in runs]
+        # Ties keep input order: (key, input position) ascending.
+        assert [(k, p) for p, _, k in out] == \
+            sorted((k, p) for p, _, k in out)
+
+    def test_comparator_fallback_for_unorderable_keys(self):
+        keys = np.empty(4, dtype=object)
+        keys[:] = [_BOXES[2], _BOXES[0], _BOXES[3], _BOXES[1]]
+        vector = Vector(STBOX_TYPE, keys)
+        with pytest.raises(kernels.KernelFallback):
+            kernels.sort_permutation([vector], [(True, None)])
+        perm, from_kernel = kernels.order_permutation([vector],
+                                                      [(True, None)])
+        assert not from_kernel
+        assert perm.tolist() == sorted(range(4),
+                                       key=lambda i: repr(keys[i]))
+
+
+_BATTERY_ROWS = STANDARD_VECTOR_SIZE * 6 + 37
+_FLOATS = [None, _NAN, -0.0, 0.0, _INF, -_INF, 1.5, -2.25, _NAN, None]
+
+
+def _battery_rows():
+    rng = random.Random(14)
+    return [
+        (i, i % 5, _FLOATS[i % len(_FLOATS)] if i % 3
+         else rng.uniform(-3, 3),
+         None if i % 17 == 0 else f"s{(i * 7919) % 211:03d}")
+        for i in range(_BATTERY_ROWS)
+    ]
+
+
+@pytest.fixture(scope="module")
+def battery():
+    rows = _battery_rows()
+    cons = []
+    for factory in (Database, Database, RowDatabase):
+        con = factory().connect()
+        con.execute("CREATE TABLE t(id BIGINT, g BIGINT, x DOUBLE, "
+                    "s VARCHAR)")
+        con.database.catalog.get_table("t").append_rows(rows)
+        cons.append(con)
+    return cons  # in-memory quack, spilling quack, pgsim
+
+
+_ORDERINGS = [
+    f"{key} {direction} NULLS {nulls}"
+    for key in ("x", "s")
+    for direction in ("ASC", "DESC")
+    for nulls in ("FIRST", "LAST")
+] + [
+    "g",                      # heavy ties: stability across runs/blocks
+    "g DESC, x NULLS FIRST, s",
+    "x + 1, id DESC",         # expression key
+    "g % 3, s DESC NULLS LAST",
+    "x, s, id",
+]
+
+
+class TestExternalSortBattery:
+    """External sort == in-memory sort == pgsim, row for row in order."""
+
+    @pytest.mark.parametrize("ordering", _ORDERINGS)
+    @pytest.mark.parametrize("limit_mb", [0.3, 0.01])
+    def test_matches_in_memory_and_pgsim(self, battery, ordering,
+                                         limit_mb):
+        memory, spilling, pgsim = battery
+        sql = f"SELECT id, x, s FROM t ORDER BY {ordering}"
+        expected = repr(memory.execute(sql).fetchall())
+        assert memory.last_query_stats.counter(
+            "storage.spilled_sorts") == 0
+        spilling.execute(f"SET memory_limit = {limit_mb}")
+        got = spilling.execute(sql).fetchall()
+        stats = spilling.last_query_stats
+        assert stats.counter("storage.spilled_sorts") == 1
+        assert stats.counter("storage.spill_runs") >= 2
+        assert repr(got) == expected
+        assert repr(pgsim.execute(sql).fetchall()) == expected
+
+    def test_two_three_and_many_runs(self, battery):
+        memory, spilling, _ = battery
+        sql = "SELECT id, g FROM t ORDER BY g"
+        expected = memory.execute(sql).fetchall()
+        # Seven chunks of two BIGINT columns (18 bytes a row): a run
+        # closes with the chunk that takes it past the limit.
+        chunk = STANDARD_VECTOR_SIZE * 18
+        for chunks_per_run, runs in [(4, 2), (3, 3), (1, 7)]:
+            limit = (chunks_per_run - 0.5) * chunk / (1024 * 1024)
+            spilling.execute(f"SET memory_limit = {limit}")
+            assert spilling.execute(sql).fetchall() == expected
+            assert spilling.last_query_stats.counter(
+                "storage.spill_runs") == runs
+
+    def test_order_by_limit_and_empty(self, battery):
+        memory, spilling, pgsim = battery
+        spilling.execute("SET memory_limit = 0.05")
+        for sql in [
+            "SELECT id, x FROM t ORDER BY x DESC, id LIMIT 10",
+            "SELECT id FROM t ORDER BY s NULLS FIRST, id LIMIT 5 OFFSET "
+            f"{STANDARD_VECTOR_SIZE + 3}",
+            "SELECT id FROM t WHERE id < 0 ORDER BY x",
+        ]:
+            expected = repr(memory.execute(sql).fetchall())
+            assert repr(spilling.execute(sql).fetchall()) == expected
+            assert repr(pgsim.execute(sql).fetchall()) == expected
+
+    def test_counts_as_one_kernel_op(self, battery):
+        _, spilling, _ = battery
+        spilling.execute("SET memory_limit = 0.05")
+        spilling.execute("SELECT id FROM t ORDER BY x")
+        stats = spilling.last_query_stats
+        assert stats.counter("storage.spilled_sorts") == 1
+        assert stats.counter("quack.kernel_ops") == 1
+        assert stats.counter("quack.fallback_ops") == 0
+        text = spilling.execute(
+            "EXPLAIN ANALYZE SELECT id FROM t ORDER BY x"
+        ).plan_text
+        assert (f"rows_in={_BATTERY_ROWS}, kernel=1, fallback=0, "
+                "spill_runs=") in text
+
+    def test_every_block_is_read_once(self, battery, monkeypatch):
+        _, spilling, _ = battery
+        pulls = []
+        read_chunks = storage.SpillFile.read_chunks
+
+        def counting(self):
+            for chunk in read_chunks(self):
+                pulls.append(chunk.count)
+                yield chunk
+
+        monkeypatch.setattr(storage.SpillFile, "read_chunks", counting)
+        spilling.execute("SET memory_limit = 0.05")
+        spilling.execute("SELECT id FROM t ORDER BY g")
+        assert sum(pulls) == _BATTERY_ROWS
+        assert max(pulls) <= STANDARD_VECTOR_SIZE
+
+    def test_unorderable_key_takes_the_comparator(self):
+        con = core.connect()
+        con.execute("CREATE TABLE b(id BIGINT, box STBOX)")
+        con.database.catalog.get_table("b").append_rows(
+            [(i, _BOXES[(i * 7) % 4] if i % 9 else None)
+             for i in range(STANDARD_VECTOR_SIZE * 2 + 5)]
+        )
+        sql = "SELECT id FROM b ORDER BY box DESC"
+        expected = con.execute(sql).fetchall()
+        assert con.last_query_stats.counter("quack.fallback_ops") == 1
+        con.execute("SET memory_limit = 0.05")
+        assert con.execute(sql).fetchall() == expected
+        stats = con.last_query_stats
+        assert stats.counter("storage.spill_runs") >= 2
+        assert stats.counter("quack.fallback_ops") == 1
+        assert stats.counter("quack.kernel_ops") == 0
+
+    def test_rechecked_against_comparator_under_verification(self,
+                                                             battery):
+        _, spilling, _ = battery
+        spilling.execute("SET memory_limit = 0.05")
+        set_verification_enabled(True)
+        try:
+            spilling.execute("SELECT id FROM t ORDER BY x DESC, s")
+            stats = spilling.last_query_stats
+            assert stats.counter("storage.spilled_sorts") == 1
+            assert stats.counter("verify.kernel_crosschecks") == 1
+        finally:
+            set_verification_enabled(
+                os.environ.get("REPRO_VERIFICATION") == "1"
+            )
+
+
+class TestPartitionCodes:
+    def test_equal_keys_share_a_bucket_across_types_and_chunks(self):
+        ints = Vector.from_values(BIGINT, [1, 2, 0, None, 7])
+        floats = Vector.from_values(DOUBLE, [1.0, 2.0, -0.0, None, _NAN])
+        more = Vector.from_values(DOUBLE, [_NAN, 0.0, 7.0, 1.0, 2.0])
+        a = kernels.partition_codes([ints], 5, 8).tolist()
+        b = kernels.partition_codes([floats], 5, 8).tolist()
+        c = kernels.partition_codes([more], 5, 8).tolist()
+        assert a[:4] == b[:4]
+        assert (c[0], c[1], c[2], c[3], c[4]) == \
+            (b[4], b[2], a[4], b[0], b[1])
+        words = Vector.from_values(VARCHAR, ["x", "y", None, "x"])
+        w = kernels.partition_codes([words], 4, 8)
+        assert w[0] == w[3] and ((0 <= w) & (w < 8)).all()
+
+    def test_small_integers_spread_over_buckets(self):
+        keys = Vector.from_values(BIGINT, list(range(97)))
+        buckets = set(kernels.partition_codes([keys], 97, 8).tolist())
+        assert buckets == set(range(8))
+
+
+# ---------------------------------------------------------------------------
+# Array-native CHECKPOINT: vectorized zone entries, verbatim copy, rename
+# ---------------------------------------------------------------------------
+
+
+def _reference_zone_entry(vector):
+    """The per-value loop ``compute_zone_entry`` replaced (test-only)."""
+    from repro.quack.stats import as_number, box_intervals, box_of
+
+    rows = len(vector)
+    nulls = int(np.count_nonzero(~vector.validity))
+    lo = hi = slo = shi = None
+    strings = set()
+    n_num = n_str = n_box = 0
+    axes, axis_hits = {}, {}
+    for i in range(rows):
+        value = vector.value(i)
+        if value is None:
+            continue
+        number = as_number(value)
+        if number is not None:
+            n_num += 1
+            if number == number:
+                lo = number if lo is None else min(lo, number)
+                hi = number if hi is None else max(hi, number)
+            continue
+        if isinstance(value, str):
+            n_str += 1
+            slo = value if slo is None or value < slo else slo
+            shi = value if shi is None or value > shi else shi
+            strings.add(value)
+            continue
+        box = box_of(value)
+        if box is not None:
+            intervals = box_intervals(box)
+            if intervals:
+                n_box += 1
+                for axis, (alo, ahi) in intervals.items():
+                    known = axes.get(axis)
+                    axes[axis] = (alo, ahi) if known is None else \
+                        (min(known[0], alo), max(known[1], ahi))
+                    axis_hits[axis] = axis_hits.get(axis, 0) + 1
+    non_null = rows - nulls
+    axes = {a: iv for a, iv in axes.items() if axis_hits.get(a, 0) == n_box}
+    return storage.ZoneMapEntry(
+        rows=rows, nulls=nulls, lo=lo, hi=hi, slo=slo, shi=shi,
+        box=axes or None,
+        numeric_complete=non_null > 0 and n_num == non_null,
+        string_complete=non_null > 0 and n_str == non_null,
+        box_complete=non_null > 0 and n_box == non_null,
+        distinct=len(strings) if n_str == non_null and non_null > 0
+        else None,
+    )
+
+
+def _segments(ltype, values):
+    return st.lists(st.one_of(st.none(), values), max_size=40).map(
+        lambda items: Vector.from_values(ltype, items)
+    )
+
+
+_ZONE_VECTORS = st.one_of(
+    _segments(BIGINT, st.integers(-(2**63), 2**63 - 1)),
+    _segments(BIGINT, st.integers(-3, 3)),
+    _segments(DOUBLE, st.floats(allow_nan=True, allow_infinity=True)),
+    _segments(DOUBLE, st.sampled_from([0.0, -0.0, _NAN, 1.0])),
+    _segments(BOOLEAN, st.booleans()),
+    _segments(VARCHAR, st.text(max_size=3)),
+    _segments(STBOX_TYPE, st.sampled_from(_BOXES)),
+    _segments(TEMPORAL_TYPES["tgeompoint"], st.sampled_from(_TRIPS)),
+    # A box column that also holds values of other shapes.
+    _segments(STBOX_TYPE, st.sampled_from(_BOXES + _TRIPS + ["text", 7])),
+)
+
+
+class TestZoneEntryProperty:
+    @given(_ZONE_VECTORS)
+    @settings(max_examples=300, deadline=None)
+    def test_vectorized_equals_value_loop(self, vector):
+        got = storage.compute_zone_entry(vector)
+        expected = _reference_zone_entry(vector)
+        assert got == expected
+        # to_json keeps the sign of a zero bound: what the footer holds.
+        assert repr(got.to_json()) == repr(expected.to_json())
+
+    @pytest.mark.parametrize("ltype", [BIGINT, DOUBLE, BOOLEAN, VARCHAR,
+                                       STBOX_TYPE])
+    def test_empty_and_all_null_segments(self, ltype):
+        for values in ([], [None] * 5):
+            vector = Vector.from_values(ltype, values)
+            assert storage.compute_zone_entry(vector) == \
+                _reference_zone_entry(vector)
+
+
+_GROUP = STANDARD_VECTOR_SIZE
+
+
+def _checkpoint_base(path, connect=Database):
+    """A file of five two-and-a-half-group tables, re-attached and then
+    left alone / appended to / deleted from / UPDATEd, plus a table that
+    only ever lived in memory."""
+    con = connect().connect() if connect is Database else connect()
+    rows = [
+        (i, float(i % 13) if i % 7 else None, f"w{i % 29}", i % 3 == 0)
+        for i in range(_GROUP * 2 + _GROUP // 2)
+    ]
+    for name in ("untouched", "appended", "deleted", "updated", "cut"):
+        con.execute(f"CREATE TABLE {name}(id BIGINT, x DOUBLE, s VARCHAR, "
+                    "b BOOLEAN)")
+        con.database.catalog.get_table(name).append_rows(rows)
+    con.execute(f"CHECKPOINT '{path}'")
+    att = connect().connect() if connect is Database else connect()
+    att.execute(f"ATTACH '{path}'")
+    att.execute("INSERT INTO appended SELECT id + 100000, x, s, b "
+                "FROM appended WHERE id < 700")
+    att.execute(f"DELETE FROM deleted WHERE id = {_GROUP + 5}")
+    att.execute("UPDATE updated SET x = x + 1 WHERE id < 10")
+    att.execute("DELETE FROM cut WHERE id = 3")  # shifts every boundary
+    att.execute("CREATE TABLE fresh(id BIGINT, s VARCHAR)")
+    att.database.catalog.get_table("fresh").append_rows(
+        [(i, f"f{i}") for i in range(_GROUP + 9)]
+    )
+    return att
+
+
+_CHECKPOINT_TABLES = ("untouched", "appended", "deleted", "updated", "cut",
+                      "fresh")
+
+
+def _snapshot(con):
+    """Rows, zone maps and footer-built ANALYZE statistics per table."""
+    out = {}
+    for name in _CHECKPOINT_TABLES:
+        table = con.database.catalog.get_table(name)
+        con.execute(f"ANALYZE {name}")
+        assert con.last_query_stats.counter("storage.zonemap_analyze") == 1
+        out[name] = (
+            repr(con.execute(f"SELECT * FROM {name}").fetchall()),
+            [[zone.to_json() for zone in group]
+             for group in table.zone_maps()],
+            repr(table.stats),
+        )
+    return out
+
+
+class TestCheckpointCopy:
+    def test_copied_file_is_byte_identical_to_reencoded(self, tmp_path,
+                                                        monkeypatch):
+        att = _checkpoint_base(tmp_path / "base.quackdb")
+        live = {name: repr(att.execute(f"SELECT * FROM {name}").fetchall())
+                for name in _CHECKPOINT_TABLES}
+        copied, encoded = tmp_path / "copy.quackdb", tmp_path / "enc.quackdb"
+        att.execute(f"CHECKPOINT '{copied}'")
+        # untouched: 3 groups x 4 columns; appended: its 2 full groups;
+        # deleted: groups 0 (full) — group 1 holds the tombstone and
+        # everything after it is re-chunked; updated: 3 columns of 3
+        # groups (x was rewritten); cut: nothing lands on a boundary.
+        assert att.last_query_stats.counter("storage.segments_copied") == \
+            12 + 8 + 4 + 9
+        monkeypatch.setattr(storage, "_stored_segment",
+                            lambda column, seg: False)
+        att.execute(f"CHECKPOINT '{encoded}'")
+        assert att.last_query_stats.counter("storage.segments_copied") == 0
+        assert copied.read_bytes() == encoded.read_bytes()
+        fresh = Database().connect()
+        fresh.execute(f"ATTACH '{copied}'")
+        snapshot = _snapshot(fresh)
+        assert {name: rows for name, (rows, _, _) in snapshot.items()} == \
+            live
+        # Footer zone maps == zone maps computed from the decoded rows.
+        for name in _CHECKPOINT_TABLES:
+            table = fresh.database.catalog.get_table(name)
+            assert snapshot[name][1] == [
+                [storage.compute_zone_entry(
+                    column.segment_vector(seg)).to_json()
+                 for column in table._columns]
+                for seg in range(len(snapshot[name][1]))
+            ]
+
+    def test_extension_payloads_copy_to_the_same_database(self, tmp_path,
+                                                          monkeypatch):
+        con = core.connect()
+        con.execute("CREATE TABLE g(id BIGINT, box STBOX, trip TGEOMPOINT)")
+        con.database.catalog.get_table("g").append_rows(
+            [(i, _BOXES[i % 4] if i % 5 else None, _TRIPS[i % 4])
+             for i in range(_GROUP + 100)]
+        )
+        base = tmp_path / "g.quackdb"
+        con.execute(f"CHECKPOINT '{base}'")
+        att = core.connect()
+        att.execute(f"ATTACH '{base}'")
+        # Touch the payloads first: memoized boxes must not matter.
+        att.execute("SELECT count(*) FROM g WHERE box && "
+                    "stbox('STBOX X((0,0),(9,9))')")
+        copied, encoded = tmp_path / "copy.quackdb", tmp_path / "enc.quackdb"
+        att.execute(f"CHECKPOINT '{copied}'")
+        assert att.last_query_stats.counter("storage.segments_copied") == 6
+        monkeypatch.setattr(storage, "_stored_segment",
+                            lambda column, seg: False)
+        att.execute(f"CHECKPOINT '{encoded}'")
+        snapshots = []
+        for path in (copied, encoded):
+            fresh = core.connect()
+            fresh.execute(f"ATTACH '{path}'")
+            fresh.execute("ANALYZE g")
+            table = fresh.database.catalog.get_table("g")
+            snapshots.append((
+                repr(fresh.execute("SELECT * FROM g").fetchall()),
+                [[z.to_json() for z in group]
+                 for group in table.zone_maps()],
+                repr(table.stats),
+            ))
+        assert snapshots[0] == snapshots[1]
+
+    def test_copies_are_reencoded_under_verification(self, tmp_path):
+        att = _checkpoint_base(tmp_path / "base.quackdb")
+        set_verification_enabled(True)
+        try:
+            att.execute(f"CHECKPOINT '{tmp_path / 'out.quackdb'}'")
+            stats = att.last_query_stats
+            assert stats.counter("storage.segments_copied") == 33
+            assert stats.counter("verify.segment_copy_crosschecks") == 33
+        finally:
+            set_verification_enabled(
+                os.environ.get("REPRO_VERIFICATION") == "1"
+            )
+
+
+class TestCheckpointInPlace:
+    """CHECKPOINT over the attached file used to truncate the mapping its
+    own tables decode from (SIGBUS); it now renames a sibling over it."""
+
+    def test_in_place_then_reattach(self, tmp_path):
+        path = tmp_path / "a.quackdb"
+        con = _seeded_con(_GROUP * 3 + 10)
+        con.execute(f"CHECKPOINT '{path}'")
+        att = Database().connect()
+        att.execute(f"ATTACH '{path}'")  # nothing decoded yet
+        att.execute("INSERT INTO t VALUES (-1, 'new'), (-2, 'newer')")
+        att.execute("CHECKPOINT")
+        assert att.last_query_stats.counter("storage.segments_copied") == 6
+        # The old mapping stays readable for the connection that holds it.
+        assert att.execute("SELECT count(*), min(a) FROM t").fetchall() == \
+            [(_GROUP * 3 + 12, -2)]
+        fresh = Database().connect()
+        fresh.execute(f"ATTACH '{path}'")
+        assert fresh.execute("SELECT a, b FROM t").fetchall() == \
+            [(i, f"k{i:08d}") for i in range(_GROUP * 3 + 10)] + \
+            [(-1, "new"), (-2, "newer")]
+        assert os.listdir(tmp_path) == ["a.quackdb"]
+
+    def test_failed_checkpoint_keeps_the_old_file(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "a.quackdb"
+        con = _seeded_con(_GROUP + 10)
+        con.execute(f"CHECKPOINT '{path}'")
+        before = path.read_bytes()
+        att = Database().connect()
+        att.execute(f"ATTACH '{path}'")
+        att.execute("INSERT INTO t VALUES (-1, 'new')")
+        calls = []
+
+        def failing(vector):
+            calls.append(vector)
+            if len(calls) > 1:
+                raise RuntimeError("disk on fire")
+            return encode(vector)
+
+        encode = storage.encode_segment
+        monkeypatch.setattr(storage, "encode_segment", failing)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            att.execute("CHECKPOINT")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["a.quackdb"]
+        monkeypatch.setattr(storage, "encode_segment", encode)
+        att.execute("CHECKPOINT")
+        fresh = Database().connect()
+        fresh.execute(f"ATTACH '{path}'")
+        assert fresh.execute("SELECT count(*) FROM t").scalar() == \
+            _GROUP + 11
+
+
+class TestSpilledOperatorsOnChunks:
+    """Aggregate and Grace join over the columnar spill format."""
+
+    def _con(self):
+        con = Database().connect()
+        con.execute("CREATE TABLE f(id BIGINT, k VARCHAR, x DOUBLE)")
+        con.execute("CREATE TABLE d(k VARCHAR, w BIGINT)")
+        con.database.catalog.get_table("f").append_rows([
+            (i, None if i % 31 == 0 else f"key{(i * 13) % 57:02d}",
+             _FLOATS[i % len(_FLOATS)] if i % 4 else i / 7.0)
+            for i in range(STANDARD_VECTOR_SIZE * 4 + 11)
+        ])
+        con.database.catalog.get_table("d").append_rows(
+            [(f"key{i:02d}" if i % 10 else None, i) for i in range(70)]
+        )
+        return con
+
+    def test_aggregate_float_sums_and_null_groups(self):
+        con = self._con()
+        sql = ("SELECT k, count(*), sum(x), min(x), max(id), "
+               "count(DISTINCT x) FROM f GROUP BY k")
+        expected = repr(con.execute(sql).fetchall())
+        con.execute("SET memory_limit = 0.05")
+        assert repr(con.execute(sql).fetchall()) == expected
+        stats = con.last_query_stats
+        assert stats.counter("storage.spilled_aggregates") == 1
+        assert stats.counter("quack.kernel_ops") >= 4
+
+    def test_join_with_residual_and_text_keys(self):
+        con = self._con()
+        # d first: f lands on the build side and overflows.
+        sql = ("SELECT f.id, d.w, f.x FROM d, f "
+               "WHERE f.k = d.k AND f.id % 3 <> d.w % 3")
+        expected = repr(con.execute(sql).fetchall())
+        con.execute("SET memory_limit = 0.05")
+        assert repr(con.execute(sql).fetchall()) == expected
+        assert con.last_query_stats.counter("storage.spilled_joins") == 1
+
+
+class TestColumnarInsertSelect:
+    """INSERT … SELECT appends arrays; pgsim's row-wise INSERT is the
+    oracle for what lands in the table."""
+
+    _SETUP = [
+        "CREATE TABLE src(id BIGINT, x DOUBLE, s VARCHAR, n VARCHAR)",
+        "CREATE TABLE dst(a BIGINT, b DOUBLE, c VARCHAR, d BIGINT)",
+    ]
+    _INSERTS = [
+        "INSERT INTO dst SELECT id, x, s, id * 2 FROM src",       # as is
+        "INSERT INTO dst SELECT id, id, s, n FROM src",   # int->float, text->int
+        "INSERT INTO dst(c, a) SELECT s, id + 1 FROM src WHERE id % 2 = 0",
+        "INSERT INTO dst SELECT a, b, c, d FROM dst WHERE a < 3",  # itself
+        "INSERT INTO dst SELECT NULL, NULL, NULL, NULL FROM src WHERE id = 1",
+        "INSERT INTO dst SELECT id, x, s, id FROM src WHERE id < 0",  # none
+    ]
+
+    def _both(self):
+        rows = [(i, None if i % 5 == 0 else i / 4.0,
+                 None if i % 7 == 0 else f"s{i}", str(i * 3))
+                for i in range(STANDARD_VECTOR_SIZE + 300)]
+        cons = []
+        for factory in (Database, RowDatabase):
+            con = factory().connect()
+            for sql in self._SETUP:
+                con.execute(sql)
+            con.database.catalog.get_table("src").append_rows(rows)
+            cons.append(con)
+        return cons
+
+    def test_matches_row_engine(self):
+        duck, pgsim = self._both()
+        for sql in self._INSERTS:
+            assert duck.execute(sql).fetchall() == \
+                pgsim.execute(sql).fetchall(), sql
+            query = "SELECT * FROM dst"
+            assert repr(duck.execute(query).fetchall()) == \
+                repr(pgsim.execute(query).fetchall()), sql
+        table = duck.database.catalog.get_table("dst")
+        assert all(chunk.count <= STANDARD_VECTOR_SIZE
+                   for chunk, _ in table.scan())
+
+    def test_wrong_arity_rejected(self):
+        duck, _ = self._both()
+        with pytest.raises(ExecutionError, match="expected 4 values, got 2"):
+            duck.execute("INSERT INTO dst SELECT id, x FROM src")
+
+    def test_feeds_indexes_and_marks_attached_tables(self, tmp_path):
+        con = core.connect()
+        con.execute("CREATE TABLE g(id BIGINT, box STBOX)")
+        con.execute("CREATE INDEX rt ON g USING TRTREE(box)")
+        con.database.catalog.get_table("g").append_rows(
+            [(i, _BOXES[i % 4]) for i in range(50)]
+        )
+        path = tmp_path / "g.quackdb"
+        con.execute(f"CHECKPOINT '{path}'")
+        att = core.connect()
+        att.execute(f"ATTACH '{path}'")
+        probe = ("SELECT count(*) FROM g WHERE box && "
+                 "stbox('STBOX X((100,100),(110,110))')")
+        assert att.execute(probe).scalar() == 0
+        att.execute("INSERT INTO g SELECT id + 100, "
+                    "'STBOX X((101,101),(102,102))' FROM g WHERE id < 5")
+        assert att.execute(probe).scalar() == 5
+        att.execute("ANALYZE g")
+        assert att.last_query_stats.counter("storage.zonemap_analyze") == 0
+        assert att.database.catalog.get_table("g").stats.row_count == 55
