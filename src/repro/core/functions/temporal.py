@@ -31,6 +31,7 @@ from ...quack.types import (
     TIMESTAMP,
     VARCHAR,
 )
+from ..boxkernels import make_batch, overlaps_decide, span_soa, tpoint_soa
 from ..types import (
     BASE_VALUE_TYPES,
     SET_TYPES,
@@ -75,10 +76,11 @@ def _from_mfjson_checked(text, expected_name):
 
 
 def register(database) -> None:
-    def scalar(name, arg_types, return_type, fn):
+    def scalar(name, arg_types, return_type, fn, batch=None):
         ExtensionUtil.register_function(
             database,
-            ScalarFunction(name, tuple(arg_types), return_type, fn_scalar=fn),
+            ScalarFunction(name, tuple(arg_types), return_type, fn_scalar=fn,
+                           evaluate_batch=batch),
         )
 
     for name, ltype in TEMPORAL_TYPES.items():
@@ -228,13 +230,25 @@ def register(database) -> None:
                if hasattr(t, "set_interp") else t)
 
         # -- bounding-box operators with time frames --------------------------------------
-        for frame, overlap in (
-            (_TSTZSPAN, lambda t, s: t.tstzspan().overlaps(s)),
-            (_TSTZSPANSET, lambda t, ss: ss.overlaps(t.time())),
-        ):
-            scalar("&&", (ltype, frame), BOOLEAN, overlap)
-            scalar("&&", (frame, ltype), BOOLEAN,
-                   lambda s, t, _f=overlap: _f(t, s))
+        def _overlaps_span(t, s):
+            return t.tstzspan().overlaps(s)
+
+        def _span_overlaps(s, t):
+            return t.tstzspan().overlaps(s)
+
+        # Temporal points carry their time extent in the box view the
+        # stbox operators already build; other types stay row-wise.
+        spatial = TEMPORAL_BASE[name] == "geometry"
+        scalar("&&", (ltype, _TSTZSPAN), BOOLEAN, _overlaps_span,
+               batch=make_batch(tpoint_soa, span_soa, overlaps_decide,
+                                _overlaps_span) if spatial else None)
+        scalar("&&", (_TSTZSPAN, ltype), BOOLEAN, _span_overlaps,
+               batch=make_batch(span_soa, tpoint_soa, overlaps_decide,
+                                _span_overlaps) if spatial else None)
+        scalar("&&", (ltype, _TSTZSPANSET), BOOLEAN,
+               lambda t, ss: ss.overlaps(t.time()))
+        scalar("&&", (_TSTZSPANSET, ltype), BOOLEAN,
+               lambda ss, t: ss.overlaps(t.time()))
         scalar("@>", (ltype, TIMESTAMP), BOOLEAN,
                lambda t, ts: t.tstzspan().contains_value(int(ts)))
         scalar("@>", (_TSTZSPAN, TIMESTAMP), BOOLEAN,

@@ -16,8 +16,6 @@ This module carries the paper's headline query functionality:
 
 from __future__ import annotations
 
-from typing import Any
-
 from ... import geo, meos
 from ...meos import Temporal
 from ...meos.temporal import merge_all, sequence_from_instants, tcount
@@ -35,12 +33,17 @@ from ...quack.types import (
     VARCHAR,
 )
 from ..boxkernels import (
+    as_geometry,
     contains_decide,
     eintersects_decide,
+    geom_csr,
+    geometry_batch,
     geom_soa,
+    intersects_exact,
     make_batch,
     overlaps_decide,
     stbox_soa,
+    tpoint_csr,
     tpoint_soa,
 )
 from ..types import (
@@ -55,16 +58,6 @@ _TGEOMETRY = TEMPORAL_TYPES["tgeometry"]
 _TBOOL = TEMPORAL_TYPES["tbool"]
 _TFLOAT = TEMPORAL_TYPES["tfloat"]
 _TSTZSPAN = SPAN_TYPES["tstzspan"]
-
-
-def _as_geom(value: Any) -> geo.Geometry:
-    if isinstance(value, geo.Geometry):
-        return value
-    if isinstance(value, (bytes, bytearray)):
-        return geo.decode_wkb(value)
-    if isinstance(value, str):
-        return geo.parse_wkt(value)
-    raise ValueError(f"cannot interpret {type(value).__name__} as geometry")
 
 
 def register(database) -> None:
@@ -104,7 +97,7 @@ def register(database) -> None:
 
         # -- instant constructors (value, timestamp) -------------------------------
         def make_instant(value, ts, _t=tname):
-            value = _as_geom(value)
+            value = as_geometry(value)
             return TInstant(meos.temporal_type(_t), value, int(ts))
 
         scalar(tname, (VARCHAR, TIMESTAMP), ltype, make_instant)
@@ -142,9 +135,9 @@ def register(database) -> None:
         # -- restriction to geometries / boxes -------------------------------------------
         for geom_in in geom_ins:
             scalar("atGeometry", (ltype, geom_in), ltype,
-                   lambda t, g: meos.at_geometry(t, _as_geom(g)))
+                   lambda t, g: meos.at_geometry(t, as_geometry(g)))
             scalar("minusGeometry", (ltype, geom_in), ltype,
-                   lambda t, g: meos.minus_geometry(t, _as_geom(g)))
+                   lambda t, g: meos.minus_geometry(t, as_geometry(g)))
         scalar("atStbox", (ltype, STBOX_TYPE), ltype, meos.at_stbox)
         scalar("stops", (ltype, DOUBLE, INTERVAL), ltype,
                lambda t, d, dur: meos.stops(t, float(d), dur))
@@ -157,24 +150,30 @@ def register(database) -> None:
 
         # -- relationships ------------------------------------------------------------------
         def _eintersects_tg(t, g):
-            return meos.e_intersects(t, _as_geom(g))
+            return meos.e_intersects(t, as_geometry(g))
 
         def _eintersects_gt(g, t):
-            return meos.e_intersects(t, _as_geom(g))
+            return meos.e_intersects(t, as_geometry(g))
 
         for geom_in in geom_ins:
             scalar("eIntersects", (ltype, geom_in), BOOLEAN,
                    _eintersects_tg,
-                   batch=make_batch(tpoint_soa, geom_soa,
-                                    eintersects_decide, _eintersects_tg))
+                   batch=make_batch(
+                       tpoint_soa, geom_soa, eintersects_decide,
+                       _eintersects_tg,
+                       intersects_exact(tpoint_csr, geom_csr,
+                                        _eintersects_tg)))
             scalar("eIntersects", (geom_in, ltype), BOOLEAN,
                    _eintersects_gt,
-                   batch=make_batch(geom_soa, tpoint_soa,
-                                    eintersects_decide, _eintersects_gt))
+                   batch=make_batch(
+                       geom_soa, tpoint_soa, eintersects_decide,
+                       _eintersects_gt,
+                       intersects_exact(geom_csr, tpoint_csr,
+                                        _eintersects_gt)))
             scalar("aIntersects", (ltype, geom_in), BOOLEAN,
-                   lambda t, g: meos.a_intersects(t, _as_geom(g)))
+                   lambda t, g: meos.a_intersects(t, as_geometry(g)))
             scalar("tIntersects", (ltype, geom_in), _TBOOL,
-                   lambda t, g: meos.t_intersects(t, _as_geom(g)))
+                   lambda t, g: meos.t_intersects(t, as_geometry(g)))
 
         # -- bounding-box operators (drive TRTREE scan injection, §4.3) ---------------------
         def _tp_overlaps_box(t, box):
@@ -238,14 +237,15 @@ def register(database) -> None:
     # -- GSERIALIZED fast path (§6.3 optimized Query 5) ----------------------------------
     scalar("collect_gs", (LIST,), GSERIALIZED_TYPE,
            lambda items: geo.collect(
-               [_as_geom(v) for v in items if v is not None]
+               [as_geometry(v) for v in items if v is not None]
            ))
     scalar("distance_gs", (GSERIALIZED_TYPE, GSERIALIZED_TYPE), DOUBLE,
-           lambda a, b: geo.distance(_as_geom(a), _as_geom(b)))
+           lambda a, b: geo.distance(as_geometry(a), as_geometry(b)),
+           batch=geometry_batch(geo.distance_rows, DOUBLE))
     scalar("asText_gs", (GSERIALIZED_TYPE,), VARCHAR,
-           lambda g: geo.format_wkt(_as_geom(g)))
+           lambda g: geo.format_wkt(as_geometry(g)))
     scalar("length_gs", (GSERIALIZED_TYPE,), DOUBLE,
-           lambda g: geo.length(_as_geom(g)))
+           lambda g: geo.length(as_geometry(g)))
 
     # -- aggregates -----------------------------------------------------------------------
     for tname in ("tgeompoint", "tgeometry"):

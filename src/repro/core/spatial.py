@@ -29,6 +29,7 @@ from ..quack.types import (
     VARCHAR,
     LogicalType,
 )
+from .boxkernels import as_geometry as _as_geometry, geometry_batch
 
 EXTENSION_NAME = "spatial"
 
@@ -71,18 +72,6 @@ class Box2D:
 
 
 BOX2D_TYPE = make_user_type("BOX_2D", Box2D)
-
-
-def _as_geometry(value: Any) -> geo.Geometry:
-    if isinstance(value, geo.Geometry):
-        return value
-    if isinstance(value, Box2D):
-        return value.to_polygon()
-    if isinstance(value, (bytes, bytearray)):
-        return geo.decode_wkb(value)
-    if isinstance(value, str):
-        return geo.parse_wkt(value)
-    raise ValueError(f"cannot interpret {type(value).__name__} as GEOMETRY")
 
 
 class SpatialRTreeIndex(TableIndex):
@@ -165,10 +154,10 @@ def load(database) -> None:
         Box2D.from_struct,
     )
 
-    def register(name, arg_types, return_type, fn):
+    def register(name, arg_types, return_type, fn, batch=None):
         ExtensionUtil.register_function(
             database, ScalarFunction(name, arg_types, return_type,
-                                     fn_scalar=fn)
+                                     fn_scalar=fn, evaluate_batch=batch)
         )
 
     register("ST_GeomFromText", (VARCHAR,), GEOMETRY_TYPE, geo.parse_wkt)
@@ -188,11 +177,14 @@ def load(database) -> None:
                 "ST_Intersects", (left, right), BOOLEAN,
                 lambda a, b: geo.intersects(_as_geometry(a),
                                             _as_geometry(b)),
+                batch=geometry_batch(geo.intersects_rows, BOOLEAN),
             )
     register("ST_Distance", (GEOMETRY_TYPE, GEOMETRY_TYPE), DOUBLE,
-             lambda a, b: geo.distance(_as_geometry(a), _as_geometry(b)))
+             lambda a, b: geo.distance(_as_geometry(a), _as_geometry(b)),
+             batch=geometry_batch(geo.distance_rows, DOUBLE))
     register("ST_DWithin", (GEOMETRY_TYPE, GEOMETRY_TYPE, DOUBLE), BOOLEAN,
-             lambda a, b, d: geo.dwithin(_as_geometry(a), _as_geometry(b), d))
+             lambda a, b, d: geo.dwithin(_as_geometry(a), _as_geometry(b), d),
+             batch=geometry_batch(geo.dwithin_rows, BOOLEAN))
     register("ST_Contains", (GEOMETRY_TYPE, GEOMETRY_TYPE), BOOLEAN,
              lambda a, b: geo.contains(_as_geometry(a), _as_geometry(b)))
     register("ST_Length", (GEOMETRY_TYPE,), DOUBLE,

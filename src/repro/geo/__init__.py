@@ -17,6 +17,14 @@ from .algorithms import (
     point_in_polygon,
 )
 from .crs import known_srids, register_projection, transform, transform_coord
+from .kernels import (
+    CSRBuilder,
+    GeomCSR,
+    distance_rows,
+    dwithin_rows,
+    geometry_csr,
+    intersects_rows,
+)
 from .geometry import (
     Geometry,
     GeometryCollection,
@@ -34,6 +42,8 @@ from .wkb import decode_wkb, encode_wkb
 from .wkt import format_ewkt, format_wkt, parse_wkt
 
 __all__ = [
+    "CSRBuilder",
+    "GeomCSR",
     "Geometry",
     "GeometryCollection",
     "GeometryError",
@@ -51,12 +61,16 @@ __all__ = [
     "convex_hull",
     "decode_wkb",
     "distance",
+    "distance_rows",
     "dwithin",
+    "dwithin_rows",
     "encode_wkb",
     "flatten",
     "format_ewkt",
     "format_wkt",
+    "geometry_csr",
     "intersects",
+    "intersects_rows",
     "known_srids",
     "length",
     "parse_wkt",

@@ -19,8 +19,12 @@ from .geometry import (
     Polygon,
     flatten,
 )
-
-EPSILON = 1e-9
+from .kernels import (
+    EPSILON,
+    SEGMENT_PAD,
+    distance_rows,
+    geometry_csr,
+)
 
 Coord = tuple[float, float]
 
@@ -38,10 +42,16 @@ def point_segment_distance(p: Coord, a: Coord, b: Coord) -> float:
     dx, dy = bx - ax, by - ay
     seg_len2 = dx * dx + dy * dy
     if seg_len2 <= EPSILON * EPSILON:
-        return math.hypot(px - ax, py - ay)
+        return _norm(px - ax, py - ay)
     t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
     t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    return _norm(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def _norm(ex: float, ey: float) -> float:
+    # Spelled as the batch kernels spell it (kernels.py), not hypot:
+    # scalar and array results agree on float bits.
+    return math.sqrt(ex * ex + ey * ey)
 
 
 def segment_segment_distance(a: Coord, b: Coord, c: Coord, d: Coord) -> float:
@@ -69,6 +79,13 @@ def _on_segment(a: Coord, b: Coord, p: Coord) -> bool:
 
 def segments_intersect(a: Coord, b: Coord, c: Coord, d: Coord) -> bool:
     """True if closed segments ``ab`` and ``cd`` share at least one point."""
+    if (
+        max(a[0], b[0]) + SEGMENT_PAD < min(c[0], d[0])
+        or max(c[0], d[0]) + SEGMENT_PAD < min(a[0], b[0])
+        or max(a[1], b[1]) + SEGMENT_PAD < min(c[1], d[1])
+        or max(c[1], d[1]) + SEGMENT_PAD < min(a[1], b[1])
+    ):
+        return False
     o1 = _orient(a, b, c)
     o2 = _orient(a, b, d)
     o3 = _orient(c, d, a)
@@ -159,106 +176,6 @@ def point_in_polygon(p: Coord, polygon: Polygon) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise primitive predicates
-# ---------------------------------------------------------------------------
-
-
-def _segments_of(geom: Geometry):
-    if isinstance(geom, LineString):
-        yield from geom.segments()
-    elif isinstance(geom, Polygon):
-        for ring in geom.rings():
-            yield from zip(ring, ring[1:])
-
-
-def _primitive_intersects(a: Geometry, b: Geometry) -> bool:
-    if isinstance(a, Point) and isinstance(b, Point):
-        return a.distance_to(b) <= EPSILON
-    if isinstance(a, Point):
-        return _primitive_intersects(b, a)
-    if isinstance(b, Point):
-        p = (b.x, b.y)
-        if isinstance(a, LineString):
-            return any(
-                point_segment_distance(p, s, e) <= EPSILON
-                for s, e in a.segments()
-            )
-        if isinstance(a, Polygon):
-            return point_in_polygon(p, a)
-        raise GeometryError(f"unsupported geometry {a.geom_type}")
-    # line/line, line/polygon, polygon/polygon
-    for s1 in _segments_of(a):
-        for s2 in _segments_of(b):
-            if segments_intersect(s1[0], s1[1], s2[0], s2[1]):
-                return True
-    # Containment without boundary crossing.
-    if isinstance(a, Polygon):
-        probe = next(b.coordinates(), None)
-        if probe is not None and point_in_polygon(probe, a):
-            return True
-    if isinstance(b, Polygon):
-        probe = next(a.coordinates(), None)
-        if probe is not None and point_in_polygon(probe, b):
-            return True
-    return False
-
-
-def _primitive_distance(a: Geometry, b: Geometry) -> float:
-    if _primitive_intersects(a, b):
-        return 0.0
-    # Disjoint segments attain their minimum distance at a vertex of one of
-    # them, so vertex-to-segment distances both ways are exact — and they
-    # vectorize.
-    coords_a = list(a.coordinates())
-    coords_b = list(b.coordinates())
-    segs_a = list(_segments_of(a))
-    segs_b = list(_segments_of(b))
-    if len(coords_a) * max(1, len(segs_b)) >= 64:
-        return min(
-            _points_to_segments(coords_a, segs_b),
-            _points_to_segments(coords_b, segs_a),
-        )
-    best = math.inf
-    for p in coords_a:
-        if segs_b:
-            for s, e in segs_b:
-                best = min(best, point_segment_distance(p, s, e))
-        else:
-            for q in coords_b:
-                best = min(best, math.hypot(p[0] - q[0], p[1] - q[1]))
-    for q in coords_b:
-        for s, e in segs_a:
-            best = min(best, point_segment_distance(q, s, e))
-    return best
-
-
-def _points_to_segments(points, segments) -> float:
-    """Vectorized min distance from a point set to a segment set."""
-    import numpy as np
-
-    pts = np.asarray(points, dtype=np.float64)
-    if not segments:
-        return math.inf
-    starts = np.asarray([s for s, _ in segments], dtype=np.float64)
-    ends = np.asarray([e for _, e in segments], dtype=np.float64)
-    delta = ends - starts
-    len2 = (delta * delta).sum(axis=1)
-    safe_len2 = np.where(len2 > 0.0, len2, 1.0)
-    best = math.inf
-    # Chunk the point axis to bound the (n, m, 2) intermediate.
-    chunk = max(1, int(4_000_000 / max(1, len(segments))))
-    for i in range(0, len(pts), chunk):
-        block = pts[i : i + chunk]
-        diff = block[:, None, :] - starts[None, :, :]
-        t = np.clip((diff * delta[None, :, :]).sum(axis=2) / safe_len2,
-                    0.0, 1.0)
-        proj = starts[None, :, :] + t[..., None] * delta[None, :, :]
-        d2 = ((block[:, None, :] - proj) ** 2).sum(axis=2)
-        best = min(best, float(np.sqrt(d2.min())))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Public geometry predicates / measures
 # ---------------------------------------------------------------------------
 
@@ -276,12 +193,77 @@ def _bounds_disjoint(a: Geometry, b: Geometry, pad: float = 0.0) -> bool:
     )
 
 
+def _primitives(geom: Geometry) -> list[Geometry]:
+    """The non-empty primitives of ``geom``; a one-vertex line (what
+    degenerate clipping leaves) is the point it collapsed to."""
+    return [
+        Point(*g.points[0], g.srid)
+        if isinstance(g, LineString) and len(g.points) == 1 else g
+        for g in flatten(geom) if not g.is_empty()
+    ]
+
+
+def _segments_of(geom: Geometry):
+    if isinstance(geom, LineString):
+        yield from geom.segments()
+    elif isinstance(geom, Polygon):
+        for ring in geom.rings():
+            yield from zip(ring, ring[1:])
+
+
+def _point_gap(point: Point, other: Geometry) -> float:
+    """Distance from a point to a primitive; 0.0 where they meet (within
+    EPSILON of a point or a line, inside a polygon or on its rings)."""
+    p = (point.x, point.y)
+    if isinstance(other, Polygon):
+        if point_in_polygon(p, other):
+            return 0.0
+        return min(
+            point_segment_distance(p, s, e) for s, e in _segments_of(other)
+        )
+    if isinstance(other, Point):
+        gap = _norm(point.x - other.x, point.y - other.y)
+    else:
+        gap = min(
+            point_segment_distance(p, s, e) for s, e in other.segments()
+        )
+    return 0.0 if gap <= EPSILON else gap
+
+
+def _primitive_intersects(a: Geometry, b: Geometry) -> bool:
+    if isinstance(b, Point):
+        a, b = b, a
+    if isinstance(a, Point):
+        if isinstance(b, Polygon):
+            return point_in_polygon((a.x, a.y), b)
+        return _point_gap(a, b) == 0.0
+    # line/line, line/polygon, polygon/polygon
+    for s1 in _segments_of(a):
+        for s2 in _segments_of(b):
+            if segments_intersect(s1[0], s1[1], s2[0], s2[1]):
+                return True
+    # Containment without boundary crossing.
+    if isinstance(a, Polygon) and point_in_polygon(next(b.coordinates()), a):
+        return True
+    if isinstance(b, Polygon) and point_in_polygon(next(a.coordinates()), b):
+        return True
+    return False
+
+
+# The row engine asks about one pair of objects per call.  ``intersects``
+# stops at the first hit and rejects most segment pairs on four
+# comparisons, so it walks the objects here; ``distance`` between two
+# geometries with segments has no early exit (every vertex meets every
+# segment), so it is the batch kernel on a batch of one.  Both spell
+# each formula as kernels.py does: the engines agree on float bits.
+
+
 def intersects(a: Geometry, b: Geometry) -> bool:
     """PostGIS-style ``ST_Intersects``."""
     if _bounds_disjoint(a, b):
         return False
-    for pa in flatten(a):
-        for pb in flatten(b):
+    for pa in _primitives(a):
+        for pb in _primitives(b):
             if _bounds_disjoint(pa, pb):
                 continue
             if _primitive_intersects(pa, pb):
@@ -290,37 +272,17 @@ def intersects(a: Geometry, b: Geometry) -> bool:
 
 
 def distance(a: Geometry, b: Geometry) -> float:
-    """PostGIS-style ``ST_Distance`` (planar minimum distance).
-
-    Primitive pairs are visited in order of their bounding-box distance
-    (branch-and-bound), and line/line distances are vectorized, so large
-    collections (e.g. collected trajectories, paper Query 5) stay fast.
-    """
+    """PostGIS-style ``ST_Distance`` (planar minimum distance)."""
     if a.is_empty() or b.is_empty():
         raise GeometryError("distance to an empty geometry is undefined")
-    parts_a = [g for g in flatten(a) if not g.is_empty()]
-    parts_b = [g for g in flatten(b) if not g.is_empty()]
-    pairs = []
-    for pa in parts_a:
-        for pb in parts_b:
-            pairs.append((_bounds_distance(pa, pb), pa, pb))
-    pairs.sort(key=lambda item: item[0])
-    best = math.inf
-    for lower_bound, pa, pb in pairs:
-        if lower_bound >= best:
-            break
-        best = min(best, _primitive_distance(pa, pb))
-        if best == 0.0:
-            return 0.0
-    return best
-
-
-def _bounds_distance(a: Geometry, b: Geometry) -> float:
-    ax0, ay0, ax1, ay1 = a.bounds()
-    bx0, by0, bx1, by1 = b.bounds()
-    dx = max(bx0 - ax1, ax0 - bx1, 0.0)
-    dy = max(by0 - ay1, ay0 - by1, 0.0)
-    return math.hypot(dx, dy)
+    points, others = _primitives(a), _primitives(b)
+    if not all(isinstance(g, Point) for g in points):
+        if not all(isinstance(g, Point) for g in others):
+            return float(
+                distance_rows(geometry_csr((a,)), geometry_csr((b,)))[0]
+            )
+        points, others = others, points
+    return min(_point_gap(p, g) for p in points for g in others)
 
 
 def dwithin(a: Geometry, b: Geometry, dist: float) -> bool:

@@ -145,6 +145,9 @@ class LineString(Geometry):
     def coordinates(self) -> Iterator[tuple[float, float]]:
         yield from self.points
 
+    def is_empty(self) -> bool:
+        return not self.points
+
     def _clone(self) -> "LineString":
         return LineString(self.points, self.srid)
 
@@ -199,6 +202,9 @@ class Polygon(Geometry):
         yield from self.shell
         for hole in self.holes:
             yield from hole
+
+    def is_empty(self) -> bool:
+        return not self.shell and not any(self.holes)
 
     def rings(self) -> Iterator[tuple[tuple[float, float], ...]]:
         yield self.shell
@@ -271,6 +277,9 @@ class _MultiGeometry(Geometry):
     def coordinates(self) -> Iterator[tuple[float, float]]:
         for g in self.geoms:
             yield from g.coordinates()
+
+    def is_empty(self) -> bool:
+        return all(g.is_empty() for g in self.geoms)
 
     def _clone(self):
         return type(self)(tuple(g._clone() for g in self.geoms), self.srid)

@@ -155,9 +155,14 @@ class Temporal:
         xs: list[float] = []
         ys: list[float] = []
         for inst in self.instants():
-            for x, y in inst.value.coordinates():
-                xs.append(x)
-                ys.append(y)
+            value = inst.value
+            if isinstance(value, geo.Point):
+                xs.append(value.x)
+                ys.append(value.y)
+            else:
+                for x, y in value.coordinates():
+                    xs.append(x)
+                    ys.append(y)
         box = STBox(
             min(xs), min(ys), max(xs), max(ys), self.tstzspan(), self.srid()
         )

@@ -79,9 +79,9 @@ def length(tpoint: Temporal) -> float:
         return 0.0
     total = 0.0
     for seq in tpoint.sequences():
-        instants = seq.instants()
-        for a, b in zip(instants, instants[1:]):
-            total += a.value.distance_to(b.value)
+        points = [inst.value for inst in seq.instants()]
+        for a, b in zip(points, points[1:]):
+            total += math.hypot(a.x - b.x, a.y - b.y)
     return total
 
 

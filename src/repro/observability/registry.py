@@ -40,6 +40,9 @@ DECLARED_COUNTERS = frozenset({
     "quack.distinct_rows_saved",
     "quack.bbox_rows_decided",
     "quack.bbox_rows_scalar",
+    # geo batch kernels (rows evaluated, element pairs expanded)
+    "geo.kernel_rows",
+    "geo.kernel_pairs",
     # pgsim row store
     "pgsim.detoast",
     # R-tree internals (shared by TRTREE and the standalone index)
