@@ -581,9 +581,7 @@ def assert_vectors_match(actual: Vector, expected: Vector,
             f"kernel/fallback divergence in {where}: kernel produced "
             f"{len(actual)} rows, fallback {len(expected)}"
         )
-    for i in range(len(actual)):
-        a = actual.value(i)
-        b = expected.value(i)
+    for i, (a, b) in enumerate(zip(actual.to_list(), expected.to_list())):
         if not _values_equal(a, b):
             raise VerificationError(
                 f"kernel/fallback divergence in {where}: row {i} — "

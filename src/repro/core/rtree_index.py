@@ -94,14 +94,14 @@ class RTreeIndex(TableIndex):
         """Phase 1: collect (rect, rowid) pairs into thread-local storage."""
         local: list[tuple[tuple[float, ...], int]] = []
         vector = chunk.column(self._column_index)
-        for i in range(chunk.count):
-            box = _coerce_stbox(vector.value(i))
+        for value, row_id in zip(vector.to_list(), row_ids.tolist()):
+            box = _coerce_stbox(value)
             if box is None:
                 continue
             box = self._normalize_srid(box)
             rect = stbox_to_rect(box)
             if rect is not None:
-                local.append((rect, int(row_ids[i])))
+                local.append((rect, row_id))
         self._local_states.append(local)
 
     def combine(self) -> list[tuple[tuple[float, ...], int]]:
@@ -129,14 +129,14 @@ class RTreeIndex(TableIndex):
         (the paper's ``RTreeIndex::Append`` -> ``Construct`` ->
         ``rtree_insert`` path)."""
         vector = chunk.column(self._column_index)
-        for i in range(chunk.count):
-            box = _coerce_stbox(vector.value(i))
+        for value, row_id in zip(vector.to_list(), row_ids.tolist()):
+            box = _coerce_stbox(value)
             if box is None:
                 continue
             box = self._normalize_srid(box)
             rect = stbox_to_rect(box)
             if rect is not None:
-                self._tree.insert(rect, int(row_ids[i]))
+                self._tree.insert(rect, row_id)
 
     def rebuild(self, table) -> None:
         self._tree = RTree(dimensions=3)

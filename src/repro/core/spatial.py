@@ -89,21 +89,19 @@ class SpatialRTreeIndex(TableIndex):
         items = []
         for chunk, row_ids in table.scan():
             vector = chunk.column(self._column_index)
-            for i in range(chunk.count):
-                value = vector.value(i)
+            for value, row_id in zip(vector.to_list(), row_ids.tolist()):
                 if value is None or value.is_empty():
                     continue
-                items.append((value.bounds(), int(row_ids[i])))
+                items.append((value.bounds(), row_id))
         if items:
             self._tree = RTree.bulk_load(items, dimensions=2)
 
     def append(self, chunk, row_ids) -> None:
         vector = chunk.column(self._column_index)
-        for i in range(chunk.count):
-            value = vector.value(i)
+        for value, row_id in zip(vector.to_list(), row_ids.tolist()):
             if value is None or value.is_empty():
                 continue
-            self._tree.insert(value.bounds(), int(row_ids[i]))
+            self._tree.insert(value.bounds(), row_id)
 
     def rebuild(self, table) -> None:
         self._tree = RTree(dimensions=2)

@@ -7,6 +7,7 @@ aggregate extraction for GROUP BY queries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any
@@ -53,7 +54,9 @@ from .types import (
     TypeRegistry,
     VARCHAR,
     LogicalType,
+    common_numeric,
     implicit_cast_cost,
+    is_numeric,
 )
 
 _CTE_COUNTER = itertools.count(1)
@@ -707,22 +710,33 @@ class Binder:
         return operand
 
     def _bind_case(self, expr: ast.CaseExpr) -> BoundExpr:
-        branches: list[tuple[BoundExpr, BoundExpr]] = []
-        result_type: LogicalType | None = None
+        """The CASE takes its first non-NULL arm's type, or -- when the
+        arms are numeric -- their widest type, each narrower arm cast
+        inside its own branch so it still runs only on the rows the
+        branch selects."""
+        conditions: list[BoundExpr] = []
+        results: list[BoundExpr] = []
         for cond_ast, result_ast in expr.branches:
             if expr.operand is not None:
                 cond_ast = ast.BinaryOp("=", expr.operand, cond_ast)
-            cond = self._coerce_boolean(self.bind_expr(cond_ast))
-            result = self.bind_expr(result_ast)
-            if result_type is None or result_type == SQLNULL:
-                result_type = result.ltype
-            branches.append((cond, result))
-        else_result = None
+            conditions.append(self._coerce_boolean(self.bind_expr(cond_ast)))
+            results.append(self.bind_expr(result_ast))
         if expr.else_result is not None:
-            else_result = self.bind_expr(expr.else_result)
-            if result_type is None or result_type == SQLNULL:
-                result_type = else_result.ltype
-        return BoundCase(branches, else_result, result_type or SQLNULL)
+            results.append(self.bind_expr(expr.else_result))
+        types = [r.ltype for r in results if r.ltype != SQLNULL]
+        result_type = types[0] if types else SQLNULL
+        if types and all(is_numeric(t) for t in types):
+            result_type = functools.reduce(common_numeric, types)
+            results = [
+                self._implicit_cast(r, result_type) if is_numeric(r.ltype)
+                else r
+                for r in results
+            ]
+        else_result = (
+            results.pop() if expr.else_result is not None else None
+        )
+        return BoundCase(list(zip(conditions, results)), else_result,
+                         result_type)
 
     def _bind_struct(self, expr: ast.StructLiteral) -> BoundExpr:
         field_names = [name for name, _ in expr.fields]

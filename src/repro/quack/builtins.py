@@ -382,9 +382,9 @@ def _date_part(part: str, t: int) -> int:
 #
 # Each standard aggregate carries an optional ``step_batch`` kernel that
 # computes every group at once over NumPy arrays (see quack.kernels); the
-# executor falls back to the row-wise ``step`` loop for DISTINCT
-# aggregates, extension-registered aggregates, and payloads a kernel
-# declines (object-typed min/max and the like).
+# executor falls back to the row-wise ``step`` loop for
+# extension-registered aggregates and payloads a kernel declines
+# (object-typed min/max and the like).
 
 
 def _is_nan(value: Any) -> bool:
@@ -438,11 +438,17 @@ def _batch_sum_float(args, codes, n_groups, ltype) -> Vector | None:
     # bincount accumulates weights in row order — bit-identical to the
     # sequential row-loop fold (unlike reduceat's pairwise summation).
     valid = vec.validity
+    values = vec.data[valid]
     grouped = codes[valid]
-    sums = np.bincount(grouped, weights=vec.data[valid],
-                       minlength=n_groups)
-    present = np.bincount(grouped, minlength=n_groups) > 0
-    return Vector(ltype, sums, present)
+    sums = np.bincount(grouped, weights=values, minlength=n_groups)
+    counts = np.bincount(grouped, minlength=n_groups)
+    # bincount folds from +0.0, the row loop from the group's first
+    # addend: they differ only on a group of nothing but -0.0.
+    negative_zero = np.signbit(values) & (values == 0.0)
+    if negative_zero.any():
+        sums[(counts > 0) & (counts == np.bincount(
+            grouped[negative_zero], minlength=n_groups))] = -0.0
+    return Vector(ltype, sums, counts > 0)
 
 
 def _batch_avg(args, codes, n_groups, ltype) -> Vector | None:

@@ -618,12 +618,11 @@ class Connection:
             return Result()
         if stmt.as_query is not None:
             plan = self._plan_select(stmt.as_query)
-            result = self._run_plan(plan)
             table = Table(
                 stmt.name,
-                list(zip(result.column_names, result.column_types)),
+                list(zip(plan.output_names(), plan.output_types())),
             )
-            table.append_rows(result.rows)
+            self._insert_select(table, list(range(table.num_columns)), plan)
             self.database.catalog.create_table(table, stmt.or_replace)
             return Result()
         columns = [
@@ -808,10 +807,12 @@ class Connection:
                 mask = np.ones(chunk.count, dtype=np.bool_)
             if not mask.any():
                 continue
+            targets = row_ids[mask].tolist()
             for column, bound in bound_assignments:
-                values = evaluate(bound, chunk, ctx)
-                for i in np.nonzero(mask)[0]:
-                    new_values[column][int(row_ids[i])] = values.value(i)
+                values = evaluate(bound, chunk, ctx).slice(mask).to_list()
+                column_values = new_values[column]
+                for row_id, value in zip(targets, values):
+                    column_values[row_id] = value
             updated += int(mask.sum())
         for column, _ in bound_assignments:
             table.update_column(column, new_values[column])

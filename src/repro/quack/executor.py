@@ -262,11 +262,7 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
                           child.validity.copy())
         return Vector(target, child.data.astype(dtype),
                       child.validity.copy())
-    out = np.empty(count, dtype=object)
-    for i in range(count):
-        if child.validity[i]:
-            out[i] = child.value(i)
-    return Vector(target, out, child.validity.copy())
+    return Vector.from_values(target, child.to_list())
 
 
 def _cast_rows(expr: BoundCast, source: Vector) -> Vector:
@@ -280,6 +276,14 @@ def _cast_rows(expr: BoundCast, source: Vector) -> Vector:
         if value is None:
             validity[i] = False
     return _pack(expr.ltype, out, validity, len(source))
+
+
+def _value_rows(vectors: list[Vector], count: int) -> list[tuple]:
+    """One tuple of plain Python values per row, read column-wise
+    (``count`` empty tuples when there are no vectors)."""
+    if not vectors:
+        return [()] * count
+    return list(zip(*[v.to_list() for v in vectors]))
 
 
 def _crosscheck_vectors(result: Vector, reference: Vector,
@@ -478,8 +482,8 @@ def _evaluate_subquery(expr: BoundSubqueryExpr, chunk: DataChunk,
     )
     out = np.empty(count, dtype=object)
     validity = np.ones(count, dtype=np.bool_)
-    for i in range(count):
-        params = tuple(v.value(i) for v in param_vectors)
+    operands = operand_vec.to_list() if operand_vec is not None else None
+    for i, params in enumerate(_value_rows(param_vectors, count)):
         rows = _run_subquery(expr.plan, params, ctx)
         if expr.kind == "scalar":
             if not rows:
@@ -496,12 +500,10 @@ def _evaluate_subquery(expr: BoundSubqueryExpr, chunk: DataChunk,
             value = bool(rows)
             out[i] = (not value) if expr.negated else value
         elif expr.kind == "in":
-            out[i], validity[i] = _eval_in_rows(
-                expr, operand_vec.value(i), rows
-            )
+            out[i], validity[i] = _eval_in_rows(expr, operands[i], rows)
         else:  # quantified ALL / ANY
             out[i], validity[i] = _eval_quantified_rows(
-                expr, operand_vec.value(i), rows
+                expr, operands[i], rows
             )
     return _pack(expr.ltype, out, validity, count)
 
@@ -1161,9 +1163,7 @@ def _index_nl_join_chunk(op: LogicalJoin, left_chunk: DataChunk,
     probe_vector = evaluate(left_expr, left_chunk, ctx)
     id_lists = None
     if kernels.kernels_enabled():
-        id_lists = index.probe_batch(
-            op_name, [probe_vector.value(i) for i in range(n)]
-        )
+        id_lists = index.probe_batch(op_name, probe_vector.to_list())
     if id_lists is None:
         return _index_nl_join_row_loop(
             op, left_chunk, probe_vector, index, op_name, table,
@@ -1172,9 +1172,7 @@ def _index_nl_join_chunk(op: LogicalJoin, left_chunk: DataChunk,
     if _verification.VERIFICATION_ENABLED:
         _crosscheck_index_probe(op, index, op_name, probe_vector,
                                 id_lists, ctx)
-    probes = sum(
-        1 for i in range(n) if probe_vector.validity[i]
-    )
+    probes = int(probe_vector.validity.sum())
     if probes:
         if qstats is not None:
             qstats.bump("executor.join_index_probes", probes)
@@ -1541,7 +1539,7 @@ def _aggregate_codes(op: LogicalAggregate, group_vectors: list[Vector],
         n_groups = len(representatives)
         if _verification.VERIFICATION_ENABLED:
             _crosscheck_factorize(op, group_vectors, codes,
-                                  representatives, count, ctx)
+                                  representatives, ctx)
     else:
         codes = np.zeros(count, dtype=np.int64)
         representatives = np.zeros(1, dtype=np.int64)
@@ -1555,13 +1553,22 @@ def _aggregate_specs_reduce(op: LogicalAggregate,
                             ctx: ExecutionContext,
                             kstats) -> list[Vector]:
     """Reduce every aggregate spec over pre-evaluated argument vectors
-    (step_batch kernel with crosscheck, else the row loop)."""
+    (step_batch kernel with crosscheck, else the row loop).  DISTINCT is
+    a selection, not a reducer feature: the spec reduces the first row
+    of every distinct ``(group, arguments)`` tuple."""
     result: list[Vector] = []
     for a, spec in enumerate(op.aggregates):
+        args, spec_codes = arg_vectors[a], codes
+        if spec.distinct:
+            keys = [Vector(BIGINT, codes), *args]
+            tuple_codes, rows = kernels.factorize(keys, len(codes))
+            if _verification.VERIFICATION_ENABLED:
+                _crosscheck_factorize(op, keys, tuple_codes, rows, ctx)
+            args, spec_codes = [v.slice(rows) for v in args], codes[rows]
         vec: Vector | None = None
-        if spec.function.step_batch is not None and not spec.distinct:
-            vec = spec.function.step_batch(arg_vectors[a], codes,
-                                           n_groups, spec.ltype)
+        if spec.function.step_batch is not None:
+            vec = spec.function.step_batch(args, spec_codes, n_groups,
+                                           spec.ltype)
         if vec is not None:
             if kstats is not None:
                 kstats.kernel += 1
@@ -1570,7 +1577,7 @@ def _aggregate_specs_reduce(op: LogicalAggregate,
             if _verification.VERIFICATION_ENABLED:
                 _crosscheck_vectors(
                     vec,
-                    _aggregate_spec_row_loop(spec, arg_vectors[a], codes,
+                    _aggregate_spec_row_loop(spec, args, spec_codes,
                                              n_groups),
                     ctx,
                     f"{op._explain_label()} "
@@ -1581,8 +1588,7 @@ def _aggregate_specs_reduce(op: LogicalAggregate,
                 kstats.fallback += 1
             if ctx.stats is not None:
                 ctx.stats.bump("quack.fallback_ops")
-            vec = _aggregate_spec_row_loop(spec, arg_vectors[a], codes,
-                                           n_groups)
+            vec = _aggregate_spec_row_loop(spec, args, spec_codes, n_groups)
         result.append(vec)
     return result
 
@@ -1752,32 +1758,23 @@ def _crosscheck_parallel_aggregate(op: LogicalAggregate,
 
 def _aggregate_spec_row_loop(spec, arg_vectors: list[Vector],
                              codes: np.ndarray, n_groups: int) -> Vector:
-    """Row-wise fallback for one aggregate (DISTINCT, extension-registered
+    """Row-wise fallback for one aggregate (extension-registered
     aggregates, or kernels that declined the payload type)."""
     fn = spec.function
     states = [fn.init() for _ in range(n_groups)]
-    seen: list[set] | None = (
-        [set() for _ in range(n_groups)] if spec.distinct else None
-    )
-    for i in range(len(codes)):
-        values = [vec.value(i) for vec in arg_vectors]
+    rows = _value_rows(arg_vectors, len(codes))
+    for group, values in zip(codes.tolist(), rows):
         if values and not fn.accepts_null and any(
             v is None for v in values
         ):
             continue
-        group = codes[i]
-        if seen is not None:
-            marker = tuple(_hashable(v) for v in values)
-            if marker in seen[group]:
-                continue
-            seen[group].add(marker)
         states[group] = fn.step(states[group], *values)
     return Vector.from_values(spec.ltype, [fn.final(s) for s in states])
 
 
 def _crosscheck_factorize(op: LogicalOperator, vectors: list[Vector],
                           codes: np.ndarray, representatives: np.ndarray,
-                          count: int, ctx: ExecutionContext) -> None:
+                          ctx: ExecutionContext) -> None:
     """Re-derive the grouping with the row-wise seen-dict fallback and
     compare codes and representatives against the factorize kernel."""
     from ..analysis.verifier import assert_index_lists_match
@@ -1785,8 +1782,8 @@ def _crosscheck_factorize(op: LogicalOperator, vectors: list[Vector],
     expected_codes: list[int] = []
     expected_reps: list[int] = []
     first: dict[tuple, int] = {}
-    for i in range(count):
-        key = tuple(_hashable(v.value(i)) for v in vectors)
+    for i, row in enumerate(_value_rows(vectors, len(codes))):
+        key = tuple(map(_hashable, row))
         code = first.get(key)
         if code is None:
             code = len(first)
@@ -2318,8 +2315,8 @@ def _execute_distinct(op: LogicalDistinct,
                 stats.rows_in += chunk.count
                 stats.fallback += 1
             keep: list[int] = []
-            for i in range(chunk.count):
-                key = tuple(_hashable(v) for v in chunk.row(i))
+            for i, row in enumerate(chunk.rows()):
+                key = tuple(map(_hashable, row))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -2336,22 +2333,8 @@ def _execute_distinct(op: LogicalDistinct,
         stats.kernel += 1
     if ctx.stats is not None:
         ctx.stats.bump("quack.kernel_ops")
-    _, representatives = kernels.factorize(full.vectors, full.count)
+    codes, representatives = kernels.factorize(full.vectors, full.count)
     if _verification.VERIFICATION_ENABLED:
-        from ..analysis.verifier import assert_index_lists_match
-
-        expected: list[int] = []
-        seen_keys: set = set()
-        for i in range(full.count):
-            key = tuple(_hashable(v) for v in full.row(i))
-            if key not in seen_keys:
-                seen_keys.add(key)
-                expected.append(i)
-        assert_index_lists_match(
-            list(representatives), expected,
-            f"{op._explain_label()} kernels.factorize",
-        )
-        if ctx.stats is not None:
-            ctx.stats.bump("verify.kernel_crosschecks")
+        _crosscheck_factorize(op, full.vectors, codes, representatives, ctx)
     for start in range(0, len(representatives), STANDARD_VECTOR_SIZE):
         yield full.slice(representatives[start : start + STANDARD_VECTOR_SIZE])

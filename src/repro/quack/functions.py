@@ -217,8 +217,8 @@ class AggregateFunction:
     #: ``(args, codes, n_groups, result_type) -> Vector | None`` where
     #: ``codes`` assigns each input row a dense group id.  Returning None
     #: declines (e.g. unsupported physical type) and the executor falls
-    #: back to the row-wise ``step`` loop.  Never used for DISTINCT
-    #: aggregates.
+    #: back to the row-wise ``step`` loop.  A DISTINCT aggregate calls
+    #: it on the first row of every distinct ``(group, args)`` tuple.
     step_batch: Callable[
         [list[Vector], Any, int, LogicalType], "Vector | None"
     ] | None = None

@@ -141,16 +141,24 @@ def _column_codes(vector: Vector) -> tuple[np.ndarray, int]:
         )
         return codes, int(inverse.max(initial=0)) + 3
     # Object columns: hash-based factorization (no ordering required).
-    codes = np.empty(len(data), dtype=np.int64)
-    mapping: dict[Any, int] = {}
-    for i in range(len(data)):
-        key = hashable_key(data[i]) if valid[i] else _NULL_KEY
-        code = mapping.get(key)
-        if code is None:
-            code = len(mapping)
-            mapping[key] = code
-        codes[i] = code
+    keys = _object_keys(vector)
+    mapping = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+    codes = np.fromiter(map(mapping.__getitem__, keys), dtype=np.int64,
+                        count=len(keys))
     return codes, max(len(mapping), 1)
+
+
+def _object_keys(vector: Vector) -> list[Any]:
+    """Dict keys with SQL equality for an object column's cells, NULL
+    slots as ``_NULL_KEY``.  Text cells are their own keys (``str`` has
+    no NaN or -0.0 to canonicalize); any other payload goes through
+    :func:`hashable_key`."""
+    keys = vector.data.tolist()
+    if not set(map(type, keys)) <= {str, type(None)}:
+        keys = [hashable_key(key) for key in keys]
+    for i in np.flatnonzero(~vector.validity).tolist():
+        keys[i] = _NULL_KEY
+    return keys
 
 
 def factorize(vectors: Sequence[Vector],
@@ -325,23 +333,16 @@ def _lookup_sorted_values(values: np.ndarray,
 
 class _ObjectKeyMap:
     """Build-side value -> dense code map for one object key column,
-    keyed through :func:`hashable_key` so NaN/-0.0/unhashable payloads
+    keyed through :func:`_object_keys` so NaN/-0.0/unhashable payloads
     behave exactly like the row-wise dict fallback."""
 
     __slots__ = ("mapping", "cardinality")
 
     def __init__(self, vector: Vector):
-        mapping: dict[Any, int] = {}
-        data = vector.data
-        valid = vector.validity
-        for i in range(len(data)):
-            if not valid[i]:
-                continue
-            key = hashable_key(data[i])
-            if key not in mapping:
-                mapping[key] = len(mapping)
-        self.mapping = mapping
-        self.cardinality = max(len(mapping), 1)
+        keys = dict.fromkeys(_object_keys(vector))
+        keys.pop(_NULL_KEY, None)
+        self.mapping = {key: code for code, key in enumerate(keys)}
+        self.cardinality = max(len(keys), 1)
 
     def codes(self, vector: Vector) -> np.ndarray:
         if vector.ltype.physical != "object":
@@ -349,16 +350,11 @@ class _ObjectKeyMap:
                 f"join key physical type mismatch: "
                 f"{vector.ltype.physical} vs object"
             )
-        data = vector.data
-        valid = vector.validity
+        # NULL keys are not in the mapping, so they never match.
         get = self.mapping.get
         return np.fromiter(
-            (
-                get(hashable_key(data[i]), -1) if valid[i] else -1
-                for i in range(len(data))
-            ),
-            dtype=np.int64,
-            count=len(data),
+            (get(key, -1) for key in _object_keys(vector)),
+            dtype=np.int64, count=len(vector),
         )
 
 
@@ -626,13 +622,8 @@ def partition_codes(vectors: Sequence[Vector], count: int,
         valid = vector.validity
         if vector.ltype.physical == "object":
             hashes = np.fromiter(
-                (
-                    hash(hashable_key(value)) & _HASH_MASK if ok else 0
-                    for value, ok in zip(vector.data.tolist(),
-                                         valid.tolist())
-                ),
-                dtype=np.uint64,
-                count=count,
+                (hash(key) & _HASH_MASK for key in _object_keys(vector)),
+                dtype=np.uint64, count=count,
             )
         else:
             values = vector.data.astype(np.float64) + 0.0  # -0.0 -> +0.0

@@ -186,7 +186,17 @@ class Vector:
         return item
 
     def to_list(self) -> list[Any]:
-        return [self.value(i) for i in range(len(self))]
+        """The column as plain Python values, NULL slots as ``None``: one
+        ``tolist`` plus a patch of the NULL positions, no per-cell call."""
+        values = self.data.tolist()
+        if self.data.dtype == object and any(
+            issubclass(t, np.generic) for t in set(map(type, values))
+        ):
+            values = [v.item() if isinstance(v, np.generic) else v
+                      for v in values]
+        for i in np.flatnonzero(~self.validity).tolist():
+            values[i] = None
+        return values
 
     def slice(self, selection: np.ndarray) -> "Vector":
         """Select rows by an integer index array or boolean mask."""
@@ -269,11 +279,8 @@ class DataChunk:
     def slice(self, selection: np.ndarray) -> "DataChunk":
         return DataChunk([v.slice(selection) for v in self.vectors])
 
-    def row(self, index: int) -> tuple:
-        return tuple(v.value(index) for v in self.vectors)
-
     def rows(self) -> list[tuple]:
-        return [self.row(i) for i in range(self.count)]
+        return list(zip(*[v.to_list() for v in self.vectors]))
 
     def __repr__(self) -> str:
         return f"<DataChunk {len(self.vectors)}x{self.count}>"

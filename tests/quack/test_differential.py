@@ -215,7 +215,7 @@ class TestNaNGroupsDifferential:
             if rows:
                 con.database.catalog.get_table("f").append_rows(rows)
             return con.execute(
-                "SELECT x, count(*), min(x), max(x) FROM f GROUP BY x"
+                "SELECT x, count(*), min(x), max(x), sum(x) FROM f GROUP BY x"
             ).fetchall()
 
         duck = run(Database)
@@ -247,3 +247,135 @@ class TestNaNGroupsDifferential:
         assert list(map(repr, run(Database))) == list(
             map(repr, run(RowDatabase))
         )
+
+
+class TestCaseNumericArms:
+    """A CASE over BIGINT and DOUBLE arms is DOUBLE on both engines: the
+    binder unifies the arms, neither engine truncates or mistypes."""
+
+    ROWS = [(True, 1, 0.5), (False, 2, 2.5), (None, 3, 3.25),
+            (True, None, 7.75), (False, 4, None)]
+
+    @pytest.mark.parametrize("case", [
+        "CASE WHEN b THEN 1 ELSE 2.5 END",
+        "CASE WHEN b THEN 2.5 ELSE 1 END",
+        "CASE WHEN b THEN i ELSE x END",
+        "CASE WHEN b THEN x ELSE i END",
+        "CASE WHEN b THEN i ELSE 2.5 END",
+        "CASE WHEN b THEN NULL WHEN NOT b THEN i ELSE x END",
+        "CASE WHEN b THEN i WHEN NOT b THEN x END",
+        "CASE i WHEN 1 THEN 10 WHEN 2 THEN x ELSE i END",
+        "CASE i WHEN 1 THEN x WHEN 2 THEN NULL ELSE 7 END",
+        "CASE WHEN b THEN i ELSE i + 1 END",
+    ])
+    def test_arms_unify(self, case):
+        def run(factory):
+            con = factory().connect()
+            con.execute("CREATE TABLE t(b BOOLEAN, i BIGINT, x DOUBLE)")
+            con.database.catalog.get_table("t").append_rows(self.ROWS)
+            result = con.execute(f"SELECT {case} FROM t")
+            return result.column_types, list(map(repr, result.fetchall()))
+
+        duck_types, duck = run(Database)
+        base_types, base = run(RowDatabase)
+        assert duck == base
+        assert duck_types == base_types
+        mixed = "x" in case or "." in case
+        assert duck_types[0].name == ("DOUBLE" if mixed else "BIGINT")
+        for row in duck:
+            assert row == "(None,)" or ("." in row) == mixed, row
+
+
+_NAN = float("nan")
+#: few distinct values, every one repeated; NULL, NaN and both zeros
+_DISTINCT_X = [1.5, None, _NAN, 0.0, -0.0, 2.25, 1.5, _NAN, None, -0.0]
+_DISTINCT_S = ["a", None, "", "b", "a", "", "c"]
+_DISTINCT_AGGREGATES = [
+    "count(DISTINCT x)", "sum(DISTINCT x)", "avg(DISTINCT x)",
+    "min(DISTINCT x)", "max(DISTINCT x)", "first(DISTINCT x)",
+    "list(DISTINCT x)", "count(DISTINCT k)", "sum(DISTINCT k)",
+    "min(DISTINCT s)", "list(DISTINCT s)", "string_agg(DISTINCT s, '|')",
+]
+
+
+def _distinct_rows(n):
+    return [
+        (i % 5 if i % 11 else None, i % 7 if i % 13 else None,
+         _DISTINCT_X[i % len(_DISTINCT_X)], _DISTINCT_S[i % len(_DISTINCT_S)])
+        for i in range(n)
+    ]
+
+
+def _distinct_load(factory, rows):
+    con = factory().connect()
+    con.execute("CREATE TABLE d(g BIGINT, k BIGINT, x DOUBLE, s VARCHAR)")
+    if rows:
+        con.database.catalog.get_table("d").append_rows(rows)
+    return con
+
+
+class TestDistinctAggregates:
+    """DISTINCT aggregates row for row against the row engine, on the
+    serial, morsel-parallel and spilled aggregation paths."""
+
+    @pytest.fixture(scope="class", params=[0, 9000], ids=["empty", "rows"])
+    def engines(self, request):
+        rows = _distinct_rows(request.param)
+        return _distinct_load(Database, rows), _distinct_load(RowDatabase,
+                                                              rows)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("memory_limit", [0, 0.05],
+                             ids=["memory", "spill"])
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("aggregate", _DISTINCT_AGGREGATES)
+    def test_matches_row_engine(self, engines, aggregate, grouped, threads,
+                                memory_limit):
+        duck, base = engines
+        sql = (f"SELECT g, {aggregate} FROM d GROUP BY g ORDER BY g"
+               if grouped else f"SELECT {aggregate} FROM d")
+        duck.execute(f"SET threads = {threads}")
+        duck.execute(f"SET memory_limit = {memory_limit}")
+        got = duck.execute(sql).fetchall()
+        stats = duck.last_query_stats
+        assert list(map(repr, got)) == list(
+            map(repr, base.execute(sql).fetchall())
+        ), sql
+        if duck.database.catalog.get_table("d").num_rows():
+            if memory_limit:
+                assert stats.counter("storage.spilled_aggregates") == 1
+            if aggregate.startswith("count("):
+                assert stats.counter("quack.fallback_ops") == 0
+                assert stats.counter("quack.kernel_ops") >= 1
+
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(0, 2)),
+            st.one_of(st.none(), st.integers(-2, 2)),
+            st.one_of(st.none(), st.just(_NAN), st.just(-0.0), st.just(0.0),
+                      st.floats(-2, 2, allow_nan=False, width=16)),
+            st.one_of(st.none(), st.sampled_from(["", "a", "b"])),
+        ),
+        max_size=14,
+    ), st.sampled_from(_DISTINCT_AGGREGATES), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_random_tables(self, rows, aggregate, grouped):
+        sql = (f"SELECT g, {aggregate}, count(*) FROM d GROUP BY g ORDER BY g"
+               if grouped else f"SELECT {aggregate}, count(*) FROM d")
+        duck = _distinct_load(Database, rows).execute(sql).fetchall()
+        base = _distinct_load(RowDatabase, rows).execute(sql).fetchall()
+        assert list(map(repr, duck)) == list(map(repr, base)), sql
+
+    def test_selection_is_crosschecked_under_verification(self):
+        from repro.analysis import set_verification_enabled
+
+        duck = _distinct_load(Database, _distinct_rows(300))
+        previous = set_verification_enabled(True)
+        try:
+            duck.execute("SELECT g, count(DISTINCT k) FROM d GROUP BY g")
+            stats = duck.last_query_stats
+        finally:
+            set_verification_enabled(previous)
+        # grouping, the DISTINCT selection and the count kernel
+        assert stats.counter("verify.kernel_crosschecks") == 3
+        assert stats.counter("quack.fallback_ops") == 0

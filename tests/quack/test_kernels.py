@@ -8,13 +8,15 @@ ANALYZE kernel counters.
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.quack import Database
+from repro.quack import Database, kernels
 from repro.quack.extension import ExtensionUtil, make_user_type
 from repro.quack.functions import AggregateFunction
 from repro.quack.kernels import hashable_key, set_kernels_enabled
-from repro.quack.types import DOUBLE
+from repro.quack.types import DOUBLE, LIST, VARCHAR
+from repro.quack.vector import Vector
 
 
 @pytest.fixture(params=[True, False], ids=["kernels", "row-loop"])
@@ -116,6 +118,76 @@ class TestHashableKey:
         assert repr(Payload(1)) == repr(Impostor(1))
         assert hashable_key(Payload(1)) != hashable_key(Impostor(1))
         assert hashable_key(Payload(1)) == hashable_key(Payload(1))
+
+
+def _reference_factorize(vector):
+    """First-seen codes and first rows by a ``hashable_key`` walk."""
+    codes, firsts, seen = [], [], {}
+    null = object()
+    for i in range(len(vector)):
+        key = hashable_key(vector.data[i]) if vector.validity[i] else null
+        if key not in seen:
+            seen[key] = len(seen)
+            firsts.append(i)
+        codes.append(seen[key])
+    return codes, firsts
+
+
+class TestObjectColumnFactorize:
+    """Text cells key themselves; every other object payload still goes
+    through ``hashable_key``: the codes equal the reference walk's."""
+
+    class _Unhashable:
+        def __init__(self, v):
+            self.v = v
+
+        def __eq__(self, other):
+            return type(other) is type(self) and other.v == self.v
+
+        def __repr__(self):
+            return f"<u {self.v}>"
+
+    CASES = {
+        "text": (VARCHAR, ["a", "", None, "b", "a", "", None, "ab", "a"]),
+        "all-null": (VARCHAR, [None, None, None]),
+        "empty": (VARCHAR, []),
+        "one-row": (VARCHAR, [""]),
+        "floats-in-objects": (LIST, [float("nan"), -0.0, 0.0, float("nan"),
+                                     np.float64("nan"), 1, 1.0, None]),
+        "containers": (LIST, [[1, 2], [1, 2], [float("nan")],
+                              [float("nan")], {"a": [1]}, {"a": [1]}, (1,)]),
+        "unhashable": (LIST, [_Unhashable(1), _Unhashable(1),
+                              _Unhashable(2), None, "x"]),
+        "non-text-in-varchar": (VARCHAR, ["a", float("nan"), float("nan"),
+                                          [1], [1], None, "a"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_codes_match_hashable_key_walk(self, case):
+        ltype, cells = self.CASES[case]
+        vector = Vector.from_values(ltype, cells)
+        codes, firsts = kernels.factorize([vector], len(cells))
+        expected_codes, expected_firsts = _reference_factorize(vector)
+        assert codes.tolist() == expected_codes
+        assert firsts.tolist() == expected_firsts
+
+    def test_null_slot_payload_is_ignored(self):
+        data = np.empty(4, dtype=object)
+        data[:] = ["a", "stale", "a", [1, 2]]
+        vector = Vector(VARCHAR, data, np.array([True, False, True, False]))
+        codes, firsts = kernels.factorize([vector], 4)
+        assert codes.tolist() == [0, 1, 0, 1]
+        assert firsts.tolist() == [0, 1]
+
+    def test_text_cells_skip_hashable_key(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "hashable_key",
+                            lambda value: calls.append(value) or value)
+        vector = Vector.from_values(VARCHAR, ["a", None, "b", "a"])
+        kernels.factorize([vector], 4)
+        assert calls == []
+        kernels.factorize([Vector.from_values(LIST, ["a", 1.5])], 2)
+        assert calls == ["a", 1.5]
 
 
 class _Span:
@@ -244,11 +316,18 @@ class TestExplainAnalyzeCounters:
             "SELECT sumsq(x) FROM t WHERE g = 0"
         ).fetchall() == [(0.0 + 4.0 + 16.0 + 36.0 + 64.0,)]
 
-    def test_distinct_aggregate_counts_as_fallback(self):
+    def test_distinct_aggregate_counts_as_kernel(self):
+        """DISTINCT is a row selection ahead of the ordinary reducer:
+        count keeps its step_batch kernel, list (no kernel) its loop."""
         con = _connect()
         _append(con, [(1, 1.0, "a"), (1, 1.0, "b"), (2, 2.0, "a")])
         plan = con.execute(
             "EXPLAIN ANALYZE SELECT g, count(DISTINCT s) FROM t GROUP BY g"
         ).fetchall()[0][0]
         group_line = next(l for l in plan.splitlines() if "GROUP_BY" in l)
-        assert "fallback=1" in group_line
+        assert "kernel=1" in group_line and "fallback=0" in group_line
+        plan = con.execute(
+            "EXPLAIN ANALYZE SELECT g, list(DISTINCT s) FROM t GROUP BY g"
+        ).fetchall()[0][0]
+        group_line = next(l for l in plan.splitlines() if "GROUP_BY" in l)
+        assert "kernel=0" in group_line and "fallback=1" in group_line
