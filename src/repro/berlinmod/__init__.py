@@ -14,10 +14,8 @@ from .runner import (
     BenchmarkReport,
     CellResult,
     SCENARIOS,
-    format_parallel_grid,
     prepare_scenario,
     run_benchmark,
-    run_parallel_benchmark,
 )
 from .schema import (
     BASELINE_INDEX_DDL,
@@ -30,10 +28,8 @@ __all__ = [
     "BenchmarkReport",
     "CellResult",
     "SCENARIOS",
-    "format_parallel_grid",
     "prepare_scenario",
     "run_benchmark",
-    "run_parallel_benchmark",
     "BenchmarkQuery",
     "Dataset",
     "District",

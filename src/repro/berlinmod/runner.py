@@ -207,101 +207,3 @@ def run_benchmark(
     if profile_path is not None:
         report.to_json(profile_path)
     return report
-
-
-def run_parallel_benchmark(
-    scale_factor: float = 0.001,
-    queries: list[int] | None = None,
-    worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-    seed: int = 4711,
-    repeats: int = 3,
-    profile_path: str | None = None,
-    trace_dir: str | None = None,
-) -> dict:
-    """Measure the morsel-parallel scaling curve on the columnar engine.
-
-    One ``mobilityduck`` connection runs each query at every worker count
-    (reconfigured with ``SET threads = N`` between legs, so the same pool
-    plumbing a user would hit is exercised); the best of ``repeats`` runs
-    is recorded per leg, with the speedup relative to the serial leg.
-    Row counts must agree across legs — a parallel plan that changes the
-    answer fails the benchmark before any timing is reported.
-
-    Note on expectations: the workers are Python threads, so wall-clock
-    speedup requires NumPy kernels releasing the GIL *and* free CPU
-    cores; on a single-core host the curve is flat and the benchmark
-    only demonstrates correctness and overhead."""
-    dataset = generate(scale_factor, seed=seed)
-    con = prepare_scenario("mobilityduck", dataset)
-    legs: list[dict] = []
-    for number in queries or [4, 7]:
-        query = get_query(number)
-        serial_seconds: float | None = None
-        rows_expected: int | None = None
-        for workers in worker_counts:
-            con.execute(f"SET threads = {workers}")
-            best = None
-            rows = 0
-            stats_dict = None
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                result = con.execute(query.sql)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-                    rows = len(result)
-                    stats = getattr(con, "last_query_stats", None)
-                    stats_dict = (
-                        stats.to_dict() if stats is not None else None
-                    )
-            if rows_expected is None:
-                rows_expected = rows
-            elif rows != rows_expected:
-                raise AssertionError(
-                    f"Q{number}: {workers}-worker run returned {rows} "
-                    f"rows, serial returned {rows_expected}"
-                )
-            if workers == 1:
-                serial_seconds = best
-            if trace_dir is not None:
-                # the last repeat's timeline (last_query_stats is the
-                # most recent execute)
-                _export_cell_trace(
-                    con, trace_dir, f"q{number}_w{workers}"
-                )
-            legs.append({
-                "query": number,
-                "workers": workers,
-                "seconds": best,
-                "rows": rows,
-                "speedup_vs_serial": (
-                    serial_seconds / best
-                    if serial_seconds and best else None
-                ),
-                "stats": stats_dict,
-            })
-    con.execute("SET threads = 1")
-    out = {
-        "benchmark": "berlinmod-hanoi-parallel",
-        "scale_factor": scale_factor,
-        "worker_counts": list(worker_counts),
-        "legs": legs,
-    }
-    if profile_path is not None:
-        with open(profile_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(out, indent=2, sort_keys=True))
-    return out
-
-
-def format_parallel_grid(report: dict) -> str:
-    """One line per (query, workers) leg of a parallel scaling report."""
-    lines = ["Morsel-parallel scaling (best-of-N seconds):"]
-    for leg in report["legs"]:
-        speedup = leg["speedup_vs_serial"]
-        lines.append(
-            f"  Q{leg['query']:<3} workers={leg['workers']:<2} "
-            f"{leg['seconds']:8.3f}s"
-            + (f"  x{speedup:.2f}" if speedup else "")
-            + f"  ({leg['rows']} rows)"
-        )
-    return "\n".join(lines)

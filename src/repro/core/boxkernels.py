@@ -2,14 +2,18 @@
 
 The paper's §3.4 argument is that spatiotemporal predicates should run
 inside the vectorized executor rather than once per row.  This module
-supplies the columnar half of that claim: per-chunk views of the
-payloads in an object vector, extracted once per distinct payload and
-cached on the :class:`~repro.quack.vector.Vector` — the bounding boxes
-as struct-of-arrays (:class:`BoxSoA`) and the coordinates in CSR layout
-(:class:`~repro.geo.GeomCSR`, for geometries and for the trajectories of
-temporal points) — and ``evaluate_batch`` kernels for ``&&`` / ``@>`` /
-``<@`` between stboxes, temporal points, time spans and stboxes, and
-for ``eIntersects``.
+supplies the columnar half of that claim: views of the payloads in an
+object vector, extracted once per distinct payload and cached on the
+:class:`~repro.quack.vector.Vector` that owns them (a gather of a
+stored column asks the column) — the bounding boxes as
+struct-of-arrays (:class:`BoxSoA`), the coordinates of geometries in
+CSR layout (:class:`~repro.geo.GeomCSR`), the instants of temporal
+points in CSR layout (:class:`~repro.meos.kernels.TempCSR`, from which
+their boxes and trajectories derive as arrays) and time spans as bound
+arrays — and ``evaluate_batch`` kernels for ``&&`` / ``@>`` / ``<@``
+between stboxes, temporal points, time spans and stboxes, for
+``eIntersects``, and for ``atTime`` / ``length`` / ``eDwithin`` /
+``tDwithin``.
 
 The box comparisons are *sound prefilters*, not replacements: a NumPy
 pass splits each chunk into rows whose outcome is decided by bounding
@@ -28,13 +32,12 @@ from typing import Any, Callable
 import numpy as np
 
 from .. import geo
-from ..meos import Interp, Span, STBox
-from ..meos.temporal.base import Temporal, TInstant
-from ..meos.temporal.ttypes import SPATIAL_TYPES
+from ..meos import STBox
+from ..meos import kernels as temporal
 from ..observability import count as _count
 from ..quack.kernels import distinct_rows
-from ..quack.types import BOOLEAN
-from ..quack.vector import Vector
+from ..quack.types import BOOLEAN, LogicalType
+from ..quack.vector import Vector, ViewVector
 
 
 class BoxSoA:
@@ -94,65 +97,79 @@ def _extract(vector: Vector, build: Callable[[Vector], Any]) -> Any:
     return build(vector.slice(first)).take(inverse)
 
 
-def _fill_rows(vector: Vector,
-               to_box: Callable[[Any], STBox | None]) -> BoxSoA:
-    soa = BoxSoA(len(vector))
-    data = vector.data
-    for i in np.nonzero(vector.validity)[0]:
-        try:
-            box = to_box(data[i])
-        except Exception:
-            box = None
-        if box is not None:
-            soa.fill(i, box)
-    return soa
+def _object_view(key: Any, build: Callable[[Vector], Any]):
+    """A view of object vectors, built once per distinct payload and
+    cached under ``key``; other vectors have none."""
 
+    def extract(vector: Vector) -> Any:
+        return _extract(vector, build)
 
-def _stbox_of(value: Any) -> STBox | None:
-    return value if isinstance(value, STBox) else None
-
-
-def _tpoint_box_of(value: Any) -> STBox | None:
-    return value.stbox() if isinstance(value, Temporal) else None
-
-
-def _span_box_of(value: Any) -> STBox | None:
-    if isinstance(value, Span) and value.basetype.name == "timestamptz":
-        return STBox(tspan=value)
-    return None
-
-
-def _box_view(key: str, to_box: Callable[[Any], STBox | None]):
-    def view(vector: Vector) -> BoxSoA | None:
+    def view(vector: Vector) -> Any:
         if vector.ltype.physical != "object":
             return None
-        return vector.cached_aux(
-            ("box_soa", key),
-            lambda v: _extract(v, lambda rows: _fill_rows(rows, to_box)),
-        )
+        return vector.cached_aux(key, extract)
 
     return view
 
 
-stbox_soa = _box_view("stbox", _stbox_of)
-tpoint_soa = _box_view("tpoint", _tpoint_box_of)
-span_soa = _box_view("span", _span_box_of)
+def _stbox_rows(rows: Vector) -> BoxSoA:
+    soa = BoxSoA(len(rows))
+    for i, box in enumerate(rows.to_list()):
+        if isinstance(box, STBox):
+            soa.fill(i, box)
+    return soa
 
 
-def geom_soa(vector: Vector) -> BoxSoA | None:
-    """The bounds of a geometry vector, read off its CSR arrays."""
-    csr = geom_csr(vector)
-    if csr is None:
-        return None
-    return vector.cached_aux(("box_soa", "geom"), lambda v: _csr_boxes(csr))
+stbox_soa = _object_view(("box_soa", "stbox"), _stbox_rows)
+
+#: ``tstzspan`` bounds of a vector as arrays.
+span_cols = _object_view(
+    ("span",), lambda rows: temporal.span_arrays(rows.to_list())
+)
+
+_TEMP_CSR = ("tcsr",)
+#: CSR instants of a vector of temporal points
+#: (:func:`repro.meos.kernels.temporal_csr`).
+temp_csr = _object_view(
+    _TEMP_CSR, lambda rows: temporal.temporal_csr(rows.to_list())
+)
 
 
-def _csr_boxes(csr: geo.GeomCSR) -> BoxSoA:
+def _derived_view(key: Any, base: Callable[[Vector], Any],
+                  derive: Callable[[Any], Any]):
+    """A view that is an array derivation of another view."""
+
+    def build(vector: Vector) -> Any:
+        return derive(base(vector))
+
+    def view(vector: Vector) -> Any:
+        if base(vector) is None:
+            return None
+        return vector.cached_aux(key, build)
+
+    return view
+
+
+def _temp_boxes(csr: temporal.TempCSR) -> BoxSoA:
     soa = BoxSoA(len(csr))
-    soa.ok = soa.has_x = csr.usable() & ~csr.empty()
-    soa.xmin, soa.ymin, soa.xmax, soa.ymax = csr.bounds()
+    soa.ok = soa.has_x = soa.has_t = csr.readable()
+    (soa.xmin, soa.ymin, soa.xmax, soa.ymax,
+     soa.tmin, soa.tmax) = csr.bounds()
     soa.srid = csr.srid()
     return soa
+
+
+def _span_boxes(spans: temporal.SpanArrays) -> BoxSoA:
+    soa = BoxSoA(len(spans))
+    soa.ok = soa.has_t = spans.ok
+    soa.tmin = np.where(spans.ok, spans.lower, np.nan)
+    soa.tmax = np.where(spans.ok, spans.upper, np.nan)
+    return soa
+
+
+#: The boxes of temporal points and of time spans, off their arrays.
+tpoint_soa = _derived_view(("box_soa", "tpoint"), temp_csr, _temp_boxes)
+span_soa = _derived_view(("box_soa", "span"), span_cols, _span_boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -174,64 +191,37 @@ def as_geometry(value: Any) -> geo.Geometry:
     raise ValueError(f"cannot interpret {type(value).__name__} as geometry")
 
 
-def _add_geometry(builder: geo.CSRBuilder, value: Any) -> int:
-    geom = as_geometry(value)
-    builder.add_geometry(geom)
-    return geom.srid
+def _geometry_rows(rows: Vector) -> geo.GeomCSR:
+    builder = geo.CSRBuilder()
+    for value in rows.to_list():
+        if value is not None:
+            try:
+                geom = as_geometry(value)
+                builder.add_geometry(geom)
+                builder.end_row(geom.srid)
+                continue
+            except Exception:
+                pass  # unreadable: a row for the scalar path
+        builder.skip_row()
+    return builder.finish()
 
 
-def _add_trajectory(builder: geo.CSRBuilder, value: Any) -> int:
-    """``meos.trajectory(value)`` written straight into the builder:
-    the distinct points of a discrete sequence, else one line per
-    sequence without consecutive duplicates."""
-    if not isinstance(value, Temporal) or value.ttype not in SPATIAL_TYPES:
-        raise ValueError("not a temporal point")
-    if isinstance(value, TInstant):
-        builder.add_geometry(value.value)
-        return value.value.srid
-    if value.interp is Interp.DISCRETE:
-        parts = [[xy] for xy in dict.fromkeys(
-            (inst.value.x, inst.value.y) for inst in value.instants()
-        )]
-    else:
-        parts = []
-        for seq in value.sequences():
-            coords = [(inst.value.x, inst.value.y) for inst in seq.instants()]
-            parts.append([
-                xy for k, xy in enumerate(coords)
-                if k == 0 or xy != coords[k - 1]
-            ])
-    for coords in parts:
-        builder.add_line(coords)
-    return value.srid()
-
-
-def _csr_view(key: str, add: Callable[[geo.CSRBuilder, Any], int]):
-    def build(rows: Vector) -> geo.GeomCSR:
-        builder = geo.CSRBuilder()
-        for valid, value in zip(rows.validity.tolist(), rows.data.tolist()):
-            if valid:
-                try:
-                    builder.end_row(add(builder, value))
-                    continue
-                except Exception:
-                    pass  # unreadable: a row for the scalar path
-            builder.skip_row()
-        return builder.finish()
-
-    def view(vector: Vector) -> geo.GeomCSR | None:
-        if vector.ltype.physical != "object":
-            return None
-        return vector.cached_aux(("csr", key), lambda v: _extract(v, build))
-
-    return view
+def _csr_boxes(csr: geo.GeomCSR) -> BoxSoA:
+    soa = BoxSoA(len(csr))
+    soa.ok = soa.has_x = csr.usable() & ~csr.empty()
+    soa.xmin, soa.ymin, soa.xmax, soa.ymax = csr.bounds()
+    soa.srid = csr.srid()
+    return soa
 
 
 #: CSR coordinates of a vector of geometries (objects, WKB, WKT, boxes);
 #: rows the kernels cannot read carry index -1.
-geom_csr = _csr_view("geom", _add_geometry)
+geom_csr = _object_view(("csr", "geom"), _geometry_rows)
 #: CSR coordinates of the trajectories of a vector of temporal points.
-tpoint_csr = _csr_view("tpoint", _add_trajectory)
+tpoint_csr = _derived_view(("csr", "tpoint"), temp_csr,
+                           temporal.TempCSR.trajectories)
+#: The bounds of a geometry vector, read off its CSR arrays.
+geom_soa = _derived_view(("box_soa", "geom"), geom_csr, _csr_boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +301,40 @@ def eintersects_decide(a: BoxSoA, b: BoxSoA):
 # ---------------------------------------------------------------------------
 
 
+def _distinct_args(args: list[Vector], count: int):
+    """Join chunks repeat argument tuples: the arguments cut to the
+    first row of each distinct tuple, and the map back (``None``: every
+    row is its own)."""
+    distinct = distinct_rows(args, count)
+    if distinct is None:
+        return args, None
+    first, inverse = distinct
+    _count("quack.distinct_rows_saved", count - len(first))
+    return [a.slice(first) for a in args], inverse
+
+
+def _scalar_patch(args: list[Vector], rows: np.ndarray,
+                  scalar_fn: Callable[..., Any], values: np.ndarray,
+                  validity: np.ndarray) -> None:
+    """``scalar_fn`` at ``rows``, the rows a kernel does not answer,
+    written into ``values`` / ``validity``: it raises what the kernel
+    cannot, at its row."""
+    payloads = [a.slice(rows).data.tolist() for a in args]
+    for i, row in zip(rows.tolist(), zip(*payloads)):
+        result = scalar_fn(*row)
+        if result is None:
+            validity[i] = False
+        else:
+            values[i] = result
+
+
 def _scalar_rows(scalar_fn: Callable[[Any, Any], Any]):
     """The exact answer one row at a time: ``scalar_fn`` on payloads."""
 
-    def exact(va: Vector, vb: Vector, rows: np.ndarray):
-        a_data, b_data = va.data, vb.data
-        data = np.zeros(len(rows), dtype=np.bool_)
-        valid = np.ones(len(rows), dtype=np.bool_)
-        for k, i in enumerate(rows.tolist()):
-            result = scalar_fn(a_data[i], b_data[i])
-            if result is None:
-                valid[k] = False
-            else:
-                data[k] = bool(result)
+    def exact(va: Vector, vb: Vector):
+        data = np.zeros(len(va), dtype=np.bool_)
+        valid = np.ones(len(va), dtype=np.bool_)
+        _scalar_patch([va, vb], np.arange(len(va)), scalar_fn, data, valid)
         return data, valid
 
     return exact
@@ -337,18 +348,16 @@ def intersects_exact(
     """The exact half of ``eIntersects``: ``geo.intersects_rows`` on the
     CSR views of the undecided rows.  A row whose payload has no CSR
     form goes to ``scalar_fn``, which raises what the kernel cannot."""
-    fallback = _scalar_rows(scalar_fn)
 
-    def exact(va: Vector, vb: Vector, rows: np.ndarray):
+    def exact(va: Vector, vb: Vector):
         a, b = csr_a(va), csr_b(vb)
         if a is None or b is None:
-            return fallback(va, vb, rows)
-        a, b = a.take(rows), b.take(rows)
+            return _scalar_rows(scalar_fn)(va, vb)
         data = geo.intersects_rows(a, b)
-        valid = np.ones(len(rows), dtype=np.bool_)
-        unread = np.flatnonzero(~(a.usable() & b.usable()))
-        if len(unread):
-            data[unread], valid[unread] = fallback(va, vb, rows[unread])
+        valid = np.ones(len(data), dtype=np.bool_)
+        _scalar_patch([va, vb],
+                      np.flatnonzero(~(a.usable() & b.usable())),
+                      scalar_fn, data, valid)
         return data, valid
 
     return exact
@@ -359,15 +368,15 @@ def make_batch(
     extract_b: Callable[[Vector], BoxSoA | None],
     decide: Callable[[BoxSoA, BoxSoA], tuple[np.ndarray, np.ndarray]],
     scalar_fn: Callable[[Any, Any], Any],
-    exact: Callable[[Vector, Vector, np.ndarray], tuple] | None = None,
+    exact: Callable[[Vector, Vector], tuple] | None = None,
 ):
     """Build an ``evaluate_batch`` hook for a binary box predicate.
 
     The decided rows are answered from the SoA comparison masks; the
     remaining valid rows get the exact answer (geometry, inclusivity
     flags, and error raising all live there) once per distinct argument
-    pair: from ``exact(va, vb, rows) -> (data, valid)`` when given, else
-    from ``scalar_fn`` row by row.
+    pair: from ``exact(va, vb) -> (data, valid)`` on those rows when
+    given, else from ``scalar_fn`` row by row.
     """
     if exact is None:
         exact = _scalar_rows(scalar_fn)
@@ -386,18 +395,14 @@ def make_batch(
         rest = np.flatnonzero(validity & ~decided)
         _count("quack.bbox_rows_decided", int(decided.sum()))
         if len(rest):
-            # Join chunks repeat argument pairs: answer each once.
-            distinct = distinct_rows([va.slice(rest), vb.slice(rest)],
-                                     len(rest))
-            if distinct is None:
-                rows, inverse = rest, slice(None)
-            else:
-                rows, inverse = rest[distinct[0]], distinct[1]
-                _count("quack.distinct_rows_saved", len(rest) - len(rows))
-            _count("quack.bbox_rows_scalar", len(rows))
-            values, valid = exact(va, vb, rows)
-            data[rest] = values[inverse]
-            validity[rest] = valid[inverse]
+            pair, inverse = _distinct_args(
+                [va.slice(rest), vb.slice(rest)], len(rest)
+            )
+            _count("quack.bbox_rows_scalar", len(pair[0]))
+            values, valid = exact(*pair)
+            if inverse is not None:
+                values, valid = values[inverse], valid[inverse]
+            data[rest], validity[rest] = values, valid
         return Vector(BOOLEAN, data, validity)
 
     return batch
@@ -422,6 +427,89 @@ def geometry_batch(kernel: Callable[..., np.ndarray], return_type):
         data = np.zeros(count, dtype=values.dtype)
         data[rows] = values
         return Vector(return_type, data, validity)
+
+    return batch
+
+
+def temporal_batch(kernel: Callable[..., tuple[np.ndarray, np.ndarray]],
+                   operands: int, return_type: LogicalType,
+                   scalar_fn: Callable[..., Any]):
+    """Build an ``evaluate_batch`` hook for a function of ``operands``
+    temporal points (and trailing native arguments) out of a
+    :mod:`repro.meos.kernels` row kernel, run once per distinct
+    argument tuple.  ``kernel(*views, *arrays) -> (values, declined)``:
+    a declined row gets ``scalar_fn``; a ``None`` among object values
+    is a NULL."""
+
+    def batch(args: list[Vector], count: int) -> Vector | None:
+        args, inverse = _distinct_args(args, count)
+        views = [temp_csr(a) for a in args[:operands]]
+        if any(view is None for view in views):
+            return None
+        validity = np.logical_and.reduce([a.validity for a in args])
+        values, declined = kernel(
+            *views, *(a.data for a in args[operands:])
+        )
+        _scalar_patch(args, np.flatnonzero(declined & validity),
+                      scalar_fn, values, validity)
+        if values.dtype == object:
+            validity &= np.array([v is not None for v in values.tolist()],
+                                 dtype=np.bool_)
+        result = Vector(return_type, values, validity)
+        return result if inverse is None else result.slice(inverse)
+
+    return batch
+
+
+def at_period_batch(ltype: LogicalType, scalar_fn: Callable[..., Any]):
+    """``evaluate_batch`` for ``atTime(temporal point, tstzspan)``: the
+    result vector's payload is the kernel's :class:`TempCSR`, so the
+    next kernel reads arrays and objects exist only if something reads
+    ``data``.  A chunk with a declined row hands back objects."""
+
+    def batch(args: list[Vector], count: int) -> Vector | None:
+        args, inverse = _distinct_args(args, count)
+        csr, spans = temp_csr(args[0]), span_cols(args[1])
+        if csr is None or spans is None:
+            return None
+        result, declined = temporal.at_period_rows(csr, spans)
+        declined = np.flatnonzero(
+            declined & args[0].validity & args[1].validity
+        )
+        if len(declined):
+            values = result.objects()
+            _scalar_patch(args, declined, scalar_fn, values,
+                          np.ones(len(values), dtype=np.bool_))
+            out = Vector.from_values(ltype, values.tolist())
+        else:
+            out = ViewVector(ltype, _TEMP_CSR, result, result.readable())
+        return out if inverse is None else out.slice(inverse)
+
+    return batch
+
+
+def contains_instant_batch(extract: Callable[[Vector], BoxSoA | None],
+                           scalar_fn: Callable[[Any, Any], Any]):
+    """``evaluate_batch`` for ``@>(time extent, timestamptz)``: strictly
+    inside the bounds is true, outside false, on a bound the scalar
+    operator reads the inclusivity flag."""
+
+    def batch(args: list[Vector], count: int) -> Vector | None:
+        box = extract(args[0])
+        if box is None:
+            return None
+        validity = args[0].validity & args[1].validity
+        when = args[1].data
+        # float64 holds a timestamp below 2**53 µs exactly, and rounds
+        # a bound beyond to the far side of it.
+        sure = validity & box.ok & box.has_t & (np.abs(when) < 2.0 ** 53)
+        inside = sure & (box.tmin < when) & (when < box.tmax)
+        outside = sure & ((when < box.tmin) | (when > box.tmax))
+        _count("quack.bbox_rows_decided", int((inside | outside).sum()))
+        rest = np.flatnonzero(validity & ~inside & ~outside)
+        _count("quack.bbox_rows_scalar", len(rest))
+        _scalar_patch(args, rest, scalar_fn, inside, validity)
+        return Vector(BOOLEAN, inside, validity)
 
     return batch
 

@@ -15,6 +15,7 @@ from ...quack.types import (
     TIMESTAMP,
     VARCHAR,
 )
+from ..boxkernels import contains_instant_batch, span_soa
 from ..types import (
     BASE_VALUE_TYPES,
     SPAN_BASE,
@@ -34,10 +35,11 @@ _SPAN_TO_SPANSET = {
 
 
 def register(database) -> None:
-    def scalar(name, arg_types, return_type, fn):
+    def scalar(name, arg_types, return_type, fn, batch=None):
         ExtensionUtil.register_function(
             database,
-            ScalarFunction(name, tuple(arg_types), return_type, fn_scalar=fn),
+            ScalarFunction(name, tuple(arg_types), return_type, fn_scalar=fn,
+                           evaluate_batch=batch),
         )
 
     for name, ltype in SPAN_TYPES.items():
@@ -75,7 +77,9 @@ def register(database) -> None:
         ):
             scalar(op, (ltype, ltype), BOOLEAN, method)
         # Span-vs-value.
-        scalar("@>", (ltype, value_type), BOOLEAN, Span.contains_value)
+        scalar("@>", (ltype, value_type), BOOLEAN, Span.contains_value,
+               batch=contains_instant_batch(span_soa, Span.contains_value)
+               if name == "tstzspan" else None)
         scalar("<@", (value_type, ltype), BOOLEAN,
                lambda v, s: s.contains_value(v))
 

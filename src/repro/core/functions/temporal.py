@@ -31,7 +31,14 @@ from ...quack.types import (
     TIMESTAMP,
     VARCHAR,
 )
-from ..boxkernels import make_batch, overlaps_decide, span_soa, tpoint_soa
+from ..boxkernels import (
+    at_period_batch,
+    contains_instant_batch,
+    make_batch,
+    overlaps_decide,
+    span_soa,
+    tpoint_soa,
+)
 from ..types import (
     BASE_VALUE_TYPES,
     SET_TYPES,
@@ -75,12 +82,19 @@ def _from_mfjson_checked(text, expected_name):
     return value
 
 
+def _at_time(value, when):
+    return value.at_time(when)
+
+
 def register(database) -> None:
-    def scalar(name, arg_types, return_type, fn, batch=None):
+    def scalar(name, arg_types, return_type, fn, batch=None, kernel=None):
+        """``batch`` prefilters on bounds; ``kernel`` does the function's
+        whole work on a chunk (``ScalarFunction.batch_prefilters``)."""
         ExtensionUtil.register_function(
             database,
             ScalarFunction(name, tuple(arg_types), return_type, fn_scalar=fn,
-                           evaluate_batch=batch),
+                           evaluate_batch=batch or kernel,
+                           batch_prefilters=kernel is None),
         )
 
     for name, ltype in TEMPORAL_TYPES.items():
@@ -169,10 +183,13 @@ def register(database) -> None:
         )
 
         # -- restriction ----------------------------------------------------------
-        scalar("atTime", (ltype, _TSTZSPAN), ltype, lambda t, w: t.at_time(w))
-        scalar("atTime", (ltype, _TSTZSPANSET), ltype,
-               lambda t, w: t.at_time(w))
-        scalar("atTime", (ltype, _TSTZSET), ltype, lambda t, w: t.at_time(w))
+        # Temporal points carry their instants in the CSR view the
+        # kernels read; other types stay row-wise.
+        spatial = TEMPORAL_BASE[name] == "geometry"
+        scalar("atTime", (ltype, _TSTZSPAN), ltype, _at_time,
+               kernel=at_period_batch(ltype, _at_time) if spatial else None)
+        scalar("atTime", (ltype, _TSTZSPANSET), ltype, _at_time)
+        scalar("atTime", (ltype, _TSTZSET), ltype, _at_time)
         scalar("atTime", (ltype, TIMESTAMP), ltype,
                lambda t, ts: t.at_time(int(ts)))
         scalar("minusTime", (ltype, _TSTZSPAN), ltype, Temporal.minus_time)
@@ -236,9 +253,6 @@ def register(database) -> None:
         def _span_overlaps(s, t):
             return t.tstzspan().overlaps(s)
 
-        # Temporal points carry their time extent in the box view the
-        # stbox operators already build; other types stay row-wise.
-        spatial = TEMPORAL_BASE[name] == "geometry"
         scalar("&&", (ltype, _TSTZSPAN), BOOLEAN, _overlaps_span,
                batch=make_batch(tpoint_soa, span_soa, overlaps_decide,
                                 _overlaps_span) if spatial else None)
@@ -249,10 +263,12 @@ def register(database) -> None:
                lambda t, ss: ss.overlaps(t.time()))
         scalar("&&", (_TSTZSPANSET, ltype), BOOLEAN,
                lambda ss, t: ss.overlaps(t.time()))
-        scalar("@>", (ltype, TIMESTAMP), BOOLEAN,
-               lambda t, ts: t.tstzspan().contains_value(int(ts)))
-        scalar("@>", (_TSTZSPAN, TIMESTAMP), BOOLEAN,
-               lambda s, ts: s.contains_value(int(ts)))
+        def _contains_instant(t, ts):
+            return t.tstzspan().contains_value(int(ts))
+
+        scalar("@>", (ltype, TIMESTAMP), BOOLEAN, _contains_instant,
+               batch=contains_instant_batch(tpoint_soa, _contains_instant)
+               if spatial else None)
 
     # -- numeric temporal extras -----------------------------------------------------
     tint = TEMPORAL_TYPES["tint"]

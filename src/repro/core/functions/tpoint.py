@@ -17,7 +17,7 @@ This module carries the paper's headline query functionality:
 from __future__ import annotations
 
 from ... import geo, meos
-from ...meos import Temporal
+from ...meos import Temporal, kernels
 from ...meos.temporal import merge_all, sequence_from_instants, tcount
 from ...meos.temporal.base import TInstant
 from ...quack.extension import ExtensionUtil
@@ -43,6 +43,7 @@ from ..boxkernels import (
     make_batch,
     overlaps_decide,
     stbox_soa,
+    temporal_batch,
     tpoint_csr,
     tpoint_soa,
 )
@@ -61,11 +62,14 @@ _TSTZSPAN = SPAN_TYPES["tstzspan"]
 
 
 def register(database) -> None:
-    def scalar(name, arg_types, return_type, fn, batch=None):
+    def scalar(name, arg_types, return_type, fn, batch=None, kernel=None):
+        """``batch`` prefilters on bounds; ``kernel`` does the function's
+        whole work on a chunk (``ScalarFunction.batch_prefilters``)."""
         ExtensionUtil.register_function(
             database,
             ScalarFunction(name, tuple(arg_types), return_type, fn_scalar=fn,
-                           evaluate_batch=batch),
+                           evaluate_batch=batch or kernel,
+                           batch_prefilters=kernel is None),
         )
 
     geometry_type = (
@@ -108,7 +112,9 @@ def register(database) -> None:
         scalar("trajectory", (ltype,), BLOB,
                lambda t: geo.encode_wkb(meos.trajectory(t)))
         scalar("trajectory_gs", (ltype,), GSERIALIZED_TYPE, meos.trajectory)
-        scalar("length", (ltype,), DOUBLE, meos.length)
+        scalar("length", (ltype,), DOUBLE, meos.length,
+               kernel=temporal_batch(kernels.length_rows, 1, DOUBLE,
+                                     meos.length))
         scalar("cumulativeLength", (ltype,), _TFLOAT, meos.cumulative_length)
         scalar("speed", (ltype,), _TFLOAT, meos.speed)
         scalar("twcentroid", (ltype,), BLOB,
@@ -211,8 +217,12 @@ def register(database) -> None:
             scalar("&&", (a, b), BOOLEAN, _tp_overlaps_tp,
                    batch=make_batch(tpoint_soa, tpoint_soa,
                                     overlaps_decide, _tp_overlaps_tp))
-            scalar("tDwithin", (a, b, DOUBLE), _TBOOL, meos.t_dwithin)
-            scalar("eDwithin", (a, b, DOUBLE), BOOLEAN, meos.e_dwithin)
+            scalar("tDwithin", (a, b, DOUBLE), _TBOOL, meos.t_dwithin,
+                   kernel=temporal_batch(kernels.tdwithin_rows, 2, _TBOOL,
+                                         meos.t_dwithin))
+            scalar("eDwithin", (a, b, DOUBLE), BOOLEAN, meos.e_dwithin,
+                   kernel=temporal_batch(kernels.edwithin_rows, 2, BOOLEAN,
+                                         meos.e_dwithin))
             scalar("aDwithin", (a, b, DOUBLE), BOOLEAN, meos.a_dwithin)
             scalar("distance", (a, b), _TFLOAT, meos.temporal_distance)
             scalar("nearestApproachDistance", (a, b), DOUBLE,

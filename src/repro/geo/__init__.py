@@ -24,6 +24,7 @@ from .kernels import (
     dwithin_rows,
     geometry_csr,
     intersects_rows,
+    lines_csr,
 )
 from .geometry import (
     Geometry,
@@ -71,6 +72,7 @@ __all__ = [
     "geometry_csr",
     "intersects",
     "intersects_rows",
+    "lines_csr",
     "known_srids",
     "length",
     "parse_wkt",

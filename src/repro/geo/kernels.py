@@ -56,7 +56,8 @@ _BLOCK = 1 << 15
 _INT = np.int64
 
 
-def _offsets(lengths: list[int]) -> np.ndarray:
+def offsets(lengths) -> np.ndarray:
+    """The CSR offsets of consecutive groups of these lengths."""
     out = np.zeros(len(lengths) + 1, dtype=_INT)
     np.cumsum(lengths, out=out[1:])
     return out
@@ -138,10 +139,10 @@ class CSRBuilder:
     def finish(self) -> "GeomCSR":
         xy = np.array(self._coords, dtype=np.float64).reshape(-1, 2)
         store = _Store(
-            _offsets(self._geom_prims),
+            offsets(self._geom_prims),
             np.array(self._prim_kinds, dtype=np.int8),
-            _offsets(self._prim_rings),
-            _offsets(self._ring_lens),
+            offsets(self._prim_rings),
+            offsets(self._ring_lens),
             np.ascontiguousarray(xy[:, 0]),
             np.ascontiguousarray(xy[:, 1]),
             np.array(self._srids, dtype=_INT),
@@ -159,6 +160,20 @@ def geometry_csr(geoms: Iterable[Geometry | None]) -> "GeomCSR":
             builder.add_geometry(geom)
             builder.end_row(geom.srid)
     return builder.finish()
+
+
+def lines_csr(index: np.ndarray, geom_offsets: np.ndarray,
+              line_offsets: np.ndarray, x: np.ndarray, y: np.ndarray,
+              srid: np.ndarray) -> "GeomCSR":
+    """A batch of polyline collections straight from arrays: geometry
+    ``g`` is the lines ``geom_offsets[g]:geom_offsets[g + 1]``, line
+    ``l`` the vertices ``line_offsets[l]:line_offsets[l + 1]`` (at least
+    one; exactly one is a point)."""
+    kind = np.where(np.diff(line_offsets) == 1, POINT, LINE).astype(np.int8)
+    store = _Store(geom_offsets, kind,
+                   np.arange(len(kind) + 1, dtype=_INT), line_offsets,
+                   x, y, srid)
+    return GeomCSR(index, store)
 
 
 class GeomCSR:
@@ -323,7 +338,7 @@ class _Segments:
 # ---------------------------------------------------------------------------
 
 
-def _ranges(start: np.ndarray, length: np.ndarray):
+def ranges(start: np.ndarray, length: np.ndarray):
     """The concatenation of ``arange(start[k], start[k] + length[k])``
     and, per element, its ``k``."""
     group = np.repeat(np.arange(len(length), dtype=_INT), length)
@@ -351,11 +366,11 @@ def _cuts(length: np.ndarray) -> Iterator[tuple[int, int]]:
 def _range_blocks(
     start: np.ndarray, length: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_ranges(start, length)`` in blocks of about ``_BLOCK``
+    """``ranges(start, length)`` in blocks of about ``_BLOCK``
     elements: yields ``(index, group)``.  Groups stay in order and
     whole, so one group's elements are one run of one block."""
     for lo, hi in _cuts(length):
-        index, group = _ranges(start[lo:hi], length[lo:hi])
+        index, group = ranges(start[lo:hi], length[lo:hi])
         if len(index):
             yield index, group + lo
 

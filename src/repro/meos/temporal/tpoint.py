@@ -77,11 +77,16 @@ def length(tpoint: Temporal) -> float:
     _require_spatial(tpoint)
     if tpoint.interp is not Interp.LINEAR:
         return 0.0
+    # sqrt(dx*dx + dy*dy) added left to right: the spelling
+    # kernels.length_rows reproduces bit for bit (NumPy has no hypot
+    # that rounds like math.hypot).
     total = 0.0
     for seq in tpoint.sequences():
         points = [inst.value for inst in seq.instants()]
         for a, b in zip(points, points[1:]):
-            total += math.hypot(a.x - b.x, a.y - b.y)
+            dx = a.x - b.x
+            dy = a.y - b.y
+            total += math.sqrt(dx * dx + dy * dy)
     return total
 
 
@@ -330,6 +335,19 @@ def t_intersects(tpoint: Temporal, geom: geo.Geometry) -> Temporal | None:
     return tbool_from_pieces(pieces)
 
 
+def _dwithin_threshold(a: Temporal, b: Temporal, dist: float) -> float:
+    """The squared distance of a ``*Dwithin`` call, once its arguments
+    are checked the way MEOS checks them."""
+    _require_spatial(a)
+    _require_spatial(b)
+    if float(dist) < 0:
+        raise MeosError(f"distance must not be negative: {dist}")
+    srid_a, srid_b = a.srid(), b.srid()
+    if srid_a and srid_b and srid_a != srid_b:
+        raise MeosError(f"SRID mismatch: {srid_a} vs {srid_b}")
+    return float(dist) * float(dist)
+
+
 def t_dwithin(a: Temporal, b: Temporal, dist: float) -> Temporal | None:
     """Temporal ``tDwithin``: when are two temporal points within ``dist``.
 
@@ -337,46 +355,22 @@ def t_dwithin(a: Temporal, b: Temporal, dist: float) -> Temporal | None:
     time; the within-threshold window is obtained by solving it (paper
     §6.3, Query 10).
     """
-    _require_spatial(a)
-    _require_spatial(b)
-    threshold_sq = float(dist) * float(dist)
+    threshold_sq = _dwithin_threshold(a, b, dist)
     pieces: list[tuple[Span, bool]] = []
     instant_results: list[TInstant] = []
     any_segment = False
     for seg in synchronize(a, b):
         any_segment = True
         if seg.t0 == seg.t1:
-            within = _points_within(seg.a0, seg.b0, dist)
+            within = points_within(seg.a0.x - seg.b0.x,
+                                   seg.a0.y - seg.b0.y, dist)
             instant_results.append(TInstant(TBOOL, within, seg.t0))
             continue
         a_coef, b_coef, c_coef = segment_distance_quadratic(seg)
         windows = quadratic_below(a_coef, b_coef, c_coef, threshold_sq)
-        span_total = Span(seg.t0, seg.t1, seg.lower_inc, seg.upper_inc, TSTZ)
-        if not windows:
-            pieces.append((span_total, False))
-            continue
-        duration_us = seg.t1 - seg.t0
-        covered: list[Span] = []
-        for lo, hi in windows:
-            t_lo = seg.t0 + round(lo * duration_us)
-            t_hi = seg.t0 + round(hi * duration_us)
-            lower_inc = seg.lower_inc if t_lo == seg.t0 else True
-            upper_inc = seg.upper_inc if t_hi == seg.t1 else True
-            if t_lo == t_hi:
-                if lower_inc and upper_inc:
-                    window_span = Span.make(t_lo, t_lo, TSTZ, True, True)
-                else:
-                    continue
-            else:
-                window_span = Span(t_lo, t_hi, lower_inc, upper_inc, TSTZ)
-            pieces.append((window_span, True))
-            covered.append(window_span)
-        remainder = SpanSet.from_spans([span_total]).minus(
-            SpanSet.from_spans(covered)
-        )
-        if remainder is not None:
-            for span in remainder:
-                pieces.append((span, False))
+        pieces.extend(segment_pieces(
+            seg.t0, seg.t1, seg.lower_inc, seg.upper_inc, windows
+        ))
     if instant_results and not pieces:
         if len(instant_results) == 1:
             return instant_results[0]
@@ -386,15 +380,49 @@ def t_dwithin(a: Temporal, b: Temporal, dist: float) -> Temporal | None:
     return tbool_from_pieces(pieces)
 
 
-def _points_within(p: geo.Point, q: geo.Point, dist: float) -> bool:
-    return p.distance_to(q) <= dist + 1e-9
+def segment_pieces(
+    t0: int, t1: int, lower_inc: bool, upper_inc: bool,
+    windows: list[tuple[float, float]],
+) -> list[tuple[Span, bool]]:
+    """One synchronized segment of ``tDwithin`` as (span, within) pieces:
+    ``windows`` are the within-threshold stretches in normalized time."""
+    span_total = Span(t0, t1, lower_inc, upper_inc, TSTZ)
+    if not windows:
+        return [(span_total, False)]
+    pieces: list[tuple[Span, bool]] = []
+    duration_us = t1 - t0
+    covered: list[Span] = []
+    for lo, hi in windows:
+        t_lo = t0 + round(lo * duration_us)
+        t_hi = t0 + round(hi * duration_us)
+        lo_inc = lower_inc if t_lo == t0 else True
+        hi_inc = upper_inc if t_hi == t1 else True
+        if t_lo == t_hi:
+            if lo_inc and hi_inc:
+                window_span = Span.make(t_lo, t_lo, TSTZ, True, True)
+            else:
+                continue
+        else:
+            window_span = Span(t_lo, t_hi, lo_inc, hi_inc, TSTZ)
+        pieces.append((window_span, True))
+        covered.append(window_span)
+    remainder = SpanSet.from_spans([span_total]).minus(
+        SpanSet.from_spans(covered)
+    ) if covered else SpanSet.from_spans([span_total])
+    if remainder is not None:
+        for span in remainder:
+            pieces.append((span, False))
+    return pieces
+
+
+def points_within(dx: float, dy: float, dist: float) -> bool:
+    """Whether two positions ``(dx, dy)`` apart are within ``dist``."""
+    return math.sqrt(dx * dx + dy * dy) <= dist + 1e-9
 
 
 def e_dwithin(a: Temporal, b: Temporal, dist: float) -> bool:
     """Ever within distance (``eDwithin``, use case 6 of §6.2)."""
-    _require_spatial(a)
-    _require_spatial(b)
-    threshold_sq = float(dist) * float(dist)
+    threshold_sq = _dwithin_threshold(a, b, dist)
     for seg in synchronize(a, b):
         a_coef, b_coef, c_coef = segment_distance_quadratic(seg)
         if seg.t0 == seg.t1:
@@ -408,9 +436,7 @@ def e_dwithin(a: Temporal, b: Temporal, dist: float) -> bool:
 
 def a_dwithin(a: Temporal, b: Temporal, dist: float) -> bool:
     """Always within distance over the common definition time."""
-    _require_spatial(a)
-    _require_spatial(b)
-    threshold_sq = float(dist) * float(dist)
+    threshold_sq = _dwithin_threshold(a, b, dist)
     found = False
     for seg in synchronize(a, b):
         found = True

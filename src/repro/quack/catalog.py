@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CatalogError, ExecutionError
 from .types import LogicalType
-from .vector import DataChunk, STANDARD_VECTOR_SIZE, Vector
+from .vector import DataChunk, STANDARD_VECTOR_SIZE, Vector, concat_vectors
 
 _PHYSICAL_DTYPES = {
     "bool": np.bool_,
@@ -30,15 +30,17 @@ _PHYSICAL_DTYPES = {
 
 
 class ColumnData:
-    """Append-only storage of one column: sealed segments + tail buffer."""
+    """Append-only storage of one column: sealed segments + tail buffer.
 
-    __slots__ = ("ltype", "segments", "validity_segments", "tail",
-                 "tail_validity", "_seal_lock")
+    A sealed segment *is* a :class:`Vector`, the same object for every
+    scan, so the derived views cached on it (box arrays, CSR layouts)
+    are built once per column, not once per query."""
+
+    __slots__ = ("ltype", "segments", "tail", "tail_validity", "_seal_lock")
 
     def __init__(self, ltype: LogicalType):
         self.ltype = ltype
-        self.segments: list[np.ndarray] = []
-        self.validity_segments: list[np.ndarray] = []
+        self.segments: list[Vector] = []
         self.tail: list[Any] = []
         self.tail_validity: list[bool] = []
         # Read paths (scan/gather) seal lazily; two morsel workers
@@ -57,16 +59,16 @@ class ColumnData:
 
     def append_vector(self, vector: Vector) -> None:
         self.seal()
-        # Same guard as seal(): segment lists are read by concurrently
+        # Same guard as seal(): the segment list is read by concurrently
         # sealing scan workers, so every write goes through the lock.
         with self._seal_lock:
-            self.segments.append(np.array(
-                vector.data, dtype=_PHYSICAL_DTYPES[self.ltype.physical],
-                copy=True,
+            self.segments.append(Vector(
+                self.ltype,
+                np.array(vector.data,
+                         dtype=_PHYSICAL_DTYPES[self.ltype.physical],
+                         copy=True),
+                np.array(vector.validity, copy=True),
             ))
-            self.validity_segments.append(
-                np.array(vector.validity, copy=True)
-            )
 
     def seal(self) -> None:
         if not self.tail:
@@ -86,10 +88,10 @@ class ColumnData:
                     dtype=dtype,
                     count=len(self.tail),
                 )
-            self.segments.append(data)
-            self.validity_segments.append(
-                np.array(self.tail_validity, dtype=np.bool_)
-            )
+            self.segments.append(Vector(
+                self.ltype, data,
+                np.array(self.tail_validity, dtype=np.bool_),
+            ))
             self.tail.clear()
             self.tail_validity.clear()
 
@@ -108,8 +110,7 @@ class ColumnData:
         return len(self.segments[index])
 
     def segment_vector(self, index: int) -> Vector:
-        return Vector(self.ltype, self.segments[index],
-                      self.validity_segments[index])
+        return self.segments[index]
 
     def zone_entry(self, index: int):
         """The zone map of one sealed segment (storage columns serve the
@@ -123,31 +124,32 @@ class ColumnData:
             yield self.segment_vector(index)
 
     def gather(self, row_ids: np.ndarray) -> Vector:
-        """Random access fetch by global row offsets."""
+        """Random access fetch by global row offsets: a gather of the one
+        segment the rows fall in, else of each segment's rows."""
         self.seal()
-        total = len(self)
-        dtype = _PHYSICAL_DTYPES[self.ltype.physical]
-        out = np.empty(len(row_ids),
-                       dtype=object if self.ltype.physical == "object"
-                       else dtype)
-        validity = np.ones(len(row_ids), dtype=np.bool_)
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        bad = (row_ids < 0) | (row_ids >= len(self))
+        if bad.any():
+            raise ExecutionError(f"row id {row_ids[bad][0]} out of range")
         bounds = np.cumsum(
             [0] + [self.segment_rows(i) for i in range(self.segment_count())]
         )
-        vectors: dict[int, Vector] = {}
-        for i, rid in enumerate(row_ids):
-            if rid < 0 or rid >= total:
-                raise ExecutionError(f"row id {rid} out of range")
-            seg = int(np.searchsorted(bounds, rid, side="right")) - 1
-            off = int(rid - bounds[seg])
-            vector = vectors.get(seg)
-            if vector is None:
-                vector = vectors[seg] = self.segment_vector(seg)
-            out[i] = vector.data[off]
-            validity[i] = vector.validity[off]
-        if self.ltype.physical != "object":
-            out = out.astype(dtype)
-        return Vector(self.ltype, out, validity)
+        seg = np.searchsorted(bounds, row_ids, side="right") - 1
+        offsets = row_ids - bounds[seg]
+        touched = np.unique(seg)
+        if len(touched) == 1:
+            return self.segment_vector(int(touched[0])).take(offsets)
+        if not len(touched):
+            return Vector.empty(self.ltype, 0)
+        order = np.argsort(seg, kind="stable")
+        cuts = np.searchsorted(seg[order], touched)
+        parts = [
+            self.segment_vector(int(s)).take(offsets[rows])
+            for s, rows in zip(touched, np.split(order, cuts[1:]))
+        ]
+        back = np.empty(len(order), dtype=np.int64)
+        back[order] = np.arange(len(order))
+        return concat_vectors(parts).take(back)
 
     def rewrite(self, data: list[Any]) -> None:
         """Replace the whole column (UPDATE path), preserving the
@@ -161,7 +163,6 @@ class ColumnData:
         """Re-seal ``data`` into segments of ``counts`` rows each; any
         remainder (a previously empty column) chunks at vector size."""
         self.segments.clear()
-        self.validity_segments.clear()
         position = 0
         for rows in counts:
             self.tail = list(data[position:position + rows])

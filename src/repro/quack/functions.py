@@ -52,6 +52,13 @@ class ScalarFunction:
     evaluate_batch: Callable[[list[Vector], int], "Vector | None"] | None = (
         None
     )
+    #: Whether ``evaluate_batch`` settles most rows with a cheap bound
+    #: test (``&&`` and friends), so that the optimizer ranks the
+    #: conjunct before per-row Python (``plan.cost_class`` 1).  A kernel
+    #: that does the function's whole work on every row leaves it where
+    #: the query wrote it (class 2): the row engine shares the ranking
+    #: and has no kernels.
+    batch_prefilters: bool = True
     #: Volatile functions may return different results for equal inputs
     #: (or have side effects); they run on every row instead of once per
     #: distinct argument tuple of the chunk.
@@ -191,10 +198,9 @@ def _materialize(
     dtype = {"bool": np.bool_, "int64": np.int64, "float64": np.float64}[
         ltype.physical
     ]
+    # One conversion of the valid cells; NULL slots stay zero.
     data = np.zeros(count, dtype=dtype)
-    for i in range(count):
-        if validity[i]:
-            data[i] = out[i]
+    data[validity] = out[validity].astype(dtype)
     return Vector(ltype, data, validity)
 
 

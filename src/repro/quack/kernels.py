@@ -208,9 +208,10 @@ def distinct_rows(
     tuple, so a pure function runs on ``first_index`` and its result is
     gathered back through ``inverse``.
 
-    Object columns compare by element identity (join chunks repeat the
-    same payload objects; equal-but-distinct objects stay distinct),
-    native columns by bit pattern; NULL is one value per column.  Returns
+    Columns compare by :meth:`Vector.row_keys` (a gather by its source
+    row, other object columns by element identity — join chunks repeat
+    the same payload objects; equal-but-distinct objects stay distinct
+    — native columns by bit pattern); NULL is one value per column.  Returns
     ``None`` — evaluate every row — when all tuples are distinct, the
     chunk is short, or kernels are disabled for this statement.
     """
@@ -218,14 +219,7 @@ def distinct_rows(
         return None
     keys: list[np.ndarray] = []
     for vector in vectors:
-        data = vector.data
-        if data.dtype == object:
-            key = np.fromiter(map(id, data.tolist()), dtype=np.int64,
-                              count=count)
-        elif data.dtype.itemsize == 8:
-            key = data.view(np.int64)
-        else:
-            key = data.astype(np.int64)
+        key = vector.row_keys()
         if not vector.validity.all():
             key = np.where(vector.validity, key, 0)
             keys.append(vector.validity)

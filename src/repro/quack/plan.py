@@ -68,7 +68,8 @@ def cost_class(expr: BoundExpr) -> int:
     0. native ``fn_vector`` comparisons/arithmetic, builtin numeric casts,
        column references and constants — whole-array NumPy work that
        cannot raise;
-    1. functions with an ``evaluate_batch`` kernel (``&&``, ``@>``, …);
+    1. functions whose ``evaluate_batch`` kernel prefilters on bounds
+       (``&&``, ``@>``, …);
     2. per-row Python: scalar payload functions, extension casts, and
        anything comparing or parsing object payloads;
     3. subqueries.
@@ -82,7 +83,8 @@ def cost_class(expr: BoundExpr) -> int:
     if isinstance(expr, BoundFunction):
         function = expr.function
         if function.fn_vector is None:
-            own = 1 if function.evaluate_batch is not None else 2
+            own = 1 if (function.evaluate_batch is not None
+                        and function.batch_prefilters) else 2
         elif any(a.ltype.physical == "object" for a in expr.args):
             own = 2
     elif isinstance(expr, BoundCast):

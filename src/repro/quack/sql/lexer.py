@@ -9,7 +9,9 @@ are just scalar functions named by their symbol (paper §3.4).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ParserError
 
@@ -55,94 +57,56 @@ class Token:
     text: str
     pos: int
 
-    @property
+    @cached_property
     def upper(self) -> str:
         return self.text.upper()
+
+
+#: One token (or one run of blanks and comments) per match, tried in the
+#: order the alternatives are written: a comment before the ``-`` or ``/``
+#: operator, ``.5`` before the ``.`` operator; ``open`` is a quote or
+#: comment opener that its own alternative could not close.
+_TOKEN = re.compile(
+    r"""(?P<skip>(?:\s+|--[^\n]*\n?|/\*.*?\*/)+)
+      | (?P<string>'(?:[^']|'')*')
+      | "(?P<qident>[^"]*)"
+      | (?P<open>/\*|'|")
+      | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>[^\W\d]\w*)
+      | (?P<op>%s)
+    """ % "|".join(re.escape(op) for op in _OPERATORS),
+    re.VERBOSE | re.DOTALL,
+)
+
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "/": "unterminated block comment",
+}
 
 
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
     n = len(sql)
+    match = _TOKEN.match
     while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise ParserError("unterminated block comment")
-            i = end + 2
-            continue
-        if ch == "'":
-            text, i = _scan_string(sql, i)
-            tokens.append(Token("string", text, i))
-            continue
-        if ch == '"':
-            end = sql.find('"', i + 1)
-            if end < 0:
-                raise ParserError("unterminated quoted identifier")
-            tokens.append(Token("qident", sql[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and sql[i + 1].isdigit()
-        ):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = sql[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i + 1 < n and (
-                    sql[i + 1].isdigit()
-                    or (sql[i + 1] in "+-" and i + 2 < n and sql[i + 2].isdigit())
-                ):
-                    seen_exp = True
-                    i += 2 if sql[i + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(Token("number", sql[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", sql[start:i], start))
-            continue
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token("op", op, i))
-                i += len(op)
-                break
-        else:
-            raise ParserError(f"unexpected character {ch!r} at position {i}")
+        found = match(sql, i)
+        if found is None:
+            raise ParserError(
+                f"unexpected character {sql[i]!r} at position {i}"
+            )
+        kind = found.lastgroup
+        if kind == "open":
+            raise ParserError(_UNTERMINATED[sql[i]])
+        end = found.end()
+        if kind == "string":
+            # a string carries the position it ends at
+            tokens.append(Token(
+                "string", sql[i + 1:end - 1].replace("''", "'"), end
+            ))
+        elif kind != "skip":
+            tokens.append(Token(kind, found.group(kind), i))
+        i = end
     tokens.append(Token("eof", "", n))
     return tokens
-
-
-def _scan_string(sql: str, start: int) -> tuple[str, int]:
-    """Scan a single-quoted string with '' escaping; returns (text, next)."""
-    out: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise ParserError("unterminated string literal")

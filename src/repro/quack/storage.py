@@ -529,9 +529,7 @@ class StorageColumn(ColumnData):
 
     def segment_vector(self, index: int) -> Vector:
         if index >= len(self.refs):
-            base = index - len(self.refs)
-            return Vector(self.ltype, self.segments[base],
-                          self.validity_segments[base])
+            return self.segments[index - len(self.refs)]
         cached = self._decoded.get(index)
         if cached is not None:
             if verification_enabled():

@@ -49,7 +49,7 @@ class KernelFallback(Exception):
 class Vector:
     """A column of ``count`` values of one logical type plus validity."""
 
-    __slots__ = ("ltype", "data", "validity", "_aux")
+    __slots__ = ("ltype", "data", "validity", "_aux", "_source")
 
     def __init__(self, ltype: LogicalType, data: np.ndarray,
                  validity: np.ndarray | None = None):
@@ -61,6 +61,11 @@ class Vector:
         #: lazily created per-vector cache for derived columnar views
         #: (e.g. the struct-of-arrays bounding boxes of box kernels)
         self._aux: dict[Any, Any] | None = None
+        #: ``(vector, rows)`` when this vector is a gather of an
+        #: extension-typed vector (DuckDB's dictionary vector): row ``i``
+        #: holds ``vector``'s row ``rows[i]``.  Derived views belong to
+        #: that vector, the column, and are gathered from it.
+        self._source: tuple["Vector", np.ndarray] | None = None
 
     def cached_aux(self, key: Any, builder: Callable[["Vector"], Any]) -> Any:
         """Build-once cache of a derived view of this vector's payload.
@@ -76,6 +81,10 @@ class Vector:
         it (first publish wins, losers discard their copy), so no reader
         ever observes a partially-written entry and repeat lookups always
         return the same object.
+
+        A gather of another vector does not build: it asks its source
+        for the view (built there once, for the column's lifetime) and
+        gathers its rows with the view's ``take``.
         """
         aux = self._aux
         if aux is not None:
@@ -91,7 +100,11 @@ class Vector:
         # builder reads the payload, and a token captured afterwards
         # could mask a concurrent mutation that the builder already saw.
         token = self._payload_token() if verification_enabled() else None
-        value = builder(self)
+        source = self._source
+        if source is None:
+            value = builder(self)
+        else:
+            value = source[0].cached_aux(key, builder).take(source[1])
         with _AUX_PUBLISH_LOCK:
             aux = self._aux
             if aux is None:
@@ -158,6 +171,11 @@ class Vector:
 
     @classmethod
     def constant(cls, ltype: LogicalType, value: Any, count: int) -> "Vector":
+        if ltype.is_user and value is not None:
+            # One payload, ``count`` references to it.
+            return cls.from_values(ltype, [value]).take(
+                np.zeros(count, dtype=np.int64)
+            )
         if ltype.physical == "object":
             data = np.empty(count, dtype=object)
             for i in range(count):
@@ -200,16 +218,44 @@ class Vector:
 
     def slice(self, selection: np.ndarray) -> "Vector":
         """Select rows by an integer index array or boolean mask."""
-        return Vector(self.ltype, self.data[selection],
-                      self.validity[selection])
+        out = Vector(self.ltype, self.data[selection],
+                     self.validity[selection])
+        if self.ltype.is_user:
+            out._source = self._gathered(selection)
+        return out
 
     def take(self, indices: Sequence[int]) -> "Vector":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Vector(self.ltype, self.data[idx], self.validity[idx])
+        return self.slice(np.asarray(indices, dtype=np.int64))
+
+    def _origin(self) -> tuple["Vector", np.ndarray]:
+        """The vector whose rows these are, and which of them."""
+        return self._source or (self, np.arange(len(self)))
+
+    def _gathered(self, selection: np.ndarray) -> tuple["Vector", np.ndarray]:
+        root, rows = self._origin()
+        return root, rows[selection]
+
+    def row_keys(self) -> np.ndarray:
+        """One int64 per row, equal exactly where two rows hold the same
+        payload: the source row of a gather, else the identity of an
+        object cell or the bit pattern of a native one (NULL slots hold
+        whatever is there: pair the keys with :attr:`validity`)."""
+        if self._source is not None:
+            return self._source[1]
+        data = self.data
+        if data.dtype == object:
+            return np.fromiter(map(id, data.tolist()), dtype=np.int64,
+                               count=len(data))
+        if data.dtype.itemsize == 8:
+            return data.view(np.int64)
+        return data.astype(np.int64)
 
     def with_type(self, ltype: LogicalType) -> "Vector":
         """Reinterpret under a different logical type (same physical)."""
-        return Vector(ltype, self.data, self.validity)
+        out = Vector(ltype, self.data, self.validity)
+        if ltype.is_user and self.ltype.is_user:
+            out._source = self._origin()
+        return out
 
     def all_valid(self) -> bool:
         return bool(self.validity.all())
@@ -256,6 +302,71 @@ class Vector:
         return f"<Vector {self.ltype.name}[{len(self)}] {preview}…>"
 
 
+_DATA_SLOT = Vector.data
+
+
+class ViewVector(Vector):
+    """An extension-typed vector whose payload *is* a columnar view.
+
+    A batch kernel that computes its result as arrays hands them over as
+    they are: ``view`` is row-aligned and has ``take(rows)`` (a gather
+    that shares the arrays) and ``objects()`` (the cells as a NumPy
+    object array, ``None`` where a row holds nothing).  The view is what
+    ``cached_aux(key, …)`` answers, so the next kernel reads the arrays;
+    the Python objects are built once, when something reads ``data``
+    (the result boundary, a function with no kernel), and a
+    ``slice``/``take`` before that stays a view.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, ltype: LogicalType, key: Any, view: Any,
+                 validity: np.ndarray):
+        self.ltype = ltype
+        self.validity = validity
+        self._aux = {key: view}
+        self._source = None
+        self._key = key
+
+    @property
+    def data(self) -> np.ndarray:
+        try:
+            return _DATA_SLOT.__get__(self)
+        except AttributeError:
+            pass
+        data = self._aux[self._key].objects()
+        with _AUX_PUBLISH_LOCK:
+            try:
+                return _DATA_SLOT.__get__(self)
+            except AttributeError:
+                _DATA_SLOT.__set__(self, data)
+        return data
+
+    def __len__(self) -> int:
+        return len(self.validity)
+
+    def _materialized(self) -> bool:
+        try:
+            _DATA_SLOT.__get__(self)
+        except AttributeError:
+            return False
+        return True
+
+    def slice(self, selection: np.ndarray) -> "Vector":
+        if self._materialized():
+            return super().slice(selection)
+        out = ViewVector(self.ltype, self._key,
+                         self._aux[self._key].take(selection),
+                         self.validity[selection])
+        out._source = self._gathered(selection)
+        return out
+
+    def row_keys(self) -> np.ndarray:
+        if self._source is None and not self._materialized():
+            return np.arange(len(self))
+        return super().row_keys()
+
+
 class DataChunk:
     """A batch of rows as a list of equally sized vectors."""
 
@@ -292,7 +403,14 @@ def concat_vectors(parts: list[Vector]) -> Vector:
     ltype = parts[0].ltype
     data = np.concatenate([p.data for p in parts])
     validity = np.concatenate([p.validity for p in parts])
-    return Vector(ltype, data, validity)
+    out = Vector(ltype, data, validity)
+    if ltype.is_user:
+        # Gathers of one vector concatenate to a gather of it.
+        origins = [p._origin() for p in parts]
+        root = origins[0][0]
+        if all(origin[0] is root for origin in origins):
+            out._source = (root, np.concatenate([o[1] for o in origins]))
+    return out
 
 
 def concat_chunks(chunks: list[DataChunk]) -> DataChunk:

@@ -18,6 +18,7 @@ from repro import core
 from repro.analysis import set_verification_enabled
 from repro.analysis.errors import VerificationError
 from repro.berlinmod import generate, get_query, prepare_scenario
+from repro.meos import kernels as temporal_kernels
 from repro.meos.temporal.base import TSequence
 from repro.quack import executor
 from repro.quack.errors import ConversionError, ExecutionError
@@ -464,9 +465,11 @@ def test_at_time_runs_once_per_distinct_trip_period_pair(
     pairs = city.execute(
         f"SELECT count(*) FROM Trips t, {periods} p WHERE t.Trip && p.Period"
     ).fetchall()[0][0]
-    calls = _count_calls(monkeypatch, TSequence, "at_time")
+    scalar = _count_calls(monkeypatch, TSequence, "at_time")
+    rows = _count_calls(monkeypatch, temporal_kernels, "at_period_rows",
+                        weight=lambda csr, spans: len(csr))
     city.execute(get_query(query).sql).fetchall()
-    assert 0 < calls[0] <= pairs
+    assert 0 < rows[0] <= pairs and scalar[0] == 0
 
 
 def test_q16_at_time_runs_once_per_call_site_and_pair(city, monkeypatch):
@@ -480,9 +483,11 @@ def test_q16_at_time_runs_once_per_call_site_and_pair(city, monkeypatch):
     second = city.execute(
         "SELECT count(*) FROM Trips t, Periods1 p WHERE t.Trip && p.Period"
     ).fetchall()[0][0]
-    calls = _count_calls(monkeypatch, TSequence, "at_time")
+    scalar = _count_calls(monkeypatch, TSequence, "at_time")
+    rows = _count_calls(monkeypatch, temporal_kernels, "at_period_rows",
+                        weight=lambda csr, spans: len(csr))
     city.execute(get_query(16).sql).fetchall()
-    assert 0 < calls[0] <= 2 * first + 2 * second
+    assert 0 < rows[0] <= 2 * first + 2 * second and scalar[0] == 0
 
 
 def test_q16_narrowing_halves_the_rows_functions_see(city, monkeypatch):
