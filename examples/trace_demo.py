@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Timeline tracing demo: where a parallel query's time actually goes.
+"""Timeline tracing demo: where a query's time actually goes.
 
-Runs a 4-worker aggregation and a BerlinMOD spatial join, then walks the
-three observability surfaces this repo adds on top of per-query stats:
+Runs an aggregation, then walks the three observability surfaces this
+repo adds on top of per-query stats:
 
 1. the execution timeline — Chrome trace-event JSON with one flame
-   track per morsel worker, written to ``trace_demo_out/`` (drag a file
-   into https://ui.perfetto.dev or ``chrome://tracing`` to explore);
+   track per query, written to ``trace_demo_out/`` (drag a file into
+   https://ui.perfetto.dev or ``chrome://tracing`` to explore);
 2. the rolling query log — every completed query with phase timings,
    filtered by a slow-query threshold (``SET log_min_duration``);
 3. the Prometheus endpoint — the process-wide metrics registry served
@@ -42,7 +42,7 @@ def lane_summary(trace: dict) -> str:
 
 def main() -> None:
     os.makedirs(OUT_DIR, exist_ok=True)
-    con = core.connect(workers=4)
+    con = core.connect()
 
     print("=== 1. execution timeline ===")
     con.execute("CREATE TABLE readings(sensor INTEGER, value DOUBLE)")

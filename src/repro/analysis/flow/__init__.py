@@ -4,7 +4,7 @@
 ``src/repro`` once into a shared :class:`~repro.analysis.project.
 ProjectModel` (the same ASTs the lint uses), classifies each function's
 execution context — coordinator-only, worker-reachable (on a path from
-a ``MorselPool`` task-submission root), or both — and runs the pass
+a worker-pool task-submission root), or both — and runs the pass
 catalog in :mod:`repro.analysis.flow.passes` over it.
 
 Findings are suppressible in place (``# flow: ignore[RACE001]``) or

@@ -14,7 +14,8 @@ ANL006    ``evaluate_batch`` registration without a reachable scalar
           fallback (missing ``fn_scalar`` or shadowed by ``fn_vector``)
 ANL007    unused import
 ANL008    module-level mutable container in ``repro.quack`` without an
-          UPPER_CASE registry name (worker threads share module globals)
+          UPPER_CASE registry name (client threads sharing a database
+          share module globals)
 ANL009    trace-event ``.emit(...)`` call not guarded by a
           ``<collector> is not None`` / ``collection_enabled()`` check
           (unguarded emission defeats the ~0%-when-off overhead bar)

@@ -345,11 +345,12 @@ class _Checker:
     # -- ANL008: module-level mutable state in quack ------------------------------
 
     def check_module_mutables(self, tree: ast.Module) -> None:
-        """Morsel workers share module globals: a module-level mutable
-        container in ``repro.quack`` is cross-thread state.  UPPER_CASE
-        names mark the deliberate import-time registries (populated once,
-        then read-only, or guarded by an explicit lock); anything else is
-        presumed accidental shared state."""
+        """Client threads sharing a database share module globals: a
+        module-level mutable container in ``repro.quack`` is cross-thread
+        state.  UPPER_CASE names mark the deliberate import-time
+        registries (populated once, then read-only, or guarded by an
+        explicit lock); anything else is presumed accidental shared
+        state."""
         if not (self.module or "").startswith("repro.quack"):
             return
         for node in tree.body:
@@ -373,10 +374,11 @@ class _Checker:
                     continue  # __all__ and friends
                 self.report(
                     node, "ANL008",
-                    f"module-level mutable {name!r}: quack worker threads "
-                    f"share module globals — make it an UPPER_CASE "
-                    f"registry with synchronized writes, or move it into "
-                    f"per-query state (ExecutionContext/Connection)",
+                    f"module-level mutable {name!r}: client threads "
+                    f"sharing a database share module globals — make it "
+                    f"an UPPER_CASE registry with synchronized writes, "
+                    f"or move it into per-query state "
+                    f"(ExecutionContext/Connection)",
                 )
 
 

@@ -12,7 +12,7 @@ top, lazily and at most once:
 
 * a **symbol table** of every function, method, nested function, and
   lambda, keyed by dotted qualname (nested scopes use the runtime
-  ``<locals>`` convention, e.g. ``repro.quack.parallel._submit.<locals>.call``);
+  ``<locals>`` convention, e.g. ``pkg.module.outer.<locals>.inner``);
 * the **class hierarchy** with name-resolved bases and a per-class method
   table, plus a project-wide method index used for receiver-blind call
   resolution;
@@ -22,9 +22,8 @@ top, lazily and at most once:
   known functions (a function passed as a value runs later — reachability
   must flow through the reference);
 * an **execution-context classification** of every function as
-  ``coordinator``-only, ``worker``-reachable (on a path from a
-  :class:`~repro.quack.parallel.MorselPool` task-submission root), or
-  ``both``.
+  ``coordinator``-only, ``worker``-reachable (on a path from a callable
+  handed to a worker pool — a task-submission root), or ``both``.
 
 Known unsoundness (documented, deliberate): dynamic dispatch through
 ``getattr``/``functools`` indirection is invisible; attribute calls on
@@ -53,9 +52,9 @@ __all__ = [
     "module_name_for",
 ]
 
-#: Callee names (final segment) that hand a callable to the morsel worker
-#: pool.  ``run_tasks``/``ordered_map`` are the public scatter helpers,
-#: ``_submit`` the internal wrapper, ``submit`` the raw executor method.
+#: Callee names (final segment) that hand a callable to a worker pool:
+#: ``submit`` is the raw executor method, ``run_tasks``/``ordered_map``/
+#: ``_submit`` the usual scatter-helper spellings around it.
 SUBMISSION_NAMES = frozenset({"run_tasks", "ordered_map", "_submit", "submit"})
 
 #: Method names too common to resolve receiver-blind: connecting every

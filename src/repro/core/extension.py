@@ -35,16 +35,14 @@ def load(database) -> None:
         RTreeModule.register_rtree_index(database)
 
 
-def connect(workers: int | None = None):
+def connect():
     """Create a quack database with MobilityDuck loaded; returns a
-    connection (convenience for examples and tests).  ``workers > 1``
-    enables morsel-driven parallel execution (default: the
-    ``REPRO_THREADS`` environment variable, else serial)."""
+    connection (convenience for examples and tests)."""
     from ..quack import Database as _Database
 
     db = _Database()
     db.load_extension(_module())
-    return db.connect(workers=workers)
+    return db.connect()
 
 
 def connect_baseline():

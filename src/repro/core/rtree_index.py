@@ -170,15 +170,15 @@ class RTreeIndex(TableIndex):
 
     def probe_batch(
         self, op_name: str, values: Sequence[Any]
-    ) -> list[list[int] | None] | None:
+    ) -> list[list[int] | None]:
         """Probe many values in one R-tree traversal (§4.3 batched).
 
         Entries whose value cannot be coerced to an stbox come back as
-        None (no candidates); returns None overall only when the
-        operator is unsupported, sending the caller to :meth:`probe`.
+        None (no candidates); an unsupported operator probes value by
+        value, like the base class.
         """
         if op_name not in ("&&", "<@", "@>"):
-            return None
+            return super().probe_batch(op_name, values)
         out: list[list[int] | None] = [None] * len(values)
         rects: list[tuple[float, ...]] = []
         slots: list[int] = []

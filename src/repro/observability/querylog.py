@@ -2,10 +2,10 @@
 
 ``last_query_stats`` remembers exactly one query; this module retains a
 bounded FIFO window of completed-query records — what ran, how long each
-phase took, the headline counters, how many rows came back, how many
-workers ran it, and the error if it failed.  Each connection owns one
-:class:`QueryLog`; the engines append a :class:`QueryRecord` per executed
-statement batch when collection is enabled.
+phase took, the headline counters, how many rows came back, and the
+error if it failed.  Each connection owns one :class:`QueryLog`; the
+engines append a :class:`QueryRecord` per executed statement batch when
+collection is enabled.
 
 A slow-query threshold filters what gets retained: ``SET
 log_min_duration = <ms>`` on a connection (or the
@@ -49,7 +49,6 @@ class QueryRecord:
     seconds: float
     rows: int | None = None
     engine: str = ""
-    workers: int = 1
     error: str | None = None
     #: wall-clock completion time (``time.time()``), for log rendering
     finished_at: float = 0.0
@@ -62,7 +61,6 @@ class QueryRecord:
             "seconds": self.seconds,
             "rows": self.rows,
             "engine": self.engine,
-            "workers": self.workers,
             "finished_at": self.finished_at,
             "phases": dict(self.phases),
             "counters": dict(self.counters),
@@ -157,8 +155,6 @@ class QueryLog:
                 f"[{stamp}] {rec.engine or '?'} "
                 f"{rec.seconds * 1000:.2f}ms {status} | {sql}"
             )
-            if rec.workers > 1:
-                line += f" | workers={rec.workers}"
             if phases:
                 line += f" | {phases}"
             lines.append(line)

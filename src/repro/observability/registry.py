@@ -67,7 +67,6 @@ DECLARED_COUNTERS = frozenset({
     "verify.rules_checked",
     "verify.chunks_checked",
     "verify.kernel_crosschecks",
-    "verify.parallel_crosschecks",
     "verify.zonemap_crosschecks",
     "verify.segment_copy_crosschecks",
     # persistent columnar storage + spill
@@ -87,11 +86,6 @@ DECLARED_COUNTERS = frozenset({
     "storage.spilled_sorts",
     "storage.spilled_joins",
     "storage.spilled_aggregates",
-    # morsel-driven parallel execution
-    "parallel.morsels",
-    "parallel.batches",
-    "parallel.build_partitions",
-    "parallel.agg_partials",
     # timeline tracing + query log
     "trace.events",
     "querylog.records",
@@ -107,7 +101,6 @@ DECLARED_PREFIXES = (
 #: Every fixed gauge name.
 DECLARED_GAUGES = frozenset({
     "executor.peak_materialized_rows",
-    "parallel.workers",
 })
 
 

@@ -71,20 +71,6 @@ class QueryStatistics:
             )
         self.gauges[name] = value
 
-    def merge(self, other: "QueryStatistics") -> None:
-        """Fold a worker-local statistics object into this one.
-
-        Counters sum; gauges keep the maximum (every declared gauge is a
-        peak).  The worker tracer is dropped — span timelines from
-        concurrent morsel workers would interleave meaninglessly with the
-        coordinator's phase trace.
-        """
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in other.gauges.items():
-            if value > self.gauges.get(name, float("-inf")):
-                self.gauges[name] = value
-
     # -- reading --------------------------------------------------------------
 
     def counter(self, name: str) -> int:

@@ -1,32 +1,28 @@
-"""Execution-timeline tracing: who ran what, when, on which worker lane.
+"""Execution-timeline tracing: what ran when inside the execute phase.
 
 The phase tracer (:mod:`.tracer`) answers *how long* each query phase
 took; this module answers *where the time went inside the execute phase*
-of a parallel query — which pool worker ran which morsel, where the
-scheduling gaps are, and how operators nest on the coordinator.
+— how operators nest and how long each one stayed open.
 
 One :class:`TraceCollector` is attached per query (on
 ``QueryStatistics.trace``) by the connection entry points whenever
-collection is enabled; it is shared across the coordinator and every
-morsel worker, so emission is lock-protected.  Emission sites in the
-engines record *complete* intervals (a name, the perf-counter start, a
-duration, a row count) tagged with the emitting thread's name — the
-worker lane.  Nothing is emitted when collection is off: every site is
-guarded by a ``trace is not None`` check (enforced by lint rule ANL009),
-and the collector only exists when a ``QueryStatistics`` was created.
+collection is enabled.  Emission sites in the engines record *complete*
+intervals (a name, the perf-counter start, a duration, a row count).
+Nothing is emitted when collection is off: every site is guarded by a
+``trace is not None`` check (enforced by lint rule ANL009), and the
+collector only exists when a ``QueryStatistics`` was created.
 
 :func:`chrome_trace` merges the phase-span tree and the collected events
 into Chrome trace-event JSON (the ``{"traceEvents": [...]}`` shape) with
-paired ``B``/``E`` events per interval and one ``tid`` per lane, so
-``chrome://tracing`` and Perfetto render worker occupancy and pipeline
-stalls directly.  All intervals share one clock: raw
-``time.perf_counter()`` readings, exported relative to the earliest one.
+paired ``B``/``E`` events per interval on one lane per query, so
+``chrome://tracing`` and Perfetto render it as one flame track.  All
+intervals share one clock: raw ``time.perf_counter()`` readings, exported
+relative to the earliest one.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -34,20 +30,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stats import QueryStatistics
 
 #: Event categories (the Chrome ``cat`` field): ``phase`` spans from the
-#: phase tracer, ``operator`` lifetimes from profiled execution,
-#: ``fragment`` for scattered streaming-chain morsels, ``morsel`` for
-#: blocking-sink work units (join build partitions, aggregate partials,
-#: sort runs, index-probe batches).
-CATEGORIES = ("phase", "operator", "fragment", "morsel")
+#: phase tracer, ``operator`` lifetimes from profiled execution.
+CATEGORIES = ("phase", "operator")
+
+#: The lane (Chrome ``tid``) every event of a query is drawn on.
+_LANE = 1
 
 
 @dataclass
 class TraceEvent:
-    """One timed interval on one lane (all times ``perf_counter``)."""
+    """One timed interval (all times ``perf_counter``)."""
 
     name: str
     category: str
-    lane: str
     start: float
     seconds: float
     rows: int | None = None
@@ -55,38 +50,20 @@ class TraceEvent:
 
 
 class TraceCollector:
-    """Thread-safe per-query event sink shared by coordinator and workers.
+    """Per-query event sink."""
 
-    ``home_lane`` is the thread that opened the query — phase spans (which
-    carry no thread information of their own) are placed on it at export
-    time, and it sorts first in the viewer.
-    """
-
-    __slots__ = ("events", "home_lane", "_lock")
+    __slots__ = ("events",)
 
     def __init__(self):
         self.events: list[TraceEvent] = []
-        self.home_lane = threading.current_thread().name
-        self._lock = threading.Lock()
 
     def emit(self, name: str, category: str, start: float, seconds: float,
              rows: int | None = None,
              args: dict[str, Any] | None = None) -> None:
-        """Record one completed interval; the lane is the calling thread."""
-        event = TraceEvent(
-            name, category, threading.current_thread().name, start,
-            seconds, rows, args,
+        """Record one completed interval."""
+        self.events.append(
+            TraceEvent(name, category, start, seconds, rows, args)
         )
-        with self._lock:
-            self.events.append(event)
-
-    def lanes(self) -> list[str]:
-        """Distinct lanes that emitted events, home lane first."""
-        with self._lock:
-            seen = {e.lane for e in self.events}
-        ordered = [self.home_lane] if self.home_lane in seen else []
-        ordered += sorted(seen - {self.home_lane})
-        return ordered
 
     def __len__(self) -> int:
         return len(self.events)
@@ -99,22 +76,18 @@ class TraceCollector:
 
 def _collect_events(stats: "QueryStatistics") -> list[TraceEvent]:
     """Phase spans + collector events as one flat interval list."""
-    collector = stats.trace
-    home = collector.home_lane if collector is not None else "main"
     events: list[TraceEvent] = []
 
     def walk(span) -> None:
-        events.append(
-            TraceEvent(span.name, "phase", home, span.start, span.seconds)
-        )
+        events.append(TraceEvent(span.name, "phase", span.start,
+                                 span.seconds))
         for child in span.children:
             walk(child)
 
     for span in stats.tracer.spans:
         walk(span)
-    if collector is not None:
-        with collector._lock:
-            events.extend(collector.events)
+    if stats.trace is not None:
+        events.extend(stats.trace.events)
     return events
 
 
@@ -122,65 +95,48 @@ def chrome_trace(stats: "QueryStatistics",
                  meta: dict[str, Any] | None = None) -> dict[str, Any]:
     """Export one query's timeline as a Chrome trace-event JSON object.
 
-    Per lane, intervals either nest or are disjoint (workers run morsels
-    sequentially; operators enclose their children), so each lane's
-    stream is emitted as properly paired/nested ``B``/``E`` events —
-    Perfetto renders them as a flame track per lane.  Timestamps are
-    microseconds relative to the earliest interval.
+    Intervals either nest or are disjoint (operators enclose their
+    children), so the stream is emitted as properly paired/nested
+    ``B``/``E`` events — Perfetto renders them as one flame track.
+    Timestamps are microseconds relative to the earliest interval.
     """
     events = _collect_events(stats)
-    collector = stats.trace
-    home = collector.home_lane if collector is not None else "main"
     trace_events: list[dict[str, Any]] = []
-    lanes: list[str] = []
     if events:
-        seen = {e.lane for e in events}
-        lanes = ([home] if home in seen else []) + sorted(seen - {home})
+        trace_events.append({
+            "ph": "M", "name": "thread_name", "pid": 1, "tid": _LANE,
+            "args": {"name": "query"},
+        })
     t0 = min((e.start for e in events), default=0.0)
-    lane_tids = {lane: tid for tid, lane in enumerate(lanes, start=1)}
-    for lane in lanes:
-        tid = lane_tids[lane]
-        trace_events.append({
-            "ph": "M", "name": "thread_name", "pid": 1, "tid": tid,
-            "args": {"name": lane},
-        })
-        trace_events.append({
-            "ph": "M", "name": "thread_sort_index", "pid": 1, "tid": tid,
-            "args": {"sort_index": tid},
-        })
-    for lane in lanes:
-        tid = lane_tids[lane]
-        lane_events = [e for e in events if e.lane == lane]
-        # start-ascending, longest-first on ties: parents open before
-        # their children, so the open-interval stack below nests.
-        lane_events.sort(key=lambda e: (e.start, -e.seconds))
-        open_stack: list[TraceEvent] = []
+    # start-ascending, longest-first on ties: parents open before their
+    # children, so the open-interval stack below nests.
+    events.sort(key=lambda e: (e.start, -e.seconds))
+    open_stack: list[TraceEvent] = []
 
-        def close(event: TraceEvent) -> None:
-            trace_events.append({
-                "ph": "E", "pid": 1, "tid": tid,
-                "ts": (event.start + event.seconds - t0) * 1e6,
-            })
+    def close(event: TraceEvent) -> None:
+        trace_events.append({
+            "ph": "E", "pid": 1, "tid": _LANE,
+            "ts": (event.start + event.seconds - t0) * 1e6,
+        })
 
-        for event in lane_events:
-            while open_stack and (
-                open_stack[-1].start + open_stack[-1].seconds
-                <= event.start
-            ):
-                close(open_stack.pop())
-            begin: dict[str, Any] = {
-                "ph": "B", "name": event.name, "cat": event.category,
-                "pid": 1, "tid": tid, "ts": (event.start - t0) * 1e6,
-            }
-            args = dict(event.args) if event.args else {}
-            if event.rows is not None:
-                args["rows"] = event.rows
-            if args:
-                begin["args"] = args
-            trace_events.append(begin)
-            open_stack.append(event)
-        while open_stack:
+    for event in events:
+        while open_stack and (
+            open_stack[-1].start + open_stack[-1].seconds <= event.start
+        ):
             close(open_stack.pop())
+        begin: dict[str, Any] = {
+            "ph": "B", "name": event.name, "cat": event.category,
+            "pid": 1, "tid": _LANE, "ts": (event.start - t0) * 1e6,
+        }
+        args = dict(event.args) if event.args else {}
+        if event.rows is not None:
+            args["rows"] = event.rows
+        if args:
+            begin["args"] = args
+        trace_events.append(begin)
+        open_stack.append(event)
+    while open_stack:
+        close(open_stack.pop())
     out: dict[str, Any] = {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

@@ -126,7 +126,6 @@ class RowConnection:
             seconds=seconds,
             rows=len(result.rows) if error is None else None,
             engine="pgsim",
-            workers=1,
             error=error,
             phases=stats.phase_seconds(),
             counters=dict(stats.counters),
@@ -308,7 +307,6 @@ class RowConnection:
             self._cbo = _parse_on_off(stmt.value, "cbo")
             return Result()
         if name != "log_min_duration":
-            # no morsel pool here — the row engine is single-threaded
             raise QuackError(f"unknown setting {stmt.name!r}")
         context = BinderContext(
             self.database.catalog, self.database.functions,

@@ -528,9 +528,6 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
             step=lambda state, value: state + 1,
             final=lambda state: state,
             step_batch=_batch_count,
-            # Partial counts merge by summing (every global group has at
-            # least one partial row, so the sum is never NULL).
-            combine=_batch_sum_int,
         )
     )
     registry.register_aggregate(
@@ -541,7 +538,6 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
             final=lambda state: state,
             accepts_null=True,
             step_batch=_batch_count_star,
-            combine=_batch_sum_int,
         )
     )
     registry.register_aggregate(
@@ -551,7 +547,6 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
             step=lambda state, value: value if state is None else state + value,
             final=lambda state: state,
             step_batch=_batch_sum_int,
-            combine=_batch_sum_int,
         )
     )
     registry.register_aggregate(
@@ -560,10 +555,7 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
             init=lambda: None,
             step=lambda state, value: value if state is None else state + value,
             final=lambda state: state,
-            # Summing partial sums associates differently from the serial
-            # single pass: equal within float tolerance, not bit-for-bit.
             step_batch=_batch_sum_float,
-            combine=_batch_sum_float,
         )
     )
     registry.register_aggregate(
@@ -583,11 +575,7 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
                 init=lambda: None,
                 step=step,
                 final=lambda state: state,
-                # min of partial mins / max of partial maxes; partials
-                # concatenate in morsel (= row) order, so first-occurrence
-                # tie resolution matches the serial scan.
                 step_batch=_make_batch_extreme(is_max),
-                combine=_make_batch_extreme(is_max),
             )
         )
     registry.register_aggregate(
@@ -616,10 +604,7 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
             init=lambda: None,
             step=lambda state, value: value if state is None else state,
             final=lambda state: state,
-            # First valid partial in morsel order is the global first
-            # valid value.
             step_batch=_batch_first,
-            combine=_batch_first,
         )
     )
 

@@ -43,9 +43,9 @@ class ColumnData:
         self.segments: list[Vector] = []
         self.tail: list[Any] = []
         self.tail_validity: list[bool] = []
-        # Read paths (scan/gather) seal lazily; two morsel workers
-        # sealing the same column concurrently would double-append the
-        # tail as two segments without this lock.
+        # Read paths (scan/gather) seal lazily; two client threads
+        # sharing a database and sealing the same column concurrently
+        # would double-append the tail as two segments without this lock.
         self._seal_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -59,8 +59,8 @@ class ColumnData:
 
     def append_vector(self, vector: Vector) -> None:
         self.seal()
-        # Same guard as seal(): the segment list is read by concurrently
-        # sealing scan workers, so every write goes through the lock.
+        # Same guard as seal(): the segment list is read by client
+        # threads sealing concurrently, so every write goes through it.
         with self._seal_lock:
             self.segments.append(Vector(
                 self.ltype,
@@ -200,9 +200,9 @@ class Table:
         #: immutable, so appends only *extend* this cache — a rewrite
         #: (UPDATE) resets it so pruning never trusts stale bounds.
         self._zone_cache: list[list] = []
-        # Two workers extending the lazy zone cache concurrently would
-        # interleave duplicate segment entries; same discipline as
-        # ColumnData._seal_lock.
+        # Two client threads sharing a database and extending the lazy
+        # zone cache concurrently would interleave duplicate segment
+        # entries; same discipline as ColumnData._seal_lock.
         self._zone_lock = threading.Lock()
 
     # -- metadata -----------------------------------------------------------------
@@ -386,13 +386,13 @@ class TableIndex:
         raise NotImplementedError
 
     # Batched probe: one candidate list per value (None entries for
-    # values that cannot be probed, e.g. NULL).  Returning None overall
-    # means this index has no batch path and the caller must probe
-    # row-at-a-time via :meth:`probe`.
+    # values that cannot be probed, e.g. NULL).  Indexes with a
+    # one-traversal batch search override this per-value loop.
     def probe_batch(
         self, op_name: str, values: Sequence[Any]
-    ) -> list[list[int] | None] | None:
-        return None
+    ) -> list[list[int] | None]:
+        return [None if value is None else self.probe(op_name, value)
+                for value in values]
 
     def matches(self, op_name: str, column_name: str, constant: Any) -> bool:
         raise NotImplementedError

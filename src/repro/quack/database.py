@@ -41,9 +41,7 @@ from .catalog import Catalog, IndexTypeRegistry, Table
 from .errors import BinderError, CatalogError, ExecutionError, QuackError
 from .executor import ExecutionContext, evaluate, execute_plan
 from .functions import FunctionRegistry
-from .kernels import kernels_snapshot
 from .optimizer import optimize
-from .parallel import MorselPool, default_workers
 from .plan import LogicalMaterializedCTE, LogicalOperator
 from .sql import ast, parse_sql
 from .types import LogicalType, TypeRegistry
@@ -132,16 +130,10 @@ class Database:
         self.attached_path: str | None = None
         register_builtins(self.functions)
 
-    def connect(self, workers: int | None = None) -> "Connection":
-        """Open a connection; ``workers > 1`` enables morsel-driven
-        parallel execution on a connection-owned thread pool (also
-        settable later with ``SET threads = N``).  When ``workers`` is
-        not given, the ``REPRO_THREADS`` environment variable supplies
-        the default (so the whole test suite can be soaked at
-        ``workers=4`` without touching every ``connect()`` call)."""
-        if workers is None:
-            workers = default_workers()
-        return Connection(self, workers=workers)
+    def connect(self) -> "Connection":
+        """Open a connection; statements execute serially on the
+        calling thread."""
+        return Connection(self)
 
     def save(self, path: str) -> int:
         """Persist all tables (and index definitions) to one file."""
@@ -187,11 +179,8 @@ def _parse_on_off(value: ast.Expr, setting: str) -> bool:
 class Connection:
     """A connection to a database; executes SQL statements."""
 
-    def __init__(self, database: Database, workers: int = 1):
+    def __init__(self, database: Database):
         self.database = database
-        #: morsel parallelism degree (1 = serial); ``SET threads = N``
-        self.workers = max(1, int(workers))
-        self._pool: MorselPool | None = None
         #: statistics of the most recent :meth:`execute` call
         self.last_query_stats: QueryStatistics | None = None
         #: rolling log of completed queries (``SET log_min_duration``
@@ -206,27 +195,8 @@ class Connection:
         #: leaves the blocking sinks fully in-memory
         self._memory_limit_mb: float | None = None
 
-    def set_workers(self, workers: int) -> None:
-        """Change the parallelism degree; the old pool is drained."""
-        workers = max(1, int(workers))
-        if workers == self.workers and self._pool is not None:
-            return
-        self.workers = workers
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def _morsel_pool(self) -> MorselPool | None:
-        if self.workers <= 1:
-            return None
-        if self._pool is None:
-            self._pool = MorselPool(self.workers)
-        return self._pool
+        """DuckDB API parity: a connection holds no resources."""
 
     # -- public API ----------------------------------------------------------------
 
@@ -264,7 +234,6 @@ class Connection:
             seconds=seconds,
             rows=len(result.rows) if error is None else None,
             engine="quack",
-            workers=self.workers,
             error=error,
             phases=stats.phase_seconds(),
             counters=dict(stats.counters),
@@ -324,8 +293,8 @@ class Connection:
         header; ``format="json"`` returns the structured tree (phases,
         counters, gauges, recursive per-operator stats);
         ``format="trace"`` returns the execution timeline as Chrome
-        trace-event JSON (operator/fragment/morsel events on per-worker
-        lanes — load in Perfetto)."""
+        trace-event JSON (phase and operator events — load in
+        Perfetto)."""
         if format not in ("text", "json", "trace"):
             raise QuackError(f"unsupported explain format {format!r}")
         from .profiler import PlanProfiler
@@ -349,7 +318,7 @@ class Connection:
                 raise BinderError("EXPLAIN supports SELECT statements")
             plan = self._plan_select(stmt)
             ctx = self._execution_context(stats, profiler)
-            with kernels_snapshot(), stats.tracer.span("execute"):
+            with stats.tracer.span("execute"):
                 for chunk in execute_plan(plan, ctx):
                     stats.bump("executor.rows_returned", chunk.count)
         if stats.trace is not None and len(stats.trace):
@@ -366,14 +335,6 @@ class Connection:
     # -- statement dispatch -----------------------------------------------------------
 
     def _execute_statement(self, stmt: ast.Statement) -> Result:
-        # Snapshot the kernel flag for the whole statement: every reader
-        # (executor, functions, morsel workers via the propagated
-        # context) sees one consistent value even if another thread
-        # flips set_kernels_enabled mid-query.
-        with kernels_snapshot():
-            return self._dispatch_statement(stmt)
-
-    def _dispatch_statement(self, stmt: ast.Statement) -> Result:
         if isinstance(stmt, (ast.SelectStatement, ast.CompoundSelect)):
             plan = self._plan_select(stmt)
             return self._run_plan(plan)
@@ -489,8 +450,7 @@ class Connection:
         if name == "zone_maps":
             self._zone_maps = _parse_on_off(stmt.value, "zone_maps")
             return Result()
-        if name not in ("threads", "workers", "log_min_duration",
-                        "memory_limit"):
+        if name not in ("threads", "log_min_duration", "memory_limit"):
             raise QuackError(f"unknown setting {stmt.name!r}")
         context = BinderContext(
             self.database.catalog,
@@ -526,22 +486,15 @@ class Connection:
                 float(value) if value > 0 else None
             )
             return Result()
-        if (
-            value is _NOT_CONSTANT
-            or isinstance(value, bool)
-            or not isinstance(value, int)
-            or value < 1
-        ):
-            raise QuackError(
-                f"SET {stmt.name} expects a positive integer"
-            )
-        self.set_workers(value)
+        # DuckDB's spelling, kept for scripts that pin it: one legal value
+        if isinstance(value, bool) or value != 1:
+            raise QuackError("quack executes serially: threads must be 1")
         return Result()
 
     def _execute_show(self, stmt: ast.ShowStatement) -> Result:
         name = stmt.name.lower()
-        if name in ("threads", "workers"):
-            value: Any = self.workers
+        if name == "threads":
+            value: Any = 1
         elif name == "log_min_duration":
             value = self._query_log.min_duration_ms
         elif name == "cbo":
@@ -559,15 +512,11 @@ class Connection:
     def _execution_context(self, stats,
                            profiler=None) -> ExecutionContext:
         """The root context of one statement, carrying the connection's
-        parallelism degree and pool."""
-        pool = self._morsel_pool()
-        if stats is not None and pool is not None:
-            stats.set_gauge("parallel.workers", self.workers)
+        spill watermark."""
         limit = None
         if self._memory_limit_mb is not None:
             limit = int(self._memory_limit_mb * 1024 * 1024)
         return ExecutionContext(stats=stats, profiler=profiler,
-                                workers=self.workers, pool=pool,
                                 memory_limit_bytes=limit)
 
     def _plan_select(self, stmt: ast.SelectStatement) -> LogicalOperator:

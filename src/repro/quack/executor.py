@@ -8,7 +8,6 @@ still open — the execution model of the paper's host engine.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -17,7 +16,6 @@ import numpy as np
 
 from ..analysis import config as _verification
 from . import kernels
-from . import parallel as _parallel
 from . import storage as _storage
 from .errors import ConversionError, ExecutionError
 from .kernels import hashable_key as _hashable
@@ -49,7 +47,6 @@ from .plan import (
     LogicalSort,
     LogicalTableFunction,
 )
-from .optimizer import _subquery_free, streaming_fragment
 from .types import BIGINT, BOOLEAN, LogicalType
 from .vector import (
     _PHYSICAL_DTYPES,
@@ -59,7 +56,6 @@ from .vector import (
     Vector,
     boolean_selection,
     concat_chunks,
-    concat_vectors,
 )
 
 
@@ -90,7 +86,7 @@ class ExecutionContext:
     contexts never share mutable profiling state."""
 
     def __init__(self, parent: "ExecutionContext | None" = None,
-                 stats=None, profiler=None, workers: int = 1, pool=None,
+                 stats=None, profiler=None,
                  memory_limit_bytes: int | None = None):
         self.parent = parent
         self.cte_results: dict[int, list[DataChunk]] = (
@@ -113,62 +109,22 @@ class ExecutionContext:
         self.profiler = profiler if profiler is not None else (
             parent.profiler if parent else None
         )
-        #: the query's shared TraceCollector (timeline events); unlike
-        #: ``stats`` it is NOT redirected in worker children — the
-        #: collector is thread-safe and events carry their own lane, so
-        #: workers emit straight into the query-wide timeline
+        #: the query's TraceCollector (timeline events), shared by every
+        #: context of the query
         self.trace = parent.trace if parent is not None else (
             stats.trace if stats is not None else None
         )
-        #: morsel parallelism degree and the connection's worker pool
-        #: (children inherit; workers=1 / pool=None means serial)
-        self.workers = parent.workers if parent else max(1, int(workers))
-        self.pool = parent.pool if parent else pool
         #: ``SET memory_limit = <MB>`` watermark in bytes; None = no
         #: limit.  Blocking sinks (sort / hash-join build / aggregation)
         #: that materialize past it spill to disk and merge back.
         self.memory_limit_bytes = (
             parent.memory_limit_bytes if parent else memory_limit_bytes
         )
-        #: shared-cache guards, created once at the root context and
-        #: inherited by every child so all contexts of one query agree
-        self._subquery_lock = (
-            parent._subquery_lock if parent else threading.Lock()
-        )
-        self._cte_lock = (
-            parent._cte_lock if parent else threading.RLock()
-        )
 
     def child_with_params(self, params: tuple) -> "ExecutionContext":
         ctx = ExecutionContext(self)
         ctx.params = params
         return ctx
-
-    def serial_child(self) -> "ExecutionContext":
-        """A child context that never scatters — used wherever a lock is
-        held (CTE materialization) or inside pool workers, so a lock
-        holder / worker never waits on further pool tasks."""
-        ctx = ExecutionContext(self)
-        ctx.workers = 1
-        ctx.pool = None
-        return ctx
-
-    def worker_child(self, stats) -> "ExecutionContext":
-        """The context a pool worker runs under: serial, stats redirected
-        to the worker-local object (the coordinator merges it back), no
-        profiler (profiler dicts are not thread-safe — profiled fragments
-        feed the profiler coordinator-side from returned timings)."""
-        ctx = self.serial_child()
-        ctx.stats = stats
-        ctx.profiler = None
-        return ctx
-
-    def can_parallel(self) -> bool:
-        return (
-            self.pool is not None
-            and self.workers > 1
-            and kernels.kernels_enabled()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +266,6 @@ def _pack(target: LogicalType, out: np.ndarray, validity: np.ndarray,
 def _pack_object_array(out: np.ndarray, validity: np.ndarray, dtype,
                        count: int) -> np.ndarray:
     """Narrow an object array to ``dtype``, zero-filling NULL slots."""
-    if not kernels.kernels_enabled():
-        data = np.zeros(count, dtype=dtype)
-        for i in range(count):
-            if validity[i]:
-                data[i] = out[i]
-        return data
     try:
         if validity.all():
             return out.astype(dtype)
@@ -563,22 +513,15 @@ def _eval_quantified_rows(expr, operand_value, rows) -> tuple[bool, bool]:
 
 def _run_subquery(plan: LogicalOperator, params: tuple,
                   ctx: ExecutionContext) -> list[tuple]:
-    # The memo dict is shared by every context of the query, including
-    # morsel workers evaluating correlated subqueries concurrently: reads
-    # and the publish go through the lock.  The subquery itself runs
-    # outside it (two workers may race to compute the same key — the
-    # setdefault keeps the first result, so callers agree on one list).
     key = (id(plan), params)
-    with ctx._subquery_lock:
-        cached = ctx.subquery_cache.get(key)
+    cached = ctx.subquery_cache.get(key)
     if cached is not None:
         return cached
     sub_ctx = ctx.child_with_params(params)
     rows: list[tuple] = []
     for chunk in execute_plan(plan, sub_ctx):
         rows.extend(chunk.rows())
-    with ctx._subquery_lock:
-        rows = ctx.subquery_cache.setdefault(key, rows)
+    ctx.subquery_cache[key] = rows
     return rows
 
 
@@ -650,10 +593,7 @@ def _execute_operator(op: LogicalOperator,
                       ctx: ExecutionContext) -> Iterator[DataChunk]:
     if isinstance(op, LogicalMaterializedCTE):
         for cte_id, _, plan in op.ctes:
-            # setdefault: a re-entrant execution (subquery re-running the
-            # CTE operator on a worker) publishes the same plan object —
-            # one atomic winner, never a torn registration.
-            ctx.cte_plans.setdefault(cte_id, plan)
+            ctx.cte_plans[cte_id] = plan
         yield from execute_plan(op.child, ctx)
         return
     if isinstance(op, LogicalGet):
@@ -853,21 +793,7 @@ def _execute_table_function(op: LogicalTableFunction) -> Iterator[DataChunk]:
 
 def _execute_streaming(op: LogicalOperator,
                        ctx: ExecutionContext) -> Iterator[DataChunk]:
-    """Run a Filter/Project, scattering its streaming chain when possible.
-
-    A chunk entering a ``[Project|Filter]*`` chain is independent of every
-    other chunk, so the whole chain is the morsel-parallel unit: source
-    chunks fan out to pool workers, each applies the full chain, and the
-    coordinator re-emits results in source order.  ``execute_plan``
-    reaches only the *top* of a chain here (inner stages are consumed by
-    the fragment), so parallelism composes with the verified/profiled
-    wrappers exactly once per chain.
-    """
-    if ctx.can_parallel():
-        produced = _execute_fragment_parallel(op, ctx)
-        if produced is not None:
-            yield from produced
-            return
+    """Run a Filter/Project one input chunk at a time."""
     if isinstance(op, LogicalFilter):
         for chunk in execute_plan(op.child, ctx):
             mask = boolean_selection(evaluate(op.condition, chunk, ctx))
@@ -878,123 +804,15 @@ def _execute_streaming(op: LogicalOperator,
         yield DataChunk([evaluate(e, chunk, ctx) for e in op.exprs])
 
 
-def _stage_exprs(stage: LogicalOperator) -> list:
-    if isinstance(stage, LogicalFilter):
-        return [stage.condition]
-    return list(stage.exprs)
-
-
-def _execute_fragment_parallel(op: LogicalOperator,
-                               ctx: ExecutionContext
-                               ) -> Iterator[DataChunk] | None:
-    """The parallel plan for one streaming chain, or None to stay serial.
-
-    Profiled runs keep fragments containing subqueries serial: a worker
-    context carries no profiler, so subquery operators executed inside a
-    worker would drop out of the EXPLAIN ANALYZE tree."""
-    chain, source = streaming_fragment(op)
-    if ctx.profiler is not None and not all(
-        _subquery_free(e) for stage in chain for e in _stage_exprs(stage)
-    ):
-        return None
-    return _fragment_parallel_iter(op, chain, source, ctx)
-
-
-def _fragment_parallel_iter(op: LogicalOperator,
-                            chain: list[LogicalOperator],
-                            source: LogicalOperator,
-                            ctx: ExecutionContext) -> Iterator[DataChunk]:
-    from ..analysis.verifier import verify_chunk
-
-    qstats = ctx.stats
-    profiler = ctx.profiler
-    stages = list(reversed(chain))  # bottom-up application order
-    verify = _verification.VERIFICATION_ENABLED
-
-    trace = ctx.trace
-    fragment_name = f"fragment {op._explain_label()}"
-
-    def apply_chain(chunk: DataChunk, worker_stats):
-        opened = time.perf_counter()
-        wctx = ctx.worker_child(worker_stats if qstats is not None
-                                else None)
-        out: DataChunk | None = chunk
-        rows = [0] * len(stages)
-        seconds = [0.0] * len(stages)
-        for s, stage in enumerate(stages):
-            start = time.perf_counter()
-            if isinstance(stage, LogicalFilter):
-                mask = boolean_selection(
-                    evaluate(stage.condition, out, wctx)
-                )
-                out = out.slice(mask) if mask.any() else None
-            else:
-                out = DataChunk(
-                    [evaluate(e, out, wctx) for e in stage.exprs]
-                )
-            seconds[s] = time.perf_counter() - start
-            if out is None:
-                break
-            rows[s] = out.count
-            # Inner stages bypass _execute_verified (the chain is one
-            # unit); verify them here.  The top stage (stage is op) is
-            # verified by the coordinator's wrapper as usual.
-            if verify and stage is not op:
-                verify_chunk(stage, out)
-                if worker_stats is not None and qstats is not None:
-                    worker_stats.bump("verify.chunks_checked")
-        if trace is not None:
-            trace.emit(
-                fragment_name, "fragment", opened,
-                time.perf_counter() - opened, rows=chunk.count,
-                args={"rows_out": out.count if out is not None else 0},
-            )
-        return out, rows, seconds
-
-    source_chunks = execute_plan(source, ctx)
-    produced = _parallel.ordered_map(ctx.pool, source_chunks, apply_chain,
-                                     qstats)
-    if qstats is not None:
-        qstats.bump("parallel.batches")
-    if profiler is not None:
-        for stage in stages:
-            if stage is not op:  # op's invocation counted by its wrapper
-                profiler.stats_for(stage).invocations += 1
-    try:
-        for out, rows, seconds in produced:
-            if qstats is not None:
-                qstats.bump("parallel.morsels")
-            if profiler is not None:
-                # Inner stages bypass the _execute_profiled wrapper; feed
-                # their worker-measured rows/seconds here.  The top stage
-                # (op) is rowed and timed by its own wrapper.
-                for s, stage in enumerate(stages):
-                    if stage is not op:
-                        pstats = profiler.stats_for(stage)
-                        pstats.seconds += seconds[s]
-                        pstats.rows += rows[s]
-            if out is not None:
-                yield out
-    finally:
-        produced.close()
-
-
 def _execute_cte_ref(op: LogicalCTERef,
                      ctx: ExecutionContext) -> Iterator[DataChunk]:
-    # Materialization runs under the (reentrant) CTE lock and on a serial
-    # child context: the lock holder must never wait on pool workers, or
-    # a worker blocked on this same lock for another CTE would deadlock
-    # the pool.  Nested CTE refs re-enter the RLock on the same thread.
-    with ctx._cte_lock:
-        cached = ctx.cte_results.get(op.cte_id)
-        if cached is None:
-            plan = ctx.cte_plans.get(op.cte_id)
-            if plan is None:
-                raise ExecutionError(
-                    f"CTE {op.name!r} was not materialized"
-                )
-            cached = list(execute_plan(plan, ctx.serial_child()))
-            ctx.cte_results[op.cte_id] = cached
+    cached = ctx.cte_results.get(op.cte_id)
+    if cached is None:
+        plan = ctx.cte_plans.get(op.cte_id)
+        if plan is None:
+            raise ExecutionError(f"CTE {op.name!r} was not materialized")
+        cached = list(execute_plan(plan, ctx))
+        ctx.cte_results[op.cte_id] = cached
     yield from cached
 
 
@@ -1048,7 +866,6 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext
                               ctx)
         return
     # Block nested-loop join (also covers cross products).
-    left_width = len(op.left.output_types())
     for left_chunk in execute_plan(op.left, ctx):
         n = left_chunk.count
         if right_count == 0:
@@ -1079,136 +896,54 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext
 
 def _index_nl_join(op: LogicalJoin,
                    ctx: ExecutionContext) -> Iterator[DataChunk]:
-    """Index nested-loop join: probe the right table's index per left row.
-
-    When kernels are enabled and the index offers a batch entry point,
-    the whole left chunk is probed in one index traversal and all
-    matched rows are gathered with a single ``table.fetch`` into one
-    combined chunk; otherwise (kernels disabled, or an index without a
-    batch path) each left row probes/fetches/emits on its own.
-    """
+    """Index nested-loop join: each left chunk probes the right table's
+    index with one ``probe_batch`` call, and all matched rows are
+    gathered with a single ``table.fetch`` into one combined chunk."""
     index, op_name, left_expr = op.index_probe
     table = index.table
     right_types = op.right.output_types()
-    qstats = ctx.stats
-    if ctx.can_parallel() and (
-        ctx.profiler is None
-        or (_subquery_free(left_expr)
-            and (op.residual is None or _subquery_free(op.residual)))
-    ):
-        # Index probes and table fetches are read-only (lazy segment
-        # sealing is lock-guarded), so whole left chunks scatter to
-        # workers; profiler annotations travel back as notes.
-        trace = ctx.trace
-
-        def probe_chunk(left_chunk: DataChunk, worker_stats):
-            opened = time.perf_counter()
-            wctx = ctx.worker_child(
-                worker_stats if qstats is not None else None
-            )
-            out = _index_nl_join_chunk(
-                op, left_chunk, index, op_name, left_expr, table,
-                right_types, wctx
-            )
-            if trace is not None:
-                trace.emit(
-                    "index_nl_probe", "morsel", opened,
-                    time.perf_counter() - opened, rows=left_chunk.count,
-                    args={
-                        "rows_out": sum(c.count for c in out[0]),
-                    },
-                )
-            return out
-
-        produced = _parallel.ordered_map(
-            ctx.pool, execute_plan(op.left, ctx), probe_chunk, qstats
-        )
-        if qstats is not None:
-            qstats.bump("parallel.batches")
-        try:
-            for chunks, notes in produced:
-                if qstats is not None:
-                    qstats.bump("parallel.morsels")
-                _annotate_join(op, notes, ctx)
-                yield from chunks
-        finally:
-            produced.close()
-        return
     for left_chunk in execute_plan(op.left, ctx):
-        chunks, notes = _index_nl_join_chunk(
-            op, left_chunk, index, op_name, left_expr, table, right_types,
-            ctx
-        )
-        _annotate_join(op, notes, ctx)
-        yield from chunks
-
-
-def _annotate_join(op: LogicalJoin, notes: dict[str, int],
-                   ctx: ExecutionContext) -> None:
-    if ctx.profiler is not None:
-        for key_name, n in notes.items():
-            ctx.profiler.annotate(op, key_name, n)
-
-
-def _index_nl_join_chunk(op: LogicalJoin, left_chunk: DataChunk,
-                         index, op_name: str, left_expr, table,
-                         right_types,
-                         ctx: ExecutionContext
-                         ) -> tuple[list[DataChunk], dict[str, int]]:
-    """Probe/fetch/combine one left chunk; profiler work is returned as
-    ``notes`` so workers never touch the (unsynchronized) profiler."""
-    notes: dict[str, int] = {}
-    qstats = ctx.stats
-    n = left_chunk.count
-    probe_vector = evaluate(left_expr, left_chunk, ctx)
-    id_lists = None
-    if kernels.kernels_enabled():
+        probe_vector = evaluate(left_expr, left_chunk, ctx)
         id_lists = index.probe_batch(op_name, probe_vector.to_list())
-    if id_lists is None:
-        return _index_nl_join_row_loop(
-            op, left_chunk, probe_vector, index, op_name, table,
-            right_types, ctx, notes
-        ), notes
-    if _verification.VERIFICATION_ENABLED:
-        _crosscheck_index_probe(op, index, op_name, probe_vector,
-                                id_lists, ctx)
-    probes = int(probe_vector.validity.sum())
-    if probes:
-        if qstats is not None:
-            qstats.bump("executor.join_index_probes", probes)
-            qstats.bump("executor.join_index_batches")
-        notes["index_probes"] = probes
-        notes["batches"] = 1
-    out: list[DataChunk] = []
-    left_rep: list[int] = []
-    row_ids: list[int] = []
-    for i, ids in enumerate(id_lists):
-        if not ids:
-            continue
-        live = table.live_row_ids(sorted(ids))
-        row_ids.extend(live)
-        left_rep.extend([i] * len(live))
-    matched = np.zeros(n, dtype=np.bool_)
-    if row_ids:
-        right_chunk = table.fetch(np.asarray(row_ids, dtype=np.int64))
-        li = np.asarray(left_rep, dtype=np.int64)
-        combined = DataChunk(
-            [v.take(li) for v in left_chunk.vectors]
-            + right_chunk.vectors
-        )
-        if op.residual is not None:
-            mask = boolean_selection(
-                evaluate(op.residual, combined, ctx)
+        if _verification.VERIFICATION_ENABLED:
+            _crosscheck_index_probe(op, index, op_name, probe_vector,
+                                    id_lists, ctx)
+        probes = int(probe_vector.validity.sum())
+        if probes:
+            if ctx.stats is not None:
+                ctx.stats.bump("executor.join_index_probes", probes)
+                ctx.stats.bump("executor.join_index_batches")
+            if ctx.profiler is not None:
+                ctx.profiler.annotate(op, "index_probes", probes)
+                ctx.profiler.annotate(op, "batches")
+        left_rep: list[int] = []
+        row_ids: list[int] = []
+        for i, ids in enumerate(id_lists):
+            if not ids:
+                continue
+            live = table.live_row_ids(sorted(ids))
+            row_ids.extend(live)
+            left_rep.extend([i] * len(live))
+        matched = np.zeros(left_chunk.count, dtype=np.bool_)
+        if row_ids:
+            right_chunk = table.fetch(np.asarray(row_ids, dtype=np.int64))
+            li = np.asarray(left_rep, dtype=np.int64)
+            combined = DataChunk(
+                [v.take(li) for v in left_chunk.vectors]
+                + right_chunk.vectors
             )
-            combined = combined.slice(mask)
-            matched[li[mask]] = True
-        else:
-            matched[li] = True
-        if combined.count:
-            out.append(combined)
-    if op.join_type == "left":
-        out.extend(_emit_left_padding(left_chunk, matched, right_types))
-    return out, notes
+            if op.residual is not None:
+                mask = boolean_selection(
+                    evaluate(op.residual, combined, ctx)
+                )
+                combined = combined.slice(mask)
+                matched[li[mask]] = True
+            else:
+                matched[li] = True
+            if combined.count:
+                yield combined
+        if op.join_type == "left":
+            yield from _emit_left_padding(left_chunk, matched, right_types)
 
 
 def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
@@ -1234,47 +969,6 @@ def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
         ctx.stats.bump("verify.kernel_crosschecks")
 
 
-def _index_nl_join_row_loop(op: LogicalJoin, left_chunk: DataChunk,
-                            probe_vector: Vector, index, op_name: str,
-                            table, right_types, ctx: ExecutionContext,
-                            notes: dict[str, int]) -> list[DataChunk]:
-    """Per-row probe fallback (kernels disabled / no batch entry point)."""
-    qstats = ctx.stats
-    out: list[DataChunk] = []
-    matched = np.zeros(left_chunk.count, dtype=np.bool_)
-    for i in range(left_chunk.count):
-        value = probe_vector.value(i)
-        if value is None:
-            continue
-        if qstats is not None:
-            qstats.bump("executor.join_index_probes")
-        notes["index_probes"] = notes.get("index_probes", 0) + 1
-        ids = index.probe(op_name, value)
-        if not ids:
-            continue
-        live = table.live_row_ids(sorted(ids))
-        if not live:
-            continue
-        right_chunk = table.fetch(np.asarray(live, dtype=np.int64))
-        count = right_chunk.count
-        combined = DataChunk(
-            [v.take(np.full(count, i, dtype=np.int64))
-             for v in left_chunk.vectors]
-            + right_chunk.vectors
-        )
-        if op.residual is not None:
-            mask = boolean_selection(
-                evaluate(op.residual, combined, ctx)
-            )
-            combined = combined.slice(mask)
-        if combined.count:
-            matched[i] = True
-            out.append(combined)
-    if op.join_type == "left":
-        out.extend(_emit_left_padding(left_chunk, matched, right_types))
-    return out
-
-
 def _hash_join(op: LogicalJoin, right_columns, right_count, right_types,
                ctx: ExecutionContext) -> Iterator[DataChunk]:
     kstats = _kernel_stats(op, ctx)
@@ -1283,7 +977,6 @@ def _hash_join(op: LogicalJoin, right_columns, right_count, right_types,
     # group build rows by code (kernel), or fall back to the dict build.
     key_vectors: list[Vector] = []
     build = None
-    partitioned = False
     hash_table: dict[tuple, list[int]] | None = None
     if right_count:
         right_chunk = DataChunk(right_columns)
@@ -1291,24 +984,9 @@ def _hash_join(op: LogicalJoin, right_columns, right_count, right_types,
             evaluate(right_key, right_chunk, ctx)
             for _, right_key in op.equi_keys
         ]
-        if kernels.kernels_enabled():
-            if ctx.can_parallel():
-                build = _parallel.PartitionedJoinBuild.build(
-                    ctx.pool, key_vectors, right_count, qstats,
-                    trace=ctx.trace,
-                )
-                partitioned = build is not None
-                if partitioned and qstats is not None:
-                    qstats.bump("parallel.batches")
-                    qstats.bump("parallel.build_partitions",
-                                build.partitions)
-                    qstats.bump("parallel.morsels", build.partitions)
-            if build is None:
-                try:
-                    build = kernels.JoinBuild(key_vectors, right_count)
-                except KernelFallback:
-                    build = None
-        if build is None:
+        try:
+            build = kernels.JoinBuild(key_vectors, right_count)
+        except KernelFallback:
             hash_table = _hash_join_dict_build(key_vectors, right_count)
         if qstats is not None:
             qstats.bump("executor.join_build_rows", right_count)
@@ -1362,11 +1040,6 @@ def _hash_join(op: LogicalJoin, right_columns, right_count, right_types,
                 )
                 if qstats is not None:
                     qstats.bump("verify.kernel_crosschecks")
-                    if partitioned:
-                        # The dict reference doubles as the serial
-                        # reference: the merged partition pairs matched
-                        # the exact serial probe order.
-                        qstats.bump("verify.parallel_crosschecks")
         else:
             if hash_table is None:
                 # A probe chunk the kernel declined (e.g. key physical
@@ -1475,32 +1148,9 @@ def _execute_aggregate(op: LogicalAggregate,
             yield from _rows_to_chunks([finals], out_types)
         return
     full = DataChunk(columns)
-    count = full.count
     if kstats is not None:
-        kstats.rows_in += count
-
-    if not kernels.kernels_enabled():
-        if kstats is not None:
-            kstats.fallback += max(1, len(op.aggregates))
-        if ctx.stats is not None:
-            ctx.stats.bump("quack.fallback_ops",
-                           max(1, len(op.aggregates)))
-        yield from _aggregate_row_loop(op, full, ctx, out_types)
-        return
-
-    out: DataChunk | None = None
-    if (
-        ctx.can_parallel()
-        and count >= _parallel.MIN_PARALLEL_ROWS
-        and (ctx.profiler is None or all(
-            _subquery_free(e)
-            for e in [*op.groups,
-                      *(a for spec in op.aggregates for a in spec.args)]
-        ))
-    ):
-        out = _aggregate_parallel(op, full, count, ctx, kstats)
-    if out is None:
-        out, _ = _aggregate_reduce(op, full, ctx, kstats)
+        kstats.rows_in += full.count
+    out, _ = _aggregate_reduce(op, full, ctx, kstats)
     n_out = out.count
     for start in range(0, n_out, STANDARD_VECTOR_SIZE):
         yield out.slice(
@@ -1511,40 +1161,29 @@ def _execute_aggregate(op: LogicalAggregate,
 def _aggregate_reduce(op: LogicalAggregate, full: DataChunk,
                       ctx: ExecutionContext,
                       kstats) -> tuple[DataChunk, np.ndarray]:
-    """Serial kernel aggregation of ``full``: the group rows in
-    first-appearance order, and each group's first row in ``full``."""
+    """Kernel aggregation of ``full``: the group rows in first-appearance
+    order, and each group's first row in ``full``.  The no-GROUP-BY case
+    is one implicit group."""
     group_vectors = [evaluate(g, full, ctx) for g in op.groups]
-    codes, representatives, n_groups = _aggregate_codes(
-        op, group_vectors, full.count, ctx
-    )
+    if group_vectors:
+        codes, representatives = kernels.factorize(group_vectors,
+                                                   full.count)
+        if _verification.VERIFICATION_ENABLED:
+            _crosscheck_factorize(op, group_vectors, codes,
+                                  representatives, ctx)
+    else:
+        codes = np.zeros(full.count, dtype=np.int64)
+        representatives = np.zeros(1, dtype=np.int64)
     result = [gv.take(representatives) for gv in group_vectors]
     arg_vectors = [
         [evaluate(arg, full, ctx) for arg in spec.args]
         for spec in op.aggregates
     ]
     result.extend(
-        _aggregate_specs_reduce(op, arg_vectors, codes, n_groups, ctx,
-                                kstats)
+        _aggregate_specs_reduce(op, arg_vectors, codes,
+                                len(representatives), ctx, kstats)
     )
     return DataChunk(result), representatives
-
-
-def _aggregate_codes(op: LogicalAggregate, group_vectors: list[Vector],
-                     count: int, ctx: ExecutionContext
-                     ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factorize the grouping columns into (codes, representatives,
-    n_groups); the no-GROUP-BY case is one implicit group."""
-    if group_vectors:
-        codes, representatives = kernels.factorize(group_vectors, count)
-        n_groups = len(representatives)
-        if _verification.VERIFICATION_ENABLED:
-            _crosscheck_factorize(op, group_vectors, codes,
-                                  representatives, ctx)
-    else:
-        codes = np.zeros(count, dtype=np.int64)
-        representatives = np.zeros(1, dtype=np.int64)
-        n_groups = 1
-    return codes, representatives, n_groups
 
 
 def _aggregate_specs_reduce(op: LogicalAggregate,
@@ -1593,169 +1232,6 @@ def _aggregate_specs_reduce(op: LogicalAggregate,
     return result
 
 
-def _aggregate_parallel(op: LogicalAggregate, full: DataChunk, count: int,
-                        ctx: ExecutionContext,
-                        kstats) -> DataChunk | None:
-    """Morsel-parallel aggregation: workers evaluate the grouping and
-    argument expressions per morsel and — when every spec declares a
-    ``combine`` kernel — pre-reduce thread-local partials; the
-    coordinator maps morsel-local groups to global codes and combines.
-    Non-combinable specs (avg, list, string_agg, DISTINCT) still get
-    parallel expression evaluation, then a serial reduce over the
-    concatenated vectors.  Returns None to take the serial path."""
-    qstats = ctx.stats
-    ranges = _parallel.morsel_ranges(count, ctx.workers)
-    if len(ranges) <= 1:
-        return None
-    combinable = all(
-        spec.function.step_batch is not None
-        and spec.function.combine is not None
-        and not spec.distinct
-        for spec in op.aggregates
-    )
-
-    trace = ctx.trace
-
-    def eval_morsel(bounds: tuple[int, int], worker_stats):
-        start, end = bounds
-        opened = time.perf_counter()
-        wctx = ctx.worker_child(
-            worker_stats if qstats is not None else None
-        )
-        morsel = DataChunk(_parallel.row_range(full.vectors, start, end))
-        gvs = [evaluate(g, morsel, wctx) for g in op.groups]
-        avs = [
-            [evaluate(a, morsel, wctx) for a in spec.args]
-            for spec in op.aggregates
-        ]
-        partial = (
-            _aggregate_morsel_partial(op, gvs, avs, end - start)
-            if combinable else None
-        )
-        if trace is not None:
-            trace.emit(
-                "aggregate_morsel", "morsel", opened,
-                time.perf_counter() - opened, rows=end - start,
-            )
-        return gvs, avs, partial
-
-    results = _parallel.run_tasks(
-        ctx.pool,
-        [lambda ws, b=bounds: eval_morsel(b, ws) for bounds in ranges],
-        qstats,
-    )
-    if qstats is not None:
-        qstats.bump("parallel.batches")
-        qstats.bump("parallel.morsels", len(ranges))
-    group_vectors = [
-        concat_vectors([r[0][g] for r in results])
-        for g in range(len(op.groups))
-    ]
-    codes, representatives, n_groups = _aggregate_codes(
-        op, group_vectors, count, ctx
-    )
-    result = [gv.take(representatives) for gv in group_vectors]
-    agg_vecs: list[Vector] | None = None
-    partials = [r[2] for r in results]
-    if combinable and all(p is not None for p in partials):
-        agg_vecs = _aggregate_combine_partials(op, partials, ranges,
-                                               codes, n_groups)
-        if agg_vecs is not None:
-            if qstats is not None and op.aggregates:
-                qstats.bump("parallel.agg_partials", len(op.aggregates))
-                qstats.bump("quack.kernel_ops", len(op.aggregates))
-            if kstats is not None:
-                kstats.kernel += len(op.aggregates)
-    arg_vectors: list[list[Vector]] | None = None
-    if agg_vecs is None or _verification.VERIFICATION_ENABLED:
-        arg_vectors = [
-            [
-                concat_vectors([r[1][a][i] for r in results])
-                for i in range(len(spec.args))
-            ]
-            for a, spec in enumerate(op.aggregates)
-        ]
-    if agg_vecs is None:
-        agg_vecs = _aggregate_specs_reduce(op, arg_vectors, codes,
-                                           n_groups, ctx, kstats)
-    elif _verification.VERIFICATION_ENABLED:
-        # The combine path took a different reduction shape: recompute
-        # serially from the same evaluated vectors and compare rows.
-        _crosscheck_parallel_aggregate(op, result, agg_vecs, arg_vectors,
-                                       codes, n_groups, ctx)
-    return DataChunk(result + agg_vecs)
-
-
-def _aggregate_morsel_partial(op: LogicalAggregate,
-                              group_vectors: list[Vector],
-                              arg_vectors: list[list[Vector]],
-                              m: int):
-    """One morsel's thread-local partial: (local representative rows,
-    one partial vector per spec), or None when a kernel declines."""
-    try:
-        if group_vectors:
-            codes, reps = kernels.factorize(group_vectors, m)
-        else:
-            codes = np.zeros(m, dtype=np.int64)
-            reps = np.zeros(1, dtype=np.int64)
-    except KernelFallback:
-        return None
-    n_local = len(reps)
-    parts: list[Vector] = []
-    for a, spec in enumerate(op.aggregates):
-        vec = spec.function.step_batch(arg_vectors[a], codes, n_local,
-                                       spec.ltype)
-        if vec is None:
-            return None
-        parts.append(vec)
-    return reps, parts
-
-
-def _aggregate_combine_partials(op: LogicalAggregate, partials,
-                                ranges: list[tuple[int, int]],
-                                codes: np.ndarray,
-                                n_groups: int) -> list[Vector] | None:
-    """Merge per-morsel partials: each partial row belongs to the global
-    group of its morsel-local representative row (``codes[start + rep]``);
-    partials concatenate in morsel order so order-sensitive combines
-    (min/max ties, first) resolve exactly like the serial scan."""
-    merged_codes = np.concatenate([
-        codes[start + reps]
-        for (start, _), (reps, _) in zip(ranges, partials)
-    ])
-    out: list[Vector] = []
-    for a, spec in enumerate(op.aggregates):
-        merged = concat_vectors([parts[a] for _, parts in partials])
-        vec = spec.function.combine([merged], merged_codes, n_groups,
-                                    spec.ltype)
-        if vec is None:
-            return None
-        out.append(vec)
-    return out
-
-
-def _crosscheck_parallel_aggregate(op: LogicalAggregate,
-                                   group_columns: list[Vector],
-                                   agg_vecs: list[Vector],
-                                   arg_vectors: list[list[Vector]],
-                                   codes: np.ndarray, n_groups: int,
-                                   ctx: ExecutionContext) -> None:
-    """Recompute the combined-partials result with the serial per-spec
-    reduce over the same evaluated vectors and compare row-for-row."""
-    from ..analysis.verifier import assert_rows_match
-
-    ref_ctx = ctx.worker_child(None)
-    reference = _aggregate_specs_reduce(op, arg_vectors, codes, n_groups,
-                                        ref_ctx, None)
-    assert_rows_match(
-        DataChunk(group_columns + agg_vecs).rows(),
-        DataChunk(group_columns + reference).rows(),
-        f"{op._explain_label()} parallel aggregate combine",
-    )
-    if ctx.stats is not None:
-        ctx.stats.bump("verify.parallel_crosschecks")
-
-
 def _aggregate_spec_row_loop(spec, arg_vectors: list[Vector],
                              codes: np.ndarray, n_groups: int) -> Vector:
     """Row-wise fallback for one aggregate (extension-registered
@@ -1797,52 +1273,6 @@ def _crosscheck_factorize(op: LogicalOperator, vectors: list[Vector],
         ctx.stats.bump("verify.kernel_crosschecks")
 
 
-def _aggregate_row_loop(op: LogicalAggregate, full: DataChunk,
-                        ctx: ExecutionContext,
-                        out_types: list[LogicalType]
-                        ) -> Iterator[DataChunk]:
-    """The pre-kernel tuple-at-a-time aggregation (kernels disabled);
-    groups come out in first-appearance order."""
-    groups: dict[tuple, list] = {}
-    group_values: dict[tuple, tuple] = {}
-    distinct_seen: dict[tuple, list[set]] = {}
-    group_vectors = [evaluate(g, full, ctx) for g in op.groups]
-    arg_vectors = [
-        [evaluate(a, full, ctx) for a in spec.args]
-        for spec in op.aggregates
-    ]
-    for i in range(full.count):
-        key = tuple(_hashable(gv.value(i)) for gv in group_vectors)
-        state = groups.get(key)
-        if state is None:
-            state = [spec.function.init() for spec in op.aggregates]
-            groups[key] = state
-            group_values[key] = tuple(gv.value(i) for gv in group_vectors)
-            distinct_seen[key] = [set() for _ in op.aggregates]
-        for a, spec in enumerate(op.aggregates):
-            values = [vec.value(i) for vec in arg_vectors[a]]
-            if values and not spec.function.accepts_null and any(
-                v is None for v in values
-            ):
-                continue
-            if spec.distinct:
-                marker = tuple(_hashable(v) for v in values)
-                if marker in distinct_seen[key][a]:
-                    continue
-                distinct_seen[key][a].add(marker)
-            state[a] = spec.function.step(state[a], *values)
-    yield from _rows_to_chunks(
-        [
-            group_values[key] + tuple(
-                spec.function.final(s)
-                for spec, s in zip(op.aggregates, state)
-            )
-            for key, state in groups.items()
-        ],
-        out_types,
-    )
-
-
 def _rows_to_chunks(rows: list[tuple],
                     types: list[LogicalType]) -> Iterator[DataChunk]:
     for start in range(0, len(rows), STANDARD_VECTOR_SIZE):
@@ -1869,7 +1299,7 @@ def _rows_to_chunks(rows: list[tuple],
 # * sort      — bounded runs sorted by the same permutation kernel and
 #               spilled with their key columns, merged one block per run
 #               by ``kernels.merge_sorted_runs`` (ties go to the lower
-#               run, i.e. the earlier input row: the serial stable sort);
+#               run, i.e. the earlier input row: the in-memory stable sort);
 # * aggregate — hash partitioning on the group key with each row's
 #               global index; every partition runs the in-memory kernel
 #               aggregation, and the group rows sort by the global index
@@ -2306,24 +1736,6 @@ def _execute_set_op(op: "LogicalSetOp",
 def _execute_distinct(op: LogicalDistinct,
                       ctx: ExecutionContext) -> Iterator[DataChunk]:
     stats = _kernel_stats(op, ctx)
-    if not kernels.kernels_enabled():
-        seen: set = set()
-        if ctx.stats is not None:
-            ctx.stats.bump("quack.fallback_ops")
-        for chunk in execute_plan(op.child, ctx):
-            if stats is not None:
-                stats.rows_in += chunk.count
-                stats.fallback += 1
-            keep: list[int] = []
-            for i, row in enumerate(chunk.rows()):
-                key = tuple(map(_hashable, row))
-                if key in seen:
-                    continue
-                seen.add(key)
-                keep.append(i)
-            if keep:
-                yield chunk.slice(np.asarray(keep, dtype=np.int64))
-        return
     columns = _materialize(op.child, ctx)
     if columns is None:
         return

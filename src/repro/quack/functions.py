@@ -46,9 +46,7 @@ class ScalarFunction:
     varargs: bool = False
     #: Optional chunk-at-a-time kernel ``(args, count) -> Vector | None``.
     #: Returning None declines the chunk (unsupported payloads) and the
-    #: per-row ``fn_scalar`` loop runs instead.  Only consulted while the
-    #: engine kernels are enabled, so ``set_kernels_enabled(False)``
-    #: benchmarks the scalar path.
+    #: per-row ``fn_scalar`` loop runs instead.
     evaluate_batch: Callable[[list[Vector], int], "Vector | None"] | None = (
         None
     )
@@ -82,7 +80,7 @@ class ScalarFunction:
     def _evaluate_unchecked(self, args: list[Vector], count: int) -> Vector:
         if self.fn_vector is not None:
             return self.fn_vector(args, count)
-        if self.evaluate_batch is not None and kernels.kernels_enabled():
+        if self.evaluate_batch is not None:
             result = self.evaluate_batch(args, count)
             if result is not None:
                 stats = current_stats()
@@ -228,17 +226,8 @@ class AggregateFunction:
     step_batch: Callable[
         [list[Vector], Any, int, LogicalType], "Vector | None"
     ] | None = None
-    #: Optional partial-merge kernel for parallel aggregation, with the
-    #: ``step_batch`` signature: the input rows are per-morsel partial
-    #: results (one per (morsel, group) pair, ``codes`` mapping each to
-    #: its global group).  Only declared when folding partials with it
-    #: is equivalent to folding the original rows — e.g. sum of partial
-    #: sums, min of partial mins.  ``avg`` has no combine (its (sum,
-    #: count) state is not a single vector), so it takes the
-    #: concatenate-then-reduce path instead.
-    combine: Callable[
-        [list[Vector], Any, int, LogicalType], "Vector | None"
-    ] | None = None
+    #: Unused: perfbench/spans.py reads it; ROADMAP item 5(a) removes it.
+    combine: Callable[..., Any] | None = None
 
     def result_type_for(self, args: tuple[LogicalType, ...]) -> LogicalType:
         if self.return_type == ANY:

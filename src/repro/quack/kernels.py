@@ -29,15 +29,10 @@ DISTINCT hot paths vectorized end to end:
 The canonicalized row-wise fallbacks :func:`hashable_key` /
 :func:`sort_comparator` live in :mod:`.keys` (the engine-neutral shared
 surface) and are re-exported here for the kernel implementations.
-
-Kernels can be globally disabled (``set_kernels_enabled(False)``) to force
-the original row-loop paths; benchmarks use this to measure the speedup.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -53,60 +48,17 @@ from .vector import (
 
 __all__ = [
     "JoinBuild",
-    "KERNELS_ENABLED",
     "distinct_rows",
     "factorize",
     "hashable_key",
-    "kernels_enabled",
-    "kernels_snapshot",
     "merge_sorted_runs",
     "order_permutation",
     "partition_codes",
     "segment_first_valid",
     "segment_reduce",
-    "set_kernels_enabled",
     "sort_comparator",
     "sort_permutation",
 ]
-
-#: Global switch: when False, operators take their row-loop fallback paths.
-KERNELS_ENABLED = True
-
-#: Per-query snapshot of the global switch.  The executor freezes the
-#: flag once at statement entry (:func:`kernels_snapshot`); every call
-#: site reads :func:`kernels_enabled` so a concurrent
-#: ``set_kernels_enabled`` mid-query cannot produce a half-kernel,
-#: half-fallback execution (which breaks the kernel-vs-fallback
-#: cross-checks).  Being a contextvar, the snapshot propagates into
-#: morsel worker threads via ``contextvars.copy_context``.
-_KERNELS_SNAPSHOT: ContextVar[bool | None] = ContextVar(
-    "repro_kernels_snapshot", default=None
-)
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Toggle the vectorized kernels; returns the previous setting."""
-    global KERNELS_ENABLED
-    previous = KERNELS_ENABLED
-    KERNELS_ENABLED = bool(enabled)
-    return previous
-
-
-def kernels_enabled() -> bool:
-    """The effective kernel switch: the active query's snapshot when one
-    is set, the mutable global otherwise."""
-    snapshot = _KERNELS_SNAPSHOT.get()
-    return KERNELS_ENABLED if snapshot is None else snapshot
-
-
-@contextmanager
-def kernels_snapshot() -> Iterator[bool]:
-    """Freeze the kernel switch for the duration of one statement."""
-    token = _KERNELS_SNAPSHOT.set(KERNELS_ENABLED)
-    try:
-        yield KERNELS_ENABLED
-    finally:
-        _KERNELS_SNAPSHOT.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +164,10 @@ def distinct_rows(
     row, other object columns by element identity — join chunks repeat
     the same payload objects; equal-but-distinct objects stay distinct
     — native columns by bit pattern); NULL is one value per column.  Returns
-    ``None`` — evaluate every row — when all tuples are distinct, the
-    chunk is short, or kernels are disabled for this statement.
+    ``None`` — evaluate every row — when all tuples are distinct or the
+    chunk is short.
     """
-    if count < _DISTINCT_MIN_ROWS or not kernels_enabled():
+    if count < _DISTINCT_MIN_ROWS:
         return None
     keys: list[np.ndarray] = []
     for vector in vectors:
@@ -516,14 +468,12 @@ def order_permutation(
     key_specs: Sequence[tuple[bool, bool | None]],
 ) -> tuple[np.ndarray, bool]:
     """The stable ORDER BY permutation and whether the kernel produced
-    it: :func:`sort_permutation`, or — for keys NumPy cannot order, and
-    with kernels disabled — the row-wise :func:`sort_comparator` sort."""
-    if kernels_enabled():
-        try:
-            return sort_permutation(key_vectors, key_specs), True
-        except KernelFallback:
-            pass
-    return comparator_permutation(key_vectors, key_specs), False
+    it: :func:`sort_permutation`, or — for keys NumPy cannot order — the
+    row-wise :func:`sort_comparator` sort."""
+    try:
+        return sort_permutation(key_vectors, key_specs), True
+    except KernelFallback:
+        return comparator_permutation(key_vectors, key_specs), False
 
 
 def comparator_permutation(

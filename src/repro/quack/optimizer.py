@@ -1004,47 +1004,6 @@ def _subquery_free(expr: BoundExpr) -> bool:
     return all(_subquery_free(c) for c in _children(expr))
 
 
-# ---------------------------------------------------------------------------
-# Pipeline analysis (morsel-driven parallelism)
-# ---------------------------------------------------------------------------
-
-#: Operators that must consume their whole input before producing output.
-#: They end a streaming pipeline: the parallel executor scatters the
-#: fragment *below* a breaker and gives the breaker itself a
-#: parallel-aware merge step (partitioned join build, aggregate partials
-#: + combine, per-morsel sort + k-way merge).
-_PIPELINE_BREAKERS = (
-    LogicalAggregate,
-    LogicalSort,
-    LogicalDistinct,
-    LogicalJoin,
-    LogicalSetOp,
-)
-
-
-def is_pipeline_breaker(op: LogicalOperator) -> bool:
-    return isinstance(op, _PIPELINE_BREAKERS)
-
-
-def streaming_fragment(
-    op: LogicalOperator,
-) -> tuple[list[LogicalOperator], LogicalOperator]:
-    """Split ``op`` into its streaming ``[Project|Filter]*`` chain and the
-    source operator below it.
-
-    The chain is the unit of morsel parallelism: every chunk the source
-    produces can run the whole chain independently on a worker.  The
-    returned chain is ordered top-down (``chain[0] is op``); the source
-    is the first non-streaming operator (a scan, a pipeline breaker, …).
-    """
-    chain: list[LogicalOperator] = []
-    current = op
-    while isinstance(current, (LogicalFilter, LogicalProject)):
-        chain.append(current)
-        current = current.child
-    return chain, current
-
-
 def _match_index_predicate(
     conj: BoundExpr,
 ) -> tuple[int, str, Any] | None:

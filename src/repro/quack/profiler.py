@@ -109,9 +109,9 @@ class PlanProfiler:
                    query_stats: QueryStatistics,
                    engine: str = "quack") -> dict[str, Any]:
         """The ``format="trace"`` output: the query's timeline (phase
-        spans + operator/fragment/morsel events on per-worker lanes) as
-        Chrome trace-event JSON, with the plan text riding along in
-        ``otherData`` so the viewer tab is self-describing."""
+        spans + operator events on one lane) as Chrome trace-event JSON,
+        with the plan text riding along in ``otherData`` so the viewer tab
+        is self-describing."""
         from ..observability.trace import chrome_trace
 
         return chrome_trace(

@@ -23,9 +23,9 @@ STANDARD_VECTOR_SIZE = 2048
 
 #: Serializes ``_aux`` publication.  The builders run *outside* the lock
 #: (they can be expensive — box SoA extraction walks object payloads);
-#: the lock only covers the publish step, so concurrent morsel workers
-#: may double-compute a view but every reader observes exactly one
-#: fully-built value per key.  A single module-level lock is enough:
+#: the lock only covers the publish step, so client threads sharing a
+#: database may double-compute a view but every reader observes exactly
+#: one fully-built value per key.  A single module-level lock is enough:
 #: publishes are rare (once per vector per view) and very short.
 _AUX_PUBLISH_LOCK = threading.Lock()
 
@@ -76,11 +76,11 @@ class Vector:
         box SoA caches after a write) fails loudly instead of silently
         serving stale data.
 
-        Thread-safe for concurrent morsel workers: the value is computed
-        outside :data:`_AUX_PUBLISH_LOCK` and published atomically under
-        it (first publish wins, losers discard their copy), so no reader
-        ever observes a partially-written entry and repeat lookups always
-        return the same object.
+        Thread-safe for client threads sharing a database: the value is
+        computed outside :data:`_AUX_PUBLISH_LOCK` and published
+        atomically under it (first publish wins, losers discard their
+        copy), so no reader ever observes a partially-written entry and
+        repeat lookups always return the same object.
 
         A gather of another vector does not build: it asks its source
         for the view (built there once, for the column's lifetime) and

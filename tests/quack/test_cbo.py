@@ -4,10 +4,8 @@ and the ``SET cbo`` kill switch.
 Every multi-table query here runs three ways — quack with cbo on, quack
 with cbo off, and the pgsim row engine — and must return identical row
 multisets.  The module forces verification mode on, so every reordered
-plan also passes the RewriteVerifier's schema/conjunct checks, and uses
-4 workers on the quack side to cover the morsel-parallel path (the CI
-job additionally exports ``REPRO_VERIFICATION=1`` / ``REPRO_THREADS=4``
-suite-wide).
+plan also passes the RewriteVerifier's schema/conjunct checks (the CI
+job additionally exports ``REPRO_VERIFICATION=1`` suite-wide).
 """
 
 from collections import Counter
@@ -58,9 +56,7 @@ def _populate(con):
 
 @pytest.fixture(scope="module")
 def quack_con():
-    con = _populate(core.connect(workers=4))
-    yield con
-    con.close()
+    return _populate(core.connect())
 
 
 @pytest.fixture(scope="module")

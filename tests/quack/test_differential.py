@@ -3,7 +3,9 @@
 Hypothesis generates small tables and queries from a constrained SQL
 grammar; both engines execute them and must return identical multisets of
 rows.  This guards the shared semantics against divergence between the
-vectorized and the row-at-a-time execution paths.
+vectorized and the row-at-a-time execution paths.  Fixed batteries of
+DISTINCT aggregates and of queries over tables several vectors long run
+over in-memory and attached tables and with their sinks spilling.
 """
 
 from collections import Counter
@@ -316,25 +318,27 @@ def _distinct_load(factory, rows):
 
 class TestDistinctAggregates:
     """DISTINCT aggregates row for row against the row engine, on the
-    serial, morsel-parallel and spilled aggregation paths."""
+    in-memory and spilled aggregation paths, over in-memory and attached
+    tables."""
 
-    @pytest.fixture(scope="class", params=[0, 9000], ids=["empty", "rows"])
-    def engines(self, request):
-        rows = _distinct_rows(request.param)
-        return _distinct_load(Database, rows), _distinct_load(RowDatabase,
-                                                              rows)
+    @pytest.fixture(scope="class", params=[
+        (0, "memory"), (9000, "memory"), (0, "attached"), (9000, "attached"),
+    ], ids=["empty", "rows", "empty-attached", "rows-attached"])
+    def engines(self, request, configure_quack):
+        n, config = request.param
+        rows = _distinct_rows(n)
+        duck = configure_quack(_distinct_load(Database, rows), config)
+        return duck, _distinct_load(RowDatabase, rows)
 
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("memory_limit", [0, 0.05],
                              ids=["memory", "spill"])
     @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("aggregate", _DISTINCT_AGGREGATES)
-    def test_matches_row_engine(self, engines, aggregate, grouped, threads,
+    def test_matches_row_engine(self, engines, aggregate, grouped,
                                 memory_limit):
         duck, base = engines
         sql = (f"SELECT g, {aggregate} FROM d GROUP BY g ORDER BY g"
                if grouped else f"SELECT {aggregate} FROM d")
-        duck.execute(f"SET threads = {threads}")
         duck.execute(f"SET memory_limit = {memory_limit}")
         got = duck.execute(sql).fetchall()
         stats = duck.last_query_stats
@@ -379,3 +383,100 @@ class TestDistinctAggregates:
         # grouping, the DISTINCT selection and the count kernel
         assert stats.counter("verify.kernel_crosschecks") == 3
         assert stats.counter("quack.fallback_ops") == 0
+
+
+#: five vectors' worth of rows: every operator crosses chunk boundaries
+_BIG_ROWS = 10_000
+
+
+def _big_load(factory):
+    con = factory().connect()
+    con.execute("CREATE TABLE big(i BIGINT, g INTEGER, x DOUBLE, s VARCHAR)")
+    con.execute(
+        "INSERT INTO big "
+        "SELECT i, i % 7, i * 0.5, "
+        "       CASE WHEN i % 97 = 0 THEN NULL ELSE 'grp' || (i % 5) END "
+        f"FROM generate_series(1, {_BIG_ROWS}) AS t(i)"
+    )
+    con.execute("CREATE TABLE dim(k INTEGER, name VARCHAR)")
+    # NULL keys on the build side never match
+    con.execute(
+        "INSERT INTO dim "
+        "SELECT CASE WHEN i % 53 = 0 THEN NULL ELSE i % 500 END, "
+        "       'name' || i "
+        "FROM generate_series(1, 6000) AS t(i)"
+    )
+    return con
+
+
+#: no sort, hash-join build or aggregation: nothing to spill
+_BIG_STREAMING = [
+    "SELECT i, x + 1.0, g FROM big WHERE i % 3 = 0 AND x < 4000.0",
+    "SELECT i FROM big WHERE s IS NULL",
+    "SELECT i, x FROM big WHERE g = 3",
+    "SELECT g FROM big WHERE i <= 5000 "
+    "EXCEPT SELECT g FROM big WHERE i > 9996",
+]
+_BIG_SINKS = [
+    "SELECT g, count(*), sum(i), sum(x), min(x), max(i) "
+    "FROM big GROUP BY g ORDER BY g",
+    "SELECT count(*), sum(x), min(i), max(x) FROM big",
+    "SELECT s, count(*), sum(i) FROM big GROUP BY s ORDER BY s",
+    "SELECT g, avg(x), string_agg(s, ',') FROM big "
+    "WHERE i <= 5000 GROUP BY g ORDER BY g",
+    "SELECT g, count(DISTINCT s) FROM big GROUP BY g ORDER BY g",
+    "SELECT s, i FROM big ORDER BY s NULLS FIRST, i DESC",
+    "SELECT x FROM big ORDER BY x DESC LIMIT 17",
+    "SELECT DISTINCT g, s FROM big ORDER BY g, s",
+    # comma joins plan as hash joins
+    "SELECT count(*), sum(b.i) FROM big b, dim d WHERE b.g = d.k",
+    "SELECT d.name, count(*) FROM big b, dim d "
+    "WHERE b.g = d.k AND b.i % 11 = 0 GROUP BY d.name ORDER BY d.name",
+    # JOIN ... ON keeps the nested-loop plan
+    "SELECT count(*) FROM (SELECT * FROM big WHERE i <= 200) b "
+    "LEFT JOIN dim d ON b.g = d.k",
+    "WITH hot AS (SELECT g, sum(x) AS tot FROM big GROUP BY g) "
+    "SELECT b.g, h.tot FROM big b, hot h "
+    "WHERE b.g = h.g AND b.i <= 50 ORDER BY b.i",
+    "SELECT g, (SELECT count(*) FROM dim d WHERE d.k = b.g) "
+    "FROM big b WHERE i <= 4500 ORDER BY i",
+    "SELECT i FROM big WHERE x > (SELECT avg(x) FROM big) "
+    "ORDER BY i LIMIT 13",
+]
+_BIG_QUERIES = _BIG_STREAMING + _BIG_SINKS
+
+
+class TestMultiChunkQueries:
+    """Scans, aggregates, sorts, joins, subqueries and set operations
+    over tables of several vectors, row for row against the row engine:
+    over in-memory and attached tables, and with every sink spilling."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        con = _big_load(RowDatabase)
+        return {sql: con.execute(sql).fetchall() for sql in _BIG_QUERIES}
+
+    @pytest.fixture(scope="class", params=["memory", "attached", "spill"])
+    def duck(self, request, configure_quack):
+        return configure_quack(_big_load(Database), request.param), \
+            request.param
+
+    @pytest.mark.parametrize("sql", _BIG_QUERIES)
+    def test_matches_row_engine(self, duck, expected, sql):
+        con, config = duck
+        got = list(map(repr, con.execute(sql).fetchall()))
+        spilled = con.last_query_stats.counter("storage.spill_rows")
+        want = list(map(repr, expected[sql]))
+        if "ORDER BY" not in sql:
+            got, want = sorted(got), sorted(want)
+        assert got == want, sql
+        assert want, "the battery must not pass vacuously"
+        assert (spilled > 0) == (config == "spill" and sql in _BIG_SINKS)
+
+    def test_group_counts_cover_the_table(self, duck):
+        con, _ = duck
+        rows = con.execute(
+            "SELECT g, count(*) FROM big GROUP BY g ORDER BY g"
+        ).fetchall()
+        assert [g for g, _ in rows] == list(range(7))
+        assert sum(n for _, n in rows) == _BIG_ROWS

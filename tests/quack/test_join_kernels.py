@@ -1,14 +1,13 @@
 """Differential join-semantics tests for the vectorized join pipeline.
 
-The quack hash join now builds and probes through NumPy kernels
+The quack hash join builds and probes through NumPy kernels
 (``repro.quack.kernels.JoinBuild``) and the index nested-loop join
-batches its probes through ``RTree.search_batch``; the original
-row-at-a-time code stays behind ``set_kernels_enabled(False)``.  These
-tests pin the join semantics against the pgsim row engine in both
-modes: NULL equi-keys never match, duplicate build keys fan out,
-LEFT JOIN padding with and without residual predicates, NaN join keys
-match each other, ``-0.0`` equals ``0.0``, and the EXPLAIN ANALYZE
-counters report kernel-vs-fallback use.
+batches its probes through ``TableIndex.probe_batch``.  These tests pin
+the join semantics against the pgsim row engine: NULL equi-keys never
+match, duplicate build keys fan out (in memory and through the spilling
+hash join), LEFT JOIN padding with and without residual predicates, NaN
+join keys match each other, ``-0.0`` equals ``0.0``, and the EXPLAIN
+ANALYZE counters report kernel-vs-fallback use.
 """
 
 import math
@@ -19,16 +18,9 @@ import pytest
 from repro import core
 from repro.pgsim import RowDatabase
 from repro.quack import Database
-from repro.quack.kernels import JoinBuild, set_kernels_enabled
+from repro.quack.kernels import JoinBuild
 from repro.quack.types import BIGINT, DOUBLE, VARCHAR
 from repro.quack.vector import KernelFallback, Vector
-
-
-@pytest.fixture(params=[True, False], ids=["kernels", "row-loop"])
-def kernels_toggle(request):
-    previous = set_kernels_enabled(request.param)
-    yield request.param
-    set_kernels_enabled(previous)
 
 
 _L_DDL = "CREATE TABLE l(k INTEGER, v INTEGER)"
@@ -46,10 +38,17 @@ def _load(factory, left_rows, right_rows, left_ddl=_L_DDL, right_ddl=_R_DDL):
     return con
 
 
-def _agree(left_rows, right_rows, sql, left_ddl=_L_DDL, right_ddl=_R_DDL):
-    """Both engines must return the same multiset of rows."""
-    duck = _load(Database, left_rows, right_rows,
-                 left_ddl, right_ddl).execute(sql).fetchall()
+def _agree(left_rows, right_rows, sql, left_ddl=_L_DDL, right_ddl=_R_DDL,
+           config="memory", configure=None):
+    """Both engines must return the same multiset of rows; the quack side
+    runs in executor configuration ``config`` (see ``configure_quack``)."""
+    con = _load(Database, left_rows, right_rows, left_ddl, right_ddl)
+    if configure is not None:
+        con = configure(con, config)
+    duck = con.execute(sql).fetchall()
+    if "spill" in config and left_rows and right_rows:
+        # an inner equi-join partitions both sides to disk
+        assert con.last_query_stats.counter("storage.spilled_joins") == 1
     base = _load(RowDatabase, left_rows, right_rows,
                  left_ddl, right_ddl).execute(sql).fetchall()
     assert Counter(map(repr, duck)) == Counter(map(repr, base)), sql
@@ -57,44 +56,53 @@ def _agree(left_rows, right_rows, sql, left_ddl=_L_DDL, right_ddl=_R_DDL):
 
 
 class TestHashJoinSemantics:
-    """WHERE-form equi-joins plan as HASH_JOIN (optimizer extraction)."""
+    """WHERE-form equi-joins plan as HASH_JOIN (optimizer extraction),
+    joined in memory and through the Grace-partitioned spilling join."""
 
-    def test_null_keys_never_match(self, kernels_toggle):
+    @pytest.fixture(params=["memory", "spill"])
+    def quack(self, request, configure_quack):
+        return {"config": request.param, "configure": configure_quack}
+
+    def test_null_keys_never_match(self, quack):
         rows = _agree(
             [(1, 10), (None, 20), (2, 30), (None, 40)],
             [(1, "a"), (None, "b"), (None, "c"), (3, "d")],
             "SELECT l.k, l.v, r.w FROM l, r WHERE l.k = r.k",
+            **quack,
         )
         # NULL = NULL is not a match: only the k=1 pair survives.
         assert rows == [(1, 10, "a")]
 
-    def test_duplicate_build_keys_fan_out(self, kernels_toggle):
+    def test_duplicate_build_keys_fan_out(self, quack):
         rows = _agree(
             [(1, 10), (2, 20), (1, 30)],
             [(1, "a"), (1, "b"), (1, "c"), (2, "d")],
             "SELECT l.v, r.w FROM l, r WHERE l.k = r.k",
+            **quack,
         )
         # Each k=1 probe row matches all three k=1 build rows.
         assert len(rows) == 7
 
-    def test_multi_column_keys(self, kernels_toggle):
+    def test_multi_column_keys(self, quack):
         _agree(
             [(1, 10), (1, 20), (2, 10), (None, 10), (2, None)],
             [(1, "10"), (2, "10"), (1, "20"), (None, "10")],
             "SELECT l.k, l.v, r.w FROM l, r "
             "WHERE l.k = r.k AND l.v = CAST(r.w AS INTEGER)",
+            **quack,
         )
 
-    def test_varchar_keys(self, kernels_toggle):
+    def test_varchar_keys(self, quack):
         _agree(
             [("x", 1), ("y", 2), (None, 3), ("z", 4), ("x", 5)],
             [("x", "a"), ("z", "b"), (None, "c"), ("w", "d")],
             "SELECT l.v, r.w FROM l, r WHERE l.k = r.k",
             left_ddl="CREATE TABLE l(k VARCHAR, v INTEGER)",
             right_ddl="CREATE TABLE r(k VARCHAR, w VARCHAR)",
+            **quack,
         )
 
-    def test_nan_keys_match_each_other(self, kernels_toggle):
+    def test_nan_keys_match_each_other(self, quack):
         nan = float("nan")
         rows = _agree(
             [(nan, 1), (2.5, 2), (nan, 3), (None, 4)],
@@ -102,69 +110,81 @@ class TestHashJoinSemantics:
             "SELECT l.v, r.w FROM l, r WHERE l.k = r.k",
             left_ddl="CREATE TABLE l(k DOUBLE, v INTEGER)",
             right_ddl="CREATE TABLE r(k DOUBLE, w VARCHAR)",
+            **quack,
         )
         # Both engines canonicalize NaN, so NaN keys join (like GROUP BY).
         assert sorted(rows) == [(1, "a"), (2, "b"), (3, "a")]
 
-    def test_negative_zero_matches_zero(self, kernels_toggle):
+    def test_negative_zero_matches_zero(self, quack):
         rows = _agree(
             [(-0.0, 1), (0.0, 2)],
             [(0.0, "a"), (-0.0, "b")],
             "SELECT l.v, r.w FROM l, r WHERE l.k = r.k",
             left_ddl="CREATE TABLE l(k DOUBLE, v INTEGER)",
             right_ddl="CREATE TABLE r(k DOUBLE, w VARCHAR)",
+            **quack,
         )
         assert len(rows) == 4
 
-    def test_empty_build_side(self, kernels_toggle):
+    def test_empty_build_side(self, quack):
         rows = _agree(
             [(1, 10), (2, 20)],
             [],
             "SELECT l.v, r.w FROM l, r WHERE l.k = r.k",
+            **quack,
         )
         assert rows == []
 
-    def test_residual_predicate_on_top_of_keys(self, kernels_toggle):
+    def test_residual_predicate_on_top_of_keys(self, quack):
         _agree(
             [(1, 10), (1, 20), (2, 30)],
             [(1, "a"), (1, "bbb"), (2, "cc")],
             "SELECT l.v, r.w FROM l, r "
             "WHERE l.k = r.k AND l.v < 15 AND r.w <> 'a'",
+            **quack,
         )
 
-    def test_many_chunks(self, kernels_toggle):
+    def test_many_chunks(self, quack):
         # Cross several STANDARD_VECTOR_SIZE boundaries on the probe side.
         left = [(i % 500, i) for i in range(5000)]
         right = [(i, str(i)) for i in range(400)]
         rows = _agree(
-            left, right, "SELECT l.k, l.v, r.w FROM l, r WHERE l.k = r.k"
+            left, right, "SELECT l.k, l.v, r.w FROM l, r WHERE l.k = r.k",
+            **quack,
         )
         assert len(rows) == sum(1 for k, _ in left if k < 400)
 
 
 class TestLeftJoinPadding:
     """LEFT JOIN plans as a nested-loop join; padding must use the
-    matched-row masks identically in both engines."""
+    matched-row masks identically in both engines, over in-memory and
+    over attached tables."""
 
-    def test_padding_without_matches(self, kernels_toggle):
+    @pytest.fixture(params=["memory", "attached"])
+    def quack(self, request, configure_quack):
+        return {"config": request.param, "configure": configure_quack}
+
+    def test_padding_without_matches(self, quack):
         rows = _agree(
             [(1, 10), (None, 20)],
             [(7, "a")],
             "SELECT l.k, l.v, r.w FROM l LEFT JOIN r ON l.k = r.k",
+            **quack,
         )
         assert sorted(rows, key=repr) == sorted(
             [(1, 10, None), (None, 20, None)], key=repr
         )
 
-    def test_padding_with_partial_matches(self, kernels_toggle):
+    def test_padding_with_partial_matches(self, quack):
         rows = _agree(
             [(1, 10), (2, 20), (3, 30)],
             [(1, "a"), (1, "b"), (3, "c")],
             "SELECT l.k, l.v, r.w FROM l LEFT JOIN r ON l.k = r.k",
+            **quack,
         )
         assert len(rows) == 4  # 1 twice, 3 once, 2 padded
 
-    def test_padding_with_residual_predicate(self, kernels_toggle):
+    def test_padding_with_residual_predicate(self, quack):
         # The residual disqualifies some equal-key pairs; those left rows
         # must still appear exactly once, padded.
         rows = _agree(
@@ -172,14 +192,16 @@ class TestLeftJoinPadding:
             [(1, "a"), (2, "zz"), (3, "c")],
             "SELECT l.k, l.v, r.w FROM l LEFT JOIN r "
             "ON l.k = r.k AND r.w < 'm'",
+            **quack,
         )
         assert (2, 20, None) in rows and len(rows) == 3
 
-    def test_padding_empty_right(self, kernels_toggle):
+    def test_padding_empty_right(self, quack):
         rows = _agree(
             [(1, 10), (2, 20)],
             [],
             "SELECT l.k, l.v, r.w FROM l LEFT JOIN r ON l.k = r.k",
+            **quack,
         )
         assert rows == [(1, 10, None), (2, 20, None)]
 
@@ -268,8 +290,8 @@ class TestJoinBuildKernel:
 
 
 class TestIndexJoinBatch:
-    """TRTREE index nested-loop joins must agree between the batched
-    probe path and the per-row fallback, and with a plan with no index."""
+    """TRTREE index nested-loop joins must agree with a plan with no
+    index."""
 
     @staticmethod
     def _boxes(n, step):
@@ -302,31 +324,83 @@ class TestIndexJoinBatch:
     SQL = ("SELECT p.id, b.id FROM probe p, build b "
            "WHERE p.box && b.box ORDER BY 1, 2")
 
-    def test_batched_probe_agrees_with_row_loop_and_scan(self):
-        indexed = self._connect(with_index=True)
-        plain = self._connect(with_index=False)
-        previous = set_kernels_enabled(True)
-        try:
-            batched = indexed.execute(self.SQL).fetchall()
-            set_kernels_enabled(False)
-            row_loop = indexed.execute(self.SQL).fetchall()
-            unindexed = plain.execute(self.SQL).fetchall()
-        finally:
-            set_kernels_enabled(previous)
-        assert batched == row_loop == unindexed
+    def test_batched_probe_agrees_with_scan(self):
+        batched = self._connect(with_index=True).execute(self.SQL).fetchall()
+        unindexed = self._connect(with_index=False).execute(
+            self.SQL
+        ).fetchall()
+        assert batched == unindexed
         assert len(batched) > 0
 
     def test_batch_counters_visible(self):
         con = self._connect(with_index=True)
-        previous = set_kernels_enabled(True)
-        try:
-            report = con.explain_analyze(self.SQL, format="json")
-        finally:
-            set_kernels_enabled(previous)
+        report = con.explain_analyze(self.SQL, format="json")
         counters = report["counters"]
         assert counters.get("executor.join_index_batches", 0) >= 1
         assert counters.get("rtree.batch_searches", 0) >= 1
         assert counters.get("rtree.batch_probes", 0) >= 1
+
+
+class TestSpatialRTreeIndexJoin:
+    """DuckDB-Spatial's RTREE has no batch search of its own: its index
+    nested-loop join probes through the base ``probe_batch`` loop and
+    must return pgsim's rows.  No SQL operator plans an RTREE join, so
+    the test points the planned nested-loop join at the index."""
+
+    SQL = ("SELECT p.id, z.id FROM pts p, zones z"
+           " WHERE ST_Intersects(z.g, p.g)")
+    LEFT_SQL = ("SELECT p.id, z.id FROM pts p LEFT JOIN zones z"
+                " ON ST_Intersects(z.g, p.g)")
+
+    @staticmethod
+    def _fill(con):
+        # Points off every rectangle edge: a candidate from the bounding
+        # boxes is then always a true intersection, so the join without
+        # its residual recheck still has pgsim's answer.
+        con.execute("CREATE TABLE pts(id INTEGER, g GEOMETRY)")
+        con.execute("CREATE TABLE zones(id INTEGER, g GEOMETRY)")
+        for i in range(40):
+            con.execute(f"INSERT INTO pts VALUES ({i}, ST_GeomFromText("
+                        f"'POINT({i % 25 + 0.5} {i % 7 + 0.5})'))")
+        for i in range(12):
+            x = 2 * i
+            con.execute(
+                f"INSERT INTO zones VALUES ({i}, ST_GeomFromText("
+                f"'POLYGON(({x} 0, {x + 3} 0, {x + 3} 4, {x} 4, {x} 0))'))"
+            )
+        return con
+
+    @pytest.mark.parametrize("join_type", ["inner", "left"])
+    @pytest.mark.parametrize("residual", [True, False],
+                             ids=["residual", "no-residual"])
+    def test_matches_row_engine(self, join_type, residual):
+        from repro.observability import QueryStatistics
+        from repro.quack.executor import ExecutionContext, execute_plan
+        from repro.quack.plan import LogicalJoin
+        from repro.quack.sql.parser import parse_sql
+
+        con = self._fill(core.connect())
+        con.execute("CREATE INDEX zidx ON zones USING RTREE(g)")
+        plan = con._plan_select(parse_sql(self.SQL)[0])
+        join = plan
+        while not isinstance(join, LogicalJoin):
+            join = join.children()[0]
+        assert join.index_probe is None
+        assert join.residual.name.lower() == "st_intersects"
+        index = con.database.catalog.indexes["zidx"]
+        join.index_probe = (index, "st_intersects", join.residual.args[1])
+        join.join_type = join_type
+        if not residual:
+            join.residual = None
+        stats = QueryStatistics()
+        rows = [row for chunk in execute_plan(plan, ExecutionContext(
+            stats=stats)) for row in chunk.rows()]
+        baseline = self._fill(core.connect_baseline()).execute(
+            self.SQL if join_type == "inner" else self.LEFT_SQL
+        ).fetchall()
+        assert Counter(rows) == Counter(baseline)
+        assert any(z is None for _, z in rows) == (join_type == "left")
+        assert stats.counter("executor.join_index_batches") >= 1
 
 
 class TestJoinCounters:
@@ -344,13 +418,7 @@ class TestJoinCounters:
 
     def test_text_format_shows_kernel_stats(self):
         con = self._con()
-        previous = set_kernels_enabled(True)
-        try:
-            plan = con.execute(
-                "EXPLAIN ANALYZE " + self.SQL
-            ).fetchall()[0][0]
-        finally:
-            set_kernels_enabled(previous)
+        plan = con.execute("EXPLAIN ANALYZE " + self.SQL).fetchall()[0][0]
         join_line = next(
             line for line in plan.splitlines() if "HASH_JOIN" in line
         )
@@ -358,12 +426,7 @@ class TestJoinCounters:
         assert "executor.join_kernel_probes" in plan
 
     def test_json_format_counts_kernel_use(self):
-        con = self._con()
-        previous = set_kernels_enabled(True)
-        try:
-            report = con.explain_analyze(self.SQL, format="json")
-        finally:
-            set_kernels_enabled(previous)
+        report = self._con().explain_analyze(self.SQL, format="json")
         counters = report["counters"]
         assert counters["executor.join_kernel_builds"] == 1
         assert counters.get("executor.join_fallback_builds", 0) == 0
@@ -373,21 +436,21 @@ class TestJoinCounters:
         assert counters["executor.join_probe_rows"] == 20
 
     def test_json_format_counts_fallback_use(self):
-        con = self._con()
-        previous = set_kernels_enabled(False)
-        try:
-            report = con.explain_analyze(self.SQL, format="json")
-        finally:
-            set_kernels_enabled(previous)
-        counters = report["counters"]
-        assert counters.get("executor.join_kernel_builds", 0) == 0
-        assert counters["executor.join_fallback_builds"] == 1
+        # BIGINT probe keys against a DOUBLE build side: the kernel
+        # declines the probe chunk and the typed dict fallback answers.
+        left = [(i % 5, i) for i in range(20)]
+        right = [(float(i), str(i)) for i in range(5)]
+        right_ddl = "CREATE TABLE r(k DOUBLE, w VARCHAR)"
+        _agree(left, right, self.SQL, right_ddl=right_ddl)
+        con = _load(Database, left, right, right_ddl=right_ddl)
+        counters = con.explain_analyze(self.SQL, format="json")["counters"]
+        assert counters["executor.join_kernel_builds"] == 1
         assert counters["executor.join_fallback_probes"] >= 1
 
 
 class TestStboxPredicateKernels:
-    """Columnar stbox predicate kernels must agree with the scalar path
-    and with the pgsim baseline engine."""
+    """Columnar stbox predicate kernels must agree with the pgsim
+    baseline engine."""
 
     @staticmethod
     def _fill(con, n=120):
@@ -407,37 +470,27 @@ class TestStboxPredicateKernels:
             )
 
     @pytest.mark.parametrize("op", ["&&", "@>", "<@"])
-    def test_kernel_matches_scalar_and_baseline(self, op):
+    def test_kernel_matches_baseline(self, op):
         probe = ("STBOX XT(((10,10),(30,30)),"
                  "[2020-01-03, 2020-01-05])")
         sql = (f"SELECT id FROM g WHERE box {op} "
                f"STBOX('{probe}') ORDER BY id")
-        results = {}
-        for mode in (True, False):
-            con = core.connect()
-            self._fill(con)
-            previous = set_kernels_enabled(mode)
-            try:
-                results[mode] = con.execute(sql).fetchall()
-            finally:
-                set_kernels_enabled(previous)
+        con = core.connect()
+        self._fill(con)
         baseline = core.connect_baseline()
         self._fill(baseline)
-        results["baseline"] = baseline.execute(sql).fetchall()
-        assert results[True] == results[False] == results["baseline"]
+        assert con.execute(sql).fetchall() == baseline.execute(
+            sql
+        ).fetchall()
 
     def test_bbox_counters_recorded(self):
         con = core.connect()
         self._fill(con)
-        previous = set_kernels_enabled(True)
-        try:
-            report = con.explain_analyze(
-                "SELECT count(*) FROM g WHERE box && "
-                "STBOX('STBOX X((10,10),(30,30))')",
-                format="json",
-            )
-        finally:
-            set_kernels_enabled(previous)
+        report = con.explain_analyze(
+            "SELECT count(*) FROM g WHERE box && "
+            "STBOX('STBOX X((10,10),(30,30))')",
+            format="json",
+        )
         counters = report["counters"]
         assert counters.get("quack.function_batch_ops", 0) >= 1
         assert counters.get("quack.bbox_rows_decided", 0) >= 1

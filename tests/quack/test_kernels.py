@@ -1,9 +1,9 @@
 """Vectorized aggregation/sort/distinct kernels and their fallbacks.
 
-Covers the NumPy kernel paths against the row-loop paths they replaced:
-NaN/negative-zero group canonicalization, the typed unhashable-key
-fallback, kernel-vs-fallback parity, stable sorting, and the EXPLAIN
-ANALYZE kernel counters.
+Covers the NumPy kernel paths: NaN/negative-zero group
+canonicalization, the typed unhashable-key fallback, parity with the
+pgsim row engine, stable sorting — on the in-memory and the spilling
+sinks — and the EXPLAIN ANALYZE kernel counters.
 """
 
 import math
@@ -11,23 +11,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.pgsim import RowDatabase
 from repro.quack import Database, kernels
 from repro.quack.extension import ExtensionUtil, make_user_type
 from repro.quack.functions import AggregateFunction
-from repro.quack.kernels import hashable_key, set_kernels_enabled
+from repro.quack.kernels import hashable_key
 from repro.quack.types import DOUBLE, LIST, VARCHAR
 from repro.quack.vector import Vector
 
 
-@pytest.fixture(params=[True, False], ids=["kernels", "row-loop"])
-def kernels_toggle(request):
-    previous = set_kernels_enabled(request.param)
-    yield request.param
-    set_kernels_enabled(previous)
-
-
-def _connect():
-    con = Database().connect()
+def _connect(factory=Database):
+    con = factory().connect()
     con.execute("CREATE TABLE t(g INTEGER, x DOUBLE, s VARCHAR)")
     return con
 
@@ -36,8 +30,21 @@ def _append(con, rows):
     con.database.catalog.get_table("t").append_rows(rows)
 
 
+#: the in-memory sinks and, under a memory limit of about one byte, the
+#: spilling ones: both must canonicalize keys and keep row order alike
+@pytest.fixture(params=["memory", "spill"])
+def config(request):
+    return request.param
+
+
+def _check_path(con, config):
+    """The last query took the configuration's sink path."""
+    spilled = con.last_query_stats.counter("storage.spill_rows")
+    assert (spilled > 0) == (config == "spill")
+
+
 class TestNaNGroups:
-    def test_nan_keys_form_one_group(self, kernels_toggle):
+    def test_nan_keys_form_one_group(self, configure_quack, config):
         con = _connect()
         # Two NaN payloads plus regular keys; NaN != NaN in Python, so the
         # old dict-of-groups path opened a fresh group per NaN row.
@@ -47,41 +54,52 @@ class TestNaNGroups:
             (1, 1.5, "c"),
             (1, float("nan"), "d"),
         ])
+        con = configure_quack(con, config)
         rows = con.execute(
             "SELECT x, count(*) FROM t GROUP BY x"
         ).fetchall()
+        _check_path(con, config)
         assert len(rows) == 2
         counts = {repr(x): n for x, n in rows}
         assert counts["nan"] == 3
         assert counts["1.5"] == 1
 
-    def test_negative_zero_merges_with_zero(self, kernels_toggle):
+    def test_negative_zero_merges_with_zero(self, configure_quack, config):
         con = _connect()
         _append(con, [(1, -0.0, "a"), (1, 0.0, "b"), (1, 1.0, "c")])
+        con = configure_quack(con, config)
         rows = con.execute(
             "SELECT x, count(*) FROM t GROUP BY x"
         ).fetchall()
+        _check_path(con, config)
         assert sorted(n for _, n in rows) == [1, 2]
 
-    def test_nan_distinct(self, kernels_toggle):
+    def test_nan_distinct(self, configure_quack, config):
         con = _connect()
         _append(con, [
             (1, float("nan"), None),
             (2, float("nan"), None),
             (3, 2.0, None),
         ])
+        con = configure_quack(con, config)
         rows = con.execute("SELECT DISTINCT x FROM t").fetchall()
         assert len(rows) == 2
+        # DISTINCT streams; the aggregate form goes through a sink
+        assert con.execute(
+            "SELECT count(DISTINCT x) FROM t").fetchall() == [(2,)]
+        _check_path(con, config)
 
-    def test_min_max_with_nan(self, kernels_toggle):
+    def test_min_max_with_nan(self, configure_quack, config):
         con = _connect()
         # DuckDB treats NaN as the greatest DOUBLE: max picks it up,
         # min ignores it unless every value is NaN.
         _append(con, [(1, 1.0, None), (1, float("nan"), None),
                       (2, float("nan"), None)])
+        con = configure_quack(con, config)
         rows = con.execute(
             "SELECT g, min(x), max(x) FROM t GROUP BY g ORDER BY g"
         ).fetchall()
+        _check_path(con, config)
         assert rows[0][1] == 1.0
         assert math.isnan(rows[0][2])
         assert math.isnan(rows[1][1]) and math.isnan(rows[1][2])
@@ -205,11 +223,12 @@ class _Span:
 
 
 class TestExtensionTypeGrouping:
-    def test_distinct_and_group_by_on_unhashable_type(self, kernels_toggle):
+    def test_distinct_and_group_by_on_unhashable_type(self, configure_quack,
+                                                       config):
         db = Database()
         span_type = make_user_type("SPAN", _Span)
         ExtensionUtil.register_type(db, "SPAN", span_type)
-        con = db.connect()
+        con = configure_quack(db.connect(), config)
         con.execute("CREATE TABLE spans(s SPAN)")
         con.database.catalog.get_table("spans").append_rows(
             [(_Span(0, 1),), (_Span(0, 1),), (_Span(2, 3),)]
@@ -218,6 +237,7 @@ class TestExtensionTypeGrouping:
             "SELECT DISTINCT s FROM spans").fetchall()) == 2
         rows = con.execute(
             "SELECT s, count(*) FROM spans GROUP BY s").fetchall()
+        _check_path(con, config)
         assert sorted(n for _, n in rows) == [1, 2]
 
 
@@ -233,29 +253,23 @@ class TestKernelParity:
     ]
 
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_same_results_with_kernels_on_and_off(self, sql):
+    def test_same_results_as_row_engine(self, sql):
         rows = [
             (1, 1.5, "a"), (1, float("nan"), "b"), (2, -0.0, "a"),
             (2, 0.0, None), (None, 4.0, "c"), (1, None, "a"),
             (3, 2.5, "b"), (None, float("nan"), None),
         ]
 
-        def run():
-            con = _connect()
+        def run(factory):
+            con = _connect(factory)
             _append(con, rows)
-            return [repr(r) for r in con.execute(sql).fetchall()]
+            out = [repr(r) for r in con.execute(sql).fetchall()]
+            return out if "ORDER BY" in sql else sorted(out)
 
-        previous = set_kernels_enabled(True)
-        try:
-            vectorized = run()
-            set_kernels_enabled(False)
-            row_loop = run()
-        finally:
-            set_kernels_enabled(previous)
-        assert vectorized == row_loop, sql
+        assert run(Database) == run(RowDatabase), sql
 
-    def test_integer_sum_stays_exact(self, kernels_toggle):
-        con = Database().connect()
+    def test_integer_sum_stays_exact(self, configure_quack, config):
+        con = configure_quack(Database().connect(), config)
         con.execute("CREATE TABLE big(v BIGINT)")
         con.database.catalog.get_table("big").append_rows(
             [(2**53,), (1,), (1,)]
@@ -264,15 +278,17 @@ class TestKernelParity:
         assert con.execute("SELECT sum(v) FROM big").fetchall() == [
             (2**53 + 2,)
         ]
+        _check_path(con, config)
 
 
 class TestStableSort:
-    def test_equal_keys_preserve_input_order(self, kernels_toggle):
-        con = Database().connect()
+    def test_equal_keys_preserve_input_order(self, configure_quack, config):
+        con = configure_quack(Database().connect(), config)
         con.execute("CREATE TABLE seq(k INTEGER, pos INTEGER)")
         rows = [(i % 3, i) for i in range(50)]
         con.database.catalog.get_table("seq").append_rows(rows)
         out = con.execute("SELECT k, pos FROM seq ORDER BY k").fetchall()
+        _check_path(con, config)
         for k in range(3):
             positions = [pos for kk, pos in out if kk == k]
             assert positions == sorted(positions)

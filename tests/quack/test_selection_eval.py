@@ -4,9 +4,9 @@
 row, so a conjunct could raise on a row an earlier conjunct had already
 rejected while ``pgsim`` (which short-circuits per row) returned rows.
 These tests pin that the engines now agree — on guarded errors, on the
-full three-valued truth tables, and on errors that must still surface —
-in every executor configuration, and that the work saved is visible in
-the counters.
+full three-valued truth tables, and on errors that must still surface,
+over in-memory and attached tables, with and without verification —
+and that the work saved is visible in the counters.
 """
 
 import functools
@@ -23,7 +23,7 @@ from repro.meos.temporal.base import TSequence
 from repro.quack import executor
 from repro.quack.errors import ConversionError, ExecutionError
 from repro.quack.functions import ScalarFunction
-from repro.quack.kernels import distinct_rows, set_kernels_enabled
+from repro.quack.kernels import distinct_rows
 from repro.quack.plan import cost_class
 from repro.quack.sql.parser import parse_sql
 from repro.quack.types import BIGINT, DOUBLE, VARCHAR
@@ -44,17 +44,17 @@ def _load(con):
     return con
 
 
-@pytest.fixture(
-    params=[(True, 1), (True, 4), (False, 1), (False, 4)],
-    ids=["kernels-1t", "kernels-4t", "rowloop-1t", "rowloop-4t"],
-)
-def duck(request):
-    kernels, threads = request.param
-    previous = set_kernels_enabled(kernels)
-    con = _load(core.connect())
-    con.execute(f"SET threads = {threads}")
-    yield con
-    set_kernels_enabled(previous)
+@pytest.fixture(params=["memory", "attached", "memory-verified",
+                        "attached-verified"])
+def duck(request, configure_quack):
+    """Tables in memory or attached from a file (scans decode stored
+    segments), with and without the verification layer, whose dense
+    re-evaluation of a narrowed AND raises on the guarded rows."""
+    config, _, verified = request.param.partition("-")
+    previous = set_verification_enabled(True) if verified else None
+    yield configure_quack(_load(core.connect()), config, core.connect)
+    if verified:
+        set_verification_enabled(previous)
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +218,8 @@ _OPERANDS = {
 @pytest.fixture(params=["duck", "pgsim"])
 def truth_con(request):
     if request.param == "pgsim":
-        yield _truth_table(core.connect_baseline())
-        return
-    previous = set_kernels_enabled(True)
-    yield _truth_table(core.connect())
-    set_kernels_enabled(previous)
+        return _truth_table(core.connect_baseline())
+    return _truth_table(core.connect())
 
 
 @pytest.mark.parametrize("operands", sorted(_OPERANDS))
@@ -256,7 +253,6 @@ def _load_wide(con):
 
 def test_counters_are_recorded_and_rendered():
     con = _load(core.connect())
-    con.execute("SET threads = 1")
     result = con.execute(GUARDED["and_cast"])
     result.fetchall()
     # the cast runs on the 4 rows with k <> 0, not on all 6
@@ -272,20 +268,6 @@ def test_counters_are_recorded_and_rendered():
     )
     # 64 casts of 4 distinct string objects
     assert report["counters"]["quack.distinct_rows_saved"] == 60
-
-
-def test_counters_match_between_serial_and_parallel():
-    sql = GUARDED["nl_join_residual"]
-    counters = []
-    for threads in (1, 4):
-        con = _load(core.connect())
-        con.execute(f"SET threads = {threads}")
-        result = con.execute(sql)
-        result.fetchall()
-        counters.append(
-            result.stats().counters["executor.conjunct_rows_skipped"]
-        )
-    assert counters[0] == counters[1] > 0
 
 
 # -- conjunct ranking ---------------------------------------------------------------------
@@ -343,11 +325,6 @@ class TestDistinctRows:
         repeated = Vector.from_values(BIGINT, [7] * 32)
         assert distinct_rows([distinct], 32) is None      # nothing to save
         assert distinct_rows([repeated.slice(slice(0, 8))], 8) is None
-        previous = set_kernels_enabled(False)
-        try:
-            assert distinct_rows([repeated], 32) is None  # follows the switch
-        finally:
-            set_kernels_enabled(previous)
 
     def test_scalar_functions_run_once_per_distinct_tuple(self):
         calls = []
@@ -440,9 +417,7 @@ def test_rewrite_verifier_blames_the_ranking_rule(verification, monkeypatch):
 
 @pytest.fixture(scope="module")
 def city():
-    con = prepare_scenario("mobilityduck", generate(0.0002, 4711))
-    con.execute("SET threads = 1")
-    return con
+    return prepare_scenario("mobilityduck", generate(0.0002, 4711))
 
 
 def _count_calls(monkeypatch, owner, name, weight=lambda *args: 1):
