@@ -26,24 +26,20 @@ _KERNEL_FALLBACK_MODULES = frozenset({
     "repro.core.boxkernels",
 })
 
-#: quack submodules that form the shared frontend surface the pgsim row
-#: engine may import (parser/binder/plan/optimizer/catalog + the shared
-#: key helpers).  Executor internals — kernels, vectors, the chunk
-#: executor — are quack-private.
+#: quack submodules the pgsim row engine imports: the shared connection
+#: layer (``database``, which owns parsing, binding and optimizing), the
+#: plan it executes, the profiler both executors report to, the catalog's
+#: index-type registration, errors, types and the shared key helpers.
+#: Executor internals — kernels, vectors, the chunk executor — are
+#: quack-private.
 _PGSIM_ALLOWED_QUACK = frozenset({
     "errors",
     "types",
     "plan",
-    "binder",
-    "optimizer",
     "catalog",
-    "functions",
-    "builtins",
     "database",
     "profiler",
     "keys",
-    "sql",
-    "stats",
 })
 
 #: Module owning the Vector payload (may mutate data/validity freely).
@@ -235,8 +231,8 @@ class _Checker:
                     return (
                         f"pgsim imports quack internal "
                         f"'repro.quack.{segment}': the row engine may "
-                        f"only use the shared frontend "
-                        f"(plan/binder/optimizer/keys/…)"
+                        f"only use the shared connection layer "
+                        f"(database/plan/profiler/keys/…)"
                     )
         elif module.startswith("repro.quack"):
             if target == "repro.pgsim" or target.startswith("repro.pgsim."):

@@ -8,18 +8,15 @@ engines append a :class:`QueryRecord` per executed statement batch when
 collection is enabled.
 
 A slow-query threshold filters what gets retained: ``SET
-log_min_duration = <ms>`` on a connection (or the
-``REPRO_LOG_MIN_DURATION`` environment variable as the process default)
-keeps only queries at least that slow.  ``0`` logs everything (the
-default), a negative value disables logging entirely.  Errors are always
-logged regardless of the threshold — a fast failure is still worth
-keeping.
+log_min_duration = <ms>`` on a connection keeps only queries at least
+that slow.  ``0`` logs everything (the default), a negative value
+disables logging entirely.  Errors are always logged regardless of the
+threshold — a fast failure is still worth keeping.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,19 +24,6 @@ from typing import Any, Iterator
 
 #: Ring-buffer capacity: how many completed queries a connection retains.
 DEFAULT_CAPACITY = 128
-
-_ENV_MIN_DURATION = "REPRO_LOG_MIN_DURATION"
-
-
-def _env_min_duration() -> float:
-    raw = os.environ.get(_ENV_MIN_DURATION)
-    if raw is None:
-        return 0.0
-    try:
-        return float(raw)
-    except ValueError:
-        return 0.0
-
 
 @dataclass
 class QueryRecord:
@@ -79,13 +63,10 @@ class QueryLog:
     """Bounded FIFO ring of :class:`QueryRecord` (oldest evicted first)."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 min_duration_ms: float | None = None):
+                 min_duration_ms: float = 0.0):
         self._records: deque[QueryRecord] = deque(maxlen=capacity)
         #: threshold in milliseconds; 0 logs all, negative disables
-        self.min_duration_ms = (
-            _env_min_duration() if min_duration_ms is None
-            else float(min_duration_ms)
-        )
+        self.min_duration_ms = float(min_duration_ms)
         #: lifetime totals (independent of eviction)
         self.recorded = 0
         self.suppressed = 0

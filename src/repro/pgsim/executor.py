@@ -7,7 +7,6 @@ model of PostgreSQL that the paper measures MobilityDB against.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterator
 
 from ..quack.errors import ExecutionError
@@ -41,6 +40,7 @@ from ..quack.plan import (
     LogicalSort,
     LogicalTableFunction,
 )
+from ..quack.profiler import _execute_profiled
 
 
 class RowContext:
@@ -230,37 +230,14 @@ def _eval_subquery_row(expr: BoundSubqueryExpr, row: tuple,
 def execute_rows(op: LogicalOperator, ctx: RowContext) -> Iterator[tuple]:
     """Execute one operator; instrumented when the context carries a
     profiler (see :class:`RowContext`)."""
+    rows = _execute_operator(op, ctx)
     if ctx.profiler is None:
-        return _execute_operator(op, ctx)
-    return _execute_profiled(op, ctx)
+        return rows
+    return _execute_profiled(op, ctx, rows, _row_width)
 
 
-def _execute_profiled(op: LogicalOperator,
-                      ctx: RowContext) -> Iterator[tuple]:
-    stats = ctx.profiler.stats_for(op)
-    stats.invocations += 1
-    rows_before = stats.rows
-    opened = time.perf_counter()
-    start = opened
-    try:
-        for row in _execute_operator(op, ctx):
-            stats.rows += 1
-            stats.seconds += time.perf_counter() - start
-            yield row
-            start = time.perf_counter()
-        stats.seconds += time.perf_counter() - start
-    except GeneratorExit:
-        stats.seconds += time.perf_counter() - start
-        raise
-    finally:
-        # One timeline event per invocation lifetime (not per row): the
-        # Volcano loop would otherwise emit millions of micro-events.
-        if ctx.trace is not None:
-            ctx.trace.emit(
-                op._explain_label(), "operator", opened,
-                time.perf_counter() - opened,
-                rows=stats.rows - rows_before,
-            )
+def _row_width(row: tuple) -> int:
+    return 1
 
 
 def _execute_operator(op: LogicalOperator, ctx: RowContext) -> Iterator[tuple]:

@@ -20,7 +20,6 @@ from .errors import (
 from .extension import ExtensionUtil, make_user_type
 from .functions import AggregateFunction, CastFunction, ScalarFunction
 from .io import format_table, read_csv, result_to_columns, write_csv
-from .persist import load_database, save_database
 from .types import (
     ANY,
     BIGINT,
@@ -70,8 +69,6 @@ __all__ = [
     "VARCHAR",
     "Vector",
     "format_table",
-    "load_database",
-    "save_database",
     "read_csv",
     "result_to_columns",
     "write_csv",

@@ -12,6 +12,13 @@ Usage mirrors DuckDB's Python API::
 Extensions (e.g. :mod:`repro.core`, the MobilityDuck reproduction) load
 into a :class:`Database` and register their types, functions, casts, and
 index types.
+
+:class:`BaseDatabase` and :class:`BaseConnection` are the engine-neutral
+layer both engines share — registries, statement lifecycle, query log,
+EXPLAIN ANALYZE, settings, DDL and ``INSERT … VALUES`` binding.  The
+row-store baseline (:mod:`repro.pgsim`) subclasses them and supplies
+only its storage and execution, the same way :class:`Connection` does
+for quack.
 """
 
 from __future__ import annotations
@@ -35,15 +42,18 @@ from ..observability import (
     maybe_span,
 )
 from ..observability.trace import chrome_trace, write_trace
-from .binder import Binder, BinderContext
+from . import storage
+from .binder import _NOT_CONSTANT, Binder, BinderContext, fold_constant
 from .builtins import register_builtins
 from .catalog import Catalog, IndexTypeRegistry, Table
 from .errors import BinderError, CatalogError, ExecutionError, QuackError
 from .executor import ExecutionContext, evaluate, execute_plan
 from .functions import FunctionRegistry
 from .optimizer import optimize
-from .plan import LogicalMaterializedCTE, LogicalOperator
+from .plan import BoundExpr, LogicalMaterializedCTE, LogicalOperator
+from .profiler import PlanProfiler
 from .sql import ast, parse_sql
+from .stats import analyze_table
 from .types import LogicalType, TypeRegistry
 from .vector import (
     STANDARD_VECTOR_SIZE,
@@ -52,6 +62,8 @@ from .vector import (
     boolean_selection,
     concat_chunks,
 )
+
+_SELECTS = (ast.SelectStatement, ast.CompoundSelect)
 
 
 @dataclass
@@ -116,38 +128,17 @@ class DatabaseConfig:
     index_types: IndexTypeRegistry = field(default_factory=IndexTypeRegistry)
 
 
-class Database:
-    """An in-process analytical database instance."""
+class BaseDatabase:
+    """What both engines' databases share: type and function registries
+    (builtins registered), the engine's catalog, and extension loading."""
 
-    def __init__(self):
+    def __init__(self, catalog):
         self.types = TypeRegistry()
         self.functions = FunctionRegistry()
-        self.catalog = Catalog()
+        self.catalog = catalog
         self.config = DatabaseConfig()
         self.loaded_extensions: list[str] = []
-        #: on-disk file bound by ``ATTACH``; ``CHECKPOINT`` without an
-        #: explicit path writes here
-        self.attached_path: str | None = None
         register_builtins(self.functions)
-
-    def connect(self) -> "Connection":
-        """Open a connection; statements execute serially on the
-        calling thread."""
-        return Connection(self)
-
-    def save(self, path: str) -> int:
-        """Persist all tables (and index definitions) to one file."""
-        from .persist import save_database
-
-        return save_database(self, path)
-
-    def load(self, path: str) -> int:
-        """Load tables saved with :meth:`save`; indexes are rebuilt."""
-        from .persist import load_database
-
-        return load_database(self, path)
-
-    # -- extension loading ----------------------------------------------------------
 
     def load_extension(self, extension) -> None:
         """Load an extension: an object (or module) with a ``load(db)``."""
@@ -156,6 +147,31 @@ class Database:
             extension, "__name__", type(extension).__name__
         )
         self.loaded_extensions.append(name)
+
+
+class Database(BaseDatabase):
+    """An in-process analytical database instance."""
+
+    def __init__(self):
+        super().__init__(Catalog())
+        #: on-disk file bound by ``ATTACH``; ``CHECKPOINT`` without an
+        #: explicit path writes here
+        self.attached_path: str | None = None
+
+    def connect(self) -> "Connection":
+        """Open a connection; statements execute serially on the
+        calling thread."""
+        return Connection(self)
+
+    def save(self, path: str) -> int:
+        """Persist all tables (and index definitions) to one file in the
+        columnar segment format; returns the table count."""
+        return storage.write_database(self, path)
+
+    def load(self, path: str) -> int:
+        """Load tables saved with :meth:`save`; indexes are rebuilt.  The
+        extensions the tables' types need must already be loaded."""
+        return storage.read_database(self, path)
 
 
 def _parse_on_off(value: ast.Expr, setting: str) -> bool:
@@ -176,10 +192,26 @@ def _parse_on_off(value: ast.Expr, setting: str) -> bool:
     raise QuackError(f"SET {setting} expects on or off")
 
 
-class Connection:
-    """A connection to a database; executes SQL statements."""
+class BaseConnection:
+    """The statement lifecycle both engines share.
 
-    def __init__(self, database: Database):
+    Parsing, binding, optimizing, statistics, the query log, traces,
+    EXPLAIN [ANALYZE], ANALYZE, SET/SHOW, DDL and ``INSERT … VALUES``
+    live here.  A subclass supplies its engine: how a plan runs into
+    result rows (:meth:`_run_plan`) and under a profiler
+    (:meth:`_run_profiled`), ``INSERT … SELECT`` into its table type
+    (:meth:`_insert_select`, which CTAS also uses), and ``UPDATE`` /
+    ``DELETE`` over bound expressions (:meth:`_update`, :meth:`_delete`).
+    """
+
+    #: engine tag on query-log records, traces and JSON plans
+    ENGINE = ""
+    #: the engine's table type, built by ``CREATE TABLE``
+    TABLE: type
+    #: the settings ``SET`` / ``SHOW`` accept on this engine
+    SETTINGS: tuple[str, ...] = ("cbo", "log_min_duration")
+
+    def __init__(self, database: BaseDatabase):
         self.database = database
         #: statistics of the most recent :meth:`execute` call
         self.last_query_stats: QueryStatistics | None = None
@@ -189,14 +221,9 @@ class Connection:
         #: cost-based optimizer kill switch (``SET cbo = on|off``);
         #: tables without ANALYZE statistics plan heuristically anyway
         self._cbo = True
-        #: zone-map scan skipping kill switch (``SET zone_maps = on|off``)
+        #: zone-map scan skipping kill switch (``SET zone_maps = on|off``,
+        #: quack only: heap tables have no zone maps)
         self._zone_maps = True
-        #: spill watermark in MB (``SET memory_limit = <MB>``); None
-        #: leaves the blocking sinks fully in-memory
-        self._memory_limit_mb: float | None = None
-
-    def close(self) -> None:
-        """DuckDB API parity: a connection holds no resources."""
 
     # -- public API ----------------------------------------------------------------
 
@@ -233,7 +260,7 @@ class Connection:
             sql=sql,
             seconds=seconds,
             rows=len(result.rows) if error is None else None,
-            engine="quack",
+            engine=self.ENGINE,
             error=error,
             phases=stats.phase_seconds(),
             counters=dict(stats.counters),
@@ -268,7 +295,7 @@ class Connection:
                 "before export_trace"
             )
         return write_trace(self.last_query_stats, path,
-                           meta={"engine": "quack"})
+                           meta={"engine": self.ENGINE})
 
     def _execute_script(self, sql: str,
                         stats: QueryStatistics | None) -> Result:
@@ -291,20 +318,17 @@ class Connection:
 
         ``format="text"`` returns the annotated plan with a phase
         header; ``format="json"`` returns the structured tree (phases,
-        counters, gauges, recursive per-operator stats);
-        ``format="trace"`` returns the execution timeline as Chrome
+        counters, gauges, recursive per-operator stats, the ``engine``
+        tag); ``format="trace"`` returns the execution timeline as Chrome
         trace-event JSON (phase and operator events — load in
         Perfetto)."""
         if format not in ("text", "json", "trace"):
             raise QuackError(f"unsupported explain format {format!r}")
-        from .profiler import PlanProfiler
-
         stats = QueryStatistics()
         stats.trace = TraceCollector()
         self.last_query_stats = stats
-        profiler = PlanProfiler()
         with activate(stats):
-            with stats.tracer.span("parse"):
+            with maybe_span(stats, "parse"):
                 statements = parse_sql(sql)
             if len(statements) != 1:
                 raise BinderError(
@@ -313,50 +337,70 @@ class Connection:
             stmt = statements[0]
             if isinstance(stmt, ast.ExplainStatement):
                 stmt = stmt.inner
-            if not isinstance(stmt, (ast.SelectStatement,
-                                     ast.CompoundSelect)):
-                raise BinderError("EXPLAIN supports SELECT statements")
-            plan = self._plan_select(stmt)
-            ctx = self._execution_context(stats, profiler)
-            with stats.tracer.span("execute"):
-                for chunk in execute_plan(plan, ctx):
-                    stats.bump("executor.rows_returned", chunk.count)
-        if stats.trace is not None and len(stats.trace):
+            plan, profiler = self._profile_select(stmt, stats)
+        if len(stats.trace):
             stats.bump("trace.events", len(stats.trace))
         REGISTRY.absorb(stats)
         if format == "json":
-            out = profiler.to_dict(plan, stats)
-            out["engine"] = "quack"
-            return out
+            return {**profiler.to_dict(plan, stats), "engine": self.ENGINE}
         if format == "trace":
-            return profiler.trace_dict(plan, stats, engine="quack")
+            return profiler.trace_dict(plan, stats, engine=self.ENGINE)
         return profiler.render(plan, stats)
+
+    def _profile_select(self, stmt: ast.Statement,
+                        stats: QueryStatistics | None
+                        ) -> tuple[LogicalOperator, PlanProfiler]:
+        """Plan one SELECT and run it with every operator instrumented —
+        EXPLAIN ANALYZE in both its forms."""
+        plan = self._plan_explained(stmt)
+        profiler = PlanProfiler()
+        with maybe_span(stats, "execute"):
+            rows = self._run_profiled(plan, stats, profiler)
+        if stats is not None:
+            stats.bump("executor.rows_returned", rows)
+        return plan, profiler
+
+    def _plan_explained(self, stmt: ast.Statement) -> LogicalOperator:
+        if not isinstance(stmt, _SELECTS):
+            raise BinderError("EXPLAIN supports SELECT statements")
+        return self._plan_select(stmt)
+
+    # -- engine hooks -----------------------------------------------------------------
+
+    def _run_plan(self, plan: LogicalOperator) -> Result:
+        """Execute a planned SELECT into a materialized :class:`Result`."""
+        raise NotImplementedError
+
+    def _run_profiled(self, plan: LogicalOperator,
+                      stats: QueryStatistics | None,
+                      profiler: PlanProfiler) -> int:
+        """Execute a plan under ``profiler``, discarding the rows;
+        returns how many there were."""
+        raise NotImplementedError
+
+    def _insert_select(self, table: Any, positions: list[int],
+                       plan: LogicalOperator) -> int:
+        """Append a plan's rows to ``table`` (source column i lands in
+        ``positions[i]``, the rest NULL); returns the row count."""
+        raise NotImplementedError
+
+    def _update(self, table: Any, assignments: list[tuple[int, BoundExpr]],
+                where: BoundExpr | None) -> int:
+        """Set each ``(column index, expression)`` on the rows ``where``
+        selects (all rows when None); returns the updated count."""
+        raise NotImplementedError
+
+    def _delete(self, table: Any, where: BoundExpr | None) -> int:
+        """Delete the rows ``where`` selects; returns the deleted count."""
+        raise NotImplementedError
 
     # -- statement dispatch -----------------------------------------------------------
 
     def _execute_statement(self, stmt: ast.Statement) -> Result:
-        if isinstance(stmt, (ast.SelectStatement, ast.CompoundSelect)):
-            plan = self._plan_select(stmt)
-            return self._run_plan(plan)
+        if isinstance(stmt, _SELECTS):
+            return self._run_plan(self._plan_select(stmt))
         if isinstance(stmt, ast.ExplainStatement):
-            inner = stmt.inner
-            if not isinstance(inner, (ast.SelectStatement,
-                                      ast.CompoundSelect)):
-                raise BinderError("EXPLAIN supports SELECT statements")
-            plan = self._plan_select(inner)
-            if stmt.analyze:
-                from .profiler import PlanProfiler
-
-                profiler = PlanProfiler()
-                stats = current_stats()
-                ctx = self._execution_context(stats, profiler)
-                with maybe_span(stats, "execute"):
-                    for _ in execute_plan(plan, ctx):
-                        pass
-                text = profiler.render(plan, stats)
-            else:
-                text = plan.explain()
-            return Result(["explain"], [], [(text,)], plan_text=text)
+            return self._execute_explain(stmt)
         if isinstance(stmt, ast.CreateTableStatement):
             return self._execute_create_table(stmt)
         if isinstance(stmt, ast.CreateIndexStatement):
@@ -375,45 +419,16 @@ class Connection:
             return self._execute_set(stmt)
         if isinstance(stmt, ast.ShowStatement):
             return self._execute_show(stmt)
-        if isinstance(stmt, ast.AttachStatement):
-            return self._execute_attach(stmt)
-        if isinstance(stmt, ast.CheckpointStatement):
-            return self._execute_checkpoint(stmt)
         raise QuackError(f"unsupported statement {type(stmt).__name__}")
 
-    def _execute_attach(self, stmt: ast.AttachStatement) -> Result:
-        """Bind an on-disk database file to this Database.
-
-        An existing file loads immediately — tables come back as
-        memory-mapped :class:`~.storage.StorageTable`\\ s whose segments
-        decompress lazily on first scan.  A new path just arms
-        ``CHECKPOINT`` to write there."""
-        import os
-
-        from . import storage
-
-        self.database.attached_path = stmt.path
-        if os.path.exists(stmt.path):
-            tables = storage.read_database(self.database, stmt.path)
+    def _execute_explain(self, stmt: ast.ExplainStatement) -> Result:
+        if stmt.analyze:
+            stats = current_stats()
+            plan, profiler = self._profile_select(stmt.inner, stats)
+            text = profiler.render(plan, stats)
         else:
-            tables = 0
-        return Result(["tables"], [], [(tables,)])
-
-    def _execute_checkpoint(self, stmt: ast.CheckpointStatement) -> Result:
-        """Write every table to the attached (or explicitly named) file
-        in the columnar segment format and make it the attached path;
-        the catalog's tables stay as they are."""
-        from . import storage
-
-        path = stmt.path or self.database.attached_path
-        if path is None:
-            raise QuackError(
-                "CHECKPOINT needs an attached database: run "
-                "ATTACH '<path>' first or name a path"
-            )
-        tables = storage.write_database(self.database, path)
-        self.database.attached_path = path
-        return Result(["tables"], [], [(tables,)])
+            text = self._plan_explained(stmt.inner).explain()
+        return Result(["explain"], [], [(text,)], plan_text=text)
 
     def _execute_analyze(self, stmt: ast.AnalyzeStatement) -> Result:
         """Collect optimizer statistics for one table (or all tables).
@@ -422,9 +437,6 @@ class Connection:
         full scan: the footer statistics are exact for row counts and
         min/max and close enough for histograms, so ANALYZE on a
         freshly attached database touches no segment payloads."""
-        from . import storage
-        from .stats import analyze_table
-
         catalog = self.database.catalog
         if stmt.table is not None:
             tables = [catalog.get_table(stmt.table)]
@@ -442,95 +454,80 @@ class Connection:
             )
         return Result(["table", "rows", "columns"], [], rows)
 
-    def _execute_set(self, stmt: ast.SetStatement) -> Result:
+    # -- settings ---------------------------------------------------------------------
+
+    def _setting(self, stmt: ast.SetStatement | ast.ShowStatement) -> str:
         name = stmt.name.lower()
+        if name not in self.SETTINGS:
+            raise QuackError(f"unknown setting {stmt.name!r}")
+        return name
+
+    def _execute_set(self, stmt: ast.SetStatement) -> Result:
+        name = self._setting(stmt)
         if name == "cbo":
             self._cbo = _parse_on_off(stmt.value, "cbo")
-            return Result()
-        if name == "zone_maps":
+        elif name == "zone_maps":
             self._zone_maps = _parse_on_off(stmt.value, "zone_maps")
-            return Result()
-        if name not in ("threads", "log_min_duration", "memory_limit"):
-            raise QuackError(f"unknown setting {stmt.name!r}")
-        context = BinderContext(
-            self.database.catalog,
-            self.database.functions,
-            self.database.types,
-        )
-        from .binder import _NOT_CONSTANT, fold_constant
-
-        value = fold_constant(Binder(context).bind_expr(stmt.value))
-        if name == "log_min_duration":
+        elif name == "log_min_duration":
             # milliseconds; 0 logs everything, negative disables logging
-            if (
-                value is _NOT_CONSTANT
-                or isinstance(value, bool)
-                or not isinstance(value, (int, float))
-            ):
-                raise QuackError(
-                    "SET log_min_duration expects a number of milliseconds"
-                )
-            self._query_log.min_duration_ms = float(value)
-            return Result()
-        if name == "memory_limit":
-            # megabytes; zero or negative disables the spill watermark
-            if (
-                value is _NOT_CONSTANT
-                or isinstance(value, bool)
-                or not isinstance(value, (int, float))
-            ):
-                raise QuackError(
-                    "SET memory_limit expects a number of megabytes"
-                )
-            self._memory_limit_mb = (
-                float(value) if value > 0 else None
+            self._query_log.min_duration_ms = self._setting_number(
+                stmt, "milliseconds"
             )
-            return Result()
-        # DuckDB's spelling, kept for scripts that pin it: one legal value
-        if isinstance(value, bool) or value != 1:
-            raise QuackError("quack executes serially: threads must be 1")
+        elif name == "memory_limit":
+            # megabytes; zero or negative disables the spill watermark
+            limit = self._setting_number(stmt, "megabytes")
+            self._memory_limit_mb = limit if limit > 0 else None
+        else:
+            # DuckDB's spelling, kept for scripts that pin it: one legal
+            # value
+            value = fold_constant(self._binder().bind_expr(stmt.value))
+            if isinstance(value, bool) or value != 1:
+                raise QuackError(
+                    "quack executes serially: threads must be 1"
+                )
         return Result()
 
+    def _setting_number(self, stmt: ast.SetStatement, unit: str) -> float:
+        value = fold_constant(self._binder().bind_expr(stmt.value))
+        if (
+            value is _NOT_CONSTANT
+            or isinstance(value, bool)
+            or not isinstance(value, (int, float))
+        ):
+            raise QuackError(f"SET {stmt.name.lower()} expects a number "
+                             f"of {unit}")
+        return float(value)
+
     def _execute_show(self, stmt: ast.ShowStatement) -> Result:
-        name = stmt.name.lower()
-        if name == "threads":
-            value: Any = 1
-        elif name == "log_min_duration":
-            value = self._query_log.min_duration_ms
-        elif name == "cbo":
-            value = "on" if self._cbo else "off"
+        name = self._setting(stmt)
+        if name == "cbo":
+            value: Any = "on" if self._cbo else "off"
         elif name == "zone_maps":
             value = "on" if self._zone_maps else "off"
+        elif name == "log_min_duration":
+            value = self._query_log.min_duration_ms
         elif name == "memory_limit":
             value = self._memory_limit_mb
         else:
-            raise QuackError(f"unknown setting {stmt.name!r}")
-        return Result([stmt.name.lower()], [], [(value,)])
+            value = 1
+        return Result([name], [], [(value,)])
 
     # -- SELECT -------------------------------------------------------------------------
 
-    def _execution_context(self, stats,
-                           profiler=None) -> ExecutionContext:
-        """The root context of one statement, carrying the connection's
-        spill watermark."""
-        limit = None
-        if self._memory_limit_mb is not None:
-            limit = int(self._memory_limit_mb * 1024 * 1024)
-        return ExecutionContext(stats=stats, profiler=profiler,
-                                memory_limit_bytes=limit)
-
-    def _plan_select(self, stmt: ast.SelectStatement) -> LogicalOperator:
-        stats = current_stats()
-        context = BinderContext(
+    def _binder(self) -> Binder:
+        return Binder(BinderContext(
             self.database.catalog,
             self.database.functions,
             self.database.types,
-        )
-        binder = Binder(context)
+        ))
+
+    def _plan_select(self, stmt: ast.SelectStatement) -> LogicalOperator:
+        stats = current_stats()
+        binder = self._binder()
         with maybe_span(stats, "bind"):
             plan = binder.bind_select(stmt)
-            if context.all_ctes:
-                plan = LogicalMaterializedCTE(context.all_ctes, plan)
+            if binder.context.all_ctes:
+                plan = LogicalMaterializedCTE(binder.context.all_ctes, plan)
         if verification_enabled():
             from ..analysis.verifier import verify_planned
 
@@ -544,44 +541,30 @@ class Connection:
             verify_planned(plan, self.database.functions, stats, "optimize")
         return plan
 
-    def _run_plan(self, plan: LogicalOperator) -> Result:
-        stats = current_stats()
-        ctx = self._execution_context(stats)
-        rows: list[tuple] = []
-        chunks = 0
-        with maybe_span(stats, "execute"):
-            for chunk in execute_plan(plan, ctx):
-                chunks += 1
-                rows.extend(chunk.rows())
-        if stats is not None:
-            stats.bump("executor.result_chunks", chunks)
-            stats.bump("executor.rows_returned", len(rows))
-        return Result(plan.output_names(), plan.output_types(), rows)
-
     # -- DDL ---------------------------------------------------------------------------
 
     def _execute_create_table(
         self, stmt: ast.CreateTableStatement
     ) -> Result:
-        if stmt.if_not_exists and self.database.catalog.has_table(stmt.name):
+        catalog = self.database.catalog
+        if stmt.if_not_exists and catalog.has_table(stmt.name):
             return Result()
         if stmt.as_query is not None:
             plan = self._plan_select(stmt.as_query)
-            table = Table(
+            table = self.TABLE(
                 stmt.name,
                 list(zip(plan.output_names(), plan.output_types())),
             )
             self._insert_select(table, list(range(table.num_columns)), plan)
-            self.database.catalog.create_table(table, stmt.or_replace)
+            catalog.create_table(table, stmt.or_replace)
             return Result()
         columns = [
             (col.name, self.database.types.lookup(col.type_name))
             for col in stmt.columns
         ]
         if stmt.or_replace:
-            self.database.catalog.drop_table(stmt.name, if_exists=True)
-        self.database.catalog.create_table(Table(stmt.name, columns),
-                                           stmt.or_replace)
+            catalog.drop_table(stmt.name, if_exists=True)
+        catalog.create_table(self.TABLE(stmt.name, columns), stmt.or_replace)
         return Result()
 
     def _execute_create_index(
@@ -621,29 +604,27 @@ class Connection:
             count = self._insert_select(table, positions,
                                         self._plan_select(stmt.query))
             return Result(["Count"], [], [(count,)])
-        source_rows = []
-        context = BinderContext(
-            self.database.catalog,
-            self.database.functions,
-            self.database.types,
-        )
-        binder = Binder(context)
-        from .binder import _NOT_CONSTANT, fold_constant
-
+        binder = self._binder()
+        rows = []
         for value_row in stmt.values or []:
             row = []
             for expr in value_row:
-                bound = binder.bind_expr(expr)
-                value = fold_constant(bound)
+                value = fold_constant(binder.bind_expr(expr))
                 if value is _NOT_CONSTANT:
                     raise BinderError(
                         "INSERT VALUES must be constant expressions"
                     )
                 row.append(value)
-            source_rows.append(tuple(row))
-        # Map into the table's column order, applying coercion casts.
+            rows.append(row)
+        count = self._insert_rows(table, positions, rows)
+        return Result(["Count"], [], [(count,)])
+
+    def _insert_rows(self, table: Any, positions: list[int],
+                     rows: list) -> int:
+        """Map value rows into the table's column order, applying the
+        storage coercions, and append them; returns the row count."""
         full_rows = []
-        for row in source_rows:
+        for row in rows:
             if len(row) != len(positions):
                 raise ExecutionError(
                     f"INSERT expected {len(positions)} values, "
@@ -656,7 +637,141 @@ class Connection:
                 )
             full_rows.append(tuple(full))
         table.append_rows(full_rows)
-        return Result(["Count"], [], [(len(full_rows),)])
+        return len(full_rows)
+
+    def _coerce_for_storage(self, value: Any, ltype: LogicalType) -> Any:
+        if value is None:
+            return None
+        if isinstance(value, str) and (ltype.is_user or
+                                       ltype.physical == "int64"):
+            cast = self.database.functions.find_cast(
+                self.database.types.lookup("VARCHAR"), ltype
+            )
+            if cast is not None:
+                return cast.apply(value)
+        if ltype.physical == "float64" and isinstance(value, int):
+            return float(value)
+        return value
+
+    def _bind_over_table(self, table: Any, expr: ast.Expr):
+        binder = self._binder()
+        for name, ltype in zip(table.column_names, table.column_types):
+            binder.scope.add(table.name, name, ltype)
+        return binder.bind_expr(expr), binder
+
+    def _bind_where(self, table: Any,
+                    where: ast.Expr | None) -> BoundExpr | None:
+        if where is None:
+            return None
+        return self._bind_over_table(table, where)[0]
+
+    def _execute_update(self, stmt: ast.UpdateStatement) -> Result:
+        table = self.database.catalog.get_table(stmt.table)
+        assignments = []
+        for column, expr in stmt.assignments:
+            bound, binder = self._bind_over_table(table, expr)
+            index = table.column_index(column)
+            target_type = table.column_types[index]
+            if bound.ltype != target_type:
+                bound = binder.bind_cast(bound, target_type.name)
+            assignments.append((index, bound))
+        updated = self._update(table, assignments,
+                               self._bind_where(table, stmt.where))
+        return Result(["Count"], [], [(updated,)])
+
+    def _execute_delete(self, stmt: ast.DeleteStatement) -> Result:
+        table = self.database.catalog.get_table(stmt.table)
+        deleted = self._delete(table, self._bind_where(table, stmt.where))
+        return Result(["Count"], [], [(deleted,)])
+
+
+class Connection(BaseConnection):
+    """A connection to a quack database: chunk-at-a-time execution over
+    columnar tables, ``ATTACH``/``CHECKPOINT`` of an on-disk file, and
+    the ``zone_maps``/``memory_limit``/``threads`` settings."""
+
+    ENGINE = "quack"
+    TABLE = Table
+    SETTINGS = (*BaseConnection.SETTINGS, "zone_maps", "memory_limit",
+                "threads")
+
+    def __init__(self, database: Database):
+        super().__init__(database)
+        #: spill watermark in MB (``SET memory_limit = <MB>``); None
+        #: leaves the blocking sinks fully in-memory
+        self._memory_limit_mb: float | None = None
+
+    def close(self) -> None:
+        """DuckDB API parity: a connection holds no resources."""
+
+    def _execute_statement(self, stmt: ast.Statement) -> Result:
+        if isinstance(stmt, ast.AttachStatement):
+            return self._execute_attach(stmt)
+        if isinstance(stmt, ast.CheckpointStatement):
+            return self._execute_checkpoint(stmt)
+        return super()._execute_statement(stmt)
+
+    def _execute_attach(self, stmt: ast.AttachStatement) -> Result:
+        """Bind an on-disk database file to this Database.
+
+        An existing file loads immediately — tables come back as
+        memory-mapped :class:`~.storage.StorageTable`\\ s whose segments
+        decompress lazily on first scan.  A new path just arms
+        ``CHECKPOINT`` to write there."""
+        import os
+
+        self.database.attached_path = stmt.path
+        if os.path.exists(stmt.path):
+            tables = storage.read_database(self.database, stmt.path)
+        else:
+            tables = 0
+        return Result(["tables"], [], [(tables,)])
+
+    def _execute_checkpoint(self, stmt: ast.CheckpointStatement) -> Result:
+        """Write every table to the attached (or explicitly named) file
+        in the columnar segment format and make it the attached path;
+        the catalog's tables stay as they are."""
+        path = stmt.path or self.database.attached_path
+        if path is None:
+            raise QuackError(
+                "CHECKPOINT needs an attached database: run "
+                "ATTACH '<path>' first or name a path"
+            )
+        tables = storage.write_database(self.database, path)
+        self.database.attached_path = path
+        return Result(["tables"], [], [(tables,)])
+
+    # -- execution ---------------------------------------------------------------------
+
+    def _execution_context(self, stats,
+                           profiler=None) -> ExecutionContext:
+        """The root context of one statement, carrying the connection's
+        spill watermark."""
+        limit = None
+        if self._memory_limit_mb is not None:
+            limit = int(self._memory_limit_mb * 1024 * 1024)
+        return ExecutionContext(stats=stats, profiler=profiler,
+                                memory_limit_bytes=limit)
+
+    def _run_plan(self, plan: LogicalOperator) -> Result:
+        stats = current_stats()
+        ctx = self._execution_context(stats)
+        rows: list[tuple] = []
+        chunks = 0
+        with maybe_span(stats, "execute"):
+            for chunk in execute_plan(plan, ctx):
+                chunks += 1
+                rows.extend(chunk.rows())
+        if stats is not None:
+            stats.bump("executor.result_chunks", chunks)
+            stats.bump("executor.rows_returned", len(rows))
+        return Result(plan.output_names(), plan.output_types(), rows)
+
+    def _run_profiled(self, plan: LogicalOperator,
+                      stats: QueryStatistics | None,
+                      profiler: PlanProfiler) -> int:
+        ctx = self._execution_context(stats, profiler)
+        return sum(chunk.count for chunk in execute_plan(plan, ctx))
 
     def _insert_select(self, table: Table, positions: list[int],
                        plan: LogicalOperator) -> int:
@@ -697,88 +812,43 @@ class Connection:
             stats.bump("executor.rows_returned", count)
         return count
 
-    def _coerce_for_storage(self, value: Any, ltype: LogicalType) -> Any:
-        if value is None:
-            return None
-        if ltype.physical == "int64" and isinstance(value, str):
-            cast = self.database.functions.find_cast(
-                self.database.types.lookup("VARCHAR"), ltype
-            )
-            if cast is not None:
-                return cast.apply(value)
-        if isinstance(value, str) and ltype.is_user:
-            cast = self.database.functions.find_cast(
-                self.database.types.lookup("VARCHAR"), ltype
-            )
-            if cast is not None:
-                return cast.apply(value)
-        if ltype.physical == "float64" and isinstance(value, int):
-            return float(value)
-        return value
-
-    def _bind_over_table(self, table: Table, expr: ast.Expr):
-        context = BinderContext(
-            self.database.catalog,
-            self.database.functions,
-            self.database.types,
-        )
-        binder = Binder(context)
-        for name, ltype in zip(table.column_names, table.column_types):
-            binder.scope.add(table.name, name, ltype)
-        return binder.bind_expr(expr), binder
-
-    def _execute_update(self, stmt: ast.UpdateStatement) -> Result:
-        table = self.database.catalog.get_table(stmt.table)
-        bound_assignments = []
-        for column, expr in stmt.assignments:
-            bound, binder = self._bind_over_table(table, expr)
-            target_type = table.column_types[table.column_index(column)]
-            if bound.ltype != target_type:
-                bound = binder.bind_cast(bound, target_type.name)
-            bound_assignments.append((column, bound))
-        where_bound = None
-        if stmt.where is not None:
-            where_bound, _ = self._bind_over_table(table, stmt.where)
+    def _update(self, table: Table, assignments: list[tuple[int, BoundExpr]],
+                where: BoundExpr | None) -> int:
         # Compute new full-column value lists.
         total = table.total_rows()
-        new_values: dict[str, list] = {
-            column: table._columns[table.column_index(column)]
+        new_values: dict[int, list] = {
+            index: table._columns[index]
             .gather(np.arange(total, dtype=np.int64))
             .to_list()
-            for column, _ in bound_assignments
+            for index, _ in assignments
         }
         ctx = ExecutionContext()
         updated = 0
         for chunk, row_ids in table.scan():
-            if where_bound is not None:
-                mask = boolean_selection(evaluate(where_bound, chunk, ctx))
+            if where is not None:
+                mask = boolean_selection(evaluate(where, chunk, ctx))
             else:
                 mask = np.ones(chunk.count, dtype=np.bool_)
             if not mask.any():
                 continue
             targets = row_ids[mask].tolist()
-            for column, bound in bound_assignments:
+            for index, bound in assignments:
                 values = evaluate(bound, chunk, ctx).slice(mask).to_list()
-                column_values = new_values[column]
+                column_values = new_values[index]
                 for row_id, value in zip(targets, values):
                     column_values[row_id] = value
             updated += int(mask.sum())
-        for column, _ in bound_assignments:
-            table.update_column(column, new_values[column])
-        return Result(["Count"], [], [(updated,)])
+        for index, values in new_values.items():
+            table.update_column(table.column_names[index], values)
+        return updated
 
-    def _execute_delete(self, stmt: ast.DeleteStatement) -> Result:
-        table = self.database.catalog.get_table(stmt.table)
+    def _delete(self, table: Table, where: BoundExpr | None) -> int:
         ctx = ExecutionContext()
         to_delete: list[int] = []
-        where_bound = None
-        if stmt.where is not None:
-            where_bound, _ = self._bind_over_table(table, stmt.where)
         for chunk, row_ids in table.scan():
-            if where_bound is None:
+            if where is None:
                 to_delete.extend(int(r) for r in row_ids)
                 continue
-            mask = boolean_selection(evaluate(where_bound, chunk, ctx))
+            mask = boolean_selection(evaluate(where, chunk, ctx))
             to_delete.extend(int(row_ids[i]) for i in np.nonzero(mask)[0])
-        deleted = table.delete_rows(to_delete)
-        return Result(["Count"], [], [(deleted,)])
+        return table.delete_rows(to_delete)

@@ -8,8 +8,6 @@ still open — the execution model of the paper's host engine.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
@@ -47,6 +45,7 @@ from .plan import (
     LogicalSort,
     LogicalTableFunction,
 )
+from .profiler import OperatorKernelStats, _execute_profiled
 from .types import BIGINT, BOOLEAN, LogicalType
 from .vector import (
     _PHYSICAL_DTYPES,
@@ -57,16 +56,6 @@ from .vector import (
     boolean_selection,
     concat_chunks,
 )
-
-
-@dataclass
-class OperatorKernelStats:
-    """Kernel-vs-fallback telemetry for one aggregate/sort/distinct
-    operator, surfaced by EXPLAIN ANALYZE."""
-
-    rows_in: int = 0
-    kernel: int = 0
-    fallback: int = 0
 
 
 def _kernel_stats(op: "LogicalOperator",
@@ -539,54 +528,28 @@ def execute_plan(op: LogicalOperator,
     wrapper; there is no module-level state, so nested and concurrent
     profiled executions cannot corrupt each other.  Under verification
     mode every produced chunk additionally passes the chunk verifier."""
+    chunks = _execute_operator(op, ctx)
+    if ctx.profiler is not None:
+        chunks = _execute_profiled(op, ctx, chunks, _chunk_width)
     if _verification.VERIFICATION_ENABLED:
-        return _execute_verified(op, ctx)
-    if ctx.profiler is None:
-        return _execute_operator(op, ctx)
-    return _execute_profiled(op, ctx)
+        return _execute_verified(op, ctx, chunks)
+    return chunks
 
 
-def _execute_verified(op: LogicalOperator,
-                      ctx: ExecutionContext) -> Iterator[DataChunk]:
+def _execute_verified(op: LogicalOperator, ctx: ExecutionContext,
+                      chunks: Iterator[DataChunk]) -> Iterator[DataChunk]:
     """Stream an operator's output through the chunk verifier."""
     from ..analysis.verifier import verify_chunk
 
-    inner = (_execute_operator(op, ctx) if ctx.profiler is None
-             else _execute_profiled(op, ctx))
-    for chunk in inner:
+    for chunk in chunks:
         verify_chunk(op, chunk)
         if ctx.stats is not None:
             ctx.stats.bump("verify.chunks_checked")
         yield chunk
 
 
-def _execute_profiled(op: LogicalOperator,
-                      ctx: ExecutionContext) -> Iterator[DataChunk]:
-    stats = ctx.profiler.stats_for(op)
-    stats.invocations += 1
-    rows_before = stats.rows
-    opened = time.perf_counter()
-    start = opened
-    try:
-        for chunk in _execute_operator(op, ctx):
-            stats.rows += chunk.count
-            stats.seconds += time.perf_counter() - start
-            yield chunk
-            start = time.perf_counter()
-        stats.seconds += time.perf_counter() - start
-    except GeneratorExit:
-        stats.seconds += time.perf_counter() - start
-        raise
-    finally:
-        # One timeline event per invocation lifetime (first pull to
-        # exhaustion, consumer time included — matching the inclusive
-        # profiler clock), so nested operators nest on the lane.
-        if ctx.trace is not None:
-            ctx.trace.emit(
-                op._explain_label(), "operator", opened,
-                time.perf_counter() - opened,
-                rows=stats.rows - rows_before,
-            )
+def _chunk_width(chunk: DataChunk) -> int:
+    return chunk.count
 
 
 def _execute_operator(op: LogicalOperator,

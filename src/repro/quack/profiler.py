@@ -2,11 +2,12 @@
 
 A :class:`PlanProfiler` collects per-operator row counts, inclusive
 timings, kernel-vs-fallback telemetry, and free-form operator metrics
-(index probe counts, candidate counts).  The executor drives it through
-:class:`~repro.quack.executor.ExecutionContext` — profiling is a
-property of the context, not of module state, so profiled executions
-nest and interleave safely (the old implementation monkey-patched
-``execute_plan`` and corrupted concurrent runs).
+(index probe counts, candidate counts).  Both engines' executors drive
+it through their context (quack's ``ExecutionContext``, pgsim's
+``RowContext``) and the one operator wrapper here,
+:func:`_execute_profiled` — profiling is a property of the context, not
+of module state, so profiled executions nest and interleave safely.
+This module imports neither executor, so both can import it.
 
 Rendered text, DuckDB-style::
 
@@ -22,12 +23,22 @@ waits on its input), so the root time is the query's total.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from ..observability import QueryStatistics
-from .executor import ExecutionContext, OperatorKernelStats, execute_plan
 from .plan import LogicalOperator
+
+
+@dataclass
+class OperatorKernelStats:
+    """Kernel-vs-fallback telemetry for one aggregate/sort/distinct
+    operator, surfaced by EXPLAIN ANALYZE."""
+
+    rows_in: int = 0
+    kernel: int = 0
+    fallback: int = 0
 
 
 @dataclass
@@ -155,11 +166,34 @@ class PlanProfiler:
         return out
 
 
-def execute_plan_profiled(
-    plan: LogicalOperator, ctx: ExecutionContext, profiler: PlanProfiler
-):
-    """Execute a plan with every operator instrumented.
-
-    Derives a child context carrying the profiler; nothing global is
-    touched, so profiled executions are re-entrant and concurrent-safe."""
-    yield from execute_plan(plan, ExecutionContext(ctx, profiler=profiler))
+def _execute_profiled(op: LogicalOperator, ctx: Any, items: Iterator,
+                      width: Callable[[Any], int]) -> Iterator:
+    """Stream ``items`` — ``op``'s output under either engine's context —
+    through ``ctx.profiler``.  ``width(item)`` is the number of rows one
+    item carries: a chunk's count, or 1 for a tuple."""
+    stats = ctx.profiler.stats_for(op)
+    stats.invocations += 1
+    rows_before = stats.rows
+    opened = time.perf_counter()
+    start = opened
+    try:
+        for item in items:
+            stats.rows += width(item)
+            stats.seconds += time.perf_counter() - start
+            yield item
+            start = time.perf_counter()
+        stats.seconds += time.perf_counter() - start
+    except GeneratorExit:
+        stats.seconds += time.perf_counter() - start
+        raise
+    finally:
+        # One timeline event per invocation lifetime (first pull to
+        # exhaustion, consumer time included — matching the inclusive
+        # profiler clock), so nested operators nest on the lane and the
+        # Volcano loop does not emit an event per row.
+        if ctx.trace is not None:
+            ctx.trace.emit(
+                op._explain_label(), "operator", opened,
+                time.perf_counter() - opened,
+                rows=stats.rows - rows_before,
+            )

@@ -66,9 +66,7 @@ from .stats import (
 from .types import LogicalType
 from .vector import STANDARD_VECTOR_SIZE, DataChunk, Vector, concat_vectors
 
-#: Current on-disk format version.  Readers reject anything newer; the
-#: ``quackdb-v1`` pickle format is still readable through a shim for one
-#: release (see :func:`_read_legacy_pickle`).
+#: Current on-disk format version.  Readers reject anything newer.
 FORMAT_VERSION = 2
 
 _MAGIC = b"QUACKDB2"
@@ -808,14 +806,14 @@ def _verify_copied_segment(column: "StorageColumn", seg: int,
 
 
 # ---------------------------------------------------------------------------
-# Reader (and the one-release pickle shim)
+# Reader
 # ---------------------------------------------------------------------------
 
 
 def read_database(database: Any, path: str) -> int:
     """Load ``path`` into the catalog as lazily-decoded storage tables;
-    returns the number of tables loaded.  ``quackdb-v1`` pickle files go
-    through the legacy shim; anything else raises :class:`QuackError`."""
+    returns the number of tables loaded.  A file without the format's
+    magic raises :class:`QuackError` before anything is decoded."""
     source = StorageFile(path)
     # On success the loaded tables own (and keep alive) the mapped
     # file; on *any* failure — format checks, footer parsing, or a
@@ -823,8 +821,7 @@ def read_database(database: Any, path: str) -> int:
     # relying on every raise site to remember to.
     try:
         if source.read(0, len(_MAGIC)) != _MAGIC:
-            source.close()
-            return _read_legacy_pickle(database, path)
+            raise QuackError(f"{path}: not a quack database file")
         if len(source) < len(_MAGIC) + _TRAILER_SIZE:
             raise QuackError(
                 f"{path}: not a quack database file: truncated"
@@ -856,8 +853,7 @@ def read_database(database: Any, path: str) -> int:
             )
         # The footer records extension *names* for diagnostics only: the
         # caller must have loaded them already (types resolve by name
-        # through the database's registry, matching the old pickle
-        # loader).
+        # through the database's registry).
         loaded = 0
         for entry in footer.get("tables", []):
             table = _instantiate_table(database, entry, source)
@@ -912,32 +908,6 @@ def _rebuild_indexes(database: Any, table: Table,
             database=database,
         )
         database.catalog.add_index(instance)
-
-
-def _read_legacy_pickle(database: Any, path: str) -> int:
-    """Read shim for the retired ``quackdb-v1`` whole-database pickle."""
-    with open_path(path, "rb") as handle:
-        try:
-            payload = pickle.load(handle)
-        except Exception as exc:
-            raise QuackError(
-                f"{path}: not a quack database file: {exc}"
-            ) from exc
-    if not isinstance(payload, dict) or payload.get("magic") != "quackdb-v1":
-        raise QuackError(f"{path}: not a quack database file")
-    loaded = 0
-    for entry in payload.get("tables", []):
-        columns = [
-            (name, database.types.lookup(type_name))
-            for name, type_name in entry["columns"]
-        ]
-        table = Table(entry["name"], columns)
-        if entry["rows"]:
-            table.append_rows(entry["rows"])
-        database.catalog.create_table(table, or_replace=True)
-        loaded += 1
-        _rebuild_indexes(database, table, entry.get("indexes", []))
-    return loaded
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ import pytest
 
 from repro.observability import QueryStatistics, set_collection_enabled
 from repro.pgsim import RowDatabase
-from repro.pgsim.executor import RowContext
-from repro.pgsim.profiler import execute_rows_profiled
+from repro.pgsim.executor import RowContext, execute_rows
 from repro.quack import Database
-from repro.quack.executor import ExecutionContext
-from repro.quack.profiler import PlanProfiler, execute_plan_profiled
+from repro.quack.executor import ExecutionContext, execute_plan
+from repro.quack.profiler import PlanProfiler
 from repro.quack.sql import parse_sql
 
 
@@ -38,8 +37,8 @@ class TestInterleavedGenerators:
         plan_b = _quack_plan(con, "SELECT a FROM t WHERE a <= 100")
 
         prof_a, prof_b = PlanProfiler(), PlanProfiler()
-        gen_a = execute_plan_profiled(plan_a, ExecutionContext(), prof_a)
-        gen_b = execute_plan_profiled(plan_b, ExecutionContext(), prof_b)
+        gen_a = execute_plan(plan_a, ExecutionContext(profiler=prof_a))
+        gen_b = execute_plan(plan_b, ExecutionContext(profiler=prof_b))
 
         rows_a = rows_b = 0
         done_a = done_b = False
@@ -77,8 +76,8 @@ class TestInterleavedGenerators:
         plan_b = con._plan_select(stmt_b)
 
         prof_a, prof_b = PlanProfiler(), PlanProfiler()
-        gen_a = execute_rows_profiled(plan_a, RowContext(), prof_a)
-        gen_b = execute_rows_profiled(plan_b, RowContext(), prof_b)
+        gen_a = execute_rows(plan_a, RowContext(profiler=prof_a))
+        gen_b = execute_rows(plan_b, RowContext(profiler=prof_b))
         rows_a = list(gen_a)  # fully drain A after starting both
         rows_b = list(gen_b)
 
@@ -99,14 +98,14 @@ class TestInterleavedGenerators:
         prof_outer, prof_inner = PlanProfiler(), PlanProfiler()
 
         outer_rows = 0
-        for chunk in execute_plan_profiled(
-            plan_outer, ExecutionContext(), prof_outer
+        for chunk in execute_plan(
+            plan_outer, ExecutionContext(profiler=prof_outer)
         ):
             outer_rows += chunk.count
             inner_rows = sum(
                 c.count
-                for c in execute_plan_profiled(
-                    plan_inner, ExecutionContext(), prof_inner
+                for c in execute_plan(
+                    plan_inner, ExecutionContext(profiler=prof_inner)
                 )
             )
             assert inner_rows == 4

@@ -1,12 +1,13 @@
-"""Structured EXPLAIN ANALYZE: JSON schema and pgsim text parity."""
+"""Structured EXPLAIN ANALYZE: JSON schema and text parity across engines."""
 
 import json
 
 import pytest
 
 from repro import core
+from repro.pgsim import RowDatabase
 from repro.quack import Database
-from repro.quack.errors import QuackError
+from repro.quack.errors import BinderError, QuackError
 
 
 def _check_plan_node(node):
@@ -18,10 +19,13 @@ def _check_plan_node(node):
         _check_plan_node(child)
 
 
-class TestQuackExplainJson:
-    @pytest.fixture
-    def con(self):
-        con = Database().connect()
+class TestExplainAnalyze:
+    """One profiling path shared by both engines."""
+
+    @pytest.fixture(params=["quack", "pgsim"])
+    def con(self, request):
+        database = Database() if request.param == "quack" else RowDatabase()
+        con = database.connect()
         con.execute("CREATE TABLE t(a INTEGER)")
         con.execute(
             "INSERT INTO t SELECT i FROM generate_series(1, 100) AS g(i)"
@@ -33,7 +37,7 @@ class TestQuackExplainJson:
             "SELECT a FROM t WHERE a < 10 ORDER BY a", format="json"
         )
         round_tripped = json.loads(json.dumps(out))
-        assert round_tripped["engine"] == "quack"
+        assert round_tripped["engine"] == con.ENGINE
         for key in ("plan", "phases", "total_seconds", "counters"):
             assert key in round_tripped
         _check_plan_node(round_tripped["plan"])
@@ -54,6 +58,12 @@ class TestQuackExplainJson:
         with pytest.raises(QuackError):
             con.explain_analyze("SELECT 1", format="yaml")
 
+    def test_only_select_is_explained(self, con):
+        with pytest.raises(BinderError, match="SELECT"):
+            con.explain_analyze("DELETE FROM t")
+        with pytest.raises(BinderError, match="SELECT"):
+            con.execute("EXPLAIN ANALYZE DELETE FROM t")
+
     def test_statement_form_matches_method(self, con):
         via_stmt = con.execute(
             "EXPLAIN ANALYZE SELECT a FROM t LIMIT 3"
@@ -61,9 +71,14 @@ class TestQuackExplainJson:
         via_method = con.explain_analyze("SELECT a FROM t LIMIT 3")
         assert "LIMIT 3  (rows=3" in via_stmt
         assert "LIMIT 3  (rows=3" in via_method
+        assert "ms)" in via_stmt
+
+    def test_trace_format_tags_engine(self, con):
+        trace = con.explain_analyze("SELECT a FROM t", format="trace")
+        assert trace["otherData"]["engine"] == con.ENGINE
 
 
-class TestPgsimExplain:
+class TestPgsimIndexExplain:
     @pytest.fixture
     def con(self):
         con = core.connect_baseline()
@@ -76,21 +91,17 @@ class TestPgsimExplain:
         con.execute("CREATE INDEX gx ON r USING GIST(box)")
         return con
 
-    def test_json_schema_matches_quack(self, con):
+    def test_index_probes_counted_in_json(self, con):
         out = con.explain_analyze(
             "SELECT count(*) FROM r WHERE box && "
             "stbox('STBOX X((10,10),(20,20))')",
             format="json",
         )
-        round_tripped = json.loads(json.dumps(out))
-        assert round_tripped["engine"] == "pgsim"
-        for key in ("plan", "phases", "total_seconds", "counters"):
-            assert key in round_tripped
-        _check_plan_node(round_tripped["plan"])
-        assert round_tripped["counters"]["index.gist.probes"] == 1
+        _check_plan_node(out["plan"])
+        assert out["counters"]["index.gist.probes"] == 1
 
     def test_index_probes_rendered_in_text(self, con):
-        # Satellite: the row engine's EXPLAIN ANALYZE shows the same
+        # The row engine's EXPLAIN ANALYZE shows the same
         # probes=/candidates= annotations as the columnar engine.
         text = con.explain_analyze(
             "SELECT count(*) FROM r WHERE box && "
@@ -100,10 +111,3 @@ class TestPgsimExplain:
         assert "probes=1" in text
         assert "candidates=" in text
         assert "PHASES " in text
-
-    def test_statement_form_works(self, con):
-        text = con.execute(
-            "EXPLAIN ANALYZE SELECT count(*) FROM r WHERE id < 5"
-        ).plan_text
-        assert "rows=" in text
-        assert "ms)" in text

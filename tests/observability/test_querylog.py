@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro import core
 from repro.observability import QueryLog, QueryRecord, set_collection_enabled
 from repro.observability.querylog import TOP_COUNTERS
+from repro.pgsim import RowDatabase
 from repro.quack import Database
 from repro.quack.database import QuackError
 
@@ -40,12 +40,6 @@ class TestQueryLogUnit:
         assert not log.record(rec(seconds=10.0))
         assert log.record(rec(seconds=0.001, error="BinderError: nope"))
         assert [r.error for r in log.records()] == ["BinderError: nope"]
-
-    def test_env_default_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_MIN_DURATION", "250")
-        assert QueryLog().min_duration_ms == 250.0
-        monkeypatch.setenv("REPRO_LOG_MIN_DURATION", "not-a-number")
-        assert QueryLog().min_duration_ms == 0.0
 
     def test_counters_truncated_to_top(self):
         counters = {f"c{i:02d}": i for i in range(20)}
@@ -84,21 +78,24 @@ class TestQueryLogUnit:
         assert "error" not in parsed[0]
 
 
-@pytest.fixture
-def con():
-    con = Database().connect()
+@pytest.fixture(params=["quack", "pgsim"])
+def con(request):
+    database = Database() if request.param == "quack" else RowDatabase()
+    con = database.connect()
     con.execute("CREATE TABLE t(a INTEGER)")
     con.execute("INSERT INTO t VALUES (1), (2), (3)")
     return con
 
 
-class TestQuackIntegration:
+class TestIntegration:
+    """The one connection layer's query log, on both engines."""
+
     def test_queries_land_in_log(self, con):
         con.execute("SELECT * FROM t")
         records = con.query_log()
         assert [r.sql for r in records][-1] == "SELECT * FROM t"
         last = records[-1]
-        assert last.engine == "quack"
+        assert last.engine == con.ENGINE
         assert last.rows == 3
         assert last.error is None
         assert set(last.phases) >= {"parse", "bind", "execute"}
@@ -126,11 +123,15 @@ class TestQuackIntegration:
         con.execute("SET log_min_duration = 42")
         assert con.execute("SHOW log_min_duration").scalar() == 42.0
 
+    def test_log_min_duration_must_be_a_number(self, con):
+        with pytest.raises(QuackError, match="number of milliseconds"):
+            con.execute("SET log_min_duration = 'soon'")
+
     def test_text_and_json_formats(self, con):
         con.execute("SELECT * FROM t")
         assert "SELECT * FROM t" in con.query_log(format="text")
         parsed = json.loads(con.query_log(n=1, format="json"))
-        assert len(parsed) == 1 and parsed[0]["engine"] == "quack"
+        assert len(parsed) == 1 and parsed[0]["engine"] == con.ENGINE
         with pytest.raises(QuackError, match="format"):
             con.query_log(format="xml")
 
@@ -144,29 +145,12 @@ class TestQuackIntegration:
         assert len(con.query_log()) == before
 
 
-class TestPgsimIntegration:
-    @pytest.fixture
-    def row_con(self):
-        con = core.connect_baseline()
-        con.execute("CREATE TABLE r(id INTEGER)")
-        con.execute("INSERT INTO r VALUES (1), (2)")
-        return con
-
-    def test_queries_land_in_log(self, row_con):
-        row_con.execute("SELECT * FROM r")
-        last = row_con.query_log()[-1]
-        assert last.sql == "SELECT * FROM r"
-        assert last.engine == "pgsim"
-        assert last.rows == 2
-
-    def test_set_and_show_log_min_duration(self, row_con):
-        row_con.execute("SET log_min_duration = 5000")
-        assert row_con.execute("SHOW log_min_duration").scalar() == 5000.0
-        before = len(row_con.query_log())
-        row_con.execute("SELECT * FROM r")
-        assert len(row_con.query_log()) == before  # suppressed
-
-    def test_threads_setting_rejected(self, row_con):
-        # the row engine has no threads setting
-        with pytest.raises(Exception, match="unknown setting"):
-            row_con.execute("SET threads = 4")
+class TestPgsimSettings:
+    @pytest.mark.parametrize("setting", [
+        "threads = 4", "zone_maps = off", "memory_limit = 64",
+    ], ids=["threads", "zone_maps", "memory_limit"])
+    def test_quack_settings_rejected(self, setting):
+        # the row engine has no threads, zone maps or spill watermark
+        con = RowDatabase().connect()
+        with pytest.raises(QuackError, match="unknown setting"):
+            con.execute(f"SET {setting}")

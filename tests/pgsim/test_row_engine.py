@@ -3,8 +3,9 @@
 import pytest
 
 from repro import core
-from repro.pgsim import RowDatabase
+from repro.pgsim import RowConnection, RowDatabase
 from repro.pgsim.table import Varlena, detoast, toast
+from repro.quack import Connection, Database
 
 
 @pytest.fixture
@@ -56,6 +57,35 @@ class TestBasics:
             "SELECT t.a, s.z FROM t LEFT JOIN s ON t.a = s.a ORDER BY t.a"
         ).fetchall()
         assert rows == [(1, "x"), (2, None), (3, None)]
+
+
+class TestConnectionLayer:
+    """pgsim shares quack's connection layer but stays its own class."""
+
+    def test_wrapping_row_execute_leaves_quack_untouched(self, monkeypatch):
+        # The benchmark's span recorder wraps RowConnection.execute by
+        # assigning to the class attribute; quack must not see it.
+        quack_execute = Connection.execute
+        calls = []
+        original = RowConnection.execute
+
+        def wrapped(self, sql):
+            calls.append(sql)
+            return original(self, sql)
+
+        monkeypatch.setattr(RowConnection, "execute", wrapped)
+        assert Connection.execute is quack_execute
+        Database().connect().execute("SELECT 1")
+        assert calls == []
+        RowDatabase().connect().execute("SELECT 2")
+        assert calls == ["SELECT 2"]
+
+    def test_row_database_is_not_a_quack_database(self):
+        # core.extension registers TRTREE by this isinstance check
+        db = RowDatabase()
+        assert not isinstance(db, Database)
+        db.load_extension(core)
+        assert not db.config.index_types.known("TRTREE")
 
 
 class TestVarlena:

@@ -350,31 +350,26 @@ class TestFormatVersion:
         assert footer["format_version"] == storage.FORMAT_VERSION
         assert raw[:8] == storage._MAGIC == raw[-8:]
 
-    def test_legacy_pickle_shim(self, tmp_path):
-        path = tmp_path / "old.quackdb"
-        payload = {
+    def test_garbage_rejected(self, tmp_path):
+        # Neither junk bytes nor the retired whole-database pickle format
+        # carry the magic: both are refused before anything is unpickled.
+        legacy = pickle.dumps({
             "magic": "quackdb-v1",
             "tables": [{
                 "name": "legacy",
-                "columns": [["a", "BIGINT"], ["b", "VARCHAR"]],
-                "rows": [(1, "x"), (2, None)],
+                "columns": [["a", "BIGINT"]],
+                "rows": [(1,)],
                 "indexes": [],
             }],
-        }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-        con = Database().connect()
-        con.execute(f"ATTACH '{path}'")
-        assert con.execute(
-            "SELECT * FROM legacy ORDER BY a"
-        ).fetchall() == [(1, "x"), (2, None)]
+        })
+        for blob in (b"this is not a database file at all", legacy):
+            path = tmp_path / "junk.quackdb"
+            path.write_bytes(blob)
+            con = Database().connect()
+            with pytest.raises(QuackError, match="not a quack database"):
+                con.execute(f"ATTACH '{path}'")
+            assert not con.database.catalog.has_table("legacy")
 
-    def test_garbage_rejected(self, tmp_path):
-        path = tmp_path / "junk.quackdb"
-        path.write_bytes(b"this is not a database file at all")
-        con = Database().connect()
-        with pytest.raises(QuackError, match="not a quack database"):
-            con.execute(f"ATTACH '{path}'")
 
 def _seeded_con(rows=STANDARD_VECTOR_SIZE * 5):
     """Sequential table spanning ``rows // 2048`` row groups; column ``b``
