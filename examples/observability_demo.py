@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Observability demo: query statistics, traces, and EXPLAIN ANALYZE.
 
-Walks the three tiers of ``repro.observability``:
+Walks what ``repro.observability`` records about each query:
 
 1. per-query statistics — counters, peak gauges, and phase timings
    captured on every ``execute`` (``Result.stats()``);
 2. structured ``EXPLAIN ANALYZE`` — per-operator rows/timings with
    index-probe annotations, as text and as a JSON tree, on both the
    columnar engine and the row-store baseline;
-3. the process-wide metrics registry — cumulative counters and latency
-   histograms across all queries run so far.
+3. each connection's query log — every statement run so far, with its
+   latency, phase timings and headline counters.
 
 Run with::
 
@@ -19,7 +19,6 @@ Run with::
 import json
 
 from repro import core
-from repro.observability import REGISTRY
 
 INSERT_SCRIPT = """
 INSERT INTO trips_geo
@@ -64,18 +63,21 @@ def main():
     print(json.dumps(tree, indent=2, sort_keys=True)[:1500])
     print()
 
-    print("=== 3. Process-wide registry ===")
-    snapshot = REGISTRY.snapshot()
-    print(f"queries_total: {snapshot['counters']['queries_total']}")
-    for name, value in sorted(snapshot["counters"].items()):
-        if name.startswith(("rtree.", "index.", "pgsim.")):
-            print(f"  {name} = {value}")
-    latency = snapshot["histograms"]["query_seconds"]
-    print(
-        f"query latency: n={latency['count']} "
-        f"mean={latency['mean'] * 1000:.2f}ms "
-        f"max={latency['max'] * 1000:.2f}ms"
-    )
+    print("=== 3. Query logs ===")
+    base.execute(PROBE_QUERY)
+    for con in (duck, base):
+        records = con.query_log()
+        seconds = [rec.seconds for rec in records]
+        probe = [rec for rec in records if rec.sql == PROBE_QUERY][-1]
+        print(
+            f"{probe.engine}: {len(records)} queries, "
+            f"mean={sum(seconds) / len(seconds) * 1000:.2f}ms "
+            f"max={max(seconds) * 1000:.2f}ms; probe query counters:"
+        )
+        for name, value in sorted(probe.counters.items()):
+            if name.startswith(("rtree.", "index.", "pgsim.")):
+                print(f"  {name} = {value}")
+    print(duck.query_log(n=2, format="text"))
 
 
 if __name__ == "__main__":

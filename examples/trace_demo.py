@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Timeline tracing demo: where a query's time actually goes.
 
-Runs an aggregation, then walks the three observability surfaces this
+Runs an aggregation, then walks the two observability surfaces this
 repo adds on top of per-query stats:
 
 1. the execution timeline — Chrome trace-event JSON with one flame
    track per query, written to ``trace_demo_out/`` (drag a file into
    https://ui.perfetto.dev or ``chrome://tracing`` to explore);
 2. the rolling query log — every completed query with phase timings,
-   filtered by a slow-query threshold (``SET log_min_duration``);
-3. the Prometheus endpoint — the process-wide metrics registry served
-   over HTTP for a scraper to poll.
+   filtered by a slow-query threshold (``SET log_min_duration``).
 
 Run with::
 
@@ -19,7 +17,6 @@ Run with::
 
 import json
 import os
-from urllib.request import urlopen
 
 from repro import core
 
@@ -79,29 +76,6 @@ def main() -> None:
     con.execute("SELECT count(*) FROM readings")  # fast: suppressed
     print("with a 10s threshold the fast count(*) was suppressed; "
           f"log still has {len(con.query_log())} entries")
-    con.execute("SET log_min_duration = 0")
-
-    print()
-    print("=== 3. Prometheus endpoint ===")
-    server = core.serve_metrics(port=0)  # ephemeral port
-    try:
-        with urlopen(server.url, timeout=5) as response:
-            body = response.read().decode("utf-8")
-        interesting = [
-            line for line in body.splitlines()
-            if line.startswith((
-                "repro_queries_total",
-                "repro_trace_events_total",
-                "repro_querylog_records_total",
-                "repro_query_seconds_quantile",
-            ))
-        ]
-        print(f"GET {server.url} -> {len(body.splitlines())} lines, e.g.:")
-        for line in interesting:
-            print(f"  {line}")
-    finally:
-        server.shutdown()
-
 
 if __name__ == "__main__":
     main()

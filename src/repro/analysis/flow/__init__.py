@@ -51,13 +51,12 @@ _SEP = " — "
 def analyze(
     paths: Sequence[str | Path],
     *,
-    jobs: int = 1,
     tests_dir: Path | None = None,
     model: ProjectModel | None = None,
 ) -> tuple[ProjectModel, list[Finding]]:
     """Build (or reuse) the project model and run every pass."""
     if model is None:
-        model = ProjectModel.load(paths, jobs=jobs)
+        model = ProjectModel.load(paths)
     elif not model._resolved:
         model.resolve()
     config = FlowConfig(tests_dir=tests_dir)

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.analysis.flow [paths ...]
         [--format=text|json] [--baseline FILE] [--write-baseline]
-        [--jobs N] [--tests DIR] [--no-tests]
+        [--tests DIR] [--no-tests]
 
 Exit status 0 when every finding is baselined or suppressed, 1 when
 new findings remain, 2 on usage errors.
@@ -44,8 +44,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write-baseline", action="store_true",
                         help="rewrite the baseline from current "
                              "findings, keeping existing justifications")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel parse workers")
     parser.add_argument("--tests", type=Path, default=None,
                         help="test directory for the FLOW002 "
                              f"asserted-in-tests check (default: "
@@ -64,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         if tests_dir is None and DEFAULT_TESTS.is_dir():
             tests_dir = DEFAULT_TESTS
 
-    model, findings = analyze(paths, jobs=max(1, args.jobs),
-                              tests_dir=tests_dir)
+    model, findings = analyze(paths, tests_dir=tests_dir)
 
     baseline = load_baseline(baseline_path) if baseline_path else {}
     if args.write_baseline:

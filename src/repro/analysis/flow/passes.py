@@ -677,15 +677,38 @@ def _trace_handle(rest: list[ast.stmt], name: str) -> str | None:
 # FLOW002 — counter/gauge drift
 
 
-COUNTER_FUNCS = frozenset({"count", "_count", "bump"})
+#: The ambient helper (``repro.observability.count``, imported bare or
+#: as ``_count``) takes a counter name; so does ``QueryStatistics.bump``.
+#: Matching is by call shape: a *method* named ``_count`` (the
+#: optimizer's ``optimizer.cbo.`` wrapper) is not the ambient helper.
+COUNTER_FUNCS = frozenset({"count", "_count"})
+COUNTER_METHODS = frozenset({"bump"})
 GAUGE_FUNCS = frozenset({"gauge_max", "set_gauge"})
 
 
-def _static_counter_name(node: ast.expr) -> tuple[str, bool] | None:
+def _counter_call_kind(func: ast.expr) -> str | None:
+    """``"counter"``/``"gauge"`` when the callee records a named
+    counter/gauge, else ``None``."""
+    if isinstance(func, ast.Name):
+        name, counters = func.id, COUNTER_FUNCS
+    elif isinstance(func, ast.Attribute):
+        name, counters = func.attr, COUNTER_METHODS
+    else:
+        return None
+    if name in counters:
+        return "counter"
+    return "gauge" if name in GAUGE_FUNCS else None
+
+
+def _static_counter_names(node: ast.expr) -> list[tuple[str, bool]]:
     """``(name, is_prefix)`` for a string literal or the static prefix
-    of an f-string; ``None`` for fully dynamic names."""
+    of an f-string, for each arm of a conditional expression; empty for
+    fully dynamic names."""
+    if isinstance(node, ast.IfExp):
+        return _static_counter_names(node.body) + \
+            _static_counter_names(node.orelse)
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value, False
+        return [(node.value, False)]
     if isinstance(node, ast.JoinedStr):
         prefix = []
         for part in node.values:
@@ -695,15 +718,17 @@ def _static_counter_name(node: ast.expr) -> tuple[str, bool] | None:
             else:
                 break
         if prefix:
-            return "".join(prefix), True
-    return None
+            return [("".join(prefix), True)]
+    return []
 
 
 def _declared_sets(model: ProjectModel) -> tuple[
         set[str], tuple[str, ...], set[str], str | None]:
     """Literal-eval ``DECLARED_COUNTERS``/``DECLARED_PREFIXES``/
     ``DECLARED_GAUGES`` from whichever module defines them, so fixture
-    corpora can carry their own registry."""
+    corpora can carry their own registry.  A ``frozenset({...})``
+    wrapper around the literal is unwrapped: ``literal_eval`` rejects
+    the call, and the engine's registry is spelled that way."""
     counters: set[str] = set()
     prefixes: list[str] = []
     gauges: set[str] = set()
@@ -712,11 +737,16 @@ def _declared_sets(model: ProjectModel) -> tuple[
         for stmt in module.tree.body:
             if not isinstance(stmt, ast.Assign):
                 continue
+            literal = stmt.value
+            if isinstance(literal, ast.Call) and \
+                    _callee_last(literal.func) == "frozenset" and \
+                    len(literal.args) == 1 and not literal.keywords:
+                literal = literal.args[0]
             for target in stmt.targets:
                 if not isinstance(target, ast.Name):
                     continue
                 try:
-                    value = ast.literal_eval(stmt.value)
+                    value = ast.literal_eval(literal)
                 except (ValueError, SyntaxError):
                     continue
                 if target.id == "DECLARED_COUNTERS":
@@ -742,37 +772,33 @@ def flow002(model: ProjectModel, config: FlowConfig) -> list[Finding]:
         for node in iter_own_nodes(info.node):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
-            last = _callee_last(node.func)
-            if last not in COUNTER_FUNCS and last not in GAUGE_FUNCS:
+            kind = _counter_call_kind(node.func)
+            if kind is None:
                 continue
-            parsed = _static_counter_name(node.args[0])
-            if parsed is None:
-                continue
-            name, is_prefix = parsed
-            bucket = used_prefix if is_prefix else used_exact
-            bucket.setdefault(name, (qualname, str(info.path),
-                                     node.lineno))
-            declared = gauges if last in GAUGE_FUNCS else counters
-            if is_prefix:
-                ok = any(name.startswith(p) or p.startswith(name)
-                         for p in prefixes) or \
-                    any(d.startswith(name) for d in declared)
-            else:
-                ok = name in declared or \
-                    any(name.startswith(p) for p in prefixes)
-            if not ok:
-                kind = "gauge" if last in GAUGE_FUNCS else "counter"
-                findings.append(Finding(
-                    rule="FLOW002",
-                    symbol=qualname,
-                    key=name,
-                    message=(
-                        f"{kind} {name!r} is emitted but not declared "
-                        f"in {registry} — typo or missing declaration"
-                    ),
-                    path=str(info.path),
-                    line=node.lineno,
-                ))
+            for name, is_prefix in _static_counter_names(node.args[0]):
+                bucket = used_prefix if is_prefix else used_exact
+                bucket.setdefault(name, (qualname, str(info.path),
+                                         node.lineno))
+                declared = gauges if kind == "gauge" else counters
+                if is_prefix:
+                    ok = any(name.startswith(p) or p.startswith(name)
+                             for p in prefixes) or \
+                        any(d.startswith(name) for d in declared)
+                else:
+                    ok = name in declared or \
+                        any(name.startswith(p) for p in prefixes)
+                if not ok:
+                    findings.append(Finding(
+                        rule="FLOW002",
+                        symbol=qualname,
+                        key=name,
+                        message=(
+                            f"{kind} {name!r} is emitted but not declared "
+                            f"in {registry} — typo or missing declaration"
+                        ),
+                        path=str(info.path),
+                        line=node.lineno,
+                    ))
 
     for name in sorted(counters | gauges):
         if name in used_exact:

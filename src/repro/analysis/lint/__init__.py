@@ -5,7 +5,6 @@ Rules (all reported as ``path:line:col CODE message``):
 ========  ==========================================================
 ANL001    bare ``except:`` clause
 ANL002    ``raise KernelFallback`` outside the kernel modules
-ANL003    counter/gauge name not declared in the observability registry
 ANL004    cross-engine import (pgsim ↔ quack internals, or an engine
           import from the observability layer)
 ANL005    mutation of a ``Vector``'s ``data``/``validity`` payload
@@ -22,9 +21,14 @@ ANL009    trace-event ``.emit(...)`` call not guarded by a
 ANL010    a ``*_selectivity`` estimator returns a value not wrapped in
           ``clamp01(...)`` (an out-of-range selectivity corrupts every
           cardinality product built on it)
+ANL011    file I/O in a ``repro.quack`` module other than
+          ``repro.quack.storage``
 ========  ==========================================================
 
-Run as ``python -m repro.analysis.lint [--jobs N] [--fix] [paths]``
+Undeclared counter/gauge names are the flow analyzer's FLOW002
+(:mod:`repro.analysis.flow`), not a lint rule.
+
+Run as ``python -m repro.analysis.lint [--fix] [paths]``
 (default: ``src``).  The module is import-light on purpose — it parses
 source with ``ast`` and never imports the engine code it checks.
 
@@ -123,14 +127,13 @@ def lint_model(model: ProjectModel) -> list[Violation]:
     return violations
 
 
-def lint_paths(paths: Iterable[str], *, jobs: int = 1,
+def lint_paths(paths: Iterable[str], *,
                model: ProjectModel | None = None) -> list[Violation]:
     if model is None:
-        model = ProjectModel.parse(paths, jobs=jobs)
+        model = ProjectModel.parse(paths)
     return lint_model(model)
 
 
-def run_lint(paths: Iterable[str] = ("src",), *,
-             jobs: int = 1) -> list[Violation]:
+def run_lint(paths: Iterable[str] = ("src",)) -> list[Violation]:
     """Lint ``paths`` (files or directories) and return the violations."""
-    return lint_paths(paths, jobs=jobs)
+    return lint_paths(paths)

@@ -3,7 +3,7 @@
 Lints ``src`` by default, prints one ``path:line:col CODE message`` line
 per violation, and exits 1 when anything is found (0 on a clean run).
 ``--fix`` rewrites ANL007 unused imports in place first, then reports
-whatever remains; ``--jobs N`` parses files on N threads.
+whatever remains.
 """
 
 from __future__ import annotations
@@ -19,15 +19,11 @@ from .fixes import fix_unused_imports
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Project-specific AST lint (ANL000–ANL010).",
+        description="Project-specific AST lint (ANL000–ANL011).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse files on N threads (default: 1)",
     )
     parser.add_argument(
         "--fix", action="store_true",
@@ -55,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
 
-    model = ProjectModel.parse(args.paths, jobs=args.jobs)
+    model = ProjectModel.parse(args.paths)
     violations = lint_model(model)
     for violation in violations:
         print(violation.format())

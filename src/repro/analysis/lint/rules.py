@@ -11,12 +11,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ...observability.registry import (
-    DECLARED_PREFIXES,
-    is_declared_counter,
-    is_declared_gauge,
-)
-
 #: Modules allowed to raise KernelFallback — the kernels themselves plus
 #: the vector sort-key encoder and the columnar box kernels.  Everyone
 #: else must *catch* it (taking the fallback path), never signal it.
@@ -65,14 +59,6 @@ _FILE_IO_CALLS = frozenset({
     "mkdtemp",
 })
 
-#: Ambient helper functions whose first argument is a counter name.
-_COUNTER_FUNC_NAMES = frozenset({"count", "_count"})
-#: Method names whose first argument is a counter name.
-_COUNTER_ATTR_NAMES = frozenset({"bump"})
-#: Functions/methods whose first argument is a gauge name.
-_GAUGE_NAMES = frozenset({"gauge_max", "set_gauge"})
-
-
 def check_module(tree: ast.Module, module: str | None,
                  filename: str) -> list[tuple[int, int, str, str]]:
     checker = _Checker(module, filename)
@@ -98,7 +84,6 @@ class _Checker:
             elif isinstance(node, ast.Raise):
                 self.check_kernel_fallback_raise(node)
             elif isinstance(node, ast.Call):
-                self.check_counter_name(node)
                 self.check_evaluate_batch(node)
                 self.check_file_io_boundary(node)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -142,50 +127,6 @@ class _Checker:
             f"({self.module}): operators must catch it and take the "
             f"fallback path, only kernels may signal it",
         )
-
-    # -- ANL003: declared counter/gauge names ------------------------------------
-
-    def check_counter_name(self, node: ast.Call) -> None:
-        func = node.func
-        kind = None
-        if isinstance(func, ast.Name):
-            if func.id in _COUNTER_FUNC_NAMES:
-                kind = "counter"
-            elif func.id in _GAUGE_NAMES:
-                kind = "gauge"
-        elif isinstance(func, ast.Attribute):
-            if func.attr in _COUNTER_ATTR_NAMES:
-                kind = "counter"
-            elif func.attr in _GAUGE_NAMES:
-                kind = "gauge"
-        if kind is None or not node.args:
-            return
-        name, complete = _static_string(node.args[0])
-        if name is None:
-            return  # dynamic name: the runtime validator covers it
-        if complete:
-            declared = (
-                is_declared_counter(name) if kind == "counter"
-                else is_declared_gauge(name)
-            )
-            if not declared:
-                self.report(
-                    node, "ANL003",
-                    f"undeclared {kind} name {name!r}: add it to "
-                    f"repro.observability.registry",
-                )
-            return
-        # f-string: the static prefix must correspond to a declared
-        # dynamic prefix (e.g. "optimizer.rule.").
-        if not any(
-            name.startswith(prefix) or prefix.startswith(name)
-            for prefix in DECLARED_PREFIXES
-        ):
-            self.report(
-                node, "ANL003",
-                f"{kind} name built from undeclared prefix {name!r}: "
-                f"declare the prefix in repro.observability.registry",
-            )
 
     # -- ANL004: engine import boundaries ----------------------------------------
 
@@ -589,24 +530,6 @@ def _is_mutable_container(node: ast.expr) -> bool:
             name = func.attr
         return name in _MUTABLE_CONSTRUCTORS
     return False
-
-
-def _static_string(node: ast.expr) -> tuple[str | None, bool]:
-    """Extract a string literal (value, True) or an f-string's static
-    prefix (prefix, False); (None, False) for anything dynamic."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value, True
-    if isinstance(node, ast.JoinedStr):
-        prefix = ""
-        for part in node.values:
-            if isinstance(part, ast.Constant) and isinstance(
-                part.value, str
-            ):
-                prefix += part.value
-            else:
-                return prefix, False
-        return prefix, True
-    return None, False
 
 
 def _is_none(node: ast.expr) -> bool:

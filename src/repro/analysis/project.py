@@ -6,7 +6,7 @@ this model, so every source file is read and parsed **exactly once** per
 run even when both heads execute.
 
 :meth:`ProjectModel.parse` is the cheap half: it loads and parses files
-(optionally on a thread pool via ``jobs``) and is all the lint needs.
+and is all the lint needs.
 :meth:`ProjectModel.resolve` builds the expensive whole-program layers on
 top, lazily and at most once:
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -215,22 +214,15 @@ class ProjectModel:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def parse(cls, paths: Iterable[str | Path],
-              jobs: int = 1) -> "ProjectModel":
+    def parse(cls, paths: Iterable[str | Path]) -> "ProjectModel":
         """Read and parse every file once; no whole-program resolution."""
-        files = iter_python_files(paths)
-        if jobs > 1 and len(files) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parsed = list(pool.map(_parse_one, files))
-        else:
-            parsed = [_parse_one(f) for f in files]
+        parsed = [_parse_one(f) for f in iter_python_files(paths)]
         return cls([m for m in parsed if m is not None])
 
     @classmethod
-    def load(cls, paths: Iterable[str | Path],
-             jobs: int = 1) -> "ProjectModel":
+    def load(cls, paths: Iterable[str | Path]) -> "ProjectModel":
         """Parse and fully resolve (symbols, call graph, contexts)."""
-        model = cls.parse(paths, jobs=jobs)
+        model = cls.parse(paths)
         model.resolve()
         return model
 

@@ -18,7 +18,6 @@ from .extension import (
     connect,
     connect_baseline,
     load,
-    serve_metrics,
 )
 from .rtree_index import RTreeIndex, RTreeModule, TYPE_NAME
 from .types import (
@@ -50,6 +49,5 @@ __all__ = [
     "connect",
     "connect_baseline",
     "load",
-    "serve_metrics",
     "spatial",
 ]

@@ -55,16 +55,6 @@ def connect_baseline():
     return db.connect()
 
 
-def serve_metrics(port: int = 0, host: str = "127.0.0.1"):
-    """Expose the process-wide metrics registry over HTTP in Prometheus
-    text format (convenience re-export of
-    :func:`repro.observability.serve_metrics`); returns the server
-    handle — read ``.url``, call ``.shutdown()`` when done."""
-    from ..observability import serve_metrics as _serve
-
-    return _serve(port=port, host=host)
-
-
 def _module():
     import sys
 

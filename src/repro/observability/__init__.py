@@ -1,20 +1,23 @@
-"""repro.observability — unified query observability for both engines.
+"""repro.observability — per-query observability for both engines.
 
-Three layers, from hot to cold:
+Everything here describes one query; nothing aggregates across queries
+or outlives the connection:
 
 * :mod:`.context` — a contextvar holding the active query's
   :class:`QueryStatistics`; hot subsystems (R-tree, index probes,
   kernels, TOAST) call :func:`count` unconditionally and it no-ops when
   nothing is active.
-* :mod:`.stats` / :mod:`.tracer` — per-query counters, gauges, and the
-  phase-timed span tree (parse → bind → optimize → execute).
-* :mod:`.metrics` — the process-wide :data:`REGISTRY` every finished
-  query is absorbed into (totals + latency histograms).
+* :mod:`.stats` — per-query counters, gauges, and the phase tracer's
+  span tree (parse → bind → optimize → execute).
+* :mod:`.trace` — the execution timeline inside the execute phase and
+  its Chrome trace-event export.
+* :mod:`.querylog` — each connection's rolling log of finished queries.
 
 Surfaced through ``Result.stats()`` / ``Connection.last_query_stats``,
-``EXPLAIN ANALYZE`` (text with a phase header, or ``format="json"`` via
-``Connection.explain_analyze``), and the BerlinMOD runner's
-``BENCH_*.json`` profile artifacts.
+``EXPLAIN ANALYZE`` (text with a phase header, or ``format="json"`` /
+``"trace"`` via ``Connection.explain_analyze``), ``Connection.query_log``
+and ``export_trace``, and the BerlinMOD runner's ``BENCH_*.json``
+profile artifacts.
 """
 
 from .context import (
@@ -26,28 +29,12 @@ from .context import (
     maybe_span,
     set_collection_enabled,
 )
-from .metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsServer,
-    serve_metrics,
-)
 from .querylog import QueryLog, QueryRecord
-from .stats import PHASES, QueryStatistics
+from .stats import PHASES, QueryStatistics, Span, Tracer
 from .trace import TraceCollector, TraceEvent, chrome_trace, write_trace
-from .tracer import Span, Tracer
 
 __all__ = [
     "PHASES",
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsServer",
     "QueryLog",
     "QueryRecord",
     "QueryStatistics",
@@ -62,7 +49,6 @@ __all__ = [
     "current_stats",
     "gauge_max",
     "maybe_span",
-    "serve_metrics",
     "set_collection_enabled",
     "write_trace",
 ]

@@ -5,12 +5,16 @@ ambient :func:`~repro.observability.context.count`) that is not declared
 here records to nowhere anyone looks — a typo'd counter is a silent
 observability hole.  Two guards close it:
 
-* the ``repro.analysis.lint`` rule ``undeclared-counter`` checks every
-  string-literal counter name in the source tree against this registry;
+* the flow analyzer's FLOW002 (``python -m repro.analysis.flow``, run
+  in tier-1 by ``tests/analysis/test_lint_clean.py``) checks every
+  string-literal counter/gauge name and f-string prefix in the source
+  tree against this registry;
 * under ``set_verification_enabled(True)``, :class:`QueryStatistics`
   validates names at record time, catching dynamically built names.
 
-When adding a counter, declare it here first (grouped by subsystem).
+When adding a counter, declare it here first (grouped by subsystem) and
+assert it in a test: FLOW002 also reports emitted names no test
+mentions, and declared names nothing emits.
 """
 
 from __future__ import annotations

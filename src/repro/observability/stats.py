@@ -1,4 +1,4 @@
-"""Per-query statistics: counters, gauges, and the phase trace.
+"""Per-query statistics: counters, gauges, and the phase tracer.
 
 One :class:`QueryStatistics` is created per ``Connection.execute`` call
 (in both engines) and made ambient via :mod:`repro.observability.context`
@@ -14,19 +14,104 @@ Counters use dotted names grouped by subsystem, e.g.::
     quack.fallback_ops       row-loop fallbacks
     pgsim.detoast            varlena deserializations
     optimizer.rule.<name>    optimizer rule fire counts
+
+Each query's :class:`Tracer` records a tree of named, timed spans::
+
+    with stats.tracer.span("optimize"):
+        with stats.tracer.span("filter_pushdown"):
+            ...
+
+Top-level spans are the query *phases* (parse, bind, optimize, execute);
+:meth:`Tracer.phase_seconds` aggregates them by name so repeated phases
+(multi-statement scripts) sum up.  Spans nest arbitrarily deep and the
+whole tree serializes with :meth:`Span.to_dict` for the structured
+EXPLAIN output.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 from ..analysis.config import verification_enabled
 from ..analysis.errors import VerificationError
 from .registry import is_declared_counter, is_declared_gauge
-from .tracer import Tracer
 
 #: The canonical phase order for rendering.
 PHASES = ("parse", "bind", "optimize", "execute")
+
+
+@dataclass
+class Span:
+    """One timed region; ``seconds`` is inclusive of child spans.
+
+    ``start`` is a raw ``time.perf_counter()`` reading — meaningless on
+    its own, meaningful as an offset from the query's first span (the
+    query-local clock trace events share; see
+    :mod:`repro.observability.trace`)."""
+
+    name: str
+    start: float = 0.0
+    seconds: float = 0.0
+    children: list["Span"] = field(default_factory=list)
+
+    def to_dict(self, t0: float | None = None) -> dict:
+        """Serialize the subtree; ``t0`` (the query's first span start)
+        turns the raw perf-counter ``start`` into a timeline offset so
+        serialized span trees can be placed on the same clock as trace
+        events."""
+        node: dict = {"name": self.name, "seconds": self.seconds}
+        if t0 is not None:
+            node["start"] = self.start - t0
+        if self.children:
+            node["children"] = [c.to_dict(t0) for c in self.children]
+        return node
+
+
+class Tracer:
+    """Collects a tree of spans for one query (or one script)."""
+
+    __slots__ = ("spans", "_stack")
+
+    def __init__(self):
+        #: completed (or in-flight) top-level spans, in start order
+        self.spans: list[Span] = []
+        self._stack: list[Span] = []
+
+    @contextmanager
+    def span(self, name: str) -> Iterator[Span]:
+        span = Span(name, time.perf_counter())
+        if self._stack:
+            self._stack[-1].children.append(span)
+        else:
+            self.spans.append(span)
+        self._stack.append(span)
+        try:
+            yield span
+        finally:
+            span.seconds += time.perf_counter() - span.start
+            self._stack.pop()
+
+    def phase_seconds(self) -> dict[str, float]:
+        """Top-level span durations aggregated by name."""
+        out: dict[str, float] = {}
+        for span in self.spans:
+            out[span.name] = out.get(span.name, 0.0) + span.seconds
+        return out
+
+    def total_seconds(self) -> float:
+        return sum(span.seconds for span in self.spans)
+
+    def t0(self) -> float | None:
+        """The query's clock origin: the first span's start (None when
+        nothing was traced)."""
+        return self.spans[0].start if self.spans else None
+
+    def to_list(self) -> list[dict]:
+        t0 = self.t0()
+        return [span.to_dict(t0) for span in self.spans]
 
 
 class QueryStatistics:

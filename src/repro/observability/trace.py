@@ -1,6 +1,6 @@
 """Execution-timeline tracing: what ran when inside the execute phase.
 
-The phase tracer (:mod:`.tracer`) answers *how long* each query phase
+The phase tracer (:class:`.stats.Tracer`) answers *how long* each query phase
 took; this module answers *where the time went inside the execute phase*
 — how operators nest and how long each one stayed open.
 

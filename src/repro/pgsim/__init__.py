@@ -8,12 +8,11 @@ paper benchmarks MobilityDuck against.
 
 from .database import RowConnection, RowDatabase
 from .indexes import BTreeIndex, GistIndex, value_to_rect
-from .table import RowCatalog, RowTable
+from .table import RowTable
 
 __all__ = [
     "BTreeIndex",
     "GistIndex",
-    "RowCatalog",
     "RowConnection",
     "RowDatabase",
     "RowTable",

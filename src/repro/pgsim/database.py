@@ -11,20 +11,20 @@ INDEX`` every predicate is a sequential scan.
 from __future__ import annotations
 
 from ..observability import QueryStatistics, current_stats, maybe_span
-from ..quack.catalog import IndexType
+from ..quack.catalog import Catalog, IndexType
 from ..quack.database import BaseConnection, BaseDatabase, Result
 from ..quack.plan import BoundExpr, LogicalOperator
 from ..quack.profiler import PlanProfiler
 from .executor import RowContext, eval_row, execute_rows
 from .indexes import BTreeIndex, GistIndex
-from .table import RowCatalog, RowTable
+from .table import RowTable
 
 
 class RowDatabase(BaseDatabase):
     """An in-process row-store database instance."""
 
     def __init__(self):
-        super().__init__(RowCatalog())
+        super().__init__(Catalog())
         self.config.index_types.register(IndexType(
             "GIST",
             lambda name, table, column, database: GistIndex(

@@ -131,42 +131,3 @@ class RowTable:
         for index in self.indexes:
             index.rebuild(self)
 
-
-class RowCatalog:
-    """Named row tables and their indexes."""
-
-    def __init__(self):
-        self.tables: dict[str, RowTable] = {}
-        self.indexes: dict[str, Any] = {}
-
-    def create_table(self, table: RowTable, or_replace: bool = False) -> None:
-        key = table.name.lower()
-        if key in self.tables and not or_replace:
-            raise CatalogError(f"table {table.name!r} already exists")
-        self.tables[key] = table
-
-    def drop_table(self, name: str, if_exists: bool = False) -> None:
-        key = name.lower()
-        if key not in self.tables:
-            if if_exists:
-                return
-            raise CatalogError(f"table {name!r} does not exist")
-        table = self.tables.pop(key)
-        for index in table.indexes:
-            self.indexes.pop(index.name.lower(), None)
-
-    def get_table(self, name: str) -> RowTable:
-        found = self.tables.get(name.lower())
-        if found is None:
-            raise CatalogError(f"table {name!r} does not exist")
-        return found
-
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self.tables
-
-    def add_index(self, index) -> None:
-        key = index.name.lower()
-        if key in self.indexes:
-            raise CatalogError(f"index {index.name!r} already exists")
-        self.indexes[key] = index
-        index.table.indexes.append(index)

@@ -31,7 +31,6 @@ import numpy as np
 
 from ..analysis.config import verification_enabled
 from ..observability import (
-    REGISTRY,
     QueryLog,
     QueryRecord,
     QueryStatistics,
@@ -253,7 +252,7 @@ class BaseConnection:
     def _finish_query(self, sql: str, stats: QueryStatistics,
                       seconds: float, result: Result,
                       error: str | None) -> None:
-        """Record the finished query in the log and the global registry."""
+        """Record the finished query in the connection's query log."""
         if stats.trace is not None and len(stats.trace):
             stats.bump("trace.events", len(stats.trace))
         record = QueryRecord(
@@ -269,7 +268,6 @@ class BaseConnection:
             stats.bump("querylog.records")
         else:
             stats.bump("querylog.suppressed")
-        REGISTRY.absorb(stats)
 
     def query_log(self, n: int | None = None,
                   format: str = "records"):
@@ -340,7 +338,6 @@ class BaseConnection:
             plan, profiler = self._profile_select(stmt, stats)
         if len(stats.trace):
             stats.bump("trace.events", len(stats.trace))
-        REGISTRY.absorb(stats)
         if format == "json":
             return {**profiler.to_dict(plan, stats), "engine": self.ENGINE}
         if format == "trace":

@@ -98,8 +98,11 @@ class TestLeaksAndDrift:
         assert sorted(triples(findings)) == [
             ("FLOW002", "emitters.bump_custom", "custom."),
             ("FLOW002", "emitters.bump_undeclared", "scan.rows_out"),
+            ("FLOW002", "emitters.gauge_undeclared", "bogus.gauge"),
             ("FLOW002", "registry", "cache.unused_counter"),
         ]
+        gauge = next(f for f in findings if f.key == "bogus.gauge")
+        assert gauge.message.startswith("gauge 'bogus.gauge'")
 
     def test_dead_set_flag(self):
         assert triples(analyze("dead_set_flag.py")) == [

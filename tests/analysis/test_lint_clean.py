@@ -1,10 +1,12 @@
-"""The committed tree must be lint-clean — the CI gate in test form."""
+"""The committed tree must be lint- and flow-clean — the CI gates in test
+form."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.analysis import flow
 from repro.analysis.lint import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -13,6 +15,19 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_source_tree_is_lint_clean():
     violations = run_lint([str(REPO_ROOT / "src")])
     assert violations == [], "\n".join(v.format() for v in violations)
+
+
+def test_source_tree_is_flow_clean():
+    """Every flow finding (FLOW002 undeclared counters among them) is
+    fixed or baselined, and every baseline entry still fires."""
+    model, findings = flow.analyze(
+        [REPO_ROOT / "src" / "repro"], tests_dir=REPO_ROOT / "tests"
+    )
+    baseline = flow.load_baseline(REPO_ROOT / "flow-baseline.txt")
+    new, accepted, stale = flow.split_by_baseline(findings, baseline)
+    assert (new, stale) == ([], []), flow.format_text(
+        new, accepted, stale, model
+    )
 
 
 def test_cli_reports_violations(tmp_path):

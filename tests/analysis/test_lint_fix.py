@@ -3,7 +3,6 @@ unused-import deletion): exact spans, valid output, idempotency, and
 the CLI wiring."""
 
 import ast
-import textwrap
 
 import pytest
 
@@ -113,17 +112,3 @@ class TestCli:
         path.write_text(source, encoding="utf-8")
         assert main(["--fix", str(path)]) == 1  # still reports ANL000
         assert path.read_text(encoding="utf-8") == source
-
-    def test_jobs_flag_same_result(self, tmp_path):
-        src = textwrap.dedent("""\
-            import os
-
-            def f():
-                return 1
-        """)
-        for i in range(4):
-            (tmp_path / f"mod{i}.py").write_text(src, encoding="utf-8")
-        serial = lint_paths([str(tmp_path)])
-        threaded = lint_paths([str(tmp_path)], jobs=4)
-        assert serial == threaded
-        assert [v.code for v in serial] == ["ANL007"] * 4

@@ -61,31 +61,6 @@ class TestKernelFallbackProvenance:
         assert "ANL002" in codes(src)
 
 
-class TestCounterNames:
-    def test_undeclared_literal_flagged(self):
-        violations = run('stats.bump("totally.bogus")')
-        assert [c for _, _, c, _ in violations] == ["ANL003"]
-        assert "totally.bogus" in violations[0][3]
-
-    def test_declared_literal_clean(self):
-        assert codes('stats.bump("verify.plans")') == []
-
-    def test_declared_prefix_fstring_clean(self):
-        assert codes('stats.bump(f"optimizer.rule.{name}")') == []
-
-    def test_undeclared_prefix_fstring_flagged(self):
-        assert codes('stats.bump(f"custom.{name}")') == ["ANL003"]
-
-    def test_dynamic_name_left_to_runtime(self):
-        assert codes("stats.bump(name)") == []
-
-    def test_gauge_names_checked(self):
-        assert codes(
-            'stats.set_gauge("executor.peak_materialized_rows", 5)'
-        ) == []
-        assert codes('stats.gauge_max("bogus.gauge", 1)') == ["ANL003"]
-
-
 class TestEngineImportBoundaries:
     def test_pgsim_importing_quack_internals_flagged(self):
         src = "from ..quack.kernels import sort_rows\nuse(sort_rows)\n"

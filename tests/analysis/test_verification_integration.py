@@ -72,6 +72,7 @@ def test_explain_analyze_reports_verify_counters(verification):
         "SELECT g, sum(v) FROM t WHERE v > 10 GROUP BY g"
     )
     assert "verify.plans" in text
+    assert "verify.rules_checked" in text
     assert "verify.chunks_checked" in text
 
 

@@ -9,7 +9,16 @@ fires, kernel dispatches, TOAST detoasting — and the phase trace.
 import pytest
 
 from repro import core
-from repro.observability import set_collection_enabled
+from repro.observability import (
+    QueryStatistics,
+    Tracer,
+    activate,
+    count,
+    current_stats,
+    gauge_max,
+    maybe_span,
+    set_collection_enabled,
+)
 from repro.quack import Database
 
 
@@ -44,6 +53,16 @@ class TestQuackStats:
         assert stats is not None
         assert stats is con.last_query_stats
         assert stats.counter("executor.rows_returned") == 1
+        assert stats.counter("executor.result_chunks") == 1
+
+    def test_materialization_counters(self, con):
+        # The aggregate drains its 1000-row input into whole columns.
+        stats = con.execute("SELECT count(*) FROM t").stats()
+        assert stats.counter("executor.materializations") == 1
+        assert stats.counter("executor.materialized_chunks") >= 1
+        assert stats.gauges["executor.peak_materialized_rows"] == 1000
+        streamed = con.execute("SELECT a FROM t WHERE a < 10").stats()
+        assert streamed.counter("executor.materializations") == 0
 
     def test_phases_recorded_and_sum_to_total(self, con):
         stats = con.execute("SELECT a FROM t WHERE a < 10").stats()
@@ -130,6 +149,23 @@ class TestPgsimStats:
         assert stats.counter("index.gist.probes") == 1
         assert stats.counter("index.gist.candidates") >= 1
         assert stats.counter("executor.index_scans") == 1
+        assert stats.counter("executor.index_candidates") == \
+            stats.counter("index.gist.candidates")
+
+    def test_gist_index_join_counters(self, row_con):
+        row_con.execute("CREATE INDEX gx ON r USING GIST(box)")
+        row_con.execute("CREATE TABLE q(box STBOX)")
+        row_con.execute(
+            "INSERT INTO q SELECT ('STBOX X((' || i || ',' || i ||"
+            " '),(' || (i + 1) || ',' || (i + 1) || '))') "
+            "FROM generate_series(1, 5) AS t(i)"
+        )
+        stats = row_con.execute(
+            "SELECT count(*) FROM q, r WHERE q.box && r.box"
+        ).stats()
+        # One GiST probe per outer row.
+        assert stats.counter("executor.join_index_probes") == 5
+        assert stats.counter("index.gist.probes") == 5
 
     def test_btree_probe_counters(self, row_con):
         row_con.execute("CREATE INDEX bx ON r USING BTREE(id)")
@@ -155,3 +191,58 @@ class TestPgsimStats:
         assert stats.total_seconds() == pytest.approx(
             sum(phases.values())
         )
+
+
+class TestTracer:
+    def test_nesting_and_phase_rollup(self):
+        tracer = Tracer()
+        with tracer.span("execute"):
+            with tracer.span("scan"):
+                pass
+            with tracer.span("scan"):
+                pass
+        with tracer.span("execute"):
+            pass
+        assert len(tracer.spans) == 2
+        assert [c.name for c in tracer.spans[0].children] == ["scan", "scan"]
+        phases = tracer.phase_seconds()
+        # Nested spans roll up into their parent, not the phase total.
+        assert set(phases) == {"execute"}
+        assert tracer.total_seconds() == pytest.approx(sum(phases.values()))
+
+    def test_span_to_dict(self):
+        tracer = Tracer()
+        with tracer.span("a"):
+            with tracer.span("b"):
+                pass
+        node = tracer.to_list()[0]
+        assert node["name"] == "a"
+        assert node["seconds"] >= node["children"][0]["seconds"]
+
+
+class TestAmbientContext:
+    def test_count_is_noop_without_active_stats(self):
+        assert current_stats() is None
+        count("anything")  # must not raise
+        gauge_max("anything", 1.0)
+
+    def test_activate_scopes_stats(self):
+        stats = QueryStatistics()
+        with activate(stats):
+            count("rtree.searches", 3)
+            assert current_stats() is stats
+        assert current_stats() is None
+        assert stats.counter("rtree.searches") == 3
+
+    def test_maybe_span_none_is_noop(self):
+        with maybe_span(None, "parse"):
+            pass
+
+    def test_phase_sum_equals_total(self):
+        stats = QueryStatistics()
+        for phase in ("parse", "bind", "optimize", "execute"):
+            with maybe_span(stats, phase):
+                pass
+        phases = stats.phase_seconds()
+        assert set(phases) == {"parse", "bind", "optimize", "execute"}
+        assert stats.total_seconds() == pytest.approx(sum(phases.values()))

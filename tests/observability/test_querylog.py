@@ -106,9 +106,12 @@ class TestIntegration:
         before = len(con.query_log())
         con.execute("SELECT * FROM t")  # far under 10s: suppressed
         assert len(con.query_log()) == before
+        assert con.last_query_stats.counter("querylog.suppressed") == 1
+        assert con.last_query_stats.counter("querylog.records") == 0
         con.execute("SET log_min_duration = 0")
         con.execute("SELECT * FROM t")
         assert len(con.query_log()) > before
+        assert con.last_query_stats.counter("querylog.records") == 1
 
     def test_failed_query_logged_despite_threshold(self, con):
         con.execute("SET log_min_duration = 10000")

@@ -159,7 +159,10 @@ class TestQuackTrace:
         assert trace["otherData"]["engine"] == "quack"
         assert "HASH_GROUP_BY" in trace["otherData"]["plan"]
         # under the profiler, operator lifetimes nest under the phases
-        assert begin_events(trace, "operator")
+        operators = begin_events(trace, "operator")
+        assert operators
+        assert big_con.last_query_stats.counter("trace.events") == \
+            len(operators)
 
     def test_export_trace_writes_perfetto_loadable_json(
             self, big_con, tmp_path):
@@ -177,9 +180,6 @@ class TestQuackTrace:
             con.export_trace("/tmp/never-written.json")
 
     def test_collection_off_disables_tracing(self, big_con):
-        from repro.observability import REGISTRY
-
-        before = REGISTRY.snapshot()["counters"].get("queries_total", 0)
         log_before = len(big_con.query_log())
         previous = set_collection_enabled(False)
         try:
@@ -188,10 +188,8 @@ class TestQuackTrace:
             assert result.stats() is None
         finally:
             set_collection_enabled(previous)
-        # nothing downstream ran either: no log record, no absorb
+        # nothing downstream ran either: no log record
         assert len(big_con.query_log()) == log_before
-        after = REGISTRY.snapshot()["counters"].get("queries_total", 0)
-        assert after == before
 
     def test_collection_off_overhead_pin(self, big_con):
         """With the kill switch off, the tracing/logging layer must not

@@ -339,6 +339,16 @@ class TestIndexJoinBatch:
         assert counters.get("executor.join_index_batches", 0) >= 1
         assert counters.get("rtree.batch_searches", 0) >= 1
         assert counters.get("rtree.batch_probes", 0) >= 1
+        # The TRTREE access method and the R-tree it wraps count the
+        # same batched searches from either side of the call.
+        assert counters["index.trtree.batches"] == \
+            counters["rtree.batch_searches"]
+        assert counters["index.trtree.batch_probes"] == \
+            counters["rtree.batch_probes"]
+        assert counters["rtree.batch_leaf_hits"] == \
+            counters["index.trtree.candidates"]
+        assert counters["rtree.batch_nodes_visited"] >= \
+            counters["rtree.batch_searches"]
 
 
 class TestSpatialRTreeIndexJoin:

@@ -291,6 +291,30 @@ class TestFileRoundTrip:
             r[0] for r in again.execute("SELECT a FROM t").fetchall()
         ) == [1, 2, 3]
 
+    def test_io_counters(self, tmp_path):
+        path = tmp_path / "io.quackdb"
+        con = Database().connect()
+        con.execute("CREATE TABLE t(a BIGINT, b VARCHAR)")
+        con.database.catalog.get_table("t").append_rows(
+            [(i, f"r{i}") for i in range(100)]
+        )
+        written = con.execute(f"CHECKPOINT '{path}'").stats()
+        size = path.stat().st_size
+        assert written.counter("storage.checkpoints") == 1
+        assert written.counter("storage.bytes_written") == size
+        fresh = Database().connect()
+        attached = fresh.execute(f"ATTACH '{path}'").stats()
+        assert attached.counter("storage.tables_attached") == 1
+        first = fresh.execute("SELECT * FROM t").stats()
+        # Two columns, one row group: each segment decoded once, lazily,
+        # and attach + first scan read the file exactly once between them.
+        assert first.counter("storage.segments_decoded") == 2
+        assert attached.counter("storage.bytes_read") + \
+            first.counter("storage.bytes_read") == size
+        again = fresh.execute("SELECT * FROM t").stats()
+        assert again.counter("storage.segments_decoded") == 0
+        assert again.counter("storage.bytes_read") == 0
+
     def test_checkpoint_without_attach_raises(self):
         con = Database().connect()
         with pytest.raises(QuackError, match="CHECKPOINT"):
