@@ -11,8 +11,10 @@ from pathlib import Path
 from repro.analysis import flow
 from repro.analysis.lint import lint_model, lint_paths
 from repro.analysis.project import ProjectModel
+from repro.observability import registry as registry_module
 
 FIXTURES = Path(__file__).parent / "flow_fixtures"
+ENGINE_REGISTRY = Path(registry_module.__file__)
 
 
 def analyze(*names):
@@ -103,6 +105,87 @@ class TestLeaksAndDrift:
         ]
         gauge = next(f for f in findings if f.key == "bogus.gauge")
         assert gauge.message.startswith("gauge 'bogus.gauge'")
+
+
+def snippet_keys(tmp_path, body, registry=ENGINE_REGISTRY):
+    """FLOW002 keys reported inside ``body`` (the statements of one
+    function) when it is checked against ``registry``."""
+    path = tmp_path / "snippet.py"
+    path.write_text(
+        "def emit(stats, name, hit):\n"
+        + textwrap.indent(textwrap.dedent(body), "    "),
+        encoding="utf-8",
+    )
+    _, findings = flow.analyze([registry, path])
+    return [f.key for f in findings
+            if f.rule == "FLOW002" and f.symbol == "snippet.emit"]
+
+
+class TestCounterNames:
+    """FLOW002 is the one static check on counter and gauge names: each
+    call shape, checked against the engine's own registry."""
+
+    def test_undeclared_literal_flagged(self, tmp_path):
+        assert snippet_keys(tmp_path, 'stats.bump("totally.bogus")\n') == [
+            "totally.bogus",
+        ]
+
+    def test_declared_literal_clean(self, tmp_path):
+        assert snippet_keys(tmp_path, 'stats.bump("verify.plans")\n') == []
+
+    def test_declared_prefix_fstring_clean(self, tmp_path):
+        assert snippet_keys(
+            tmp_path, 'stats.bump(f"optimizer.rule.{name}")\n') == []
+
+    def test_undeclared_prefix_fstring_flagged(self, tmp_path):
+        assert snippet_keys(tmp_path, 'stats.bump(f"custom.{name}")\n') == [
+            "custom.",
+        ]
+
+    def test_dynamic_name_left_to_runtime(self, tmp_path):
+        assert snippet_keys(tmp_path, "stats.bump(name)\n") == []
+
+    def test_gauge_names_checked(self, tmp_path):
+        assert snippet_keys(tmp_path, """\
+            stats.set_gauge("executor.peak_materialized_rows", 5)
+            stats.gauge_max("bogus.gauge", 1)
+            stats.set_gauge("verify.plans", 1)
+        """) == ["bogus.gauge", "verify.plans"]  # a counter is no gauge
+
+    def test_conditional_name_checks_both_arms(self, tmp_path):
+        assert snippet_keys(
+            tmp_path,
+            'stats.bump("verify.plans" if hit else "verify.plan")\n',
+        ) == ["verify.plan"]
+
+    def test_ambient_helper_bare_and_aliased(self, tmp_path):
+        assert snippet_keys(tmp_path, """\
+            count("bogus.bare")
+            _count("bogus.aliased")
+            count("rtree.searches", 3)
+        """) == ["bogus.bare", "bogus.aliased"]
+
+    def test_method_named_count_is_not_the_helper(self, tmp_path):
+        # the optimizer's ``self._count(rule)`` wraps its own prefix
+        assert snippet_keys(tmp_path, 'stats._count("dp_plans")\n') == []
+
+    def test_frozenset_registry_is_read(self, tmp_path):
+        registry = tmp_path / "names.py"
+        registry.write_text(
+            'DECLARED_COUNTERS = frozenset({"a.declared"})\n',
+            encoding="utf-8",
+        )
+        assert snippet_keys(tmp_path, """\
+            stats.bump("a.declared")
+            stats.bump("a.undeclared")
+        """, registry=registry) == ["a.undeclared"]
+
+    def test_no_registry_no_findings(self, tmp_path):
+        path = tmp_path / "lonely.py"
+        path.write_text('def emit(stats):\n    stats.bump("any.name")\n',
+                        encoding="utf-8")
+        _, findings = flow.analyze([path])
+        assert findings == []
 
     def test_dead_set_flag(self):
         assert triples(analyze("dead_set_flag.py")) == [

@@ -6,8 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import flow
+from repro.analysis.flow.__main__ import main as flow_main
 from repro.analysis.lint import run_lint
+from repro.analysis.lint.__main__ import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -54,3 +58,15 @@ def test_cli_clean_exit(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("main", [lint_main, flow_main],
+                         ids=["lint", "flow"])
+def test_cli_has_no_jobs_option(main, tmp_path, capsys):
+    # both analyzers parse serially; there is no worker count to pass
+    good = tmp_path / "good.py"
+    good.write_text("VALUE = 1\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["--jobs", "2", str(good)])
+    assert exited.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

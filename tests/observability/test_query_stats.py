@@ -19,6 +19,7 @@ from repro.observability import (
     maybe_span,
     set_collection_enabled,
 )
+from repro.pgsim import RowDatabase
 from repro.quack import Database
 
 
@@ -191,6 +192,59 @@ class TestPgsimStats:
         assert stats.total_seconds() == pytest.approx(
             sum(phases.values())
         )
+
+
+class TestPerQueryOnly:
+    """Statistics describe one statement: nothing accumulates across
+    statements on either engine."""
+
+    @pytest.fixture(params=["quack", "pgsim"])
+    def engine_con(self, request):
+        database = Database() if request.param == "quack" else RowDatabase()
+        con = database.connect()
+        con.execute("CREATE TABLE t(a INTEGER)")
+        con.execute("INSERT INTO t VALUES (1), (2), (3)")
+        return con
+
+    def test_each_statement_gets_fresh_stats(self, engine_con):
+        first = engine_con.execute("SELECT a FROM t")
+        second = engine_con.execute("SELECT a FROM t WHERE a = 1")
+        assert first.stats() is not second.stats()
+        assert second.stats() is engine_con.last_query_stats
+        assert second.stats().counter("executor.rows_returned") == 1
+        # a finished statement's numbers stay its own
+        assert first.stats().counter("executor.rows_returned") == 3
+
+    def test_log_record_counters_are_the_statements_own(self, engine_con):
+        engine_con.execute("SELECT a FROM t")
+        engine_con.execute("SELECT a FROM t WHERE a = 1")
+        first, second = engine_con.query_log()[-2:]
+        assert first.counters["executor.rows_returned"] == 3
+        assert second.counters["executor.rows_returned"] == 1
+        assert second.rows == 1
+
+
+class TestPublicSurface:
+    def test_span_and_tracer_live_in_stats(self):
+        from repro import observability
+        from repro.observability import stats
+
+        assert observability.Span is stats.Span
+        assert observability.Tracer is stats.Tracer
+        assert isinstance(QueryStatistics().tracer, Tracer)
+
+    def test_no_process_wide_tier(self):
+        import importlib
+
+        from repro import observability
+
+        for name in ("REGISTRY", "MetricsRegistry", "MetricsServer",
+                     "serve_metrics", "expose_text"):
+            assert not hasattr(observability, name), name
+        assert not hasattr(core, "serve_metrics")
+        for module in ("metrics", "tracer"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.observability.{module}")
 
 
 class TestTracer:

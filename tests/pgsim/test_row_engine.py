@@ -6,6 +6,8 @@ from repro import core
 from repro.pgsim import RowConnection, RowDatabase
 from repro.pgsim.table import Varlena, detoast, toast
 from repro.quack import Connection, Database
+from repro.quack.catalog import Catalog
+from repro.quack.errors import CatalogError
 
 
 @pytest.fixture
@@ -86,6 +88,65 @@ class TestConnectionLayer:
         assert not isinstance(db, Database)
         db.load_extension(core)
         assert not db.config.index_types.known("TRTREE")
+
+
+@pytest.fixture(params=["quack", "pgsim"])
+def engine_con(request):
+    # each engine with an index type over STBOX: TRTREE on quack, GiST
+    # on pgsim
+    if request.param == "quack":
+        return core.connect(), "TRTREE"
+    return core.connect_baseline(), "GIST"
+
+
+class TestSharedCatalog:
+    """Both engines keep tables and indexes in ``quack.catalog.Catalog``,
+    so DDL behaves identically on each."""
+
+    def test_row_database_uses_quack_catalog(self):
+        assert type(RowDatabase().catalog) is Catalog
+
+    def test_duplicate_table_rejected(self, engine_con):
+        con, _ = engine_con
+        con.execute("CREATE TABLE t(a INTEGER)")
+        with pytest.raises(CatalogError, match="table 'T' already exists"):
+            con.execute("CREATE TABLE T(b INTEGER)")
+        con.execute("CREATE TABLE IF NOT EXISTS t(b INTEGER)")
+        assert con.execute("SELECT count(*) FROM t").scalar() == 0
+
+    def test_drop_missing_table(self, engine_con):
+        con, _ = engine_con
+        with pytest.raises(CatalogError, match="table 'nope' does not exist"):
+            con.execute("DROP TABLE nope")
+        con.execute("DROP TABLE IF EXISTS nope")
+
+    def test_names_are_case_insensitive(self, engine_con):
+        con, _ = engine_con
+        con.execute("CREATE TABLE Trips(a INTEGER)")
+        con.execute("INSERT INTO TRIPS VALUES (7)")
+        assert con.execute("SELECT a FROM trips").scalar() == 7
+        assert con.database.catalog.has_table("tRiPs")
+
+    def test_create_or_replace_table(self, engine_con):
+        con, _ = engine_con
+        con.execute("CREATE TABLE t(a INTEGER)")
+        con.execute("INSERT INTO t VALUES (1)")
+        con.execute("CREATE OR REPLACE TABLE t(b VARCHAR)")
+        assert con.execute("SELECT count(*) FROM t").scalar() == 0
+        assert con.database.catalog.get_table("t").column_names == ["b"]
+
+    def test_drop_table_drops_its_indexes(self, engine_con):
+        con, index_type = engine_con
+        con.execute("CREATE TABLE g(box STBOX)")
+        con.execute(f"CREATE INDEX gx ON g USING {index_type}(box)")
+        with pytest.raises(CatalogError, match="index 'gx' already exists"):
+            con.execute(f"CREATE INDEX gx ON g USING {index_type}(box)")
+        con.execute("DROP TABLE g")
+        assert con.database.catalog.indexes == {}
+        con.execute("CREATE TABLE g(box STBOX)")
+        con.execute(f"CREATE INDEX gx ON g USING {index_type}(box)")
+        assert [i.name for i in
+                con.database.catalog.get_table("g").indexes] == ["gx"]
 
 
 class TestVarlena:
