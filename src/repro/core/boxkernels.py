@@ -122,9 +122,10 @@ def _stbox_rows(rows: Vector) -> BoxSoA:
 
 stbox_soa = _object_view(("box_soa", "stbox"), _stbox_rows)
 
+_SPAN = ("span",)
 #: ``tstzspan`` bounds of a vector as arrays.
 span_cols = _object_view(
-    ("span",), lambda rows: temporal.span_arrays(rows.to_list())
+    _SPAN, lambda rows: temporal.span_arrays(rows.to_list())
 )
 
 _TEMP_CSR = ("tcsr",)

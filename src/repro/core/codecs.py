@@ -1,0 +1,256 @@
+"""Segment codecs of the MobilityDuck types (paper §3.3/§3.4): a temporal
+point segment is its ``TempCSR`` arrays (``tcsr``), a ``tstzspan`` one
+its bounds (``span``) — both decode to the view the kernels read — and a
+geometry one its length-prefixed EWKB (``wkb``); each is one zlib blob
+with integers delta-narrowed.  ``encode`` declines (``None``: the pickle
+fallback) what it cannot give back bit for bit; ``decode`` raises
+``ValueError`` on bytes it did not write.  DESIGN.md has the layouts.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+
+import numpy as np
+
+from .. import geo
+from ..geo.kernels import offsets, ranges
+from ..meos import kernels as temporal
+from ..meos.temporal.ttypes import temporal_type
+from ..quack.storage import ZoneMapEntry, narrow_dtype
+from ..quack.vector import Vector, ViewVector
+from .boxkernels import _SPAN, _TEMP_CSR, span_cols, temp_csr
+
+_WIDTHS = tuple(np.dtype(w) for w in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _ints(values: np.ndarray) -> bytes:
+    """Integers in their narrowest width, after a width code byte."""
+    values = np.asarray(values, dtype=np.int64)
+    dtype = narrow_dtype(values)
+    return bytes([_WIDTHS.index(dtype)]) + values.astype(dtype).tobytes()
+
+
+class _Reader:
+    """Cursor over an inflated segment; running short is an error."""
+
+    def __init__(self, payload: bytes):
+        self.data, self.pos = zlib.decompress(bytes(payload)), 0
+
+    def take(self, size: int) -> bytes:
+        if size < 0 or self.pos + size > len(self.data):
+            raise ValueError("truncated segment")
+        self.pos += size
+        return self.data[self.pos - size:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dtype.itemsize), dtype).copy()
+
+    def ints(self, count: int) -> np.ndarray:
+        (code,) = self.unpack("<B")
+        if code >= len(_WIDTHS):
+            raise ValueError(f"bad integer width code {code}")
+        return self.array(_WIDTHS[code], count).astype(np.int64)
+
+    def deltas(self, first: int, count: int) -> np.ndarray:
+        steps = self.ints(max(count - 1, 0))
+        return np.cumsum(np.append(np.int64(first), steps))[:count]
+
+    def bits(self, count: int) -> np.ndarray:
+        packed = self.array(np.uint8, (count + 7) // 8)
+        return np.unpackbits(packed, count=count).astype(np.bool_)
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError("trailing bytes after the segment")
+
+
+class TemporalPointCodec:
+    name = "tcsr"
+
+    def encode(self, vector: Vector) -> bytes | None:
+        csr = temp_csr(vector)
+        held, store = csr.index[vector.validity], csr.store
+        if (held < 0).any():
+            return None
+        ids, inverse = np.unique(held, return_inverse=True)
+        names = {t.name for t in store.ttype[ids].tolist()}
+        srids = np.unique(store.srid[ids])
+        if len(names) > 1 or len(srids) > 1:
+            return None
+        seq_n = np.diff(store.seq_offsets)[ids]
+        seqs, _ = ranges(store.seq_offsets[ids], seq_n)
+        inst_n = np.diff(store.inst_offsets)[seqs]
+        insts, _ = ranges(store.inst_offsets[seqs], inst_n)
+        t = store.t[insts]
+        starts = offsets(inst_n)[:-1]
+        inner = np.ones(len(t), dtype=np.bool_)
+        inner[starts] = False
+        name = (names.pop() if names else "").encode("utf-8")
+        return zlib.compress(b"".join([
+            struct.pack("<IiqB", len(ids), int(srids[0]) if len(srids)
+                        else 0, int(t[0]) if len(t) else 0, len(name)),
+            name,
+            _ints(np.diff(inverse, prepend=-1)),
+            store.subtype[ids].astype(np.int8).tobytes(),
+            _ints(seq_n),
+            _ints(inst_n),
+            _ints(np.diff(t[starts])),
+            _ints(np.diff(t, prepend=0)[inner]),
+            np.packbits(np.concatenate([
+                store.lower_inc[seqs], store.upper_inc[seqs],
+                store.normalized[seqs],
+            ])).tobytes(),
+            store.seq_interp[seqs].astype(np.int8).tobytes(),
+            store.x[insts].tobytes(),
+            store.y[insts].tobytes(),
+        ]), 9)
+
+    def decode(self, payload: bytes, rows: int, ltype,
+               validity: np.ndarray) -> Vector:
+        r = _Reader(payload)
+        count, srid, first, size = r.unpack("<IiqB")
+        name = r.take(size).decode("utf-8")
+        held = r.deltas(-1, int(np.count_nonzero(validity)) + 1)[1:]
+        if len(np.unique(held)) != count or \
+                ((held < 0) | (held >= count)).any():
+            raise ValueError(f"{count} temporals for {len(held)} rows")
+        subtype = r.array(np.int8, count)
+        seq_n = r.ints(count)
+        inst_n = r.ints(int(seq_n.sum()))
+        if (seq_n < 1).any() or (inst_n < 1).any():
+            raise ValueError("offsets do not increase")
+        seqs, instants = len(inst_n), int(inst_n.sum())
+        starts = offsets(inst_n)[:-1]
+        firsts = r.deltas(first, seqs)
+        inner = np.ones(instants, dtype=np.bool_)
+        inner[starts] = False
+        steps = np.zeros(instants, dtype=np.int64)
+        steps[inner] = r.ints(instants - seqs)
+        flags = r.bits(3 * seqs)
+        interp = r.array(np.int8, seqs)
+        x, y = r.array(np.float64, instants), r.array(np.float64, instants)
+        r.finish()
+        if not (np.isin(subtype, (0, 1, 2)).all() and (steps[inner] > 0).all()
+                and np.isin(interp, (0, 1, 2)).all()
+                and (seq_n[subtype < 2] == 1).all()):
+            raise ValueError("malformed temporal arrays")
+        run = np.cumsum(steps)
+        store = temporal._Store(
+            offsets(seq_n), offsets(inst_n),
+            run - np.repeat(run[starts] - firsts, inst_n), x, y,
+            flags[:seqs], flags[seqs:2 * seqs], interp, flags[2 * seqs:],
+            subtype, np.full(count, srid, dtype=np.int64),
+            np.full(count, temporal_type(name) if count else None,
+                    dtype=object),
+            np.empty(count, dtype=object),
+        )
+        index = np.full(rows, -1, dtype=np.int64)
+        index[validity] = held
+        return ViewVector(ltype, _TEMP_CSR, temporal.TempCSR(index, store),
+                          validity)
+
+    def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
+        """Extents over every instant in row, then instant order, so a
+        zero bound has the sign the value walk gives it."""
+        csr, valid = temp_csr(vector), vector.validity
+        ids, nulls = csr.index[valid], int(np.count_nonzero(~valid))
+        if not len(ids) or (ids < 0).any():
+            return None if len(ids) else ZoneMapEntry(len(vector), nulls)
+        lo, hi = csr.store.inst_start[ids], csr.store.inst_start[ids + 1]
+        insts, _ = ranges(lo, hi - lo)
+        x, y, t = csr.store.x[insts], csr.store.y[insts], csr.store.t
+        return ZoneMapEntry(rows=len(vector), nulls=nulls, box={
+            "x": (float(x[np.argmin(x)]), float(x[np.argmax(x)])),
+            "y": (float(y[np.argmin(y)]), float(y[np.argmax(y)])),
+            "t": (float(t[lo].min()), float(t[hi - 1].max())),
+        }, box_complete=True)
+
+
+class SpanCodec:
+    name = "span"
+
+    def encode(self, vector: Vector) -> bytes | None:
+        spans, valid = span_cols(vector), vector.validity
+        if not spans.ok[valid].all():
+            return None
+        lower = spans.lower[valid]
+        return zlib.compress(
+            struct.pack("<q", int(lower[0]) if len(lower) else 0)
+            + _ints(np.diff(lower)) + _ints(spans.upper[valid] - lower)
+            + np.packbits(np.concatenate([spans.lower_inc[valid],
+                                          spans.upper_inc[valid]])).tobytes(),
+            9,
+        )
+
+    def decode(self, payload: bytes, rows: int, ltype,
+               validity: np.ndarray) -> Vector:
+        r = _Reader(payload)
+        held = int(np.count_nonzero(validity))
+        lower = r.deltas(r.unpack("<q")[0], held)
+        width, flags = r.ints(held), r.bits(2 * held)
+        r.finish()
+        if ((width < 0) | ((width == 0) & ~(flags[:held] & flags[held:]))
+                ).any():
+            raise ValueError("empty or inverted span")
+        spans = temporal.SpanArrays()
+        spans.ok = validity.copy()
+        for slot, values in zip(spans.__slots__[1:], (
+                lower, lower + width, flags[:held], flags[held:])):
+            setattr(spans, slot, np.zeros(rows, dtype=values.dtype))
+            getattr(spans, slot)[validity] = values
+        return ViewVector(ltype, _SPAN, spans, validity)
+
+    def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
+        # a span has no box and no number: the walk counts rows and NULLs
+        if not span_cols(vector).ok[vector.validity].all():
+            return None
+        return ZoneMapEntry(rows=len(vector),
+                            nulls=int(np.count_nonzero(~vector.validity)))
+
+
+_WKB_TYPES = (geo.Point, geo.LineString, geo.Polygon, geo.MultiPoint,
+              geo.MultiLineString, geo.MultiPolygon, geo.GeometryCollection)
+
+
+def _wkb_exact(geom, srid) -> bool:
+    """EWKB gives ``geom`` back: a class of its own, and collection
+    members of the collection's SRID (they carry none)."""
+    return type(geom) in _WKB_TYPES and geom.srid == srid and all(
+        _wkb_exact(child, srid) for child in getattr(geom, "geoms", ())
+    )
+
+
+class GeometryCodec:
+    name = "wkb"
+
+    def encode(self, vector: Vector) -> bytes | None:
+        parts = []
+        for geom in vector.data[vector.validity].tolist():
+            if not _wkb_exact(geom, getattr(geom, "srid", None)):
+                return None
+            blob = geo.encode_wkb(geom)
+            parts += (struct.pack("<I", len(blob)), blob)
+        return zlib.compress(b"".join(parts), 9)
+
+    def decode(self, payload: bytes, rows: int, ltype,
+               validity: np.ndarray) -> Vector:
+        r = _Reader(payload)
+        out = np.empty(rows, dtype=object)
+        for row in np.flatnonzero(validity).tolist():
+            out[row] = geo.decode_wkb(r.take(r.unpack("<I")[0]))
+        r.finish()
+        return Vector(ltype, out, validity)
+
+    def zone_entry(self, vector: Vector) -> None:
+        return None  # a geometry has no box the zone maps read
+
+
+TCSR_CODEC = TemporalPointCodec()
+SPAN_CODEC = SpanCodec()
+WKB_CODEC = GeometryCodec()

@@ -109,8 +109,12 @@ def register(database) -> None:
             scalar(tname, (geom_in, TIMESTAMP), ltype, make_instant)
 
         # -- trajectory & measures ---------------------------------------------------
-        scalar("trajectory", (ltype,), BLOB,
-               lambda t: geo.encode_wkb(meos.trajectory(t)))
+        def trajectory_wkb(t):
+            return geo.encode_wkb(meos.trajectory(t))
+
+        scalar("trajectory", (ltype,), BLOB, trajectory_wkb,
+               kernel=temporal_batch(kernels.trajectory_rows, 1, BLOB,
+                                     trajectory_wkb))
         scalar("trajectory_gs", (ltype,), GSERIALIZED_TYPE, meos.trajectory)
         scalar("length", (ltype,), DOUBLE, meos.length,
                kernel=temporal_batch(kernels.length_rows, 1, DOUBLE,

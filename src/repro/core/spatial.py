@@ -30,10 +30,11 @@ from ..quack.types import (
     LogicalType,
 )
 from .boxkernels import as_geometry as _as_geometry, geometry_batch
+from .codecs import WKB_CODEC
 
 EXTENSION_NAME = "spatial"
 
-GEOMETRY_TYPE = make_user_type("GEOMETRY", geo.Geometry)
+GEOMETRY_TYPE = make_user_type("GEOMETRY", geo.Geometry, codec=WKB_CODEC)
 
 
 class Box2D:

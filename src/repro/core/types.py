@@ -25,6 +25,7 @@ from ..quack.types import (
     VARCHAR,
     LogicalType,
 )
+from .codecs import SPAN_CODEC, TCSR_CODEC
 
 # -- set / span / spanset types ------------------------------------------------
 
@@ -35,8 +36,12 @@ SET_TYPES: dict[str, LogicalType] = {
         "tstzset", "geomset",
     )
 }
+#: The types whose payloads persist as their arrays (``core.codecs``).
+_CODECS = {"tstzspan": SPAN_CODEC, "tgeompoint": TCSR_CODEC,
+           "tgeometry": TCSR_CODEC}
+
 SPAN_TYPES: dict[str, LogicalType] = {
-    name: make_user_type(name, Span)
+    name: make_user_type(name, Span, _CODECS.get(name))
     for name in ("intspan", "bigintspan", "floatspan", "datespan", "tstzspan")
 }
 SPANSET_TYPES: dict[str, LogicalType] = {
@@ -50,7 +55,7 @@ SPANSET_TYPES: dict[str, LogicalType] = {
 # -- temporal types --------------------------------------------------------------
 
 TEMPORAL_TYPES: dict[str, LogicalType] = {
-    name: make_user_type(name, meos.Temporal)
+    name: make_user_type(name, meos.Temporal, _CODECS.get(name))
     for name in ("tbool", "tint", "tfloat", "ttext", "tgeompoint",
                  "tgeometry")
 }

@@ -33,7 +33,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..geo import GeomCSR, Point, lines_csr
+from ..geo import GeomCSR, LineString, Point, collect, encode_wkb, lines_csr
 from ..geo.kernels import offsets, ranges
 from .basetypes import TSTZ
 from .span import Span
@@ -81,6 +81,15 @@ class SpanArrays:
         out = SpanArrays()
         for name in self.__slots__:
             setattr(out, name, getattr(self, name)[rows])
+        return out
+
+    def objects(self) -> np.ndarray:
+        """The rows as ``tstzspan`` objects, ``None`` where there is none."""
+        out = np.empty(len(self), dtype=object)
+        bounds = [getattr(self, n)[self.ok].tolist()
+                  for n in self.__slots__[1:]]
+        out[self.ok] = np.fromiter((Span(*b, TSTZ) for b in zip(*bounds)),
+                                   dtype=object, count=int(self.ok.sum()))
         return out
 
 
@@ -544,6 +553,26 @@ def length_rows(csr: TempCSR) -> tuple[np.ndarray, np.ndarray]:
     values[rows] = _running_sums(
         store.step_lengths, start, store.inst_start[ids + 1] - start - 1
     )
+    return values, csr.index < 0
+
+
+def trajectory_rows(csr: TempCSR) -> tuple[np.ndarray, np.ndarray]:
+    """``encode_wkb(trajectory(row))`` per row, each distinct temporal's
+    geometry built from its trajectory arrays (a point per one-vertex
+    line, ``collect`` of several): ``(values, declined)``."""
+    store = csr.store.trajectory_store
+    x, y, vert = store.x.tolist(), store.y.tolist(), store.prim_vert.tolist()
+    blobs = {}
+    for g in np.unique(csr.index[csr.index >= 0]).tolist():
+        first, last = store.geom_offsets[g], store.geom_offsets[g + 1]
+        srid = int(store.srid[g])
+        blobs[g] = encode_wkb(collect([
+            Point(x[lo], y[lo], srid) if hi - lo == 1
+            else LineString(list(zip(x[lo:hi], y[lo:hi])), srid)
+            for lo, hi in zip(vert[first:last], vert[first + 1:last + 1])
+        ]))
+    values = np.empty(len(csr), dtype=object)
+    values[:] = [blobs.get(g) for g in csr.index.tolist()]
     return values, csr.index < 0
 
 

@@ -61,6 +61,8 @@ class ExtensionUtil:
         database.config.index_types.register(index_type)
 
 
-def make_user_type(name: str, python_class: type) -> LogicalType:
+def make_user_type(name: str, python_class: type,
+                   codec: Any = None) -> LogicalType:
     """Create a BLOB-backed user-defined logical type (paper §3.3)."""
-    return LogicalType(name.upper(), "object", python_class, is_user=True)
+    return LogicalType(name.upper(), "object", python_class, is_user=True,
+                       codec=codec)

@@ -12,9 +12,10 @@ Rows are re-chunked into fixed-size **row groups** (default
 row group is one encoded *segment*: dictionary encoding for text, delta
 (frame-of-reference) encoding for int64 payloads — which covers
 ``TIMESTAMP``/``DATE``, both epoch-integer physicals — bit-packed
-booleans, raw float64 bytes, and a zlib-pickled fallback for extension
-payloads (temporal points, boxes).  Validity is a separate packed bitmap
-per segment, elided when all rows are valid.
+booleans, raw float64 bytes, an extension type's own codec
+(:attr:`LogicalType.codec`), and a zlib-pickled fallback for the other
+extension payloads.  Validity is a separate packed bitmap per segment,
+elided when all rows are valid.
 
 The JSON footer carries the format version, schema, index definitions,
 per-segment byte offsets, and a per-row-group **zone map** per column:
@@ -66,8 +67,8 @@ from .stats import (
 from .types import LogicalType
 from .vector import STANDARD_VECTOR_SIZE, DataChunk, Vector, concat_vectors
 
-#: Current on-disk format version.  Readers reject anything newer.
-FORMAT_VERSION = 2
+#: On-disk format version (3: extension codecs); newer files are refused.
+FORMAT_VERSION = 3
 
 _MAGIC = b"QUACKDB2"
 _TRAILER_SIZE = 8 + len(_MAGIC)  # u64 footer offset + magic echo
@@ -83,6 +84,10 @@ _OBJECT_SLOT_BYTES = 64
 
 _DELTA_WIDTHS = (np.int8, np.int16, np.int32, np.int64)
 _CODE_WIDTHS = (np.uint8, np.uint16, np.uint32)
+
+#: What decoding bytes a codec did not write raises.
+_CORRUPT = (ValueError, IndexError, EOFError, zlib.error, struct.error,
+            pickle.UnpicklingError)
 
 _COMPARISON_OPS = frozenset(("<", "<=", ">", ">=", "="))
 #: Overlap-style box predicates: ``col && probe`` and ``col <@ probe``
@@ -122,9 +127,19 @@ def decode_validity(payload: bytes, rows: int) -> np.ndarray:
     return bits.astype(np.bool_)
 
 
+def narrow_dtype(values: np.ndarray) -> np.dtype:
+    """The narrowest of int8/16/32/64 holding the int64 ``values``."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    return next(np.dtype(w) for w in _DELTA_WIDTHS
+                if np.iinfo(w).min <= lo and hi <= np.iinfo(w).max)
+
+
 def encode_segment(vector: Vector) -> tuple[str, bytes, dict]:
     """Encode one segment; returns ``(codec, payload, meta)``."""
-    physical = vector.ltype.physical
+    physical, codec = vector.ltype.physical, vector.ltype.codec
+    payload = codec.encode(vector) if codec is not None else None
+    if payload is not None:  # from the views: a decoded view builds nothing
+        return codec.name, payload, {}
     data = vector.data
     if physical == "bool":
         return "bitpack", np.packbits(data.astype(np.bool_)).tobytes(), {}
@@ -132,21 +147,11 @@ def encode_segment(vector: Vector) -> tuple[str, bytes, dict]:
         values = data.astype(np.int64, copy=False)
         if len(values) == 0:
             return "delta", b"", {"first": 0, "width": "int64"}
-        first = int(values[0])
         deltas = np.diff(values)
-        width = _DELTA_WIDTHS[-1]
-        if deltas.size:
-            lo, hi = int(deltas.min()), int(deltas.max())
-            for candidate in _DELTA_WIDTHS:
-                info = np.iinfo(candidate)
-                if info.min <= lo and hi <= info.max:
-                    width = candidate
-                    break
-        else:
-            width = _DELTA_WIDTHS[0]
+        width = narrow_dtype(deltas)
         return "delta", deltas.astype(width).tobytes(), {
-            "first": first,
-            "width": np.dtype(width).name,
+            "first": int(values[0]),
+            "width": width.name,
         }
     if physical == "float64":
         return "raw", data.astype(np.float64, copy=False).tobytes(), {}
@@ -182,47 +187,37 @@ def encode_segment(vector: Vector) -> tuple[str, bytes, dict]:
 
 
 def decode_segment(codec: str, payload: bytes, meta: dict, rows: int,
-                   ltype: LogicalType) -> np.ndarray:
-    """Inverse of :func:`encode_segment`."""
+                   ltype: LogicalType, validity: np.ndarray) -> Vector:
+    """Inverse of :func:`encode_segment`: the segment as a vector with
+    ``validity`` (a view vector where the type's codec wrote it)."""
+    if ltype.codec is not None and codec == ltype.codec.name:
+        return ltype.codec.decode(payload, rows, ltype, validity)
     if codec == "bitpack":
-        if rows == 0:
-            return np.zeros(0, dtype=np.bool_)
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                             count=rows)
-        return bits.astype(np.bool_)
-    if codec == "delta":
-        out = np.empty(rows, dtype=np.int64)
-        if rows == 0:
-            return out
-        out[0] = int(meta["first"])
-        if rows > 1:
-            deltas = np.frombuffer(payload, dtype=np.dtype(meta["width"]),
-                                   count=rows - 1)
-            out[1:] = out[0] + np.cumsum(deltas, dtype=np.int64)
-        return out
-    if codec == "raw":
-        return np.frombuffer(payload, dtype=np.float64, count=rows)
-    if codec == "dict":
+        data = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
+                             count=rows).astype(np.bool_)
+    elif codec == "delta":
+        data = np.full(rows, int(meta["first"]), dtype=np.int64)
+        data[1:] += np.cumsum(np.frombuffer(
+            payload, dtype=np.dtype(meta["width"]), count=max(rows - 1, 0)
+        ), dtype=np.int64)
+    elif codec == "raw":
+        data = np.frombuffer(payload, dtype=np.float64, count=rows)
+    elif codec == "dict":
         dict_bytes = int(meta["dict_bytes"])
         uniques = json.loads(bytes(payload[:dict_bytes]).decode("utf-8"))
-        out = np.empty(rows, dtype=object)
-        if rows == 0:
-            return out
-        if not uniques:
-            return out  # all-NULL segment: validity masks every slot
-        codes = np.frombuffer(payload[dict_bytes:],
-                              dtype=np.dtype(meta["width"]), count=rows)
-        lookup = np.empty(len(uniques), dtype=object)
+        # an all-NULL segment has no value: validity masks every slot
+        lookup = np.empty(max(len(uniques), 1), dtype=object)
         for i, value in enumerate(uniques):
             lookup[i] = value
-        return lookup[codes.astype(np.int64)]
-    if codec == "pickle":
-        values = pickle.loads(zlib.decompress(bytes(payload)))
-        out = np.empty(rows, dtype=object)
-        for i, value in enumerate(values):
-            out[i] = value
-        return out
-    raise QuackError(f"unknown segment codec {codec!r}")
+        data = lookup[np.frombuffer(payload[dict_bytes:], count=rows,
+                                    dtype=np.dtype(meta["width"]))]
+    elif codec == "pickle":
+        data = np.empty(rows, dtype=object)
+        for i, value in enumerate(pickle.loads(zlib.decompress(payload))):
+            data[i] = value
+    else:
+        raise QuackError(f"unknown segment codec {codec!r}")
+    return Vector(ltype, data, validity)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +287,9 @@ class ZoneMapEntry:
 
 def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
     """Bounds, null count and box extents of one sealed segment: NumPy
-    reductions for native columns, list builtins for text, a value walk
-    only for extension payloads."""
+    reductions for native columns, the type codec's reading of its
+    arrays, list builtins for text, a value walk only for the other
+    extension payloads."""
     rows = len(vector)
     valid = vector.validity
     non_null = int(np.count_nonzero(valid))
@@ -311,6 +307,10 @@ def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
             entry.lo = float(values[np.argmin(values)])
             entry.hi = float(values[np.argmax(values)])
         return entry
+    if vector.ltype.codec is not None:
+        entry = vector.ltype.codec.zone_entry(vector)
+        if entry is not None:
+            return entry
     values = vector.data[valid].tolist()
     if values and set(map(type, values)) == {str}:
         return ZoneMapEntry(rows=rows, nulls=nulls, slo=min(values),
@@ -485,12 +485,6 @@ class StorageFile:
         self._mmap.close()
         self._handle.close()
 
-    def __enter__(self) -> "StorageFile":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 class StorageColumn(ColumnData):
     """A column whose sealed row groups live in a :class:`StorageFile`.
@@ -551,14 +545,17 @@ class StorageColumn(ColumnData):
     def _decode(self, index: int) -> Vector:
         ref = self.refs[index]
         payload = self.source.read(ref.offset, ref.length)
-        data = decode_segment(ref.codec, payload, ref.meta, ref.rows,
-                              self.ltype)
-        validity = decode_validity(
-            self.source.read(ref.validity_offset, ref.validity_length),
-            ref.rows,
-        )
+        try:
+            validity = decode_validity(
+                self.source.read(ref.validity_offset, ref.validity_length),
+                ref.rows,
+            )
+            vector = decode_segment(ref.codec, payload, ref.meta, ref.rows,
+                                    self.ltype, validity)
+        except _CORRUPT as exc:
+            raise QuackError(f"{self.source.path}: corrupt {ref.codec} "
+                             f"segment {index}: {exc}") from exc
         count("storage.segments_decoded")
-        vector = Vector(self.ltype, data, validity)
         if verification_enabled():
             self._verify_decoded(index, vector)
         return vector
@@ -787,9 +784,9 @@ class _SegmentWriter:
 def _verify_copied_segment(column: "StorageColumn", seg: int,
                            payload: bytes, validity_blob: bytes) -> None:
     """Verification mode: a segment copied verbatim must be what
-    re-encoding its decoded rows would have written.  Pickled extension
-    payloads are exempt from the byte comparison: objects that queries
-    have touched since carry memoized state the stored bytes lack."""
+    re-encoding its decoded rows would have written, byte for byte —
+    except under the pickle fallback, whose objects carry whatever state
+    queries memoized on them since."""
     ref = column.refs[seg]
     vector = column.segment_vector(seg)
     codec, encoded, meta = encode_segment(vector)
@@ -1081,10 +1078,10 @@ class SpillFile:
             vectors = []
             for ltype, (codec, size, vsize, meta) in zip(
                     self.types, header["columns"]):
-                data = decode_segment(codec, self._handle.read(size), meta,
-                                      rows, ltype)
+                payload = self._handle.read(size)
                 validity = decode_validity(self._handle.read(vsize), rows)
-                vectors.append(Vector(ltype, data, validity))
+                vectors.append(decode_segment(codec, payload, meta, rows,
+                                              ltype, validity))
             yield DataChunk(vectors)
 
     def close(self) -> None:
@@ -1100,11 +1097,11 @@ class SpillFile:
 def chunk_nbytes(chunk: Any) -> int:
     """Working-set estimate of one :class:`DataChunk` for the
     ``memory_limit`` watermark; object payloads use a flat per-slot
-    estimate."""
+    estimate (a view vector is not materialized to size it)."""
     total = 0
     for vector in chunk.vectors:
-        if vector.data.dtype == object:
-            total += len(vector.data) * _OBJECT_SLOT_BYTES
+        if vector.ltype.physical == "object":
+            total += len(vector) * _OBJECT_SLOT_BYTES
         else:
             total += vector.data.nbytes
         total += vector.validity.nbytes

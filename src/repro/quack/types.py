@@ -9,7 +9,8 @@ can refer to the type as stbox" (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 from .errors import BinderError
 
@@ -28,6 +29,9 @@ class LogicalType:
     python_class: type | None = None
     #: Marks types registered by extensions.
     is_user: bool = False
+    #: The extension's segment codec, tried before the pickle fallback
+    #: (:mod:`.storage`; ``repro.core.codecs`` shows the protocol).
+    codec: Any = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return self.name

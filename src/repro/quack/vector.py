@@ -260,10 +260,6 @@ class Vector:
     def all_valid(self) -> bool:
         return bool(self.validity.all())
 
-    def null_mask(self) -> np.ndarray:
-        """Boolean mask of NULL rows (inverse of the validity mask)."""
-        return ~self.validity
-
     def sort_key(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Ascending-comparable codes for ``np.lexsort``-based ORDER BY.
 
@@ -366,6 +362,11 @@ class ViewVector(Vector):
             return np.arange(len(self))
         return super().row_keys()
 
+    def _payload_token(self) -> tuple:
+        # the view is the payload: fingerprinting builds no object
+        return (len(self), id(self._aux[self._key]),
+                hash(self.validity.tobytes()))
+
 
 class DataChunk:
     """A batch of rows as a list of equally sized vectors."""
@@ -401,16 +402,16 @@ def concat_vectors(parts: list[Vector]) -> Vector:
     if not parts:
         raise ExecutionError("cannot concatenate zero vectors")
     ltype = parts[0].ltype
-    data = np.concatenate([p.data for p in parts])
-    validity = np.concatenate([p.validity for p in parts])
-    out = Vector(ltype, data, validity)
     if ltype.is_user:
-        # Gathers of one vector concatenate to a gather of it.
+        # Gathers of one vector concatenate to a gather of it (of a view,
+        # to a view).
         origins = [p._origin() for p in parts]
         root = origins[0][0]
         if all(origin[0] is root for origin in origins):
-            out._source = (root, np.concatenate([o[1] for o in origins]))
-    return out
+            out = root.slice(np.concatenate([o[1] for o in origins]))
+            return out if root.ltype == ltype else out.with_type(ltype)
+    return Vector(ltype, np.concatenate([p.data for p in parts]),
+                  np.concatenate([p.validity for p in parts]))
 
 
 def concat_chunks(chunks: list[DataChunk]) -> DataChunk:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import core, meos
+from repro import core, geo, meos
 from repro.analysis import set_verification_enabled
 from repro.analysis.config import verification_enabled
 from repro.analysis.errors import VerificationError
@@ -32,6 +32,7 @@ from repro.meos.temporal.ttypes import TGEOMPOINT
 from repro.quack.errors import ExecutionError, ParserError
 from repro.quack.functions import _materialize
 from repro.quack.sql.lexer import Token, tokenize
+from repro.quack import storage
 from repro.quack.types import BIGINT, BOOLEAN, DOUBLE
 from repro.quack.vector import Vector, ViewVector, concat_vectors
 
@@ -220,6 +221,44 @@ def test_length_rows_is_length(trips):
         assert declined[i] == (value is None)
         if value is not None:
             assert _bits(values[i]) == _bits(meos.length(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(trip, linear_sequence(srid=4326)), min_size=1,
+                max_size=10))
+def test_trajectory_rows_is_trajectory(trips):
+    values, declined = kernels.trajectory_rows(kernels.temporal_csr(trips))
+    for i, value in enumerate(trips):
+        assert declined[i] == (value is None)
+        if value is not None:
+            assert values[i] == geo.encode_wkb(meos.trajectory(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trip, max_size=10), st.randoms(use_true_random=False))
+def test_stored_arrays_give_back_the_temporals(trips, rng):
+    """The ``tcsr`` segment codec: what decodes is the kernels' view of
+    the same temporals, and the objects it builds are the stored ones;
+    a gather writes only the temporals it holds."""
+    vector = Vector.from_values(_TGEOMPOINT, trips)
+    codec, payload, meta = storage.encode_segment(vector)
+    assert codec == "tcsr"
+    back = storage.decode_segment(codec, payload, meta, len(trips),
+                                  _TGEOMPOINT, vector.validity)
+    assert isinstance(back, ViewVector)
+    assert [_bits(v) for v in kernels.length_rows(temp_csr(back))[0]] == \
+        [_bits(v) for v in kernels.length_rows(temp_csr(vector))[0]]
+    assert all(_same(a, b) for a, b in zip(back.to_list(), trips))
+    rows = np.array([rng.randrange(len(trips)) for _ in trips[:3]],
+                    dtype=np.int64)
+    gathered = back.take(rows)
+    codec, payload, meta = storage.encode_segment(gathered)
+    again = storage.decode_segment(codec, payload, meta, len(rows),
+                                   _TGEOMPOINT, gathered.validity)
+    held = {id(trips[i]) for i in rows.tolist() if trips[i] is not None}
+    assert len(temp_csr(again).store) == len(held)
+    assert all(_same(a, trips[i])
+               for a, i in zip(again.to_list(), rows.tolist()))
 
 
 distance = st.sampled_from([0.0, 0.5, 1.0, 3.0, 4e-10, -1.0])
