@@ -2,16 +2,14 @@
 
 ``python -m repro.analysis.flow`` parses every module under
 ``src/repro`` once into a shared :class:`~repro.analysis.project.
-ProjectModel` (the same ASTs the lint uses), classifies each function's
-execution context — coordinator-only, worker-reachable (on a path from
-a worker-pool task-submission root), or both — and runs the pass
-catalog in :mod:`repro.analysis.flow.passes` over it.
+ProjectModel` (the same ASTs the lint uses), resolves its call graph,
+and runs the pass catalog in :mod:`repro.analysis.flow.passes` over it.
 
-Findings are suppressible in place (``# flow: ignore[RACE001]``) or
+Findings are suppressible in place (``# flow: ignore[RACE002]``) or
 accepted into a committed baseline file whose entries carry a
 justification::
 
-    RACE001 repro.quack.executor._probe qstats.rows[] — worker-local list, merged by coordinator
+    RACE002 race_guarded_pair.Buffer.drop Buffer._rows — drop runs before the buffer is shared
 
 Fingerprints are line-number independent (rule + symbol + key), so the
 baseline survives unrelated edits.  ``--write-baseline`` regenerates
@@ -26,11 +24,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..project import ProjectModel
-from .passes import Finding, FlowConfig, PASSES, run_passes
+from .passes import Finding, PASSES, run_passes
 
 __all__ = [
     "Finding",
-    "FlowConfig",
     "PASSES",
     "run_passes",
     "analyze",
@@ -59,8 +56,7 @@ def analyze(
         model = ProjectModel.load(paths)
     elif not model._resolved:
         model.resolve()
-    config = FlowConfig(tests_dir=tests_dir)
-    return model, run_passes(model, config)
+    return model, run_passes(model, tests_dir)
 
 
 # --------------------------------------------------------------------------
@@ -134,11 +130,8 @@ def format_text(new: Sequence[Finding], accepted: Sequence[Finding],
             f"{finding.path}:{finding.line}:{finding.col}: "
             f"{finding.rule} [{finding.symbol}] {finding.message}"
         )
-    contexts = model.contexts.values()
     summary = (
-        f"{len(model.modules)} modules, {len(model.functions)} functions "
-        f"({sum(1 for c in contexts if c != 'coordinator')} "
-        "worker-reachable); "
+        f"{len(model.modules)} modules, {len(model.functions)} functions; "
         f"{len(new)} finding(s), {len(accepted)} baselined"
     )
     if stale:
@@ -155,8 +148,6 @@ def format_json(new: Sequence[Finding], accepted: Sequence[Finding],
     return json.dumps({
         "modules": len(model.modules),
         "functions": len(model.functions),
-        "worker_reachable": sum(
-            1 for c in model.contexts.values() if c != "coordinator"),
         "findings": [
             {**asdict(f), "fingerprint": f.fingerprint} for f in new
         ],

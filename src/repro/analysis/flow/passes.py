@@ -1,11 +1,8 @@
 """The pluggable analysis passes run over a :class:`ProjectModel`.
 
-Each pass is a function ``(model, config) -> list[Finding]``.  The
+Each pass is a function ``(model, tests_dir) -> list[Finding]``.  The
 catalog:
 
-RACE001  attribute/container writes on shared objects reachable from
-         worker context with no enclosing ``with <lock>`` and no
-         recognized atomic-publish idiom (``dict.setdefault``).
 RACE002  guarded-by inference — an attribute written under a lock at
          one site but bare at another — plus lock-ordering cycle
          detection across the project's known locks.
@@ -29,7 +26,6 @@ from ..project import (
     FunctionInfo,
     ProjectModel,
     _dotted,
-    collect_local_names,
     iter_own_nodes,
 )
 
@@ -55,19 +51,6 @@ class Finding:
     def fingerprint(self) -> str:
         return f"{self.rule} {self.symbol} {self.key}"
 
-
-@dataclass
-class FlowConfig:
-    """Per-run pass configuration."""
-
-    #: Directory of test files for the FLOW002 asserted-in-tests check;
-    #: ``None`` disables that sub-check.
-    tests_dir: Path | None = None
-    #: Extra names treated as handle constructors by FLOW001.
-    extra_handles: tuple[str, ...] = ()
-
-
-WORKER_CONTEXTS = ("worker", "both")
 
 #: Container mutators that modify the receiver in place.
 MUTATORS = frozenset({
@@ -233,14 +216,14 @@ def _has_suppression(model: ProjectModel, finding: Finding) -> bool:
 
 
 # --------------------------------------------------------------------------
-# RACE001 — unsynchronized shared writes in worker-reachable code
+# RACE002 — guarded-by inference + lock-ordering cycles
 
 
 def _shared_writes(
-    stmt: ast.stmt, local_names: set[str], globals_declared: set[str],
+    stmt: ast.stmt, globals_declared: set[str],
 ) -> Iterator[tuple[str, str, ast.AST]]:
-    """Yield ``(root, key, node)`` for each write in ``stmt`` whose
-    target is not provably a function-local object."""
+    """Yield ``(root, key, node)`` for each attribute, subscript,
+    container-mutator or declared-global write in ``stmt``."""
     targets: list[ast.expr] = []
     if isinstance(stmt, ast.Assign):
         targets = list(stmt.targets)
@@ -263,7 +246,7 @@ def _shared_writes(
                 continue
             if isinstance(t, (ast.Attribute, ast.Subscript)):
                 root = _root_name(t)
-                if root is None or root in local_names:
+                if root is None:
                     continue
                 key = _write_key(t)
                 if key is not None:
@@ -277,49 +260,12 @@ def _shared_writes(
         if func.attr not in MUTATORS or func.attr in ATOMIC_MUTATORS:
             continue
         root = _root_name(func.value)
-        if root is None or root in local_names:
+        if root is None:
             continue
         base = _dotted(func.value)
         if base is None:
             continue
         yield root, f"{base}.{func.attr}()", node
-
-
-def race001(model: ProjectModel, config: FlowConfig) -> list[Finding]:
-    findings: list[Finding] = []
-    for qualname, info in model.functions.items():
-        if model.contexts.get(qualname) not in WORKER_CONTEXTS:
-            continue
-        if info.name in CONSTRUCTION_METHODS:
-            continue
-        local = collect_local_names(info.node)
-        globals_declared = _declared_globals(info.node)
-        assumed = _assumed_held(info)
-        for stmt, held, _ in scan_statements(info, model):
-            if held or assumed:
-                continue
-            for root, key, node in _shared_writes(stmt, local,
-                                                  globals_declared):
-                via = model.worker_via.get(qualname)
-                route = f" (worker-reachable via {via})" if via else ""
-                findings.append(Finding(
-                    rule="RACE001",
-                    symbol=qualname,
-                    key=key,
-                    message=(
-                        f"write to shared {key!r} in worker-reachable "
-                        f"{info.name}(){route} with no enclosing lock "
-                        "and no atomic-publish idiom"
-                    ),
-                    path=str(info.path),
-                    line=getattr(node, "lineno", stmt.lineno),
-                    col=getattr(node, "col_offset", stmt.col_offset),
-                ))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# RACE002 — guarded-by inference + lock-ordering cycles
 
 
 def _attr_write_sites(
@@ -336,8 +282,7 @@ def _attr_write_sites(
         assumed = _assumed_held(info)
         for stmt, held, _ in scan_statements(info, model):
             held = held + assumed
-            for root, key, node in _shared_writes(stmt, set(),
-                                                  globals_declared):
+            for root, key, node in _shared_writes(stmt, globals_declared):
                 if root in ("self", "cls") and info.owner_class:
                     owner = info.owner_class.rsplit(".", 1)[-1]
                     attr = key.split(".", 1)[1] if "." in key else key
@@ -377,7 +322,8 @@ def _transitive_locks(model: ProjectModel) -> dict[str, frozenset[str]]:
     return {q: frozenset(v) for q, v in result.items()}
 
 
-def race002(model: ProjectModel, config: FlowConfig) -> list[Finding]:
+def race002(model: ProjectModel,
+            tests_dir: Path | None) -> list[Finding]:
     findings: list[Finding] = []
 
     # Guarded-by: a key locked at one write site and bare at another.
@@ -487,12 +433,11 @@ def _callee_last(func: ast.expr) -> str | None:
     return dotted.rsplit(".", 1)[-1] if dotted else None
 
 
-def _handle_calls_in(stmt: ast.stmt,
-                     handles: frozenset[str]) -> list[ast.Call]:
+def _handle_calls_in(stmt: ast.stmt) -> list[ast.Call]:
     return [
         node for node in _expr_nodes(stmt)
         if isinstance(node, ast.Call)
-        and _callee_last(node.func) in handles
+        and _callee_last(node.func) in HANDLE_CALLS
     ]
 
 
@@ -599,8 +544,8 @@ def _contains_call_or_raise(stmt: ast.stmt) -> bool:
     return any(isinstance(node, ast.Call) for node in _expr_nodes(stmt))
 
 
-def flow001(model: ProjectModel, config: FlowConfig) -> list[Finding]:
-    handles = HANDLE_CALLS | frozenset(config.extra_handles)
+def flow001(model: ProjectModel,
+            tests_dir: Path | None) -> list[Finding]:
     findings: list[Finding] = []
     for qualname, info in model.functions.items():
         for block in _iter_blocks(info.node):
@@ -613,7 +558,7 @@ def flow001(model: ProjectModel, config: FlowConfig) -> list[Finding]:
                     }
                 else:
                     managed = set()
-                calls = _handle_calls_in(stmt, handles)
+                calls = _handle_calls_in(stmt)
                 if not calls:
                     continue
                 parents = _parents_within(stmt)
@@ -759,7 +704,8 @@ def _declared_sets(model: ProjectModel) -> tuple[
     return counters, tuple(prefixes), gauges, source
 
 
-def flow002(model: ProjectModel, config: FlowConfig) -> list[Finding]:
+def flow002(model: ProjectModel,
+            tests_dir: Path | None) -> list[Finding]:
     counters, prefixes, gauges, registry = _declared_sets(model)
     if registry is None:
         return []
@@ -818,10 +764,10 @@ def flow002(model: ProjectModel, config: FlowConfig) -> list[Finding]:
             line=1,
         ))
 
-    if config.tests_dir is not None and config.tests_dir.is_dir():
+    if tests_dir is not None and tests_dir.is_dir():
         corpus = "\n".join(
             path.read_text(encoding="utf-8", errors="replace")
-            for path in sorted(config.tests_dir.rglob("*.py"))
+            for path in sorted(tests_dir.rglob("*.py"))
         )
         for name, (qualname, path, line) in sorted(used_exact.items()):
             if name in corpus:
@@ -832,7 +778,7 @@ def flow002(model: ProjectModel, config: FlowConfig) -> list[Finding]:
                 key=f"untested:{name}",
                 message=(
                     f"counter {name!r} is emitted but never asserted "
-                    f"anywhere under {config.tests_dir} — drift here "
+                    f"anywhere under {tests_dir} — drift here "
                     "goes unnoticed"
                 ),
                 path=path,
@@ -845,7 +791,8 @@ def flow002(model: ProjectModel, config: FlowConfig) -> list[Finding]:
 # FLOW003 — dead kill switches
 
 
-def flow003(model: ProjectModel, config: FlowConfig) -> list[Finding]:
+def flow003(model: ProjectModel,
+            tests_dir: Path | None) -> list[Finding]:
     findings: list[Finding] = []
 
     # SET flags: attributes assigned by an _execute_set handler that no
@@ -891,8 +838,6 @@ def flow003(model: ProjectModel, config: FlowConfig) -> list[Finding]:
             continue
         if model.incoming_calls(qualname):
             continue
-        if qualname in model.worker_roots:
-            continue
         for node in iter_own_nodes(info.node):
             env_name: str | None = None
             if isinstance(node, ast.Call):
@@ -922,9 +867,8 @@ def flow003(model: ProjectModel, config: FlowConfig) -> list[Finding]:
     return findings
 
 
-PASSES: tuple[tuple[str, Callable[[ProjectModel, FlowConfig],
+PASSES: tuple[tuple[str, Callable[[ProjectModel, Path | None],
                                   list[Finding]]], ...] = (
-    ("RACE001", race001),
     ("RACE002", race002),
     ("FLOW001", flow001),
     ("FLOW002", flow002),
@@ -933,13 +877,13 @@ PASSES: tuple[tuple[str, Callable[[ProjectModel, FlowConfig],
 
 
 def run_passes(model: ProjectModel,
-               config: FlowConfig | None = None) -> list[Finding]:
+               tests_dir: Path | None = None) -> list[Finding]:
     """Run the full pass catalog and return suppression-filtered
-    findings sorted by location."""
-    config = config or FlowConfig()
+    findings sorted by location.  ``tests_dir`` is the test corpus for
+    FLOW002's asserted-in-tests check; ``None`` disables that check."""
     findings: list[Finding] = []
     for _, pass_fn in PASSES:
-        findings.extend(pass_fn(model, config))
+        findings.extend(pass_fn(model, tests_dir))
     findings = [f for f in findings if not _has_suppression(model, f)]
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.key))
     return findings

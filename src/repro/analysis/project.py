@@ -20,24 +20,19 @@ top, lazily and at most once:
   method dispatch through the hierarchy (including subclass overrides),
   module-attribute calls through the import table, and *references* to
   known functions (a function passed as a value runs later — reachability
-  must flow through the reference);
-* an **execution-context classification** of every function as
-  ``coordinator``-only, ``worker``-reachable (on a path from a callable
-  handed to a worker pool — a task-submission root), or ``both``.
+  must flow through the reference).
 
 Known unsoundness (documented, deliberate): dynamic dispatch through
 ``getattr``/``functools`` indirection is invisible; attribute calls on
 unknown receivers resolve by method name only when the name is rare in
 the project (common names like ``get``/``close`` would connect everything
 to everything); C-extension callbacks and strings evaluated at runtime
-are out of scope.  The flow passes treat the worker set as an
-over-approximation and keep their own exemption lists tight instead.
+are out of scope.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -50,11 +45,6 @@ __all__ = [
     "iter_python_files",
     "module_name_for",
 ]
-
-#: Callee names (final segment) that hand a callable to a worker pool:
-#: ``submit`` is the raw executor method, ``run_tasks``/``ordered_map``/
-#: ``_submit`` the usual scatter-helper spellings around it.
-SUBMISSION_NAMES = frozenset({"run_tasks", "ordered_map", "_submit", "submit"})
 
 #: Method names too common to resolve receiver-blind: connecting every
 #: ``x.get(...)`` to every class defining ``get`` would make the call
@@ -206,10 +196,6 @@ class ProjectModel:
         self.module_classes: dict[str, dict[str, str]] = {}
         self.method_index: dict[str, list[str]] = {}
         self.calls: dict[str, set[str]] = {}
-        self.worker_roots: set[str] = set()
-        #: worker-reachable function -> the submission root it descends from
-        self.worker_via: dict[str, str] = {}
-        self.contexts: dict[str, str] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -221,7 +207,7 @@ class ProjectModel:
 
     @classmethod
     def load(cls, paths: Iterable[str | Path]) -> "ProjectModel":
-        """Parse and fully resolve (symbols, call graph, contexts)."""
+        """Parse and fully resolve (symbols, hierarchy, call graph)."""
         model = cls.parse(paths)
         model.resolve()
         return model
@@ -244,8 +230,6 @@ class ProjectModel:
         self._build_callback_registry()
         for info in self.functions.values():
             self.calls[info.qualname] = self._edges_for(info)
-        self._find_worker_roots()
-        self._classify_contexts()
         return self
 
     def _build_callback_registry(self) -> None:
@@ -709,10 +693,9 @@ class ProjectModel:
         edges.discard(info.qualname)
         return edges
 
-    # -- worker roots and contexts ----------------------------------------------
-
     def _returned_nested(self, qualname: str) -> list[str]:
-        """Nested functions a factory returns (the ``make_task`` idiom)."""
+        """Nested functions a factory returns (the ``make_batch(...)``
+        idiom)."""
         info = self.functions.get(qualname)
         if info is None or isinstance(info.node, ast.Lambda):
             return []
@@ -725,95 +708,7 @@ class ProjectModel:
                 out.append(nested[node.value.id])
         return out
 
-    def _find_worker_roots(self) -> None:
-        for info in list(self.functions.values()):
-            for node in iter_own_nodes(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = node.func
-                last = callee.attr if isinstance(callee, ast.Attribute) \
-                    else callee.id if isinstance(callee, ast.Name) else None
-                if last not in SUBMISSION_NAMES:
-                    continue
-                self._roots_from_args(info, node)
-
-    def _roots_from_args(self, info: FunctionInfo, call: ast.Call) -> None:
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            call_funcs = {
-                id(sub.func) for sub in ast.walk(arg)
-                if isinstance(sub, ast.Call)
-            }
-            for node in ast.walk(arg):
-                if isinstance(node, ast.Lambda):
-                    qualname = self._lambda_qualname(info, node)
-                    if qualname is not None:
-                        self._add_root(qualname)
-                elif isinstance(node, ast.Name) and \
-                        isinstance(node.ctx, ast.Load):
-                    target = self.resolve_name(info, node.id)
-                    if target is None or target not in self.functions:
-                        continue
-                    if id(node) in call_funcs:
-                        # Invoked eagerly at the submit site (the
-                        # ``make_task(s, e)`` factory idiom): only its
-                        # returned closures reach the pool.
-                        for nested in self._returned_nested(target):
-                            self._add_root(nested)
-                    else:
-                        self._add_root(target)
-
-    def _add_root(self, qualname: str) -> None:
-        self.worker_roots.add(qualname)
-
-    def _classify_contexts(self) -> None:
-        worker: dict[str, str] = {}
-        # Deterministic order: sorted roots, sorted callees — the
-        # ``worker_via`` attribution in reports stays stable run to run.
-        queue = deque((root, root) for root in sorted(self.worker_roots))
-        while queue:
-            current, root = queue.popleft()
-            if current in worker:
-                continue
-            worker[current] = root
-            for callee in sorted(self.calls.get(current, ())):
-                if callee not in worker:
-                    queue.append((callee, root))
-        self.worker_via = worker
-        for qualname in self.functions:
-            if qualname in worker:
-                # Everything worker-reachable is also coordinator-callable
-                # in principle (serial fallback paths); call it "both"
-                # when it has non-worker callers or is a public def.
-                self.contexts[qualname] = "worker"
-            else:
-                self.contexts[qualname] = "coordinator"
-        # Upgrade worker functions that are also plainly coordinator
-        # entry points (top-level defs called outside the worker set).
-        callers: dict[str, set[str]] = {}
-        for caller, callees in self.calls.items():
-            for callee in callees:
-                callers.setdefault(callee, set()).add(caller)
-        for qualname in list(self.contexts):
-            if self.contexts[qualname] != "worker":
-                continue
-            outside = {
-                c for c in callers.get(qualname, set())
-                if c not in self.worker_via
-            }
-            if outside or (qualname not in self.worker_roots
-                           and ".<locals>." not in qualname):
-                self.contexts[qualname] = "both"
-
     # -- queries -----------------------------------------------------------------
-
-    def context_of(self, qualname: str) -> str:
-        return self.contexts.get(qualname, "coordinator")
-
-    def is_worker_reachable(self, qualname: str) -> bool:
-        return qualname in self.worker_via
-
-    def module_of(self, info: FunctionInfo) -> ModuleInfo | None:
-        return self.by_name.get(info.module)
 
     def incoming_calls(self, qualname: str) -> set[str]:
         out: set[str] = set()
@@ -909,67 +804,3 @@ def _dotted(node: ast.AST) -> str | None:
         return f"{base}.{node.attr}" if base is not None else None
     return None
 
-
-def own_statements(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.stmt]:
-    """Top-level and nested statements of ``fn`` excluding nested
-    function/class bodies."""
-    stack: list[ast.stmt] = list(fn.body)
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield stmt
-        for _, value in ast.iter_fields(stmt):
-            if isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.stmt):
-                        stack.append(item)
-                    elif isinstance(item, ast.excepthandler):
-                        stack.extend(item.body)
-
-
-def collect_local_names(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-) -> set[str]:
-    """Names bound *inside* ``fn``'s own body (assignments, loop/with/
-    except targets, comprehension variables, nested def names) —
-    parameters are deliberately excluded: an object passed in may be
-    shared with other threads, an object created locally is not."""
-    out: set[str] = set()
-
-    def add_target(target: ast.expr) -> None:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name) and \
-                    isinstance(node.ctx, ast.Store):
-                out.add(node.id)
-
-    for node in iter_own_nodes(fn):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                add_target(target)
-        elif isinstance(node, ast.NamedExpr):
-            add_target(node.target)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            add_target(node.target)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    add_target(item.optional_vars)
-        elif isinstance(node, ast.ExceptHandler):
-            if node.name:
-                out.add(node.name)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for comp in node.generators:
-                add_target(comp.target)
-    if not isinstance(fn, ast.Lambda):
-        for stmt in fn.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                out.add(stmt.name)
-    return out

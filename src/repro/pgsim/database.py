@@ -14,8 +14,8 @@ from ..observability import QueryStatistics, current_stats, maybe_span
 from ..quack.catalog import Catalog, IndexType
 from ..quack.database import BaseConnection, BaseDatabase, Result
 from ..quack.plan import BoundExpr, LogicalOperator
-from ..quack.profiler import PlanProfiler
-from .executor import RowContext, eval_row, execute_rows
+from ..quack.profiler import ExecutionContext, PlanProfiler
+from .executor import eval_row, execute_rows
 from .indexes import BTreeIndex, GistIndex
 from .table import RowTable
 
@@ -53,7 +53,7 @@ class RowConnection(BaseConnection):
 
     def _run_plan(self, plan: LogicalOperator) -> Result:
         stats = current_stats()
-        ctx = RowContext(stats=stats)
+        ctx = ExecutionContext(stats=stats)
         with maybe_span(stats, "execute"):
             rows = list(execute_rows(plan, ctx))
         if stats is not None:
@@ -63,7 +63,7 @@ class RowConnection(BaseConnection):
     def _run_profiled(self, plan: LogicalOperator,
                       stats: QueryStatistics | None,
                       profiler: PlanProfiler) -> int:
-        ctx = RowContext(stats=stats, profiler=profiler)
+        ctx = ExecutionContext(stats=stats, profiler=profiler)
         return sum(1 for _ in execute_rows(plan, ctx))
 
     def _insert_select(self, table: RowTable, positions: list[int],
@@ -73,7 +73,7 @@ class RowConnection(BaseConnection):
     def _update(self, table: RowTable,
                 assignments: list[tuple[int, BoundExpr]],
                 where: BoundExpr | None) -> int:
-        ctx = RowContext()
+        ctx = ExecutionContext()
         updated = 0
         for rid, row in list(table.scan()):
             if where is not None and not eval_row(where, row, ctx):
@@ -88,7 +88,7 @@ class RowConnection(BaseConnection):
         return updated
 
     def _delete(self, table: RowTable, where: BoundExpr | None) -> int:
-        ctx = RowContext()
+        ctx = ExecutionContext()
         return table.delete_rows([
             rid
             for rid, row in table.scan()

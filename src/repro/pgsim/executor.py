@@ -40,46 +40,7 @@ from ..quack.plan import (
     LogicalSort,
     LogicalTableFunction,
 )
-from ..quack.profiler import _execute_profiled
-
-
-class RowContext:
-    """Per-query state (CTE results, correlated parameters) plus the
-    observability scope (statistics + optional plan profiler).
-
-    Like quack's ``ExecutionContext``, profiling is carried by the
-    context — child contexts inherit it, module state is never touched,
-    so concurrent profiled queries cannot corrupt each other."""
-
-    def __init__(self, parent: "RowContext | None" = None,
-                 stats=None, profiler=None):
-        self.parent = parent
-        self.cte_results: dict[int, list[tuple]] = (
-            parent.cte_results if parent else {}
-        )
-        self.cte_plans: dict[int, LogicalOperator] = (
-            parent.cte_plans if parent else {}
-        )
-        self.params: tuple = parent.params if parent else ()
-        self.subquery_cache: dict[tuple, list[tuple]] = (
-            parent.subquery_cache if parent else {}
-        )
-        self.stats = stats if stats is not None else (
-            parent.stats if parent else None
-        )
-        self.profiler = profiler if profiler is not None else (
-            parent.profiler if parent else None
-        )
-        #: the query's shared TraceCollector (timeline events; the row
-        #: engine is single-threaded, so everything lands on one lane)
-        self.trace = parent.trace if parent is not None else (
-            stats.trace if stats is not None else None
-        )
-
-    def child_with_params(self, params: tuple) -> "RowContext":
-        ctx = RowContext(self)
-        ctx.params = params
-        return ctx
+from ..quack.profiler import ExecutionContext, _execute_profiled
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +48,7 @@ class RowContext:
 # ---------------------------------------------------------------------------
 
 
-def eval_row(expr: BoundExpr, row: tuple, ctx: RowContext) -> Any:
+def eval_row(expr: BoundExpr, row: tuple, ctx: ExecutionContext) -> Any:
     if isinstance(expr, BoundConstant):
         return expr.value
     if isinstance(expr, BoundColumnRef):
@@ -163,7 +124,7 @@ def eval_row(expr: BoundExpr, row: tuple, ctx: RowContext) -> Any:
 
 
 def _eval_subquery_row(expr: BoundSubqueryExpr, row: tuple,
-                       ctx: RowContext) -> Any:
+                       ctx: ExecutionContext) -> Any:
     params = tuple(
         eval_row(p, row, ctx) for p in expr.outer_params_exprs
     )
@@ -227,9 +188,10 @@ def _eval_subquery_row(expr: BoundSubqueryExpr, row: tuple,
 # ---------------------------------------------------------------------------
 
 
-def execute_rows(op: LogicalOperator, ctx: RowContext) -> Iterator[tuple]:
+def execute_rows(op: LogicalOperator,
+                 ctx: ExecutionContext) -> Iterator[tuple]:
     """Execute one operator; instrumented when the context carries a
-    profiler (see :class:`RowContext`)."""
+    profiler."""
     rows = _execute_operator(op, ctx)
     if ctx.profiler is None:
         return rows
@@ -240,7 +202,8 @@ def _row_width(row: tuple) -> int:
     return 1
 
 
-def _execute_operator(op: LogicalOperator, ctx: RowContext) -> Iterator[tuple]:
+def _execute_operator(op: LogicalOperator,
+                      ctx: ExecutionContext) -> Iterator[tuple]:
     if isinstance(op, LogicalMaterializedCTE):
         for cte_id, _, plan in op.ctes:
             ctx.cte_plans[cte_id] = plan
@@ -366,7 +329,7 @@ def _execute_operator(op: LogicalOperator, ctx: RowContext) -> Iterator[tuple]:
     raise ExecutionError(f"cannot execute {type(op).__name__}")
 
 
-def _execute_join(op: LogicalJoin, ctx: RowContext) -> Iterator[tuple]:
+def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Iterator[tuple]:
     right_width = len(op.right.output_types())
     null_pad = (None,) * right_width
 
@@ -453,7 +416,7 @@ def _execute_join(op: LogicalJoin, ctx: RowContext) -> Iterator[tuple]:
 
 
 def _execute_aggregate(op: LogicalAggregate,
-                       ctx: RowContext) -> Iterator[tuple]:
+                       ctx: ExecutionContext) -> Iterator[tuple]:
     groups: dict[tuple, list] = {}
     group_values: dict[tuple, tuple] = {}
     distinct_seen: dict[tuple, list[set]] = {}
@@ -488,7 +451,7 @@ def _execute_aggregate(op: LogicalAggregate,
         yield group_values[key] + finals
 
 
-def _execute_sort(op: LogicalSort, ctx: RowContext) -> Iterator[tuple]:
+def _execute_sort(op: LogicalSort, ctx: ExecutionContext) -> Iterator[tuple]:
     rows = []
     for row in execute_rows(op.child, ctx):
         keys = tuple(eval_row(k, row, ctx) for k, _, _ in op.keys)

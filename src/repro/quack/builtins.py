@@ -440,7 +440,9 @@ def _batch_sum_float(args, codes, n_groups, ltype) -> Vector | None:
     valid = vec.validity
     values = vec.data[valid]
     grouped = codes[valid]
-    sums = np.bincount(grouped, weights=values, minlength=n_groups)
+    # bincount of no rows is int64 even with weights: all-NULL input
+    sums = np.bincount(grouped, weights=values,
+                       minlength=n_groups).astype(np.float64, copy=False)
     counts = np.bincount(grouped, minlength=n_groups)
     # bincount folds from +0.0, the row loop from the group's first
     # addend: they differ only on a group of nothing but -0.0.

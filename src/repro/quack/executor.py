@@ -8,7 +8,7 @@ still open — the execution model of the paper's host engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .plan import (
     LogicalSort,
     LogicalTableFunction,
 )
-from .profiler import OperatorKernelStats, _execute_profiled
+from .profiler import ExecutionContext, OperatorKernelStats, _execute_profiled
 from .types import BIGINT, BOOLEAN, LogicalType
 from .vector import (
     _PHYSICAL_DTYPES,
@@ -64,56 +64,6 @@ def _kernel_stats(op: "LogicalOperator",
     if profiler is None:
         return None
     return profiler.kernel_stats_for(op)
-
-
-class ExecutionContext:
-    """Per-query state: CTE materializations, correlated parameters,
-    and the observability scope (statistics + optional plan profiler).
-
-    Profiling is context-scoped: a child context inherits its parent's
-    profiler, so subquery and CTE execution is captured too, and two
-    contexts never share mutable profiling state."""
-
-    def __init__(self, parent: "ExecutionContext | None" = None,
-                 stats=None, profiler=None,
-                 memory_limit_bytes: int | None = None):
-        self.parent = parent
-        self.cte_results: dict[int, list[DataChunk]] = (
-            parent.cte_results if parent else {}
-        )
-        self.cte_plans: dict[int, LogicalOperator] = (
-            parent.cte_plans if parent else {}
-        )
-        self.params: tuple = parent.params if parent else ()
-        #: memoized correlated subquery results: (id(plan), params) -> value
-        self.subquery_cache: dict[tuple, Any] = (
-            parent.subquery_cache if parent else {}
-        )
-        #: the query's QueryStatistics (None when collection is disabled)
-        self.stats = stats if stats is not None else (
-            parent.stats if parent else None
-        )
-        #: PlanProfiler driving per-operator instrumentation (EXPLAIN
-        #: ANALYZE); None for regular execution
-        self.profiler = profiler if profiler is not None else (
-            parent.profiler if parent else None
-        )
-        #: the query's TraceCollector (timeline events), shared by every
-        #: context of the query
-        self.trace = parent.trace if parent is not None else (
-            stats.trace if stats is not None else None
-        )
-        #: ``SET memory_limit = <MB>`` watermark in bytes; None = no
-        #: limit.  Blocking sinks (sort / hash-join build / aggregation)
-        #: that materialize past it spill to disk and merge back.
-        self.memory_limit_bytes = (
-            parent.memory_limit_bytes if parent else memory_limit_bytes
-        )
-
-    def child_with_params(self, params: tuple) -> "ExecutionContext":
-        ctx = ExecutionContext(self)
-        ctx.params = params
-        return ctx
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""EXPLAIN ANALYZE: instrumented plan execution.
+"""Per-query execution state and EXPLAIN ANALYZE instrumentation.
+
+An :class:`ExecutionContext` is one query's state — CTE plans and
+results, correlated parameters, the subquery memo — plus its
+observability scope: statistics, trace and optional profiler.  Both
+engines' executors run on it; only quack reads its spill watermark.
 
 A :class:`PlanProfiler` collects per-operator row counts, inclusive
 timings, kernel-vs-fallback telemetry, and free-form operator metrics
-(index probe counts, candidate counts).  Both engines' executors drive
-it through their context (quack's ``ExecutionContext``, pgsim's
-``RowContext``) and the one operator wrapper here,
+(index probe counts, candidate counts).  Both executors drive it
+through the context and the one operator wrapper here,
 :func:`_execute_profiled` — profiling is a property of the context, not
 of module state, so profiled executions nest and interleave safely.
 This module imports neither executor, so both can import it.
@@ -166,10 +170,62 @@ class PlanProfiler:
         return out
 
 
-def _execute_profiled(op: LogicalOperator, ctx: Any, items: Iterator,
+class ExecutionContext:
+    """Per-query state: CTE materializations, correlated parameters,
+    and the observability scope (statistics + optional plan profiler).
+
+    Profiling is context-scoped: a child context inherits its parent's
+    profiler, so subquery and CTE execution is captured too, and two
+    contexts never share mutable profiling state."""
+
+    def __init__(self, parent: "ExecutionContext | None" = None,
+                 stats=None, profiler=None,
+                 memory_limit_bytes: int | None = None):
+        self.parent = parent
+        #: materialized CTEs: chunks under quack, tuples under pgsim
+        self.cte_results: dict[int, list] = (
+            parent.cte_results if parent else {}
+        )
+        self.cte_plans: dict[int, LogicalOperator] = (
+            parent.cte_plans if parent else {}
+        )
+        self.params: tuple = parent.params if parent else ()
+        #: memoized correlated subquery results: (id(plan), params) -> value
+        self.subquery_cache: dict[tuple, Any] = (
+            parent.subquery_cache if parent else {}
+        )
+        #: the query's QueryStatistics (None when collection is disabled)
+        self.stats = stats if stats is not None else (
+            parent.stats if parent else None
+        )
+        #: PlanProfiler driving per-operator instrumentation (EXPLAIN
+        #: ANALYZE); None for regular execution
+        self.profiler = profiler if profiler is not None else (
+            parent.profiler if parent else None
+        )
+        #: the query's TraceCollector (timeline events), shared by every
+        #: context of the query
+        self.trace = parent.trace if parent is not None else (
+            stats.trace if stats is not None else None
+        )
+        #: ``SET memory_limit = <MB>`` watermark in bytes; None = no
+        #: limit.  Blocking sinks (sort / hash-join build / aggregation)
+        #: that materialize past it spill to disk and merge back.
+        self.memory_limit_bytes = (
+            parent.memory_limit_bytes if parent else memory_limit_bytes
+        )
+
+    def child_with_params(self, params: tuple) -> "ExecutionContext":
+        ctx = ExecutionContext(self)
+        ctx.params = params
+        return ctx
+
+
+def _execute_profiled(op: LogicalOperator, ctx: ExecutionContext,
+                      items: Iterator,
                       width: Callable[[Any], int]) -> Iterator:
-    """Stream ``items`` — ``op``'s output under either engine's context —
-    through ``ctx.profiler``.  ``width(item)`` is the number of rows one
+    """Stream ``items`` — ``op``'s output under either engine — through
+    ``ctx.profiler``.  ``width(item)`` is the number of rows one
     item carries: a chunk's count, or 1 for a tuple."""
     stats = ctx.profiler.stats_for(op)
     stats.invocations += 1

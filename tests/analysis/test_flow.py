@@ -1,8 +1,7 @@
-"""Flow-analyzer tests: the seeded-bug fixture corpus (each of the four
-PR 5 race classes in miniature, plus lock ordering, guarded-by, leaks,
-counter drift, and dead kill switches), the clean-program negative, the
-suppression/baseline machinery, and the lint/flow single-parse
-regression."""
+"""Flow-analyzer tests: the seeded-bug fixture corpus (lock ordering,
+guarded-by, leaks, counter drift, and dead kill switches), the
+clean-program negative, the suppression/baseline machinery, and the
+lint/flow single-parse regression."""
 
 import ast
 import textwrap
@@ -24,45 +23,6 @@ def analyze(*names):
 
 def triples(findings):
     return [(f.rule, f.symbol, f.key) for f in findings]
-
-
-class TestSeededRaces:
-    """The four PR 5 race classes, reintroduced in miniature: the
-    analyzer must name the exact rule, function, and shared state —
-    and nothing else (zero false positives per fixture)."""
-
-    def test_subquery_cache_publish(self):
-        assert triples(analyze("race_subquery_cache.py")) == [
-            ("RACE001", "race_subquery_cache._compile_cte",
-             "ctx.cte_plans[]"),
-        ]
-
-    def test_vector_aux_memo(self):
-        assert triples(analyze("race_vector_aux.py")) == [
-            ("RACE001", "race_vector_aux.MiniVector.refresh_aux",
-             "self._aux"),
-        ]
-
-    def test_shared_stats_counter(self):
-        assert triples(analyze("race_stats_context.py")) == [
-            ("RACE001", "race_stats_context._scan_chunk",
-             "stats.rows_in"),
-        ]
-
-    def test_global_kernel_flag_flip(self):
-        assert triples(analyze("race_kernel_snapshot.py")) == [
-            ("RACE001", "race_kernel_snapshot._disable_on_error",
-             "KERNELS_ENABLED"),
-        ]
-
-    def test_worker_context_classification(self):
-        from repro.analysis.flow.passes import WORKER_CONTEXTS
-        model, _ = flow.analyze([FIXTURES / "race_subquery_cache.py"])
-        # The task is worker-reachable ("both": the coordinator also
-        # references it at the submit site); `run` itself never is.
-        assert model.contexts[
-            "race_subquery_cache._compile_cte"] in WORKER_CONTEXTS
-        assert model.contexts["race_subquery_cache.run"] == "coordinator"
 
 
 class TestLockDiscipline:
@@ -205,45 +165,40 @@ class TestNegatives:
         assert analyze("clean_program.py") == []
 
     def test_whole_corpus_has_no_unexpected_rules(self):
-        """Analyzing every fixture at once must raise only the five
+        """Analyzing every fixture at once raises exactly the four
         catalogued rules — no cross-fixture interference artifacts."""
         _, findings = flow.analyze([FIXTURES])
-        assert {f.rule for f in findings} <= {
-            "RACE001", "RACE002", "FLOW001", "FLOW002", "FLOW003",
+        assert {f.rule for f in findings} == {
+            "RACE002", "FLOW001", "FLOW002", "FLOW003",
         }
         assert not [f for f in findings
                     if "clean_program" in f.symbol]
 
 
+def guarded_pair_with(tmp_path, comment):
+    """Findings on ``race_guarded_pair.py`` with ``comment`` on the bare
+    write RACE002 blames."""
+    source = (FIXTURES / "race_guarded_pair.py").read_text(encoding="utf-8")
+    bare = "    def drop(self):\n        self._rows = []\n"
+    assert bare in source
+    path = tmp_path / "race_guarded_pair.py"
+    path.write_text(source.replace(bare, f"{bare[:-1]}  {comment}\n"),
+                    encoding="utf-8")
+    _, findings = flow.analyze([path])
+    return findings
+
+
 class TestSuppressionAndBaseline:
     def test_inline_suppression(self, tmp_path):
-        source = textwrap.dedent("""\
-            def _task(stats, chunk):
-                stats.rows += len(chunk)  # flow: ignore[RACE001]
-
-            def run(pool):
-                pool.run_tasks([_task])
-        """)
-        path = tmp_path / "suppressed.py"
-        path.write_text(source, encoding="utf-8")
-        _, findings = flow.analyze([path])
-        assert findings == []
+        assert guarded_pair_with(
+            tmp_path, "# flow: ignore[RACE002]") == []
 
     def test_suppression_is_rule_scoped(self, tmp_path):
-        source = textwrap.dedent("""\
-            def _task(stats, chunk):
-                stats.rows += len(chunk)  # flow: ignore[FLOW001]
-
-            def run(pool):
-                pool.run_tasks([_task])
-        """)
-        path = tmp_path / "wrong_rule.py"
-        path.write_text(source, encoding="utf-8")
-        _, findings = flow.analyze([path])
-        assert [f.rule for f in findings] == ["RACE001"]
+        findings = guarded_pair_with(tmp_path, "# flow: ignore[FLOW001]")
+        assert [f.rule for f in findings] == ["RACE002"]
 
     def test_baseline_round_trip(self, tmp_path):
-        findings = analyze("race_stats_context.py")
+        findings = analyze("race_guarded_pair.py")
         baseline_path = tmp_path / "baseline.txt"
         baseline_path.write_text(
             flow.format_baseline(findings), encoding="utf-8")
@@ -252,21 +207,21 @@ class TestSuppressionAndBaseline:
         assert new == [] and len(accepted) == 1 and stale == []
 
     def test_baseline_preserves_justifications(self, tmp_path):
-        findings = analyze("race_stats_context.py")
-        previous = {findings[0].fingerprint: "merged by coordinator"}
+        findings = analyze("race_guarded_pair.py")
+        previous = {findings[0].fingerprint: "drop runs before sharing"}
         text = flow.format_baseline(findings, previous)
-        assert "merged by coordinator" in text
+        assert "drop runs before sharing" in text
         baseline_path = tmp_path / "baseline.txt"
         baseline_path.write_text(text, encoding="utf-8")
         assert flow.load_baseline(baseline_path)[
-            findings[0].fingerprint] == "merged by coordinator"
+            findings[0].fingerprint] == "drop runs before sharing"
 
     def test_stale_entries_detected(self):
-        findings = analyze("race_stats_context.py")
-        baseline = {"RACE001 gone.symbol gone.key": "obsolete"}
+        findings = analyze("race_guarded_pair.py")
+        baseline = {"RACE002 gone.symbol gone.key": "obsolete"}
         new, accepted, stale = flow.split_by_baseline(findings, baseline)
         assert len(new) == 1 and accepted == []
-        assert stale == ["RACE001 gone.symbol gone.key"]
+        assert stale == ["RACE002 gone.symbol gone.key"]
 
 
 class TestSharedParsing:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import core
 from repro.analysis import set_verification_enabled
+from repro.analysis.config import verification_enabled
 from repro.pgsim import RowDatabase
 from repro.quack import Database
 
@@ -14,6 +15,11 @@ SETUP = [
     " FROM generate_series(1, 200) AS q(i)",
     "CREATE TABLE u(g INTEGER, w DOUBLE)",
     "INSERT INTO u VALUES (0, 1.5), (1, 2.5), (2, 3.5), (9, 9.0)",
+]
+
+ENGINES = [
+    pytest.param(lambda: Database().connect(), id="quack"),
+    pytest.param(lambda: RowDatabase().connect(), id="pgsim"),
 ]
 
 BATTERY = [
@@ -32,10 +38,7 @@ def run_battery(make_con):
     return [con.execute(q).fetchall() for q in BATTERY]
 
 
-@pytest.mark.parametrize("factory", [
-    pytest.param(lambda: Database().connect(), id="quack"),
-    pytest.param(lambda: RowDatabase().connect(), id="pgsim"),
-])
+@pytest.mark.parametrize("factory", ENGINES)
 def test_battery_matches_unverified(factory, verification):
     verified = run_battery(factory)
     set_verification_enabled(False)
@@ -76,9 +79,46 @@ def test_explain_analyze_reports_verify_counters(verification):
     assert "verify.chunks_checked" in text
 
 
-def test_counters_absent_when_disabled():
+def test_counters_absent_when_disabled(unverified):
     con = Database().connect()
     for stmt in SETUP:
         con.execute(stmt)
     text = con.explain_analyze("SELECT g FROM t WHERE v > 10")
     assert "verify." not in text
+
+
+@pytest.mark.parametrize("fixture, pinned", [
+    ("verification", True), ("unverified", False),
+])
+@pytest.mark.parametrize("prior", [True, False])
+def test_fixture_restores_the_prior_setting(request, fixture, pinned, prior):
+    """A test using the fixture runs pinned and leaves the prior setting
+    behind: under ``REPRO_VERIFICATION=1`` the rest of the suite stays
+    verified."""
+    outer = set_verification_enabled(prior)
+
+    def check_restored():
+        try:
+            assert verification_enabled() is prior
+        finally:
+            set_verification_enabled(outer)
+
+    # Finalizers run last in, first out: registered before the fixture
+    # is set up, this one runs after the fixture's teardown.
+    request.addfinalizer(check_restored)
+    request.getfixturevalue(fixture)
+    assert verification_enabled() is pinned
+
+
+@pytest.mark.parametrize("factory", ENGINES)
+@pytest.mark.parametrize("sql, expected", [
+    ("SELECT sum(x), sum(DISTINCT x) FROM nulls", [(None, None)]),
+    ("SELECT g, sum(x), sum(DISTINCT x) FROM nulls GROUP BY g ORDER BY g",
+     [(1, None, None), (2, None, None)]),
+])
+def test_sum_of_all_null_double_is_null(factory, sql, expected,
+                                        verification):
+    con = factory()
+    con.execute("CREATE TABLE nulls(g INTEGER, x DOUBLE)")
+    con.execute("INSERT INTO nulls VALUES (1, NULL), (1, NULL), (2, NULL)")
+    assert con.execute(sql).fetchall() == expected

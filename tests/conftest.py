@@ -15,6 +15,24 @@ from repro.quack import Database
 if os.environ.get("REPRO_VERIFICATION") == "1":
     set_verification_enabled(True)
 
+
+@pytest.fixture
+def verification():
+    """Enable verification mode for one test, restoring the prior setting
+    afterwards (on under ``REPRO_VERIFICATION=1``, off otherwise)."""
+    previous = set_verification_enabled(True)
+    yield
+    set_verification_enabled(previous)
+
+
+@pytest.fixture
+def unverified():
+    """Pin verification off for one test, restoring the prior setting:
+    for tests that count calls or counters the cross-checks repeat."""
+    previous = set_verification_enabled(False)
+    yield
+    set_verification_enabled(previous)
+
 #: ``SET memory_limit`` in MB of about one byte: past it every sort,
 #: hash-join build and aggregation takes its disk-backed path
 _SPILL_EVERYTHING_MB = 0.000001

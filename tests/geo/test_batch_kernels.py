@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import core, geo, meos
-from repro.analysis import set_verification_enabled
 from repro.berlinmod import generate, get_query, prepare_scenario
 from repro.core.boxkernels import geom_csr, geom_soa, tpoint_csr
 from repro.core.types import TEMPORAL_TYPES
@@ -538,13 +537,6 @@ def row_engine_rows(city):
     con = prepare_scenario("mobilitydb", city)
     return {name: con.execute(sql).fetchall()
             for name, sql in KERNEL_QUERIES.items()}
-
-
-@pytest.fixture
-def verification():
-    previous = set_verification_enabled(True)
-    yield
-    set_verification_enabled(previous)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_QUERIES))

@@ -535,13 +535,6 @@ def row_engine_rows(city):
             for name, sql in KERNEL_QUERIES.items()}
 
 
-@pytest.fixture
-def verification():
-    previous = set_verification_enabled(True)
-    yield
-    set_verification_enabled(previous)
-
-
 def _unordered(name, rows):
     # Q10 orders by licences and returns one row per trip pair
     return sorted(map(repr, rows)) if name == "q10" else list(map(repr, rows))

@@ -14,7 +14,7 @@ import pytest
 
 from repro.observability import QueryStatistics, set_collection_enabled
 from repro.pgsim import RowDatabase
-from repro.pgsim.executor import RowContext, execute_rows
+from repro.pgsim.executor import execute_rows
 from repro.quack import Database
 from repro.quack.executor import ExecutionContext, execute_plan
 from repro.quack.profiler import PlanProfiler
@@ -76,8 +76,8 @@ class TestInterleavedGenerators:
         plan_b = con._plan_select(stmt_b)
 
         prof_a, prof_b = PlanProfiler(), PlanProfiler()
-        gen_a = execute_rows(plan_a, RowContext(profiler=prof_a))
-        gen_b = execute_rows(plan_b, RowContext(profiler=prof_b))
+        gen_a = execute_rows(plan_a, ExecutionContext(profiler=prof_a))
+        gen_b = execute_rows(plan_b, ExecutionContext(profiler=prof_b))
         rows_a = list(gen_a)  # fully drain A after starting both
         rows_b = list(gen_b)
 

@@ -332,7 +332,7 @@ class TestIndexJoinBatch:
         assert batched == unindexed
         assert len(batched) > 0
 
-    def test_batch_counters_visible(self):
+    def test_batch_counters_visible(self, unverified):
         con = self._connect(with_index=True)
         report = con.explain_analyze(self.SQL, format="json")
         counters = report["counters"]

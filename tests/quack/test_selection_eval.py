@@ -326,7 +326,7 @@ class TestDistinctRows:
         assert distinct_rows([distinct], 32) is None      # nothing to save
         assert distinct_rows([repeated.slice(slice(0, 8))], 8) is None
 
-    def test_scalar_functions_run_once_per_distinct_tuple(self):
+    def test_scalar_functions_run_once_per_distinct_tuple(self, unverified):
         calls = []
 
         def fn(a, b):
@@ -351,13 +351,6 @@ class TestDistinctRows:
 
 
 # -- verification mode -------------------------------------------------------------------------
-
-
-@pytest.fixture
-def verification():
-    previous = set_verification_enabled(True)
-    yield
-    set_verification_enabled(previous)
 
 
 def test_verification_crosschecks_narrowing_and_distinct(verification):
@@ -436,7 +429,7 @@ def _count_calls(monkeypatch, owner, name, weight=lambda *args: 1):
 @pytest.mark.parametrize("query,periods", [(13, "Periods1"),
                                            (15, "Periods1")])
 def test_at_time_runs_once_per_distinct_trip_period_pair(
-        city, monkeypatch, query, periods):
+        city, monkeypatch, query, periods, unverified):
     pairs = city.execute(
         f"SELECT count(*) FROM Trips t, {periods} p WHERE t.Trip && p.Period"
     ).fetchall()[0][0]
@@ -447,7 +440,8 @@ def test_at_time_runs_once_per_distinct_trip_period_pair(
     assert 0 < rows[0] <= pairs and scalar[0] == 0
 
 
-def test_q16_at_time_runs_once_per_call_site_and_pair(city, monkeypatch):
+def test_q16_at_time_runs_once_per_call_site_and_pair(city, monkeypatch,
+                                                      unverified):
     # Q16 writes atTime(t1.Trip, pr.Period) and atTime(t2.Trip, pr.Period)
     # twice each (eIntersects and eDwithin); every call site runs at most
     # once per distinct pair that passed its `&&` prefilter.
@@ -465,7 +459,8 @@ def test_q16_at_time_runs_once_per_call_site_and_pair(city, monkeypatch):
     assert 0 < rows[0] <= 2 * first + 2 * second and scalar[0] == 0
 
 
-def test_q16_narrowing_halves_the_rows_functions_see(city, monkeypatch):
+def test_q16_narrowing_halves_the_rows_functions_see(city, monkeypatch,
+                                                     unverified):
     sql = get_query(16).sql
     rows = _count_calls(monkeypatch, ScalarFunction, "evaluate",
                         weight=lambda self, args, count: count)
