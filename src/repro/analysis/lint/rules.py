@@ -166,6 +166,11 @@ class _Checker:
     def _boundary_violation(self, target: str) -> str | None:
         module = self.module or ""
         if module.startswith("repro.pgsim"):
+            if target == "pickle" or target.startswith("pickle."):
+                return (
+                    "pgsim imports pickle: a heap datum has one "
+                    "serialization, its type's codec (LogicalType.codec)"
+                )
             if target.startswith("repro.quack."):
                 segment = target.split(".")[2]
                 if segment not in _PGSIM_ALLOWED_QUACK:

@@ -2,9 +2,11 @@
 point segment is its ``TempCSR`` arrays (``tcsr``), a ``tstzspan`` one
 its bounds (``span``) — both decode to the view the kernels read — and a
 geometry one its length-prefixed EWKB (``wkb``); each is one zlib blob
-with integers delta-narrowed.  ``encode`` declines (``None``: the pickle
-fallback) what it cannot give back bit for bit; ``decode`` raises
-``ValueError`` on bytes it did not write.  DESIGN.md has the layouts.
+of a flat layout with integers delta-narrowed.  ``encode`` declines
+(``None``: the pickle fallback) what it cannot give back bit for bit;
+``decode`` raises ``ValueError`` on bytes it did not write.  The same
+layout of one value, uncompressed, is the row store's datum
+(``encode_datum``/``decode_datum``).  DESIGN.md has the layouts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ from ..quack.vector import Vector, ViewVector
 from .boxkernels import _SPAN, _TEMP_CSR, span_cols, temp_csr
 
 _WIDTHS = tuple(np.dtype(w) for w in (np.int8, np.int16, np.int32, np.int64))
+#: The validity of one datum.
+_ONE = np.ones(1, dtype=np.bool_)
+_ONE.flags.writeable = False
+
+
+def _deflate(layout: bytes | None) -> bytes | None:
+    return None if layout is None else zlib.compress(layout, 9)
+
+
+def _inflate(payload: bytes) -> bytes:
+    return zlib.decompress(bytes(payload))
 
 
 def _ints(values: np.ndarray) -> bytes:
@@ -33,10 +46,10 @@ def _ints(values: np.ndarray) -> bytes:
 
 
 class _Reader:
-    """Cursor over an inflated segment; running short is an error."""
+    """Cursor over a flat layout; running short is an error."""
 
-    def __init__(self, payload: bytes):
-        self.data, self.pos = zlib.decompress(bytes(payload)), 0
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
 
     def take(self, size: int) -> bytes:
         if size < 0 or self.pos + size > len(self.data):
@@ -74,8 +87,23 @@ class TemporalPointCodec:
     name = "tcsr"
 
     def encode(self, vector: Vector) -> bytes | None:
-        csr = temp_csr(vector)
-        held, store = csr.index[vector.validity], csr.store
+        return _deflate(self._layout(temp_csr(vector), vector.validity))
+
+    def encode_datum(self, value) -> bytes | None:
+        return self._layout(temporal.temporal_csr([value]), _ONE)
+
+    def decode(self, payload: bytes, rows: int, ltype,
+               validity: np.ndarray) -> Vector:
+        return ViewVector(ltype, _TEMP_CSR,
+                          self._read(_inflate(payload), rows, validity),
+                          validity)
+
+    def decode_datum(self, layout: bytes):
+        return self._read(layout, 1, _ONE).objects()[0]
+
+    @staticmethod
+    def _layout(csr: temporal.TempCSR, valid: np.ndarray) -> bytes | None:
+        held, store = csr.index[valid], csr.store
         if (held < 0).any():
             return None
         ids, inverse = np.unique(held, return_inverse=True)
@@ -92,7 +120,7 @@ class TemporalPointCodec:
         inner = np.ones(len(t), dtype=np.bool_)
         inner[starts] = False
         name = (names.pop() if names else "").encode("utf-8")
-        return zlib.compress(b"".join([
+        return b"".join([
             struct.pack("<IiqB", len(ids), int(srids[0]) if len(srids)
                         else 0, int(t[0]) if len(t) else 0, len(name)),
             name,
@@ -109,11 +137,12 @@ class TemporalPointCodec:
             store.seq_interp[seqs].astype(np.int8).tobytes(),
             store.x[insts].tobytes(),
             store.y[insts].tobytes(),
-        ]), 9)
+        ])
 
-    def decode(self, payload: bytes, rows: int, ltype,
-               validity: np.ndarray) -> Vector:
-        r = _Reader(payload)
+    @staticmethod
+    def _read(layout: bytes, rows: int,
+              validity: np.ndarray) -> temporal.TempCSR:
+        r = _Reader(layout)
         count, srid, first, size = r.unpack("<IiqB")
         name = r.take(size).decode("utf-8")
         held = r.deltas(-1, int(np.count_nonzero(validity)) + 1)[1:]
@@ -152,8 +181,7 @@ class TemporalPointCodec:
         )
         index = np.full(rows, -1, dtype=np.int64)
         index[validity] = held
-        return ViewVector(ltype, _TEMP_CSR, temporal.TempCSR(index, store),
-                          validity)
+        return temporal.TempCSR(index, store)
 
     def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
         """Extents over every instant in row, then instant order, so a
@@ -176,21 +204,37 @@ class SpanCodec:
     name = "span"
 
     def encode(self, vector: Vector) -> bytes | None:
-        spans, valid = span_cols(vector), vector.validity
-        if not spans.ok[valid].all():
-            return None
-        lower = spans.lower[valid]
-        return zlib.compress(
-            struct.pack("<q", int(lower[0]) if len(lower) else 0)
-            + _ints(np.diff(lower)) + _ints(spans.upper[valid] - lower)
-            + np.packbits(np.concatenate([spans.lower_inc[valid],
-                                          spans.upper_inc[valid]])).tobytes(),
-            9,
-        )
+        return _deflate(self._layout(span_cols(vector), vector.validity))
+
+    def encode_datum(self, value) -> bytes | None:
+        return self._layout(temporal.span_arrays([value]), _ONE)
 
     def decode(self, payload: bytes, rows: int, ltype,
                validity: np.ndarray) -> Vector:
-        r = _Reader(payload)
+        return ViewVector(ltype, _SPAN,
+                          self._read(_inflate(payload), rows, validity),
+                          validity)
+
+    def decode_datum(self, layout: bytes):
+        return self._read(layout, 1, _ONE).objects()[0]
+
+    @staticmethod
+    def _layout(spans: temporal.SpanArrays,
+                valid: np.ndarray) -> bytes | None:
+        if not spans.ok[valid].all():
+            return None
+        lower = spans.lower[valid]
+        return (
+            struct.pack("<q", int(lower[0]) if len(lower) else 0)
+            + _ints(np.diff(lower)) + _ints(spans.upper[valid] - lower)
+            + np.packbits(np.concatenate([spans.lower_inc[valid],
+                                          spans.upper_inc[valid]])).tobytes()
+        )
+
+    @staticmethod
+    def _read(layout: bytes, rows: int,
+              validity: np.ndarray) -> temporal.SpanArrays:
+        r = _Reader(layout)
         held = int(np.count_nonzero(validity))
         lower = r.deltas(r.unpack("<q")[0], held)
         width, flags = r.ints(held), r.bits(2 * held)
@@ -204,7 +248,7 @@ class SpanCodec:
                 lower, lower + width, flags[:held], flags[held:])):
             setattr(spans, slot, np.zeros(rows, dtype=values.dtype))
             getattr(spans, slot)[validity] = values
-        return ViewVector(ltype, _SPAN, spans, validity)
+        return spans
 
     def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
         # a span has no box and no number: the walk counts rows and NULLs
@@ -230,22 +274,37 @@ class GeometryCodec:
     name = "wkb"
 
     def encode(self, vector: Vector) -> bytes | None:
+        return _deflate(self._layout(vector.data[vector.validity].tolist()))
+
+    def encode_datum(self, value) -> bytes | None:
+        return self._layout([value])
+
+    def decode(self, payload: bytes, rows: int, ltype,
+               validity: np.ndarray) -> Vector:
+        return Vector(ltype, self._read(_inflate(payload), rows, validity),
+                      validity)
+
+    def decode_datum(self, layout: bytes):
+        return self._read(layout, 1, _ONE)[0]
+
+    @staticmethod
+    def _layout(geoms: list) -> bytes | None:
         parts = []
-        for geom in vector.data[vector.validity].tolist():
+        for geom in geoms:
             if not _wkb_exact(geom, getattr(geom, "srid", None)):
                 return None
             blob = geo.encode_wkb(geom)
             parts += (struct.pack("<I", len(blob)), blob)
-        return zlib.compress(b"".join(parts), 9)
+        return b"".join(parts)
 
-    def decode(self, payload: bytes, rows: int, ltype,
-               validity: np.ndarray) -> Vector:
-        r = _Reader(payload)
+    @staticmethod
+    def _read(layout: bytes, rows: int, validity: np.ndarray) -> np.ndarray:
+        r = _Reader(layout)
         out = np.empty(rows, dtype=object)
         for row in np.flatnonzero(validity).tolist():
             out[row] = geo.decode_wkb(r.take(r.unpack("<I")[0]))
         r.finish()
-        return Vector(ltype, out, validity)
+        return out
 
     def zone_entry(self, vector: Vector) -> None:
         return None  # a geometry has no box the zone maps read

@@ -49,6 +49,8 @@ DECLARED_COUNTERS = frozenset({
     "geo.kernel_pairs",
     # pgsim row store
     "pgsim.detoast",
+    "pgsim.detoast_bytes",
+    "pgsim.toast_out_of_line",
     # R-tree internals (shared by TRTREE and the standalone index)
     "rtree.searches",
     "rtree.nodes_visited",

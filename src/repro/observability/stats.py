@@ -12,7 +12,7 @@ Counters use dotted names grouped by subsystem, e.g.::
     index.gist.probes        GiST index probes (pgsim)
     quack.kernel_ops         vectorized kernel dispatches
     quack.fallback_ops       row-loop fallbacks
-    pgsim.detoast            varlena deserializations
+    pgsim.detoast            fetches of out-of-line (TOASTed) datums
     optimizer.rule.<name>    optimizer rule fire counts
 
 Each query's :class:`Tracer` records a tree of named, timed spans::

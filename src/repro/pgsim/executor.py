@@ -54,7 +54,8 @@ def eval_row(expr: BoundExpr, row: tuple, ctx: ExecutionContext) -> Any:
     if isinstance(expr, BoundColumnRef):
         value = row[expr.index]
         if isinstance(value, Varlena):
-            # Detoast per datum access, like PostgreSQL (see pgsim.table).
+            # An out-of-line datum detoasts on every access, like
+            # PostgreSQL; inline ones are read in place (see pgsim.table).
             return value.load()
         return value
     if isinstance(expr, BoundParameterRef):

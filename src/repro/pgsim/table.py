@@ -1,63 +1,64 @@
 """Row-oriented storage for the PostgreSQL-like baseline engine.
 
 Tables hold Python row tuples (heap order), the analogue of PostgreSQL's
-row store.  The classes duck-type the parts of :class:`repro.quack.catalog`
-that the shared binder/optimizer touch (``column_names``, ``column_types``,
+row store; a datum too large for the row is TOASTed (:func:`toast`).
+The classes duck-type the parts of :class:`repro.quack.catalog` that the
+shared binder/optimizer touch (``column_names``, ``column_types``,
 ``indexes``, ``column_index``).
 """
 
 from __future__ import annotations
 
-import pickle
+import zlib
 from typing import Any, Iterator, Sequence
 
-from .. import geo
-from ..meos import Set, Span, SpanSet, STBox, TBox, Temporal
 from ..observability import count as _count
 from ..quack.errors import CatalogError, ExecutionError
 from ..quack.types import LogicalType
 
-#: Types stored out-of-line as serialized varlena payloads, like
-#: PostgreSQL TOAST. MobilityDB temporal values are exactly such payloads;
-#: every datum access in the row engine pays a deserialization, which is
-#: the architectural overhead the paper measures against (§2.1, §6.3).
-_VARLENA_TYPES = (Temporal, Span, SpanSet, Set, TBox, STBox, geo.Geometry)
+#: PostgreSQL's ``TOAST_TUPLE_THRESHOLD``: a datum whose flat layout is
+#: larger is compressed and moved out of line; a smaller one stays in the
+#: heap row and is read in place, as MEOS reads a MobilityDB varlena.
+TOAST_THRESHOLD = 2032
 
 
 class Varlena:
-    """A serialized (TOASTed) value inside a heap row."""
+    """A TOAST pointer: the compressed flat layout of an out-of-line
+    datum, and the type's codec that reads it back."""
 
-    __slots__ = ("blob",)
+    __slots__ = ("codec", "blob")
 
-    def __init__(self, blob: bytes):
+    def __init__(self, codec: Any, blob: bytes):
+        self.codec = codec
         self.blob = blob
 
-    @classmethod
-    def wrap(cls, value: Any) -> "Varlena":
-        return cls(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
     def load(self) -> Any:
-        """Detoast: deserialize the payload (paid per datum access).
-
-        The per-access deserialization cost is the row engine's
-        architectural overhead (§2.1); ``pgsim.detoast`` counts how
-        often a query pays it."""
+        """Detoast: inflate and decode the layout (paid per datum access,
+        like PostgreSQL's fetch of an out-of-line value)."""
         _count("pgsim.detoast")
-        return pickle.loads(self.blob)
+        _count("pgsim.detoast_bytes", len(self.blob))
+        return self.codec.decode_datum(zlib.decompress(self.blob))
 
     def __repr__(self) -> str:
-        return f"<Varlena {len(self.blob)} bytes>"
+        return f"<Varlena {self.codec.name} {len(self.blob)} bytes>"
 
 
-def toast(value: Any) -> Any:
-    """Wrap heavy values for heap storage; scalars stay inline."""
-    if isinstance(value, _VARLENA_TYPES):
-        return Varlena.wrap(value)
-    return value
+def toast(value: Any, ltype: LogicalType) -> Any:
+    """The heap datum of a ``ltype`` value: a TOAST pointer when the
+    type's codec lays it out in more than :data:`TOAST_THRESHOLD` bytes,
+    else the value itself (no codec, a declined value, a small layout)."""
+    codec = ltype.codec
+    if codec is None or value is None or isinstance(value, Varlena):
+        return value
+    layout = codec.encode_datum(value)
+    if layout is None or len(layout) <= TOAST_THRESHOLD:
+        return value
+    _count("pgsim.toast_out_of_line")
+    return Varlena(codec, zlib.compress(layout))
 
 
 def detoast(value: Any) -> Any:
-    """Unwrap a heap datum (no-op for inline scalars)."""
+    """Unwrap a heap datum (no-op for inline values)."""
     if isinstance(value, Varlena):
         return value.load()
     return value
@@ -100,7 +101,7 @@ class RowTable:
                 raise ExecutionError(
                     f"expected {self.num_columns} values, got {len(row)}"
                 )
-            self.rows.append(tuple(toast(v) for v in row))
+            self.rows.append(self._heap_row(row))
         row_ids = list(range(start, len(self.rows)))
         for index in self.indexes:
             for rid in row_ids:
@@ -125,7 +126,10 @@ class RowTable:
         return len(self._deleted) - before
 
     def update_row(self, row_id: int, row: tuple) -> None:
-        self.rows[row_id] = tuple(toast(v) for v in row)
+        self.rows[row_id] = self._heap_row(row)
+
+    def _heap_row(self, row: Sequence[Any]) -> tuple:
+        return tuple(map(toast, row, self.column_types))
 
     def rebuild_indexes(self) -> None:
         for index in self.indexes:

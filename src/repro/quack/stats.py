@@ -333,7 +333,7 @@ def _iter_rows(table: Any) -> Iterator[tuple]:
                 yield from rows()
             else:
                 # Row engine: scan() yields (row_id, heap row) whose
-                # heavy datums are TOASTed.
+                # out-of-line datums are TOAST pointers.
                 yield tuple(_detoast(value) for value in second)
         return
     yield from getattr(table, "rows")

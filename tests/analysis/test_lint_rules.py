@@ -3,6 +3,8 @@
 import ast
 import textwrap
 
+import pytest
+
 from repro.analysis.lint.rules import check_module
 
 
@@ -75,6 +77,21 @@ class TestEngineImportBoundaries:
         )
         assert codes(
             src, module="repro.pgsim.executor", filename="executor.py"
+        ) == []
+
+    @pytest.mark.parametrize("src", [
+        "import pickle\nuse(pickle)\n",
+        "from pickle import loads\nuse(loads)\n",
+    ])
+    def test_pgsim_importing_pickle_flagged(self, src):
+        assert codes(
+            src, module="repro.pgsim.table", filename="table.py"
+        ) == ["ANL004"]
+
+    def test_pickle_outside_pgsim_clean(self):
+        assert codes(
+            "import pickle\nuse(pickle)\n",
+            module="repro.quack.storage", filename="storage.py",
         ) == []
 
     def test_quack_importing_pgsim_flagged(self):

@@ -14,7 +14,9 @@ from repro.berlinmod import (
     generate,
     get_query,
     load_dataset,
+    prepare_scenario,
 )
+from repro.pgsim.table import Varlena
 
 #: SF small enough for CI-speed runs but with non-trivial results.
 _SF = 0.001
@@ -119,6 +121,39 @@ class TestCrossEngine:
         b = baseline_indexed.execute(query.sql).fetchall()
         assert [(r[0], r[1], str(r[2])) for r in a] == \
             [(r[0], r[1], str(r[2])) for r in b]
+
+
+class TestStoredDatumsUnchanged:
+    """pgsim's heap holds an inline datum as the value itself and hands
+    that same object to every query: no query may change it."""
+
+    def test_all_queries_leave_inline_datums_intact(self, unverified):
+        city = generate(0.0002, 4711)
+        base = prepare_scenario("mobilitydb_idx", city)
+        layouts = _inline_layouts(base)
+        assert layouts  # the city's trips, periods and geometries
+        duck = prepare_scenario("mobilityduck", city)
+        for query in QUERIES:
+            got = [repr(row) for row in base.execute(query.sql).fetchall()]
+            want = [repr(row) for row in duck.execute(query.sql).fetchall()]
+            if query.number == 10:  # ties may come back in any order
+                got, want = sorted(got), sorted(want)
+            assert got == want, f"Q{query.number} differs"
+        assert _inline_layouts(base) == layouts
+
+
+def _inline_layouts(con):
+    """The flat layout of every inline datum whose type has a codec."""
+    layouts = {}
+    for table in con.database.catalog.tables.values():
+        for col, ltype in enumerate(table.column_types):
+            if ltype.codec is None:
+                continue
+            for rid, row in table.scan():
+                if row[col] is not None and not isinstance(row[col], Varlena):
+                    layouts[table.name, rid, col] = \
+                        ltype.codec.encode_datum(row[col])
+    return layouts
 
 
 def _comparable(rows):

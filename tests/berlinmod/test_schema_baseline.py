@@ -9,7 +9,8 @@ from repro.berlinmod import (
     generate,
     load_dataset,
 )
-from repro.pgsim.table import Varlena
+from repro.core.codecs import TCSR_CODEC
+from repro.pgsim.table import TOAST_THRESHOLD
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +34,15 @@ class TestBaselineSchema:
             "SELECT count(*) FROM hanoi"
         ).scalar() == 12
 
-    def test_trips_are_toasted(self, baseline):
+    def test_trips_stay_inline(self, baseline, dataset):
+        # Every trip of the city lays out in under 2032 bytes, so the
+        # heap holds it in place, as PostgreSQL would not TOAST it.
         table = baseline.database.catalog.get_table("Trips")
         trip_col = table.column_index("Trip")
-        assert isinstance(table.rows[0][trip_col], Varlena)
+        stored = [row[trip_col] for _, row in table.scan()]
+        assert stored == [trip.trip for trip in dataset.trips]
+        assert max(len(TCSR_CODEC.encode_datum(trip))
+                   for trip in stored) <= TOAST_THRESHOLD
 
     def test_trip_values_load_correctly(self, baseline, dataset):
         got = baseline.execute(

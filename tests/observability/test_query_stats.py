@@ -181,8 +181,30 @@ class TestPgsimStats:
             "SELECT count(*) FROM r WHERE box && "
             "stbox('STBOX X((0,0),(100,100))')"
         ).stats()
-        # Every row's varlena box is deserialized by the residual filter.
-        assert stats.counter("pgsim.detoast") >= 50
+        # An STBOX has no flat layout to TOAST: read in place.
+        assert stats.counter("pgsim.detoast") == 0
+
+    def test_toast_counters(self):
+        con = core.connect_baseline()
+        con.execute("CREATE TABLE long_trips(trip TGEOMPOINT)")
+        # 400 instants: a flat layout past the 2032-byte threshold
+        trip = "[" + ", ".join(
+            f"Point({i} {i * i % 13})@2025-01-01 00:{i // 60:02d}:{i % 60:02d}"
+            for i in range(400)
+        ) + "]"
+        stats = con.execute(
+            f"INSERT INTO long_trips VALUES ('{trip}'), ('{trip}')"
+        ).stats()
+        assert stats.counter("pgsim.toast_out_of_line") == 2
+        stats = con.execute(
+            "SELECT numInstants(trip) FROM long_trips"
+        ).stats()
+        # one out-of-line fetch per row, each its compressed bytes
+        rows = con.database.catalog.get_table("long_trips").rows
+        assert stats.counter("pgsim.detoast") == 2
+        assert stats.counter("pgsim.detoast_bytes") == sum(
+            len(row[0].blob) for row in rows
+        )
 
     def test_phases_recorded(self, row_con):
         stats = row_con.execute("SELECT id FROM r WHERE id < 5").stats()

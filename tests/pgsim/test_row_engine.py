@@ -1,13 +1,29 @@
-"""Row-store baseline engine tests: volcano execution, varlena, indexes."""
+"""Row-store baseline engine tests: volcano execution, TOAST, indexes."""
+
+import math
 
 import pytest
 
-from repro import core
+from repro import core, geo
+from repro.core.codecs import TCSR_CODEC, WKB_CODEC
+from repro.core.spatial import GEOMETRY_TYPE
+from repro.core.types import TEMPORAL_TYPES
+from repro.meos import (
+    STBox,
+    Span,
+    Temporal,
+    TInstant,
+    TSequence,
+    intset,
+    tfloat,
+)
+from repro.meos.temporal.ttypes import TGEOMPOINT
 from repro.pgsim import RowConnection, RowDatabase
-from repro.pgsim.table import Varlena, detoast, toast
+from repro.pgsim.table import TOAST_THRESHOLD, Varlena, detoast, toast
 from repro.quack import Connection, Database
 from repro.quack.catalog import Catalog
 from repro.quack.errors import CatalogError
+from repro.quack.types import BIGINT, VARCHAR
 
 
 @pytest.fixture
@@ -149,48 +165,179 @@ class TestSharedCatalog:
                 con.database.catalog.get_table("g").indexes] == ["gx"]
 
 
+def _trip(instants: int):
+    """A linear trip of ``instants`` instants that normalization keeps
+    (no three consecutive positions are collinear at constant speed)."""
+    return TSequence(TGEOMPOINT, [
+        TInstant(TGEOMPOINT, geo.Point(float(i), float(i * i % 13)),
+                 10**6 * i)
+        for i in range(instants)
+    ])
+
+
+def _disc(vertices: int):
+    ring = [(math.cos(2 * math.pi * i / vertices),
+             math.sin(2 * math.pi * i / vertices)) for i in range(vertices)]
+    return geo.Polygon(ring + ring[:1], srid=4326)
+
+
+#: Out of line: flat layouts past the threshold.
+_LONG_TRIP = _trip(400)
+_BIG_POLYGON = _disc(200)
+
+
+def _stored(con, table):
+    return con.database.catalog.get_table(table).rows
+
+
 class TestVarlena:
-    def test_heavy_values_toasted(self):
-        from repro.meos import tstzspan
+    """PostgreSQL's TOAST rule: a datum stays inline, read in place,
+    unless its type's codec lays it out in more than 2032 bytes."""
 
-        value = tstzspan("[2025-01-01, 2025-01-02]")
-        wrapped = toast(value)
-        assert isinstance(wrapped, Varlena)
-        assert detoast(wrapped) == value
+    def test_layouts_straddle_the_threshold(self):
+        assert len(TCSR_CODEC.encode_datum(_trip(3))) <= TOAST_THRESHOLD
+        assert len(TCSR_CODEC.encode_datum(_LONG_TRIP)) > TOAST_THRESHOLD
+        assert len(WKB_CODEC.encode_datum(_BIG_POLYGON)) > TOAST_THRESHOLD
 
-    def test_scalars_stay_inline(self):
-        assert toast(5) == 5
-        assert toast("abc") == "abc"
-        assert toast(None) is None
-
-    def test_temporal_round_trip_through_heap(self):
+    def test_short_datums_stay_inline(self, unverified):
         con = core.connect_baseline()
-        con.execute("CREATE TABLE trips(trip TGEOMPOINT)")
+        con.execute("CREATE TABLE s(trip TGEOMPOINT, period TSTZSPAN, "
+                    "geom GEOMETRY)")
         con.execute(
-            "INSERT INTO trips VALUES "
-            "('[Point(0 0)@2025-01-01, Point(3 4)@2025-01-02]')"
+            "INSERT INTO s VALUES ('[Point(0 0)@2025-01-01, "
+            "Point(3 4)@2025-01-02]', '[2025-01-01, 2025-01-02]', "
+            "'SRID=4326;POLYGON((0 0, 1 0, 1 1, 0 0))')"
         )
-        # The stored datum is toasted...
-        table = con.database.catalog.get_table("trips")
-        assert isinstance(table.rows[0][0], Varlena)
-        # ...and queries see the original value.
-        assert con.execute("SELECT length(trip) FROM trips").scalar() == 5.0
+        trip, period, geom = _stored(con, "s")[0]
+        assert isinstance(trip, Temporal)
+        assert isinstance(period, Span)
+        assert isinstance(geom, geo.Polygon)
+        stats = con.execute(
+            "SELECT length(trip), duration(period), ST_Area(geom) FROM s"
+        ).stats()
+        assert stats.counter("pgsim.detoast") == 0
+        assert stats.counter("pgsim.detoast_bytes") == 0
 
-    def test_geometry_pickle_round_trip(self):
-        from repro.geo import parse_wkt
+    def test_scalars_and_nulls_stay_inline(self):
+        assert toast(5, BIGINT) == 5
+        assert toast("abc", VARCHAR) == "abc"
+        assert toast(None, TEMPORAL_TYPES["tgeompoint"]) is None
 
-        geom = parse_wkt("SRID=4326;POLYGON((0 0, 1 0, 1 1, 0 0))")
-        assert detoast(toast(geom)) == geom
+    @pytest.mark.parametrize("ltype, value", [
+        (TEMPORAL_TYPES["tgeompoint"], _LONG_TRIP),
+        (GEOMETRY_TYPE, _BIG_POLYGON),
+    ], ids=["trip", "polygon"])
+    def test_large_datums_go_out_of_line(self, ltype, value):
+        pointer = toast(value, ltype)
+        assert isinstance(pointer, Varlena)
+        # stored compressed: smaller than the flat layout
+        assert len(pointer.blob) < len(ltype.codec.encode_datum(value))
+        assert detoast(pointer) == value
+        assert toast(pointer, ltype) is pointer
 
-    def test_span_and_set_pickle(self):
-        from repro.meos import geomset, intset, tstzspanset
+    def test_out_of_line_access_detoasts(self, unverified):
+        con = core.connect_baseline()
+        con.execute("CREATE TABLE big(id INTEGER, trip TGEOMPOINT, "
+                    "geom GEOMETRY)")
+        con.database.catalog.get_table("big").append_rows(
+            [(i, _LONG_TRIP, _BIG_POLYGON) for i in range(3)]
+        )
+        rows = _stored(con, "big")
+        blob_bytes = sum(len(row[1].blob) for row in rows)
+        result = con.execute("SELECT numInstants(trip) FROM big")
+        assert result.fetchall() == [(400,)] * 3
+        stats = result.stats()
+        assert stats.counter("pgsim.detoast") == 3
+        assert stats.counter("pgsim.detoast_bytes") == blob_bytes
+        # each reference pays again: there is no detoast cache
+        stats = con.execute(
+            "SELECT ST_Area(geom), ST_Area(geom) FROM big"
+        ).stats()
+        assert stats.counter("pgsim.detoast") == 6
+        assert con.execute(
+            "SELECT ST_Area(geom) FROM big WHERE id = 0"
+        ).scalar() == pytest.approx(_BIG_POLYGON.area())
 
-        for value in (
-            intset("{1, 2, 3}"),
-            tstzspanset("{[2025-01-01, 2025-01-02]}"),
-            geomset("{Point(0 0)}"),
+    def test_insert_and_update_move_datums_out_of_line(self, unverified):
+        con = core.connect_baseline()
+        con.execute("CREATE TABLE t(id INTEGER, trip TGEOMPOINT)")
+        long_text = str(_LONG_TRIP)
+        stats = con.execute(
+            f"INSERT INTO t VALUES (1, '{long_text}'), "
+            "(2, '[Point(0 0)@2025-01-01, Point(1 1)@2025-01-02]')"
+        ).stats()
+        assert stats.counter("pgsim.toast_out_of_line") == 1
+        stats = con.execute(
+            f"UPDATE t SET trip = '{long_text}' WHERE id = 2"
+        ).stats()
+        assert stats.counter("pgsim.toast_out_of_line") == 1
+        assert all(isinstance(row[1], Varlena) for row in _stored(con, "t"))
+        # an UPDATE of another column keeps the pointer as it was
+        pointer = _stored(con, "t")[0][1]
+        stats = con.execute("UPDATE t SET id = 3 WHERE id = 1").stats()
+        assert stats.counter("pgsim.toast_out_of_line") == 0
+        assert _stored(con, "t")[0][1] is pointer
+        # CTAS writes its rows through the same rule
+        stats = con.execute("CREATE TABLE u AS SELECT trip FROM t").stats()
+        assert stats.counter("pgsim.toast_out_of_line") == 2
+        assert con.execute("SELECT count(*) FROM u WHERE trip = "
+                           f"tgeompoint '{long_text}'").scalar() == 2
+
+    @pytest.mark.parametrize("type_name, value", [
+        ("STBOX", STBox.parse("STBOX XT(((0,0),(1,1)),"
+                              "[2025-01-01, 2025-01-02])")),
+        ("TFLOAT", tfloat("[" + ", ".join(
+            f"{i * i % 13}.5@2025-01-01 00:{i // 60:02d}:{i % 60:02d}"
+            for i in range(600)) + "]")),
+        ("INTSET", intset("{" + ", ".join(map(str, range(2000))) + "}")),
+        # what the tcsr codec declines has no layout to measure
+        ("TGEOMPOINT", TSequence(TGEOMPOINT, [
+            TInstant(TGEOMPOINT, geo.Point(float(i), 1.0), 10**6 * i)
+            for i in range(399)
+        ] + [TInstant(TGEOMPOINT, geo.Point(math.nan, 1.0), 10**9)])),
+        ("TGEOMPOINT", TSequence(TGEOMPOINT, [
+            TInstant(TGEOMPOINT, geo.Point(float(i), float(i % 3),
+                                           4326 if i else 0), 10**6 * i)
+            for i in range(400)
+        ])),
+    ], ids=["stbox", "tfloat", "intset", "nan-trip", "mixed-srid-trip"])
+    def test_types_without_a_layout_stay_inline(self, type_name, value):
+        con = core.connect_baseline()
+        con.execute(f"CREATE TABLE k(v {type_name})")
+        ltype = con.database.catalog.get_table("k").column_types[0]
+        assert ltype.codec is None or ltype.codec.encode_datum(value) is None
+        con.database.catalog.get_table("k").append_rows([(value,)])
+        assert _stored(con, "k")[0][0] is value
+
+    def test_analyze_and_index_builds_over_out_of_line_column(
+            self, unverified):
+        trips = [(i, _trip(400 + i) if i % 2 else _trip(5 + i))
+                 for i in range(6)]
+        engines = []
+        for con in (core.connect(), core.connect_baseline()):
+            con.execute("CREATE TABLE tr(id INTEGER, trip TGEOMPOINT)")
+            con.database.catalog.get_table("tr").append_rows(trips)
+            engines.append(con)
+        duck, base = engines
+        assert sum(isinstance(row[1], Varlena)
+                   for row in _stored(base, "tr")) == 3
+        stats = base.execute("ANALYZE tr").stats()
+        assert stats.counter("pgsim.detoast") == 3
+        duck.execute("ANALYZE tr")
+        assert base.database.catalog.get_table("tr").stats == \
+            duck.database.catalog.get_table("tr").stats
+        base.execute("CREATE INDEX g ON tr USING GIST(trip)")
+        base.execute("CREATE INDEX b ON tr USING BTREE(trip)")
+        for query, ids in (
+            ("SELECT id FROM tr WHERE trip && "
+             "stbox 'STBOX X((300.0,0.0),(420.0,12.0))' ORDER BY id",
+             [(1,), (3,), (5,)]),
+            (f"SELECT id FROM tr WHERE trip = tgeompoint '{trips[3][1]}'",
+             [(3,)]),
         ):
-            assert detoast(toast(value)) == value
+            assert "INDEX_SCAN" in base.explain(query)
+            assert base.execute(query).fetchall() == \
+                duck.execute(query).fetchall() == ids
 
 
 class TestIndexes:
