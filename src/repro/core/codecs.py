@@ -6,7 +6,8 @@ of a flat layout with integers delta-narrowed.  ``encode`` declines
 (``None``: the pickle fallback) what it cannot give back bit for bit;
 ``decode`` raises ``ValueError`` on bytes it did not write.  The same
 layout of one value, uncompressed, is the row store's datum
-(``encode_datum``/``decode_datum``).  DESIGN.md has the layouts.
+(``encode_datum``/``decode_datum``), and ``boxes`` hands ANALYZE the
+per-row box bounds without building a value.  DESIGN.md has the layouts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from ..meos import kernels as temporal
 from ..meos.temporal.ttypes import temporal_type
 from ..quack.storage import ZoneMapEntry, narrow_dtype
 from ..quack.vector import Vector, ViewVector
-from .boxkernels import _SPAN, _TEMP_CSR, span_cols, temp_csr
+from .boxkernels import (
+    _SPAN,
+    _TEMP_CSR,
+    geom_soa,
+    span_cols,
+    span_soa,
+    temp_csr,
+    tpoint_soa,
+)
 
 _WIDTHS = tuple(np.dtype(w) for w in (np.int8, np.int16, np.int32, np.int64))
 #: The validity of one datum.
@@ -81,6 +90,16 @@ class _Reader:
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise ValueError("trailing bytes after the segment")
+
+
+def _boxes(soa, valid: np.ndarray, axes: str) -> dict | None:
+    """Per-axis bounds of the valid rows off their cached box arrays (what
+    ANALYZE's extent histograms read); ``None`` when a row has no box the
+    kernels read."""
+    if not soa.ok[valid].all():
+        return None
+    return {axis: (getattr(soa, axis + "min")[valid],
+                   getattr(soa, axis + "max")[valid]) for axis in axes}
 
 
 class TemporalPointCodec:
@@ -199,6 +218,9 @@ class TemporalPointCodec:
             "t": (float(t[lo].min()), float(t[hi - 1].max())),
         }, box_complete=True)
 
+    def boxes(self, vector: Vector) -> dict | None:
+        return _boxes(tpoint_soa(vector), vector.validity, "xyt")
+
 
 class SpanCodec:
     name = "span"
@@ -257,6 +279,9 @@ class SpanCodec:
         return ZoneMapEntry(rows=len(vector),
                             nulls=int(np.count_nonzero(~vector.validity)))
 
+    def boxes(self, vector: Vector) -> dict | None:
+        return _boxes(span_soa(vector), vector.validity, "t")
+
 
 _WKB_TYPES = (geo.Point, geo.LineString, geo.Polygon, geo.MultiPoint,
               geo.MultiLineString, geo.MultiPolygon, geo.GeometryCollection)
@@ -308,6 +333,9 @@ class GeometryCodec:
 
     def zone_entry(self, vector: Vector) -> None:
         return None  # a geometry has no box the zone maps read
+
+    def boxes(self, vector: Vector) -> dict | None:
+        return _boxes(geom_soa(vector), vector.validity, "xy")
 
 
 TCSR_CODEC = TemporalPointCodec()

@@ -13,7 +13,7 @@ predicate for every row of two row-aligned batches: a bounds prefilter
 on the arrays, then every undecided row's segment x segment, vertex x
 segment and probe x ring-edge pairs are expanded with offset arithmetic,
 evaluated elementwise and reduced per row.  The pair axis is cut into
-blocks of ``_BLOCK`` pairs, so scratch stays a few MiB however many rows
+blocks of ``_BLOCK`` pairs, so scratch stays small however many rows
 or vertices a call carries.
 
 Every pair is evaluated by the formulas of :mod:`.algorithms`' segment
@@ -50,8 +50,12 @@ SEGMENT_PAD = 2.0 * EPSILON
 POINT, LINE, POLYGON = 0, 1, 2
 
 #: Expanded pairs evaluated at once (about twenty live float64 arrays
-#: of this length: a few MiB of scratch).
-_BLOCK = 1 << 15
+#: of this length, under 2 MiB of scratch).  One array must stay below
+#: glibc's 128 KiB mmap threshold: larger temporaries are fresh mappings
+#: whose pages fault in on every block, unless an earlier large free
+#: happened to raise the threshold, so a statement's time would depend
+#: on which statements ran before it.
+_BLOCK = 1 << 13
 
 _INT = np.int64
 

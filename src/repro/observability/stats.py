@@ -21,9 +21,9 @@ Each query's :class:`Tracer` records a tree of named, timed spans::
         with stats.tracer.span("filter_pushdown"):
             ...
 
-Top-level spans are the query *phases* (parse, bind, optimize, execute);
-:meth:`Tracer.phase_seconds` aggregates them by name so repeated phases
-(multi-statement scripts) sum up.  Spans nest arbitrarily deep and the
+Top-level spans are the query *phases* (parse, bind, analyze,
+optimize, execute); :meth:`Tracer.phase_seconds` aggregates them by name
+so repeated phases (multi-statement scripts) sum up.  Spans nest arbitrarily deep and the
 whole tree serializes with :meth:`Span.to_dict` for the structured
 EXPLAIN output.
 """
@@ -39,8 +39,9 @@ from ..analysis.config import verification_enabled
 from ..analysis.errors import VerificationError
 from .registry import is_declared_counter, is_declared_gauge
 
-#: The canonical phase order for rendering.
-PHASES = ("parse", "bind", "optimize", "execute")
+#: The canonical phase order for rendering; ``analyze`` is the statistics
+#: a join gathers before it is planned, present only when it ran.
+PHASES = ("parse", "bind", "analyze", "optimize", "execute")
 
 
 @dataclass

@@ -76,6 +76,10 @@ class RowTable:
         self.rows: list[tuple] = []
         self._deleted: set[int] = set()
         self.indexes: list = []
+        #: optimizer statistics, as on quack's ``Table.stats``
+        self.stats = None
+        #: rows inserted, updated or deleted since ``stats`` was gathered
+        self.changes_since_analyze = 0
 
     @property
     def num_columns(self) -> int:
@@ -103,6 +107,7 @@ class RowTable:
                 )
             self.rows.append(self._heap_row(row))
         row_ids = list(range(start, len(self.rows)))
+        self.changes_since_analyze += len(row_ids)
         for index in self.indexes:
             for rid in row_ids:
                 index.insert_row(self.rows[rid], rid)
@@ -123,7 +128,9 @@ class RowTable:
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         before = len(self._deleted)
         self._deleted.update(int(r) for r in row_ids)
-        return len(self._deleted) - before
+        deleted = len(self._deleted) - before
+        self.changes_since_analyze += deleted
+        return deleted
 
     def update_row(self, row_id: int, row: tuple) -> None:
         self.rows[row_id] = self._heap_row(row)

@@ -192,9 +192,14 @@ class Table:
         self._deleted: list[np.ndarray] = []  # parallels sealed structure
         self._deleted_ids: set[int] = set()
         self.indexes: list["TableIndex"] = []
-        #: per-table ANALYZE statistics (repro.quack.stats.TableStats);
-        #: None until ANALYZE runs — the optimizer then stays heuristic.
+        #: per-table optimizer statistics (repro.quack.stats.TableStats):
+        #: gathered by ANALYZE, or by the connection before it plans a
+        #: join over the table while they are missing or stale
+        #: (``stats.needs_analyze``: PostgreSQL's autovacuum rule over
+        #: ``changes_since_analyze``); None until then.
         self.stats = None
+        #: rows inserted, updated or deleted since ``stats`` was gathered
+        self.changes_since_analyze = 0
         #: lazily-built per-row-group zone maps (storage.ZoneMapEntry per
         #: column, one list per sealed segment).  Sealed segments are
         #: immutable, so appends only *extend* this cache — a rewrite
@@ -237,6 +242,7 @@ class Table:
             for col, value in zip(self._columns, row):
                 col.append(value)
         row_ids = np.arange(start, start + len(rows), dtype=np.int64)
+        self.changes_since_analyze += len(rows)
         if self.indexes and len(rows):
             chunk = DataChunk(
                 [
@@ -262,6 +268,7 @@ class Table:
         for col, vector in zip(self._columns, chunk.vectors):
             col.append_vector(vector)
         row_ids = np.arange(start, start + chunk.count, dtype=np.int64)
+        self.changes_since_analyze += chunk.count
         for index in self.indexes:
             index.append(chunk, row_ids)
         return row_ids
@@ -269,7 +276,9 @@ class Table:
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         before = len(self._deleted_ids)
         self._deleted_ids.update(int(r) for r in row_ids)
-        return len(self._deleted_ids) - before
+        deleted = len(self._deleted_ids) - before
+        self.changes_since_analyze += deleted
+        return deleted
 
     def update_column(self, name: str, values: list[Any]) -> None:
         """Rewrite one column in full row order (UPDATE execution path)."""

@@ -48,11 +48,11 @@ from .catalog import Catalog, IndexTypeRegistry, Table
 from .errors import BinderError, CatalogError, ExecutionError, QuackError
 from .executor import ExecutionContext, evaluate, execute_plan
 from .functions import FunctionRegistry
-from .optimizer import optimize
+from .optimizer import join_tables, optimize
 from .plan import BoundExpr, LogicalMaterializedCTE, LogicalOperator
 from .profiler import PlanProfiler
 from .sql import ast, parse_sql
-from .stats import analyze_table
+from .stats import analyze_table, needs_analyze
 from .types import LogicalType, TypeRegistry
 from .vector import (
     STANDARD_VECTOR_SIZE,
@@ -173,6 +173,16 @@ class Database(BaseDatabase):
         return storage.read_database(self, path)
 
 
+def _analyze(table: Any) -> None:
+    """Gather ``table``'s optimizer statistics: from the footer zone maps
+    of an attached table they still describe, else in one column-wise
+    pass; the change count starts again from zero."""
+    table.stats = (
+        storage.analyze_from_zone_maps(table) or analyze_table(table)
+    )
+    table.changes_since_analyze = 0
+
+
 def _parse_on_off(value: ast.Expr, setting: str) -> bool:
     """Interpret a ``SET <setting> = on|off`` value straight from the AST
     (``on``/``off`` parse as bare column references, which constant
@@ -217,8 +227,8 @@ class BaseConnection:
         #: rolling log of completed queries (``SET log_min_duration``
         #: tunes the slow-query threshold)
         self._query_log = QueryLog()
-        #: cost-based optimizer kill switch (``SET cbo = on|off``);
-        #: tables without ANALYZE statistics plan heuristically anyway
+        #: cost-based optimizer kill switch (``SET cbo = on|off``); off
+        #: plans every join in FROM order and gathers no statistics
         self._cbo = True
         #: zone-map scan skipping kill switch (``SET zone_maps = on|off``,
         #: quack only: heap tables have no zone maps)
@@ -441,10 +451,7 @@ class BaseConnection:
             tables = list(catalog.tables.values())
         rows = []
         for table in tables:
-            table.stats = (
-                storage.analyze_from_zone_maps(table)
-                or analyze_table(table)
-            )
+            _analyze(table)
             rows.append(
                 (table.name, table.stats.row_count,
                  len(table.stats.columns))
@@ -529,6 +536,8 @@ class BaseConnection:
             from ..analysis.verifier import verify_planned
 
             verify_planned(plan, self.database.functions, stats, "bind")
+        if self._cbo:
+            self._refresh_statistics(plan, stats)
         with maybe_span(stats, "optimize"):
             plan = optimize(plan, stats, cbo=self._cbo,
                             zone_maps=self._zone_maps)
@@ -537,6 +546,20 @@ class BaseConnection:
 
             verify_planned(plan, self.database.functions, stats, "optimize")
         return plan
+
+    def _refresh_statistics(self, plan: LogicalOperator,
+                            stats: QueryStatistics | None) -> None:
+        """What autovacuum does for PostgreSQL and append-time statistics
+        for DuckDB: every table a join of ``plan`` reads gets statistics
+        before the optimizer orders the join, unless it has fresh ones."""
+        stale = [t for t in join_tables(plan) if needs_analyze(t)]
+        if not stale:
+            return
+        with maybe_span(stats, "analyze"):
+            for table in stale:
+                _analyze(table)
+        if stats is not None:
+            stats.bump("optimizer.cbo.tables_analyzed", len(stale))
 
     # -- DDL ---------------------------------------------------------------------------
 
@@ -674,6 +697,7 @@ class BaseConnection:
             assignments.append((index, bound))
         updated = self._update(table, assignments,
                                self._bind_where(table, stmt.where))
+        table.changes_since_analyze += updated
         return Result(["Count"], [], [(updated,)])
 
     def _execute_delete(self, stmt: ast.DeleteStatement) -> Result:

@@ -7,14 +7,15 @@ The headline rewrites:
   support for ``<op>`` on that column, the sequential scan is replaced by
   an index scan (the predicate is kept as a recheck filter, which is
   exact and cheap).
-* Cost-based join ordering — when every leaf of a flattened comma-join
-  carries ``ANALYZE`` statistics (:mod:`repro.quack.stats`), join order
-  is chosen by dynamic programming over estimated cardinalities (up to
-  :data:`DP_MAX_RELATIONS` leaves; greedy pairwise merging beyond), and
-  each join picks hash vs index-nested-loop vs nested-loop by estimated
-  cost instead of by rule.  Without statistics — or under
-  ``SET cbo = off`` — the plan falls back to the original heuristic
-  left-deep build, bit-identically.
+* Cost-based join ordering — the leaves of a flattened comma-join are
+  ordered by dynamic programming over estimated cardinalities (up to
+  :data:`DP_MAX_RELATIONS` leaves; greedy pairwise merging beyond), from
+  the tables' statistics (:mod:`repro.quack.stats`, which the connection
+  keeps fresh for every table :func:`join_tables` names), and each join
+  picks hash vs index-nested-loop vs nested-loop by estimated cost
+  instead of by rule.  Under ``SET cbo = off``, or when a leaf is no
+  table (a CTE scan, a derived table), the plan is the original
+  heuristic left-deep build in FROM order.
 """
 
 from __future__ import annotations
@@ -68,11 +69,13 @@ def optimize(plan: LogicalOperator, stats=None, cbo: bool = True,
     ``stats`` (a :class:`repro.observability.QueryStatistics`) receives
     per-rule fire counts under ``optimizer.rule.<name>`` and cost-based
     planning counters under ``optimizer.cbo.<name>``.  ``cbo`` is the
-    ``SET cbo = on|off`` kill switch: when off — or when any join leaf
-    lacks ``ANALYZE`` statistics — planning stays on the heuristic path
-    and produces the same plan as before the cost-based optimizer
-    existed.  ``zone_maps`` is the ``SET zone_maps = on|off`` kill
-    switch for attaching row-group prune predicates to table scans.
+    ``SET cbo = on|off`` kill switch: when off — or when a join leaf is
+    not a table — planning stays on the heuristic path and produces the
+    same plan as before the cost-based optimizer existed.  The optimizer
+    reads ``Table.stats`` and never gathers them (a table without any
+    plans from its row count alone).  ``zone_maps`` is the
+    ``SET zone_maps = on|off`` kill switch for attaching row-group prune
+    predicates to table scans.
     Under verification mode every filter rewrite is snapshot-checked
     (schema stability, predicate preservation, index-injection validity)
     and a violation names the optimizer rule that fired."""
@@ -82,6 +85,36 @@ def optimize(plan: LogicalOperator, stats=None, cbo: bool = True,
 
         verifier = RewriteVerifier()
     return _Optimizer(stats, verifier, cbo, zone_maps).rewrite(plan)
+
+
+def join_tables(plan: LogicalOperator) -> list:
+    """The tables whose statistics cost-based planning of ``plan`` reads:
+    the scanned leaves of every comma-join under a filter, each once."""
+    tables: dict[int, Any] = {}
+
+    def visit(op: LogicalOperator) -> None:
+        if isinstance(op, LogicalFilter):
+            leaves, flattened = _flatten(op.child)
+            if flattened:
+                for leaf in leaves:
+                    if isinstance(leaf, LogicalGet):
+                        tables.setdefault(id(leaf.table), leaf.table)
+        for child in op.children():
+            visit(child)
+
+    visit(plan)
+    return list(tables.values())
+
+
+def _flatten(op: LogicalOperator) -> tuple[list[LogicalOperator], bool]:
+    """Flatten a pure cross-join tree into its leaves."""
+    if isinstance(op, LogicalJoin) and op.join_type == "cross" and (
+        not op.equi_keys and op.residual is None
+    ):
+        left_leaves, _ = _flatten(op.left)
+        right_leaves, _ = _flatten(op.right)
+        return left_leaves + right_leaves, True
+    return [op], False
 
 
 def _with(op: LogicalOperator, **fields) -> LogicalOperator:
@@ -194,7 +227,7 @@ class _Optimizer:
 
     def _rewrite_filter_inner(self, op: LogicalFilter) -> LogicalOperator:
         conjuncts = _split_conjuncts(op.condition)
-        leaves, flattened = self._flatten(op.child)
+        leaves, flattened = _flatten(op.child)
         if not flattened:
             child = self.rewrite(op.child)
             child, remaining = self._try_push_into_leaf(child, conjuncts)
@@ -303,18 +336,6 @@ class _Optimizer:
             plan = LogicalFilter(self._ranked(top_level), plan)
         return plan
 
-    def _flatten(
-        self, op: LogicalOperator
-    ) -> tuple[list[LogicalOperator], bool]:
-        """Flatten a pure cross-join tree into its leaves."""
-        if isinstance(op, LogicalJoin) and op.join_type == "cross" and (
-            not op.equi_keys and op.residual is None
-        ):
-            left_leaves, _ = self._flatten(op.left)
-            right_leaves, _ = self._flatten(op.right)
-            return left_leaves + right_leaves, True
-        return [op], False
-
     @staticmethod
     def _leaf_of(index: int, offsets: list[int],
                  leaves: list[LogicalOperator]) -> int:
@@ -334,17 +355,17 @@ class _Optimizer:
         multi: list[tuple[BoundExpr, tuple[int, ...]]],
         top_level: list[BoundExpr],
     ) -> LogicalOperator | None:
-        """Join-order search over the flattened leaves; ``None`` when
-        statistics are missing (heuristic fallback)."""
-        stats_per_leaf: list[table_stats.TableStats | None] = []
-        for leaf in leaves:
-            stats = None
-            if isinstance(leaf, LogicalGet):
-                stats = getattr(leaf.table, "stats", None)
-            stats_per_leaf.append(stats)
-        if any(s is None for s in stats_per_leaf):
+        """Join-order search over the flattened leaves; ``None`` when a
+        leaf is not a table and has no statistics (heuristic fallback)."""
+        if not all(isinstance(leaf, LogicalGet) for leaf in leaves):
             self._count("stats_missing")
             return None
+        stats_per_leaf = [
+            leaf.table.stats or table_stats.TableStats(
+                leaf.table.name, leaf.table.num_rows(), []
+            )
+            for leaf in leaves
+        ]
 
         n = len(leaves)
         widths = [len(leaf.output_types()) for leaf in leaves]
@@ -697,7 +718,21 @@ class _JoinSearch:
                 best_cost, method = cost, "inl"
         return best_cost, method
 
+    def joined(self, lm: int, rm: int) -> bool:
+        """Whether a predicate joins subtrees ``lm`` and ``rm``."""
+        both = lm | rm
+        return any(not edge.mask & ~both and edge.mask & lm
+                   and edge.mask & rm for edge in self.edges)
+
     def dynamic_programming(self):
+        """The cheapest tree over all leaves.  Only subtrees a predicate
+        joins are paired, so no cross product is planned while the join
+        graph is connected; a disconnected one prices every split."""
+        return self._cheapest(connected=True) or self._cheapest(
+            connected=False
+        )
+
+    def _cheapest(self, connected: bool):
         best: dict[int, tuple[float, Any]] = {}
         for i in range(self.n):
             best[1 << i] = (0.0, i)
@@ -710,7 +745,8 @@ class _JoinSearch:
             sub = (mask - 1) & mask
             while sub:
                 rem = mask ^ sub
-                if rem:
+                if (sub in best and rem in best
+                        and (not connected or self.joined(sub, rem))):
                     cost_left, tree_left = best[sub]
                     cost_right, tree_right = best[rem]
                     join_cost, method = self.join_cost(sub, rem)
@@ -718,8 +754,10 @@ class _JoinSearch:
                     if winner is None or total < winner[0]:
                         winner = (total, (tree_left, tree_right, method))
                 sub = (sub - 1) & mask
-            best[mask] = winner
-        return best[full][1]
+            if winner is not None:
+                best[mask] = winner
+        found = best.get(full)
+        return None if found is None else found[1]
 
     def greedy(self):
         components: list[tuple[int, Any]] = [
@@ -832,6 +870,12 @@ def _estimate_conjunct(conj: BoundExpr,
             return table_stats.equi_join_selectivity(
                 resolver(a.index), resolver(b.index)
             )
+        if name == "&&":
+            a_column, b_column = _box_column(a), _box_column(b)
+            if a_column is not None and b_column is not None:
+                return table_stats.overlap_join_selectivity(
+                    resolver(a_column), resolver(b_column)
+                )
         parts = _comparison_parts(conj)
         if parts is not None:
             index, op_name, constant = parts
@@ -854,6 +898,17 @@ def _estimate_conjunct(conj: BoundExpr,
     return table_stats.clamp01(
         table_stats.DEFAULT_RESIDUAL_SELECTIVITY
     )
+
+
+def _box_column(expr: BoundExpr) -> int | None:
+    """The one column an operand of ``&&`` boxes: the column itself, or
+    the only column under casts and box functions
+    (``stbox(p.Geom::WKB_BLOB)``, ``expandSpace(t.Trip::STBOX, 3.0)``),
+    whose extents stand in for the operand's."""
+    used = expr.columns_used()
+    if len(used) != 1 or not _subquery_free(expr):
+        return None
+    return next(iter(used))
 
 
 def _estimate_and(conjuncts: list[BoundExpr],

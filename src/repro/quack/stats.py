@@ -1,11 +1,13 @@
 """Table statistics and selectivity estimation (``ANALYZE`` support).
 
-``analyze_table`` makes one pass over a table and distills, per column:
-null count, an approximate distinct count, min/max, an equi-width
-histogram over the numeric image of the values (numbers and timestamps),
-and — for spatial/temporal columns whose values carry a bounding box
-(STBox, TBox, temporal points) — per-dimension extent histograms of the
-box centers plus the mean half-width.
+``analyze_table`` makes one column-wise pass over a table and distills,
+per column: null count, the distinct count, min/max, an
+equi-width histogram over the numeric image of the values (numbers and
+timestamps), and — for spatial/temporal columns whose values carry a
+bounding box (STBox, TBox, temporal points, time spans, geometries) —
+per-dimension extent histograms of the box centers plus the mean
+half-width.  ``ANALYZE`` runs it, and so does the connection before it
+plans a join over a table whose statistics :func:`needs_analyze`.
 
 The ``*_selectivity`` functions turn those summaries into predicate
 selectivities for the cost-based optimizer.  Every estimator returns a
@@ -13,23 +15,31 @@ value clamped to ``[0, 1]`` via :func:`clamp01` (enforced by lint rule
 ANL010): a selectivity outside the unit interval silently corrupts every
 cardinality product built on top of it.
 
-The module is engine-neutral on purpose: box extraction is duck-typed
-(``xmin``/``tspan`` attributes, a ``stbox()`` method) rather than
-``isinstance``-checked against ``repro.meos`` classes, so pgsim row
-tables analyze identically through the shared frontend.
+The module is engine-neutral on purpose: payload boxes come from the
+type codec's arrays or, duck-typed, from the values (``xmin``/``tspan``
+attributes, a ``stbox()`` method) rather than ``isinstance`` checks
+against ``repro.meos`` classes, and a pgsim heap is transposed into
+vectors, so row tables analyze identically through the shared frontend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
+
+import numpy as np
+
+from .vector import DataChunk, Vector
 
 #: Number of equi-width buckets in value and box-center histograms.
 HISTOGRAM_BUCKETS = 32
 
-#: Distinct-value sets are exact up to this cap; beyond it the count is
-#: linearly extrapolated from the observed fill rate (approximate NDV).
-NDV_EXACT_CAP = 65536
+#: PostgreSQL's autovacuum analyze rule (``autovacuum_analyze_threshold``
+#: and ``autovacuum_analyze_scale_factor``): statistics are stale once
+#: more rows were inserted, updated or deleted since they were gathered
+#: than this base plus this share of the row count they saw.
+ANALYZE_THRESHOLD = 50
+ANALYZE_SCALE_FACTOR = 0.1
 
 #: Fallback selectivities when a column has no usable statistics.
 DEFAULT_EQ_SELECTIVITY = 0.005
@@ -209,108 +219,189 @@ def box_intervals(box: Any) -> dict[str, tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# ANALYZE: one pass over the table
+# ANALYZE: one column-wise pass over the table
 # ---------------------------------------------------------------------------
 
 
-class _ColumnAccumulator:
-    def __init__(self, name: str):
-        self.name = name
-        self.rows = 0
-        self.nulls = 0
-        self.seen: set[Any] = set()
-        self.seen_overflowed = False
-        self.non_nulls_at_cap = 0
-        self.numbers: list[float] = []
-        self.min_value: Any = None
-        self.max_value: Any = None
-        self.box_centers: dict[str, list[float]] = {}
-        self.box_half_widths: dict[str, list[float]] = {}
-        self.box_count = 0
+def needs_analyze(table: Any) -> bool:
+    """PostgreSQL's autovacuum rule: a table needs statistics when it has
+    none, or when more rows changed since they were gathered than
+    :data:`ANALYZE_THRESHOLD` plus :data:`ANALYZE_SCALE_FACTOR` of the
+    row count they saw."""
+    stats = table.stats
+    return stats is None or table.changes_since_analyze > (
+        ANALYZE_THRESHOLD + ANALYZE_SCALE_FACTOR * stats.row_count
+    )
 
-    def observe(self, value: Any) -> None:
-        self.rows += 1
-        if value is None:
-            self.nulls += 1
-            return
-        if not self.seen_overflowed:
-            try:
-                key = value if value.__hash__ is not None else repr(value)
-            except Exception:
-                key = repr(value)
-            self.seen.add(key)
-            if len(self.seen) >= NDV_EXACT_CAP:
-                self.seen_overflowed = True
-                self.non_nulls_at_cap = self.rows - self.nulls
-        number = as_number(value)
-        if number is not None:
-            self.numbers.append(number)
-        self._observe_order(value)
-        box = box_of(value)
-        if box is not None:
-            self.box_count += 1
-            for axis, (lo, hi) in box_intervals(box).items():
-                self.box_centers.setdefault(axis, []).append((lo + hi) / 2.0)
-                self.box_half_widths.setdefault(axis, []).append(
-                    (hi - lo) / 2.0
-                )
 
-    def _observe_order(self, value: Any) -> None:
-        try:
-            if self.min_value is None or value < self.min_value:
-                self.min_value = value
-            if self.max_value is None or value > self.max_value:
-                self.max_value = value
-        except TypeError:
-            pass  # unorderable mix; min/max stay best-effort
-
-    def finish(self) -> ColumnStats:
-        distinct = len(self.seen)
-        non_null = self.rows - self.nulls
-        if self.seen_overflowed and self.non_nulls_at_cap > 0:
-            # The set stopped growing at the cap after some prefix of
-            # the rows; extrapolate the fill rate to the full table.
-            distinct = min(
-                non_null,
-                int(distinct * non_null / self.non_nulls_at_cap),
-            )
-        dims = {}
-        for axis, centers in self.box_centers.items():
-            histogram = _build_histogram(centers)
-            if histogram is None:
-                continue
-            widths = self.box_half_widths[axis]
-            dims[axis] = DimensionStats(
-                lo=min(centers) - max(widths),
-                hi=max(centers) + max(widths),
-                center_histogram=histogram,
-                mean_half_width=sum(widths) / len(widths),
-            )
-        return ColumnStats(
-            name=self.name,
-            row_count=self.rows,
-            null_count=self.nulls,
-            distinct_count=distinct,
-            min_value=self.min_value,
-            max_value=self.max_value,
-            histogram=_build_histogram(self.numbers),
-            box_dimensions=dims,
-            box_count=self.box_count,
+def analyze_table(table: Any) -> TableStats:
+    """One column-wise pass over ``table``; returns the statistics to
+    store on ``table.stats``."""
+    columns = [
+        _column_stats(name, ltype, vectors)
+        for name, ltype, vectors in zip(
+            table.column_names, table.column_types, _column_vectors(table)
         )
+    ]
+    return TableStats(
+        table_name=table.name,
+        row_count=columns[0].row_count,
+        columns=columns,
+    )
 
 
-def _build_histogram(values: list[float]) -> NumericHistogram | None:
-    if not values:
+def _column_vectors(table: Any) -> list[list[Vector]]:
+    """Each column's live rows as vectors: a columnar table's scan chunks
+    as they are (derived views cached on the stored segments stay
+    theirs), a heap's rows transposed into one vector per column with
+    out-of-line datums detoasted."""
+    scanned = list(table.scan())
+    if scanned and not isinstance(scanned[0][0], DataChunk):
+        rows = [row for _, row in scanned]
+        return [
+            [Vector.from_values(ltype, [_detoast(row[i]) for row in rows])]
+            for i, ltype in enumerate(table.column_types)
+        ]
+    return [[chunk.vectors[i] for chunk, _ in scanned]
+            for i in range(len(table.column_types))]
+
+
+def _column_stats(name: str, ltype: Any,
+                  vectors: list[Vector]) -> ColumnStats:
+    rows = sum(len(v) for v in vectors)
+    valid = sum(int(np.count_nonzero(v.validity)) for v in vectors)
+    stats = ColumnStats(name=name, row_count=rows, null_count=rows - valid)
+    if not valid:
+        return stats
+    if ltype.physical != "object":
+        _native_stats(stats, np.concatenate(
+            [v.data[v.validity] for v in vectors]
+        ))
+    elif ltype.is_user:
+        _payload_stats(stats, ltype, vectors)
+    else:
+        _object_stats(stats, [
+            value for v in vectors for value in v.data[v.validity].tolist()
+        ])
+    return stats
+
+
+def _native_stats(stats: ColumnStats, values: np.ndarray) -> None:
+    """Booleans, integers, doubles and timestamps, off one sort.  NaN
+    (sorted last) counts as one distinct value but is no bound; only
+    finite values enter the histogram."""
+    ordered = np.sort(values)
+    nans = 0
+    if ordered.dtype.kind == "f":
+        nans = int(np.count_nonzero(np.isnan(ordered)))
+        ordered = ordered[:len(ordered) - nans]
+    stats.distinct_count = (
+        int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        + (len(ordered) > 0) + (nans > 0)
+    )
+    if len(ordered):
+        stats.min_value = ordered[0].item()
+        stats.max_value = ordered[-1].item()
+    stats.histogram = _build_histogram(ordered.astype(np.float64))
+
+
+def _object_stats(stats: ColumnStats, values: list) -> None:
+    """Built-in object columns (text, blobs, intervals, lists)."""
+    if set(map(type, values)) == {str}:
+        keys: list = values
+        numbers: list[float] = []
+    else:
+        keys = [_hash_key(value) for value in values]
+        numbers = [n for n in map(as_number, values) if n is not None]
+    stats.distinct_count = len(set(keys))
+    try:
+        stats.min_value, stats.max_value = min(values), max(values)
+    except TypeError:
+        pass  # unorderable mix: no bounds
+    stats.histogram = _build_histogram(np.array(numbers, dtype=np.float64))
+
+
+def _payload_stats(stats: ColumnStats, ltype: Any,
+                   vectors: list[Vector]) -> None:
+    """Extension payloads: every value counts as distinct (nothing is
+    hashed) and the boxes come off the type codec's arrays where it has
+    them, so no payload object is built or asked for its box."""
+    stats.distinct_count = stats.non_null_count
+    codec = ltype.codec
+    parts = [codec.boxes(v) for v in vectors] if codec is not None else []
+    if parts and all(part is not None for part in parts):
+        intervals = {
+            axis: tuple(np.concatenate([part[axis][k] for part in parts])
+                        for k in (0, 1))
+            for axis in parts[0]
+        }
+        stats.box_count = stats.non_null_count if intervals else 0
+    else:
+        intervals, stats.box_count = _walk_boxes(
+            value for v in vectors for value in v.data[v.validity].tolist()
+        )
+    for axis, (lo, hi) in intervals.items():
+        dimension = _dimension_stats(lo, hi)
+        if dimension is not None:
+            stats.box_dimensions[axis] = dimension
+
+
+def _walk_boxes(values) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
+                                 int]:
+    """Per-axis box bounds of the values that carry a box, and how many
+    did."""
+    bounds: dict[str, tuple[list[float], list[float]]] = {}
+    count = 0
+    for value in values:
+        box = box_of(value)
+        if box is None:
+            continue
+        count += 1
+        for axis, (lo, hi) in box_intervals(box).items():
+            los, his = bounds.setdefault(axis, ([], []))
+            los.append(lo)
+            his.append(hi)
+    return {axis: (np.array(los), np.array(his))
+            for axis, (los, his) in bounds.items()}, count
+
+
+def _dimension_stats(lo: np.ndarray, hi: np.ndarray) -> DimensionStats | None:
+    centers = (lo + hi) / 2.0
+    widths = (hi - lo) / 2.0
+    finite = np.isfinite(centers) & np.isfinite(widths)
+    centers, widths = centers[finite], widths[finite]
+    histogram = _build_histogram(centers)
+    if histogram is None:
         return None
-    lo = min(values)
-    hi = max(values)
+    return DimensionStats(
+        lo=float(centers.min() - widths.max()),
+        hi=float(centers.max() + widths.max()),
+        center_histogram=histogram,
+        mean_half_width=float(widths.mean()),
+    )
+
+
+def _hash_key(value: Any) -> Any:
+    try:
+        hash(value)
+    except TypeError:
+        return repr(value)
+    return value
+
+
+def _build_histogram(values: np.ndarray) -> NumericHistogram | None:
+    """Equi-width histogram over the finite ``values`` (NaN and the
+    infinities have no bucket)."""
+    values = values[np.isfinite(values)]
+    if not len(values):
+        return None
+    lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         return NumericHistogram(lo, hi, [len(values)], len(values))
-    counts = [0] * HISTOGRAM_BUCKETS
     width = (hi - lo) / HISTOGRAM_BUCKETS
-    for v in values:
-        bucket = min(int((v - lo) / width), HISTOGRAM_BUCKETS - 1)
-        counts[bucket] += 1
+    buckets = np.minimum(((values - lo) / width).astype(np.int64),
+                         HISTOGRAM_BUCKETS - 1)
+    counts = np.bincount(buckets, minlength=HISTOGRAM_BUCKETS).tolist()
     return NumericHistogram(lo, hi, counts, len(values))
 
 
@@ -321,40 +412,6 @@ def _detoast(value: Any) -> Any:
     if callable(load) and hasattr(value, "blob"):
         return load()
     return value
-
-
-def _iter_rows(table: Any) -> Iterator[tuple]:
-    scan = getattr(table, "scan", None)
-    if callable(scan):
-        for first, second in scan():
-            rows = getattr(first, "rows", None)
-            if callable(rows):
-                # Columnar engine: scan() yields (DataChunk, row_ids).
-                yield from rows()
-            else:
-                # Row engine: scan() yields (row_id, heap row) whose
-                # out-of-line datums are TOAST pointers.
-                yield tuple(_detoast(value) for value in second)
-        return
-    yield from getattr(table, "rows")
-
-
-def analyze_table(table: Any) -> TableStats:
-    """One full pass over ``table``; returns the statistics to store on
-    ``table.stats``."""
-    accumulators = [
-        _ColumnAccumulator(name) for name in table.column_names
-    ]
-    row_count = 0
-    for row in _iter_rows(table):
-        row_count += 1
-        for accumulator, value in zip(accumulators, row):
-            accumulator.observe(value)
-    return TableStats(
-        table_name=getattr(table, "name", "?"),
-        row_count=row_count,
-        columns=[a.finish() for a in accumulators],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +505,39 @@ def containment_selectivity(stats: ColumnStats | None, probe: Any,
     if not shared:
         return clamp01(DEFAULT_CONTAINS_SELECTIVITY)
     return clamp01(max(fraction, _floor(stats)))
+
+
+def overlap_join_selectivity(left: ColumnStats | None,
+                             right: ColumnStats | None) -> float:
+    """Selectivity of ``left_col && right_col`` over the cross product:
+    per shared axis, the share of box pairs, centers drawn from the two
+    center histograms, whose centers lie closer than the two mean
+    half-widths combined; multiplied under independence and floored at
+    one row."""
+    if left is None or right is None:
+        return clamp01(DEFAULT_OVERLAP_SELECTIVITY)
+    fraction = 1.0
+    shared = False
+    for axis, a in left.box_dimensions.items():
+        b = right.box_dimensions.get(axis)
+        if b is None:
+            continue
+        shared = True
+        reach = a.mean_half_width + b.mean_half_width
+        histogram = a.center_histogram
+        width = (histogram.hi - histogram.lo) / len(histogram.counts)
+        hits = 0.0
+        for bucket, count in enumerate(histogram.counts):
+            if count:
+                center = histogram.lo + (bucket + 0.5) * width
+                hits += count * b.center_histogram.fraction_between(
+                    center - reach, center + reach
+                )
+        fraction *= hits / histogram.total
+    if not shared:
+        return clamp01(DEFAULT_OVERLAP_SELECTIVITY)
+    floor = _floor(left) * _floor(right)
+    return clamp01(max(fraction, floor))
 
 
 def equi_join_selectivity(left: ColumnStats | None,

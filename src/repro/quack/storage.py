@@ -937,9 +937,13 @@ def analyze_from_zone_maps(table: Any) -> TableStats | None:
         row_count = rows
         numeric = [z for z in zones
                    if z.numeric_complete and z.lo is not None]
-        histogram = _histogram_from_ranges(
-            [(z.lo, z.hi, z.non_null) for z in numeric]
-        ) if len(numeric) == len([z for z in zones if z.non_null]) else None
+        # A group bounded by an infinity says nothing about how its
+        # values spread: no histogram then, as with a non-numeric group.
+        spread = [(z.lo, z.hi, z.non_null) for z in numeric
+                  if np.isfinite(z.lo) and np.isfinite(z.hi)]
+        histogram = _histogram_from_ranges(spread) if len(spread) == len(
+            [z for z in zones if z.non_null]
+        ) else None
         min_value: Any = min((z.lo for z in numeric), default=None)
         max_value: Any = max((z.hi for z in numeric), default=None)
         if min_value is None:

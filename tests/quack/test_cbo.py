@@ -1,5 +1,6 @@
-"""Cost-based optimizer battery: ANALYZE statistics, join reordering,
-and the ``SET cbo`` kill switch.
+"""Cost-based optimizer battery: ANALYZE statistics and the ones a join
+gathers itself, their staleness rule, join reordering, and the
+``SET cbo`` kill switch.
 
 Every multi-table query here runs three ways — quack with cbo on, quack
 with cbo off, and the pgsim row engine — and must return identical row
@@ -52,6 +53,9 @@ def _populate(con):
         [(i, i % 8) for i in range(16)]
     )
     return con
+
+
+_ENGINES = [core.connect, core.connect_baseline]
 
 
 @pytest.fixture(scope="module")
@@ -136,16 +140,45 @@ class TestReordering:
         assert "est=" in text
         assert "rows=" in text
 
-    def test_analyze_less_plan_is_heuristic(self):
-        """Without ANALYZE, cbo=on must produce the exact heuristic plan."""
-        con = _populate(core.connect())
-        sql = _QUERIES[0]
-        with_cbo = con.execute("EXPLAIN " + sql).rows[0][0]
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_first_join_plans_as_after_analyze(self, connect):
+        """Without ANALYZE, the first join gathers the statistics of the
+        tables it reads and plans exactly what an explicit ANALYZE
+        would give; the next one finds them fresh."""
+        sql = _QUERIES[1]
+        implicit = _populate(connect())
+        plan = implicit.execute("EXPLAIN " + sql).rows[0][0]
+        assert "est=" in plan
+        assert _tables_analyzed(implicit) == 4
+        explicit = _populate(connect())
+        explicit.execute("ANALYZE")
+        assert explicit.execute("EXPLAIN " + sql).rows[0][0] == plan
+        assert _tables_analyzed(explicit) == 0
+        implicit.execute(sql)
+        assert _tables_analyzed(implicit) == 0
+
+    def test_chain_join_plans_no_cross_product(self):
+        """Two small tables at the ends of a chain share no predicate:
+        pairing them first would be a cross product, which the search
+        never prices while the join graph is connected."""
+        con = core.connect()
+        for ddl in ("s1(k INTEGER, tag VARCHAR)", "f(id INTEGER, k1 INTEGER)",
+                    "g(id INTEGER, k2 INTEGER)", "s2(k INTEGER, tag VARCHAR)"):
+            con.execute(f"CREATE TABLE {ddl}")
+        catalog = con.database.catalog
+        catalog.get_table("s1").append_rows([(i, f"a{i}") for i in range(4)])
+        catalog.get_table("f").append_rows([(i, i % 40) for i in range(400)])
+        catalog.get_table("g").append_rows([(i, i % 50) for i in range(400)])
+        catalog.get_table("s2").append_rows([(i, f"b{i}") for i in range(4)])
+        sql = ("SELECT count(*) FROM s1, f, g, s2 WHERE s1.k = f.k1"
+               " AND f.id < g.id AND g.k2 = s2.k")
+        plan = con.execute("EXPLAIN " + sql).rows[0][0]
+        assert "CROSS_PRODUCT" not in plan
+        assert "est=" in plan
+        assert con.last_query_stats.counter("optimizer.cbo.cross_joins") == 0
+        expected = con.execute(sql).fetchall()
         con.execute("SET cbo = off")
-        without = con.execute("EXPLAIN " + sql).rows[0][0]
-        assert with_cbo == without
-        assert "est=" not in with_cbo
-        con.close()
+        assert con.execute(sql).fetchall() == expected
 
 
 class TestCopyOnWrite:
@@ -186,6 +219,151 @@ class TestKillSwitch:
         pgsim_con.execute("SET cbo = off")
         assert pgsim_con.execute("SHOW cbo").rows == [("off",)]
         pgsim_con.execute("SET cbo = on")
+
+
+def _tables_analyzed(con) -> int:
+    return con.last_query_stats.counter("optimizer.cbo.tables_analyzed")
+
+
+_JOIN = "SELECT count(*) FROM a, b WHERE a.k = b.k"
+
+
+def _pair(connect):
+    """``a`` holds 100 rows, so 50 + 10 % of them = 60 changes leave its
+    statistics fresh and the 61st makes them stale."""
+    con = connect()
+    con.execute("CREATE TABLE a(k INTEGER, v DOUBLE)")
+    con.execute("CREATE TABLE b(k INTEGER, w VARCHAR)")
+    catalog = con.database.catalog
+    catalog.get_table("a").append_rows([(i, float(i)) for i in range(100)])
+    catalog.get_table("b").append_rows([(i, f"w{i}") for i in range(10)])
+    con.execute(_JOIN)
+    assert _tables_analyzed(con) == 2
+    return con, catalog.get_table("a")
+
+
+def _values(first: int, count: int) -> str:
+    return ", ".join(f"({i}, {i}.5)" for i in range(first, first + count))
+
+
+class TestStaleness:
+    """PostgreSQL's autovacuum rule: statistics are re-gathered once the
+    rows changed since the last analyze exceed 50 + 10 % of its count."""
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_insert_above_threshold_reanalyzes(self, connect):
+        con, table = _pair(connect)
+        con.execute("INSERT INTO a VALUES " + _values(100, 60))
+        con.execute(_JOIN)
+        assert _tables_analyzed(con) == 0
+        assert table.stats.row_count == 100
+        con.execute("INSERT INTO a VALUES " + _values(160, 1))
+        con.execute(_JOIN)
+        assert _tables_analyzed(con) == 1
+        assert table.stats.row_count == 161
+        assert table.changes_since_analyze == 0
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_append_update_and_delete_all_count(self, connect):
+        con, table = _pair(connect)
+        table.append_rows([(i, 0.0) for i in range(100, 130)])
+        con.execute("UPDATE a SET v = v + 1 WHERE k < 20")
+        assert table.changes_since_analyze == 50
+        con.execute(_JOIN)
+        assert _tables_analyzed(con) == 0
+        con.execute("DELETE FROM a WHERE k >= 119")
+        assert table.changes_since_analyze == 61
+        con.execute(_JOIN)
+        assert _tables_analyzed(con) == 1
+        assert table.stats.row_count == 119
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_explicit_analyze_resets_the_count(self, connect):
+        con, table = _pair(connect)
+        con.execute("INSERT INTO a VALUES " + _values(100, 60))
+        con.execute("ANALYZE a")
+        assert table.changes_since_analyze == 0
+        # 160 analyzed rows allow 66 changes: 60 more stay fresh, which
+        # they would not had the first 60 still counted
+        con.execute("INSERT INTO a VALUES " + _values(160, 60))
+        con.execute(_JOIN)
+        assert _tables_analyzed(con) == 0
+        assert table.stats.row_count == 160
+
+    def test_cbo_off_gathers_nothing(self):
+        con = _populate(core.connect())
+        con.execute("SET cbo = off")
+        con.execute(_QUERIES[0])
+        assert _tables_analyzed(con) == 0
+        assert con.database.catalog.get_table("trips").stats is None
+
+
+class TestObservability:
+    def test_implicit_analyze_is_its_own_phase(self):
+        con = _populate(core.connect())
+        text = con.explain_analyze(_QUERIES[0])
+        phases = text.splitlines()[0].split()
+        names = [part.split("=")[0] for part in phases[1:]]
+        assert names[:4] == ["parse", "bind", "analyze", "optimize"]
+        assert "optimizer.cbo.tables_analyzed=3" in text
+        text = con.explain_analyze(_QUERIES[0])
+        assert "analyze=" not in text.splitlines()[0]
+
+    def test_query_log_records_the_phase_and_counter(self):
+        con = _populate(core.connect_baseline())
+        con.execute("SET log_min_duration = 0")
+        con.execute(_QUERIES[0])
+        record = con.query_log(1)[0]
+        assert record.phases["analyze"] > 0.0
+        assert record.counters["optimizer.cbo.tables_analyzed"] == 3
+
+
+class TestNonFiniteValues:
+    """NaN and the infinities are values: they count as non-null and
+    distinct (NaN once), bound no histogram and break no plan."""
+
+    ROWS = [1.0, float("nan"), float("inf"), -float("inf"), None, 2.5,
+            float("nan")]
+    SQL = "SELECT count(*) FROM m, d WHERE m.k = d.k AND m.x < d.y"
+
+    def _load(self, con):
+        con.execute("CREATE TABLE m(k INTEGER, x DOUBLE)")
+        con.execute("CREATE TABLE d(k INTEGER, y DOUBLE)")
+        catalog = con.database.catalog
+        catalog.get_table("m").append_rows(
+            [(i % 5, x) for i, x in enumerate(self.ROWS)]
+        )
+        catalog.get_table("d").append_rows([(i, float(i)) for i in range(5)])
+        return con
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_explicit_analyze(self, connect):
+        con = self._load(connect())
+        assert con.execute("ANALYZE m").fetchall() == [("m", 7, 2)]
+        x = con.database.catalog.get_table("m").stats.column(1)
+        assert (x.null_count, x.non_null_count) == (1, 6)
+        assert x.distinct_count == 5
+        assert (x.min_value, x.max_value) == (-float("inf"), float("inf"))
+        histogram = x.histogram
+        assert (histogram.lo, histogram.hi, histogram.total) == (1.0, 2.5, 2)
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_join_analyzes_implicitly(self, connect):
+        con = self._load(connect())
+        assert con.execute(self.SQL).fetchall() == [(1,)]
+        assert _tables_analyzed(con) == 2
+        con.execute("SET cbo = off")
+        assert con.execute(self.SQL).fetchall() == [(1,)]
+
+    def test_attached_table_analyzes_from_zone_maps(self, tmp_path):
+        path = tmp_path / "nonfinite.quackdb"
+        self._load(core.connect()).execute(f"CHECKPOINT '{path}'")
+        con = core.connect()
+        con.execute(f"ATTACH '{path}'")
+        assert con.execute("ANALYZE m").fetchall() == [("m", 7, 2)]
+        x = con.database.catalog.get_table("m").stats.column(1)
+        assert x.histogram is None and x.non_null_count == 6
+        assert con.execute(self.SQL).fetchall() == [(1,)]
 
 
 class TestStatistics:

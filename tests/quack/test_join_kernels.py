@@ -355,7 +355,8 @@ class TestSpatialRTreeIndexJoin:
     """DuckDB-Spatial's RTREE has no batch search of its own: its index
     nested-loop join probes through the base ``probe_batch`` loop and
     must return pgsim's rows.  No SQL operator plans an RTREE join, so
-    the test points the planned nested-loop join at the index."""
+    the test points the FROM-order nested-loop join (``SET cbo = off``)
+    at the index."""
 
     SQL = ("SELECT p.id, z.id FROM pts p, zones z"
            " WHERE ST_Intersects(z.g, p.g)")
@@ -391,6 +392,7 @@ class TestSpatialRTreeIndexJoin:
 
         con = self._fill(core.connect())
         con.execute("CREATE INDEX zidx ON zones USING RTREE(g)")
+        con.execute("SET cbo = off")
         plan = con._plan_select(parse_sql(self.SQL)[0])
         join = plan
         while not isinstance(join, LogicalJoin):

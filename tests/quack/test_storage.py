@@ -658,7 +658,9 @@ class TestSpill:
         con.database.catalog.get_table("dim").append_rows(
             [(i, f"group-{i:028d}") for i in range(97)]
         )
-        # dim first: the big table lands on the build (right) side.
+        # dim first in FROM order: the big table lands on the build
+        # (right) side.
+        con.execute("SET cbo = off")
         sql = ("SELECT t.a, dim.name FROM dim, t "
                "WHERE t.g = dim.g AND t.a < 5000")
         baseline = con.execute(sql).fetchall()
@@ -1580,7 +1582,8 @@ class TestSpilledOperatorsOnChunks:
 
     def test_join_with_residual_and_text_keys(self):
         con = self._con()
-        # d first: f lands on the build side and overflows.
+        # d first in FROM order: f lands on the build side and overflows.
+        con.execute("SET cbo = off")
         sql = ("SELECT f.id, d.w, f.x FROM d, f "
                "WHERE f.k = d.k AND f.id % 3 <> d.w % 3")
         expected = repr(con.execute(sql).fetchall())
