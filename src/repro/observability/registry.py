@@ -84,7 +84,6 @@ DECLARED_COUNTERS = frozenset({
     "storage.bytes_written",
     "storage.checkpoints",
     "storage.tables_attached",
-    "storage.zonemap_analyze",
     "storage.spill_bytes",
     "storage.spill_rows",
     "storage.spill_runs",

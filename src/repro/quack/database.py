@@ -174,12 +174,11 @@ class Database(BaseDatabase):
 
 
 def _analyze(table: Any) -> None:
-    """Gather ``table``'s optimizer statistics: from the footer zone maps
-    of an attached table they still describe, else in one column-wise
-    pass; the change count starts again from zero."""
-    table.stats = (
-        storage.analyze_from_zone_maps(table) or analyze_table(table)
-    )
+    """Gather ``table``'s optimizer statistics in one column-wise pass,
+    attached or not (an attached column keeps the segments the pass
+    decodes for the scans that follow); the change count starts again
+    from zero."""
+    table.stats = analyze_table(table)
     table.changes_since_analyze = 0
 
 
@@ -735,8 +734,8 @@ class Connection(BaseConnection):
     def _execute_attach(self, stmt: ast.AttachStatement) -> Result:
         """Bind an on-disk database file to this Database.
 
-        An existing file loads immediately — tables come back as
-        memory-mapped :class:`~.storage.StorageTable`\\ s whose segments
+        An existing file loads immediately — tables come back over
+        memory-mapped :class:`~.storage.StorageColumn`\\ s whose segments
         decompress lazily on first scan.  A new path just arms
         ``CHECKPOINT`` to write there."""
         import os

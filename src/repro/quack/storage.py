@@ -54,16 +54,7 @@ from ..analysis.errors import VerificationError
 from ..observability import count
 from .catalog import ColumnData, Table
 from .errors import QuackError
-from .stats import (
-    HISTOGRAM_BUCKETS,
-    ColumnStats,
-    DimensionStats,
-    NumericHistogram,
-    TableStats,
-    as_number,
-    box_intervals,
-    box_of,
-)
+from .stats import as_number, box_intervals, box_of
 from .types import LogicalType
 from .vector import STANDARD_VECTOR_SIZE, DataChunk, Vector, concat_vectors
 
@@ -246,7 +237,6 @@ class ZoneMapEntry:
     numeric_complete: bool = False
     string_complete: bool = False
     box_complete: bool = False
-    distinct: int | None = None
 
     @property
     def non_null(self) -> int:
@@ -262,8 +252,6 @@ class ZoneMapEntry:
             out["box"] = {axis: list(iv) for axis, iv in
                           (self.box or {}).items()}
             out["bc"] = True
-        if self.distinct is not None:
-            out["d"] = self.distinct
         return out
 
     @classmethod
@@ -281,7 +269,6 @@ class ZoneMapEntry:
             numeric_complete=bool(raw.get("nc")),
             string_complete=bool(raw.get("sc")),
             box_complete=bool(raw.get("bc")),
-            distinct=raw.get("d"),
         )
 
 
@@ -314,8 +301,7 @@ def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
     values = vector.data[valid].tolist()
     if values and set(map(type, values)) == {str}:
         return ZoneMapEntry(rows=rows, nulls=nulls, slo=min(values),
-                            shi=max(values), string_complete=True,
-                            distinct=len(set(values)))
+                            shi=max(values), string_complete=True)
     return _walk_zone_entry(rows, nulls, values)
 
 
@@ -325,7 +311,6 @@ def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
     with a numeric image (:func:`as_number`) gives numeric bounds."""
     lo = hi = None
     slo = shi = None
-    strings: set[str] = set()
     n_num = n_str = n_box = 0
     axes: dict[str, tuple[float, float]] = {}
     axis_hits: dict[str, int] = {}
@@ -341,7 +326,6 @@ def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
             n_str += 1
             slo = value if slo is None or value < slo else slo
             shi = value if shi is None or value > shi else shi
-            strings.add(value)
             continue
         box = box_of(value)
         if box is not None:
@@ -371,8 +355,6 @@ def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
         numeric_complete=non_null > 0 and n_num == non_null,
         string_complete=non_null > 0 and n_str == non_null,
         box_complete=non_null > 0 and n_box == non_null,
-        distinct=len(strings) if non_null > 0 and n_str == non_null
-        else None,
     )
 
 
@@ -591,30 +573,6 @@ class StorageColumn(ColumnData):
             self.refs = []
             self._decoded.clear()
         self._reseal(data, counts)
-
-
-class StorageTable(Table):
-    """A table attached from a ``.quackdb`` file; scans decode lazily."""
-
-    def __init__(self, name: str, columns: list[tuple[str, LogicalType]],
-                 source: StorageFile):
-        super().__init__(name, columns)
-        self.source = source
-        #: set on any mutation after load — the zone-map ANALYZE fast
-        #: path and footer-backed pruning must not trust stale footers.
-        self.appended_since_load = False
-
-    def append_rows(self, rows) -> np.ndarray:
-        self.appended_since_load = True
-        return super().append_rows(rows)
-
-    def append_chunk(self, chunk) -> np.ndarray:
-        self.appended_since_load = True
-        return super().append_chunk(chunk)
-
-    def delete_rows(self, row_ids) -> int:
-        self.appended_since_load = True
-        return super().delete_rows(row_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +823,12 @@ def read_database(database: Any, path: str) -> int:
 
 
 def _instantiate_table(database: Any, entry: dict,
-                       source: StorageFile) -> StorageTable:
+                       source: StorageFile) -> Table:
     columns = [
         (name, database.types.lookup(type_name))
         for name, type_name in entry["columns"]
     ]
-    table = StorageTable(entry["name"], columns, source)
+    table = Table(entry["name"], columns)
     refs: list[list[SegmentRef]] = [[] for _ in columns]
     for group in entry.get("row_groups", []):
         zones = group.get("zones") or [None] * len(columns)
@@ -905,130 +863,6 @@ def _rebuild_indexes(database: Any, table: Table,
             database=database,
         )
         database.catalog.add_index(instance)
-
-
-# ---------------------------------------------------------------------------
-# ANALYZE from zone maps (attached tables, no decode)
-# ---------------------------------------------------------------------------
-
-
-def analyze_from_zone_maps(table: Any) -> TableStats | None:
-    """Build :class:`TableStats` for an attached table straight from its
-    footer zone maps — no segment is decoded.  Returns ``None`` when the
-    zone maps cannot speak for the data (mutations since load, tombstones,
-    or a non-storage table), in which case the caller must full-scan."""
-    if not isinstance(table, StorageTable):
-        return None
-    if table.appended_since_load or table._deleted_ids:
-        return None
-    columns = table._columns
-    if not all(isinstance(column, StorageColumn) and not column.segments
-               and not column.tail for column in columns):
-        return None
-    if not all(ref.zone is not None
-               for column in columns for ref in column.refs):
-        return None
-    stats_columns = []
-    row_count = 0
-    for name, column in zip(table.column_names, columns):
-        zones = [ref.zone for ref in column.refs]
-        rows = sum(z.rows for z in zones)
-        nulls = sum(z.nulls for z in zones)
-        row_count = rows
-        numeric = [z for z in zones
-                   if z.numeric_complete and z.lo is not None]
-        # A group bounded by an infinity says nothing about how its
-        # values spread: no histogram then, as with a non-numeric group.
-        spread = [(z.lo, z.hi, z.non_null) for z in numeric
-                  if np.isfinite(z.lo) and np.isfinite(z.hi)]
-        histogram = _histogram_from_ranges(spread) if len(spread) == len(
-            [z for z in zones if z.non_null]
-        ) else None
-        min_value: Any = min((z.lo for z in numeric), default=None)
-        max_value: Any = max((z.hi for z in numeric), default=None)
-        if min_value is None:
-            strings = [z for z in zones
-                       if z.string_complete and z.slo is not None]
-            min_value = min((z.slo for z in strings), default=None)
-            max_value = max((z.shi for z in strings), default=None)
-        distinct = 0
-        if all(z.distinct is not None for z in zones if z.non_null):
-            distinct = min(rows - nulls,
-                           sum(z.distinct or 0 for z in zones))
-        elif histogram is not None:
-            # Sum of per-group spreads is only an upper bound; leave the
-            # estimators their numeric-histogram path and a crude NDV.
-            distinct = max(1, (rows - nulls) // 2) if rows > nulls else 0
-        stats_columns.append(ColumnStats(
-            name=name,
-            row_count=rows,
-            null_count=nulls,
-            distinct_count=distinct,
-            min_value=min_value,
-            max_value=max_value,
-            histogram=histogram,
-            box_dimensions=_box_dimensions_from_zones(zones),
-            box_count=sum(z.non_null for z in zones if z.box_complete),
-        ))
-    count("storage.zonemap_analyze")
-    return TableStats(
-        table_name=table.name,
-        row_count=row_count,
-        columns=stats_columns,
-    )
-
-
-def _histogram_from_ranges(
-    ranges: list[tuple[float, float, int]]
-) -> NumericHistogram | None:
-    """Equi-width histogram from per-group ``(lo, hi, count)`` ranges,
-    spreading each group's mass uniformly over its range."""
-    ranges = [r for r in ranges if r[2] > 0]
-    if not ranges:
-        return None
-    lo = min(r[0] for r in ranges)
-    hi = max(r[1] for r in ranges)
-    total = sum(r[2] for r in ranges)
-    if hi <= lo:
-        return NumericHistogram(lo, hi, [total], total)
-    counts = [0.0] * HISTOGRAM_BUCKETS
-    width = (hi - lo) / HISTOGRAM_BUCKETS
-    for rlo, rhi, n in ranges:
-        first = min(int((rlo - lo) / width), HISTOGRAM_BUCKETS - 1)
-        last = min(int((rhi - lo) / width), HISTOGRAM_BUCKETS - 1)
-        share = n / (last - first + 1)
-        for bucket in range(first, last + 1):
-            counts[bucket] += share
-    return NumericHistogram(lo, hi, [int(round(c)) for c in counts], total)
-
-
-def _box_dimensions_from_zones(
-    zones: list[ZoneMapEntry]
-) -> dict[str, DimensionStats]:
-    boxed = [z for z in zones if z.box_complete and z.box]
-    if not boxed or len(boxed) != len([z for z in zones if z.non_null]):
-        return {}
-    axes = set(boxed[0].box)
-    for zone in boxed[1:]:
-        axes &= set(zone.box)
-    dims: dict[str, DimensionStats] = {}
-    for axis in axes:
-        ranges = [(z.box[axis][0], z.box[axis][1], z.non_null)
-                  for z in boxed]
-        histogram = _histogram_from_ranges(ranges)
-        if histogram is None:
-            continue
-        total = sum(r[2] for r in ranges)
-        dims[axis] = DimensionStats(
-            lo=min(r[0] for r in ranges),
-            hi=max(r[1] for r in ranges),
-            center_histogram=histogram,
-            # The group extent spans every member box; half the mean
-            # extent is the best width guess the footer offers.
-            mean_half_width=sum((r[1] - r[0]) / 2.0 * r[2]
-                                for r in ranges) / max(total, 1),
-        )
-    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ The first join over a table gathers its statistics (PostgreSQL's
 autovacuum analyze, DuckDB's append-time statistics), so neither engine
 joins in FROM order: the box tests run below the joins that fan the
 trips out over regions and points, the row engine probes Trips' GiST
-index, and every query still returns the FROM-order plan's rows.
+index, and every query still returns the FROM-order plan's rows.  An
+attached copy of the city gathers the same statistics as the in-memory
+one, so it plans every query the same way.
 """
 
 import pytest
 
+from repro import core
 from repro.berlinmod import QUERIES, generate, get_query, prepare_scenario
 from repro.quack.plan import LogicalGet, LogicalIndexScan, LogicalJoin
 from repro.quack.sql.parser import parse_sql
@@ -96,3 +99,20 @@ def test_every_query_returns_the_from_order_rows(con):
             assert got == expected, f"Q{query.number}"
     finally:
         con.execute("SET cbo = on")
+
+
+def test_attached_city_plans_like_the_in_memory_one(city, tmp_path):
+    """CHECKPOINT and ATTACH change no plan or estimate: both copies
+    gather their statistics implicitly, through the same ANALYZE."""
+    memory = prepare_scenario("mobilityduck", city)
+    path = tmp_path / "city.quackdb"
+    memory.execute(f"CHECKPOINT '{path}'")
+    attached = core.connect()
+    attached.execute(f"ATTACH '{path}'")
+    differ = [
+        query.number for query in QUERIES
+        if attached.execute(f"EXPLAIN {query.sql}").plan_text
+        != memory.execute(f"EXPLAIN {query.sql}").plan_text
+    ]
+    assert differ == []
+    assert "est=" in memory.execute(f"EXPLAIN {get_query(4).sql}").plan_text

@@ -405,6 +405,26 @@ class TestFormatVersion:
         assert repr(att.execute("SELECT * FROM g").fetchall()) == \
             repr(con.execute("SELECT * FROM g").fetchall())
 
+    def test_zone_distinct_counts_ignored(self, tmp_path):
+        """Earlier version-3 writers stored a per-group distinct count
+        (``"d"``) in text zone entries; such a file still attaches and
+        prunes."""
+        con = _seeded_con()
+        path = tmp_path / "d.quackdb"
+        con.execute(f"CHECKPOINT '{path}'")
+        raw = path.read_bytes()
+        (footer_offset,) = struct.unpack("<Q", raw[-16:-8])
+        footer = json.loads(raw[footer_offset:-16])
+        for group in footer["tables"][0]["row_groups"]:
+            group["zones"][1]["d"] = group["rows"]
+        path.write_bytes(raw[:footer_offset] + json.dumps(footer).encode()
+                         + raw[-16:])
+        att = Database().connect()
+        att.execute(f"ATTACH '{path}'")
+        sql = "SELECT count(*) FROM t WHERE b < 'k00000100'"
+        assert att.execute(sql).scalar() == 100
+        assert att.last_query_stats.counter("storage.rowgroups_skipped") == 4
+
     def test_garbage_rejected(self, tmp_path):
         # Neither junk bytes nor the retired whole-database pickle format
         # carry the magic: both are refused before anything is unpickled.
@@ -551,21 +571,29 @@ class TestZoneMapSkipping:
             )
 
 
-class TestAnalyzeZoneMaps:
-    def test_analyze_reads_footer(self, tmp_path):
+class TestAttachedAnalyze:
+    def test_analyze_matches_in_memory(self, tmp_path):
+        """An attached table gathers the statistics its in-memory source
+        does: exact BIGINT bounds, and a NaN-only column with NULLs
+        counts NaN as one distinct value."""
         con = _seeded_con()
+        con.execute("CREATE TABLE n(k BIGINT, x DOUBLE)")
+        con.database.catalog.get_table("n").append_rows(
+            [(i, None if i % 3 == 0 else _NAN) for i in range(1, 10)]
+        )
         path = tmp_path / "az.quackdb"
         con.execute(f"CHECKPOINT '{path}'")
         att = Database().connect()
         att.execute(f"ATTACH '{path}'")
-        att.execute("ANALYZE t")
-        assert att.last_query_stats.counter("storage.zonemap_analyze") == 1
-        table = att.database.catalog.get_table("t")
-        assert table.stats.row_count == STANDARD_VECTOR_SIZE * 5
-        a_stats = table.stats.column(0)
-        assert a_stats.min_value == 0
-        assert a_stats.max_value == STANDARD_VECTOR_SIZE * 5 - 1
-        assert a_stats.null_count == 0
+        for name in ("t", "n"):
+            con.execute(f"ANALYZE {name}")
+            att.execute(f"ANALYZE {name}")
+            assert repr(att.database.catalog.get_table(name).stats) == \
+                repr(con.database.catalog.get_table(name).stats)
+        x = att.database.catalog.get_table("n").stats.column(1)
+        assert (x.null_count, x.distinct_count) == (3, 1)
+        k = att.database.catalog.get_table("n").stats.column(0)
+        assert repr((k.min_value, k.max_value)) == "(1, 9)"
 
     def test_append_marks_stats_dirty(self, tmp_path):
         con = _seeded_con(100)
@@ -575,8 +603,6 @@ class TestAnalyzeZoneMaps:
         att.execute(f"ATTACH '{path}'")
         att.execute("INSERT INTO t VALUES (1000000, 'new')")
         att.execute("ANALYZE t")
-        # The fast path must refuse: zone maps no longer cover the data.
-        assert att.last_query_stats.counter("storage.zonemap_analyze") == 0
         table = att.database.catalog.get_table("t")
         assert table.stats.row_count == 101
         assert table.stats.column(0).max_value == 1000000
@@ -589,7 +615,6 @@ class TestAnalyzeZoneMaps:
         att.execute(f"ATTACH '{path}'")
         att.execute("DELETE FROM t WHERE a < 10")
         att.execute("ANALYZE t")
-        assert att.last_query_stats.counter("storage.zonemap_analyze") == 0
         assert att.database.catalog.get_table("t").stats.row_count == 90
 
 
@@ -1223,7 +1248,6 @@ def _reference_zone_entry(vector):
     rows = len(vector)
     nulls = int(np.count_nonzero(~vector.validity))
     lo = hi = slo = shi = None
-    strings = set()
     n_num = n_str = n_box = 0
     axes, axis_hits = {}, {}
     for i in range(rows):
@@ -1241,7 +1265,6 @@ def _reference_zone_entry(vector):
             n_str += 1
             slo = value if slo is None or value < slo else slo
             shi = value if shi is None or value > shi else shi
-            strings.add(value)
             continue
         box = box_of(value)
         if box is not None:
@@ -1261,8 +1284,6 @@ def _reference_zone_entry(vector):
         numeric_complete=non_null > 0 and n_num == non_null,
         string_complete=non_null > 0 and n_str == non_null,
         box_complete=non_null > 0 and n_box == non_null,
-        distinct=len(strings) if n_str == non_null and non_null > 0
-        else None,
     )
 
 
@@ -1358,12 +1379,11 @@ _CHECKPOINT_TABLES = ("untouched", "appended", "deleted", "updated", "cut",
 
 
 def _snapshot(con):
-    """Rows, zone maps and footer-built ANALYZE statistics per table."""
+    """Rows, zone maps and ANALYZE statistics per table."""
     out = {}
     for name in _CHECKPOINT_TABLES:
         table = con.database.catalog.get_table(name)
         con.execute(f"ANALYZE {name}")
-        assert con.last_query_stats.counter("storage.zonemap_analyze") == 1
         out[name] = (
             repr(con.execute(f"SELECT * FROM {name}").fetchall()),
             [[zone.to_json() for zone in group]
@@ -1657,7 +1677,6 @@ class TestColumnarInsertSelect:
                     "'STBOX X((101,101),(102,102))' FROM g WHERE id < 5")
         assert att.execute(probe).scalar() == 5
         att.execute("ANALYZE g")
-        assert att.last_query_stats.counter("storage.zonemap_analyze") == 0
         assert att.database.catalog.get_table("g").stats.row_count == 55
 
 
@@ -1909,6 +1928,32 @@ class TestViewsStayArrays:
         att.execute(f"CHECKPOINT '{tmp_path / 'encoded.quackdb'}'")
         assert (tmp_path / "copied.quackdb").read_bytes() == \
             (tmp_path / "encoded.quackdb").read_bytes()
+        assert built == []
+
+    @pytest.mark.parametrize("number", [4, 13])
+    def test_analyze_and_scan_decode_each_segment_once(
+            self, small_city, tmp_path, monkeypatch, unverified, number):
+        """The join's implicit ANALYZE reads the attached tables through
+        their columns' decode cache: the scan after it decodes nothing
+        again, and neither builds a temporal object."""
+        built = []
+        build = temporal_kernels._Store._build
+        monkeypatch.setattr(temporal_kernels._Store, "_build",
+                            lambda self, g: built.append(g) or build(self, g))
+        duck = prepare_scenario("mobilityduck", small_city)
+        base = tmp_path / "city.quackdb"
+        duck.execute(f"CHECKPOINT '{base}'")
+        att = core.connect()
+        att.execute(f"ATTACH '{base}'")
+        sql = get_query(number).sql
+        assert att.execute(sql).fetchall() == duck.execute(sql).fetchall()
+        stats = att.last_query_stats
+        joined = [table for table in att.database.catalog.tables.values()
+                  if table.stats is not None]
+        assert stats.counter("optimizer.cbo.tables_analyzed") == len(joined)
+        assert stats.counter("storage.segments_decoded") == sum(
+            len(column.refs) for table in joined for column in table._columns
+        )
         assert built == []
 
     def test_footprint_per_row(self, small_city, tmp_path):
