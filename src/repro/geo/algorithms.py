@@ -54,18 +54,6 @@ def _norm(ex: float, ey: float) -> float:
     return math.sqrt(ex * ex + ey * ey)
 
 
-def segment_segment_distance(a: Coord, b: Coord, c: Coord, d: Coord) -> float:
-    """Distance between segments ``ab`` and ``cd`` (0 if they intersect)."""
-    if segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        point_segment_distance(a, c, d),
-        point_segment_distance(b, c, d),
-        point_segment_distance(c, a, b),
-        point_segment_distance(d, a, b),
-    )
-
-
 def _orient(a: Coord, b: Coord, c: Coord) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
@@ -454,6 +442,5 @@ __all__ = [
     "point_in_ring",
     "point_segment_distance",
     "segment_intersection_params",
-    "segment_segment_distance",
     "segments_intersect",
 ]

@@ -32,10 +32,8 @@ DECLARED_COUNTERS = frozenset({
     "executor.join_index_batches",
     "executor.join_build_rows",
     "executor.join_kernel_builds",
-    "executor.join_fallback_builds",
     "executor.join_probe_rows",
     "executor.join_kernel_probes",
-    "executor.join_fallback_probes",
     "executor.conjunct_rows_skipped",
     # quack kernel/fallback dispatch
     "quack.kernel_ops",

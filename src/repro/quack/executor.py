@@ -50,7 +50,6 @@ from .types import BIGINT, BOOLEAN, LogicalType
 from .vector import (
     _PHYSICAL_DTYPES,
     DataChunk,
-    KernelFallback,
     STANDARD_VECTOR_SIZE,
     Vector,
     boolean_selection,
@@ -754,67 +753,91 @@ def _materialize(op: LogicalOperator,
     return columns
 
 
+#: The pair batch of a left chunk that matches nothing.
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
+
+
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext
                   ) -> Iterator[DataChunk]:
+    """Every join method runs one loop.  A pair source yields, per left
+    chunk, the left rows of its candidate pairs and the right columns
+    gathered for them; the loop keeps the pairs ``op.residual`` passes
+    and, for a LEFT join, pads the left rows none of them kept."""
     if op.index_probe is not None and not op.equi_keys:
-        yield from _index_nl_join(op, ctx)
-        return
-    right_chunks: list[DataChunk] | None = None
-    if (
-        ctx.memory_limit_bytes is not None
-        and op.equi_keys
-        and op.join_type == "inner"
-    ):
-        buffered, overflow = _watermark_buffer(op.right, ctx)
-        if overflow is not None:
-            yield from _grace_hash_join(op, buffered, overflow, ctx)
-            return
-        right_chunks = buffered
-    right_columns = _materialize(op.right, ctx, chunks=right_chunks)
-    right_count = len(right_columns[0]) if right_columns else 0
-    right_types = op.right.output_types()
-
-    if op.equi_keys:
-        yield from _hash_join(op, right_columns, right_count, right_types,
-                              ctx)
-        return
-    # Block nested-loop join (also covers cross products).
-    for left_chunk in execute_plan(op.left, ctx):
-        n = left_chunk.count
-        if right_count == 0:
-            if op.join_type == "left":
-                yield _pad_unmatched(left_chunk, right_types)
-            continue
-        left_idx = np.repeat(np.arange(n), right_count)
-        right_idx = np.tile(np.arange(right_count), n)
-        combined = DataChunk(
-            [v.take(left_idx) for v in left_chunk.vectors]
-            + [v.take(right_idx) for v in right_columns]
+        pairs = _index_pairs(op, ctx)
+    else:
+        right_chunks: list[DataChunk] | None = None
+        if (
+            ctx.memory_limit_bytes is not None
+            and op.equi_keys
+            and op.join_type == "inner"
+        ):
+            buffered, overflow = _watermark_buffer(op.right, ctx)
+            if overflow is not None:
+                yield from _grace_hash_join(op, buffered, overflow, ctx)
+                return
+            right_chunks = buffered
+        right = DataChunk(
+            _materialize(op.right, ctx, chunks=right_chunks) or []
         )
-        if op.residual is not None:
-            mask = boolean_selection(evaluate(op.residual, combined, ctx))
-            matched = combined.slice(mask)
-            if op.join_type == "left":
-                matched_left = np.zeros(n, dtype=np.bool_)
-                matched_left[left_idx[mask]] = True
-                yield from _emit_left_padding(
-                    left_chunk, matched_left, right_types
-                )
-            if matched.count:
-                yield matched
-        else:
-            if combined.count:
-                yield combined
+        source = _hash_pairs if op.equi_keys else _nested_loop_pairs
+        pairs = source(op, right, ctx)
+    right_types = op.right.output_types()
+    for left_chunk, left_rows, right_vectors in pairs:
+        matched, matched_rows = _keep_matches(op, left_chunk, left_rows,
+                                              right_vectors, ctx)
+        if op.join_type == "left":
+            yield from _emit_left_padding(left_chunk, matched_rows,
+                                          right_types)
+        if matched.count:
+            yield matched
 
 
-def _index_nl_join(op: LogicalJoin,
-                   ctx: ExecutionContext) -> Iterator[DataChunk]:
-    """Index nested-loop join: each left chunk probes the right table's
-    index with one ``probe_batch`` call, and all matched rows are
-    gathered with a single ``table.fetch`` into one combined chunk."""
+def _keep_matches(op: LogicalJoin, left_chunk: DataChunk,
+                  left_rows: np.ndarray, right_vectors: list[Vector],
+                  ctx: ExecutionContext) -> tuple[DataChunk, np.ndarray]:
+    """Pair ``left_chunk``'s ``left_rows`` with ``right_vectors`` and keep
+    the pairs ``op.residual`` passes: the combined rows, and the left
+    row of each.  Columns past the right side's ride along unread."""
+    combined = DataChunk(
+        [v.take(left_rows) for v in left_chunk.vectors] + right_vectors
+    )
+    if op.residual is None or not len(left_rows):
+        return combined, left_rows
+    mask = boolean_selection(evaluate(op.residual, combined, ctx))
+    return combined.slice(mask), left_rows[mask]
+
+
+def _emit_left_padding(left_chunk: DataChunk, matched_rows: np.ndarray,
+                       right_types) -> Iterator[DataChunk]:
+    """Pad the rows of ``left_chunk`` not in ``matched_rows`` with NULL
+    right columns (LEFT JOIN semantics)."""
+    unmatched = np.ones(left_chunk.count, dtype=np.bool_)
+    unmatched[matched_rows] = False
+    if not unmatched.any():
+        return
+    sliced = left_chunk.slice(unmatched)
+    pads = [Vector.constant(t, None, sliced.count) for t in right_types]
+    yield DataChunk(sliced.vectors + pads)
+
+
+def _nested_loop_pairs(op: LogicalJoin, right: DataChunk,
+                       ctx: ExecutionContext):
+    """Block nested-loop pair source (also cross products): every left
+    row against every right row."""
+    for left_chunk in execute_plan(op.left, ctx):
+        left_rows = np.repeat(np.arange(left_chunk.count), right.count)
+        right_rows = np.tile(np.arange(right.count), left_chunk.count)
+        yield left_chunk, left_rows, [v.take(right_rows)
+                                      for v in right.vectors]
+
+
+def _index_pairs(op: LogicalJoin, ctx: ExecutionContext):
+    """Index nested-loop pair source: each left chunk probes the right
+    table's index with one ``probe_batch`` call, and all candidate rows
+    are gathered with a single ``table.fetch``."""
     index, op_name, left_expr = op.index_probe
     table = index.table
-    right_types = op.right.output_types()
     for left_chunk in execute_plan(op.left, ctx):
         probe_vector = evaluate(left_expr, left_chunk, ctx)
         id_lists = index.probe_batch(op_name, probe_vector.to_list())
@@ -837,26 +860,12 @@ def _index_nl_join(op: LogicalJoin,
             live = table.live_row_ids(sorted(ids))
             row_ids.extend(live)
             left_rep.extend([i] * len(live))
-        matched = np.zeros(left_chunk.count, dtype=np.bool_)
-        if row_ids:
-            right_chunk = table.fetch(np.asarray(row_ids, dtype=np.int64))
-            li = np.asarray(left_rep, dtype=np.int64)
-            combined = DataChunk(
-                [v.take(li) for v in left_chunk.vectors]
-                + right_chunk.vectors
-            )
-            if op.residual is not None:
-                mask = boolean_selection(
-                    evaluate(op.residual, combined, ctx)
-                )
-                combined = combined.slice(mask)
-                matched[li[mask]] = True
-            else:
-                matched[li] = True
-            if combined.count:
-                yield combined
-        if op.join_type == "left":
-            yield from _emit_left_padding(left_chunk, matched, right_types)
+        if not row_ids:
+            yield left_chunk, _NO_PAIRS, []
+            continue
+        right_chunk = table.fetch(np.asarray(row_ids, dtype=np.int64))
+        yield (left_chunk, np.asarray(left_rep, dtype=np.int64),
+               right_chunk.vectors)
 
 
 def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
@@ -882,116 +891,69 @@ def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
         ctx.stats.bump("verify.kernel_crosschecks")
 
 
-def _hash_join(op: LogicalJoin, right_columns, right_count, right_types,
-               ctx: ExecutionContext) -> Iterator[DataChunk]:
+def _hash_pairs(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
+    """Hash-join pair source: the right side's equi-keys are built into
+    one :class:`kernels.JoinBuild` that every left chunk probes."""
+    if not right.count:
+        for left_chunk in execute_plan(op.left, ctx):
+            yield left_chunk, _NO_PAIRS, []
+        return
     kstats = _kernel_stats(op, ctx)
     qstats = ctx.stats
-    # Build phase on the right side: factorize-encode the equi-keys and
-    # group build rows by code (kernel), or fall back to the dict build.
-    key_vectors: list[Vector] = []
-    build = None
-    hash_table: dict[tuple, list[int]] | None = None
-    if right_count:
-        right_chunk = DataChunk(right_columns)
-        key_vectors = [
-            evaluate(right_key, right_chunk, ctx)
-            for _, right_key in op.equi_keys
-        ]
-        try:
-            build = kernels.JoinBuild(key_vectors, right_count)
-        except KernelFallback:
-            hash_table = _hash_join_dict_build(key_vectors, right_count)
-        if qstats is not None:
-            qstats.bump("executor.join_build_rows", right_count)
-            qstats.bump(
-                "executor.join_kernel_builds" if build is not None
-                else "executor.join_fallback_builds"
-            )
-        if kstats is not None:
-            if build is not None:
-                kstats.kernel += 1
-            else:
-                kstats.fallback += 1
-    # Probe with left chunks.
+    probe = _hash_prober(op, right, ctx)
+    if qstats is not None:
+        qstats.bump("executor.join_build_rows", right.count)
+        qstats.bump("executor.join_kernel_builds")
+    if kstats is not None:
+        kstats.kernel += 1
     for left_chunk in execute_plan(op.left, ctx):
-        n = left_chunk.count
-        if right_count == 0:
-            if op.join_type == "left":
-                yield _pad_unmatched(left_chunk, right_types)
-            continue
         if kstats is not None:
-            kstats.rows_in += n
+            kstats.rows_in += left_chunk.count
+            kstats.kernel += 1
         if qstats is not None:
-            qstats.bump("executor.join_probe_rows", n)
-        probe_vectors = [
-            evaluate(left_key, left_chunk, ctx)
-            for left_key, _ in op.equi_keys
-        ]
-        li = ri = None
-        if build is not None:
-            try:
-                li, ri = build.probe(probe_vectors, n)
-            except KernelFallback:
-                li = None
-        if li is not None:
-            if kstats is not None:
-                kstats.kernel += 1
-            if qstats is not None:
-                qstats.bump("executor.join_kernel_probes")
-                qstats.bump("quack.kernel_ops")
-            if _verification.VERIFICATION_ENABLED:
-                from ..analysis.verifier import assert_join_pairs_match
+            qstats.bump("executor.join_probe_rows", left_chunk.count)
+            qstats.bump("executor.join_kernel_probes")
+            qstats.bump("quack.kernel_ops")
+        left_rows, right_rows = probe(left_chunk)
+        yield left_chunk, left_rows, [v.take(right_rows)
+                                      for v in right.vectors]
 
-                if hash_table is None:
-                    hash_table = _hash_join_dict_build(key_vectors,
-                                                       right_count)
-                expected = _hash_join_dict_probe(hash_table,
-                                                 probe_vectors, n)
-                assert_join_pairs_match(
-                    (li, ri), expected,
-                    f"{op._explain_label()} JoinBuild.probe",
-                )
-                if qstats is not None:
-                    qstats.bump("verify.kernel_crosschecks")
-        else:
-            if hash_table is None:
-                # A probe chunk the kernel declined (e.g. key physical
-                # type mismatch): build the dict side once, lazily.
-                hash_table = _hash_join_dict_build(key_vectors,
-                                                   right_count)
-            li, ri = _hash_join_dict_probe(hash_table, probe_vectors, n)
-            if kstats is not None:
-                kstats.fallback += 1
-            if qstats is not None:
-                qstats.bump("executor.join_fallback_probes")
-                qstats.bump("quack.fallback_ops")
-        matched = np.zeros(n, dtype=np.bool_)
-        if len(li):
-            combined = DataChunk(
-                [v.take(li) for v in left_chunk.vectors]
-                + [v.take(ri) for v in right_columns]
+
+def _hash_prober(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
+    """Build ``op``'s equi-keys over ``right``; the returned function maps
+    a left chunk to its ``(left rows, right rows)`` pairs.  Under
+    verification the row-wise dict reference, built once here, checks
+    every probe."""
+    build_keys = [evaluate(rk, right, ctx) for _, rk in op.equi_keys]
+    build = kernels.JoinBuild(build_keys,
+                              [lk.ltype for lk, _ in op.equi_keys])
+    reference = None
+    if _verification.VERIFICATION_ENABLED:
+        reference = _hash_join_dict_build(build_keys, right.count)
+
+    def probe(left: DataChunk) -> tuple[np.ndarray, np.ndarray]:
+        probe_keys = [evaluate(lk, left, ctx) for lk, _ in op.equi_keys]
+        pairs = build.probe(probe_keys, left.count)
+        if reference is not None:
+            from ..analysis.verifier import assert_join_pairs_match
+
+            assert_join_pairs_match(
+                pairs,
+                _hash_join_dict_probe(reference, probe_keys, left.count),
+                f"{op._explain_label()} JoinBuild.probe",
             )
-            if op.residual is not None:
-                mask = boolean_selection(
-                    evaluate(op.residual, combined, ctx)
-                )
-                combined = combined.slice(mask)
-                matched[li[mask]] = True
-            else:
-                matched[li] = True
-            if op.join_type == "left":
-                yield from _emit_left_padding(left_chunk, matched,
-                                              right_types)
-            if combined.count:
-                yield combined
-        elif op.join_type == "left":
-            yield from _emit_left_padding(left_chunk, matched, right_types)
+            if ctx.stats is not None:
+                ctx.stats.bump("verify.kernel_crosschecks")
+        return pairs
+
+    return probe
 
 
 def _hash_join_dict_build(key_vectors: list[Vector],
                           right_count: int) -> dict[tuple, list[int]]:
-    """Row-wise build fallback, keyed through ``hashable_key`` so NaN and
-    -0.0 keys behave exactly like the kernel (and the pgsim engine)."""
+    """Row-wise reference build for the verifier, keyed through
+    ``hashable_key`` so NaN and -0.0 keys behave exactly like the kernel
+    (and the pgsim engine)."""
     hash_table: dict[tuple, list[int]] = {}
     for i in range(right_count):
         if not all(kv.validity[i] for kv in key_vectors):
@@ -1017,23 +979,6 @@ def _hash_join_dict_probe(
         right_idx.extend(bucket)
     return (np.asarray(left_idx, dtype=np.int64),
             np.asarray(right_idx, dtype=np.int64))
-
-
-def _emit_left_padding(left_chunk: DataChunk, matched: np.ndarray,
-                       right_types) -> Iterator[DataChunk]:
-    """Pad the rows of ``left_chunk`` whose ``matched`` mask slot is
-    False with NULL right columns (LEFT JOIN semantics)."""
-    unmatched = ~matched
-    if not unmatched.any():
-        return
-    sliced = left_chunk.slice(unmatched)
-    yield _pad_unmatched(sliced, right_types)
-
-
-def _pad_unmatched(left_chunk: DataChunk, right_types) -> DataChunk:
-    count = left_chunk.count
-    pads = [Vector.constant(t, None, count) for t in right_types]
-    return DataChunk(left_chunk.vectors + pads)
 
 
 # -- aggregation --------------------------------------------------------------------
@@ -1502,41 +1447,17 @@ def _join_partition(op: LogicalJoin, build_part: _storage.SpillFile,
     ascending, so the run is sorted by that index pair."""
     right = concat_chunks(list(build_part.read_chunks()))
     right_index = right.vectors.pop()
-    build_keys = [evaluate(rk, right, ctx) for _, rk in op.equi_keys]
-    try:
-        build = kernels.JoinBuild(build_keys, right.count)
-    except KernelFallback:
-        build = None
-    hash_table = None
+    probe = _hash_prober(op, right, ctx)
     for left in probe_part.read_chunks():
         left_index = left.vectors.pop()
-        probe_keys = [evaluate(lk, left, ctx) for lk, _ in op.equi_keys]
-        li = None
-        if build is not None:
-            try:
-                li, ri = build.probe(probe_keys, left.count)
-            except KernelFallback:
-                pass
-        if li is None:
-            if hash_table is None:
-                hash_table = _hash_join_dict_build(build_keys, right.count)
-            li, ri = _hash_join_dict_probe(hash_table, probe_keys,
-                                           left.count)
-        matched = DataChunk(
-            [v.take(li) for v in left.vectors]
-            + [v.take(ri) for v in right.vectors]
+        left_rows, right_rows = probe(left)
+        matched, _ = _keep_matches(
+            op, left, left_rows,
+            [v.take(right_rows) for v in right.vectors]
+            + [left_index.take(left_rows), right_index.take(right_rows)],
+            ctx,
         )
-        keep = np.arange(len(li))
-        if op.residual is not None and len(li):
-            keep = keep[boolean_selection(
-                evaluate(op.residual, matched, ctx)
-            )]
-        _spill_blocks(
-            run,
-            DataChunk(matched.vectors
-                      + [left_index.take(li), right_index.take(ri)]),
-            keep,
-        )
+        _spill_blocks(run, matched, np.arange(matched.count))
 
 
 # -- sort / distinct ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .keys import _NULL_KEY, hashable_key, sort_comparator
+from .types import LogicalType
 from .vector import (
     STANDARD_VECTOR_SIZE,
     DataChunk,
@@ -248,13 +249,9 @@ class _NumericKeyMap:
         return data, None
 
     def codes(self, vector: Vector) -> np.ndarray:
-        """Dense codes for ``vector``'s rows; -1 marks NULL rows and
-        values absent from the build side (no match possible)."""
-        if vector.ltype.physical != self.physical:
-            raise KernelFallback(
-                f"join key physical type mismatch: "
-                f"{vector.ltype.physical} vs {self.physical}"
-            )
+        """Dense codes for ``vector``'s rows (of the build side's physical
+        type); -1 marks NULL rows and values absent from the build side
+        (no match possible)."""
         values, nan = self._canonical(vector.data)
         codes = _lookup_sorted_values(values, self.uniques)
         if nan is not None and self.nan_code >= 0:
@@ -278,9 +275,12 @@ def _lookup_sorted_values(values: np.ndarray,
 
 
 class _ObjectKeyMap:
-    """Build-side value -> dense code map for one object key column,
-    keyed through :func:`_object_keys` so NaN/-0.0/unhashable payloads
-    behave exactly like the row-wise dict fallback."""
+    """Build-side value -> dense code map for one key column, keyed
+    through :func:`_object_keys` so NaN/-0.0/unhashable payloads behave
+    exactly like the row-wise dict reference.  It serves object columns
+    and any column whose two sides differ in physical type: a BIGINT
+    ``1`` then matches a DOUBLE ``1.0`` by Python equality, and
+    ``2**53 + 1`` does not match ``2.0**53``."""
 
     __slots__ = ("mapping", "cardinality")
 
@@ -291,11 +291,6 @@ class _ObjectKeyMap:
         self.cardinality = max(len(keys), 1)
 
     def codes(self, vector: Vector) -> np.ndarray:
-        if vector.ltype.physical != "object":
-            raise KernelFallback(
-                f"join key physical type mismatch: "
-                f"{vector.ltype.physical} vs object"
-            )
         # NULL keys are not in the mapping, so they never match.
         get = self.mapping.get
         return np.fromiter(
@@ -316,15 +311,18 @@ class JoinBuild:
     space and expands matches into ``(probe_row, build_row)`` index
     arrays.  NULL keys never match; NaN float keys all fall in one code
     (matching :func:`hashable_key`), as does ``-0.0`` with ``0.0``.
+    ``probe_types`` are the probe side's key types: a column whose sides
+    share a bool/int64/float64 physical type codes through NumPy, any
+    other through :func:`hashable_key`.
     """
 
-    def __init__(self, key_vectors: Sequence[Vector], count: int):
-        if not key_vectors:
-            raise KernelFallback("hash join without equi-keys")
+    def __init__(self, key_vectors: Sequence[Vector],
+                 probe_types: Sequence[LogicalType]):
         self._maps: list[_NumericKeyMap | _ObjectKeyMap] = [
-            _ObjectKeyMap(kv) if kv.ltype.physical == "object"
-            else _NumericKeyMap(kv)
-            for kv in key_vectors
+            _NumericKeyMap(kv)
+            if kv.ltype.physical == probe.physical != "object"
+            else _ObjectKeyMap(kv)
+            for kv, probe in zip(key_vectors, probe_types)
         ]
         self._steps: list[np.ndarray] = []
         codes = self._map_codes(key_vectors, build=True)

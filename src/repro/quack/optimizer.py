@@ -378,9 +378,7 @@ class _Optimizer:
         leaf_rows: list[float] = []
         for i, leaf_statistics in enumerate(stats_per_leaf):
             rows = float(max(leaf_statistics.row_count, 1))
-            local = leaf_statistics.column
-            for conj in per_leaf[i]:
-                rows *= _estimate_conjunct(conj, local)
+            rows *= _estimate_and(per_leaf[i], leaf_statistics.column)
             leaf_rows.append(max(rows, 1.0))
 
         edges = [

@@ -180,6 +180,62 @@ class TestReordering:
         con.execute("SET cbo = off")
         assert con.execute(sql).fetchall() == expected
 
+    def test_chain_past_dp_limit_plans_greedily(self):
+        """Nine relations exceed ``DP_MAX_RELATIONS``: the greedy search
+        plans the chain, still pairing only tables that share a
+        predicate, and returns the rows of the FROM-order plan and of
+        pgsim."""
+        n = 9
+        from_clause = ", ".join(f"t{i}" for i in range(n))
+        where = " AND ".join(f"t{i}.b = t{i + 1}.a" for i in range(n - 1))
+        sql = f"SELECT t0.a, t{n - 1}.b FROM {from_clause} WHERE {where}"
+        results = []
+        for connect in _ENGINES:
+            con = connect()
+            for i in range(n):
+                con.execute(f"CREATE TABLE t{i}(a INTEGER, b INTEGER)")
+                con.database.catalog.get_table(f"t{i}").append_rows(
+                    [(j, j) for j in range(20 + 5 * i)]
+                )
+            results.append(_multiset(con.execute(sql)))
+            plan = con.execute("EXPLAIN " + sql).rows[0][0]
+            assert con.last_query_stats.counter(
+                "optimizer.cbo.greedy_plans") == 1
+            assert "CROSS_PRODUCT" not in plan
+            assert plan.count("HASH_JOIN") == n - 1
+            con.execute("SET cbo = off")
+            results.append(_multiset(con.execute(sql)))
+        assert sum(results[0].values()) == 20
+        assert all(rows == results[0] for rows in results)
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_between_on_a_leaf_estimates_one_range(self, connect):
+        """A pushed-down ``BETWEEN`` estimates as one histogram range,
+        as it does inside an ``OR``, not as two independent bounds."""
+        con = connect()
+        con.execute("CREATE TABLE f(x INTEGER, d INTEGER)")
+        con.execute("CREATE TABLE dim(d INTEGER, name VARCHAR)")
+        catalog = con.database.catalog
+        catalog.get_table("f").append_rows(
+            [(i, i % 10) for i in range(1000)]
+        )
+        catalog.get_table("dim").append_rows(
+            [(i, f"n{i}") for i in range(10)]
+        )
+        join = "SELECT count(*) FROM f, dim WHERE f.d = dim.d AND "
+        bare = con.execute(
+            "EXPLAIN " + join + "f.x BETWEEN 100 AND 199"
+        ).rows[0][0]
+        in_or = con.execute(
+            "EXPLAIN " + join + "(f.x BETWEEN 100 AND 199 OR f.x < -5)"
+        ).rows[0][0]
+        estimate = int(bare.split("FILTER (est=")[1].split(")")[0])
+        assert 90 <= estimate <= 110
+        assert estimate == int(in_or.split("FILTER (est=")[1].split(")")[0])
+        assert con.execute(
+            join + "f.x BETWEEN 100 AND 199"
+        ).fetchall() == [(100,)]
+
 
 class TestCopyOnWrite:
     def test_double_optimize_is_idempotent_and_nonmutating(self, quack_con):

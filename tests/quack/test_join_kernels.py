@@ -6,8 +6,9 @@ batches its probes through ``TableIndex.probe_batch``.  These tests pin
 the join semantics against the pgsim row engine: NULL equi-keys never
 match, duplicate build keys fan out (in memory and through the spilling
 hash join), LEFT JOIN padding with and without residual predicates, NaN
-join keys match each other, ``-0.0`` equals ``0.0``, and the EXPLAIN
-ANALYZE counters report kernel-vs-fallback use.
+join keys match each other, ``-0.0`` equals ``0.0``, keys of two
+physical types match by Python equality, and the EXPLAIN ANALYZE
+counters report kernel use.
 """
 
 import math
@@ -18,9 +19,10 @@ import pytest
 from repro import core
 from repro.pgsim import RowDatabase
 from repro.quack import Database
+from repro.quack.executor import _hash_join_dict_build, _hash_join_dict_probe
 from repro.quack.kernels import JoinBuild
 from repro.quack.types import BIGINT, DOUBLE, VARCHAR
-from repro.quack.vector import KernelFallback, Vector
+from repro.quack.vector import Vector
 
 
 _L_DDL = "CREATE TABLE l(k INTEGER, v INTEGER)"
@@ -126,6 +128,23 @@ class TestHashJoinSemantics:
         )
         assert len(rows) == 4
 
+    def test_mixed_type_keys(self, quack):
+        # BIGINT probe keys against a DOUBLE build side compare as Python
+        # numbers: 1 = 1.0 and 0 = -0.0 = 0.0, NaN and NULL match no
+        # integer, and 2**53 + 1 does not equal 2.0**53.
+        big = 2 ** 53
+        rows = _agree(
+            [(1, 1), (0, 2), (None, 3), (big + 1, 4), (big, 5)]
+            + [(100 + i, 10 + i) for i in range(8)],
+            [(1.0, "a"), (float("nan"), "b"), (-0.0, "c"), (0.0, "d"),
+             (None, "e"), (2.0 ** 53, "f")],
+            "SELECT l.v, r.w FROM l, r WHERE l.k = r.k",
+            left_ddl="CREATE TABLE l(k BIGINT, v INTEGER)",
+            right_ddl="CREATE TABLE r(k DOUBLE, w VARCHAR)",
+            **quack,
+        )
+        assert sorted(rows) == [(1, "a"), (2, "c"), (2, "d"), (5, "f")]
+
     def test_empty_build_side(self, quack):
         rows = _agree(
             [(1, 10), (2, 20)],
@@ -224,7 +243,7 @@ class TestJoinBuildKernel:
             Vector.from_values(lt, col)
             for lt, col in zip(ltypes, columns(probe_keys))
         ]
-        build = JoinBuild(build_vectors, len(build_keys))
+        build = JoinBuild(build_vectors, ltypes)
         li, ri = build.probe(probe_vectors, len(probe_keys))
         return sorted(zip(li.tolist(), ri.tolist()))
 
@@ -279,14 +298,21 @@ class TestJoinBuildKernel:
     def test_empty_build(self):
         assert self._pairs([], [(1,), (2,)], [BIGINT]) == []
 
-    def test_no_keys_falls_back(self):
-        with pytest.raises(KernelFallback):
-            JoinBuild([], 0)
-
-    def test_probe_physical_mismatch_falls_back(self):
-        build = JoinBuild([Vector.from_values(BIGINT, [1, 2])], 2)
-        with pytest.raises(KernelFallback):
-            build.probe([Vector.from_values(DOUBLE, [1.0])], 1)
+    def test_probe_physical_mismatch_matches_dict_reference(self):
+        nan = float("nan")
+        build = [Vector.from_values(BIGINT, [1, 2, None, 0, 2 ** 53 + 1, 1])]
+        probe = [Vector.from_values(
+            DOUBLE, [1.0, nan, None, -0.0, 2.0 ** 53, 2.0, 3.5]
+        )]
+        li, ri = JoinBuild(build, [DOUBLE]).probe(probe, 7)
+        expected = _hash_join_dict_probe(_hash_join_dict_build(build, 6),
+                                         probe, 7)
+        assert (li.tolist(), ri.tolist()) == (
+            expected[0].tolist(), expected[1].tolist()
+        )
+        assert list(zip(li.tolist(), ri.tolist())) == [
+            (0, 0), (0, 5), (3, 3), (5, 1)
+        ]
 
 
 class TestIndexJoinBatch:
@@ -416,8 +442,8 @@ class TestSpatialRTreeIndexJoin:
 
 
 class TestJoinCounters:
-    """Acceptance: kernel-vs-fallback join counters in EXPLAIN ANALYZE,
-    both text and JSON formats."""
+    """Acceptance: hash-join kernel counters in EXPLAIN ANALYZE, both
+    text and JSON formats."""
 
     SQL = "SELECT l.v, r.w FROM l, r WHERE l.k = r.k"
 
@@ -441,23 +467,25 @@ class TestJoinCounters:
         report = self._con().explain_analyze(self.SQL, format="json")
         counters = report["counters"]
         assert counters["executor.join_kernel_builds"] == 1
-        assert counters.get("executor.join_fallback_builds", 0) == 0
         assert counters["executor.join_kernel_probes"] >= 1
-        assert counters.get("executor.join_fallback_probes", 0) == 0
+        assert counters.get("quack.fallback_ops", 0) == 0
         assert counters["executor.join_build_rows"] == 5
         assert counters["executor.join_probe_rows"] == 20
 
-    def test_json_format_counts_fallback_use(self):
-        # BIGINT probe keys against a DOUBLE build side: the kernel
-        # declines the probe chunk and the typed dict fallback answers.
+    def test_json_format_counts_mixed_type_kernel_use(self):
+        # BIGINT probe keys against a DOUBLE build side: the kernel codes
+        # both through hashable_key and answers every probe chunk.
         left = [(i % 5, i) for i in range(20)]
         right = [(float(i), str(i)) for i in range(5)]
         right_ddl = "CREATE TABLE r(k DOUBLE, w VARCHAR)"
-        _agree(left, right, self.SQL, right_ddl=right_ddl)
+        rows = _agree(left, right, self.SQL, right_ddl=right_ddl)
         con = _load(Database, left, right, right_ddl=right_ddl)
-        counters = con.explain_analyze(self.SQL, format="json")["counters"]
+        report = con.explain_analyze(self.SQL, format="json")
+        counters = report["counters"]
         assert counters["executor.join_kernel_builds"] == 1
-        assert counters["executor.join_fallback_probes"] >= 1
+        assert counters["executor.join_kernel_probes"] >= 1
+        assert counters.get("quack.fallback_ops", 0) == 0
+        assert sorted(con.execute(self.SQL).fetchall()) == sorted(rows)
 
 
 class TestStboxPredicateKernels:
