@@ -273,11 +273,17 @@ class SpanCodec:
         return spans
 
     def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
-        # a span has no box and no number: the walk counts rows and NULLs
-        if not span_cols(vector).ok[vector.validity].all():
+        # a span's box is its time interval (``stats.box_of``)
+        spans, valid = span_cols(vector), vector.validity
+        if not spans.ok[valid].all():
             return None
-        return ZoneMapEntry(rows=len(vector),
-                            nulls=int(np.count_nonzero(~vector.validity)))
+        entry = ZoneMapEntry(rows=len(vector),
+                             nulls=int(np.count_nonzero(~valid)))
+        if entry.non_null:
+            entry.box = {"t": (float(spans.lower[valid].min()),
+                               float(spans.upper[valid].max()))}
+            entry.box_complete = True
+        return entry
 
     def boxes(self, vector: Vector) -> dict | None:
         return _boxes(span_soa(vector), vector.validity, "t")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .geometry import (
     Geometry,
     GeometryError,
@@ -27,6 +29,8 @@ from .kernels import (
 )
 
 Coord = tuple[float, float]
+
+_FIRST, _SECOND = np.array([0]), np.array([1])
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +245,9 @@ def _primitive_intersects(a: Geometry, b: Geometry) -> bool:
 # The row engine asks about one pair of objects per call.  ``intersects``
 # stops at the first hit and rejects most segment pairs on four
 # comparisons, so it walks the objects here; ``distance`` between two
-# geometries with segments has no early exit (every vertex meets every
-# segment), so it is the batch kernel on a batch of one.  Both spell
-# each formula as kernels.py does: the engines agree on float bits.
+# geometries with segments is the batch kernel on a batch of one, whose
+# run boxes skip the segments that cannot decide it.  Both spell each
+# formula as kernels.py does: the engines agree on float bits.
 
 
 def intersects(a: Geometry, b: Geometry) -> bool:
@@ -266,9 +270,11 @@ def distance(a: Geometry, b: Geometry) -> float:
     points, others = _primitives(a), _primitives(b)
     if not all(isinstance(g, Point) for g in points):
         if not all(isinstance(g, Point) for g in others):
-            return float(
-                distance_rows(geometry_csr((a,)), geometry_csr((b,)))[0]
-            )
+            # One store for both: its segment and run indexes are built
+            # once.
+            both = geometry_csr((a, b))
+            return float(distance_rows(both.take(_FIRST),
+                                       both.take(_SECOND))[0])
         points, others = others, points
     return min(_point_gap(p, g) for p in points for g in others)
 

@@ -8,20 +8,27 @@ A :class:`GeomCSR` holds a batch of geometries as flat arrays::
     ring_offsets   ring -> vertices         (flat float64 ``x`` / ``y``)
 
 plus primitive kind codes and per-geometry bounds, SRID and emptiness.
-``intersects_rows`` / ``distance_rows`` / ``dwithin_rows`` answer the
-predicate for every row of two row-aligned batches: a bounds prefilter
-on the arrays, then every undecided row's segment x segment, vertex x
-segment and probe x ring-edge pairs are expanded with offset arithmetic,
-evaluated elementwise and reduced per row.  The pair axis is cut into
-blocks of ``_BLOCK`` pairs, so scratch stays small however many rows
-or vertices a call carries.
+``intersects_rows`` / ``dwithin_rows`` answer the predicate for every
+row of two row-aligned batches: a bounds prefilter on the arrays, then
+every undecided row's segment x segment, vertex x segment and probe x
+ring-edge pairs are expanded with offset arithmetic, evaluated
+elementwise and reduced per row.  ``distance_rows`` bounds that work
+instead: each ring is cut into runs of ``_CHUNK`` segments with a box
+(:class:`_Chunks`); only run pairs whose boxes come within SEGMENT_PAD
+can share a point, and a row that shares none is measured on the run
+pairs, and the vertices, no farther from the other run's box than the
+distance its nearest pair gives (:func:`_bound_rows`).  The pair axis
+is cut into blocks of ``_BLOCK`` pairs, so scratch stays small however
+many rows or vertices a call carries.
 
 Every pair is evaluated by the formulas of :mod:`.algorithms`' segment
 primitives, in the same operation order, and reduced with exact
-``min``/``any``: a row's result does not depend on which other rows
-share its call, so one call over N rows equals N calls over one row on
-float bits, and equals the per-object scalar functions of
-:mod:`.algorithms` (which the row engine calls one pair at a time).
+``min``/``any``; a pair skipped by a box can only hold terms larger
+than one that is kept, so the minimum is the same float.  A row's
+result does not depend on which other rows share its call, so one call
+over N rows equals N calls over one row on float bits, and equals the
+per-object scalar functions of :mod:`.algorithms` (which the row
+engine calls one pair at a time).
 """
 
 from __future__ import annotations
@@ -56,6 +63,11 @@ POINT, LINE, POLYGON = 0, 1, 2
 #: happened to raise the threshold, so a statement's time would depend
 #: on which statements ran before it.
 _BLOCK = 1 << 13
+
+#: Consecutive segments of a ring per run of the distance index
+#: (:class:`_Chunks`); 8 measured best of 4, 6, 8, 12 and 16 on Q5's
+#: distances at three scale factors.
+_CHUNK = 8
 
 _INT = np.int64
 
@@ -226,12 +238,12 @@ class GeomCSR:
 class _Store:
     """The geometries behind one or more :class:`GeomCSR` batches.
 
-    Bounds and the per-segment arrays derive from the coordinates on
-    first use (a batch of points never needs segments)."""
+    Bounds, the per-segment arrays and the run index derive from the
+    coordinates on first use (a batch of points never needs segments)."""
 
     __slots__ = (
         "geom_offsets", "kind", "prim_offsets", "ring_offsets", "x", "y",
-        "srid", "empty", "prim_vert", "_bounds", "_segments",
+        "srid", "empty", "prim_vert", "_bounds", "_segments", "_chunks",
     )
 
     def __init__(self, geom_offsets, kind, prim_offsets, ring_offsets,
@@ -248,6 +260,7 @@ class _Store:
         self.prim_vert = ring_offsets[prim_offsets]
         self._bounds = None
         self._segments = None
+        self._chunks = None
 
     # -- bounds ---------------------------------------------------------------
 
@@ -290,13 +303,19 @@ class _Store:
             self._segments = _Segments(self)
         return self._segments
 
+    @property
+    def chunks(self) -> "_Chunks":
+        if self._chunks is None:
+            self._chunks = _Chunks(self, self.segments)
+        return self._chunks
+
 
 class _Segments:
-    """Per-segment arrays of a store, and each primitive's range in
-    them."""
+    """Per-segment arrays of a store, and each ring's and primitive's
+    range in them."""
 
     __slots__ = (
-        "prim_seg", "ring", "x0", "y0", "x1", "y1", "dx", "dy",
+        "ring_seg", "prim_seg", "ring", "x0", "y0", "x1", "y1", "dx", "dy",
         "proj_dx", "proj_dy", "proj_len2", "cross_dy",
         "xlo", "xhi", "ylo", "yhi",
     )
@@ -310,8 +329,7 @@ class _Segments:
         starts_segment = np.ones(len(x), dtype=np.bool_)
         starts_segment[ring_offsets[1:][ring_lens > 0] - 1] = False
         first = np.flatnonzero(starts_segment)
-        ring_seg = np.zeros(len(ring_offsets), dtype=_INT)
-        np.cumsum(np.maximum(ring_lens - 1, 0), out=ring_seg[1:])
+        ring_seg = self.ring_seg = offsets(np.maximum(ring_lens - 1, 0))
         self.prim_seg = ring_seg[store.prim_offsets]
         self.ring = np.repeat(
             np.arange(len(ring_lens), dtype=_INT), np.diff(ring_seg)
@@ -337,6 +355,46 @@ class _Segments:
         self.yhi = np.maximum(self.y0, self.y1)
 
 
+class _Chunks:
+    """Every ring cut into runs of at most ``_CHUNK`` consecutive
+    segments (a one-vertex ring is one run without a segment), and the
+    box of each run's vertices.  Run ``c`` is the vertices
+    ``vert[c]:vert[c] + nvert[c]`` and the segments between them,
+    ``seg[c]:seg[c] + nvert[c] - 1``; a geometry's runs are
+    ``geom_chunk[g]:geom_chunk[g + 1]``.  ``scale`` is the largest
+    coordinate magnitude, which bounds the rounding of a distance."""
+
+    __slots__ = ("geom_chunk", "vert", "nvert", "seg", "kind",
+                 "xlo", "ylo", "xhi", "yhi", "scale")
+
+    def __init__(self, store: _Store, segments: _Segments):
+        ring_offsets = store.ring_offsets
+        ring_lens = np.diff(ring_offsets)
+        # ceil((ring_lens - 1) / _CHUNK) runs, one for a lone vertex
+        per_ring = np.maximum((ring_lens + _CHUNK - 2) // _CHUNK,
+                              ring_lens > 0)
+        ring_chunk = offsets(per_ring)
+        self.geom_chunk = ring_chunk[store.prim_offsets[store.geom_offsets]]
+        ring = np.repeat(np.arange(len(per_ring), dtype=_INT), per_ring)
+        step = np.arange(len(ring), dtype=_INT) - ring_chunk[ring]
+        self.vert = ring_offsets[ring] + _CHUNK * step
+        self.nvert = np.minimum(_CHUNK + 1, ring_offsets[1:][ring] - self.vert)
+        self.seg = segments.ring_seg[ring] + _CHUNK * step
+        prim_kind = np.repeat(store.kind, np.diff(store.prim_offsets))
+        self.kind = prim_kind[ring]
+        # A run's vertices up to the next run's first, plus its last one
+        # (the next run starts on it when the ring goes on).
+        last = self.vert + self.nvert - 1
+        if len(ring):
+            boxes = [r(r.reduceat(v, self.vert), v[last]) for r, v in (
+                (np.minimum, store.x), (np.minimum, store.y),
+                (np.maximum, store.x), (np.maximum, store.y))]
+        else:
+            boxes = [np.empty(0)] * 4
+        self.xlo, self.ylo, self.xhi, self.yhi = boxes
+        self.scale = max(float(np.abs(v).max(initial=0.0)) for v in boxes)
+
+
 # ---------------------------------------------------------------------------
 # Pair expansion and grouped reduction
 # ---------------------------------------------------------------------------
@@ -358,6 +416,9 @@ def _cuts(length: np.ndarray) -> Iterator[tuple[int, int]]:
     ``_BLOCK`` elements in all (a group is never split)."""
     ends = np.cumsum(length)
     n = len(length)
+    if n and ends[-1] <= _BLOCK:
+        yield 0, n
+        return
     lo = done = 0
     while lo < n:
         hi = int(np.searchsorted(ends, done + _BLOCK, side="right"))
@@ -452,18 +513,18 @@ def _segments_intersect(a: _Segments, i, b: _Segments, j) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _segments_cross(a: _Store, pa, b: _Store, pb) -> np.ndarray:
-    """Per primitive pair: does a segment of ``pa`` meet one of ``pb``?"""
-    out = np.zeros(len(pa), dtype=np.bool_)
-    sa, sb = a.segments, b.segments
-    first_a = sa.prim_seg[pa]
-    first_b = sb.prim_seg[pb]
-    count_b = sb.prim_seg[pb + 1] - first_b
+def _segments_cross(sa: _Segments, first_a, count_a, sb: _Segments,
+                    first_b, count_b, box_b) -> np.ndarray:
+    """Per pair ``k``: does one of the segments ``first_a[k]`` onward
+    (``count_a[k]`` of them) of ``sa`` meet one of ``sb``'s?  ``box_b``
+    is ``(xmin, ymin, xmax, ymax)`` per pair, a box holding its ``sb``
+    segments."""
+    out = np.zeros(len(first_a), dtype=np.bool_)
     pad = SEGMENT_PAD
-    for i, pair in _range_blocks(first_a, sa.prim_seg[pa + 1] - first_a):
-        # A segment clear of the other primitive's box is clear of every
+    for i, pair in _range_blocks(first_a, count_a):
+        # A segment clear of the other side's box is clear of every
         # segment inside it.
-        bx0, by0, bx1, by1 = (v[pb[pair]] for v in b.prim_bounds)
+        bx0, by0, bx1, by1 = (v[pair] for v in box_b)
         near = ~(
             (sa.xhi[i] + pad < bx0) | (bx1 + pad < sa.xlo[i])
             | (sa.yhi[i] + pad < by0) | (by1 + pad < sa.ylo[i])
@@ -478,23 +539,53 @@ def _segments_cross(a: _Store, pa, b: _Store, pb) -> np.ndarray:
     return out
 
 
-def _vertex_segment_min2(a: _Store, pa, b: _Store, pb) -> np.ndarray:
-    """Per primitive pair: least squared distance from a vertex of
-    ``pa`` to a segment of ``pb`` (inf when ``pb`` has no segment)."""
-    out = np.full(len(pa), np.inf)
-    sb = b.segments
-    first_a = a.prim_vert[pa]
-    first_b = sb.prim_seg[pb]
-    count_b = sb.prim_seg[pb + 1] - first_b
-    for vertex, pair in _range_blocks(first_a, a.prim_vert[pa + 1] - first_a):
+def _vertex_segment_min2(a: _Store, first_v, count_v, sb: _Segments,
+                         first_s, count_s, box=None, limit2=None
+                         ) -> np.ndarray:
+    """Per pair ``k``: least squared distance from the vertices
+    ``first_v[k]`` onward (``count_v[k]`` of them) of ``a`` to the
+    segments ``first_s[k]`` onward (``count_s[k]``) of ``sb``; inf
+    without a segment.  With ``box`` (per pair, holding its segments)
+    and ``limit2``, a vertex whose squared distance to the box exceeds
+    ``limit2[k]`` is skipped: the pair's terms from it are larger."""
+    out = np.full(len(first_v), np.inf)
+    for vertex, pair in _range_blocks(first_v, count_v):
         px, py = a.x[vertex], a.y[vertex]
-        for j, entry in _range_blocks(first_b[pair], count_b[pair]):
+        if box is not None:
+            x0, y0, x1, y1 = (v[pair] for v in box)
+            ex = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
+            ey = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
+            near = np.flatnonzero(~(ex * ex + ey * ey > limit2[pair]))
+            px, py, pair = px[near], py[near], pair[near]
+        for j, entry in _range_blocks(first_s[pair], count_s[pair]):
             _count("geo.kernel_pairs", len(j))
             _group_min(
                 _point_segment_dist2(px[entry], py[entry], sb, j),
                 pair[entry], out,
             )
     return out
+
+
+def _prim_vertex_segment_min2(a: _Store, pa, b: _Store, pb) -> np.ndarray:
+    """Per primitive pair: least squared distance from a vertex of
+    ``pa`` to a segment of ``pb`` (inf when ``pb`` has no segment)."""
+    sb = b.segments
+    first_s = sb.prim_seg[pb]
+    return _vertex_segment_min2(
+        a, a.prim_vert[pa], a.prim_vert[pa + 1] - a.prim_vert[pa],
+        sb, first_s, sb.prim_seg[pb + 1] - first_s,
+    )
+
+
+def _prims_cross(a: _Store, pa, b: _Store, pb) -> np.ndarray:
+    """Per primitive pair: does a segment of ``pa`` meet one of ``pb``?"""
+    sa, sb = a.segments, b.segments
+    first_a, first_b = sa.prim_seg[pa], sb.prim_seg[pb]
+    return _segments_cross(
+        sa, first_a, sa.prim_seg[pa + 1] - first_a,
+        sb, first_b, sb.prim_seg[pb + 1] - first_b,
+        tuple(v[pb] for v in b.prim_bounds),
+    )
 
 
 def _probes_inside(px, py, b: _Store, pb) -> np.ndarray:
@@ -533,6 +624,17 @@ def _probes_inside(px, py, b: _Store, pb) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _prim_pairs(a: _Store, ga, b: _Store, gb):
+    """Every primitive pair of the rows pairing geometry ``ga[r]`` of
+    ``a`` with ``gb[r]`` of ``b``, in blocks: yields ``(pa, pb, row)``."""
+    first_a = a.geom_offsets[ga]
+    first_b = b.geom_offsets[gb]
+    count_b = b.geom_offsets[gb + 1] - first_b
+    for pa, row in _range_blocks(first_a, a.geom_offsets[ga + 1] - first_a):
+        for pb, entry in _range_blocks(first_b[row], count_b[row]):
+            yield pa[entry], pb, row[entry]
+
+
 def _evaluate(a: _Store, ga, b: _Store, gb, measure: bool,
               prefilter: bool):
     """For rows pairing geometry ``ga[r]`` of ``a`` with ``gb[r]`` of
@@ -541,18 +643,10 @@ def _evaluate(a: _Store, ga, b: _Store, gb, measure: bool,
     distance over their primitive pairs (meaningful where not hit).
 
     ``prefilter`` skips primitive pairs with disjoint bounds, as
-    ``intersects`` does and ``distance`` does not."""
+    ``intersects`` does and ``dwithin``'s measure does not."""
     hit = np.zeros(len(ga), dtype=np.bool_)
     gap2 = np.full(len(ga), np.inf)
-    first_a = a.geom_offsets[ga]
-    first_b = b.geom_offsets[gb]
-    count_b = b.geom_offsets[gb + 1] - first_b
-    blocks = (
-        (pa[entry], pb, row[entry])
-        for pa, row in _range_blocks(first_a, a.geom_offsets[ga + 1] - first_a)
-        for pb, entry in _range_blocks(first_b[row], count_b[row])
-    )
-    for pa, pb, row in blocks:
+    for pa, pb, row in _prim_pairs(a, ga, b, gb):
         if prefilter:
             ax0, ay0, ax1, ay1 = (v[pa] for v in a.prim_bounds)
             bx0, by0, bx1, by1 = (v[pb] for v in b.prim_bounds)
@@ -593,26 +687,26 @@ def _evaluate_prims(a: _Store, pa, b: _Store, pb, row, hit, gap2,
         _close(ex * ex + ey * ey, row[s], True, hit, gap2)
     s = select((ka == POINT) & (kb != POINT) & (measure | (kb == LINE)))
     if len(s):
-        _close(_vertex_segment_min2(a, pa[s], b, pb[s]), row[s],
+        _close(_prim_vertex_segment_min2(a, pa[s], b, pb[s]), row[s],
                kb[s] == LINE, hit, gap2)
     s = select((kb == POINT) & (ka != POINT) & (measure | (ka == LINE)))
     if len(s):
-        _close(_vertex_segment_min2(b, pb[s], a, pa[s]), row[s],
+        _close(_prim_vertex_segment_min2(b, pb[s], a, pa[s]), row[s],
                ka[s] == LINE, hit, gap2)
 
     both = (ka != POINT) & (kb != POINT)
     s = select(both)
     if len(s):
-        hit[row[s[_segments_cross(a, pa[s], b, pb[s])]]] = True
+        hit[row[s[_prims_cross(a, pa[s], b, pb[s])]]] = True
     if measure:
         # Disjoint segments are closest at a vertex of one of them.
         s = select(both)
         if len(s):
             np.minimum.at(
-                gap2, row[s], _vertex_segment_min2(a, pa[s], b, pb[s])
+                gap2, row[s], _prim_vertex_segment_min2(a, pa[s], b, pb[s])
             )
             np.minimum.at(
-                gap2, row[s], _vertex_segment_min2(b, pb[s], a, pa[s])
+                gap2, row[s], _prim_vertex_segment_min2(b, pb[s], a, pa[s])
             )
 
 
@@ -666,6 +760,165 @@ def _distances(a: _Store, ga, b: _Store, gb) -> np.ndarray:
     return np.where(hit, 0.0, np.sqrt(gap2))
 
 
+def _probes_hit(a: _Store, pa, b: _Store, pb) -> np.ndarray:
+    """Per primitive pair: ``pb`` is a polygon holding the first vertex
+    of ``pa``.  A probe outside the polygon's box (padded by
+    SEGMENT_PAD) is never inside it, nor on its rings."""
+    out = np.zeros(len(pa), dtype=np.bool_)
+    vertex = a.prim_vert[pa]
+    px, py = a.x[vertex], a.y[vertex]
+    x0, y0, x1, y1 = (v[pb] for v in b.prim_bounds)
+    pad = SEGMENT_PAD
+    s = np.flatnonzero(
+        (b.kind[pb] == POLYGON)
+        & (x0 - pad <= px) & (px <= x1 + pad)
+        & (y0 - pad <= py) & (py <= y1 + pad)
+    )
+    if len(s):
+        out[s] = _probes_inside(px[s], py[s], b, pb[s])
+    return out
+
+
+def _contained(a: _Store, ga, b: _Store, gb) -> np.ndarray:
+    """Per row: a primitive of one side has its first vertex in a
+    polygon of the other (containment without a boundary crossing)."""
+    hit = np.zeros(len(ga), dtype=np.bool_)
+    if (a.kind == POLYGON).any() or (b.kind == POLYGON).any():
+        for pa, pb, row in _prim_pairs(a, ga, b, gb):
+            inside = _probes_hit(a, pa, b, pb) | _probes_hit(b, pb, a, pa)
+            hit[row[inside]] = True
+    return hit
+
+
+def _chunks_cross(a: _Store, i, b: _Store, j) -> np.ndarray:
+    """Per run pair: does a segment of run ``i`` of ``a`` meet one of
+    run ``j`` of ``b``?"""
+    ca, cb = a.chunks, b.chunks
+    return _segments_cross(
+        a.segments, ca.seg[i], ca.nvert[i] - 1,
+        b.segments, cb.seg[j], cb.nvert[j] - 1,
+        (cb.xlo[j], cb.ylo[j], cb.xhi[j], cb.yhi[j]),
+    )
+
+
+def _chunks_min2(a: _Store, i, b: _Store, j, limit2=None) -> np.ndarray:
+    """Per run pair: the least squared distance term of ``distance``
+    between run ``i`` of ``a`` and run ``j`` of ``b`` (vertex to
+    segment both ways, point to point between two point runs).  With
+    ``limit2``, a vertex farther than that from the other run's box is
+    skipped: a minimum up to ``limit2`` is exact, a larger one may come
+    out larger (or inf)."""
+    ca, cb = a.chunks, b.chunks
+    box_a = box_b = None
+    if limit2 is not None:
+        box_a = (ca.xlo[i], ca.ylo[i], ca.xhi[i], ca.yhi[i])
+        box_b = (cb.xlo[j], cb.ylo[j], cb.xhi[j], cb.yhi[j])
+    out = np.minimum(
+        _vertex_segment_min2(a, ca.vert[i], ca.nvert[i], b.segments,
+                             cb.seg[j], cb.nvert[j] - 1, box_b, limit2),
+        _vertex_segment_min2(b, cb.vert[j], cb.nvert[j], a.segments,
+                             ca.seg[i], ca.nvert[i] - 1, box_a, limit2),
+    )
+    s = np.flatnonzero((ca.kind[i] == POINT) & (cb.kind[j] == POINT))
+    if len(s):
+        va, vb = ca.vert[i[s]], cb.vert[j[s]]
+        ex = a.x[va] - b.x[vb]
+        ey = a.y[va] - b.y[vb]
+        out[s] = ex * ex + ey * ey
+    return out
+
+
+def _run_starts(row: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of sorted ``row`` begins."""
+    return np.flatnonzero(np.diff(row, prepend=row[:1] - 1))
+
+
+def _hit_tests(a: _Store, i, b: _Store, j, row, hit) -> None:
+    """Mark the rows of run pairs that share a point: a crossing of
+    their segments, or a point within EPSILON of a line or point."""
+    ka, kb = a.chunks.kind[i], b.chunks.kind[j]
+    s = np.flatnonzero((ka != POINT) & (kb != POINT))
+    if len(s):
+        hit[row[s[_chunks_cross(a, i[s], b, j[s])]]] = True
+    s = np.flatnonzero(((ka == POINT) & (kb != POLYGON))
+                       | ((kb == POINT) & (ka != POLYGON)))
+    if len(s):
+        met = np.sqrt(_chunks_min2(a, i[s], b, j[s])) <= EPSILON
+        hit[row[s[met]]] = True
+
+
+def _bound_rows(a: _Store, i, b: _Store, j, row, hit, best2) -> None:
+    """Fold the run pairs ``(i[k], j[k])`` of ``row[k]`` (sorted) into
+    ``hit`` and ``best2``.
+
+    Only run pairs whose boxes come within SEGMENT_PAD can share a
+    point: each row's first such pair is tested, then the rest of the
+    rows still open.  For a row without a hit, its pair of least box
+    gap bounds the distance; then only the pairs (and, in them, the
+    vertices) within that bound of the other run's box are measured."""
+    ca, cb = a.chunks, b.chunks
+    if hit.any():
+        s = np.flatnonzero(~hit[row])
+        i, j, row = i[s], j[s], row[s]
+    ax0, ay0, ax1, ay1 = ca.xlo[i], ca.ylo[i], ca.xhi[i], ca.yhi[i]
+    bx0, by0, bx1, by1 = cb.xlo[j], cb.ylo[j], cb.xhi[j], cb.yhi[j]
+    pad = SEGMENT_PAD
+    near = np.flatnonzero(~(
+        (ax1 + pad < bx0) | (bx1 + pad < ax0)
+        | (ay1 + pad < by0) | (by1 + pad < ay0)
+    ))
+    first = np.zeros(len(near), dtype=np.bool_)
+    first[_run_starts(row[near])] = True
+    for s in (near[first], near[~first]):
+        s = s[~hit[row[s]]]
+        if len(s):
+            _hit_tests(a, i[s], b, j[s], row[s], hit)
+
+    s = np.flatnonzero(~hit[row])
+    if not len(s):
+        return
+    gx = np.maximum(np.maximum(bx0[s] - ax1[s], ax0[s] - bx1[s]), 0.0)
+    gy = np.maximum(np.maximum(by0[s] - ay1[s], ay0[s] - by1[s]), 0.0)
+    gap = np.sqrt(gx * gx + gy * gy)
+    i, j, row = i[s], j[s], row[s]
+    starts = _run_starts(row)
+    least = np.repeat(np.fmin.reduceat(gap, starts),
+                      np.diff(np.append(starts, len(gap))))
+    s = np.flatnonzero(gap == least)
+    seed = s[_run_starts(row[s])]
+    _group_min(_chunks_min2(a, i[seed], b, j[seed]), row[seed], best2)
+    # No term of a pair is below its box gap but by rounding, which is
+    # a few ulps of the coordinates and of the distance: the slack keeps
+    # every pair and vertex that may hold the least term.  A NaN gap is
+    # never cut.
+    bound = np.sqrt(best2[row])
+    limit = bound + SEGMENT_PAD + 1e-9 * (bound + max(ca.scale, cb.scale))
+    keep = ~(gap > limit)
+    keep[seed] = False
+    s = np.flatnonzero(keep)
+    _group_min(_chunks_min2(a, i[s], b, j[s], limit[s] * limit[s]),
+               row[s], best2)
+
+
+def _bounded_distances(a: _Store, ga, b: _Store, gb) -> np.ndarray:
+    """``distance`` of the rows pairing geometry ``ga[r]`` of ``a`` with
+    ``gb[r]`` of ``b``, over the run pairs of :class:`_Chunks` that can
+    decide it (:func:`_bound_rows`)."""
+    hit = _contained(a, ga, b, gb)
+    best2 = np.full(len(ga), np.inf)
+    ca, cb = a.chunks, b.chunks
+    first_a = ca.geom_chunk[ga]
+    count_a = ca.geom_chunk[ga + 1] - first_a
+    first_b = cb.geom_chunk[gb]
+    count_b = cb.geom_chunk[gb + 1] - first_b
+    for lo, hi in _cuts(count_a * count_b):
+        i, row = ranges(first_a[lo:hi], count_a[lo:hi])
+        row += lo
+        j, entry = ranges(first_b[row], count_b[row])
+        _bound_rows(a, i[entry], b, j, row[entry], hit, best2)
+    return np.where(hit, 0.0, np.sqrt(best2))
+
+
 def distance_rows(a: GeomCSR, b: GeomCSR) -> np.ndarray:
     """``distance`` of every row; NaN where a row lacks a geometry.
     Raises :class:`GeometryError` when a row holds an empty one."""
@@ -674,7 +927,7 @@ def distance_rows(a: GeomCSR, b: GeomCSR) -> np.ndarray:
     if (a.store.empty[ga] | b.store.empty[gb]).any():
         raise GeometryError("distance to an empty geometry is undefined")
     if len(rows):
-        out[rows] = _distances(a.store, ga, b.store, gb)
+        out[rows] = _bounded_distances(a.store, ga, b.store, gb)
     return out
 
 

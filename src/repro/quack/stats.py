@@ -169,17 +169,32 @@ def as_number(value: Any) -> float | None:
     return None
 
 
+class _TimeSpanBox:
+    """A time span as a box: only a ``t`` interval, the axis the span
+    codec's column statistics and zone maps use."""
+
+    __slots__ = ("tspan",)
+
+    def __init__(self, span: Any):
+        self.tspan = span
+
+
 def box_of(value: Any) -> Any | None:
     """Extract a bounding box from a value, duck-typed.
 
     Accepts STBox/TBox-shaped objects directly (``has_x``/``has_t``
-    properties) and temporal values exposing an ``stbox()`` method.
-    Returns ``None`` when the value carries no box.
+    properties), time spans (a ``timestamptz`` base type and bounds)
+    and temporal values exposing an ``stbox()`` method.  Returns
+    ``None`` when the value carries no box.
     """
     if value is None:
         return None
     if hasattr(value, "has_x") and hasattr(value, "has_t"):
         return value
+    basetype = getattr(value, "basetype", None)
+    if (getattr(basetype, "name", None) == "timestamptz"
+            and hasattr(value, "lower_inc")):
+        return _TimeSpanBox(value)
     stbox = getattr(value, "stbox", None)
     if callable(stbox):
         try:

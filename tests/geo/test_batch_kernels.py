@@ -11,6 +11,7 @@ bit for bit, for every batch shape.
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.geo import (
     geometry_csr,
     intersects_rows,
 )
+from repro.geo import kernels
 from repro.geo.algorithms import (
     EPSILON,
     point_in_polygon,
@@ -302,10 +304,10 @@ def test_batch_shape_invariance(batch):
         assert intersects_rows(taken_a, taken_b).tolist() == [hits[i]] * 2
 
 
-def test_blocks_do_not_change_results(monkeypatch):
-    """Cutting the pair axis into tiny blocks gives the same bits."""
-    from repro.geo import kernels
-
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_blocks_do_not_change_results(monkeypatch, chunk):
+    """Cutting the pair axis into tiny blocks, and the rings into runs
+    of any length (64: longer than every line), gives the same bits."""
     rng = np.random.default_rng(7)
 
     def walk(n):
@@ -318,11 +320,99 @@ def test_blocks_do_not_change_results(monkeypatch):
     a, b = geometry_csr(left), geometry_csr(right)
     hits, gaps = intersects_rows(a, b), distance_rows(a, b)
     monkeypatch.setattr(kernels, "_BLOCK", 64)
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    # fresh stores: their run index is cut at the new length
+    a, b = geometry_csr(left), geometry_csr(right)
     assert intersects_rows(a, b).tolist() == hits.tolist()
     assert [_bits(v) for v in distance_rows(a, b)] == [_bits(v) for v in gaps]
     for i, (ga, gb) in enumerate(zip(left, right)):
         assert hits[i] == ref_intersects(ga, gb)
         assert _bits(gaps[i]) == _bits(ref_distance(ga, gb))
+        assert _bits(geo.distance(ga, gb)) == _bits(gaps[i])
+
+
+# ---------------------------------------------------------------------------
+# The bounded distance: rows spanning many runs
+# ---------------------------------------------------------------------------
+
+#: a walk's steps are short, so a long line's runs have tight boxes and
+#: the bound prunes; whole steps keep grid overlaps common
+step = st.one_of(
+    st.integers(-1, 1).map(float),
+    st.floats(-1.5, 1.5, allow_nan=False, width=32),
+)
+
+
+@st.composite
+def walks(draw, srid=0):
+    x, y = draw(xy)
+    points = [(x, y)]
+    for dx, dy in draw(st.lists(st.tuples(step, step), min_size=1,
+                                max_size=39)):
+        x, y = x + dx, y + dy
+        points.append((x, y))
+    return LineString(points, srid)
+
+
+@st.composite
+def long_geometries(draw):
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(walks())
+    if kind == 1:
+        return MultiLineString(draw(st.lists(walks(), min_size=1,
+                                             max_size=3)))
+    if kind == 2:
+        return GeometryCollection(draw(st.lists(
+            st.one_of(walks(), polygons(), points()), min_size=1,
+            max_size=4,
+        )))
+    if kind == 3:
+        return draw(polygons())
+    return draw(points())
+
+
+@given(st.lists(st.tuples(long_geometries(), long_geometries()),
+                min_size=1, max_size=3),
+       st.sampled_from([1, 2, 3, 8, 64]))
+@settings(max_examples=100, deadline=None)
+def test_bounded_distance_equals_reference(pairs, chunk):
+    """Lines of up to 40 vertices and collections of them, beside
+    polygons with holes and points: the batch kernel and the scalar
+    entry point give the reference's float bits at every run length."""
+    left = [a for a, _ in pairs]
+    right = [b for _, b in pairs]
+    with mock.patch.object(kernels, "_CHUNK", chunk):
+        got = distance_rows(geometry_csr(left), geometry_csr(right))
+        scalar = [geo.distance(a, b) for a, b in pairs]
+    for value, one, (a, b) in zip(got.tolist(), scalar, pairs):
+        want = ref_distance(a, b)
+        assert _bits(value) == _bits(want)
+        assert _bits(one) == _bits(want)
+
+
+def test_near_ties_keep_their_bits():
+    """Parallel lines closer than EPSILON (a hit) and just past it (a
+    gap below SEGMENT_PAD), and a minimum that two run pairs attain."""
+    base = [(float(i), 0.0) for i in range(30)]
+    line = LineString(base)
+    # y = 3 but for two vertices at y = 1, in runs 0 and 3 of 8 segments
+    bumps = LineString([(float(i), 1.0 if i in (4, 25) else 3.0)
+                        for i in range(30)])
+    left = [line, line, line, LineString(base[::-1]),
+            MultiLineString([LineString(base[:10]), LineString(base[20:])])]
+    right = [LineString([(x, y + 4e-10) for x, y in base]),
+             LineString([(x, y + 1.5e-9) for x, y in base]),
+             bumps, bumps, bumps]
+    want = [ref_distance(a, b) for a, b in zip(left, right)]
+    assert want[0] == 0.0 and 0.0 < want[1] < 2 * EPSILON
+    assert want[2:] == [1.0, 1.0, 1.0]
+    for chunk in (1, 3, 8, 64):
+        with mock.patch.object(kernels, "_CHUNK", chunk):
+            got = distance_rows(geometry_csr(left), geometry_csr(right))
+            scalar = [geo.distance(a, b) for a, b in zip(left, right)]
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert [_bits(v) for v in scalar] == [_bits(v) for v in want]
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +678,25 @@ def test_kernel_counters_in_explain_analyze(duck):
     text = duck.execute("EXPLAIN ANALYZE " + KERNEL_QUERIES["q17"]
                         ).fetchall()[0][0]
     assert f"geo.kernel_rows={164 * 100}" in text
+
+
+def test_q5_measures_only_bounded_pairs(duck, row_engine_rows, unverified):
+    """Q5's ST_Distance evaluates only the run pairs that can decide a
+    row: at most half of the 334,718 element pairs that expanding every
+    vertex x segment pair of every row took."""
+    result = duck.execute(KERNEL_QUERIES["st_distance"])
+    assert repr(result.fetchall()) == repr(row_engine_rows["st_distance"])
+    assert 0 < result.stats().counters["geo.kernel_pairs"] <= 167_359
+
+
+@pytest.mark.parametrize("variant", ["sql", "optimized_sql"])
+def test_q5_variants_under_verification(duck, row_engine_rows, variant,
+                                        verification):
+    """Both Q5 spellings (WKB and ``*_gs``) cross-check the batch hook
+    against the row loop and give the row engine's doubles."""
+    result = duck.execute(getattr(get_query(5), variant))
+    assert repr(result.fetchall()) == repr(row_engine_rows["st_distance"])
+    assert result.stats().counters["verify.kernel_crosschecks"] > 0
 
 
 def test_q16_exact_tests_once_per_distinct_pair(duck, monkeypatch):

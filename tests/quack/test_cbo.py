@@ -9,6 +9,7 @@ plan also passes the RewriteVerifier's schema/conjunct checks (the CI
 job additionally exports ``REPRO_VERIFICATION=1`` suite-wide).
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -463,6 +464,60 @@ class TestStatistics:
         )
         assert 0.0 < narrow < wide <= 1.0
         con.close()
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_constant_span_probes_are_estimated(self, connect):
+        """A constant time span is a box with only a ``t`` interval, so
+        ``@>`` and ``&&`` against one read the column's span extents
+        instead of the default selectivity: q-error within 2."""
+        con = connect()
+        con.execute("CREATE TABLE s(id INTEGER, p TSTZSPAN)")
+        con.execute("CREATE TABLE n(k INTEGER)")
+        con.execute("INSERT INTO s VALUES " + ", ".join(
+            f"({i}, '[2025-01-01, 2025-01-0{1 + i % 8}]')"
+            for i in range(300)
+        ))
+        con.execute("INSERT INTO n VALUES "
+                    + ", ".join(f"({k})" for k in range(10)))
+        probe = ("tstzspan '[2025-01-01 06:00:00+00,"
+                 " 2025-01-01 12:00:00+00]'")
+        for op in ("@>", "&&"):
+            plan = con.execute(
+                f"EXPLAIN ANALYZE SELECT count(*) FROM s, n"
+                f" WHERE s.p {op} {probe} AND s.id = n.k"
+            ).fetchall()[0][0]
+            line = next(line for line in plan.splitlines()
+                        if line.strip().startswith("FILTER"))
+            rows = int(re.search(r"rows=(\d+)", line).group(1))
+            est = int(re.search(r"est=(\d+)", line).group(1))
+            # every span but the one-instant [01-01, 01-01] matches
+            assert rows == 262, op
+            assert max(rows / est, est / rows) <= 2.0, (op, est)
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    @pytest.mark.parametrize("gather", ["analyze", "join"])
+    def test_list_and_blob_distinct_counts(self, connect, gather):
+        """ANALYZE, explicit or gathered by a table's first join, counts
+        LIST values (which do not hash) and BLOBs as the rows do."""
+        con = connect()
+        con.execute("CREATE TABLE src(k INTEGER, v INTEGER, s VARCHAR)")
+        con.execute("INSERT INTO src VALUES " + ", ".join(
+            f"({i % 7}, {i % 3}, 'w{i % 5}')" for i in range(60)
+        ))
+        con.execute("CREATE TABLE t(id INTEGER, l LIST, b BLOB)")
+        con.execute("INSERT INTO t SELECT k, list(v), s::BLOB"
+                    " FROM src GROUP BY k, s")
+        if gather == "analyze":
+            con.execute("ANALYZE t")
+        else:
+            con.execute("SELECT count(*) FROM t, src WHERE t.id = src.k")
+        rows = con.execute("SELECT l, b FROM t").fetchall()
+        stats = con.database.catalog.get_table("t").stats
+        lists = {tuple(values) for values, _ in rows}
+        blobs = {blob for _, blob in rows}
+        assert 1 < len(lists) < len(rows) and len(blobs) == 5
+        assert stats.column(1).distinct_count == len(lists)
+        assert stats.column(2).distinct_count == len(blobs)
 
     def test_selectivities_clamped(self):
         from repro.quack import stats as table_stats

@@ -549,6 +549,40 @@ class TestZoneMapSkipping:
         stats = att.last_query_stats
         assert stats.counter("storage.rowgroups_skipped") >= 3
 
+    def test_time_span_probes_prune(self, tmp_path):
+        """A constant time span is a box with a ``t`` interval: ``&&``,
+        ``@>`` and ``<@`` against one skip the span column's row groups
+        and give the same rows attached, in memory and unpruned."""
+        from repro.meos import TSTZ, Span
+
+        hour = 3_600_000_000
+        con = core.connect()
+        con.execute("CREATE TABLE s(id BIGINT, p TSTZSPAN)")
+        con.database.catalog.get_table("s").append_rows([
+            (i, Span(i * hour, (i + 8) * hour, True, False, TSTZ))
+            for i in range(STANDARD_VECTOR_SIZE * 5)
+        ])
+        path = tmp_path / "spans.quackdb"
+        con.execute(f"CHECKPOINT '{path}'")
+        att = core.connect()
+        att.execute(f"ATTACH '{path}'")
+        for op, probe, count in (
+                ("&&", "[1970-01-02 00:00:00+00, 1970-01-02 02:00:00+00]",
+                 10),
+                ("@>", "[1970-01-02 00:00:00+00, 1970-01-02 02:00:00+00]",
+                 6),
+                ("<@", "[1970-01-01 20:00:00+00, 1970-01-02 16:00:00+00]",
+                 13)):
+            sql = f"SELECT id FROM s WHERE p {op} tstzspan '{probe}'"
+            rows = att.execute(sql).fetchall()
+            assert len(rows) == count, op
+            assert self._counters(att)[1] == 4, op
+            assert sorted(con.execute(sql).fetchall()) == sorted(rows)
+            assert self._counters(con)[1] == 4, op
+            con.execute("SET zone_maps = 'off'")
+            assert sorted(con.execute(sql).fetchall()) == sorted(rows)
+            con.execute("SET zone_maps = 'on'")
+
     def test_explain_analyze_shows_rowgroups(self, tmp_path):
         _, att = self._attached(tmp_path)
         text = att.execute(
