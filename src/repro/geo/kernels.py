@@ -10,16 +10,17 @@ A :class:`GeomCSR` holds a batch of geometries as flat arrays::
 plus primitive kind codes and per-geometry bounds, SRID and emptiness.
 ``intersects_rows`` / ``dwithin_rows`` answer the predicate for every
 row of two row-aligned batches: a bounds prefilter on the arrays, then
-every undecided row's segment x segment, vertex x segment and probe x
-ring-edge pairs are expanded with offset arithmetic, evaluated
-elementwise and reduced per row.  ``distance_rows`` bounds that work
-instead: each ring is cut into runs of ``_CHUNK`` segments with a box
-(:class:`_Chunks`); only run pairs whose boxes come within SEGMENT_PAD
-can share a point, and a row that shares none is measured on the run
-pairs, and the vertices, no farther from the other run's box than the
-distance its nearest pair gives (:func:`_bound_rows`).  The pair axis
-is cut into blocks of ``_BLOCK`` pairs, so scratch stays small however
-many rows or vertices a call carries.
+``intersects_rows`` expands every undecided row's segment x segment,
+vertex x segment and probe x ring-edge pairs with offset arithmetic,
+evaluates them elementwise and reduces them per row.  ``distance_rows``
+and ``dwithin_rows`` bound that work instead: each ring is cut into runs
+of ``_CHUNK`` segments with a box (:class:`_Chunks`); only run pairs
+whose boxes come within SEGMENT_PAD can share a point, and a row that
+shares none is measured on the run pairs, and the vertices, no farther
+from the other run's box than its bound: ``dwithin``'s distance, or
+the distance its nearest pair gives (:func:`_bound_rows`).  The pair
+axis is cut into blocks of ``_BLOCK`` pairs, so scratch stays small
+however many rows or vertices a call carries.
 
 Every pair is evaluated by the formulas of :mod:`.algorithms`' segment
 primitives, in the same operation order, and reduced with exact
@@ -417,6 +418,8 @@ def _cuts(length: np.ndarray) -> Iterator[tuple[int, int]]:
     ends = np.cumsum(length)
     n = len(length)
     if n and ends[-1] <= _BLOCK:
+        # One block, no search: the row engine's one-row distance calls
+        # cut about six times each (3-5 % of a call on Q5's pairs).
         yield 0, n
         return
     lo = done = 0
@@ -549,6 +552,7 @@ def _vertex_segment_min2(a: _Store, first_v, count_v, sb: _Segments,
     and ``limit2``, a vertex whose squared distance to the box exceeds
     ``limit2[k]`` is skipped: the pair's terms from it are larger."""
     out = np.full(len(first_v), np.inf)
+    count_v = np.where(count_s > 0, count_v, 0)
     for vertex, pair in _range_blocks(first_v, count_v):
         px, py = a.x[vertex], a.y[vertex]
         if box is not None:
@@ -635,86 +639,70 @@ def _prim_pairs(a: _Store, ga, b: _Store, gb):
             yield pa[entry], pb, row[entry]
 
 
-def _evaluate(a: _Store, ga, b: _Store, gb, measure: bool,
-              prefilter: bool):
+def _evaluate(a: _Store, ga, b: _Store, gb) -> np.ndarray:
     """For rows pairing geometry ``ga[r]`` of ``a`` with ``gb[r]`` of
-    ``b``: ``hit[r]`` (they share a point) and, with ``measure``,
-    ``gap2[r]``, the least squared vertex-to-segment or point-to-point
-    distance over their primitive pairs (meaningful where not hit).
-
-    ``prefilter`` skips primitive pairs with disjoint bounds, as
-    ``intersects`` does and ``dwithin``'s measure does not."""
+    ``b``: do they share a point?  Primitive pairs with disjoint bounds
+    are skipped, as ``intersects`` skips them."""
     hit = np.zeros(len(ga), dtype=np.bool_)
-    gap2 = np.full(len(ga), np.inf)
     for pa, pb, row in _prim_pairs(a, ga, b, gb):
-        if prefilter:
-            ax0, ay0, ax1, ay1 = (v[pa] for v in a.prim_bounds)
-            bx0, by0, bx1, by1 = (v[pb] for v in b.prim_bounds)
-            near = ~(
-                (ax1 < bx0) | (bx1 < ax0) | (ay1 < by0) | (by1 < ay0)
-            )
-            pa, pb, row = pa[near], pb[near], row[near]
-        _evaluate_prims(a, pa, b, pb, row, hit, gap2, measure)
-    return hit, gap2
+        ax0, ay0, ax1, ay1 = (v[pa] for v in a.prim_bounds)
+        bx0, by0, bx1, by1 = (v[pb] for v in b.prim_bounds)
+        near = ~((ax1 < bx0) | (bx1 < ax0) | (ay1 < by0) | (by1 < ay0))
+        _evaluate_prims(a, pa[near], b, pb[near], row[near], hit)
+    return hit
 
 
-def _evaluate_prims(a: _Store, pa, b: _Store, pb, row, hit, gap2,
-                    measure: bool) -> None:
-    ka, kb = a.kind[pa], b.kind[pb]
-    va, vb = a.prim_vert[pa], b.prim_vert[pb]
+def _evaluate_prims(a: _Store, pa, b: _Store, pb, row, hit) -> None:
+    hit[row[_probes_hit(a, pa, b, pb) | _probes_hit(b, pb, a, pa)]] = True
 
     def select(mask):
         return np.flatnonzero(mask & ~hit[row])
 
-    # A point inside a polygon, or a line or polygon with its first
-    # vertex inside one (containment without a boundary crossing).
-    s = select(kb == POLYGON)
-    if len(s):
-        inside = _probes_inside(a.x[va[s]], a.y[va[s]], b, pb[s])
-        hit[row[s[inside]]] = True
-    s = select(ka == POLYGON)
-    if len(s):
-        inside = _probes_inside(b.x[vb[s]], b.y[vb[s]], a, pa[s])
-        hit[row[s[inside]]] = True
-
     # Point against point, and point against the segments of a line:
-    # they meet within EPSILON.  A point's gap to a polygon's rings only
-    # matters as a distance.
+    # they meet within EPSILON.
+    ka, kb = a.kind[pa], b.kind[pb]
     s = select((ka == POINT) & (kb == POINT))
     if len(s):
-        ex = a.x[va[s]] - b.x[vb[s]]
-        ey = a.y[va[s]] - b.y[vb[s]]
-        _close(ex * ex + ey * ey, row[s], True, hit, gap2)
-    s = select((ka == POINT) & (kb != POINT) & (measure | (kb == LINE)))
+        va, vb = a.prim_vert[pa[s]], b.prim_vert[pb[s]]
+        ex = a.x[va] - b.x[vb]
+        ey = a.y[va] - b.y[vb]
+        _close(ex * ex + ey * ey, row[s], hit)
+    s = select((ka == POINT) & (kb == LINE))
     if len(s):
-        _close(_prim_vertex_segment_min2(a, pa[s], b, pb[s]), row[s],
-               kb[s] == LINE, hit, gap2)
-    s = select((kb == POINT) & (ka != POINT) & (measure | (ka == LINE)))
+        _close(_prim_vertex_segment_min2(a, pa[s], b, pb[s]), row[s], hit)
+    s = select((kb == POINT) & (ka == LINE))
     if len(s):
-        _close(_prim_vertex_segment_min2(b, pb[s], a, pa[s]), row[s],
-               ka[s] == LINE, hit, gap2)
+        _close(_prim_vertex_segment_min2(b, pb[s], a, pa[s]), row[s], hit)
 
-    both = (ka != POINT) & (kb != POINT)
-    s = select(both)
+    s = select((ka != POINT) & (kb != POINT))
     if len(s):
         hit[row[s[_prims_cross(a, pa[s], b, pb[s])]]] = True
-    if measure:
-        # Disjoint segments are closest at a vertex of one of them.
-        s = select(both)
-        if len(s):
-            np.minimum.at(
-                gap2, row[s], _prim_vertex_segment_min2(a, pa[s], b, pb[s])
-            )
-            np.minimum.at(
-                gap2, row[s], _prim_vertex_segment_min2(b, pb[s], a, pa[s])
-            )
 
 
-def _close(dist2, row, meets, hit, gap2) -> None:
-    """Fold point-involving pairs into the rows: a pair closer than
-    EPSILON (where ``meets`` allows it) is a hit; all are gaps."""
-    hit[row[(np.sqrt(dist2) <= EPSILON) & meets]] = True
-    np.minimum.at(gap2, row, dist2)
+def _close(dist2, row, hit) -> None:
+    """A point pair closer than EPSILON is a hit."""
+    hit[row[np.sqrt(dist2) <= EPSILON]] = True
+
+
+def _probes_hit(a: _Store, pa, b: _Store, pb) -> np.ndarray:
+    """Per primitive pair: ``pb`` is a polygon holding the first vertex
+    of ``pa`` (a point in a polygon, or a line or polygon inside one
+    without a boundary crossing).  A probe outside the polygon's box
+    (padded by SEGMENT_PAD) is never inside it, nor on its rings."""
+    out = np.zeros(len(pa), dtype=np.bool_)
+    s = np.flatnonzero(b.kind[pb] == POLYGON)
+    vertex = a.prim_vert[pa[s]]
+    px, py = a.x[vertex], a.y[vertex]
+    x0, y0, x1, y1 = (v[pb[s]] for v in b.prim_bounds)
+    pad = SEGMENT_PAD
+    near = np.flatnonzero(
+        (x0 - pad <= px) & (px <= x1 + pad)
+        & (y0 - pad <= py) & (py <= y1 + pad)
+    )
+    if len(near):
+        s = s[near]
+        out[s] = _probes_inside(px[near], py[near], b, pb[s])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -749,33 +737,7 @@ def intersects_rows(a: GeomCSR, b: GeomCSR) -> np.ndarray:
     rows, ga, gb = _paired(a, b)
     near = np.flatnonzero(~_apart(a.store, ga, b.store, gb))
     if len(near):
-        out[rows[near]], _ = _evaluate(
-            a.store, ga[near], b.store, gb[near], False, True
-        )
-    return out
-
-
-def _distances(a: _Store, ga, b: _Store, gb) -> np.ndarray:
-    hit, gap2 = _evaluate(a, ga, b, gb, True, False)
-    return np.where(hit, 0.0, np.sqrt(gap2))
-
-
-def _probes_hit(a: _Store, pa, b: _Store, pb) -> np.ndarray:
-    """Per primitive pair: ``pb`` is a polygon holding the first vertex
-    of ``pa``.  A probe outside the polygon's box (padded by
-    SEGMENT_PAD) is never inside it, nor on its rings."""
-    out = np.zeros(len(pa), dtype=np.bool_)
-    vertex = a.prim_vert[pa]
-    px, py = a.x[vertex], a.y[vertex]
-    x0, y0, x1, y1 = (v[pb] for v in b.prim_bounds)
-    pad = SEGMENT_PAD
-    s = np.flatnonzero(
-        (b.kind[pb] == POLYGON)
-        & (x0 - pad <= px) & (px <= x1 + pad)
-        & (y0 - pad <= py) & (py <= y1 + pad)
-    )
-    if len(s):
-        out[s] = _probes_inside(px[s], py[s], b, pb[s])
+        out[rows[near]] = _evaluate(a.store, ga[near], b.store, gb[near])
     return out
 
 
@@ -847,15 +809,16 @@ def _hit_tests(a: _Store, i, b: _Store, j, row, hit) -> None:
         hit[row[s[met]]] = True
 
 
-def _bound_rows(a: _Store, i, b: _Store, j, row, hit, best2) -> None:
+def _bound_rows(a: _Store, i, b: _Store, j, row, hit, best2, cap) -> None:
     """Fold the run pairs ``(i[k], j[k])`` of ``row[k]`` (sorted) into
     ``hit`` and ``best2``.
 
     Only run pairs whose boxes come within SEGMENT_PAD can share a
     point: each row's first such pair is tested, then the rest of the
-    rows still open.  For a row without a hit, its pair of least box
-    gap bounds the distance; then only the pairs (and, in them, the
-    vertices) within that bound of the other run's box are measured."""
+    rows still open.  For a row without a hit, its ``cap`` bounds the
+    distance, or, where that is infinite, its pair of least box gap
+    does; then only the pairs (and, in them, the vertices) within that
+    bound of the other run's box are measured."""
     ca, cb = a.chunks, b.chunks
     if hit.any():
         s = np.flatnonzero(~hit[row])
@@ -881,17 +844,20 @@ def _bound_rows(a: _Store, i, b: _Store, j, row, hit, best2) -> None:
     gy = np.maximum(np.maximum(by0[s] - ay1[s], ay0[s] - by1[s]), 0.0)
     gap = np.sqrt(gx * gx + gy * gy)
     i, j, row = i[s], j[s], row[s]
-    starts = _run_starts(row)
-    least = np.repeat(np.fmin.reduceat(gap, starts),
-                      np.diff(np.append(starts, len(gap))))
-    s = np.flatnonzero(gap == least)
-    seed = s[_run_starts(row[s])]
-    _group_min(_chunks_min2(a, i[seed], b, j[seed]), row[seed], best2)
+    s = np.flatnonzero(np.isposinf(cap[row]))
+    seed = np.empty(0, dtype=_INT)
+    if len(s):
+        starts = _run_starts(row[s])
+        least = np.repeat(np.fmin.reduceat(gap[s], starts),
+                          np.diff(np.append(starts, len(s))))
+        s = s[gap[s] == least]
+        seed = s[_run_starts(row[s])]
+        _group_min(_chunks_min2(a, i[seed], b, j[seed]), row[seed], best2)
     # No term of a pair is below its box gap but by rounding, which is
     # a few ulps of the coordinates and of the distance: the slack keeps
     # every pair and vertex that may hold the least term.  A NaN gap is
     # never cut.
-    bound = np.sqrt(best2[row])
+    bound = np.fmin(np.sqrt(best2[row]), cap[row])
     limit = bound + SEGMENT_PAD + 1e-9 * (bound + max(ca.scale, cb.scale))
     keep = ~(gap > limit)
     keep[seed] = False
@@ -900,10 +866,12 @@ def _bound_rows(a: _Store, i, b: _Store, j, row, hit, best2) -> None:
                row[s], best2)
 
 
-def _bounded_distances(a: _Store, ga, b: _Store, gb) -> np.ndarray:
+def _bounded_distances(a: _Store, ga, b: _Store, gb, cap) -> np.ndarray:
     """``distance`` of the rows pairing geometry ``ga[r]`` of ``a`` with
     ``gb[r]`` of ``b``, over the run pairs of :class:`_Chunks` that can
-    decide it (:func:`_bound_rows`)."""
+    decide it (:func:`_bound_rows`).  Exact up to ``cap[r]`` plus
+    SEGMENT_PAD; a row farther apart may come out larger (or inf), so
+    ``dwithin``'s test against its distance gives the same answer."""
     hit = _contained(a, ga, b, gb)
     best2 = np.full(len(ga), np.inf)
     ca, cb = a.chunks, b.chunks
@@ -915,7 +883,7 @@ def _bounded_distances(a: _Store, ga, b: _Store, gb) -> np.ndarray:
         i, row = ranges(first_a[lo:hi], count_a[lo:hi])
         row += lo
         j, entry = ranges(first_b[row], count_b[row])
-        _bound_rows(a, i[entry], b, j, row[entry], hit, best2)
+        _bound_rows(a, i[entry], b, j, row[entry], hit, best2, cap)
     return np.where(hit, 0.0, np.sqrt(best2))
 
 
@@ -927,7 +895,8 @@ def distance_rows(a: GeomCSR, b: GeomCSR) -> np.ndarray:
     if (a.store.empty[ga] | b.store.empty[gb]).any():
         raise GeometryError("distance to an empty geometry is undefined")
     if len(rows):
-        out[rows] = _bounded_distances(a.store, ga, b.store, gb)
+        out[rows] = _bounded_distances(a.store, ga, b.store, gb,
+                                       np.full(len(rows), np.inf))
     return out
 
 
@@ -939,6 +908,7 @@ def dwithin_rows(a: GeomCSR, b: GeomCSR, dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)[rows]
     near = np.flatnonzero(~_apart(a.store, ga, b.store, gb, dist))
     if len(near):
-        gaps = _distances(a.store, ga[near], b.store, gb[near])
+        gaps = _bounded_distances(a.store, ga[near], b.store, gb[near],
+                                  dist[near])
         out[rows[near]] = gaps <= dist[near] + EPSILON
     return out

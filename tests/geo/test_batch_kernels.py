@@ -325,6 +325,7 @@ def test_blocks_do_not_change_results(monkeypatch, chunk):
     a, b = geometry_csr(left), geometry_csr(right)
     assert intersects_rows(a, b).tolist() == hits.tolist()
     assert [_bits(v) for v in distance_rows(a, b)] == [_bits(v) for v in gaps]
+    _assert_dwithin_edges(left, right, gaps.tolist())
     for i, (ga, gb) in enumerate(zip(left, right)):
         assert hits[i] == ref_intersects(ga, gb)
         assert _bits(gaps[i]) == _bits(ref_distance(ga, gb))
@@ -385,10 +386,22 @@ def test_bounded_distance_equals_reference(pairs, chunk):
     with mock.patch.object(kernels, "_CHUNK", chunk):
         got = distance_rows(geometry_csr(left), geometry_csr(right))
         scalar = [geo.distance(a, b) for a, b in pairs]
-    for value, one, (a, b) in zip(got.tolist(), scalar, pairs):
-        want = ref_distance(a, b)
-        assert _bits(value) == _bits(want)
-        assert _bits(one) == _bits(want)
+        want = [ref_distance(a, b) for a, b in pairs]
+        _assert_dwithin_edges(left, right, want)
+    for value, one, expected in zip(got.tolist(), scalar, want):
+        assert _bits(value) == _bits(expected)
+        assert _bits(one) == _bits(expected)
+
+
+def _assert_dwithin_edges(left, right, distances):
+    """``dwithin_rows`` equals the reference at the distances where its
+    answer turns (each row's distance less EPSILON, one ulp either
+    side), where the search is cut at the cap."""
+    a, b = geometry_csr(left), geometry_csr(right)
+    for shift in (-math.inf, 0.0, math.inf):
+        dist = [math.nextafter(d - EPSILON, shift) for d in distances]
+        want = [ref_dwithin(x, y, z) for x, y, z in zip(left, right, dist)]
+        assert dwithin_rows(a, b, np.array(dist)).tolist() == want
 
 
 def test_near_ties_keep_their_bits():
@@ -411,8 +424,20 @@ def test_near_ties_keep_their_bits():
         with mock.patch.object(kernels, "_CHUNK", chunk):
             got = distance_rows(geometry_csr(left), geometry_csr(right))
             scalar = [geo.distance(a, b) for a, b in zip(left, right)]
+            _assert_dwithin_edges(left, right, want)
         assert [_bits(v) for v in got] == [_bits(v) for v in want]
         assert [_bits(v) for v in scalar] == [_bits(v) for v in want]
+
+
+def test_dwithin_turns_where_the_reference_does():
+    """Coordinates so small that only SEGMENT_PAD in the slack keeps a
+    run pair whose box gap is the distance itself (two points, a point
+    square off a segment)."""
+    left = [Point(0.0, 0.0), LineString([(0.0, 0.0), (0.001, 0.0)])]
+    right = [Point(0.003, 0.004), Point(0.0005, 0.002)]
+    _assert_dwithin_edges(
+        left, right, [ref_distance(a, b) for a, b in zip(left, right)]
+    )
 
 
 # ---------------------------------------------------------------------------
