@@ -65,6 +65,44 @@ def _numeric_binop(op: Callable[[Any, Any], Any]):
     return fn_vector
 
 
+_BIGINT_MIN, _BIGINT_MAX = -(1 << 63), (1 << 63) - 1
+
+#: Below this magnitude (as a float64 estimate) an int64 product or sum
+#: is exact: float rounding stays far inside the factor of two to 2**63.
+_BIGINT_SAFE = 2.0 ** 62
+
+
+def _bigint(value: Any) -> int:
+    """``value`` as a BIGINT, or the typed error PostgreSQL and DuckDB
+    raise when integer arithmetic leaves int64."""
+    value = int(value)
+    if not _BIGINT_MIN <= value <= _BIGINT_MAX:
+        raise ExecutionError("BIGINT out of range")
+    return value
+
+
+def _bigint_binop(np_op, py_op: Callable[[int, int], int]):
+    """Vectorized int64 ``+``/``-``/``*``: NumPy wraps on overflow, so
+    the valid rows that may have left int64 are re-done exactly."""
+    def fn_vector(args: list[Vector], count: int) -> Vector:
+        left, right = args
+        a, b = left.data, right.data
+        data = np_op(a, b)
+        validity = np.logical_and(left.validity, right.validity)
+        if np_op is np.add:
+            suspect = ((a ^ data) & (b ^ data)) < 0
+        elif np_op is np.subtract:
+            suspect = ((a ^ b) & (a ^ data)) < 0
+        else:
+            suspect = np.abs(a.astype(np.float64)
+                             * b.astype(np.float64)) >= _BIGINT_SAFE
+        for i in np.flatnonzero(suspect & validity).tolist():
+            data[i] = _bigint(py_op(int(a[i]), int(b[i])))
+        return Vector(BIGINT, data, validity)
+
+    return fn_vector
+
+
 def _compare_vectors(op_name: str):
     py_ops = {
         "=": lambda a, b: a == b,
@@ -129,9 +167,12 @@ def _register_arithmetic(registry: FunctionRegistry) -> None:
     for name, py_op, np_op in specs:
         for ltype in (INTEGER, BIGINT):
             registry.register_scalar(
-                ScalarFunction(name, (ltype, ltype), BIGINT,
-                               fn_scalar=py_op,
-                               fn_vector=_numeric_binop(np_op))
+                ScalarFunction(
+                    name, (ltype, ltype), BIGINT,
+                    fn_scalar=lambda a, b, _op=py_op: _bigint(
+                        _op(int(a), int(b))),
+                    fn_vector=_bigint_binop(np_op, py_op),
+                )
             )
         registry.register_scalar(
             ScalarFunction(name, (DOUBLE, DOUBLE), DOUBLE,
@@ -151,7 +192,8 @@ def _register_arithmetic(registry: FunctionRegistry) -> None:
                        fn_scalar=lambda a, b: (a % b) if b != 0 else None)
     )
     registry.register_scalar(
-        ScalarFunction("-", (BIGINT,), BIGINT, fn_scalar=lambda a: -a)
+        ScalarFunction("-", (BIGINT,), BIGINT,
+                       fn_scalar=lambda a: _bigint(-int(a)))
     )
     registry.register_scalar(
         ScalarFunction("-", (DOUBLE,), DOUBLE, fn_scalar=lambda a: -a)
@@ -425,9 +467,14 @@ def _batch_sum_int(args, codes, n_groups, ltype) -> Vector | None:
     if vec.ltype.physical != "int64":
         return None
     valid = vec.validity
-    sums, present = segment_reduce(
-        np.add, vec.data[valid], codes[valid], n_groups
-    )
+    values, grouped = vec.data[valid], codes[valid]
+    sums, present = segment_reduce(np.add, values, grouped, n_groups)
+    # int64 addition wraps, so a group whose magnitude may reach 2**63
+    # is summed again exactly.
+    magnitude = np.bincount(grouped, weights=np.abs(
+        values.astype(np.float64)), minlength=n_groups)
+    for group in np.flatnonzero(magnitude >= _BIGINT_SAFE).tolist():
+        sums[group] = _bigint(sum(values[grouped == group].tolist()))
     return Vector(ltype, sums, present)
 
 
@@ -546,8 +593,9 @@ def _register_aggregates(registry: FunctionRegistry) -> None:
         AggregateFunction(
             "sum", (BIGINT,), BIGINT,
             init=lambda: None,
-            step=lambda state, value: value if state is None else state + value,
-            final=lambda state: state,
+            step=lambda state, value: (int(value) if state is None
+                                       else state + int(value)),
+            final=lambda state: state if state is None else _bigint(state),
             step_batch=_batch_sum_int,
         )
     )

@@ -477,7 +477,12 @@ def execute_plan(op: LogicalOperator,
     wrapper; there is no module-level state, so nested and concurrent
     profiled executions cannot corrupt each other.  Under verification
     mode every produced chunk additionally passes the chunk verifier."""
-    chunks = _execute_operator(op, ctx)
+    return _instrumented(op, ctx, _execute_operator(op, ctx))
+
+
+def _instrumented(op: LogicalOperator, ctx: ExecutionContext,
+                  chunks: Iterator[DataChunk]) -> Iterator[DataChunk]:
+    """``op``'s output stream under the profiler and the verifier."""
     if ctx.profiler is not None:
         chunks = _execute_profiled(op, ctx, chunks, _chunk_width)
     if _verification.VERIFICATION_ENABLED:
@@ -558,7 +563,15 @@ def _execute_operator(op: LogicalOperator,
     if isinstance(op, LogicalLimit):
         remaining = op.limit
         to_skip = op.offset
-        for chunk in execute_plan(op.child, ctx):
+        source = op.child
+        if remaining is not None and isinstance(source, LogicalSort):
+            # Top-N: the sort emits only the rows the limit can reach.
+            chunks = _instrumented(source, ctx, _execute_sort(
+                source, ctx, limit=remaining + to_skip
+            ))
+        else:
+            chunks = execute_plan(source, ctx)
+        for chunk in chunks:
             if to_skip:
                 if chunk.count <= to_skip:
                     to_skip -= chunk.count
@@ -1478,8 +1491,11 @@ def _count_sort(op: LogicalSort, ctx: ExecutionContext, rows: int,
         )
 
 
-def _execute_sort(op: LogicalSort, ctx: ExecutionContext
-                  ) -> Iterator[DataChunk]:
+def _execute_sort(op: LogicalSort, ctx: ExecutionContext,
+                  limit: int | None = None) -> Iterator[DataChunk]:
+    """ORDER BY; with ``limit``, the in-memory path emits only the first
+    ``limit`` rows of the stable sort (DuckDB's TOP_N).  The spilling
+    path sorts everything."""
     chunks: list[DataChunk] | None = None
     if ctx.memory_limit_bytes is not None:
         buffered, overflow = _watermark_buffer(op.child, ctx)
@@ -1493,12 +1509,13 @@ def _execute_sort(op: LogicalSort, ctx: ExecutionContext
     full = DataChunk(columns)
     key_specs = [(asc, nf) for _, asc, nf in op.keys]
     key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
-    perm, from_kernel = kernels.order_permutation(key_vectors, key_specs)
+    perm, from_kernel = kernels.order_permutation(key_vectors, key_specs,
+                                                  limit)
     _count_sort(op, ctx, full.count, from_kernel)
     if from_kernel and _verification.VERIFICATION_ENABLED:
         _crosscheck_sort(op, full, key_vectors, key_specs,
                          full.slice(perm), ctx)
-    for start in range(0, full.count, STANDARD_VECTOR_SIZE):
+    for start in range(0, len(perm), STANDARD_VECTOR_SIZE):
         yield full.slice(perm[start : start + STANDARD_VECTOR_SIZE])
 
 
@@ -1506,11 +1523,13 @@ def _crosscheck_sort(op: LogicalSort, full: DataChunk,
                      key_vectors: list[Vector], key_specs,
                      actual: DataChunk, ctx: ExecutionContext) -> None:
     """Re-sort ``full`` row-wise with the comparator fallback and compare
-    the row sequence against ``actual``, the kernel-sorted (in-memory or
-    externally merged) output."""
+    the row sequence against ``actual``, the kernel-sorted (in-memory,
+    top-N or externally merged) output: the sorted rows, or their first
+    ``actual.count``."""
     from ..analysis.verifier import assert_rows_match
 
-    reference = kernels.comparator_permutation(key_vectors, key_specs)
+    reference = kernels.comparator_permutation(
+        key_vectors, key_specs)[:actual.count]
     assert_rows_match(
         actual.rows(), full.slice(reference).rows(),
         f"{op._explain_label()} kernels.sort_permutation",

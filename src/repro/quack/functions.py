@@ -263,17 +263,23 @@ class FunctionRegistry:
         self._scalars: dict[str, list[ScalarFunction]] = {}
         self._aggregates: dict[str, list[AggregateFunction]] = {}
         self._casts: dict[tuple[str, str], CastFunction] = {}
+        # Overload resolutions per (kind, name, argument types); any
+        # registration can change the best overload, so it clears them.
+        self._resolved: dict[tuple, Any] = {}
 
     # -- registration ---------------------------------------------------------
 
     def register_scalar(self, fn: ScalarFunction) -> None:
         self._scalars.setdefault(fn.name.lower(), []).append(fn)
+        self._resolved.clear()
 
     def register_aggregate(self, fn: AggregateFunction) -> None:
         self._aggregates.setdefault(fn.name.lower(), []).append(fn)
+        self._resolved.clear()
 
     def register_cast(self, cast: CastFunction) -> None:
         self._casts[(cast.source.name, cast.target.name)] = cast
+        self._resolved.clear()
 
     # -- lookup ------------------------------------------------------------------
 
@@ -292,6 +298,13 @@ class FunctionRegistry:
         self, name: str, args: Sequence[LogicalType]
     ) -> tuple[ScalarFunction, list[LogicalType]]:
         """Pick the best overload; returns (function, target arg types)."""
+        fn, targets = self._memoized("scalar", name, args,
+                                     self._resolve_scalar)
+        return fn, list(targets)
+
+    def _resolve_scalar(
+        self, name: str, args: Sequence[LogicalType]
+    ) -> tuple[ScalarFunction, list[LogicalType]]:
         candidates = self._scalars.get(name.lower())
         if not candidates:
             raise BinderError(f"unknown function {name!r}")
@@ -317,6 +330,21 @@ class FunctionRegistry:
         return best[1], best[2]
 
     def resolve_aggregate(
+        self, name: str, args: Sequence[LogicalType]
+    ) -> AggregateFunction:
+        return self._memoized("aggregate", name, args,
+                              self._resolve_aggregate)
+
+    def _memoized(self, kind: str, name: str, args: Sequence[LogicalType],
+                  resolve: Callable[[str, Sequence[LogicalType]], Any]
+                  ) -> Any:
+        key = (kind, name.lower(), tuple(args))
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            resolved = self._resolved[key] = resolve(name, args)
+        return resolved
+
+    def _resolve_aggregate(
         self, name: str, args: Sequence[LogicalType]
     ) -> AggregateFunction:
         candidates = self._aggregates.get(name.lower())

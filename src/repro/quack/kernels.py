@@ -1,31 +1,47 @@
-"""Vectorized aggregation/sort kernels shared by the quack operators.
+"""Vectorized aggregation/sort/join kernels shared by the quack operators.
 
 The paper's central performance claim (§3.4, Fig. 12) rests on DuckDB's
-chunk-at-a-time execution over columnar vectors.  This module provides the
-NumPy-backed kernels that keep the quack engine's GROUP BY / ORDER BY /
-DISTINCT hot paths vectorized end to end:
+chunk-at-a-time execution over columnar vectors, and DuckDB groups and
+joins small-range integer keys by perfect hashing, not by sorting.  This
+module keeps quack's GROUP BY / DISTINCT / hash-join / ORDER BY hot paths
+vectorized around two O(n) primitives:
 
-* :func:`factorize` — factorize-style group-key encoding over packed key
-  columns (``np.unique(..., return_inverse=True)`` per column, combined
-  pairwise and re-densified), with explicit NULL/NaN/negative-zero
+* **Dense key codes** (:func:`_dense_span`): a bool/int64 key whose valid
+  values span at most :func:`dense_cap` slots codes as ``value - min``,
+  a perfect hash.  Other keys code by sorting: ``np.unique`` for float
+  and wide int keys, a dict numbered by first appearance for object keys.
+* **One stable order of dense codes** (:func:`stable_order`): a single
+  unstable ``np.argsort`` of ``code * n + row``.  The composite is unique,
+  so any sort algorithm returns the stable permutation.
+
+The kernels built on them:
+
+* :func:`factorize` — group keys for GROUP BY, DISTINCT and DISTINCT
+  aggregates: columns combine by mixed radix while the product fits the
+  cap (re-densified by ``np.unique`` past it), and groups are numbered by
+  first appearance in O(n), with explicit NULL/NaN/negative-zero
   canonicalization.
+* :class:`JoinBuild` — hash-join build/probe: a small-range int key is its
+  own slot, so a probe is one subtraction and a gather; other keys map
+  through their sorted uniques or a dict.  Build rows are grouped by
+  :func:`stable_order` and probes emit matched ``(probe_row, build_row)``
+  pairs with pure array ops.
+* :func:`segment_reduce` — per-group ``ufunc.reduceat`` reduction over
+  rows in :func:`stable_order` (SUM/MIN/MAX-style kernels).
+* :func:`sort_permutation` — ORDER BY: each key becomes a dense rank with
+  DESC, NaN-greatest and ``NULLS FIRST/LAST`` folded in, the ranks
+  combine by mixed radix into one composite, and :func:`stable_order` of
+  it is the permutation.  Under a LIMIT it ranks only the rows the
+  leading key can place (top-N).  :func:`order_permutation` adds the
+  row-wise comparator fallback for keys NumPy cannot order.
 * :func:`distinct_rows` — factorizes a function's argument vectors by
   identity/bit pattern so pure scalar functions, extension casts and box
   extraction run once per distinct argument tuple of a chunk.
-* :func:`segment_reduce` — per-group ``ufunc.reduceat`` reduction over
-  rows sorted by group code (SUM/MIN/MAX-style kernels).
-* :func:`sort_permutation` — ``np.lexsort``-based ORDER BY with correct
-  ``NULLS FIRST/LAST`` handling and NaN-sorts-greatest semantics;
-  :func:`order_permutation` adds the row-wise comparator fallback.
 * :func:`merge_sorted_runs` — the external sort's stable block merge: one
   block per run in memory, re-sorted with the same permutation kernel.
 * :func:`partition_codes` — chunk-independent hash partitioning of key
   tuples for the spilling aggregate and Grace hash join.
-* :class:`JoinBuild` — hash-join build/probe kernels: the equi-keys of
-  the build relation are factorize-encoded into dense int64 codes, a
-  grouped row index is laid out with the same argsort/bincount/cumsum
-  segment machinery, and probes emit matched ``(probe_row, build_row)``
-  pairs with pure array ops.
+
 The canonicalized row-wise fallbacks :func:`hashable_key` /
 :func:`sort_comparator` live in :mod:`.keys` (the engine-neutral shared
 surface) and are re-exported here for the kernel implementations.
@@ -48,7 +64,9 @@ from .vector import (
 )
 
 __all__ = [
+    "DENSE_SLOTS_MAX",
     "JoinBuild",
+    "dense_cap",
     "distinct_rows",
     "factorize",
     "hashable_key",
@@ -59,7 +77,71 @@ __all__ = [
     "segment_reduce",
     "sort_comparator",
     "sort_permutation",
+    "stable_order",
 ]
+
+
+# ---------------------------------------------------------------------------
+# The two primitives: dense key codes and their stable order
+# ---------------------------------------------------------------------------
+
+#: Most slots a dense key space takes, whatever the row count.
+DENSE_SLOTS_MAX = 1 << 20
+
+#: Largest mixed-radix space :func:`sort_permutation` builds, so that
+#: ``composite * n + row`` stays an int64.
+_RADIX_LIMIT = 1 << 62
+
+
+def dense_cap(count: int) -> int:
+    """Slots a dense key space over ``count`` rows may take.  A perfect
+    hash costs O(slots) beside the O(count) of the rows, so the cap grows
+    with the input and stops at :data:`DENSE_SLOTS_MAX`."""
+    return min(DENSE_SLOTS_MAX, 8 * count + 1024)
+
+
+def _dense_span(vector: Vector, cap: int) -> tuple[int, int] | None:
+    """``(lo, span)`` of a bool/int64 column whose valid values span at
+    most ``cap`` slots from ``lo`` — then ``value - lo`` is a perfect
+    hash into ``[0, span)`` — or ``None`` past the cap.  A column with
+    no valid value is ``(0, 1)``."""
+    data = vector.data
+    valid = vector.validity
+    held = data if valid.all() else data[valid]
+    if not len(held):
+        return 0, 1
+    # Python ints: a range past int64 must not wrap into the cap.
+    lo, hi = int(held.min()), int(held.max())
+    if hi - lo >= cap:
+        return None
+    return lo, hi - lo + 1
+
+
+def stable_order(codes: np.ndarray, space: int) -> np.ndarray:
+    """The stable permutation sorting ``codes`` (all in ``[0, space)``):
+    one unstable argsort of ``code * n + row``, which is unique per row,
+    so every algorithm returns the stable order."""
+    count = len(codes)
+    if space * count > _RADIX_LIMIT:
+        return np.argsort(codes, kind="stable")
+    return np.argsort(codes * np.int64(count)
+                      + np.arange(count, dtype=np.int64))
+
+
+def _first_appearance(codes: np.ndarray,
+                      space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``codes`` (all in ``[0, space)``) by first appearance in
+    O(n + space): mark each slot's first row, then count first rows.
+    Returns ``(group of each row, first row of each group)``."""
+    count = len(codes)
+    index = np.int32 if count < 2**31 else np.int64
+    rows = np.arange(count, dtype=index)
+    first = np.full(space, count, dtype=index)
+    np.minimum.at(first, codes, rows)
+    first_of_row = first[codes]
+    is_first = first_of_row == rows
+    group = np.cumsum(is_first, dtype=np.int64) - 1
+    return group[first_of_row], np.flatnonzero(is_first)
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +149,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _column_codes(vector: Vector) -> tuple[np.ndarray, int]:
+def _column_codes(vector: Vector, cap: int) -> tuple[np.ndarray, int]:
     """Dense per-row codes for one key column plus the code cardinality.
 
-    NULL rows get a reserved code; float columns additionally reserve a
-    code for NaN (one group) and canonicalize ``-0.0`` to ``0.0``.
+    NULL rows get a reserved code (none when the column is all valid);
+    float columns additionally reserve a code for NaN (one group) and
+    canonicalize ``-0.0`` to ``0.0``.
     """
     data = vector.data
     valid = vector.validity
     physical = vector.ltype.physical
-    if physical == "bool":
-        return np.where(valid, data.astype(np.int64) + 1, 0), 3
+    if physical in ("bool", "int64"):
+        all_valid = bool(valid.all())
+        dense = _dense_span(vector, cap - (not all_valid))
+        if dense is not None:
+            lo, span = dense
+            codes = data - np.int64(lo)
+            if all_valid:
+                return codes, span
+            return np.where(valid, codes + 1, 0), span + 1
     if physical == "int64":
         _, inverse = np.unique(data, return_inverse=True)
         codes = np.where(valid, inverse.astype(np.int64) + 1, 0)
@@ -122,30 +212,22 @@ def factorize(vectors: Sequence[Vector],
     of row ``i`` (dense, numbered in order of first appearance) and
     ``representatives[g]`` is the row index of group ``g``'s first row.
     """
-    combined: np.ndarray | None = None
-    for vector in vectors:
-        codes, cardinality = _column_codes(vector)
-        if combined is None:
-            combined = codes
-        else:
-            # Pairwise combine, then re-densify so the running key stays
-            # bounded by row count and never overflows int64.
-            combined = combined * np.int64(cardinality) + codes
+    cap = dense_cap(count)
+    combined = np.zeros(count, dtype=np.int64)
+    space = 1
+    for k, vector in enumerate(vectors):
+        codes, cardinality = _column_codes(vector, cap)
+        if not k:
+            combined, space = codes, cardinality
+            continue
+        # Mixed radix while the product fits the cap; past it, re-densify
+        # so the running key stays bounded by the row count.
+        combined = combined * np.int64(cardinality) + codes
+        space *= cardinality
+        if space > cap:
             _, combined = np.unique(combined, return_inverse=True)
-            combined = combined.astype(np.int64, copy=False)
-    if combined is None:
-        combined = np.zeros(count, dtype=np.int64)
-    _, first_index, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    # np.unique numbers groups in sorted-key order; renumber them in
-    # first-appearance order so output matches the row-loop paths.
-    order = np.argsort(first_index, kind="stable")
-    remap = np.empty(len(first_index), dtype=np.int64)
-    remap[order] = np.arange(len(first_index), dtype=np.int64)
-    codes = remap[inverse.astype(np.int64, copy=False)]
-    representatives = first_index[order].astype(np.int64, copy=False)
-    return codes, representatives
+            space = int(combined.max(initial=0)) + 1
+    return _first_appearance(combined, space)
 
 
 #: Chunks shorter than this are not worth factorizing.
@@ -209,31 +291,42 @@ def distinct_rows(
 
 
 def _lookup_sorted(values: np.ndarray, uniques: np.ndarray) -> np.ndarray:
-    """Map ``values`` into positions within sorted ``uniques`` (-1 = absent)."""
+    """Map ``values`` into positions within sorted ``uniques`` (-1 =
+    absent, as is a -1 code when ``uniques`` are codes)."""
     out = np.full(len(values), -1, dtype=np.int64)
     if len(uniques):
         pos = np.minimum(
             np.searchsorted(uniques, values), len(uniques) - 1
         )
-        hit = (values >= 0) & (uniques[pos] == values)
+        hit = uniques[pos] == values
         out[hit] = pos[hit]
     return out
 
 
 class _NumericKeyMap:
     """Build-side value -> dense code map for one bool/int64/float64 key
-    column.  Float keys canonicalize ``-0.0`` to ``0.0`` and give NaN its
-    own code (SQL join semantics shared with :func:`hashable_key`)."""
+    column.  A bool/int64 column whose valid values span at most
+    :func:`dense_cap` slots is its own code space: ``value - lo``, so a
+    probe is one subtraction and the build's per-slot tables are the
+    lookup.  Other columns map through their sorted uniques; float keys
+    canonicalize ``-0.0`` to ``0.0`` and give NaN its own code (SQL join
+    semantics shared with :func:`hashable_key`)."""
 
-    __slots__ = ("physical", "uniques", "nan_code", "cardinality")
+    __slots__ = ("physical", "lo", "uniques", "nan_code", "cardinality")
 
     def __init__(self, vector: Vector):
         self.physical = vector.ltype.physical
+        self.nan_code = -1
+        self.lo = None
+        if self.physical != "float64":
+            dense = _dense_span(vector, dense_cap(len(vector)))
+            if dense is not None:
+                self.lo, self.cardinality = dense
+                return
         values, nan = self._canonical(vector.data)
         valid = vector.validity
         pool = values[valid & ~nan] if nan is not None else values[valid]
         self.uniques = np.unique(pool)
-        self.nan_code = -1
         if nan is not None and bool((nan & valid).any()):
             self.nan_code = len(self.uniques)
         self.cardinality = len(self.uniques) + (self.nan_code >= 0)
@@ -252,26 +345,19 @@ class _NumericKeyMap:
         """Dense codes for ``vector``'s rows (of the build side's physical
         type); -1 marks NULL rows and values absent from the build side
         (no match possible)."""
+        if self.lo is not None:
+            # A value far from ``lo`` wraps, but never into
+            # ``[0, cardinality)``: both ends of that range are int64.
+            codes = vector.data - np.int64(self.lo)
+            codes[(codes < 0) | (codes >= self.cardinality)
+                  | ~vector.validity] = -1
+            return codes
         values, nan = self._canonical(vector.data)
-        codes = _lookup_sorted_values(values, self.uniques)
+        codes = _lookup_sorted(values, self.uniques)
         if nan is not None and self.nan_code >= 0:
             codes[nan] = self.nan_code
         codes[~vector.validity] = -1
         return codes
-
-
-def _lookup_sorted_values(values: np.ndarray,
-                          uniques: np.ndarray) -> np.ndarray:
-    """Like :func:`_lookup_sorted` but for raw (possibly negative/NaN)
-    column values rather than non-negative codes."""
-    out = np.full(len(values), -1, dtype=np.int64)
-    if len(uniques):
-        pos = np.minimum(
-            np.searchsorted(uniques, values), len(uniques) - 1
-        )
-        hit = uniques[pos] == values
-        out[hit] = pos[hit]
-    return out
 
 
 class _ObjectKeyMap:
@@ -303,14 +389,15 @@ class JoinBuild:
     """Vectorized hash-join build side over (multi-column) equi-keys.
 
     The build relation's keys are encoded column by column into dense
-    codes, combined pairwise (``combined * cardinality + codes``) and
-    re-densified against the build side's observed combinations so the
-    running key never overflows.  Build rows are then grouped by final
-    code with the segment machinery (stable argsort + bincount +
-    exclusive cumsum); :meth:`probe` maps probe keys into the same code
-    space and expands matches into ``(probe_row, build_row)`` index
-    arrays.  NULL keys never match; NaN float keys all fall in one code
-    (matching :func:`hashable_key`), as does ``-0.0`` with ``0.0``.
+    codes and combined by mixed radix (``combined * cardinality +
+    codes``) while the product fits :func:`dense_cap`; past it the build
+    side's observed combinations re-densify the running key so it never
+    overflows.  Build rows are then grouped by final code with the
+    segment machinery (:func:`stable_order` + bincount + exclusive
+    cumsum); :meth:`probe` maps probe keys into the same code space and
+    expands matches into ``(probe_row, build_row)`` index arrays.  NULL
+    keys never match; NaN float keys all fall in one code (matching
+    :func:`hashable_key`), as does ``-0.0`` with ``0.0``.
     ``probe_types`` are the probe side's key types: a column whose sides
     share a bool/int64/float64 physical type codes through NumPy, any
     other through :func:`hashable_key`.
@@ -324,23 +411,22 @@ class JoinBuild:
             else _ObjectKeyMap(kv)
             for kv, probe in zip(key_vectors, probe_types)
         ]
-        self._steps: list[np.ndarray] = []
-        codes = self._map_codes(key_vectors, build=True)
-        n_groups = max(
-            len(self._steps[-1]) if self._steps
-            else self._maps[0].cardinality,
-            1,
-        )
-        rows = np.nonzero(codes >= 0)[0]
+        # One re-densifying step per combined column, None while the
+        # mixed-radix product fits the cap.
+        self._steps: list[np.ndarray | None] = []
+        self._space = self._maps[0].cardinality
+        codes = self._map_codes(key_vectors,
+                                build_cap=dense_cap(len(key_vectors[0])))
+        n_groups = max(self._space, 1)
+        rows = np.flatnonzero(codes >= 0)
         group_of_row = codes[rows]
-        order = np.argsort(group_of_row, kind="stable")
-        self.sorted_rows = rows[order].astype(np.int64, copy=False)
+        self.sorted_rows = rows[stable_order(group_of_row, n_groups)]
         self.counts = np.bincount(group_of_row, minlength=n_groups)
         self.starts = np.zeros(n_groups, dtype=np.int64)
         np.cumsum(self.counts[:-1], out=self.starts[1:])
 
     def _map_codes(self, key_vectors: Sequence[Vector],
-                   build: bool = False) -> np.ndarray:
+                   build_cap: int | None = None) -> np.ndarray:
         combined: np.ndarray | None = None
         for k, (key_map, kv) in enumerate(zip(self._maps, key_vectors)):
             codes = key_map.codes(kv)
@@ -349,9 +435,15 @@ class JoinBuild:
                 continue
             raw = combined * np.int64(key_map.cardinality) + codes
             raw[(combined < 0) | (codes < 0)] = -1
-            if build:
-                self._steps.append(np.unique(raw[raw >= 0]))
-            combined = _lookup_sorted(raw, self._steps[k - 1])
+            if build_cap is not None:
+                self._space *= key_map.cardinality
+                step = None
+                if self._space > build_cap:
+                    step = np.unique(raw[raw >= 0])
+                    self._space = len(step)
+                self._steps.append(step)
+            step = self._steps[k - 1]
+            combined = raw if step is None else _lookup_sorted(raw, step)
         return combined
 
     def probe(self, key_vectors: Sequence[Vector],
@@ -362,7 +454,7 @@ class JoinBuild:
         matched pair, probe-major with build rows ascending within each
         probe row — the same emission order as the dict fallback.
         """
-        codes = self._map_codes(key_vectors, build=False)
+        codes = self._map_codes(key_vectors)
         safe = np.where(codes >= 0, codes, 0)
         match_counts = np.where(codes >= 0, self.counts[safe], 0)
         total = int(match_counts.sum())
@@ -396,7 +488,7 @@ def segment_reduce(
     present = counts > 0
     out = np.zeros(n_groups, dtype=values.dtype)
     if present.any():
-        order = np.argsort(codes, kind="stable")
+        order = stable_order(codes, n_groups)
         starts = np.zeros(n_groups, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
         out[present] = ufunc.reduceat(values[order], starts[present])
@@ -422,56 +514,157 @@ def segment_first_valid(
 # ---------------------------------------------------------------------------
 
 
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks of ``values`` in ascending order, equal values sharing one,
+    and how many there are.  Raises :class:`KernelFallback` when NumPy
+    cannot order the values (mixed incomparable objects)."""
+    try:
+        order = np.argsort(values)
+        ordered = values[order]
+        step = np.ones(len(values), dtype=np.bool_)
+        step[1:] = ordered[1:] != ordered[:-1]
+    except TypeError as exc:
+        raise KernelFallback(str(exc)) from None
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.cumsum(step) - 1
+    return ranks, max(int(step.sum()), 1)
+
+
+def _order_ranks(vector: Vector, ascending: bool, nulls_first: bool | None,
+                 cap: int) -> tuple[np.ndarray, int]:
+    """One ORDER BY key as int64 ranks in the key's SQL order, and the
+    rank space: equal keys share a rank, NaN ranks above ``+inf``, DESC
+    reverses the ranks and NULL takes a rank of its own at the front or
+    the back (an all-valid column takes none).  A bool/int64 key within
+    ``cap`` slots ranks by offset; any other ranks by sorting."""
+    data = vector.data
+    valid = vector.validity
+    all_valid = bool(valid.all())
+    physical = vector.ltype.physical
+    dense = None
+    if physical in ("bool", "int64"):
+        dense = _dense_span(vector, cap)
+    if dense is not None:
+        lo, space = dense
+        ranks = data - np.int64(lo)
+    else:
+        values = data if all_valid else data[valid]
+        nan = None
+        if physical == "float64":
+            values = values + 0.0  # -0.0 -> +0.0
+            nan = np.isnan(values)
+            if nan.any():
+                values = np.where(nan, np.inf, values)
+            else:
+                nan = None
+        held, space = _dense_rank(values)
+        if nan is not None:
+            held[nan] = space  # past +inf's rank
+            space += 1
+        if all_valid:
+            ranks = held
+        else:
+            ranks = np.zeros(len(data), dtype=np.int64)
+            ranks[valid] = held
+    if not ascending:
+        ranks = np.int64(space - 1) - ranks
+    if not all_valid:
+        if (not ascending) if nulls_first is None else nulls_first:
+            ranks = np.where(valid, ranks + 1, 0)
+        else:
+            ranks = np.where(valid, ranks, space)
+        space += 1
+    return ranks, space
+
+
+def _order_values(vector: Vector, ascending: bool,
+                  nulls_first: bool | None) -> np.ndarray | None:
+    """A float64 image of one ORDER BY key that never decreases along the
+    key's SQL order (ties may merge neighbours: int64 rounds, NaN meets
+    ``+inf``), or ``None`` for an object key."""
+    if vector.ltype.physical == "object":
+        return None
+    values = vector.data.astype(np.float64)
+    values[np.isnan(values)] = np.inf
+    if not ascending:
+        np.negative(values, out=values)
+    nf = (not ascending) if nulls_first is None else nulls_first
+    values[~vector.validity] = -np.inf if nf else np.inf
+    return values
+
+
 def sort_permutation(
     key_vectors: Sequence[Vector],
     key_specs: Sequence[tuple[bool, bool | None]],
+    limit: int | None = None,
 ) -> np.ndarray:
-    """Stable ``np.lexsort`` permutation for multi-key ORDER BY.
+    """The stable permutation for multi-key ORDER BY — its first
+    ``limit`` rows when ``limit`` is given.
 
     ``key_specs`` holds ``(ascending, nulls_first)`` per key, with
     ``nulls_first=None`` meaning the engine default (NULLS LAST for ASC,
     NULLS FIRST for DESC).  NaN sorts as the greatest value, after
-    ``+inf``.  Raises :class:`KernelFallback` when a key column holds
-    objects NumPy cannot order (mixed incomparable types).
+    ``+inf``.  Each key becomes ranks (:func:`_order_ranks`) that combine
+    most significant first by mixed radix, re-ranked when the space would
+    pass :data:`_RADIX_LIMIT`; :func:`stable_order` of the composite is
+    the permutation.  Raises :class:`KernelFallback` when a key column
+    holds objects NumPy cannot order (mixed incomparable types).
     """
-    lex_keys: list[np.ndarray] = []
-    # np.lexsort treats its LAST key as primary, so append the least
-    # significant contributions first: iterate ORDER BY keys in reverse,
-    # and within a key append value, then NaN rank, then NULL rank.
-    for vector, (ascending, nulls_first) in reversed(
-        list(zip(key_vectors, key_specs))
+    count = len(key_vectors[0])
+    if limit is not None and limit < count:
+        return _top_permutation(key_vectors, key_specs, limit)
+    cap = dense_cap(count)
+    composite = np.zeros(count, dtype=np.int64)
+    space = 1
+    for k, (vector, (ascending, nulls_first)) in enumerate(
+        zip(key_vectors, key_specs)
     ):
-        codes, nan_mask = vector.sort_key()
-        if not ascending:
-            if codes.dtype.kind == "i":
-                codes = np.int64(-1) - codes  # overflow-safe int negation
-            else:
-                codes = -codes
-        lex_keys.append(codes)
-        if nan_mask is not None:
-            nan_key = nan_mask.astype(np.int8)
-            if not ascending:
-                nan_key = -nan_key
-            lex_keys.append(nan_key)
-        nf = (not ascending) if nulls_first is None else nulls_first
-        if nf:
-            lex_keys.append(vector.validity.astype(np.int8))
-        else:
-            lex_keys.append((~vector.validity).astype(np.int8))
-    return np.lexsort(tuple(lex_keys))
+        ranks, cardinality = _order_ranks(vector, ascending, nulls_first,
+                                          cap)
+        if not k:
+            composite, space = ranks, cardinality
+            continue
+        if space * cardinality > _RADIX_LIMIT:
+            composite, space = _dense_rank(composite)
+        composite = composite * np.int64(cardinality) + ranks
+        space *= cardinality
+    if space * count > _RADIX_LIMIT:
+        composite, space = _dense_rank(composite)
+    return stable_order(composite, space)
+
+
+def _top_permutation(
+    key_vectors: Sequence[Vector],
+    key_specs: Sequence[tuple[bool, bool | None]],
+    limit: int,
+) -> np.ndarray:
+    """The first ``limit`` rows of the stable ORDER BY permutation
+    (DuckDB's TOP_N): partition on the leading key's order value, keep
+    every row that ties the ``limit``-th, and sort only those."""
+    if limit <= 0:
+        return np.zeros(0, dtype=np.int64)
+    lead = _order_values(key_vectors[0], *key_specs[0])
+    if lead is None:
+        return sort_permutation(key_vectors, key_specs)[:limit]
+    bound = np.partition(lead, limit - 1)[limit - 1]
+    rows = np.flatnonzero(lead <= bound)
+    perm = sort_permutation([v.slice(rows) for v in key_vectors], key_specs)
+    return rows[perm[:limit]]
 
 
 def order_permutation(
     key_vectors: Sequence[Vector],
     key_specs: Sequence[tuple[bool, bool | None]],
+    limit: int | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """The stable ORDER BY permutation and whether the kernel produced
-    it: :func:`sort_permutation`, or — for keys NumPy cannot order — the
-    row-wise :func:`sort_comparator` sort."""
+    """The stable ORDER BY permutation (its first ``limit`` rows when
+    given) and whether the kernel produced it: :func:`sort_permutation`,
+    or — for keys NumPy cannot order — the row-wise
+    :func:`sort_comparator` sort."""
     try:
-        return sort_permutation(key_vectors, key_specs), True
+        return sort_permutation(key_vectors, key_specs, limit), True
     except KernelFallback:
-        return comparator_permutation(key_vectors, key_specs), False
+        return comparator_permutation(key_vectors, key_specs)[:limit], False
 
 
 def comparator_permutation(

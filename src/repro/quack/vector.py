@@ -260,39 +260,6 @@ class Vector:
     def all_valid(self) -> bool:
         return bool(self.validity.all())
 
-    def sort_key(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Ascending-comparable codes for ``np.lexsort``-based ORDER BY.
-
-        Returns ``(codes, nan_mask)``: ``codes`` is a numeric array that
-        orders like the column values (object payloads are factorized via
-        ``np.unique``), with NULL slots zeroed so NULL placement is decided
-        solely by a separate validity key; ``nan_mask`` marks float NaNs
-        (``None`` when there are none) so callers can rank NaN as the
-        greatest value.  Raises :class:`KernelFallback` when the payloads
-        cannot be ordered by NumPy (e.g. mixed incomparable objects).
-        """
-        physical = self.ltype.physical
-        if physical == "bool":
-            return np.where(self.validity, self.data, False), None
-        if physical == "int64":
-            return np.where(self.validity, self.data, np.int64(0)), None
-        if physical == "float64":
-            values = self.data + 0.0  # canonicalize -0.0
-            nan = np.isnan(values) & self.validity
-            if nan.any():
-                values = np.where(nan, np.inf, values)
-            values = np.where(self.validity, values, 0.0)
-            return values, (nan if nan.any() else None)
-        codes = np.zeros(len(self.data), dtype=np.int64)
-        if self.validity.any():
-            try:
-                _, inverse = np.unique(self.data[self.validity],
-                                       return_inverse=True)
-            except TypeError as exc:
-                raise KernelFallback(str(exc)) from None
-            codes[self.validity] = inverse
-        return codes, None
-
     def __repr__(self) -> str:
         preview = ", ".join(repr(self.value(i)) for i in range(min(4, len(self))))
         return f"<Vector {self.ltype.name}[{len(self)}] {preview}…>"

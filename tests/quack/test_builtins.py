@@ -4,6 +4,14 @@ import pytest
 
 from repro.pgsim import RowDatabase
 from repro.quack import Database
+from repro.quack.errors import BinderError
+from repro.quack.functions import (
+    AggregateFunction,
+    CastFunction,
+    FunctionRegistry,
+    ScalarFunction,
+)
+from repro.quack.types import BIGINT, DOUBLE, VARCHAR, LogicalType
 
 
 @pytest.fixture(params=[Database, RowDatabase], ids=["quack", "pgsim"])
@@ -144,3 +152,44 @@ class TestAggregates:
         assert data.execute(
             "SELECT sum(x) FROM v WHERE g = 'zzz'"
         ).scalar() is None
+
+
+class TestOverloadResolutionCache:
+    """Resolutions are memoized per (name, argument types); every
+    registration clears them."""
+
+    def test_scalar_registered_later_wins_next_resolution(self):
+        registry = FunctionRegistry()
+        registry.register_scalar(
+            ScalarFunction("f", (DOUBLE,), DOUBLE, fn_scalar=float))
+        fn, targets = registry.resolve_scalar("f", [BIGINT])
+        assert fn.arg_types == (DOUBLE,) and targets == [DOUBLE]
+        targets.append(VARCHAR)  # the caller's copy, not the cache's
+        assert registry.resolve_scalar("f", [BIGINT])[1] == [DOUBLE]
+        registry.register_scalar(
+            ScalarFunction("f", (BIGINT,), BIGINT, fn_scalar=int))
+        fn, targets = registry.resolve_scalar("F", [BIGINT])
+        assert fn.arg_types == (BIGINT,) and targets == [BIGINT]
+
+    def test_cast_registered_later_changes_next_resolution(self):
+        registry = FunctionRegistry()
+        point = LogicalType("POINT_T")
+        registry.register_scalar(
+            ScalarFunction("g", (point,), BIGINT, fn_scalar=len))
+        with pytest.raises(BinderError):
+            registry.resolve_scalar("g", [BIGINT])
+        registry.register_cast(
+            CastFunction(BIGINT, point, fn=str, implicit=True))
+        fn, targets = registry.resolve_scalar("g", [BIGINT])
+        assert targets == [point]
+
+    def test_aggregate_registered_later_wins_next_resolution(self):
+        registry = FunctionRegistry()
+        first = AggregateFunction("agg", (DOUBLE,), DOUBLE, init=float,
+                                  step=max, final=float)
+        registry.register_aggregate(first)
+        assert registry.resolve_aggregate("agg", [BIGINT]) is first
+        second = AggregateFunction("agg", (BIGINT,), BIGINT, init=int,
+                                   step=max, final=int)
+        registry.register_aggregate(second)
+        assert registry.resolve_aggregate("agg", [BIGINT]) is second

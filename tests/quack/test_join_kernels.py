@@ -14,14 +14,17 @@ counters report kernel use.
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import core
 from repro.pgsim import RowDatabase
 from repro.quack import Database
 from repro.quack.executor import _hash_join_dict_build, _hash_join_dict_probe
-from repro.quack.kernels import JoinBuild
-from repro.quack.types import BIGINT, DOUBLE, VARCHAR
+from repro.quack.kernels import JoinBuild, dense_cap
+from repro.quack.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from repro.quack.vector import Vector
 
 
@@ -313,6 +316,60 @@ class TestJoinBuildKernel:
         assert list(zip(li.tolist(), ri.tolist())) == [
             (0, 0), (0, 5), (3, 3), (5, 1)
         ]
+
+
+@st.composite
+def _key_columns(draw):
+    """Build and probe key columns of one shared value domain per key;
+    NULL slots keep the payload drawn for them."""
+    build_count = draw(st.sampled_from([0, 1, 5, 30]))
+    probe_count = draw(st.sampled_from([0, 1, 6, 30]))
+    cap = dense_cap(build_count)
+    build, probe = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(
+            ["small", "wide", "extreme", "cap", "bool", "float", "text"]
+        ))
+        if kind == "small":
+            base = draw(st.integers(-(2**62), 2**62))
+            values = st.integers(base - 3, base + 3)
+        elif kind == "wide":
+            values = st.sampled_from([-(2**40), -7, 0, 9, 2**40])
+        elif kind == "extreme":
+            values = st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 1])
+        elif kind == "cap":
+            values = st.sampled_from([0, cap - 1, cap, -cap])
+        elif kind == "bool":
+            values = st.booleans()
+        elif kind == "float":
+            values = st.sampled_from([math.nan, -0.0, 0.0, math.inf, 2.5])
+        else:
+            values = st.sampled_from(["a", "b", ""])
+        ltype = {"bool": BOOLEAN, "float": DOUBLE, "text": VARCHAR}.get(
+            kind, BIGINT)
+        dtype = {"bool": np.bool_, "float": np.float64,
+                 "text": object}.get(kind, np.int64)
+        for side, count in ((build, build_count), (probe, probe_count)):
+            data = np.empty(count, dtype=dtype)
+            data[:] = draw(st.lists(values, min_size=count, max_size=count))
+            valid = draw(st.lists(st.sampled_from([True, True, False]),
+                                  min_size=count, max_size=count))
+            side.append(Vector(ltype, data, np.array(valid, dtype=bool)))
+    return build, probe
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_columns())
+def test_join_build_matches_dict_reference(case):
+    build, probe = case
+    probe_count = len(probe[0])
+    pairs = JoinBuild(build, [v.ltype for v in probe]).probe(probe,
+                                                             probe_count)
+    expected = _hash_join_dict_probe(
+        _hash_join_dict_build(build, len(build[0])), probe, probe_count
+    )
+    assert (pairs[0].tolist(), pairs[1].tolist()) == \
+        (expected[0].tolist(), expected[1].tolist())
 
 
 class TestIndexJoinBatch:

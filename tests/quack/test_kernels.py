@@ -7,16 +7,20 @@ sinks — and the EXPLAIN ANALYZE kernel counters.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pgsim import RowDatabase
 from repro.quack import Database, kernels
+from repro.quack.errors import ExecutionError
 from repro.quack.extension import ExtensionUtil, make_user_type
 from repro.quack.functions import AggregateFunction
 from repro.quack.kernels import hashable_key
-from repro.quack.types import DOUBLE, LIST, VARCHAR
+from repro.quack.types import BIGINT, BOOLEAN, DOUBLE, LIST, VARCHAR
 from repro.quack.vector import Vector
 
 
@@ -347,3 +351,318 @@ class TestExplainAnalyzeCounters:
         ).fetchall()[0][0]
         group_line = next(l for l in plan.splitlines() if "GROUP_BY" in l)
         assert "kernel=0" in group_line and "fallback=1" in group_line
+
+
+# ---------------------------------------------------------------------------
+# The dense-code kernels against their row-wise references
+# ---------------------------------------------------------------------------
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_FLOATS = [float("nan"), -0.0, 0.0, float("inf"), float("-inf"), 1.5, -2.5]
+
+
+@st.composite
+def _column(draw, count):
+    """One key column of ``count`` rows: its kind decides whether the
+    dense path can take it, and NULL slots keep whatever payload was
+    drawn for them."""
+    kind = draw(st.sampled_from(
+        ["small", "wide", "extreme", "cap", "bool", "float", "text"]
+    ))
+    cap = kernels.dense_cap(count)
+    if kind == "small":
+        base = draw(st.integers(-(2**62), 2**62))
+        values = st.integers(base - 3, base + 3)
+    elif kind == "wide":
+        values = st.integers(-(2**40), 2**40)
+    elif kind == "extreme":
+        values = st.sampled_from([_INT64_MIN, _INT64_MAX, -1, 0, 1])
+    elif kind == "cap":
+        # Spans of exactly cap - 1, cap and cap + 1 slots.
+        base = draw(st.integers(-5, 5))
+        values = st.sampled_from([base, base + cap - 2, base + cap - 1,
+                                  base + cap])
+    elif kind == "bool":
+        values = st.booleans()
+    elif kind == "float":
+        values = st.sampled_from(_FLOATS)
+    else:
+        values = st.sampled_from(["a", "b", "", "zz"])
+    cells = draw(st.lists(values, min_size=count, max_size=count))
+    valid = np.array(draw(st.lists(st.sampled_from([True, True, False]),
+                                   min_size=count, max_size=count)),
+                     dtype=np.bool_)
+    ltype = {"bool": BOOLEAN, "float": DOUBLE, "text": VARCHAR}.get(
+        kind, BIGINT)
+    dtype = {"bool": np.bool_, "float": np.float64, "text": object}.get(
+        kind, np.int64)
+    data = np.empty(count, dtype=dtype)
+    data[:] = cells
+    return Vector(ltype, data, valid)
+
+
+@st.composite
+def _columns(draw, max_columns=3):
+    count = draw(st.sampled_from([0, 1, 2, 7, 40]))
+    n = draw(st.integers(1, max_columns))
+    return count, [draw(_column(count)) for _ in range(n)]
+
+
+_SPECS = st.tuples(st.booleans(), st.sampled_from([None, True, False]))
+
+
+def _factorize_reference(vectors, count):
+    """The seen-dict walk the executor's verifier runs."""
+    codes, firsts, seen = [], [], {}
+    rows = zip(*(v.to_list() for v in vectors))
+    for i, row in enumerate(rows):
+        key = tuple(map(hashable_key, row))
+        if key not in seen:
+            seen[key] = len(seen)
+            firsts.append(i)
+        codes.append(seen[key])
+    return codes, firsts
+
+
+class TestDenseKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_columns())
+    def test_factorize_matches_seen_dict(self, case):
+        count, vectors = case
+        codes, representatives = kernels.factorize(vectors, count)
+        assert (codes.tolist(), representatives.tolist()) == \
+            _factorize_reference(vectors, count)
+        assert codes.dtype == representatives.dtype == np.int64
+
+    @settings(max_examples=300, deadline=None)
+    @given(_columns(), st.data())
+    def test_sort_permutation_matches_comparator(self, case, data):
+        count, vectors = case
+        specs = [data.draw(_SPECS) for _ in vectors]
+        try:
+            perm = kernels.sort_permutation(vectors, specs)
+        except kernels.KernelFallback:
+            return
+        assert perm.tolist() == \
+            kernels.comparator_permutation(vectors, specs).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_columns(), st.data())
+    def test_top_n_is_a_prefix_of_the_stable_sort(self, case, data):
+        count, vectors = case
+        specs = [data.draw(_SPECS) for _ in vectors]
+        limit = data.draw(st.integers(0, count + 2))
+        perm, _ = kernels.order_permutation(vectors, specs, limit)
+        assert perm.tolist() == kernels.comparator_permutation(
+            vectors, specs).tolist()[:limit]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6),
+                              st.integers(-(2**40), 2**40)),
+                    max_size=40),
+           st.sampled_from([np.add, np.minimum, np.maximum]))
+    def test_segment_reduce_matches_group_fold(self, rows, ufunc):
+        codes = np.array([g for g, _ in rows], dtype=np.int64)
+        values = np.array([v for _, v in rows], dtype=np.int64)
+        out, present = kernels.segment_reduce(ufunc, values, codes, 7)
+        for group in range(7):
+            members = [v for g, v in rows if g == group]
+            assert bool(present[group]) == bool(members)
+            if members:
+                expected = members[0]
+                for value in members[1:]:
+                    expected = int(ufunc(expected, value))
+                assert int(out[group]) == expected
+
+    def test_cap_boundary_picks_the_dense_path(self, monkeypatch):
+        """A span of exactly cap slots codes by offset; one more sorts."""
+        count = 4
+        cap = kernels.dense_cap(count)
+        calls = []
+        real_unique = np.unique
+
+        def unique(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", unique)
+        for top, sorted_ in ((cap - 1, False), (cap, True)):
+            vector = Vector(BIGINT, np.array([-3, top - 3, -3, 0]))
+            calls.clear()
+            codes, reps = kernels.factorize([vector], count)
+            assert (codes.tolist(), reps.tolist()) == ([0, 1, 0, 2],
+                                                       [0, 1, 3])
+            assert bool(calls) == sorted_
+        # The NULL slot takes a slot of its own.
+        vector = Vector(BIGINT, np.array([0, cap - 1, 7, 7]),
+                        np.array([True, True, False, True]))
+        calls.clear()
+        assert kernels.factorize([vector], count)[0].tolist() == \
+            [0, 1, 2, 3]
+        assert calls
+
+    def test_int64_extremes_do_not_wrap_into_the_cap(self):
+        vector = Vector(BIGINT, np.array([_INT64_MIN, _INT64_MAX,
+                                          _INT64_MIN]))
+        codes, _ = kernels.factorize([vector], 3)
+        assert codes.tolist() == [0, 1, 0]
+        perm = kernels.sort_permutation([vector], [(False, None)])
+        assert perm.tolist() == [1, 0, 2]
+
+
+class TestDensePathsEngaged:
+    """On relational.kernels-shaped tables, GROUP BY, COUNT(DISTINCT), an
+    integer equi-join and ORDER BY never reach a sort-based primitive."""
+
+    QUERIES = [
+        "SELECT g, count(*), sum(x), min(x), max(x) FROM fact"
+        " WHERE x < 500.0 GROUP BY g ORDER BY g",
+        "SELECT d.cat, avg(f.x), count(*) FROM fact f, dim d"
+        " WHERE f.k = d.k GROUP BY d.cat ORDER BY d.cat",
+        "SELECT id, g, x FROM fact ORDER BY g, x, id",
+        "SELECT id, x FROM fact ORDER BY x DESC, id LIMIT 25",
+        "SELECT id FROM fact ORDER BY g DESC, id LIMIT 10 OFFSET 5",
+        "SELECT g, count(DISTINCT k) FROM fact GROUP BY g ORDER BY g",
+        "SELECT DISTINCT s FROM fact",
+    ]
+
+    @staticmethod
+    def _load(con):
+        rng = np.random.default_rng(7)
+        rows = [(i, int(rng.integers(100)), int(rng.integers(16)),
+                 float(rng.integers(64_000)) / 64.0,
+                 f"w{int(rng.integers(50)):02d}") for i in range(2000)]
+        con.execute("CREATE TABLE fact(id BIGINT, k BIGINT, g BIGINT,"
+                    " x DOUBLE, s VARCHAR)")
+        con.database.catalog.get_table("fact").append_rows(rows)
+        con.execute("CREATE TABLE dim(k BIGINT, cat BIGINT, name VARCHAR)")
+        con.database.catalog.get_table("dim").append_rows(
+            [(k, k % 5, f"n{k}") for k in range(100)]
+        )
+        con.execute("ANALYZE")
+        return con
+
+    def test_no_sort_primitive_runs(self, monkeypatch, unverified):
+        expected = {
+            sql: self._load(RowDatabase().connect()).execute(sql).fetchall()
+            for sql in self.QUERIES
+        }
+        con = self._load(Database().connect())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sort-based primitive on a dense path")
+
+        class KernelNumpy(types.ModuleType):
+            """NumPy as the kernels see it, without ``searchsorted``
+            (the table scan's tombstone lookup keeps the real one)."""
+
+            def __getattr__(self, name):
+                return refuse if name == "searchsorted" else getattr(np,
+                                                                     name)
+
+        for name in ("unique", "lexsort"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(kernels, "np", KernelNumpy("numpy"))
+        for sql in self.QUERIES:
+            rows = con.execute(sql).fetchall()
+            if "ORDER BY" not in sql:
+                rows, expected[sql] = sorted(rows), sorted(expected[sql])
+            assert [repr(r) for r in rows] == \
+                [repr(r) for r in expected[sql]], sql
+
+
+class TestBooleanOrderBy:
+    QUERIES = [
+        "SELECT id FROM t ORDER BY b DESC",
+        "SELECT id FROM t ORDER BY b DESC NULLS LAST",
+        "SELECT id FROM t ORDER BY b, id DESC",
+        "SELECT b, count(*) FROM t GROUP BY b ORDER BY b DESC",
+    ]
+
+    @pytest.mark.parametrize("config", ["memory", "spill", "attached"])
+    def test_rows_equal_the_row_engine(self, configure_quack, config):
+        def load(con):
+            con.execute("CREATE TABLE t(id BIGINT, b BOOLEAN)")
+            con.execute("INSERT INTO t VALUES (1, true), (2, false),"
+                        " (3, NULL), (4, true)")
+            return con
+
+        con = configure_quack(load(Database().connect()), config)
+        reference = load(RowDatabase().connect())
+        for sql in self.QUERIES:
+            assert con.execute(sql).fetchall() == \
+                reference.execute(sql).fetchall(), sql
+        assert reference.execute(self.QUERIES[0]).fetchall() == \
+            [(3,), (1,), (4,), (2,)]
+
+
+class TestTopN:
+    QUERIES = [
+        "SELECT id, v FROM t ORDER BY v LIMIT 3",
+        "SELECT id, v FROM t ORDER BY v DESC NULLS LAST, id LIMIT 4",
+        "SELECT id, v FROM t ORDER BY v NULLS FIRST LIMIT 2 OFFSET 1",
+        "SELECT id, v FROM t ORDER BY v DESC LIMIT 3 OFFSET 2",
+        "SELECT id, v FROM t ORDER BY v LIMIT 0",
+        "SELECT id, v FROM t ORDER BY v LIMIT 5 OFFSET 100",
+        "SELECT id, s FROM t ORDER BY s DESC, id LIMIT 3",
+        "SELECT id FROM t ORDER BY id % 3, v LIMIT 4",
+    ]
+
+    @pytest.mark.parametrize("config", ["memory", "spill"])
+    def test_rows_equal_the_row_engine(self, configure_quack, config):
+        nan = float("nan")
+        rows = [(1, 2.0, "b"), (2, nan, "a"), (3, None, None),
+                (4, -0.0, "c"), (5, 0.0, "a"), (6, float("inf"), "b"),
+                (7, 2.0, None), (8, nan, "c"), (9, -1.0, "a")]
+
+        def load(con):
+            con.execute("CREATE TABLE t(id BIGINT, v DOUBLE, s VARCHAR)")
+            con.database.catalog.get_table("t").append_rows(rows)
+            return con
+
+        con = configure_quack(load(Database().connect()), config)
+        reference = load(RowDatabase().connect())
+        for sql in self.QUERIES:
+            assert repr(con.execute(sql).fetchall()) == \
+                repr(reference.execute(sql).fetchall()), sql
+
+
+class TestBigintOverflow:
+    """Integer arithmetic and SUM raise one typed error when the exact
+    result leaves int64, on both engines."""
+
+    FAILING = [
+        "SELECT sum(k) FROM big WHERE g = 1",
+        "SELECT g, sum(k) FROM big GROUP BY g",
+        "SELECT k * 4 FROM big",
+        "SELECT k + k FROM big",
+        "SELECT (0 - k) - k - k FROM big",
+    ]
+    PASSING = [
+        ("SELECT g, sum(k) FROM big WHERE g > 1 GROUP BY g ORDER BY g",
+         [(2, 2**62), (3, -(2**63))]),
+        ("SELECT k * 2 - k FROM big WHERE g = 3", [(-(2**62),)] * 2),
+    ]
+
+    @staticmethod
+    def _load(con):
+        con.execute("CREATE TABLE big(k BIGINT, g BIGINT)")
+        con.database.catalog.get_table("big").append_rows([
+            (2**62, 1), (2**62, 1),
+            # The wrapped running sum leaves int64; the exact one doesn't.
+            (2**62, 2), (2**62, 2), (-(2**62), 2),
+            (-(2**62), 3), (-(2**62), 3),
+        ])
+        return con
+
+    @pytest.mark.parametrize("engine", ["memory", "spill", "pgsim"])
+    def test_exact_result_or_typed_error(self, configure_quack, engine):
+        if engine == "pgsim":
+            con = self._load(RowDatabase().connect())
+        else:
+            con = configure_quack(self._load(Database().connect()), engine)
+        for sql in self.FAILING:
+            with pytest.raises(ExecutionError, match="BIGINT out of range"):
+                con.execute(sql).fetchall()
+        for sql, expected in self.PASSING:
+            assert con.execute(sql).fetchall() == expected, sql
