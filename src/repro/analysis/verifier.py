@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -43,15 +43,18 @@ from ..quack.plan import (
     BoundParameterRef,
     BoundSubqueryExpr,
     LogicalAggregate,
+    LogicalCTERef,
+    LogicalDistinct,
     LogicalFilter,
+    LogicalGet,
     LogicalIndexScan,
     LogicalJoin,
     LogicalLimit,
     LogicalOperator,
     LogicalProject,
     LogicalSetOp,
-    LogicalSort,
     _children,
+    operator_exprs,
 )
 from ..quack.types import BOOLEAN, LogicalType, SQLNULL
 from ..quack.vector import DataChunk, Vector, _PHYSICAL_DTYPES
@@ -123,7 +126,7 @@ def fingerprint(expr: BoundExpr, delta=0) -> str:
         return f"case({', '.join(parts)})"
     if isinstance(expr, BoundSubqueryExpr):
         params = ", ".join(
-            fingerprint(p, delta) for p in expr.outer_params_exprs
+            fingerprint(p, delta) for p in _children(expr)
         )
         return f"subquery[{expr.kind}]#{id(expr.plan)}({params})"
     if isinstance(expr, BoundParameterRef):
@@ -287,44 +290,11 @@ def _verify_operator(op: LogicalOperator, functions, phase: str) -> None:
         if op.residual is None:
             fail("index nested-loop join without a recheck residual")
 
-    for expr, width in _operator_exprs(op):
+    for expr, width in operator_exprs(op):
         _verify_expr(expr, width, functions, label, phase)
 
     for child in op.children():
         _verify_operator(child, functions, phase)
-
-
-def _operator_exprs(
-    op: LogicalOperator,
-) -> Iterator[tuple[BoundExpr, int]]:
-    """Yield ``(expr, input_width)`` for the operator's own expressions."""
-    if isinstance(op, LogicalFilter):
-        yield op.condition, len(op.child.output_types())
-    elif isinstance(op, LogicalProject):
-        width = len(op.child.output_types())
-        for expr in op.exprs:
-            yield expr, width
-    elif isinstance(op, LogicalJoin):
-        left_width = len(op.left.output_types())
-        right_width = len(op.right.output_types())
-        for left_key, right_key in op.equi_keys:
-            yield left_key, left_width
-            yield right_key, right_width
-        if op.residual is not None:
-            yield op.residual, left_width + right_width
-        if op.index_probe is not None:
-            yield op.index_probe[2], left_width
-    elif isinstance(op, LogicalAggregate):
-        width = len(op.child.output_types())
-        for group in op.groups:
-            yield group, width
-        for spec in op.aggregates:
-            for arg in spec.args:
-                yield arg, width
-    elif isinstance(op, LogicalSort):
-        width = len(op.child.output_types())
-        for key, _, _ in op.keys:
-            yield key, width
 
 
 def _verify_expr(expr: BoundExpr, width: int, functions, label: str,
@@ -407,7 +377,7 @@ def _max_param_index(plan: LogicalOperator) -> int:
             visit_expr(child)
 
     def visit_op(op: LogicalOperator) -> None:
-        for expr, _ in _operator_exprs(op):
+        for expr, _ in operator_exprs(op):
             visit_expr(expr)
         for child in op.children():
             visit_op(child)
@@ -472,6 +442,21 @@ class RewriteVerifier:
             )
         self._check_index_injections(result)
 
+    def check_pruning(self, old: LogicalOperator, new: LogicalOperator,
+                      certificate: dict[int, dict[int, int]]) -> None:
+        """Check the required-columns rule's rewrite of ``old`` into
+        ``new``.  ``certificate`` maps each narrowed operator (by id) to
+        its map old output index → new output index.  Every dropped
+        column must be unreferenced above its drop point, every
+        expression must fingerprint the same after the binding remap,
+        and the root must keep its whole schema."""
+        remap = _check_pruned(old, new, certificate, {})
+        if remap != _identity(len(old.output_types())):
+            raise VerificationError(
+                f"optimizer rule column_pruning: schema-changing rewrite "
+                f"at the plan root ({old._explain_label()})"
+            )
+
     def _check_index_injections(self, op: LogicalOperator) -> None:
         if isinstance(op, LogicalIndexScan):
             index = op.index
@@ -496,6 +481,96 @@ class RewriteVerifier:
                 )
         for child in op.children():
             self._check_index_injections(child)
+
+
+def _identity(width: int) -> dict[int, int]:
+    return {i: i for i in range(width)}
+
+
+def _check_pruned(old: LogicalOperator, new: LogicalOperator,
+                  certificate: dict[int, dict[int, int]],
+                  cte_maps: dict[int, dict[int, int]]) -> dict[int, int]:
+    """One operator of :meth:`RewriteVerifier.check_pruning`, children
+    (CTE definitions first) before it; returns the operator's map."""
+    if new is old:
+        return _identity(len(old.output_types()))
+    label = old._explain_label()
+
+    def fail(message: str) -> None:
+        raise VerificationError(
+            f"optimizer rule column_pruning: {label}: {message}"
+        )
+
+    remap = certificate.get(id(new))
+    if type(new) is not type(old) or remap is None:
+        fail(f"rewritten into {new._explain_label()} without a certificate")
+    ctes = getattr(old, "ctes", [])
+    maps = []
+    for k, (before, after) in enumerate(zip(old.children(), new.children())):
+        maps.append(_check_pruned(before, after, certificate, cte_maps))
+        if k < len(ctes):
+            cte_maps[ctes[k][0]] = maps[-1]
+    old_types, new_types = old.output_types(), new.output_types()
+    kept = sorted(remap)
+    if [remap[i] for i in kept] != list(range(len(new_types))) or any(
+        old_types[i] != new_types[remap[i]] for i in kept
+    ):
+        fail(f"map {remap} does not carry the schema onto "
+             f"{[t.name for t in new_types]}")
+    join = _join_map(old, maps) if isinstance(old, LogicalJoin) else None
+    if isinstance(old, (LogicalGet, LogicalIndexScan, LogicalJoin)):
+        if any(new.column_ids[remap[i]] != (
+            old.column_ids[i] if join is None
+            else join.get(old.column_ids[i])
+        ) for i in kept):
+            fail(f"emits columns {list(new.column_ids)} its map does not "
+                 f"name")
+    elif isinstance(old, LogicalCTERef):
+        if remap != cte_maps.get(old.cte_id, remap):
+            fail("CTE scan disagrees with its narrowed definition")
+    elif isinstance(old, (LogicalAggregate, LogicalDistinct, LogicalSetOp)):
+        if remap != _identity(len(old_types)):
+            fail("dropped an output it computes or compares")
+    elif not isinstance(old, LogicalProject) and remap != maps[-1]:
+        fail("output map disagrees with its child's")
+    if isinstance(old, LogicalProject):
+        befores = [(old.exprs[i], maps[0], old.child) for i in kept]
+    elif join is not None:
+        befores = [
+            pair for lk, rk in old.equi_keys
+            for pair in ((lk, maps[0], old.left), (rk, maps[1], old.right))
+        ]
+        if old.residual is not None:
+            befores.append((old.residual, join, old))
+        if old.index_probe is not None:
+            befores.append((old.index_probe[2], maps[0], old.left))
+    else:
+        befores = [(expr, maps[0], old.children()[0])
+                   for expr, _ in operator_exprs(old)]
+    afters = [expr for expr, _ in operator_exprs(new)]
+    if len(befores) != len(afters):
+        fail(f"{len(befores)} expressions became {len(afters)}")
+    for (before, mapping, source), after in zip(befores, afters):
+        dropped = sorted(before.columns_used() - mapping.keys())
+        if dropped:
+            names = source.output_names()
+            fail(f"reads column(s) {[f'#{i} {names[i]}' for i in dropped]} "
+                 f"that {source._explain_label()} dropped")
+        if fingerprint(before, mapping.__getitem__) != fingerprint(after):
+            fail(f"expression {fingerprint(before)} is "
+                 f"{fingerprint(after)} after the binding remap")
+    return remap
+
+
+def _join_map(old: LogicalJoin, maps: list[dict[int, int]]
+              ) -> dict[int, int]:
+    """A join's map of its combined (left ++ right) input columns: the
+    left child's, then the right child's shifted past it."""
+    left, right = maps
+    width = len(old.left.output_types())
+    out = dict(left)
+    out.update((width + o, len(left) + n) for o, n in right.items())
+    return out
 
 
 # ---------------------------------------------------------------------------

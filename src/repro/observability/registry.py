@@ -35,6 +35,9 @@ DECLARED_COUNTERS = frozenset({
     "executor.join_probe_rows",
     "executor.join_kernel_probes",
     "executor.conjunct_rows_skipped",
+    # cells (rows x columns) the join loop's gathers and materializations
+    # copy
+    "executor.gathered_cells",
     # quack kernel/fallback dispatch
     "quack.kernel_ops",
     "quack.fallback_ops",

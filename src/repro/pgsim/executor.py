@@ -7,7 +7,8 @@ model of PostgreSQL that the paper measures MobilityDB against.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from ..quack.errors import ExecutionError
 from ..quack.keys import hashable_key as _hashable, sort_comparator
@@ -211,8 +212,9 @@ def _execute_operator(op: LogicalOperator,
         yield from execute_rows(op.child, ctx)
         return
     if isinstance(op, LogicalGet):
-        for _, row in op.table.scan():
-            yield row
+        rows = (row for _, row in op.table.scan())
+        project = _projector(op)
+        yield from rows if project is None else map(project, rows)
         return
     if isinstance(op, LogicalIndexScan):
         row_ids = op.index.probe(op.op_name, op.constant)
@@ -226,10 +228,11 @@ def _execute_operator(op: LogicalOperator,
         if ctx.profiler is not None:
             ctx.profiler.annotate(op, "probes")
             ctx.profiler.annotate(op, "candidates", len(row_ids))
+        project = _projector(op)
         for rid in sorted(row_ids):
             row = op.table.fetch(rid)
             if row is not None:
-                yield row
+                yield row if project is None else project(row)
         return
     if isinstance(op, LogicalTableFunction):
         if op.name == "single_row":
@@ -330,90 +333,89 @@ def _execute_operator(op: LogicalOperator,
     raise ExecutionError(f"cannot execute {type(op).__name__}")
 
 
+def _projector(op: LogicalGet | LogicalIndexScan | LogicalJoin
+               ) -> Callable[[tuple], tuple] | None:
+    """The tuple projection of a narrowed scan or join: one C-level
+    ``itemgetter`` that picks the columns the plan reads.  On a heap
+    tuple it is the analogue of PostgreSQL's ``slot_getsomeattrs``,
+    which deforms only the attributes a plan needs (out-of-line values
+    still detoast at the column reference).  ``None`` when every column
+    is read."""
+    columns = op.columns
+    if columns is None:
+        return None
+    if len(columns) == 1:
+        # itemgetter of one index returns the bare value, of a slice a
+        # tuple
+        return itemgetter(slice(columns[0], columns[0] + 1))
+    return itemgetter(*columns)
+
+
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Iterator[tuple]:
-    right_width = len(op.right.output_types())
-    null_pad = (None,) * right_width
-
-    if op.index_probe is not None and not op.equi_keys:
-        # Index nested-loop join: per left row, probe the right table's
-        # index with the evaluated left expression (GiST join strategy).
-        index, op_name, left_expr = op.index_probe
-        table = index.table
-        qstats = ctx.stats
-        for l_row in execute_rows(op.left, ctx):
-            probe_value = eval_row(left_expr, l_row, ctx)
-            matched = False
-            if probe_value is not None:
-                if qstats is not None:
-                    qstats.bump("executor.join_index_probes")
-                if ctx.profiler is not None:
-                    ctx.profiler.annotate(op, "index_probes")
-                ids = index.probe(op_name, probe_value)
-                for rid in sorted(ids or ()):
-                    r_row = table.fetch(rid)
-                    if r_row is None:
-                        continue
-                    combined = l_row + r_row
-                    if op.residual is not None and not eval_row(
-                        op.residual, combined, ctx
-                    ):
-                        continue
-                    matched = True
-                    yield combined
-            if op.join_type == "left" and not matched:
-                yield l_row + null_pad
-        return
-
-    right_rows = list(execute_rows(op.right, ctx))
-
-    if op.equi_keys:
-        # Hash join, one probe per row (PostgreSQL-style).  Keys go
-        # through the shared ``hashable_key`` canonicalization so NaN
-        # and -0.0 keys match exactly like the columnar engine.
-        table: dict[tuple, list[tuple]] = {}
-        for r_row in right_rows:
-            key = tuple(
-                eval_row(right_key, r_row, ctx)
-                for _, right_key in op.equi_keys
-            )
-            if any(k is None for k in key):
-                continue
-            table.setdefault(
-                tuple(_hashable(k) for k in key), []
-            ).append(r_row)
-        for l_row in execute_rows(op.left, ctx):
-            key = tuple(
-                eval_row(left_key, l_row, ctx)
-                for left_key, _ in op.equi_keys
-            )
-            matched = False
-            if not any(k is None for k in key):
-                for r_row in table.get(
-                    tuple(_hashable(k) for k in key), ()
-                ):
-                    combined = l_row + r_row
-                    if op.residual is not None and not eval_row(
-                        op.residual, combined, ctx
-                    ):
-                        continue
-                    matched = True
-                    yield combined
-            if op.join_type == "left" and not matched:
-                yield l_row + null_pad
-        return
-
+    """Every join method runs one loop over the right rows each left row
+    pairs with, keeping the pairs ``op.residual`` passes; a LEFT join
+    pads a left row none of them kept."""
+    candidates = _join_candidates(op, ctx)
+    project = _projector(op)
+    null_pad = (None,) * len(op.right.output_types())
     for l_row in execute_rows(op.left, ctx):
         matched = False
-        for r_row in right_rows:
+        for r_row in candidates(l_row):
             combined = l_row + r_row
             if op.residual is not None and not eval_row(
                 op.residual, combined, ctx
             ):
                 continue
             matched = True
-            yield combined
+            yield combined if project is None else project(combined)
         if op.join_type == "left" and not matched:
-            yield l_row + null_pad
+            padded = l_row + null_pad
+            yield padded if project is None else project(padded)
+
+
+def _join_candidates(op: LogicalJoin, ctx: ExecutionContext
+                     ) -> Callable[[tuple], Iterable[tuple]]:
+    """Left row → its candidate right rows.  The index nested loop
+    probes the right table's index with the evaluated left expression
+    per row (GiST join strategy); the hash join builds its table, and the
+    nested loop its rows, before the first left row."""
+    if op.index_probe is not None and not op.equi_keys:
+        index, op_name, left_expr = op.index_probe
+        project = _projector(op.right)
+
+        def probe(l_row: tuple) -> list[tuple]:
+            value = eval_row(left_expr, l_row, ctx)
+            if value is None:
+                return []
+            if ctx.stats is not None:
+                ctx.stats.bump("executor.join_index_probes")
+            if ctx.profiler is not None:
+                ctx.profiler.annotate(op, "index_probes")
+            rows = map(index.table.fetch,
+                       sorted(index.probe(op_name, value) or ()))
+            return [row if project is None else project(row)
+                    for row in rows if row is not None]
+
+        return probe
+    right_rows = list(execute_rows(op.right, ctx))
+    if not op.equi_keys:
+        return lambda l_row: right_rows
+    # Hash join, one probe per row (PostgreSQL-style).  Keys go through
+    # the shared ``hashable_key`` canonicalization so NaN and -0.0 keys
+    # match exactly like the columnar engine.
+    table: dict[tuple, list[tuple]] = {}
+    for r_row in right_rows:
+        key = tuple(eval_row(rk, r_row, ctx) for _, rk in op.equi_keys)
+        if not any(k is None for k in key):
+            table.setdefault(tuple(map(_hashable, key)), []).append(r_row)
+
+    def lookup(l_row: tuple) -> list[tuple]:
+        key = tuple(eval_row(lk, l_row, ctx) for lk, _ in op.equi_keys)
+        if any(k is None for k in key):
+            return []
+        return table.get(tuple(map(_hashable, key)), [])
+
+    return lookup
 
 
 def _execute_aggregate(op: LogicalAggregate,

@@ -81,6 +81,14 @@ def _bigint(value: Any) -> int:
     return value
 
 
+def _round_bigint(value: float) -> int:
+    """A DOUBLE rounded to BIGINT; NaN, ±inf and values past int64 raise
+    the typed range error, like arithmetic that leaves int64."""
+    if not math.isfinite(value):
+        raise ExecutionError("BIGINT out of range")
+    return _bigint(round(value))
+
+
 def _bigint_binop(np_op, py_op: Callable[[int, int], int]):
     """Vectorized int64 ``+``/``-``/``*``: NumPy wraps on overflow, so
     the valid rows that may have left int64 are re-done exactly."""
@@ -301,7 +309,8 @@ def _register_math(registry: FunctionRegistry) -> None:
         ScalarFunction("abs", (DOUBLE,), DOUBLE, fn_scalar=abs)
     )
     registry.register_scalar(
-        ScalarFunction("abs", (BIGINT,), BIGINT, fn_scalar=abs)
+        ScalarFunction("abs", (BIGINT,), BIGINT,
+                       fn_scalar=lambda a: _bigint(abs(int(a))))
     )
     registry.register_scalar(
         ScalarFunction("round", (DOUBLE,), DOUBLE,
@@ -679,14 +688,14 @@ def _register_casts(registry: FunctionRegistry) -> None:
         (INTEGER, DOUBLE, float, True),
         (BIGINT, DOUBLE, float, True),
         (BIGINT, INTEGER, int, False),
-        (DOUBLE, BIGINT, lambda v: int(round(v)), False),
-        (DOUBLE, INTEGER, lambda v: int(round(v)), False),
+        (DOUBLE, BIGINT, _round_bigint, False),
+        (DOUBLE, INTEGER, _round_bigint, False),
         (BIGINT, VARCHAR, str, False),
         (INTEGER, VARCHAR, str, False),
         (DOUBLE, VARCHAR, _to_text, False),
         (BOOLEAN, VARCHAR, lambda v: "true" if v else "false", False),
-        (VARCHAR, INTEGER, lambda v: int(float(v)), False),
-        (VARCHAR, BIGINT, lambda v: int(float(v)), False),
+        (VARCHAR, INTEGER, lambda v: _bigint(int(float(v))), False),
+        (VARCHAR, BIGINT, lambda v: _bigint(int(float(v))), False),
         (VARCHAR, DOUBLE, float, False),
         (VARCHAR, BOOLEAN, _varchar_to_bool, False),
         (VARCHAR, TIMESTAMP, parse_timestamptz, False),

@@ -345,28 +345,39 @@ class Table:
             offset += count
 
     def scan(
-        self, skip_groups: set[int] | None = None
+        self, skip_groups: set[int] | None = None,
+        columns: Sequence[int] | None = None,
     ) -> Iterator[tuple[DataChunk, np.ndarray]]:
         """Yield (chunk, row_ids) over live rows, one entry per sealed
         segment; ``skip_groups`` elides row groups by segment index
-        without materializing them (zone-map pruning)."""
+        without materializing them (zone-map pruning), and ``columns``
+        (table column indices, all when None) picks the columns read, so
+        a stored segment of any other column is never decoded."""
+        read = self._read(columns)
         for seg, offset, count, keep in self.segment_masks():
             if skip_groups and seg in skip_groups:
                 continue
-            vectors = [col.segment_vector(seg) for col in self._columns]
+            vectors = [col.segment_vector(seg) for col in read]
             row_ids = np.arange(offset, offset + count, dtype=np.int64)
             if keep is not None:
                 vectors = [v.slice(keep) for v in vectors]
                 row_ids = row_ids[keep]
             yield DataChunk(vectors), row_ids
 
-    def fetch(self, row_ids: np.ndarray) -> DataChunk:
-        """Random-access fetch (index scan path, paper §4.3)."""
-        live = np.asarray(
-            [r for r in row_ids if int(r) not in self._deleted_ids],
-            dtype=np.int64,
-        )
-        return DataChunk([col.gather(live) for col in self._columns])
+    def fetch(self, row_ids: np.ndarray,
+              columns: Sequence[int] | None = None) -> DataChunk:
+        """Random-access fetch of the live ``row_ids`` (index scan path,
+        paper §4.3): the ``columns`` listed (table column indices, all
+        when None)."""
+        live = np.asarray(row_ids, dtype=np.int64)
+        if self._deleted_ids:
+            live = np.asarray(self.live_row_ids(live), dtype=np.int64)
+        return DataChunk([col.gather(live) for col in self._read(columns)])
+
+    def _read(self, columns: Sequence[int] | None) -> list[ColumnData]:
+        if columns is None:
+            return self._columns
+        return [self._columns[c] for c in columns]
 
     def live_row_ids(self, row_ids: Sequence[int]) -> list[int]:
         return [int(r) for r in row_ids if int(r) not in self._deleted_ids]

@@ -17,6 +17,7 @@ from . import kernels
 from . import storage as _storage
 from .errors import ConversionError, ExecutionError
 from .kernels import hashable_key as _hashable
+from .optimizer import _remap
 from .plan import (
     BoundCase,
     BoundCast,
@@ -532,7 +533,7 @@ def _execute_operator(op: LogicalOperator,
         for start in range(0, len(live), STANDARD_VECTOR_SIZE):
             ids = np.asarray(live[start : start + STANDARD_VECTOR_SIZE],
                              dtype=np.int64)
-            chunk = op.table.fetch(ids)
+            chunk = op.table.fetch(ids, op.columns)
             if chunk.count:
                 yield chunk
         return
@@ -630,7 +631,7 @@ def _execute_get(op: LogicalGet,
                                       len(skip))
             if skip and _verification.verification_enabled():
                 _crosscheck_pruned_groups(op, skip, zone_maps, ctx)
-    for chunk, _ in op.table.scan(skip_groups=skip):
+    for chunk, _ in op.table.scan(skip_groups=skip, columns=op.columns):
         if chunk.count:
             yield chunk
 
@@ -744,11 +745,12 @@ def _execute_cte_ref(op: LogicalCTERef,
 # -- joins ---------------------------------------------------------------------
 
 
-def _materialize(op: LogicalOperator,
+def _materialize(owner: LogicalOperator, op: LogicalOperator,
                  ctx: ExecutionContext,
                  chunks: list[DataChunk] | None = None
                  ) -> list[Vector] | None:
-    """Materialize a plan into whole-relation column vectors.
+    """Materialize a plan into whole-relation column vectors, for the
+    operator ``owner``.
 
     ``chunks`` short-circuits execution when the caller already drained
     the child (the spill watermark probe that stayed under the limit)."""
@@ -757,6 +759,7 @@ def _materialize(op: LogicalOperator,
     if not chunks:
         return None
     columns = concat_chunks(chunks).vectors
+    _count_gathered(owner, ctx, len(columns[0]) * len(columns))
     if ctx.stats is not None:
         ctx.stats.bump("executor.materializations")
         ctx.stats.bump("executor.materialized_chunks", len(chunks))
@@ -766,6 +769,15 @@ def _materialize(op: LogicalOperator,
     return columns
 
 
+def _count_gathered(op: LogicalOperator, ctx: ExecutionContext,
+                    cells: int) -> None:
+    """Account ``cells`` (rows × columns) an operator copied."""
+    if ctx.stats is not None:
+        ctx.stats.bump("executor.gathered_cells", cells)
+    if ctx.profiler is not None:
+        ctx.profiler.annotate(op, "gathered_cells", cells)
+
+
 #: The pair batch of a left chunk that matches nothing.
 _NO_PAIRS = np.zeros(0, dtype=np.int64)
 
@@ -773,11 +785,15 @@ _NO_PAIRS = np.zeros(0, dtype=np.int64)
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext
                   ) -> Iterator[DataChunk]:
     """Every join method runs one loop.  A pair source yields, per left
-    chunk, the left rows of its candidate pairs and the right columns
-    gathered for them; the loop keeps the pairs ``op.residual`` passes
-    and, for a LEFT join, pads the left rows none of them kept."""
+    chunk, the left and the right rows of its candidate pairs; the loop
+    keeps the pairs ``op.residual`` passes, gathers the output columns
+    for those alone and, for a LEFT join, pads the left rows none of
+    them kept."""
     if op.index_probe is not None and not op.equi_keys:
         pairs = _index_pairs(op, ctx)
+        table, ids = op.right.table, op.right.column_ids
+        gather = _PairGather(op, ctx, lambda c, rows: table.fetch(
+            rows, (ids[c],)).vectors[0])
     else:
         right_chunks: list[DataChunk] | None = None
         if (
@@ -790,48 +806,83 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext
                 yield from _grace_hash_join(op, buffered, overflow, ctx)
                 return
             right_chunks = buffered
-        right = DataChunk(
-            _materialize(op.right, ctx, chunks=right_chunks) or []
+        built = DataChunk(
+            _materialize(op, op.right, ctx, chunks=right_chunks) or []
         )
         source = _hash_pairs if op.equi_keys else _nested_loop_pairs
-        pairs = source(op, right, ctx)
-    right_types = op.right.output_types()
-    for left_chunk, left_rows, right_vectors in pairs:
-        matched, matched_rows = _keep_matches(op, left_chunk, left_rows,
-                                              right_vectors, ctx)
+        pairs = source(op, built, ctx)
+        gather = _PairGather(op, ctx, _taker(built))
+    for left_chunk, left_rows, right_rows in pairs:
+        left_rows, right_rows = gather.matches(left_chunk, left_rows,
+                                               right_rows)
         if op.join_type == "left":
-            yield from _emit_left_padding(left_chunk, matched_rows,
-                                          right_types)
-        if matched.count:
-            yield matched
+            yield from _emit_left_padding(op, left_chunk, left_rows)
+        if len(left_rows):
+            yield DataChunk(gather(op.column_ids, left_chunk, left_rows,
+                                   right_rows))
 
 
-def _keep_matches(op: LogicalJoin, left_chunk: DataChunk,
-                  left_rows: np.ndarray, right_vectors: list[Vector],
-                  ctx: ExecutionContext) -> tuple[DataChunk, np.ndarray]:
-    """Pair ``left_chunk``'s ``left_rows`` with ``right_vectors`` and keep
-    the pairs ``op.residual`` passes: the combined rows, and the left
-    row of each.  Columns past the right side's ride along unread."""
-    combined = DataChunk(
-        [v.take(left_rows) for v in left_chunk.vectors] + right_vectors
-    )
-    if op.residual is None or not len(left_rows):
-        return combined, left_rows
-    mask = boolean_selection(evaluate(op.residual, combined, ctx))
-    return combined.slice(mask), left_rows[mask]
+class _PairGather:
+    """Late materialisation for one join: the residual, remapped once
+    onto the columns it reads, runs over those columns gathered for the
+    candidate pairs; each column the join emits is gathered once, for
+    the pairs that survive.  ``right`` gathers the right side: column,
+    rows → vector."""
+
+    def __init__(self, op: LogicalJoin, ctx: ExecutionContext, right):
+        self.op, self.ctx, self.right = op, ctx, right
+        self.split = len(op.left.output_types())
+        self.residual = None
+        if op.residual is not None:
+            # A column-free residual still needs a pair count to run on.
+            self.read = sorted(op.residual.columns_used()) or [0]
+            self.residual = _remap(op.residual, {
+                c: k for k, c in enumerate(self.read)
+            }.__getitem__)
+
+    def __call__(self, columns, left_chunk: DataChunk,
+                 left_rows: np.ndarray, right_rows: np.ndarray
+                 ) -> list[Vector]:
+        split = self.split
+        vectors = [
+            left_chunk.vectors[c].take(left_rows) if c < split
+            else self.right(c - split, right_rows)
+            for c in columns
+        ]
+        _count_gathered(self.op, self.ctx, len(left_rows) * len(vectors))
+        return vectors
+
+    def matches(self, left_chunk: DataChunk, left_rows: np.ndarray,
+                right_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pairs the residual passes."""
+        if self.residual is None or not len(left_rows):
+            return left_rows, right_rows
+        pairs = DataChunk(self(self.read, left_chunk, left_rows, right_rows))
+        mask = boolean_selection(evaluate(self.residual, pairs, self.ctx))
+        return left_rows[mask], right_rows[mask]
 
 
-def _emit_left_padding(left_chunk: DataChunk, matched_rows: np.ndarray,
-                       right_types) -> Iterator[DataChunk]:
+def _taker(chunk: DataChunk):
+    """A join's in-memory right side as a gather: column, rows → vector."""
+    return lambda column, rows: chunk.vectors[column].take(rows)
+
+
+def _emit_left_padding(op: LogicalJoin, left_chunk: DataChunk,
+                       matched_rows: np.ndarray) -> Iterator[DataChunk]:
     """Pad the rows of ``left_chunk`` not in ``matched_rows`` with NULL
     right columns (LEFT JOIN semantics)."""
     unmatched = np.ones(left_chunk.count, dtype=np.bool_)
     unmatched[matched_rows] = False
     if not unmatched.any():
         return
-    sliced = left_chunk.slice(unmatched)
-    pads = [Vector.constant(t, None, sliced.count) for t in right_types]
-    yield DataChunk(sliced.vectors + pads)
+    split = len(left_chunk.vectors)
+    rows = int(unmatched.sum())
+    right_types = op.right.output_types()
+    yield DataChunk([
+        left_chunk.vectors[c].slice(unmatched) if c < split
+        else Vector.constant(right_types[c - split], None, rows)
+        for c in op.column_ids
+    ])
 
 
 def _nested_loop_pairs(op: LogicalJoin, right: DataChunk,
@@ -841,14 +892,13 @@ def _nested_loop_pairs(op: LogicalJoin, right: DataChunk,
     for left_chunk in execute_plan(op.left, ctx):
         left_rows = np.repeat(np.arange(left_chunk.count), right.count)
         right_rows = np.tile(np.arange(right.count), left_chunk.count)
-        yield left_chunk, left_rows, [v.take(right_rows)
-                                      for v in right.vectors]
+        yield left_chunk, left_rows, right_rows
 
 
 def _index_pairs(op: LogicalJoin, ctx: ExecutionContext):
     """Index nested-loop pair source: each left chunk probes the right
-    table's index with one ``probe_batch`` call, and all candidate rows
-    are gathered with a single ``table.fetch``."""
+    table's index with one ``probe_batch`` call; the pairs' right rows
+    are the live row ids of the candidates."""
     index, op_name, left_expr = op.index_probe
     table = index.table
     for left_chunk in execute_plan(op.left, ctx):
@@ -873,12 +923,8 @@ def _index_pairs(op: LogicalJoin, ctx: ExecutionContext):
             live = table.live_row_ids(sorted(ids))
             row_ids.extend(live)
             left_rep.extend([i] * len(live))
-        if not row_ids:
-            yield left_chunk, _NO_PAIRS, []
-            continue
-        right_chunk = table.fetch(np.asarray(row_ids, dtype=np.int64))
         yield (left_chunk, np.asarray(left_rep, dtype=np.int64),
-               right_chunk.vectors)
+               np.asarray(row_ids, dtype=np.int64))
 
 
 def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
@@ -909,7 +955,7 @@ def _hash_pairs(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
     one :class:`kernels.JoinBuild` that every left chunk probes."""
     if not right.count:
         for left_chunk in execute_plan(op.left, ctx):
-            yield left_chunk, _NO_PAIRS, []
+            yield left_chunk, _NO_PAIRS, _NO_PAIRS
         return
     kstats = _kernel_stats(op, ctx)
     qstats = ctx.stats
@@ -928,8 +974,7 @@ def _hash_pairs(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
             qstats.bump("executor.join_kernel_probes")
             qstats.bump("quack.kernel_ops")
         left_rows, right_rows = probe(left_chunk)
-        yield left_chunk, left_rows, [v.take(right_rows)
-                                      for v in right.vectors]
+        yield left_chunk, left_rows, right_rows
 
 
 def _hash_prober(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
@@ -1008,7 +1053,7 @@ def _execute_aggregate(op: LogicalAggregate,
             yield from _spilled_aggregate(op, buffered, overflow, ctx)
             return
         chunks = buffered
-    columns = _materialize(op.child, ctx, chunks=chunks)
+    columns = _materialize(op, op.child, ctx, chunks=chunks)
     if columns is None:
         if not op.groups:
             # Aggregates over an empty input produce one row of finals.
@@ -1433,15 +1478,14 @@ def _grace_hash_join(op: LogicalJoin, right_buffered: list[DataChunk],
             ctx.profiler.annotate(op, "spill_partitions",
                                   _SPILL_PARTITIONS)
         runs: list[_storage.SpillFile] = []
+        gather = _PairGather(op, ctx, None)
         for build_part, probe_part in zip(build_parts, probe_parts):
             if not build_part.rows or not probe_part.rows:
                 continue
-            run = _storage.SpillFile(
-                left_types + right_types + [BIGINT, BIGINT]
-            )
+            run = _storage.SpillFile(op.output_types() + [BIGINT, BIGINT])
             spills.append(run)
             runs.append(run)
-            _join_partition(op, build_part, probe_part, run, ctx)
+            _join_partition(op, gather, build_part, probe_part, run, ctx)
         yield from kernels.merge_sorted_runs(
             [(run.read_chunks(), run.chunks) for run in runs],
             2, [(True, None), (True, None)],
@@ -1451,7 +1495,8 @@ def _grace_hash_join(op: LogicalJoin, right_buffered: list[DataChunk],
             spill.close()
 
 
-def _join_partition(op: LogicalJoin, build_part: _storage.SpillFile,
+def _join_partition(op: LogicalJoin, gather: _PairGather,
+                    build_part: _storage.SpillFile,
                     probe_part: _storage.SpillFile,
                     run: _storage.SpillFile, ctx: ExecutionContext) -> None:
     """Join one Grace partition pair into ``run``: matched rows passing
@@ -1461,14 +1506,13 @@ def _join_partition(op: LogicalJoin, build_part: _storage.SpillFile,
     right = concat_chunks(list(build_part.read_chunks()))
     right_index = right.vectors.pop()
     probe = _hash_prober(op, right, ctx)
+    gather.right = _taker(right)
     for left in probe_part.read_chunks():
         left_index = left.vectors.pop()
-        left_rows, right_rows = probe(left)
-        matched, _ = _keep_matches(
-            op, left, left_rows,
-            [v.take(right_rows) for v in right.vectors]
-            + [left_index.take(left_rows), right_index.take(right_rows)],
-            ctx,
+        left_rows, right_rows = gather.matches(left, *probe(left))
+        matched = DataChunk(
+            gather(op.column_ids, left, left_rows, right_rows)
+            + [left_index.take(left_rows), right_index.take(right_rows)]
         )
         _spill_blocks(run, matched, np.arange(matched.count))
 
@@ -1503,7 +1547,7 @@ def _execute_sort(op: LogicalSort, ctx: ExecutionContext,
             yield from _external_sort(op, buffered, overflow, ctx)
             return
         chunks = buffered
-    columns = _materialize(op.child, ctx, chunks=chunks)
+    columns = _materialize(op, op.child, ctx, chunks=chunks)
     if columns is None:
         return
     full = DataChunk(columns)
@@ -1589,7 +1633,7 @@ def _execute_set_op(op: "LogicalSetOp",
 def _execute_distinct(op: LogicalDistinct,
                       ctx: ExecutionContext) -> Iterator[DataChunk]:
     stats = _kernel_stats(op, ctx)
-    columns = _materialize(op.child, ctx)
+    columns = _materialize(op, op.child, ctx)
     if columns is None:
         return
     full = DataChunk(columns)

@@ -27,13 +27,18 @@ from typing import Any, Callable
 from ..analysis.config import verification_enabled
 from .binder import _NOT_CONSTANT, fold_constant
 from .plan import (
+    BoundCase,
+    BoundCast,
     BoundColumnRef,
     BoundConjunction,
+    BoundConstant,
     BoundExpr,
     BoundFunction,
     BoundInList,
     BoundIsNull,
     BoundNot,
+    BoundParameterRef,
+    BoundSubqueryExpr,
     LogicalAggregate,
     LogicalDistinct,
     LogicalFilter,
@@ -76,15 +81,20 @@ def optimize(plan: LogicalOperator, stats=None, cbo: bool = True,
     plans from its row count alone).  ``zone_maps`` is the
     ``SET zone_maps = on|off`` kill switch for attaching row-group prune
     predicates to table scans.
+    The required-columns rule (:mod:`repro.quack.prune`) runs last.
     Under verification mode every filter rewrite is snapshot-checked
-    (schema stability, predicate preservation, index-injection validity)
-    and a violation names the optimizer rule that fired."""
+    (schema stability, predicate preservation, index-injection validity),
+    the column pruning is checked against its certificate, and a
+    violation names the optimizer rule that fired."""
+    from .prune import prune_columns
+
     verifier = None
     if verification_enabled():
         from ..analysis.verifier import RewriteVerifier
 
         verifier = RewriteVerifier()
-    return _Optimizer(stats, verifier, cbo, zone_maps).rewrite(plan)
+    optimizer = _Optimizer(stats, verifier, cbo, zone_maps)
+    return prune_columns(optimizer.rewrite(plan), verifier, optimizer._fire)
 
 
 def join_tables(plan: LogicalOperator) -> list:
@@ -117,11 +127,18 @@ def _flatten(op: LogicalOperator) -> tuple[list[LogicalOperator], bool]:
     return [op], False
 
 
+def _shallow(node):
+    """A shallow copy of a plan node (``copy.copy`` without its reduce
+    protocol: plan nodes are plain dataclasses)."""
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__)
+    return clone
+
+
 def _with(op: LogicalOperator, **fields) -> LogicalOperator:
     """Shallow-copy ``op`` with ``fields`` replaced (copy-on-write)."""
-    clone = copy.copy(op)
-    for name, value in fields.items():
-        setattr(clone, name, value)
+    clone = _shallow(op)
+    clone.__dict__.update(fields)
     return clone
 
 
@@ -980,18 +997,9 @@ def _transform_columns(
             return BoundColumnRef(
                 transform(node.index), node.ltype, node.name
             )
-        clone = copy.copy(node)
-        from .plan import (
-            BoundCase,
-            BoundCast,
-            BoundConjunction,
-            BoundFunction,
-            BoundInList,
-            BoundIsNull,
-            BoundNot,
-            BoundSubqueryExpr,
-        )
-
+        if isinstance(node, (BoundConstant, BoundParameterRef)):
+            return node  # no column below: nothing to rewrite
+        clone = _shallow(node)
         if isinstance(node, (BoundFunction, BoundConjunction)):
             clone.args = [shift(a) for a in node.args]
         elif isinstance(node, (BoundCast, BoundIsNull, BoundNot)):
@@ -1009,6 +1017,8 @@ def _transform_columns(
             clone.outer_params_exprs = [
                 shift(p) for p in node.outer_params_exprs
             ]
+            if node.operand is not None:
+                clone.operand = shift(node.operand)
         return clone
 
     return shift(expr)

@@ -34,8 +34,9 @@ class BoundExpr:
 def _collect_columns(expr: BoundExpr, out: set[int]) -> None:
     if isinstance(expr, BoundColumnRef):
         out.add(expr.index)
-    for child in _children(expr):
-        _collect_columns(child, out)
+    elif not isinstance(expr, BoundConstant):
+        for child in _children(expr):
+            _collect_columns(child, out)
 
 
 def _children(expr: BoundExpr) -> list[BoundExpr]:
@@ -57,7 +58,8 @@ def _children(expr: BoundExpr) -> list[BoundExpr]:
             out.append(expr.else_result)
         return out
     if isinstance(expr, BoundSubqueryExpr):
-        return list(expr.outer_params_exprs)
+        operand = [] if expr.operand is None else [expr.operand]
+        return [*expr.outer_params_exprs, *operand]
     return []
 
 
@@ -263,18 +265,40 @@ class PrunePredicate:
     expr: Any = None
 
 
-@dataclass
-class LogicalGet(LogicalOperator):
-    table: Table
-    #: zone-map prune predicates attached by the optimizer; empty tuple
-    #: means plain full scan
-    prune: tuple = ()
+class _ScanColumns:
+    """The table columns a scan emits: ``columns`` lists them by table
+    column index (the required-columns rule sets it); ``None`` is every
+    column in table order."""
+
+    columns: tuple[int, ...] | None
+
+    @property
+    def column_ids(self) -> tuple[int, ...]:
+        if self.columns is None:
+            return tuple(range(len(self.table.column_types)))
+        return self.columns
 
     def output_types(self) -> list[LogicalType]:
-        return list(self.table.column_types)
+        types = self.table.column_types
+        if self.columns is None:
+            return list(types)
+        return [types[c] for c in self.columns]
 
     def output_names(self) -> list[str]:
-        return list(self.table.column_names)
+        names = self.table.column_names
+        if self.columns is None:
+            return list(names)
+        return [names[c] for c in self.columns]
+
+
+@dataclass
+class LogicalGet(_ScanColumns, LogicalOperator):
+    table: Table
+    #: zone-map prune predicates attached by the optimizer; empty tuple
+    #: means plain full scan.  ``PrunePredicate.column`` is a table
+    #: column index, whatever ``columns`` keeps.
+    prune: tuple = ()
+    columns: tuple[int, ...] | None = None
 
     def _explain_label(self) -> str:
         label = f"SEQ_SCAN {self.table.name}"
@@ -288,17 +312,12 @@ class LogicalGet(LogicalOperator):
 
 
 @dataclass
-class LogicalIndexScan(LogicalOperator):
+class LogicalIndexScan(_ScanColumns, LogicalOperator):
     table: Table
     index: TableIndex
     op_name: str
     constant: Any
-
-    def output_types(self) -> list[LogicalType]:
-        return list(self.table.column_types)
-
-    def output_names(self) -> list[str]:
-        return list(self.table.column_names)
+    columns: tuple[int, ...] | None = None
 
     def _explain_label(self) -> str:
         return (
@@ -392,12 +411,28 @@ class LogicalJoin(LogicalOperator):
     #: row, probe the right base table's index with the evaluated left
     #: expression (index nested-loop join, the GiST join strategy)
     index_probe: tuple | None = None
+    #: the positions of the combined (left ++ right) columns the join
+    #: emits, set by the required-columns rule; ``None`` emits them all
+    columns: tuple[int, ...] | None = None
+
+    @property
+    def column_ids(self) -> tuple[int, ...]:
+        if self.columns is None:
+            return tuple(range(len(self.left.output_types())
+                               + len(self.right.output_types())))
+        return self.columns
 
     def output_types(self) -> list[LogicalType]:
-        return self.left.output_types() + self.right.output_types()
+        types = self.left.output_types() + self.right.output_types()
+        if self.columns is None:
+            return types
+        return [types[c] for c in self.columns]
 
     def output_names(self) -> list[str]:
-        return self.left.output_names() + self.right.output_names()
+        names = self.left.output_names() + self.right.output_names()
+        if self.columns is None:
+            return names
+        return [names[c] for c in self.columns]
 
     def children(self) -> list[LogicalOperator]:
         return [self.left, self.right]
@@ -535,3 +570,36 @@ class LogicalMaterializedCTE(LogicalOperator):
 
     def _explain_label(self) -> str:
         return f"CTE [{', '.join(name for _, name, _ in self.ctes)}]"
+
+
+def operator_exprs(op: LogicalOperator):
+    """Yield ``(expr, input_width)`` for the operator's own expressions,
+    each over its input column space (a join's right keys over the right
+    child's, its residual over the combined one)."""
+    if isinstance(op, LogicalFilter):
+        yield op.condition, len(op.child.output_types())
+    elif isinstance(op, LogicalProject):
+        width = len(op.child.output_types())
+        for expr in op.exprs:
+            yield expr, width
+    elif isinstance(op, LogicalJoin):
+        left_width = len(op.left.output_types())
+        right_width = len(op.right.output_types())
+        for left_key, right_key in op.equi_keys:
+            yield left_key, left_width
+            yield right_key, right_width
+        if op.residual is not None:
+            yield op.residual, left_width + right_width
+        if op.index_probe is not None:
+            yield op.index_probe[2], left_width
+    elif isinstance(op, LogicalAggregate):
+        width = len(op.child.output_types())
+        for group in op.groups:
+            yield group, width
+        for spec in op.aggregates:
+            for arg in spec.args:
+                yield arg, width
+    elif isinstance(op, LogicalSort):
+        width = len(op.child.output_types())
+        for key, _, _ in op.keys:
+            yield key, width

@@ -94,6 +94,61 @@ class TestQueriesRunOnDuck:
             assert d1 == pytest.approx(d2, abs=1e-6)
 
 
+def _joins(op, node):
+    """``(join operator, its EXPLAIN ANALYZE json node)`` pairs."""
+    from repro.quack.plan import LogicalJoin
+
+    if isinstance(op, LogicalJoin):
+        yield op, node
+    for child, child_node in zip(op.children(), node["children"]):
+        yield from _joins(child, child_node)
+
+
+class TestEngineWork:
+    def test_only_query5_falls_back(self, duck):
+        """Q5's two ``list(...)`` aggregates have no ``step_batch`` and
+        run the row loop; every other query runs on kernels alone."""
+        fallbacks = {
+            q.number: duck.execute(q.sql).stats().counter(
+                "quack.fallback_ops")
+            for q in QUERIES
+        }
+        assert {n: c for n, c in fallbacks.items() if c} == {5: 2}
+
+    def test_query10_joins_gather_only_what_they_read(self, duck):
+        """Each join gathers the residual's columns for its candidate
+        pairs, its output columns for the surviving pairs, and its build
+        side once: no column rides through the pair loop unread."""
+        from repro.quack.sql.parser import parse_sql
+
+        sql = get_query(10).sql
+        plan = duck._plan_select(parse_sql(sql)[0])
+        tree = duck.explain_analyze(sql, format="json")
+        joins = list(_joins(plan, tree["plan"]))
+        assert len(joins) == 3
+        for join, node in joins:
+            left, right = (child["rows"] for child in node["children"])
+            candidates = left * right if not join.equi_keys else 0
+            residual = (len(join.residual.columns_used())
+                        if join.residual is not None else 0)
+            bound = (candidates * residual
+                     + node["rows"] * len(join.output_types())
+                     + right * len(join.right.output_types()))
+            gathered = node["metrics"]["gathered_cells"]
+            assert gathered <= bound, join.explain()
+        # the per-operator counts add up to the query's counter
+        assert sum(
+            node.get("metrics", {}).get("gathered_cells", 0)
+            for node in _nodes(tree["plan"])
+        ) == tree["counters"]["executor.gathered_cells"]
+
+
+def _nodes(node):
+    yield node
+    for child in node["children"]:
+        yield from _nodes(child)
+
+
 class TestCrossEngine:
     """MobilityDuck and the MobilityDB baseline must agree row-for-row."""
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.pgsim import RowDatabase
 from repro.quack import Database, kernels
-from repro.quack.errors import ExecutionError
+from repro.quack.errors import ConversionError, ExecutionError
 from repro.quack.extension import ExtensionUtil, make_user_type
 from repro.quack.functions import AggregateFunction
 from repro.quack.kernels import hashable_key
@@ -666,3 +666,41 @@ class TestBigintOverflow:
                 con.execute(sql).fetchall()
         for sql, expected in self.PASSING:
             assert con.execute(sql).fetchall() == expected, sql
+
+    @pytest.mark.parametrize("engine", ["memory", "pgsim"])
+    def test_cast_and_abs_leave_int64_typed(self, engine):
+        """``CAST(<DOUBLE> AS BIGINT)`` past int64, of NaN or of ±inf and
+        ``abs(-2**63)`` fail with the same typed error on both engines;
+        in range they round like before."""
+        con = (RowDatabase() if engine == "pgsim" else Database()).connect()
+        con.execute("CREATE TABLE d(x DOUBLE, i BIGINT)")
+        table = con.database.catalog.get_table("d")
+        for bad in (1e19, -1e19, float("nan"), float("inf"),
+                    float("-inf")):
+            table.append_rows([(bad, 0)])
+            with pytest.raises(ConversionError, match="BIGINT out of range"):
+                con.execute("SELECT CAST(x AS BIGINT) FROM d").fetchall()
+            con.execute("DELETE FROM d")
+        for literal in ("1e19", "'1e19'", "'-1e19'"):
+            with pytest.raises(ConversionError, match="BIGINT out of range"):
+                con.execute(f"SELECT CAST({literal} AS BIGINT)").fetchall()
+        table.append_rows([(2.5, -(2**63)), (-7.6, -5)])
+        with pytest.raises(ExecutionError, match="BIGINT out of range"):
+            con.execute("SELECT abs(i) FROM d").fetchall()
+        assert con.execute(
+            "SELECT CAST(x AS BIGINT), abs(i) FROM d WHERE i > -10"
+        ).fetchall() == [(-8, 5)]
+        assert con.execute(
+            "SELECT CAST(x AS BIGINT) FROM d ORDER BY x"
+        ).fetchall() == [(-8,), (2,)]
+
+    def test_abs_overflow_warns_nothing(self):
+        import warnings
+
+        con = Database().connect()
+        con.execute("CREATE TABLE d(i BIGINT)")
+        con.database.catalog.get_table("d").append_rows([(-(2**63),)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExecutionError, match="BIGINT out of range"):
+                con.execute("SELECT abs(i) FROM d").fetchall()

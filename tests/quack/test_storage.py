@@ -718,9 +718,9 @@ class TestSpill:
             [(i, f"group-{i:028d}") for i in range(97)]
         )
         # dim first in FROM order: the big table lands on the build
-        # (right) side.
+        # (right) side, its padded column read so that it rides along.
         con.execute("SET cbo = off")
-        sql = ("SELECT t.a, dim.name FROM dim, t "
+        sql = ("SELECT t.a, t.b, dim.name FROM dim, t "
                "WHERE t.g = dim.g AND t.a < 5000")
         baseline = con.execute(sql).fetchall()
         con.execute("SET memory_limit = 0.25")
