@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Engine comparison: MobilityDuck (columnar) vs the MobilityDB baseline.
 
-Runs a selection of BerlinMOD-Hanoi benchmark queries through the
-programmatic harness (`repro.berlinmod.run_benchmark`) across the three
-scenarios of the paper's Figure 12 — MobilityDuck, MobilityDB without
-indexes, MobilityDB with GiST/B-tree indexes — and prints the grid.
+Loads one BerlinMOD-Hanoi city into the three scenarios of the paper's
+Figure 12 — MobilityDuck, MobilityDB without indexes, MobilityDB with
+GiST/B-tree indexes — checks that each selected query returns the same
+rows on all three, and prints one warm run's time per query and scenario.
+The benchmark proper is ``perfbench/run_all.py``.
 
 Run with::
 
@@ -12,8 +13,9 @@ Run with::
 """
 
 import sys
+import time
 
-from repro.berlinmod import run_benchmark
+from repro.berlinmod import SCENARIOS, generate, get_query, prepare_scenario
 
 
 def main() -> None:
@@ -23,14 +25,28 @@ def main() -> None:
     else:
         numbers = [1, 2, 3, 4, 8, 13, 15]
 
-    print(f"Running queries {numbers} at SF {scale} on all three "
-          "scenarios ...")
-    report = run_benchmark(scale_factors=[scale], queries=numbers)
-    print()
-    print(report.format_grid())
-
-    duck_vs_idx = report.win_ratio(against="mobilitydb_idx")
-    print(f"mobilityduck wins vs indexed baseline:   {duck_vs_idx:.0%}")
+    print(f"Loading SF {scale} into {', '.join(SCENARIOS)} ...")
+    city = generate(scale)
+    connections = {name: prepare_scenario(name, city) for name in SCENARIOS}
+    print(f"\n{'query':>5} " + " ".join(f"{name:>15}" for name in SCENARIOS))
+    wins = 0
+    for number in numbers:
+        sql = get_query(number).sql
+        seconds = {}
+        answers = set()
+        for name, con in connections.items():
+            rows = con.execute(sql).fetchall()  # warm-up, and the answer
+            answers.add(repr(sorted(map(repr, rows))))
+            start = time.perf_counter()
+            con.execute(sql).fetchall()
+            seconds[name] = time.perf_counter() - start
+        if len(answers) != 1:
+            raise AssertionError(f"Q{number}: the scenarios disagree")
+        wins += seconds["mobilityduck"] < seconds["mobilitydb_idx"]
+        print(f"{'Q' + str(number):>5} "
+              + " ".join(f"{seconds[name] * 1000:13.1f}ms"
+                         for name in SCENARIOS))
+    print(f"\nmobilityduck wins vs indexed baseline: {wins / len(numbers):.0%}")
 
 
 if __name__ == "__main__":

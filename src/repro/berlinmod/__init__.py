@@ -10,13 +10,7 @@ from .generator import Dataset, ScaleParams, Trip, TripGenerator, Vehicle, gener
 from .network import RoadNetwork, make_network
 from .queries import QUERIES, BenchmarkQuery, get_query
 from .regions import District, make_districts
-from .runner import (
-    BenchmarkReport,
-    CellResult,
-    SCENARIOS,
-    prepare_scenario,
-    run_benchmark,
-)
+from .runner import SCENARIOS, prepare_scenario
 from .schema import (
     BASELINE_INDEX_DDL,
     create_baseline_indexes,
@@ -25,11 +19,8 @@ from .schema import (
 
 __all__ = [
     "BASELINE_INDEX_DDL",
-    "BenchmarkReport",
-    "CellResult",
     "SCENARIOS",
     "prepare_scenario",
-    "run_benchmark",
     "BenchmarkQuery",
     "Dataset",
     "District",

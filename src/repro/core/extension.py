@@ -3,14 +3,18 @@
 ``load(database)`` installs, in order: the mini-Spatial extension (unless
 already present), all MEOS user types with their casts, the scalar
 functions and operators of each type family, the aggregates, and the
-``TRTREE`` index type (paper §3–§4).  The same loader works against both
-engines — :class:`repro.quack.Database` (columnar, where TRTREE is
-available) and :class:`repro.pgsim.RowDatabase` (the MobilityDB baseline,
-which uses its built-in GiST instead).
+``TRTREE`` and ``RTREE`` index types (paper §3–§4).  The same loader works
+against both engines — :class:`repro.quack.Database` (columnar, where
+TRTREE and RTREE are available) and :class:`repro.pgsim.RowDatabase` (the
+MobilityDB baseline, which uses its built-in GiST instead).
 """
 
 from __future__ import annotations
 
+from functools import partial
+
+from ..index import BoxIndex
+from ..quack.catalog import IndexType
 from ..quack.database import Database
 from . import spatial
 from .functions import boxes, sets, spans, temporal, tpoint
@@ -28,11 +32,14 @@ def load(database) -> None:
     boxes.register(database)
     temporal.register(database)
     tpoint.register(database)
-    # TRTREE only exists on the columnar engine: it plugs into the chunk
-    # append / bulk-build pipeline of quack tables (§4.2).  The row-store
-    # baseline models MobilityDB, whose spatiotemporal indexing is GiST.
+    # TRTREE and Spatial's RTREE exist on the columnar engine only: the
+    # row-store baseline models MobilityDB and PostGIS, which index
+    # temporal values and geometries through GiST.
     if isinstance(database, Database):
         RTreeModule.register_rtree_index(database)
+        database.config.index_types.register(IndexType(
+            "RTREE", partial(BoxIndex, kind=spatial.RTREE)
+        ))
 
 
 def connect():

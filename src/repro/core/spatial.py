@@ -1,8 +1,8 @@
 """A miniature DuckDB-Spatial extension stand-in.
 
-Registers the ``GEOMETRY`` and ``BOX_2D`` types, the ``ST_*`` functions the
-paper's queries call, and the native ``RTREE`` index on GEOMETRY columns
-that Figure 2 compares MobilityDuck's ``TRTREE`` against.
+Registers the ``GEOMETRY`` and ``BOX_2D`` types and the ``ST_*`` functions
+the paper's queries call, and defines the native ``RTREE`` index type on
+GEOMETRY columns that Figure 2 compares MobilityDuck's ``TRTREE`` against.
 
 Cost model fidelity: GEOMETRY values are geometry objects, ``WKB_BLOB``
 values are raw bytes.  Casting between them performs real WKB
@@ -16,8 +16,7 @@ from typing import Any
 
 
 from .. import geo
-from ..index import RTree
-from ..quack.catalog import IndexType, TableIndex
+from ..index import BoxIndexType
 from ..quack.extension import ExtensionUtil, make_user_type
 from ..quack.functions import AggregateFunction, ScalarFunction
 from ..quack.types import (
@@ -75,62 +74,25 @@ class Box2D:
 BOX2D_TYPE = make_user_type("BOX_2D", Box2D)
 
 
-class SpatialRTreeIndex(TableIndex):
-    """DuckDB-Spatial's native RTREE index over GEOMETRY bounding boxes."""
+def _geometry_rect(value: Any) -> tuple[float, ...] | None:
+    """The (x, y) rectangle of a geometry, or of a value that stands for
+    one; None for an empty geometry or any other value."""
+    try:
+        geom = _as_geometry(value)
+    except ValueError:
+        return None
+    return None if geom.is_empty() else geom.bounds()
 
-    SUPPORTED_OPS = ("&&", "st_intersects")
 
-    def __init__(self, name: str, table, column: str, database=None):
-        super().__init__(name, table, column, "RTREE")
-        self._column_index = table.column_index(column)
-        self._tree = RTree(dimensions=2)
-        self._bulk_build(table)
-
-    def _bulk_build(self, table) -> None:
-        items = []
-        for chunk, row_ids in table.scan():
-            vector = chunk.column(self._column_index)
-            for value, row_id in zip(vector.to_list(), row_ids.tolist()):
-                if value is None or value.is_empty():
-                    continue
-                items.append((value.bounds(), row_id))
-        if items:
-            self._tree = RTree.bulk_load(items, dimensions=2)
-
-    def append(self, chunk, row_ids) -> None:
-        vector = chunk.column(self._column_index)
-        for value, row_id in zip(vector.to_list(), row_ids.tolist()):
-            if value is None or value.is_empty():
-                continue
-            self._tree.insert(value.bounds(), row_id)
-
-    def rebuild(self, table) -> None:
-        self._tree = RTree(dimensions=2)
-        self._bulk_build(table)
-
-    def matches(self, op_name: str, column_name: str, constant: Any) -> bool:
-        if column_name.lower() != self.column.lower():
-            return False
-        if op_name.lower() not in self.SUPPORTED_OPS:
-            return False
-        if constant is None:  # join probe: operand type unknown until run
-            return True
-        try:
-            _as_geometry(constant)
-            return True
-        except ValueError:
-            return False
-
-    def probe(self, op_name: str, constant: Any) -> list[int] | None:
-        try:
-            query = _as_geometry(constant)
-        except ValueError:
-            return None
-        return self._tree.search(query.bounds())
+#: DuckDB-Spatial's native RTREE over GEOMETRY bounding boxes: 2-D,
+#: registered on the columnar engine only (MobilityDB/PostGIS index
+#: geometry through GiST).
+RTREE = BoxIndexType("RTREE", ("&&", "st_intersects"), _geometry_rect,
+                     dimensions=2)
 
 
 def load(database) -> None:
-    """Register the spatial types, functions and RTREE index type."""
+    """Register the spatial types and functions."""
     ExtensionUtil.register_type(database, "GEOMETRY", GEOMETRY_TYPE)
     ExtensionUtil.register_type(database, "BOX_2D", BOX2D_TYPE)
 
@@ -233,16 +195,6 @@ def load(database) -> None:
             init=lambda: None,
             step=lambda state, value: _extend_box(state, value),
             final=lambda state: state,
-        ),
-    )
-
-    ExtensionUtil.register_index_type(
-        database,
-        IndexType(
-            "RTREE",
-            lambda name, table, column, database: SpatialRTreeIndex(
-                name, table, column, database
-            ),
         ),
     )
 

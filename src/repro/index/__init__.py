@@ -1,10 +1,14 @@
-"""repro.index — spatial index structures (R-tree)."""
+"""repro.index — the R-tree and the one box index built on it."""
 
-from .rtree import RTree, rect_contains, rect_overlaps, rect_union, rect_volume
+from .boxindex import BoxIndex, BoxIndexType, UNBOUNDED, box_rect
+from .rtree import RTree, rect_overlaps, rect_union, rect_volume
 
 __all__ = [
+    "BoxIndex",
+    "BoxIndexType",
     "RTree",
-    "rect_contains",
+    "UNBOUNDED",
+    "box_rect",
     "rect_overlaps",
     "rect_union",
     "rect_volume",

@@ -52,7 +52,7 @@ DECLARED_COUNTERS = frozenset({
     "pgsim.detoast",
     "pgsim.detoast_bytes",
     "pgsim.toast_out_of_line",
-    # R-tree internals (shared by TRTREE and the standalone index)
+    # R-tree internals (shared by every box index)
     "rtree.searches",
     "rtree.nodes_visited",
     "rtree.leaf_hits",
@@ -60,11 +60,16 @@ DECLARED_COUNTERS = frozenset({
     "rtree.batch_probes",
     "rtree.batch_nodes_visited",
     "rtree.batch_leaf_hits",
-    # index access methods
+    # index access methods (``index.<type>.``: the box index counts
+    # TRTREE, RTREE and GIST alike)
     "index.trtree.probes",
     "index.trtree.candidates",
     "index.trtree.batch_probes",
     "index.trtree.batches",
+    "index.rtree.probes",
+    "index.rtree.candidates",
+    "index.rtree.batch_probes",
+    "index.rtree.batches",
     "index.gist.probes",
     "index.gist.candidates",
     "index.btree.probes",

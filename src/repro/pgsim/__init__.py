@@ -7,7 +7,7 @@ paper benchmarks MobilityDuck against.
 """
 
 from .database import RowConnection, RowDatabase
-from .indexes import BTreeIndex, GistIndex, value_to_rect
+from .indexes import BTreeIndex, GistIndex
 from .table import RowTable
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "RowConnection",
     "RowDatabase",
     "RowTable",
-    "value_to_rect",
 ]

@@ -25,18 +25,8 @@ class RowDatabase(BaseDatabase):
 
     def __init__(self):
         super().__init__(Catalog())
-        self.config.index_types.register(IndexType(
-            "GIST",
-            lambda name, table, column, database: GistIndex(
-                name, table, column
-            ),
-        ))
-        self.config.index_types.register(IndexType(
-            "BTREE",
-            lambda name, table, column, database: BTreeIndex(
-                name, table, column
-            ),
-        ))
+        self.config.index_types.register(IndexType("GIST", GistIndex))
+        self.config.index_types.register(IndexType("BTREE", BTreeIndex))
 
     def connect(self) -> "RowConnection":
         return RowConnection(self)

@@ -1,161 +1,74 @@
-"""GiST-like and B-tree indexes for the row-store baseline.
+"""GiST and B-tree indexes for the row-store baseline.
 
-MobilityDB accelerates spatiotemporal predicates with GiST indexes over the
-bounding boxes of temporal values; the baseline reproduces that: a GIST
-index extracts an (x, y, t) rectangle from each value (stbox, tgeompoint,
-tstzspan, geometry) into an R-tree and serves ``&&`` / ``@>`` / ``<@``
-probes.  BTREE serves equality on scalar columns.
+MobilityDB accelerates spatiotemporal predicates with GiST indexes over
+the bounding boxes of temporal values; the baseline's GIST is the box
+index (:class:`repro.index.BoxIndex`) over the (x, y, t) rectangle of
+each value (stbox, tgeompoint, tstzspan, geometry), built the way
+PostgreSQL builds a GiST — row by row — and reading each heap datum
+through its detoast.  BTREE serves equality on scalar columns.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
-from .. import geo
-from ..index import RTree
-from ..meos import STBox, Span, SpanSet, Temporal
-from ..meos.basetypes import TSTZ
+from ..index import BoxIndex, BoxIndexType, box_rect
 from ..observability import count as _count
+from ..quack.catalog import TableIndex
 from ..quack.errors import ExecutionError
 from .table import detoast
 
-_UNBOUNDED = 4e18  # sentinel half-range for missing dimensions
+GIST = BoxIndexType(
+    "GIST", ("&&", "@>", "<@"), lambda value: box_rect(detoast(value)),
+    bulk=False,
+)
 
 
-def value_to_rect(value: Any) -> tuple[float, ...] | None:
-    """Extract a 3D rectangle (x, y, t) from an indexable value."""
-    value = detoast(value)
-    if value is None:
-        return None
-    if isinstance(value, STBox):
-        if value.has_x:
-            xmin, ymin, xmax, ymax = (
-                value.xmin, value.ymin, value.xmax, value.ymax,
-            )
-        else:
-            xmin = ymin = -_UNBOUNDED
-            xmax = ymax = _UNBOUNDED
-        if value.has_t:
-            tmin, tmax = float(value.tspan.lower), float(value.tspan.upper)
-        else:
-            tmin, tmax = -_UNBOUNDED, _UNBOUNDED
-        return (xmin, ymin, tmin, xmax, ymax, tmax)
-    if isinstance(value, Temporal):
-        box = value.stbox() if value.ttype.name.startswith("tgeo") else None
-        if box is not None:
-            return value_to_rect(box)
-        span = value.tstzspan()
-        return (
-            -_UNBOUNDED, -_UNBOUNDED, float(span.lower),
-            _UNBOUNDED, _UNBOUNDED, float(span.upper),
-        )
-    if isinstance(value, Span) and value.basetype is TSTZ:
-        return (
-            -_UNBOUNDED, -_UNBOUNDED, float(value.lower),
-            _UNBOUNDED, _UNBOUNDED, float(value.upper),
-        )
-    if isinstance(value, SpanSet) and value.basetype is TSTZ:
-        span = value.to_span()
-        return (
-            -_UNBOUNDED, -_UNBOUNDED, float(span.lower),
-            _UNBOUNDED, _UNBOUNDED, float(span.upper),
-        )
-    if isinstance(value, geo.Geometry):
-        if value.is_empty():
-            return None
-        xmin, ymin, xmax, ymax = value.bounds()
-        return (xmin, ymin, -_UNBOUNDED, xmax, ymax, _UNBOUNDED)
-    return None
-
-
-class GistIndex:
-    """R-tree over value bounding boxes (the MobilityDB GiST analogue)."""
-
-    SUPPORTED_OPS = ("&&", "@>", "<@")
-    type_name = "GIST"
+class GistIndex(BoxIndex):
+    """The GIST index on one column (the MobilityDB GiST analogue)."""
 
     def __init__(self, name: str, table, column: str):
-        self.name = name
-        self.table = table
-        self.column = column
-        self._column_index = table.column_index(column)
-        self._tree = RTree(dimensions=3)
-        for rid, row in table.scan():
-            self.insert_row(row, rid)
-
-    def insert_row(self, row: tuple, row_id: int) -> None:
-        rect = value_to_rect(row[self._column_index])
-        if rect is not None:
-            self._tree.insert(rect, row_id)
-
-    def rebuild(self, table) -> None:
-        self._tree = RTree(dimensions=3)
-        for rid, row in table.scan():
-            self.insert_row(row, rid)
-
-    def matches(self, op_name: str, column_name: str, constant: Any) -> bool:
-        if column_name.lower() != self.column.lower():
-            return False
-        if op_name not in self.SUPPORTED_OPS:
-            return False
-        if constant is None:  # join probe: operand type unknown until run
-            return True
-        return value_to_rect(constant) is not None
-
-    def probe(self, op_name: str, constant: Any) -> list[int] | None:
-        rect = value_to_rect(constant)
-        if rect is None:
-            return None
-        if op_name in ("&&", "@>", "<@"):
-            # The R-tree gives overlap candidates; the engine rechecks the
-            # exact predicate, mirroring PostgreSQL's lossy GiST semantics.
-            candidates = self._tree.search(rect)
-            _count("index.gist.probes")
-            _count("index.gist.candidates", len(candidates))
-            return candidates
-        return None
+        super().__init__(name, table, column, GIST)
 
 
-class BTreeIndex:
-    """Sorted map over one scalar column serving equality probes."""
-
-    SUPPORTED_OPS = ("=",)
-    type_name = "BTREE"
+class BTreeIndex(TableIndex):
+    """Hash map over one scalar column serving equality probes."""
 
     def __init__(self, name: str, table, column: str):
-        self.name = name
-        self.table = table
-        self.column = column
-        self._column_index = table.column_index(column)
+        super().__init__(name, table, column, "BTREE")
         self._map: dict[Any, list[int]] = {}
-        for rid, row in table.scan():
-            self.insert_row(row, rid)
+        self.rebuild(table)
 
-    def insert_row(self, row: tuple, row_id: int) -> None:
-        value = detoast(row[self._column_index])
-        if value is None:
-            return
-        try:
-            self._map.setdefault(value, []).append(row_id)
-        except TypeError:
-            raise ExecutionError(
-                f"unhashable value in BTREE index {self.name!r}"
-            ) from None
+    def append(self, values: Sequence[Any], row_ids: Sequence[int]) -> None:
+        for value, row_id in zip(values, row_ids):
+            value = detoast(value)
+            if value is None:
+                continue
+            try:
+                self._map.setdefault(value, []).append(row_id)
+            except TypeError:
+                raise ExecutionError(
+                    f"unhashable value in BTREE index {self.name!r}"
+                ) from None
 
     def rebuild(self, table) -> None:
-        self._map.clear()
-        for rid, row in table.scan():
-            self.insert_row(row, rid)
+        self._map = {}
+        for values, row_ids in table.scan_column(self.column):
+            self.append(values, row_ids)
 
     def matches(self, op_name: str, column_name: str, constant: Any) -> bool:
-        if column_name.lower() != self.column.lower():
-            return False
-        return op_name in self.SUPPORTED_OPS
+        return column_name.lower() == self.column.lower() and op_name == "="
 
     def probe(self, op_name: str, constant: Any) -> list[int] | None:
-        if op_name == "=":
-            candidates = list(self._map.get(constant, ()))
-            _count("index.btree.probes")
-            _count("index.btree.candidates", len(candidates))
-            return candidates
-        return None
+        if op_name != "=":
+            return None
+        candidates = list(self._map.get(constant, ()))
+        _count("index.btree.probes")
+        _count("index.btree.candidates", len(candidates))
+        return candidates
+
+    def probe_batch(
+        self, op_name: str, values: Sequence[Any]
+    ) -> list[list[int] | None]:
+        return [None if value is None else self.probe(op_name, value)
+                for value in values]

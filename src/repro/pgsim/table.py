@@ -4,7 +4,8 @@ Tables hold Python row tuples (heap order), the analogue of PostgreSQL's
 row store; a datum too large for the row is TOASTed (:func:`toast`).
 The classes duck-type the parts of :class:`repro.quack.catalog` that the
 shared binder/optimizer touch (``column_names``, ``column_types``,
-``indexes``, ``column_index``).
+``indexes``, ``column_index``) and feed indexes through quack's
+``TableIndex`` protocol (``append``, ``rebuild`` over ``scan_column``).
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class RowTable:
         row_ids = list(range(start, len(self.rows)))
         self.changes_since_analyze += len(row_ids)
         for index in self.indexes:
-            for rid in row_ids:
-                index.insert_row(self.rows[rid], rid)
+            column = self.column_index(index.column)
+            index.append([self.rows[rid][column] for rid in row_ids], row_ids)
         return row_ids
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
@@ -119,6 +120,13 @@ class RowTable:
         for rid, row in enumerate(self.rows):
             if rid not in deleted:
                 yield rid, row
+
+    def scan_column(self, name: str) -> Iterator[tuple[list, list[int]]]:
+        """``(heap datums, row ids)`` of one column's live rows, in one
+        batch: what an index build reads."""
+        column = self.column_index(name)
+        live = list(self.scan())
+        yield [row[column] for _, row in live], [rid for rid, _ in live]
 
     def fetch(self, row_id: int) -> tuple | None:
         if row_id in self._deleted or not 0 <= row_id < len(self.rows):

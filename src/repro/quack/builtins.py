@@ -682,6 +682,18 @@ def _varchar_to_bool(text: str) -> bool:
     raise ConversionError(f"invalid boolean {text!r}")
 
 
+_INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _varchar_to_bigint(text: str) -> int:
+    """Integer text parses exactly (a float would round past 2**53 and
+    clamp past int64); other numeric text, such as ``'1.5'`` or
+    ``'1e3'``, truncates through a double."""
+    if _INTEGER_TEXT.fullmatch(text):
+        return _bigint(int(text))
+    return _bigint(int(float(text)))
+
+
 def _register_casts(registry: FunctionRegistry) -> None:
     casts = [
         (INTEGER, BIGINT, int, True),
@@ -694,8 +706,8 @@ def _register_casts(registry: FunctionRegistry) -> None:
         (INTEGER, VARCHAR, str, False),
         (DOUBLE, VARCHAR, _to_text, False),
         (BOOLEAN, VARCHAR, lambda v: "true" if v else "false", False),
-        (VARCHAR, INTEGER, lambda v: _bigint(int(float(v))), False),
-        (VARCHAR, BIGINT, lambda v: _bigint(int(float(v))), False),
+        (VARCHAR, INTEGER, _varchar_to_bigint, False),
+        (VARCHAR, BIGINT, _varchar_to_bigint, False),
         (VARCHAR, DOUBLE, float, False),
         (VARCHAR, BOOLEAN, _varchar_to_bool, False),
         (VARCHAR, TIMESTAMP, parse_timestamptz, False),

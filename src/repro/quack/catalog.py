@@ -5,8 +5,8 @@ so sequential scans hand out zero-copy vector slices — the quack analogue
 of DuckDB's row groups.  Deletes are tombstones; updates rewrite columns.
 
 Indexes attach to tables through the pluggable :class:`IndexType` registry
-(paper §4.1: ``RegisterIndexType``); concrete index implementations (the
-MobilityDuck ``TRTREE``) live in extensions.
+(paper §4.1: ``RegisterIndexType``); the concrete box index behind
+``TRTREE``, ``RTREE`` and GiST is :class:`repro.index.BoxIndex`.
 """
 
 from __future__ import annotations
@@ -243,17 +243,9 @@ class Table:
                 col.append(value)
         row_ids = np.arange(start, start + len(rows), dtype=np.int64)
         self.changes_since_analyze += len(rows)
-        if self.indexes and len(rows):
-            chunk = DataChunk(
-                [
-                    Vector.from_values(
-                        t, [row[i] for row in rows]
-                    )
-                    for i, t in enumerate(self.column_types)
-                ]
-            )
-            for index in self.indexes:
-                index.append(chunk, row_ids)
+        for index in self.indexes:
+            column = self.column_index(index.column)
+            index.append([row[column] for row in rows], row_ids.tolist())
         return row_ids
 
     def append_chunk(self, chunk: DataChunk) -> np.ndarray:
@@ -270,7 +262,8 @@ class Table:
         row_ids = np.arange(start, start + chunk.count, dtype=np.int64)
         self.changes_since_analyze += chunk.count
         for index in self.indexes:
-            index.append(chunk, row_ids)
+            vector = chunk.column(self.column_index(index.column))
+            index.append(vector.to_list(), row_ids.tolist())
         return row_ids
 
     def delete_rows(self, row_ids: Sequence[int]) -> int:
@@ -364,6 +357,12 @@ class Table:
                 row_ids = row_ids[keep]
             yield DataChunk(vectors), row_ids
 
+    def scan_column(self, name: str) -> Iterator[tuple[list, list[int]]]:
+        """``(values, row ids)`` of one column's live rows per row group:
+        what an index build reads."""
+        for chunk, row_ids in self.scan(columns=[self.column_index(name)]):
+            yield chunk.vectors[0].to_list(), row_ids.tolist()
+
     def fetch(self, row_ids: np.ndarray,
               columns: Sequence[int] | None = None) -> DataChunk:
         """Random-access fetch of the live ``row_ids`` (index scan path,
@@ -384,7 +383,8 @@ class Table:
 
 
 class TableIndex:
-    """Abstract index attached to a table (concrete: TRTREE in repro.core)."""
+    """An index on one column, fed by its table on either engine
+    (concrete: :class:`repro.index.BoxIndex` and pgsim's B-tree)."""
 
     def __init__(self, name: str, table: Table, column: str,
                  type_name: str):
@@ -393,11 +393,13 @@ class TableIndex:
         self.column = column
         self.type_name = type_name
 
-    # Incremental append (paper §4.2.1).
-    def append(self, chunk: DataChunk, row_ids: np.ndarray) -> None:
+    # Incremental append (paper §4.2.1): the indexed column's values and
+    # the row ids of appended rows, as Python sequences.
+    def append(self, values: Sequence[Any], row_ids: Sequence[int]) -> None:
         raise NotImplementedError
 
-    # Full rebuild after UPDATE.
+    # Full build over the live rows of ``table.scan_column`` (CREATE
+    # INDEX, UPDATE).
     def rebuild(self, table: Table) -> None:
         raise NotImplementedError
 
@@ -406,21 +408,22 @@ class TableIndex:
         raise NotImplementedError
 
     # Batched probe: one candidate list per value (None entries for
-    # values that cannot be probed, e.g. NULL).  Indexes with a
-    # one-traversal batch search override this per-value loop.
+    # values that cannot be probed, e.g. NULL).
     def probe_batch(
         self, op_name: str, values: Sequence[Any]
     ) -> list[list[int] | None]:
-        return [None if value is None else self.probe(op_name, value)
-                for value in values]
+        raise NotImplementedError
 
+    # Whether the index serves ``column <op> constant`` (a join probe
+    # passes None for the constant).
     def matches(self, op_name: str, column_name: str, constant: Any) -> bool:
         raise NotImplementedError
 
 
 @dataclass
 class IndexType:
-    """A pluggable index type (paper §4.1 ``IndexType`` registration)."""
+    """A pluggable index type (paper §4.1 ``IndexType`` registration):
+    ``create_instance(name=, table=, column=)`` builds the index."""
 
     name: str
     create_instance: Callable[..., TableIndex]

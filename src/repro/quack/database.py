@@ -595,7 +595,6 @@ class BaseConnection:
             name=stmt.name,
             table=table,
             column=stmt.column,
-            database=self.database,
         )
         self.database.catalog.add_index(index)
         return Result()

@@ -860,7 +860,6 @@ def _rebuild_indexes(database: Any, table: Table,
             name=index_name,
             table=table,
             column=column,
-            database=database,
         )
         database.catalog.add_index(instance)
 

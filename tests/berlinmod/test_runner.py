@@ -1,65 +1,10 @@
-"""Benchmark runner API tests."""
+"""Scenario preparation tests."""
 
 import pytest
 
-from repro.berlinmod import (
-    BenchmarkReport,
-    CellResult,
-    run_benchmark,
-)
+from repro.berlinmod import prepare_scenario
 
 
-class TestReport:
-    def _report(self):
-        report = BenchmarkReport()
-        report.cells = [
-            CellResult(0.001, 1, "mobilityduck", 0.1, 5),
-            CellResult(0.001, 1, "mobilitydb", 0.3, 5),
-            CellResult(0.001, 1, "mobilitydb_idx", 0.2, 5),
-            CellResult(0.001, 2, "mobilityduck", 0.4, 1),
-            CellResult(0.001, 2, "mobilitydb", 0.2, 1),
-        ]
-        return report
-
-    def test_get(self):
-        report = self._report()
-        assert report.get(0.001, 1, "mobilityduck").seconds == 0.1
-        assert report.get(0.001, 9, "mobilityduck") is None
-
-    def test_win_ratio(self):
-        assert self._report().win_ratio() == 0.5
-
-    def test_format_grid(self):
-        text = self._report().format_grid()
-        assert "Q1" in text and "Q2" in text
-        assert "50%" in text
-
-    def test_scale_factors_and_queries(self):
-        report = self._report()
-        assert report.scale_factors() == [0.001]
-        assert report.queries() == [1, 2]
-
-
-class TestRunBenchmark:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_benchmark(scale_factors=[0.001], queries=[1, 2, 3, 8])
-
-    def test_all_cells_present(self, report):
-        assert len(report.cells) == 4 * 3
-
-    def test_rows_agree_across_scenarios(self, report):
-        for q in report.queries():
-            counts = {
-                report.get(0.001, q, s).rows
-                for s in ("mobilityduck", "mobilitydb", "mobilitydb_idx")
-            }
-            assert len(counts) == 1
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            run_benchmark(scale_factors=[0.001], queries=[1],
-                          scenarios=("nope",))
-
-    def test_timings_positive(self, report):
-        assert all(cell.seconds >= 0 for cell in report.cells)
+def test_unknown_scenario_rejected():
+    with pytest.raises(ValueError, match="unknown scenario"):
+        prepare_scenario("nope", None)

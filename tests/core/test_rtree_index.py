@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import core
-from repro.core.rtree_index import RTreeIndex, stbox_to_rect
+from repro.core.rtree_index import RTreeIndex
+from repro.index import box_rect
 from repro.meos import STBox, stbox
 
 
@@ -74,8 +75,8 @@ class TestBulkConstruction:
         table = con.database.catalog.get_table("test_geo")
         index = RTreeIndex("manual", table, "box")
         # Re-run the pipeline explicitly (phases of §4.2.2).
-        for chunk, row_ids in table.scan():
-            index.sink(chunk, row_ids)
+        for values, row_ids in table.scan_column("box"):
+            index.sink(values, row_ids)
         entries = index.combine()
         assert len(entries) == 50
         index.bulk_construct(entries)
@@ -142,7 +143,7 @@ class TestScanMatching:
 class TestSridNormalization:
     def test_rect_conversion(self):
         box = STBox(0, 0, 2, 2)
-        rect = stbox_to_rect(box)
+        rect = box_rect(box)
         assert rect[0] == 0 and rect[4] == 2
         assert rect[2] < -1e18 and rect[5] > 1e18  # unbounded time
 

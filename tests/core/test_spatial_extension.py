@@ -138,3 +138,29 @@ class TestFig2GeomTableFlow:
         )
         assert "RTREE_INDEX_SCAN" in con.explain(query)
         assert con.execute(query).scalar() == 11
+
+
+class TestRtreeRegistration:
+    @pytest.mark.parametrize("engine", ["quack", "pgsim"])
+    def test_rtree_exists_on_the_columnar_engine_only(self, engine):
+        """MobilityDB and PostGIS index geometry through GiST: on the row
+        engine ``USING RTREE`` is an unknown index type."""
+        from repro.quack.errors import CatalogError
+
+        con = core.connect() if engine == "quack" else \
+            core.connect_baseline()
+        con.execute("CREATE TABLE g(id INTEGER, geom GEOMETRY)")
+        con.execute("INSERT INTO g VALUES (1, 'POINT(1 1)'), "
+                    "(2, 'POINT(5 5)')")
+        ddl = "CREATE INDEX gi ON g USING RTREE(geom)"
+        if engine == "pgsim":
+            with pytest.raises(CatalogError, match="unknown index type"):
+                con.execute(ddl)
+            return
+        con.execute(ddl)
+        query = ("SELECT id FROM g WHERE ST_Intersects(geom, "
+                 "ST_GeomFromText('POLYGON((0 0, 2 0, 2 2, 0 2, 0 0))'))")
+        assert "RTREE_INDEX_SCAN" in con.explain(query)
+        assert con.execute(query).fetchall() == [(1,)]
+        assert con.execute(query).stats().counters[
+            "index.rtree.candidates"] == 1

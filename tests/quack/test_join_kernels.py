@@ -435,8 +435,8 @@ class TestIndexJoinBatch:
 
 
 class TestSpatialRTreeIndexJoin:
-    """DuckDB-Spatial's RTREE has no batch search of its own: its index
-    nested-loop join probes through the base ``probe_batch`` loop and
+    """DuckDB-Spatial's RTREE is the same box index as TRTREE: its index
+    nested-loop join probes a chunk in one ``probe_batch`` traversal and
     must return pgsim's rows.  No SQL operator plans an RTREE join, so
     the test points the FROM-order nested-loop join (``SET cbo = off``)
     at the index."""

@@ -694,6 +694,32 @@ class TestBigintOverflow:
             "SELECT CAST(x AS BIGINT) FROM d ORDER BY x"
         ).fetchall() == [(-8,), (2,)]
 
+    @pytest.mark.parametrize("engine", ["memory", "pgsim"])
+    def test_integer_text_casts_exactly(self, engine):
+        """``CAST(<VARCHAR> AS BIGINT|INTEGER)`` of integer text is exact
+        past 2**53 and raises the typed error past int64; other numeric
+        text still truncates through a double."""
+        con = (RowDatabase() if engine == "pgsim" else Database()).connect()
+        for target in ("BIGINT", "INTEGER"):
+            assert con.execute(
+                f"SELECT CAST('9007199254740993' AS {target}), "
+                f"CAST(' -9223372036854775808 ' AS {target}), "
+                f"CAST('+42' AS {target}), CAST('1.5' AS {target}), "
+                f"CAST('-2.5e3' AS {target})"
+            ).fetchall() == [(2**53 + 1, -(2**63), 42, 1, -2500)]
+            for bad in ("-9223372036854775809", "9223372036854775808"):
+                with pytest.raises(ConversionError,
+                                   match="BIGINT out of range"):
+                    con.execute(
+                        f"SELECT CAST('{bad}' AS {target})"
+                    ).fetchall()
+        con.execute("CREATE TABLE v(t VARCHAR)")
+        con.database.catalog.get_table("v").append_rows(
+            [("9007199254740993",), ("12",)])
+        assert con.execute(
+            "SELECT CAST(t AS BIGINT) FROM v"
+        ).fetchall() == [(2**53 + 1,), (12,)]
+
     def test_abs_overflow_warns_nothing(self):
         import warnings
 
