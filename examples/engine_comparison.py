@@ -18,6 +18,17 @@ import time
 from repro.berlinmod import SCENARIOS, generate, get_query, prepare_scenario
 
 
+def comparable(row: tuple) -> tuple:
+    """A row as the engines can agree on it: temporal and geometry values
+    as text, doubles rounded to 6 places (join orders differ between the
+    plans, so a sum may differ in its last bits)."""
+    return tuple(
+        round(v, 6) if isinstance(v, float)
+        else v if isinstance(v, (int, str, type(None))) else str(v)
+        for v in row
+    )
+
+
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.001
     if len(sys.argv) > 2:
@@ -36,7 +47,7 @@ def main() -> None:
         answers = set()
         for name, con in connections.items():
             rows = con.execute(sql).fetchall()  # warm-up, and the answer
-            answers.add(repr(sorted(map(repr, rows))))
+            answers.add(repr(sorted(repr(comparable(r)) for r in rows)))
             start = time.perf_counter()
             con.execute(sql).fetchall()
             seconds[name] = time.perf_counter() - start

@@ -4,45 +4,28 @@ A :class:`repro.index.BoxIndex` over the (x, y, t) rectangles of an
 ``stbox`` column — or of any value with such a box (temporal points,
 geometries, time spans) — serving ``&&``, ``@>`` and ``<@``: STR bulk
 load on ``CREATE INDEX`` (§4.2.2), quadratic insert on append (§4.2.1).
-What is TRTREE's own is SRID normalization (§4.2.2/§4.3): entries and
-queries are brought to the SRID of the first indexed value that has one.
+What is TRTREE's own is SRID normalization (§4.2.2/§4.3, the type's
+``normalize_srid``): entries and queries are brought to the SRID of the
+first indexed value that has one.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from .. import geo
 from ..index import BoxIndex, BoxIndexType, box_rect
-from ..index.rtree import Rect
-from ..meos import STBox, Temporal
 from ..quack.catalog import IndexType
 
 #: Avoid a naming conflict with DuckDB-Spatial's RTREE (paper §4.1).
 TYPE_NAME = "TRTREE"
 
-TRTREE = BoxIndexType(TYPE_NAME, ("&&", "@>", "<@"), box_rect)
+TRTREE = BoxIndexType(TYPE_NAME, ("&&", "@>", "<@"), box_rect,
+                      normalize_srid=True)
 
 
 class RTreeIndex(BoxIndex):
     """The TRTREE index on one column."""
 
     def __init__(self, name: str, table, column: str):
-        self._srid = 0
         super().__init__(name, table, column, TRTREE)
-
-    def rect(self, value: Any) -> Rect | None:
-        """``box_rect`` of the value, in the index's SRID."""
-        if isinstance(value, Temporal) and value.ttype.name.startswith("tgeo"):
-            value = value.stbox()
-        elif isinstance(value, geo.Geometry) and not value.is_empty():
-            value = STBox.from_geometry(value)
-        if isinstance(value, STBox) and value.srid:
-            if not self._srid:
-                self._srid = value.srid
-            elif value.srid != self._srid:
-                value = value.transform(self._srid)
-        return box_rect(value)
 
 
 class RTreeModule:

@@ -26,33 +26,39 @@ from .rtree import Rect, RTree
 UNBOUNDED = 4e18
 
 
-def box_rect(value: Any) -> Rect | None:
-    """The ``(x, y, t)`` rectangle of an stbox, a temporal value, a
-    tstzspan or tstzspanset, or a geometry; a dimension the value lacks
-    spans ``±UNBOUNDED``.  None for NULL, an empty geometry or any other
-    value: it is neither indexed nor probed."""
-    if value is None:
-        return None
+def value_box(value: Any) -> STBox | Span | None:
+    """The box that stands for a value: an stbox, or a tstzspan for a
+    value with no space.  A temporal point and a geometry give their
+    stbox, any other temporal value and a tstzspanset their tstzspan.
+    None for NULL, an empty geometry or any other value."""
     if isinstance(value, Temporal):
-        value = (value.stbox() if value.ttype.name.startswith("tgeo")
-                 else value.tstzspan())
-    elif isinstance(value, SpanSet) and value.basetype is TSTZ:
-        value = value.to_span()
-    lower, upper = [-UNBOUNDED] * 3, [UNBOUNDED] * 3
-    if isinstance(value, STBox):
-        if value.has_x:
-            lower[:2] = value.xmin, value.ymin
-            upper[:2] = value.xmax, value.ymax
-        value = value.tspan
-    elif isinstance(value, geo.Geometry):
-        if value.is_empty():
-            return None
-        lower[0], lower[1], upper[0], upper[1] = value.bounds()
-        value = None
-    if isinstance(value, Span) and value.basetype is TSTZ:
-        lower[2], upper[2] = float(value.lower), float(value.upper)
-    elif value is not None:
+        return (value.stbox() if value.ttype.name.startswith("tgeo")
+                else value.tstzspan())
+    if isinstance(value, SpanSet) and value.basetype is TSTZ:
+        return value.to_span()
+    if isinstance(value, geo.Geometry):
+        return None if value.is_empty() else STBox.from_geometry(value)
+    if isinstance(value, STBox) or (isinstance(value, Span)
+                                    and value.basetype is TSTZ):
+        return value
+    return None
+
+
+def box_rect(value: Any) -> Rect | None:
+    """The ``(x, y, t)`` rectangle of :func:`value_box`; a dimension the
+    box lacks spans ``±UNBOUNDED``.  None when the value has no box: it
+    is neither indexed nor probed."""
+    box = value_box(value)
+    if box is None:
         return None
+    lower, upper = [-UNBOUNDED] * 3, [UNBOUNDED] * 3
+    if isinstance(box, STBox):
+        if box.has_x:
+            lower[:2] = box.xmin, box.ymin
+            upper[:2] = box.xmax, box.ymax
+        box = box.tspan
+    if box is not None:
+        lower[2], upper[2] = float(box.lower), float(box.upper)
     return (*lower, *upper)
 
 
@@ -60,14 +66,17 @@ def box_rect(value: Any) -> Rect | None:
 class BoxIndexType:
     """All that TRTREE, RTREE and GiST differ in: the ``USING`` name, the
     (lower-case) operators served, a value's rectangle of ``2 *
-    dimensions`` coordinates (or None), and whether ``CREATE INDEX``
-    STR-packs the rows (``bulk``) or inserts them one by one."""
+    dimensions`` coordinates (or None), whether ``CREATE INDEX``
+    STR-packs the rows (``bulk``) or inserts them one by one, and
+    whether stboxes are first brought to the SRID of the first indexed
+    value that has one (``normalize_srid``, TRTREE's §4.2.2/§4.3 rule)."""
 
     name: str
     ops: tuple[str, ...]
     rect: Callable[[Any], Rect | None]
     dimensions: int = 3
     bulk: bool = True
+    normalize_srid: bool = False
 
 
 class BoxIndex(TableIndex):
@@ -77,10 +86,17 @@ class BoxIndex(TableIndex):
         super().__init__(name, table, column, kind.name)
         self.kind = kind
         self._key = kind.name.lower()
+        self._srid = 0
         self.rebuild(table)
 
     def rect(self, value: Any) -> Rect | None:
         """The rectangle that indexes or probes ``value``."""
+        if self.kind.normalize_srid:
+            value = box = value_box(value)
+            if isinstance(box, STBox) and box.srid:
+                self._srid = self._srid or box.srid
+                if box.srid != self._srid:
+                    value = box.transform(self._srid)
         return self.kind.rect(value)
 
     def __len__(self) -> int:

@@ -39,6 +39,14 @@ def rect_overlaps(a: Rect, b: Rect) -> bool:
     return True
 
 
+def rect_contains(outer: Rect, inner: Rect) -> bool:
+    half = len(outer) // 2
+    for i in range(half):
+        if inner[i] < outer[i] or inner[half + i] > outer[half + i]:
+            return False
+    return True
+
+
 def rect_volume(a: Rect) -> float:
     half = len(a) // 2
     volume = 1.0
@@ -347,6 +355,29 @@ class RTree:
             stats.bump("rtree.batch_probes", probes)
             stats.bump("rtree.batch_nodes_visited", nodes_visited)
             stats.bump("rtree.batch_leaf_hits", leaf_hits)
+
+    def search_contained(self, rect: Rect) -> list[Any]:
+        """Row ids of entries fully contained in ``rect``."""
+        self._validate(rect)
+        out: list[Any] = []
+        if self._root.rect is None:
+            self._record_search(0, 0)
+            return out
+        visited = 0
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.rect is not None and not rect_overlaps(node.rect, rect):
+                continue
+            visited += 1
+            for entry_rect, payload in node.entries:
+                if node.leaf:
+                    if rect_contains(rect, entry_rect):
+                        out.append(payload)
+                elif rect_overlaps(entry_rect, rect):
+                    stack.append(payload)
+        self._record_search(visited, len(out))
+        return out
 
     @staticmethod
     def _record_search(nodes_visited: int, leaf_hits: int) -> None:

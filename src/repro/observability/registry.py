@@ -60,8 +60,7 @@ DECLARED_COUNTERS = frozenset({
     "rtree.batch_probes",
     "rtree.batch_nodes_visited",
     "rtree.batch_leaf_hits",
-    # index access methods (``index.<type>.``: the box index counts
-    # TRTREE, RTREE and GIST alike)
+    # index access methods (``index.<type>.*``, alike for every box index)
     "index.trtree.probes",
     "index.trtree.candidates",
     "index.trtree.batch_probes",

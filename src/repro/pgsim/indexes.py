@@ -66,9 +66,3 @@ class BTreeIndex(TableIndex):
         _count("index.btree.probes")
         _count("index.btree.candidates", len(candidates))
         return candidates
-
-    def probe_batch(
-        self, op_name: str, values: Sequence[Any]
-    ) -> list[list[int] | None]:
-        return [None if value is None else self.probe(op_name, value)
-                for value in values]

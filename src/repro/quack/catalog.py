@@ -423,7 +423,7 @@ class TableIndex:
 @dataclass
 class IndexType:
     """A pluggable index type (paper §4.1 ``IndexType`` registration):
-    ``create_instance(name=, table=, column=)`` builds the index."""
+    ``create_instance(name, table, column)`` builds the index."""
 
     name: str
     create_instance: Callable[..., TableIndex]

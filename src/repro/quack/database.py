@@ -591,11 +591,7 @@ class BaseConnection:
     ) -> Result:
         table = self.database.catalog.get_table(stmt.table)
         index_type = self.database.config.index_types.lookup(stmt.using)
-        index = index_type.create_instance(
-            name=stmt.name,
-            table=table,
-            column=stmt.column,
-        )
+        index = index_type.create_instance(stmt.name, table, stmt.column)
         self.database.catalog.add_index(index)
         return Result()
 

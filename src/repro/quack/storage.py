@@ -856,11 +856,7 @@ def _rebuild_indexes(database: Any, table: Table,
                      index_entries: list) -> None:
     for index_name, type_name, column in index_entries:
         index_type = database.config.index_types.lookup(type_name)
-        instance = index_type.create_instance(
-            name=index_name,
-            table=table,
-            column=column,
-        )
+        instance = index_type.create_instance(index_name, table, column)
         database.catalog.add_index(instance)
 
 

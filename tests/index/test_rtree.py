@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import RTree, rect_overlaps, rect_union
+from repro.index import RTree, rect_contains, rect_overlaps, rect_union
 from repro.index.rtree import rect_volume
 
 
@@ -18,6 +18,10 @@ class TestRectPrimitives:
         assert rect_overlaps((0, 0, 2, 2), (1, 1, 3, 3))
         assert rect_overlaps((0, 0, 2, 2), (2, 2, 3, 3))  # touching counts
         assert not rect_overlaps((0, 0, 1, 1), (2, 2, 3, 3))
+
+    def test_contains(self):
+        assert rect_contains((0, 0, 10, 10), (1, 1, 2, 2))
+        assert not rect_contains((0, 0, 10, 10), (9, 9, 11, 11))
 
     def test_volume(self):
         assert rect_volume((0, 0, 2, 3)) == 6.0
@@ -72,6 +76,13 @@ class TestIncremental:
         expected = sorted(r for rect, r in items
                           if rect_overlaps(rect, query))
         assert sorted(tree.search(query)) == expected
+
+    def test_search_contained(self):
+        tree = RTree()
+        tree.insert((1, 1, 2, 2), "inside")
+        tree.insert((1, 1, 20, 20), "partial")
+        got = tree.search_contained((0, 0, 5, 5))
+        assert got == ["inside"]
 
     def test_all_items(self):
         items = _random_items(50, seed=3)
