@@ -11,7 +11,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from ..quack.errors import ExecutionError
-from ..quack.keys import hashable_key as _hashable, sort_comparator
+from ..quack.keys import row_key, sort_comparator
 from .table import Varlena
 from ..quack.plan import (
     BoundCase,
@@ -40,6 +40,7 @@ from ..quack.plan import (
     LogicalSetOp,
     LogicalSort,
     LogicalTableFunction,
+    quantify,
 )
 from ..quack.profiler import ExecutionContext, _execute_profiled
 
@@ -103,16 +104,11 @@ def eval_row(expr: BoundExpr, row: tuple, ctx: ExecutionContext) -> Any:
         value = eval_row(expr.child, row, ctx)
         return (value is not None) if expr.negated else (value is None)
     if isinstance(expr, BoundInList):
-        operand = eval_row(expr.operand, row, ctx)
-        if operand is None:
-            return None
-        found = any(
-            expr.eq_function.evaluate_row(
-                [operand, eval_row(item, row, ctx)]
-            )
-            for item in expr.items
+        return quantify(
+            expr.eq_function, eval_row(expr.operand, row, ctx),
+            (eval_row(item, row, ctx) for item in expr.items),
+            negated=expr.negated,
         )
-        return (not found) if expr.negated else found
     if isinstance(expr, BoundCase):
         for cond, result in expr.branches:
             if eval_row(cond, row, ctx):
@@ -121,68 +117,20 @@ def eval_row(expr: BoundExpr, row: tuple, ctx: ExecutionContext) -> Any:
             return eval_row(expr.else_result, row, ctx)
         return None
     if isinstance(expr, BoundSubqueryExpr):
-        return _eval_subquery_row(expr, row, ctx)
+        params = tuple(
+            eval_row(p, row, ctx) for p in expr.outer_params_exprs
+        )
+        operand = None if expr.operand is None else (
+            eval_row(expr.operand, row, ctx)
+        )
+        return expr.result(
+            operand, ctx.subquery_rows(expr.plan, params, _plan_rows)
+        )
     raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _eval_subquery_row(expr: BoundSubqueryExpr, row: tuple,
-                       ctx: ExecutionContext) -> Any:
-    params = tuple(
-        eval_row(p, row, ctx) for p in expr.outer_params_exprs
-    )
-    key = (id(expr.plan), params)
-    rows = ctx.subquery_cache.get(key)
-    if rows is None:
-        sub_ctx = ctx.child_with_params(params)
-        rows = list(execute_rows(expr.plan, sub_ctx))
-        ctx.subquery_cache[key] = rows
-    if expr.kind == "scalar":
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise ExecutionError("scalar subquery returned more than one row")
-        return rows[0][0]
-    if expr.kind == "exists":
-        value = bool(rows)
-        return (not value) if expr.negated else value
-    operand = eval_row(expr.operand, row, ctx)
-    if expr.kind == "in":
-        if operand is None:
-            return None
-        found = False
-        saw_null = False
-        for sub_row in rows:
-            if sub_row[0] is None:
-                saw_null = True
-            elif expr.comparison.evaluate_row([operand, sub_row[0]]):
-                found = True
-                break
-        if expr.negated:
-            if found:
-                return False
-            return None if saw_null else True
-        if found:
-            return True
-        return None if saw_null else False
-    # quantified ALL / ANY
-    if operand is None:
-        return None if rows else (expr.quantifier == "ALL")
-    results = [
-        None if sub_row[0] is None
-        else bool(expr.comparison.evaluate_row([operand, sub_row[0]]))
-        for sub_row in rows
-    ]
-    if expr.quantifier == "ALL":
-        if any(r is False for r in results):
-            return False
-        if any(r is None for r in results):
-            return None
-        return True
-    if any(r is True for r in results):
-        return True
-    if any(r is None for r in results):
-        return None
-    return False
+def _plan_rows(plan: LogicalOperator, ctx: ExecutionContext) -> list[tuple]:
+    return list(execute_rows(plan, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +155,7 @@ def _row_width(row: tuple) -> int:
 def _execute_operator(op: LogicalOperator,
                       ctx: ExecutionContext) -> Iterator[tuple]:
     if isinstance(op, LogicalMaterializedCTE):
-        for cte_id, _, plan in op.ctes:
-            ctx.cte_plans[cte_id] = plan
+        ctx.define_ctes(op)
         yield from execute_rows(op.child, ctx)
         return
     if isinstance(op, LogicalGet):
@@ -217,50 +164,17 @@ def _execute_operator(op: LogicalOperator,
         yield from rows if project is None else map(project, rows)
         return
     if isinstance(op, LogicalIndexScan):
-        row_ids = op.index.probe(op.op_name, op.constant)
-        if row_ids is None:
-            raise ExecutionError(
-                f"index {op.index.name} cannot serve {op.op_name}"
-            )
-        if ctx.stats is not None:
-            ctx.stats.bump("executor.index_scans")
-            ctx.stats.bump("executor.index_candidates", len(row_ids))
-        if ctx.profiler is not None:
-            ctx.profiler.annotate(op, "probes")
-            ctx.profiler.annotate(op, "candidates", len(row_ids))
         project = _projector(op)
-        for rid in sorted(row_ids):
+        for rid in ctx.index_scan_row_ids(op):
             row = op.table.fetch(rid)
             if row is not None:
                 yield row if project is None else project(row)
         return
     if isinstance(op, LogicalTableFunction):
-        if op.name == "single_row":
-            yield (0,)
-            return
-        args = [int(a) for a in op.args]
-        if len(args) == 1:
-            start, stop, step = 1, args[0], 1
-        elif len(args) == 2:
-            start, stop, step = args[0], args[1], 1
-        else:
-            start, stop, step = args
-        if op.name == "range":
-            stop -= 1
-        current = start
-        while (step > 0 and current <= stop) or (step < 0 and current >= stop):
-            yield (current,)
-            current += step
+        yield from ((value,) for value in op.series())
         return
     if isinstance(op, LogicalCTERef):
-        cached = ctx.cte_results.get(op.cte_id)
-        if cached is None:
-            plan = ctx.cte_plans.get(op.cte_id)
-            if plan is None:
-                raise ExecutionError(f"CTE {op.name!r} was not materialized")
-            cached = list(execute_rows(plan, ctx))
-            ctx.cte_results[op.cte_id] = cached
-        yield from cached
+        yield from ctx.cte_items(op, execute_rows)
         return
     if isinstance(op, LogicalFilter):
         for row in execute_rows(op.child, ctx):
@@ -283,39 +197,14 @@ def _execute_operator(op: LogicalOperator,
     if isinstance(op, LogicalDistinct):
         seen: set = set()
         for row in execute_rows(op.child, ctx):
-            key = tuple(_hashable(v) for v in row)
+            key = row_key(row)
             if key not in seen:
                 seen.add(key)
                 yield row
         return
     if isinstance(op, LogicalSetOp):
-        left_rows = list(execute_rows(op.left, ctx))
-        right_rows = list(execute_rows(op.right, ctx))
-        if op.kind == "union" and op.all:
-            yield from left_rows
-            yield from right_rows
-            return
-        right_keys = {
-            tuple(_hashable(v) for v in row) for row in right_rows
-        }
-        seen = set()
-        if op.kind == "union":
-            for row in left_rows + right_rows:
-                key = tuple(_hashable(v) for v in row)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-            return
-        for row in left_rows:
-            key = tuple(_hashable(v) for v in row)
-            if key in seen:
-                continue
-            if op.kind == "except" and key not in right_keys:
-                seen.add(key)
-                yield row
-            elif op.kind == "intersect" and key in right_keys:
-                seen.add(key)
-                yield row
+        yield from op.combine(_plan_rows(op.left, ctx),
+                              _plan_rows(op.right, ctx))
         return
     if isinstance(op, LogicalLimit):
         remaining = op.limit
@@ -407,13 +296,13 @@ def _join_candidates(op: LogicalJoin, ctx: ExecutionContext
     for r_row in right_rows:
         key = tuple(eval_row(rk, r_row, ctx) for _, rk in op.equi_keys)
         if not any(k is None for k in key):
-            table.setdefault(tuple(map(_hashable, key)), []).append(r_row)
+            table.setdefault(row_key(key), []).append(r_row)
 
     def lookup(l_row: tuple) -> list[tuple]:
         key = tuple(eval_row(lk, l_row, ctx) for lk, _ in op.equi_keys)
         if any(k is None for k in key):
             return []
-        return table.get(tuple(map(_hashable, key)), [])
+        return table.get(row_key(key), [])
 
     return lookup
 
@@ -425,7 +314,7 @@ def _execute_aggregate(op: LogicalAggregate,
     distinct_seen: dict[tuple, list[set]] = {}
     for row in execute_rows(op.child, ctx):
         key_values = tuple(eval_row(g, row, ctx) for g in op.groups)
-        key = tuple(_hashable(v) for v in key_values)
+        key = row_key(key_values)
         state = groups.get(key)
         if state is None:
             state = [spec.function.init() for spec in op.aggregates]
@@ -439,7 +328,7 @@ def _execute_aggregate(op: LogicalAggregate,
             ):
                 continue
             if spec.distinct:
-                marker = tuple(_hashable(v) for v in values)
+                marker = row_key(values)
                 if marker in distinct_seen[key][a]:
                     continue
                 distinct_seen[key][a].add(marker)

@@ -377,15 +377,17 @@ class Binder:
         name = ref.name.lower()
         if name not in ("generate_series", "range"):
             raise BinderError(f"unknown table function {ref.name!r}")
-        args = []
-        for arg in ref.args:
-            bound = self.bind_expr(arg)
-            value = fold_constant(bound)
-            if value is _NOT_CONSTANT:
-                raise BinderError(
-                    "table function arguments must be constant"
-                )
-            args.append(value)
+        if not 1 <= len(ref.args) <= 3:
+            raise BinderError(
+                f"{name} takes 1 to 3 arguments, got {len(ref.args)}"
+            )
+        args = [fold_constant(self.bind_expr(arg)) for arg in ref.args]
+        if any(isinstance(a, bool) or not isinstance(a, int) for a in args):
+            raise BinderError(
+                f"{name} arguments must be constant integers"
+            )
+        if len(args) == 3 and args[2] == 0:
+            raise BinderError(f"{name} step cannot be zero")
         alias = ref.alias or name
         column = (ref.column_aliases or [name])[0]
         self.scope.add(alias, column, BIGINT)
@@ -610,9 +612,7 @@ class Binder:
         if isinstance(expr, ast.ScalarSubquery):
             return self._bind_subquery("scalar", expr.query)
         if isinstance(expr, ast.Exists):
-            sub = self._bind_subquery("exists", expr.query)
-            sub.negated = expr.negated
-            return sub
+            return self._bind_subquery("exists", expr.query)
         if isinstance(expr, ast.InSubquery):
             operand = self.bind_expr(expr.operand)
             sub = self._bind_subquery("in", expr.query)

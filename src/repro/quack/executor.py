@@ -45,6 +45,7 @@ from .plan import (
     LogicalSetOp,
     LogicalSort,
     LogicalTableFunction,
+    membership,
 )
 from .profiler import ExecutionContext, OperatorKernelStats, _execute_profiled
 from .types import BIGINT, BOOLEAN, LogicalType
@@ -293,19 +294,16 @@ def _evaluate_in_list(expr: BoundInList, chunk: DataChunk,
                       ctx: ExecutionContext) -> Vector:
     count = chunk.count
     operand = evaluate(expr.operand, chunk, ctx)
-    result = np.zeros(count, dtype=np.bool_)
-    validity = operand.validity.copy()
+    found = np.zeros(count, dtype=np.bool_)
+    unknown = ~operand.validity
     for item in expr.items:
-        item_vec = evaluate(item, chunk, ctx)
-        eq = expr.eq_function.evaluate([operand, item_vec], count)
-        result = np.logical_or(
-            result, np.logical_and(eq.data.astype(np.bool_), eq.validity)
+        eq = expr.eq_function.evaluate(
+            [operand, evaluate(item, chunk, ctx)], count
         )
-    if expr.negated:
-        result = np.logical_and(~result, validity)
-    else:
-        result = np.logical_and(result, validity)
-    return Vector(BOOLEAN, result, validity)
+        found |= eq.validity & eq.data.astype(np.bool_, copy=False)
+        unknown |= ~eq.validity
+    truth, known = membership(found, unknown, expr.negated)
+    return Vector(BOOLEAN, truth & known, known)
 
 
 def _evaluate_case(expr: BoundCase, chunk: DataChunk,
@@ -363,105 +361,25 @@ def _evaluate_case(expr: BoundCase, chunk: DataChunk,
 def _evaluate_subquery(expr: BoundSubqueryExpr, chunk: DataChunk,
                        ctx: ExecutionContext) -> Vector:
     count = chunk.count
-    param_vectors = [evaluate(p, chunk, ctx) for p in
-                     expr.outer_params_exprs]
-    operand_vec = (
-        evaluate(expr.operand, chunk, ctx) if expr.operand is not None
-        else None
+    params = _value_rows(
+        [evaluate(p, chunk, ctx) for p in expr.outer_params_exprs], count
+    )
+    operands = [None] * count if expr.operand is None else (
+        evaluate(expr.operand, chunk, ctx).to_list()
     )
     out = np.empty(count, dtype=object)
-    validity = np.ones(count, dtype=np.bool_)
-    operands = operand_vec.to_list() if operand_vec is not None else None
-    for i, params in enumerate(_value_rows(param_vectors, count)):
-        rows = _run_subquery(expr.plan, params, ctx)
-        if expr.kind == "scalar":
-            if not rows:
-                value = None
-            elif len(rows) > 1:
-                raise ExecutionError(
-                    "scalar subquery returned more than one row"
-                )
-            else:
-                value = rows[0][0]
-            out[i] = value
-            validity[i] = value is not None
-        elif expr.kind == "exists":
-            value = bool(rows)
-            out[i] = (not value) if expr.negated else value
-        elif expr.kind == "in":
-            out[i], validity[i] = _eval_in_rows(expr, operands[i], rows)
-        else:  # quantified ALL / ANY
-            out[i], validity[i] = _eval_quantified_rows(
-                expr, operands[i], rows
-            )
+    for i, (values, operand) in enumerate(zip(params, operands)):
+        out[i] = expr.result(
+            operand, ctx.subquery_rows(expr.plan, values, _plan_rows)
+        )
+    validity = np.fromiter((v is not None for v in out), dtype=np.bool_,
+                           count=count)
     return _pack(expr.ltype, out, validity, count)
 
 
-def _eval_in_rows(expr, operand_value, rows) -> tuple[bool, bool]:
-    if operand_value is None:
-        return (False, False)
-    found = False
-    saw_null = False
-    for row in rows:
-        if row[0] is None:
-            saw_null = True
-            continue
-        if expr.comparison.evaluate_row([operand_value, row[0]]):
-            found = True
-            break
-    if expr.negated:
-        if found:
-            return (False, True)
-        if saw_null:
-            return (False, False)
-        return (True, True)
-    if found:
-        return (True, True)
-    if saw_null:
-        return (False, False)
-    return (False, True)
-
-
-def _eval_quantified_rows(expr, operand_value, rows) -> tuple[bool, bool]:
-    if operand_value is None:
-        if not rows:
-            # Vacuous: ALL over the empty set is TRUE, ANY is FALSE.
-            return (expr.quantifier == "ALL", True)
-        return (False, False)  # NULL comparison result
-    results = []
-    for row in rows:
-        if row[0] is None:
-            results.append(None)
-            continue
-        results.append(
-            bool(expr.comparison.evaluate_row([operand_value, row[0]]))
-        )
-    if expr.quantifier == "ALL":
-        if any(r is False for r in results):
-            return (False, True)
-        if any(r is None for r in results):
-            return (False, False)
-        return (True, True)
-    # ANY
-    if any(r is True for r in results):
-        return (True, True)
-    if any(r is None for r in results):
-        return (False, False)
-    return (False, True)
-
-
-def _run_subquery(plan: LogicalOperator, params: tuple,
-                  ctx: ExecutionContext) -> list[tuple]:
-    key = (id(plan), params)
-    cached = ctx.subquery_cache.get(key)
-    if cached is not None:
-        return cached
-    sub_ctx = ctx.child_with_params(params)
-    rows: list[tuple] = []
-    for chunk in execute_plan(plan, sub_ctx):
-        rows.extend(chunk.rows())
-    ctx.subquery_cache[key] = rows
-    return rows
+def _plan_rows(plan: LogicalOperator, ctx: ExecutionContext) -> list[tuple]:
+    """A plan's whole output as tuples."""
+    return [row for chunk in execute_plan(plan, ctx) for row in chunk.rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -510,26 +428,14 @@ def _chunk_width(chunk: DataChunk) -> int:
 def _execute_operator(op: LogicalOperator,
                       ctx: ExecutionContext) -> Iterator[DataChunk]:
     if isinstance(op, LogicalMaterializedCTE):
-        for cte_id, _, plan in op.ctes:
-            ctx.cte_plans[cte_id] = plan
+        ctx.define_ctes(op)
         yield from execute_plan(op.child, ctx)
         return
     if isinstance(op, LogicalGet):
         yield from _execute_get(op, ctx)
         return
     if isinstance(op, LogicalIndexScan):
-        row_ids = op.index.probe(op.op_name, op.constant)
-        if row_ids is None:
-            raise ExecutionError(
-                f"index {op.index.name} cannot serve {op.op_name}"
-            )
-        if ctx.stats is not None:
-            ctx.stats.bump("executor.index_scans")
-            ctx.stats.bump("executor.index_candidates", len(row_ids))
-        if ctx.profiler is not None:
-            ctx.profiler.annotate(op, "probes")
-            ctx.profiler.annotate(op, "candidates", len(row_ids))
-        live = op.table.live_row_ids(sorted(row_ids))
+        live = op.table.live_row_ids(ctx.index_scan_row_ids(op))
         for start in range(0, len(live), STANDARD_VECTOR_SIZE):
             ids = np.asarray(live[start : start + STANDARD_VECTOR_SIZE],
                              dtype=np.int64)
@@ -538,10 +444,15 @@ def _execute_operator(op: LogicalOperator,
                 yield chunk
         return
     if isinstance(op, LogicalTableFunction):
-        yield from _execute_table_function(op)
+        series = op.series()
+        for start in range(0, len(series), STANDARD_VECTOR_SIZE):
+            block = series[start : start + STANDARD_VECTOR_SIZE]
+            yield DataChunk([Vector(op.types[0], np.arange(
+                block.start, block.stop, block.step, dtype=np.int64
+            ))])
         return
     if isinstance(op, LogicalCTERef):
-        yield from _execute_cte_ref(op, ctx)
+        yield from ctx.cte_items(op, execute_plan)
         return
     if isinstance(op, (LogicalFilter, LogicalProject)):
         yield from _execute_streaming(op, ctx)
@@ -680,40 +591,6 @@ def _crosscheck_pruned_groups(op: LogicalGet, skip: set[int],
         offset += count
 
 
-def _execute_table_function(op: LogicalTableFunction) -> Iterator[DataChunk]:
-    if op.name == "single_row":
-        yield DataChunk([Vector.from_values(BIGINT, [0]).with_type(
-            op.types[0]
-        )])
-        return
-    if op.name in ("generate_series", "range"):
-        args = [int(a) for a in op.args]
-        if len(args) == 1:
-            start, stop, step = 1, args[0], 1
-        elif len(args) == 2:
-            start, stop, step = args[0], args[1], 1
-        else:
-            start, stop, step = args
-        if op.name == "range":
-            stop -= 1  # range() is exclusive of the upper bound
-        current = start
-        while (step > 0 and current <= stop) or (step < 0 and current >= stop):
-            upper = current + step * STANDARD_VECTOR_SIZE
-            if step > 0:
-                block = np.arange(current, min(upper, stop + step), step,
-                                  dtype=np.int64)
-            else:
-                block = np.arange(current, max(upper, stop + step), step,
-                                  dtype=np.int64)
-            block = block[(block <= stop) if step > 0 else (block >= stop)]
-            if not len(block):
-                return
-            yield DataChunk([Vector(BIGINT, block)])
-            current = int(block[-1]) + step
-        return
-    raise ExecutionError(f"unknown table function {op.name!r}")
-
-
 # -- streaming fragments (filter/project chains) ------------------------------
 
 
@@ -728,18 +605,6 @@ def _execute_streaming(op: LogicalOperator,
         return
     for chunk in execute_plan(op.child, ctx):
         yield DataChunk([evaluate(e, chunk, ctx) for e in op.exprs])
-
-
-def _execute_cte_ref(op: LogicalCTERef,
-                     ctx: ExecutionContext) -> Iterator[DataChunk]:
-    cached = ctx.cte_results.get(op.cte_id)
-    if cached is None:
-        plan = ctx.cte_plans.get(op.cte_id)
-        if plan is None:
-            raise ExecutionError(f"CTE {op.name!r} was not materialized")
-        cached = list(execute_plan(plan, ctx))
-        ctx.cte_results[op.cte_id] = cached
-    yield from cached
 
 
 # -- joins ---------------------------------------------------------------------
@@ -1582,52 +1447,19 @@ def _crosscheck_sort(op: LogicalSort, full: DataChunk,
         ctx.stats.bump("verify.kernel_crosschecks")
 
 
-def _execute_set_op(op: "LogicalSetOp",
+def _execute_set_op(op: LogicalSetOp,
                     ctx: ExecutionContext) -> Iterator[DataChunk]:
     types = op.output_types()
-    if op.kind == "union" and op.all:
-        for chunk in execute_plan(op.left, ctx):
-            yield chunk
+    if op.concatenates:
+        yield from execute_plan(op.left, ctx)
         for chunk in execute_plan(op.right, ctx):
             # Reinterpret right columns under the left's types.
             yield DataChunk(
                 [v.with_type(t) for v, t in zip(chunk.vectors, types)]
             )
         return
-    left_rows = []
-    for chunk in execute_plan(op.left, ctx):
-        left_rows.extend(chunk.rows())
-    right_keys = set()
-    right_rows = []
-    for chunk in execute_plan(op.right, ctx):
-        for row in chunk.rows():
-            key = tuple(_hashable(v) for v in row)
-            right_rows.append((key, row))
-            right_keys.add(key)
-    out: list[tuple] = []
-    if op.kind == "union":
-        seen = set()
-        for row in left_rows + [r for _, r in right_rows]:
-            key = tuple(_hashable(v) for v in row)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-    elif op.kind == "except":
-        seen = set()
-        for row in left_rows:
-            key = tuple(_hashable(v) for v in row)
-            if key in right_keys or key in seen:
-                continue
-            seen.add(key)
-            out.append(row)
-    else:  # intersect
-        seen = set()
-        for row in left_rows:
-            key = tuple(_hashable(v) for v in row)
-            if key in right_keys and key not in seen:
-                seen.add(key)
-                out.append(row)
-    yield from _rows_to_chunks(out, types)
+    rows = op.combine(_plan_rows(op.left, ctx), _plan_rows(op.right, ctx))
+    yield from _rows_to_chunks(list(rows), types)
 
 
 def _execute_distinct(op: LogicalDistinct,

@@ -1,8 +1,8 @@
 """Canonicalized row-wise key helpers shared by both engines.
 
-:func:`hashable_key` and :func:`sort_comparator` define the engines'
-common grouping/ordering semantics (one NaN group, ``-0.0`` joins
-``0.0``, NULL placement, NaN sorts greatest).  They live here — not in
+:func:`hashable_key`, :func:`row_key` and :func:`sort_comparator`
+define the engines' common grouping/ordering semantics (one NaN group,
+``-0.0`` joins ``0.0``, NULL placement, NaN sorts greatest).  They live here — not in
 :mod:`.kernels` — because the pgsim row engine needs them too and must
 not import quack executor internals; this module is part of the shared
 frontend surface alongside the plan IR and the binder.
@@ -45,6 +45,12 @@ def hashable_key(value: Any) -> Any:
             type(value).__qualname__,
             repr(value),
         )
+
+
+def row_key(row: Sequence[Any]) -> tuple:
+    """The :func:`hashable_key` of each value of ``row``: rows equal
+    under SQL grouping semantics get equal keys."""
+    return tuple(map(hashable_key, row))
 
 
 def sort_comparator(keys_spec: Sequence[tuple[bool, bool | None]]):

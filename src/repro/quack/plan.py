@@ -8,11 +8,15 @@ references use flat indices into the operator's output column space
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable, Iterator
 
 from .catalog import Table, TableIndex
+from .errors import ExecutionError
 from .functions import AggregateFunction, CastFunction, ScalarFunction
+from .keys import row_key
 from .types import LogicalType
 
 
@@ -168,6 +172,35 @@ class BoundInList(BoundExpr):
     ltype: LogicalType
 
 
+def membership(found, unknown, negated):
+    """``x [NOT] IN S`` in three-valued logic, as ``(truth, known)``:
+    ``found`` when a member of S equals x, ``unknown`` when a comparison
+    was NULL (a NULL x or member).  The verdict is NULL where ``known``
+    is false.  Elementwise on NumPy boolean arrays too."""
+    return found ^ negated, found | (unknown ^ True)
+
+
+def quantify(comparison: ScalarFunction, operand: Any,
+             values: Iterable[Any], every: bool = False,
+             negated: bool = False) -> Any:
+    """``operand <comparison> ANY (values)``, or ``ALL`` when ``every``,
+    as TRUE, FALSE or NULL (None); ``IN`` is ``= ANY``.  ALL is FALSE as
+    soon as one comparison is, ANY TRUE; ``values`` is consumed only up
+    to that comparison."""
+    found = unknown = False
+    for value in values:
+        verdict = None if operand is None or value is None else (
+            comparison.evaluate_row([operand, value])
+        )
+        if verdict is None:
+            unknown = True
+        elif bool(verdict) != every:
+            found = True
+            break
+    truth, known = membership(found, unknown, negated != every)
+    return truth if known else None
+
+
 @dataclass
 class BoundCase(BoundExpr):
     branches: list[tuple[BoundExpr, BoundExpr]]
@@ -193,7 +226,22 @@ class BoundSubqueryExpr(BoundExpr):
     operand: BoundExpr | None = None
     comparison: ScalarFunction | None = None
     quantifier: str | None = None  # 'ALL' | 'ANY'
-    negated: bool = False
+    negated: bool = False  # NOT IN
+
+    def result(self, operand: Any, rows: list[tuple]) -> Any:
+        """The value of this subquery for one outer row, from the left
+        side's value ``operand`` and the rows the plan returned for it."""
+        if self.kind == "scalar":
+            if len(rows) > 1:
+                raise ExecutionError(
+                    "scalar subquery returned more than one row"
+                )
+            return rows[0][0] if rows else None
+        if self.kind == "exists":
+            return bool(rows)
+        return quantify(self.comparison, operand,
+                        (row[0] for row in rows),
+                        every=self.quantifier == "ALL", negated=self.negated)
 
 
 @dataclass
@@ -341,6 +389,20 @@ class LogicalTableFunction(LogicalOperator):
 
     def _explain_label(self) -> str:
         return f"TABLE_FUNCTION {self.name}"
+
+    def series(self) -> range:
+        """The values of the one column.  ``generate_series`` and
+        ``range`` take ``([start = 1,] stop [, step = 1])``, checked by
+        the binder; ``generate_series`` includes ``stop``, ``range``
+        excludes it.  ``single_row`` is the one row of a FROM-less
+        SELECT."""
+        if self.name == "single_row":
+            return range(1)
+        args = [1, *self.args] if len(self.args) == 1 else list(self.args)
+        start, stop, step = (args + [1])[:3]
+        if self.name == "generate_series":
+            stop += 1 if step > 0 else -1
+        return range(start, stop, step)
 
 
 @dataclass
@@ -550,6 +612,40 @@ class LogicalSetOp(LogicalOperator):
     def _explain_label(self) -> str:
         suffix = " ALL" if self.all else ""
         return f"{self.kind.upper()}{suffix}"
+
+    @property
+    def concatenates(self) -> bool:
+        """UNION ALL: the left rows, then the right ones, compared with
+        nothing."""
+        return self.kind == "union" and self.all
+
+    def combine(self, left: Iterable[tuple],
+                right: Iterable[tuple]) -> Iterator[tuple]:
+        """The rows of this set operation over its inputs' rows, in left
+        input order.  Rows compare by :func:`keys.row_key` (NULL equals
+        NULL, one NaN, ``-0.0`` equals ``0.0``).  UNION, EXCEPT and
+        INTERSECT keep a row once; a row with m copies on the left and n
+        on the right is kept max(m - n, 0) times by EXCEPT ALL and
+        min(m, n) times by INTERSECT ALL."""
+        if self.kind == "union":
+            if self.concatenates:
+                yield from chain(left, right)
+                return
+            left, right = chain(left, right), ()
+        budget = Counter(map(row_key, right))
+        keep_matched = self.kind == "intersect"
+        emitted: set[tuple] = set()
+        for row in left:
+            key = row_key(row)
+            matched = budget[key] > 0
+            if not self.all:
+                if key in emitted:
+                    continue
+                emitted.add(key)
+            elif matched:
+                budget[key] -= 1
+            if matched == keep_matched:
+                yield row
 
 
 @dataclass

@@ -3,7 +3,9 @@
 An :class:`ExecutionContext` is one query's state — CTE plans and
 results, correlated parameters, the subquery memo — plus its
 observability scope: statistics, trace and optional profiler.  Both
-engines' executors run on it; only quack reads its spill watermark.
+engines' executors run on it, and it owns the rules that do not depend
+on how a plan runs: the memo, CTE materialization and the index-scan
+probe.  Only quack reads its spill watermark.
 
 A :class:`PlanProfiler` collects per-operator row counts, inclusive
 timings, kernel-vs-fallback telemetry, and free-form operator metrics
@@ -27,12 +29,19 @@ waits on its input), so the root time is the query's total.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..observability import QueryStatistics
-from .plan import LogicalOperator
+from .errors import ExecutionError
+from .plan import (
+    LogicalCTERef,
+    LogicalIndexScan,
+    LogicalMaterializedCTE,
+    LogicalOperator,
+)
 
 
 @dataclass
@@ -171,54 +180,84 @@ class PlanProfiler:
 
 
 class ExecutionContext:
-    """Per-query state: CTE materializations, correlated parameters,
-    and the observability scope (statistics + optional plan profiler).
+    """Per-query state: CTE materializations, correlated parameters, the
+    subquery memo, and the observability scope (statistics + optional
+    plan profiler).  Both engines reach that state through the methods
+    below, passing the one engine-specific step — how a plan runs — as
+    ``run(plan, ctx)``.
 
-    Profiling is context-scoped: a child context inherits its parent's
-    profiler, so subquery and CTE execution is captured too, and two
-    contexts never share mutable profiling state."""
+    Profiling is context-scoped: a subquery runs on a copy of its
+    query's context that differs only in ``params``, so subquery and CTE
+    execution is captured too, and two queries' contexts never share
+    mutable profiling state."""
 
-    def __init__(self, parent: "ExecutionContext | None" = None,
-                 stats=None, profiler=None,
+    def __init__(self, stats=None, profiler=None,
                  memory_limit_bytes: int | None = None):
-        self.parent = parent
         #: materialized CTEs: chunks under quack, tuples under pgsim
-        self.cte_results: dict[int, list] = (
-            parent.cte_results if parent else {}
-        )
-        self.cte_plans: dict[int, LogicalOperator] = (
-            parent.cte_plans if parent else {}
-        )
-        self.params: tuple = parent.params if parent else ()
-        #: memoized correlated subquery results: (id(plan), params) -> value
-        self.subquery_cache: dict[tuple, Any] = (
-            parent.subquery_cache if parent else {}
-        )
+        self._cte_results: dict[int, list] = {}
+        self._cte_plans: dict[int, LogicalOperator] = {}
+        #: the correlated values a subquery plan's parameters read
+        self.params: tuple = ()
+        #: correlated subquery results: (id(plan), params) -> rows
+        self._subquery_rows: dict[tuple, list[tuple]] = {}
         #: the query's QueryStatistics (None when collection is disabled)
-        self.stats = stats if stats is not None else (
-            parent.stats if parent else None
-        )
+        self.stats = stats
         #: PlanProfiler driving per-operator instrumentation (EXPLAIN
         #: ANALYZE); None for regular execution
-        self.profiler = profiler if profiler is not None else (
-            parent.profiler if parent else None
-        )
+        self.profiler = profiler
         #: the query's TraceCollector (timeline events), shared by every
         #: context of the query
-        self.trace = parent.trace if parent is not None else (
-            stats.trace if stats is not None else None
-        )
+        self.trace = stats.trace if stats is not None else None
         #: ``SET memory_limit = <MB>`` watermark in bytes; None = no
         #: limit.  Blocking sinks (sort / hash-join build / aggregation)
         #: that materialize past it spill to disk and merge back.
-        self.memory_limit_bytes = (
-            parent.memory_limit_bytes if parent else memory_limit_bytes
-        )
+        self.memory_limit_bytes = memory_limit_bytes
 
-    def child_with_params(self, params: tuple) -> "ExecutionContext":
-        ctx = ExecutionContext(self)
-        ctx.params = params
-        return ctx
+    def subquery_rows(self, plan: LogicalOperator, params: tuple,
+                      run: Callable) -> list[tuple]:
+        """The rows of a subquery ``plan`` under the correlated values
+        ``params``: ``run(plan, ctx)`` once per distinct ``params`` of
+        the query, the memo after."""
+        key = (id(plan), params)
+        rows = self._subquery_rows.get(key)
+        if rows is None:
+            child = copy.copy(self)
+            child.params = params
+            rows = self._subquery_rows[key] = run(plan, child)
+        return rows
+
+    def define_ctes(self, op: LogicalMaterializedCTE) -> None:
+        """Make ``op``'s CTEs known; each runs at its first reference."""
+        for cte_id, _, plan in op.ctes:
+            self._cte_plans[cte_id] = plan
+
+    def cte_items(self, op: LogicalCTERef, run: Callable) -> list:
+        """The materialized output of the CTE ``op`` reads: the items of
+        ``run(plan, ctx)`` (chunks or tuples), run at the first
+        reference."""
+        items = self._cte_results.get(op.cte_id)
+        if items is None:
+            plan = self._cte_plans.get(op.cte_id)
+            if plan is None:
+                raise ExecutionError(f"CTE {op.name!r} was not materialized")
+            items = self._cte_results[op.cte_id] = list(run(plan, self))
+        return items
+
+    def index_scan_row_ids(self, op: LogicalIndexScan) -> list[int]:
+        """The candidate row ids of an index scan in ascending order (the
+        table's physical order), counted per query and per operator."""
+        row_ids = op.index.probe(op.op_name, op.constant)
+        if row_ids is None:
+            raise ExecutionError(
+                f"index {op.index.name} cannot serve {op.op_name}"
+            )
+        if self.stats is not None:
+            self.stats.bump("executor.index_scans")
+            self.stats.bump("executor.index_candidates", len(row_ids))
+        if self.profiler is not None:
+            self.profiler.annotate(op, "probes")
+            self.profiler.annotate(op, "candidates", len(row_ids))
+        return sorted(row_ids)
 
 
 def _execute_profiled(op: LogicalOperator, ctx: ExecutionContext,

@@ -105,7 +105,6 @@ class Like(Expr):
 @dataclass
 class Exists(Expr):
     query: "SelectStatement"
-    negated: bool = False
 
 
 @dataclass

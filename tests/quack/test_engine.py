@@ -78,6 +78,20 @@ class TestBasics:
         rows = con.execute("SELECT a FROM t WHERE a IN (1, 3) ORDER BY a")
         assert [r[0] for r in rows] == [1, 3]
 
+    def test_in_list_with_null_item(self, con):
+        # 2 IN (1, NULL) is NULL, not FALSE, so NOT IN keeps no row
+        assert con.execute(
+            "SELECT a FROM t WHERE a NOT IN (1, NULL)"
+        ).fetchall() == []
+        assert con.execute(
+            "SELECT a FROM t WHERE a IN (1, NULL)"
+        ).fetchall() == [(1,)]
+        # the IN subquery agrees with the IN list
+        assert con.execute(
+            "SELECT a FROM t WHERE a NOT IN "
+            "(SELECT NULL::INTEGER UNION ALL SELECT 1)"
+        ).fetchall() == []
+
     def test_between(self, con):
         rows = con.execute("SELECT a FROM t WHERE a BETWEEN 2 AND 3 "
                            "ORDER BY a")
@@ -322,6 +336,33 @@ class TestTableFunctions:
         )
         assert con.execute("SELECT count(*), max(n) FROM nums") \
             .fetchone() == (100, 200)
+
+    @pytest.mark.parametrize("call, expected", [
+        ("generate_series(3)", [1, 2, 3]),
+        ("generate_series(1, 10, 4)", [1, 5, 9]),
+        ("generate_series(10, 1, -4)", [10, 6, 2]),
+        ("generate_series(3, 1)", []),
+        ("range(4)", [1, 2, 3]),
+        ("range(1, 10, 4)", [1, 5, 9]),
+        # range() excludes its upper bound in either direction
+        ("range(5, 1, -1)", [5, 4, 3, 2]),
+    ])
+    def test_series_values(self, con, call, expected):
+        rows = con.execute(f"SELECT * FROM {call}").fetchall()
+        assert [r[0] for r in rows] == expected
+
+    @pytest.mark.parametrize("call, message", [
+        ("generate_series()", "1 to 3 arguments"),
+        ("generate_series(1, 3, 1, 4)", "1 to 3 arguments"),
+        ("generate_series(1, 10, 0)", "step cannot be zero"),
+        ("range(1, 10, 0)", "step cannot be zero"),
+        ("generate_series(1, 2.5)", "constant integers"),
+        ("generate_series(1, NULL)", "constant integers"),
+        ("generate_series(1, a)", None),
+    ])
+    def test_bad_arguments_are_binder_errors(self, con, call, message):
+        with pytest.raises(BinderError, match=message):
+            con.execute(f"SELECT * FROM {call}")
 
 
 class TestErrors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.pgsim import RowDatabase
 from repro.quack import Database
 from repro.quack.binder import Binder, BinderContext
 from repro.quack.executor import ExecutionContext, evaluate
@@ -126,37 +127,37 @@ class TestEvaluate:
 
 
 class TestSubqueryCaching:
-    def test_correlated_subquery_cached_per_key(self):
-        db = Database()
-        con = db.connect()
+    @pytest.mark.parametrize("factory", [Database, RowDatabase],
+                             ids=["quack", "pgsim"])
+    def test_correlated_subquery_cached_per_key(self, factory, monkeypatch):
+        con = factory().connect()
         con.execute("CREATE TABLE t(k INTEGER, v INTEGER)")
         con.execute(
             "INSERT INTO t SELECT i % 3, i FROM "
             "generate_series(1, 300) AS g(i)"
         )
-        # 300 outer rows but only 3 distinct correlation keys: the
-        # subquery must be executed once per key, not per row.
-        calls = {"n": 0}
-        from repro.quack import executor as ex
+        # 300 outer rows but only 3 distinct correlation keys: every row
+        # consults the memo, the subquery plan runs once per key.
+        lookups, runs = [], []
+        lookup = ExecutionContext.subquery_rows
 
-        original = ex._run_subquery
+        def counting(self, plan, params, run):
+            lookups.append(params)
 
-        def counting(plan, params, ctx):
-            if params:
-                calls["n"] += 1
-            return original(plan, params, ctx)
+            def counted_run(plan, ctx):
+                runs.append(params)
+                return run(plan, ctx)
 
-        ex._run_subquery = counting
-        try:
-            result = con.execute(
-                "SELECT count(*) FROM t t1 WHERE v = "
-                "(SELECT max(v) FROM t t2 WHERE t2.k = t1.k)"
-            )
-        finally:
-            ex._run_subquery = original
+            return lookup(self, plan, params, counted_run)
+
+        monkeypatch.setattr(ExecutionContext, "subquery_rows", counting)
+        result = con.execute(
+            "SELECT count(*) FROM t t1 WHERE v = "
+            "(SELECT max(v) FROM t t2 WHERE t2.k = t1.k)"
+        )
         assert result.scalar() == 3
-        # every row consults the cache; actual executions bounded by keys
-        assert calls["n"] == 300  # lookups happen per row...
+        assert len(lookups) == 300
+        assert sorted(runs) == [(0,), (1,), (2,)]
 
     def test_uncorrelated_subquery_evaluated_once_logically(self):
         db = Database()

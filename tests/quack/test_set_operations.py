@@ -1,4 +1,11 @@
-"""UNION / UNION ALL / EXCEPT / INTERSECT on both engines."""
+"""UNION / UNION ALL / EXCEPT / INTERSECT on both engines.
+
+Both engines combine rows through one function,
+``LogicalSetOp.combine``, so the expected rows here are worked out by
+hand rather than compared between engines.
+"""
+
+import math
 
 import pytest
 
@@ -44,6 +51,34 @@ class TestSetOperations:
         rows = con.execute(
             "SELECT a FROM t WHERE a <= 2 INTERSECT "
             "SELECT a FROM t WHERE a >= 2"
+        ).fetchall()
+        assert rows == [(2,)]
+
+    def test_except_all_keeps_surplus_copies(self, con):
+        # 2 appears twice on the left and never on the right
+        rows = con.execute(
+            "SELECT a FROM t EXCEPT ALL SELECT a FROM t WHERE a = 3 "
+            "ORDER BY a"
+        ).fetchall()
+        assert [r[0] for r in rows] == [1, 2, 2]
+
+    def test_except_all_subtracts_copies(self, con):
+        # two copies of 2 on the left, one on the right: one survives
+        rows = con.execute(
+            "SELECT a FROM t EXCEPT ALL SELECT 2 ORDER BY a"
+        ).fetchall()
+        assert [r[0] for r in rows] == [1, 2, 3]
+
+    def test_intersect_all_keeps_common_copies(self, con):
+        rows = con.execute(
+            "SELECT a FROM t INTERSECT ALL SELECT a FROM t ORDER BY a"
+        ).fetchall()
+        assert [r[0] for r in rows] == [1, 2, 2, 3]
+
+    def test_intersect_all_takes_the_smaller_count(self, con):
+        # two copies of 2 on the left, one on the right
+        rows = con.execute(
+            "SELECT a FROM t INTERSECT ALL SELECT 2"
         ).fetchall()
         assert rows == [(2,)]
 
@@ -94,3 +129,46 @@ class TestSetOperations:
     def test_explain_shows_set_op(self, con):
         plan = con.explain("SELECT a FROM t UNION SELECT a FROM t")
         assert "UNION" in plan
+
+
+def _label(value):
+    """NULL, NaN and zero of either sign as one comparable label each."""
+    if value is None:
+        return "NULL"
+    if math.isnan(value):
+        return "NaN"
+    return repr(value + 0.0)
+
+
+@pytest.fixture(params=[Database, RowDatabase], ids=["quack", "pgsim"])
+def doubles(request):
+    """l: NULL, NaN and zero twice each (one zero negative) and 1.0;
+    r: NULL, NaN and -0.0 once each."""
+    con = request.param().connect()
+    con.execute("CREATE TABLE l(x DOUBLE)")
+    con.execute("CREATE TABLE r(x DOUBLE)")
+    nan = float("nan")
+    con.database.catalog.get_table("l").append_rows(
+        [(None,), (nan,), (0.0,), (None,), (nan,), (-0.0,), (1.0,)]
+    )
+    con.database.catalog.get_table("r").append_rows(
+        [(nan,), (None,), (-0.0,)]
+    )
+    return con
+
+
+class TestMultisetKeys:
+    """NULL equals NULL, all NaNs are one value and -0.0 equals 0.0."""
+
+    @pytest.mark.parametrize("op, expected", [
+        ("EXCEPT ALL", ["0.0", "1.0", "NULL", "NaN"]),
+        ("INTERSECT ALL", ["0.0", "NULL", "NaN"]),
+        ("EXCEPT", ["1.0"]),
+        ("INTERSECT", ["0.0", "NULL", "NaN"]),
+        ("UNION", ["0.0", "1.0", "NULL", "NaN"]),
+    ])
+    def test_double_keys(self, doubles, op, expected):
+        rows = doubles.execute(
+            f"SELECT x FROM l {op} SELECT x FROM r"
+        ).fetchall()
+        assert sorted(_label(x) for (x,) in rows) == expected
