@@ -404,7 +404,9 @@ class RewriteVerifier:
     def note_fire(self, rule: str) -> None:
         self.fired.append(rule)
 
-    def snapshot_filter(self, op: LogicalFilter):
+    def snapshot_filter(self, op: LogicalOperator):
+        """The schema and conjuncts of a filter, or of an inner join
+        tree, before the optimizer plans it."""
         conjuncts: list[str] = []
         _collect_conjuncts(op, 0, conjuncts)
         return (

@@ -35,8 +35,8 @@ class RowDatabase(BaseDatabase):
 class RowConnection(BaseConnection):
     """A connection to a row database: the shared statement lifecycle
     over heap tables and the Volcano executor.  ``ATTACH``,
-    ``CHECKPOINT`` and the ``zone_maps``/``memory_limit``/``threads``
-    settings are quack's and rejected here."""
+    ``CHECKPOINT`` and the ``memory_limit``/``threads`` settings are
+    quack's and rejected here."""
 
     ENGINE = "pgsim"
     TABLE = RowTable

@@ -16,6 +16,7 @@ from ..index import BoxIndex, BoxIndexType, box_rect
 from ..observability import count as _count
 from ..quack.catalog import TableIndex
 from ..quack.errors import ExecutionError
+from ..quack.keys import hashable_key
 from .table import detoast
 
 GIST = BoxIndexType(
@@ -32,7 +33,8 @@ class GistIndex(BoxIndex):
 
 
 class BTreeIndex(TableIndex):
-    """Hash map over one scalar column serving equality probes."""
+    """Hash map over one scalar column serving equality probes, keyed
+    with SQL ``=``'s semantics (NaN finds NaN, ``-0.0`` finds ``0.0``)."""
 
     def __init__(self, name: str, table, column: str):
         super().__init__(name, table, column, "BTREE")
@@ -45,7 +47,7 @@ class BTreeIndex(TableIndex):
             if value is None:
                 continue
             try:
-                self._map.setdefault(value, []).append(row_id)
+                self._map.setdefault(hashable_key(value), []).append(row_id)
             except TypeError:
                 raise ExecutionError(
                     f"unhashable value in BTREE index {self.name!r}"
@@ -62,7 +64,7 @@ class BTreeIndex(TableIndex):
     def probe(self, op_name: str, constant: Any) -> list[int] | None:
         if op_name != "=":
             return None
-        candidates = list(self._map.get(constant, ()))
+        candidates = list(self._map.get(hashable_key(constant), ()))
         _count("index.btree.probes")
         _count("index.btree.candidates", len(candidates))
         return candidates

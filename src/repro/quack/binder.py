@@ -356,11 +356,17 @@ class Binder:
         if isinstance(ref, ast.TableFunctionRef):
             return self._bind_table_function(ref)
         if isinstance(ref, ast.JoinRef):
+            start = len(self.scope.columns)
             left = self._bind_table_ref(ref.left)
             right = self._bind_table_ref(ref.right)
             condition = None
             if ref.condition is not None:
-                condition = self._coerce_boolean(self.bind_expr(ref.condition))
+                # ON sees the join's own inputs, in the join's column space
+                own = Scope(self.scope.parent)
+                own.columns = self.scope.columns[start:]
+                condition = self._coerce_boolean(
+                    self._bind_in_scope(ref.condition, own, {})
+                )
             return LogicalJoin(
                 left, right, ref.join_type, residual=condition
             )

@@ -111,30 +111,50 @@ def _bigint_binop(np_op, py_op: Callable[[int, int], int]):
     return fn_vector
 
 
-def _compare_vectors(op_name: str):
-    py_ops = {
-        "=": lambda a, b: a == b,
-        "<>": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-    py_op = py_ops[op_name]
+def _nan(value: Any) -> bool:
+    return isinstance(value, float) and value != value
 
+
+def _equal(a: Any, b: Any) -> bool:
+    """SQL ``=``: IEEE equality, except that NaN equals NaN (PostgreSQL
+    and DuckDB; the hash join and GROUP BY agree)."""
+    return bool(a == b) or (_nan(a) and _nan(b))
+
+
+def _equal_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.asarray(a == b, dtype=np.bool_)
+    if a.dtype.kind == "f" and b.dtype.kind == "f":
+        out = out | (np.isnan(a) & np.isnan(b))
+    return out
+
+
+#: The six comparison operators: a function of two values and one of two
+#: NumPy arrays.  ``=``/``<>`` make NaN equal to NaN; the ordering
+#: comparisons stay IEEE.
+_COMPARISONS: dict[str, tuple[Callable, Callable]] = {
+    "=": (_equal, _equal_arrays),
+    "<>": (lambda a, b: not _equal(a, b),
+           lambda a, b: ~_equal_arrays(a, b)),
+    "<": (lambda a, b: bool(a < b), np.less),
+    "<=": (lambda a, b: bool(a <= b), np.less_equal),
+    ">": (lambda a, b: bool(a > b), np.greater),
+    ">=": (lambda a, b: bool(a >= b), np.greater_equal),
+}
+
+
+def _compare_vectors(py_op: Callable, array_op: Callable):
     def fn_vector(args: list[Vector], count: int) -> Vector:
         left, right = args
-        if left.ltype.physical != "object" and right.ltype.physical != "object":
-            data = py_op(left.data, right.data)
-            validity = np.logical_and(left.validity, right.validity)
-            return Vector(BOOLEAN, np.asarray(data, dtype=np.bool_), validity)
-        out = np.zeros(count, dtype=np.bool_)
         validity = np.logical_and(left.validity, right.validity)
+        if left.ltype.physical != "object" and right.ltype.physical != "object":
+            data = np.asarray(array_op(left.data, right.data), dtype=np.bool_)
+            return Vector(BOOLEAN, data, validity)
+        out = np.zeros(count, dtype=np.bool_)
         ldata, rdata = left.data, right.data
         for i in range(count):
             if validity[i]:
                 try:
-                    out[i] = bool(py_op(ldata[i], rdata[i]))
+                    out[i] = py_op(ldata[i], rdata[i])
                 except TypeError as exc:
                     raise ExecutionError(
                         f"cannot compare {type(ldata[i]).__name__} with "
@@ -146,22 +166,14 @@ def _compare_vectors(op_name: str):
 
 
 def _register_comparisons(registry: FunctionRegistry) -> None:
-    py_ops = {
-        "=": lambda a, b: a == b,
-        "<>": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-    for name, py_op in py_ops.items():
+    for name, (py_op, array_op) in _COMPARISONS.items():
         registry.register_scalar(
             ScalarFunction(
                 name,
                 (ANY, ANY),
                 BOOLEAN,
-                fn_scalar=lambda a, b, _op=py_op: bool(_op(a, b)),
-                fn_vector=_compare_vectors(name),
+                fn_scalar=py_op,
+                fn_vector=_compare_vectors(py_op, array_op),
             )
         )
 

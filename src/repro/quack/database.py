@@ -182,24 +182,6 @@ def _analyze(table: Any) -> None:
     table.changes_since_analyze = 0
 
 
-def _parse_on_off(value: ast.Expr, setting: str) -> bool:
-    """Interpret a ``SET <setting> = on|off`` value straight from the AST
-    (``on``/``off`` parse as bare column references, which constant
-    folding cannot resolve)."""
-    if isinstance(value, ast.Literal) and isinstance(value.value, bool):
-        return value.value
-    word = None
-    if isinstance(value, ast.ColumnRef) and len(value.parts) == 1:
-        word = value.parts[0].lower()
-    elif isinstance(value, ast.Literal) and isinstance(value.value, str):
-        word = value.value.lower()
-    if word in ("on", "true", "1"):
-        return True
-    if word in ("off", "false", "0"):
-        return False
-    raise QuackError(f"SET {setting} expects on or off")
-
-
 class BaseConnection:
     """The statement lifecycle both engines share.
 
@@ -217,7 +199,7 @@ class BaseConnection:
     #: the engine's table type, built by ``CREATE TABLE``
     TABLE: type
     #: the settings ``SET`` / ``SHOW`` accept on this engine
-    SETTINGS: tuple[str, ...] = ("cbo", "log_min_duration")
+    SETTINGS: tuple[str, ...] = ("log_min_duration",)
 
     def __init__(self, database: BaseDatabase):
         self.database = database
@@ -226,12 +208,6 @@ class BaseConnection:
         #: rolling log of completed queries (``SET log_min_duration``
         #: tunes the slow-query threshold)
         self._query_log = QueryLog()
-        #: cost-based optimizer kill switch (``SET cbo = on|off``); off
-        #: plans every join in FROM order and gathers no statistics
-        self._cbo = True
-        #: zone-map scan skipping kill switch (``SET zone_maps = on|off``,
-        #: quack only: heap tables have no zone maps)
-        self._zone_maps = True
 
     # -- public API ----------------------------------------------------------------
 
@@ -467,11 +443,7 @@ class BaseConnection:
 
     def _execute_set(self, stmt: ast.SetStatement) -> Result:
         name = self._setting(stmt)
-        if name == "cbo":
-            self._cbo = _parse_on_off(stmt.value, "cbo")
-        elif name == "zone_maps":
-            self._zone_maps = _parse_on_off(stmt.value, "zone_maps")
-        elif name == "log_min_duration":
+        if name == "log_min_duration":
             # milliseconds; 0 logs everything, negative disables logging
             self._query_log.min_duration_ms = self._setting_number(
                 stmt, "milliseconds"
@@ -503,12 +475,8 @@ class BaseConnection:
 
     def _execute_show(self, stmt: ast.ShowStatement) -> Result:
         name = self._setting(stmt)
-        if name == "cbo":
-            value: Any = "on" if self._cbo else "off"
-        elif name == "zone_maps":
-            value = "on" if self._zone_maps else "off"
-        elif name == "log_min_duration":
-            value = self._query_log.min_duration_ms
+        if name == "log_min_duration":
+            value: Any = self._query_log.min_duration_ms
         elif name == "memory_limit":
             value = self._memory_limit_mb
         else:
@@ -535,11 +503,9 @@ class BaseConnection:
             from ..analysis.verifier import verify_planned
 
             verify_planned(plan, self.database.functions, stats, "bind")
-        if self._cbo:
-            self._refresh_statistics(plan, stats)
+        self._refresh_statistics(plan, stats)
         with maybe_span(stats, "optimize"):
-            plan = optimize(plan, stats, cbo=self._cbo,
-                            zone_maps=self._zone_maps)
+            plan = optimize(plan, stats)
         if verification_enabled():
             from ..analysis.verifier import verify_planned
 
@@ -703,12 +669,11 @@ class BaseConnection:
 class Connection(BaseConnection):
     """A connection to a quack database: chunk-at-a-time execution over
     columnar tables, ``ATTACH``/``CHECKPOINT`` of an on-disk file, and
-    the ``zone_maps``/``memory_limit``/``threads`` settings."""
+    the ``memory_limit``/``threads`` settings."""
 
     ENGINE = "quack"
     TABLE = Table
-    SETTINGS = (*BaseConnection.SETTINGS, "zone_maps", "memory_limit",
-                "threads")
+    SETTINGS = (*BaseConnection.SETTINGS, "memory_limit", "threads")
 
     def __init__(self, database: Database):
         super().__init__(database)

@@ -519,10 +519,10 @@ def _execute_get(op: LogicalGet,
     """
     skip: set[int] | None = None
     if op.prune:
-        zone_maps = op.table.zone_maps()
-        if zone_maps is not None:
+        maps = op.table.zone_maps()
+        if maps is not None:
             skip = set()
-            for seg, entries in enumerate(zone_maps):
+            for seg, entries in enumerate(maps):
                 if any(
                     _storage.zone_map_prunes(
                         entries[p.column], p.op_name, p.constant
@@ -530,7 +530,7 @@ def _execute_get(op: LogicalGet,
                     for p in op.prune
                 ):
                     skip.add(seg)
-            total = len(zone_maps)
+            total = len(maps)
             if ctx.stats is not None:
                 ctx.stats.bump("storage.rowgroups_scanned",
                                total - len(skip))
@@ -541,7 +541,7 @@ def _execute_get(op: LogicalGet,
                 ctx.profiler.annotate(op, "rowgroups_skipped",
                                       len(skip))
             if skip and _verification.verification_enabled():
-                _crosscheck_pruned_groups(op, skip, zone_maps, ctx)
+                _crosscheck_pruned_groups(op, skip, maps, ctx)
     for chunk, _ in op.table.scan(skip_groups=skip, columns=op.columns):
         if chunk.count:
             yield chunk

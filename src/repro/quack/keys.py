@@ -2,10 +2,11 @@
 
 :func:`hashable_key`, :func:`row_key` and :func:`sort_comparator`
 define the engines' common grouping/ordering semantics (one NaN group,
-``-0.0`` joins ``0.0``, NULL placement, NaN sorts greatest).  They live here — not in
-:mod:`.kernels` — because the pgsim row engine needs them too and must
-not import quack executor internals; this module is part of the shared
-frontend surface alongside the plan IR and the binder.
+``-0.0`` joins ``0.0``, NULL placement, NaN sorts greatest);
+:func:`exact_key` keys the correlated-subquery memo.  They live here —
+not in :mod:`.kernels` — because the pgsim row engine needs them too
+and must not import quack executor internals; this module is part of
+the shared frontend surface alongside the plan IR and the binder.
 """
 
 from __future__ import annotations
@@ -45,6 +46,23 @@ def hashable_key(value: Any) -> Any:
             type(value).__qualname__,
             repr(value),
         )
+
+
+def exact_key(value: Any) -> Any:
+    """A hashable key for ``value`` that only values no SQL expression
+    tells apart share: unlike :func:`hashable_key`, ``-0.0`` and ``0.0``
+    differ (``CAST(x AS VARCHAR)`` shows the sign).  Lists and structs
+    key by their items; other unhashable values as in
+    :func:`hashable_key`."""
+    if isinstance(value, float):
+        return (float, value.hex())
+    if isinstance(value, list):
+        return (list, tuple(map(exact_key, value)))
+    if isinstance(value, dict):
+        return (dict, tuple(sorted(
+            (k, exact_key(v)) for k, v in value.items()
+        )))
+    return hashable_key(value)
 
 
 def row_key(row: Sequence[Any]) -> tuple:

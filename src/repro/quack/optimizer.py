@@ -7,15 +7,18 @@ The headline rewrites:
   support for ``<op>`` on that column, the sequential scan is replaced by
   an index scan (the predicate is kept as a recheck filter, which is
   exact and cheap).
-* Cost-based join ordering — the leaves of a flattened comma-join are
-  ordered by dynamic programming over estimated cardinalities (up to
+* Cost-based join ordering — the leaves of a flattened tree of comma
+  joins and explicit ``INNER JOIN … ON`` clauses (whose ON conjuncts
+  join the WHERE conjuncts, so both spellings plan alike) are ordered by
+  dynamic programming over estimated cardinalities (up to
   :data:`DP_MAX_RELATIONS` leaves; greedy pairwise merging beyond), from
   the tables' statistics (:mod:`repro.quack.stats`, which the connection
   keeps fresh for every table :func:`join_tables` names), and each join
   picks hash vs index-nested-loop vs nested-loop by estimated cost
-  instead of by rule.  Under ``SET cbo = off``, or when a leaf is no
-  table (a CTE scan, a derived table), the plan is the original
-  heuristic left-deep build in FROM order.
+  instead of by rule.  A leaf that is no table (a CTE scan, a derived
+  table, a table function, a LEFT JOIN) counts as a relation of its
+  optimizer estimate, or of :data:`~repro.quack.stats.DEFAULT_LEAF_ROWS`
+  without one.  LEFT JOINs keep their written order.
 """
 
 from __future__ import annotations
@@ -66,21 +69,17 @@ _HASH_BUILD_FACTOR = 2.0
 _CROSS_PENALTY = 10.0
 
 
-def optimize(plan: LogicalOperator, stats=None, cbo: bool = True,
-             zone_maps: bool = True) -> LogicalOperator:
+def optimize(plan: LogicalOperator, stats=None) -> LogicalOperator:
     """Rewrite a bound plan. Idempotent; returns a new tree — the input
     plan is never mutated, so a cached bound plan can be re-optimized.
 
     ``stats`` (a :class:`repro.observability.QueryStatistics`) receives
     per-rule fire counts under ``optimizer.rule.<name>`` and cost-based
-    planning counters under ``optimizer.cbo.<name>``.  ``cbo`` is the
-    ``SET cbo = on|off`` kill switch: when off — or when a join leaf is
-    not a table — planning stays on the heuristic path and produces the
-    same plan as before the cost-based optimizer existed.  The optimizer
-    reads ``Table.stats`` and never gathers them (a table without any
-    plans from its row count alone).  ``zone_maps`` is the
-    ``SET zone_maps = on|off`` kill switch for attaching row-group prune
-    predicates to table scans.
+    planning counters under ``optimizer.cbo.<name>``.  Every inner join,
+    comma or explicit, goes through the one cost-based search.  The
+    optimizer reads ``Table.stats`` and never gathers them (a table
+    without any plans from its row count alone).  Scans of a table type
+    that keeps zone maps get row-group prune predicates.
     The required-columns rule (:mod:`repro.quack.prune`) runs last.
     Under verification mode every filter rewrite is snapshot-checked
     (schema stability, predicate preservation, index-injection validity),
@@ -93,22 +92,19 @@ def optimize(plan: LogicalOperator, stats=None, cbo: bool = True,
         from ..analysis.verifier import RewriteVerifier
 
         verifier = RewriteVerifier()
-    optimizer = _Optimizer(stats, verifier, cbo, zone_maps)
+    optimizer = _Optimizer(stats, verifier)
     return prune_columns(optimizer.rewrite(plan), verifier, optimizer._fire)
 
 
 def join_tables(plan: LogicalOperator) -> list:
     """The tables whose statistics cost-based planning of ``plan`` reads:
-    the scanned leaves of every comma-join under a filter, each once."""
+    the scanned leaves of every join tree the search orders, each once."""
     tables: dict[int, Any] = {}
 
     def visit(op: LogicalOperator) -> None:
-        if isinstance(op, LogicalFilter):
-            leaves, flattened = _flatten(op.child)
-            if flattened:
-                for leaf in leaves:
-                    if isinstance(leaf, LogicalGet):
-                        tables.setdefault(id(leaf.table), leaf.table)
+        for leaf in _planned_leaves(op):
+            if isinstance(leaf, LogicalGet):
+                tables.setdefault(id(leaf.table), leaf.table)
         for child in op.children():
             visit(child)
 
@@ -116,15 +112,34 @@ def join_tables(plan: LogicalOperator) -> list:
     return list(tables.values())
 
 
-def _flatten(op: LogicalOperator) -> tuple[list[LogicalOperator], bool]:
-    """Flatten a pure cross-join tree into its leaves."""
-    if isinstance(op, LogicalJoin) and op.join_type == "cross" and (
-        not op.equi_keys and op.residual is None
+def _planned_leaves(op: LogicalOperator) -> list[LogicalOperator]:
+    """The leaves the join search orders at ``op``: those of a filter over
+    a join tree, or of a join tree with an ON condition; none elsewhere
+    (a bare cross product keeps its FROM order)."""
+    if isinstance(op, LogicalFilter):
+        leaves, _ = _flatten(op.child)
+        return leaves if len(leaves) > 1 else []
+    leaves, on = _flatten(op)
+    return leaves if on else []
+
+
+def _flatten(
+    op: LogicalOperator,
+) -> tuple[list[LogicalOperator], list[BoundExpr]]:
+    """Flatten a tree of cross and inner joins into its leaves and the
+    inner joins' ON conjuncts, rebased to the leaves' flat column space;
+    any other operator is a single leaf."""
+    if isinstance(op, LogicalJoin) and op.join_type in ("cross", "inner") and (
+        not op.equi_keys and op.index_probe is None and op.columns is None
     ):
-        left_leaves, _ = _flatten(op.left)
-        right_leaves, _ = _flatten(op.right)
-        return left_leaves + right_leaves, True
-    return [op], False
+        left_leaves, left_on = _flatten(op.left)
+        right_leaves, right_on = _flatten(op.right)
+        width = len(op.left.output_types())
+        on = left_on + [_rebase(conj, width) for conj in right_on]
+        if op.residual is not None:
+            on.extend(_split_conjuncts(op.residual))
+        return left_leaves + right_leaves, on
+    return [op], []
 
 
 def _shallow(node):
@@ -143,12 +158,9 @@ def _with(op: LogicalOperator, **fields) -> LogicalOperator:
 
 
 class _Optimizer:
-    def __init__(self, stats=None, verifier=None, cbo: bool = True,
-                 zone_maps: bool = True):
+    def __init__(self, stats=None, verifier=None):
         self._stats = stats
         self._verifier = verifier
-        self._cbo = cbo
-        self._zone_maps = zone_maps
 
     def _fire(self, rule: str, n: int = 1) -> None:
         if self._verifier is not None:
@@ -189,15 +201,15 @@ class _Optimizer:
         self, leaf: LogicalOperator
     ) -> Callable[[BoundExpr], float] | None:
         """Conjunct selectivity against a base table's ANALYZE statistics
-        (None without them, or under ``SET cbo = off``)."""
+        (None without them)."""
         table = getattr(leaf, "table", None)
-        statistics = getattr(table, "stats", None) if self._cbo else None
+        statistics = getattr(table, "stats", None)
         if statistics is None:
             return None
         return lambda conj: _estimate_conjunct(conj, statistics.column)
 
     def rewrite(self, op: LogicalOperator) -> LogicalOperator:
-        if isinstance(op, LogicalFilter):
+        if isinstance(op, LogicalFilter) or _planned_leaves(op):
             return self._rewrite_filter(op)
         if isinstance(op, LogicalJoin):
             return _with(
@@ -229,7 +241,9 @@ class _Optimizer:
 
     # -- filter over a join tree -------------------------------------------------
 
-    def _rewrite_filter(self, op: LogicalFilter) -> LogicalOperator:
+    def _rewrite_filter(self, op: LogicalOperator) -> LogicalOperator:
+        """Plan a filter, or a join tree with ON conditions, over the
+        leaves of the join tree below it."""
         if self._verifier is None:
             return self._rewrite_filter_inner(op)
         snapshot = self._verifier.snapshot_filter(op)
@@ -242,11 +256,14 @@ class _Optimizer:
             self._stats.bump("verify.rules_checked")
         return result
 
-    def _rewrite_filter_inner(self, op: LogicalFilter) -> LogicalOperator:
-        conjuncts = _split_conjuncts(op.condition)
-        leaves, flattened = _flatten(op.child)
-        if not flattened:
-            child = self.rewrite(op.child)
+    def _rewrite_filter_inner(self, op: LogicalOperator) -> LogicalOperator:
+        if isinstance(op, LogicalFilter):
+            leaves, conjuncts = _flatten(op.child)
+            conjuncts += _split_conjuncts(op.condition)
+        else:
+            leaves, conjuncts = _flatten(op)
+        if len(leaves) == 1:
+            child = self.rewrite(leaves[0])
             child, remaining = self._try_push_into_leaf(child, conjuncts)
             if not remaining:
                 return child
@@ -284,9 +301,11 @@ class _Optimizer:
                 multi.append((conj, tuple(touched)))
 
         # Rebuild: optimize each leaf with its own filters + index injection.
+        stats_per_leaf: list[table_stats.TableStats] = []
         new_leaves: list[LogicalOperator] = []
         for leaf, filters in zip(leaves, per_leaf):
             leaf = self.rewrite(leaf)
+            stats_per_leaf.append(_leaf_stats(leaf))
             leaf, remaining = self._try_push_into_leaf(leaf, filters)
             if remaining:
                 leaf = LogicalFilter(
@@ -295,63 +314,10 @@ class _Optimizer:
                 )
             new_leaves.append(leaf)
 
-        if self._cbo and len(leaves) >= 2:
-            result = self._cbo_plan(
-                leaves, new_leaves, offsets, per_leaf, multi, top_level
-            )
-            if result is not None:
-                return result
-
-        return self._heuristic_plan(
-            new_leaves, offsets, multi, top_level
+        return self._cbo_plan(
+            leaves, stats_per_leaf, new_leaves, offsets, per_leaf, multi,
+            top_level,
         )
-
-    def _heuristic_plan(
-        self,
-        new_leaves: list[LogicalOperator],
-        offsets: list[int],
-        multi: list[tuple[BoundExpr, tuple[int, ...]]],
-        top_level: list[BoundExpr],
-    ) -> LogicalOperator:
-        """The original rule-based left-deep build in binder order."""
-        per_join: list[list[BoundExpr]] = [[] for _ in new_leaves]
-        for conj, touched in multi:
-            per_join[touched[-1]].append(conj)
-
-        plan = new_leaves[0]
-        for i in range(1, len(new_leaves)):
-            boundary = offsets[i]
-            equi_keys: list[tuple[BoundExpr, BoundExpr]] = []
-            residuals: list[BoundExpr] = []
-            for conj in per_join[i]:
-                pair = _extract_equi_key(conj, boundary)
-                if pair is not None:
-                    self._fire("hash_join_extraction")
-                    left_key, right_key = pair
-                    equi_keys.append(
-                        (left_key, _rebase(right_key, -boundary))
-                    )
-                else:
-                    residuals.append(conj)
-            index_probe = None
-            if not equi_keys:
-                index_probe = _match_join_index(
-                    residuals, boundary, new_leaves[i]
-                )
-                if index_probe is not None:
-                    self._fire("index_nl_join")
-            join_type = "inner" if (equi_keys or residuals) else "cross"
-            plan = LogicalJoin(
-                plan,
-                new_leaves[i],
-                join_type,
-                equi_keys=equi_keys,
-                residual=self._ranked(residuals) if residuals else None,
-                index_probe=index_probe,
-            )
-        if top_level:
-            plan = LogicalFilter(self._ranked(top_level), plan)
-        return plan
 
     @staticmethod
     def _leaf_of(index: int, offsets: list[int],
@@ -366,24 +332,14 @@ class _Optimizer:
     def _cbo_plan(
         self,
         leaves: list[LogicalOperator],
+        stats_per_leaf: list[table_stats.TableStats],
         new_leaves: list[LogicalOperator],
         offsets: list[int],
         per_leaf: list[list[BoundExpr]],
         multi: list[tuple[BoundExpr, tuple[int, ...]]],
         top_level: list[BoundExpr],
-    ) -> LogicalOperator | None:
-        """Join-order search over the flattened leaves; ``None`` when a
-        leaf is not a table and has no statistics (heuristic fallback)."""
-        if not all(isinstance(leaf, LogicalGet) for leaf in leaves):
-            self._count("stats_missing")
-            return None
-        stats_per_leaf = [
-            leaf.table.stats or table_stats.TableStats(
-                leaf.table.name, leaf.table.num_rows(), []
-            )
-            for leaf in leaves
-        ]
-
+    ) -> LogicalOperator:
+        """Join-order search over the flattened leaves."""
         n = len(leaves)
         widths = [len(leaf.output_types()) for leaf in leaves]
 
@@ -554,7 +510,7 @@ class _Optimizer:
                         # as a recheck filter: exact and cheap on the
                         # candidate set.
                         return scan, filters
-        prune = self._prune_predicates(filters)
+        prune = self._prune_predicates(leaf.table, filters)
         if prune:
             self._fire("zone_map_pushdown")
             # Advisory only: the full conjunction stays above the scan as
@@ -563,11 +519,12 @@ class _Optimizer:
             leaf = _with(leaf, prune=tuple(prune))
         return leaf, filters
 
-    def _prune_predicates(self, filters: list[BoundExpr]) -> list:
+    def _prune_predicates(self, table, filters: list[BoundExpr]) -> list:
         """Conjuncts in ``col <op> const`` shape whose operator the
         zone maps can reason about (comparisons, BETWEEN halves, box
-        overlap/containment, the eIntersects bbox prefilter)."""
-        if not self._zone_maps:
+        overlap/containment, the eIntersects bbox prefilter); none on a
+        table type that keeps no zone maps (pgsim's heap)."""
+        if not hasattr(table, "zone_maps"):
             return []
         out = []
         for conj in filters:
@@ -585,6 +542,20 @@ class _Optimizer:
                 expr=conj,
             ))
         return out
+
+
+def _leaf_stats(leaf: LogicalOperator) -> table_stats.TableStats:
+    """The statistics a join leaf plans from: a table's ANALYZE ones (its
+    row count alone without them); any other leaf is a relation of its
+    optimizer estimate, or of the fixed default, without columns."""
+    if isinstance(leaf, LogicalGet):
+        return leaf.table.stats or table_stats.TableStats(
+            leaf.table.name, leaf.table.num_rows(), []
+        )
+    rows = leaf.estimated_rows
+    if rows is None:
+        rows = table_stats.DEFAULT_LEAF_ROWS
+    return table_stats.TableStats(type(leaf).__name__, rows, [])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator
 
 from ..observability import QueryStatistics
 from .errors import ExecutionError
+from .keys import exact_key
 from .plan import (
     LogicalCTERef,
     LogicalIndexScan,
@@ -198,7 +199,7 @@ class ExecutionContext:
         self._cte_plans: dict[int, LogicalOperator] = {}
         #: the correlated values a subquery plan's parameters read
         self.params: tuple = ()
-        #: correlated subquery results: (id(plan), params) -> rows
+        #: correlated subquery results: (id(plan), exact params) -> rows
         self._subquery_rows: dict[tuple, list[tuple]] = {}
         #: the query's QueryStatistics (None when collection is disabled)
         self.stats = stats
@@ -217,8 +218,9 @@ class ExecutionContext:
                       run: Callable) -> list[tuple]:
         """The rows of a subquery ``plan`` under the correlated values
         ``params``: ``run(plan, ctx)`` once per distinct ``params`` of
-        the query, the memo after."""
-        key = (id(plan), params)
+        the query, the memo after (keyed on the exact values: ``-0.0``
+        is not ``0.0`` here, and a LIST keys by its items)."""
+        key = (id(plan), tuple(map(exact_key, params)))
         rows = self._subquery_rows.get(key)
         if rows is None:
             child = copy.copy(self)

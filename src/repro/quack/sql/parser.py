@@ -154,12 +154,6 @@ class Parser:
         name = self.expect_ident()
         if not self.accept_op("="):
             self.expect_keyword("TO")
-        # ON/OFF are reserved words the expression parser rejects;
-        # accept them here for toggles like ``SET cbo = on``.
-        if self.accept_keyword("ON"):
-            return ast.SetStatement(name, ast.Literal(True))
-        if self.accept_keyword("OFF"):
-            return ast.SetStatement(name, ast.Literal(False))
         return ast.SetStatement(name, self.parse_expression())
 
     def _parse_show(self) -> ast.ShowStatement:

@@ -48,6 +48,11 @@ DEFAULT_OVERLAP_SELECTIVITY = 0.05
 DEFAULT_CONTAINS_SELECTIVITY = 0.01
 DEFAULT_RESIDUAL_SELECTIVITY = 0.25
 
+#: Rows a join leaf that is no table (a CTE scan, a derived table, a
+#: table function, a LEFT JOIN) counts as when the optimizer set no
+#: estimate on it.
+DEFAULT_LEAF_ROWS = 1000
+
 
 def clamp01(value: float) -> float:
     """Clamp a selectivity into ``[0, 1]`` (NaN becomes the midpoint)."""

@@ -86,10 +86,9 @@ def test_row_engine_probes_the_trips_index(city, number):
     assert "INDEX_NL_JOIN [trips_trip_gist]" in plan.explain()
 
 
-def test_every_query_returns_the_from_order_rows(con):
+def test_every_query_returns_the_from_order_rows(con, from_order):
     planned = {q.number: con.execute(q.sql).fetchall() for q in QUERIES}
-    con.execute("SET cbo = off")
-    try:
+    with from_order():
         for query in QUERIES:
             expected = con.execute(query.sql).fetchall()
             got = planned[query.number]
@@ -97,8 +96,6 @@ def test_every_query_returns_the_from_order_rows(con):
                 expected, got = sorted(map(repr, expected)), sorted(
                     map(repr, got))
             assert got == expected, f"Q{query.number}"
-    finally:
-        con.execute("SET cbo = on")
 
 
 def test_attached_city_plans_like_the_in_memory_one(city, tmp_path):

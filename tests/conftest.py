@@ -5,12 +5,14 @@ verification layer enabled (chunk checks, rewrite checks, kernel
 cross-checks) — the slow CI job; the default run leaves it off.
 """
 
+import contextlib
 import os
 
 import pytest
 
 from repro.analysis import set_verification_enabled
 from repro.quack import Database
+from repro.quack.optimizer import _JoinSearch
 
 if os.environ.get("REPRO_VERIFICATION") == "1":
     set_verification_enabled(True)
@@ -32,6 +34,35 @@ def unverified():
     previous = set_verification_enabled(False)
     yield
     set_verification_enabled(previous)
+
+
+def _left_deep(search):
+    """The join tree that joins the leaves in FROM order, left-deep, each
+    join's method still picked by cost."""
+    tree, mask = 0, 1
+    for leaf in range(1, search.n):
+        tree = (tree, leaf, search.join_cost(mask, 1 << leaf)[1])
+        mask |= 1 << leaf
+    return tree
+
+
+@contextlib.contextmanager
+def _from_order():
+    saved = _JoinSearch.dynamic_programming, _JoinSearch.greedy
+    _JoinSearch.dynamic_programming = _JoinSearch.greedy = _left_deep
+    try:
+        yield
+    finally:
+        _JoinSearch.dynamic_programming, _JoinSearch.greedy = saved
+
+
+@pytest.fixture
+def from_order():
+    """A context manager inside which the join search returns the FROM
+    order: for tests that pin which table a join builds or probes, or
+    that compare a reordered plan's rows with the written order's."""
+    return _from_order
+
 
 #: ``SET memory_limit`` in MB of about one byte: past it every sort,
 #: hash-join build and aggregation takes its disk-backed path

@@ -150,10 +150,10 @@ class TestIntegration:
 
 class TestPgsimSettings:
     @pytest.mark.parametrize("setting", [
-        "threads = 4", "zone_maps = off", "memory_limit = 64",
-    ], ids=["threads", "zone_maps", "memory_limit"])
+        "threads = 4", "memory_limit = 64",
+    ], ids=["threads", "memory_limit"])
     def test_quack_settings_rejected(self, setting):
-        # the row engine has no threads, zone maps or spill watermark
+        # the row engine has no threads or spill watermark
         con = RowDatabase().connect()
         with pytest.raises(QuackError, match="unknown setting"):
             con.execute(f"SET {setting}")

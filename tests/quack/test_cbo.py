@@ -1,12 +1,15 @@
 """Cost-based optimizer battery: ANALYZE statistics and the ones a join
-gathers itself, their staleness rule, join reordering, and the
-``SET cbo`` kill switch.
+gathers itself, their staleness rule, and join reordering.
 
-Every multi-table query here runs three ways — quack with cbo on, quack
-with cbo off, and the pgsim row engine — and must return identical row
-multisets.  The module forces verification mode on, so every reordered
-plan also passes the RewriteVerifier's schema/conjunct checks (the CI
-job additionally exports ``REPRO_VERIFICATION=1`` suite-wide).
+There is one join planner and no switch to select another: every
+multi-table query here is written as a comma join and with explicit
+``INNER JOIN … ON`` clauses, which must plan the identical EXPLAIN and return
+the pgsim row engine's rows.  A leaf that is no table plans as a
+relation of ``stats.DEFAULT_LEAF_ROWS`` rows.  Tests that compare with
+the FROM order get it from the ``from_order`` fixture.  The module
+forces verification mode on, so every reordered plan also passes the
+RewriteVerifier's schema/conjunct checks (the CI job additionally
+exports ``REPRO_VERIFICATION=1`` suite-wide).
 """
 
 import re
@@ -94,40 +97,102 @@ _QUERIES = [
 ]
 
 
+#: ``_QUERIES`` with every join predicate moved into an ON clause
+_EXPLICIT = [
+    "SELECT count(*) FROM trips"
+    " JOIN vehicles ON trips.vehicle_id = vehicles.vehicle_id"
+    " JOIN types ON vehicles.type_id = types.type_id"
+    " WHERE types.label = 'T3'",
+    "SELECT count(*), min(trips.dist) FROM trips"
+    " INNER JOIN vehicles ON trips.vehicle_id = vehicles.vehicle_id"
+    " INNER JOIN types ON vehicles.type_id = types.type_id"
+    " INNER JOIN depots ON types.type_id = depots.type_id"
+    " WHERE trips.dist < 20",
+    "SELECT count(*) FROM trips t1 JOIN trips t2 ON t1.trip_id = t2.trip_id"
+    " JOIN vehicles ON t1.vehicle_id = vehicles.vehicle_id"
+    " JOIN types ON vehicles.type_id = types.type_id"
+    " JOIN depots ON types.type_id = depots.type_id"
+    " AND t1.dist BETWEEN 10 AND 30",
+    "SELECT trips.trip_id, types.label FROM trips"
+    " JOIN vehicles ON trips.vehicle_id = vehicles.vehicle_id"
+    " JOIN types ON vehicles.type_id = types.type_id"
+    " AND types.label = 'T0'"
+    " ORDER BY trips.trip_id LIMIT 7",
+]
+
+
 def _multiset(result):
     return Counter(map(repr, result.fetchall()))
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("sql", _QUERIES)
-    def test_cbo_on_off_and_pgsim_agree(self, quack_con, pgsim_con, sql):
+    @pytest.mark.parametrize("comma, explicit", zip(_QUERIES, _EXPLICIT))
+    def test_comma_and_explicit_joins_agree(self, quack_con, pgsim_con,
+                                            comma, explicit):
+        """``a JOIN b ON c`` plans exactly like ``a, b WHERE c`` on
+        either engine, and both return pgsim's rows."""
+        expected = _multiset(pgsim_con.execute(comma))
         for con in (quack_con, pgsim_con):
-            con.execute("ANALYZE")
-        quack_con.execute("SET cbo = on")
-        pgsim_con.execute("SET cbo = on")
-        on_rows = _multiset(quack_con.execute(sql))
-        pg_rows = _multiset(pgsim_con.execute(sql))
-        quack_con.execute("SET cbo = off")
-        off_rows = _multiset(quack_con.execute(sql))
-        quack_con.execute("SET cbo = on")
-        assert on_rows == off_rows, sql
-        assert on_rows == pg_rows, sql
+            plan = con.execute("EXPLAIN " + comma).rows[0][0]
+            assert "(est=" in plan
+            assert con.execute("EXPLAIN " + explicit).rows[0][0] == plan
+            assert _multiset(con.execute(comma)) == expected
+            assert _multiset(con.execute(explicit)) == expected
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_explicit_equi_join_hashes(self, connect):
+        con = connect()
+        con.execute("CREATE TABLE l(k INTEGER, v DOUBLE)")
+        con.execute("CREATE TABLE r(k INTEGER, w VARCHAR)")
+        con.database.catalog.get_table("l").append_rows(
+            [(i % 7, float(i)) for i in range(50)]
+        )
+        con.database.catalog.get_table("r").append_rows(
+            [(i, f"w{i}") for i in range(5)]
+        )
+        sql = "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k"
+        plan = con.execute("EXPLAIN " + sql).rows[0][0]
+        assert "HASH_JOIN" in plan and "NESTED_LOOP_JOIN" not in plan
+        assert _tables_analyzed(con) == 2
+        assert len(con.execute(sql).fetchall()) == 36
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    def test_on_clause_sees_its_join_alone(self, connect):
+        """The ON condition of a join that is not the first FROM item
+        reads that join's columns, not those of the items before it."""
+        con = connect()
+        con.execute("CREATE TABLE x(a INTEGER)")
+        con.execute("CREATE TABLE l(k INTEGER, v DOUBLE)")
+        con.execute("CREATE TABLE r(k INTEGER, w DOUBLE)")
+        con.execute("INSERT INTO x VALUES (100), (200)")
+        con.execute("INSERT INTO l VALUES (1, 1.0), (2, 2.0)")
+        con.execute("INSERT INTO r VALUES (1, 1.0), (3, 2.0)")
+        for join in ("JOIN", "LEFT JOIN"):
+            rows = con.execute(
+                f"SELECT x.a, l.k, r.k FROM x, l {join} r ON l.k = r.k"
+            ).fetchall()
+            expected = {(a, 1, 1) for a in (100, 200)}
+            if join == "LEFT JOIN":
+                expected |= {(a, 2, None) for a in (100, 200)}
+            assert sorted(rows, key=repr) == sorted(expected, key=repr)
 
 
 class TestReordering:
-    def test_dp_picks_non_binder_order_on_skew(self, quack_con):
+    def test_dp_picks_non_binder_order_on_skew(self, quack_con,
+                                               from_order):
         """The selective table is last in binder order; with statistics
         the DP must pull it ahead, changing the plan shape and emitting
         the column-restoring projection."""
         sql = _QUERIES[0]
         quack_con.execute("ANALYZE")
-        quack_con.execute("SET cbo = off")
-        heuristic = quack_con.execute("EXPLAIN " + sql).rows[0][0]
-        quack_con.execute("SET cbo = on")
-        cbo = quack_con.execute("EXPLAIN " + sql).rows[0][0]
-        assert cbo != heuristic
-        assert "(est=" in cbo
-        assert "(est=" not in heuristic
+        with from_order():
+            written = quack_con.execute("EXPLAIN " + sql).rows[0][0]
+        planned = quack_con.execute("EXPLAIN " + sql).rows[0][0]
+        assert planned != written
+        assert "(est=" in planned
+        assert planned.count("PROJECTION") == (
+            written.count("PROJECTION") + 1
+        )
         stats = quack_con.last_query_stats
         assert stats.counters.get("optimizer.cbo.planned", 0) >= 1
         assert stats.counters.get("optimizer.cbo.dp_plans", 0) >= 1
@@ -158,7 +223,7 @@ class TestReordering:
         implicit.execute(sql)
         assert _tables_analyzed(implicit) == 0
 
-    def test_chain_join_plans_no_cross_product(self):
+    def test_chain_join_plans_no_cross_product(self, from_order):
         """Two small tables at the ends of a chain share no predicate:
         pairing them first would be a cross product, which the search
         never prices while the join graph is connected."""
@@ -173,15 +238,18 @@ class TestReordering:
         catalog.get_table("s2").append_rows([(i, f"b{i}") for i in range(4)])
         sql = ("SELECT count(*) FROM s1, f, g, s2 WHERE s1.k = f.k1"
                " AND f.id < g.id AND g.k2 = s2.k")
+        explicit = ("SELECT count(*) FROM s1 JOIN f ON s1.k = f.k1"
+                    " JOIN g ON f.id < g.id JOIN s2 ON g.k2 = s2.k")
         plan = con.execute("EXPLAIN " + sql).rows[0][0]
+        assert con.execute("EXPLAIN " + explicit).rows[0][0] == plan
         assert "CROSS_PRODUCT" not in plan
         assert "est=" in plan
         assert con.last_query_stats.counter("optimizer.cbo.cross_joins") == 0
         expected = con.execute(sql).fetchall()
-        con.execute("SET cbo = off")
-        assert con.execute(sql).fetchall() == expected
+        with from_order():
+            assert con.execute(sql).fetchall() == expected
 
-    def test_chain_past_dp_limit_plans_greedily(self):
+    def test_chain_past_dp_limit_plans_greedily(self, from_order):
         """Nine relations exceed ``DP_MAX_RELATIONS``: the greedy search
         plans the chain, still pairing only tables that share a
         predicate, and returns the rows of the FROM-order plan and of
@@ -190,6 +258,9 @@ class TestReordering:
         from_clause = ", ".join(f"t{i}" for i in range(n))
         where = " AND ".join(f"t{i}.b = t{i + 1}.a" for i in range(n - 1))
         sql = f"SELECT t0.a, t{n - 1}.b FROM {from_clause} WHERE {where}"
+        explicit = "SELECT t0.a, t{}.b FROM t0 {}".format(n - 1, " ".join(
+            f"JOIN t{i + 1} ON t{i}.b = t{i + 1}.a" for i in range(n - 1)
+        ))
         results = []
         for connect in _ENGINES:
             con = connect()
@@ -204,10 +275,37 @@ class TestReordering:
                 "optimizer.cbo.greedy_plans") == 1
             assert "CROSS_PRODUCT" not in plan
             assert plan.count("HASH_JOIN") == n - 1
-            con.execute("SET cbo = off")
-            results.append(_multiset(con.execute(sql)))
+            assert con.execute("EXPLAIN " + explicit).rows[0][0] == plan
+            with from_order():
+                results.append(_multiset(con.execute(sql)))
         assert sum(results[0].values()) == 20
         assert all(rows == results[0] for rows in results)
+
+    @pytest.mark.parametrize("connect", _ENGINES)
+    @pytest.mark.parametrize("sql, leaf, count", [
+        ("WITH c AS (SELECT k FROM big WHERE k < 10)"
+         " SELECT count(*) FROM big, c WHERE big.k = c.k", "CTE_SCAN c", 10),
+        ("SELECT count(*) FROM generate_series(1, 50) g(i)"
+         " JOIN big ON g.i = big.k", "TABLE_FUNCTION generate_series", 50),
+    ])
+    def test_non_table_leaf_plans_by_cost(self, connect, sql, leaf, count):
+        """A leaf that is no table joins through the same search, as a
+        relation of ``DEFAULT_LEAF_ROWS`` rows: smaller than ``big``,
+        so it is the build side."""
+        from repro.quack.stats import DEFAULT_LEAF_ROWS
+
+        con = connect()
+        con.execute("CREATE TABLE big(k INTEGER, v DOUBLE)")
+        con.database.catalog.get_table("big").append_rows(
+            [(i, float(i)) for i in range(3 * DEFAULT_LEAF_ROWS)]
+        )
+        plan = con.execute("EXPLAIN " + sql).rows[0][0].splitlines()
+        assert con.last_query_stats.counter("optimizer.cbo.planned") == 1
+        join = next(i for i, line in enumerate(plan) if "HASH_JOIN" in line)
+        assert plan[join + 2].strip() == (
+            f"{leaf} (est={DEFAULT_LEAF_ROWS})"
+        )
+        assert con.execute(sql).fetchall() == [(count,)]
 
     @pytest.mark.parametrize("connect", _ENGINES)
     def test_between_on_a_leaf_estimates_one_range(self, connect):
@@ -259,23 +357,18 @@ class TestCopyOnWrite:
         assert bound.explain() == before
 
 
-class TestKillSwitch:
-    def test_set_show_roundtrip(self, quack_con):
-        quack_con.execute("SET cbo = off")
-        assert quack_con.execute("SHOW cbo").rows == [("off",)]
-        quack_con.execute("SET cbo = on")
-        assert quack_con.execute("SHOW cbo").rows == [("on",)]
-
-    def test_invalid_value_rejected(self, quack_con):
+class TestNoPlannerSwitch:
+    @pytest.mark.parametrize("connect", _ENGINES)
+    @pytest.mark.parametrize("setting", ["cbo", "zone_maps"])
+    @pytest.mark.parametrize("statement", [
+        "SET {} = off", "SET {} = 'on'", "SHOW {}",
+    ])
+    def test_planner_settings_are_unknown(self, connect, setting,
+                                          statement):
         from repro.quack.errors import QuackError
 
-        with pytest.raises(QuackError):
-            quack_con.execute("SET cbo = 17")
-
-    def test_pgsim_kill_switch(self, pgsim_con):
-        pgsim_con.execute("SET cbo = off")
-        assert pgsim_con.execute("SHOW cbo").rows == [("off",)]
-        pgsim_con.execute("SET cbo = on")
+        with pytest.raises(QuackError, match="unknown setting"):
+            connect().execute(statement.format(setting))
 
 
 def _tables_analyzed(con) -> int:
@@ -347,13 +440,6 @@ class TestStaleness:
         assert _tables_analyzed(con) == 0
         assert table.stats.row_count == 160
 
-    def test_cbo_off_gathers_nothing(self):
-        con = _populate(core.connect())
-        con.execute("SET cbo = off")
-        con.execute(_QUERIES[0])
-        assert _tables_analyzed(con) == 0
-        assert con.database.catalog.get_table("trips").stats is None
-
 
 class TestObservability:
     def test_implicit_analyze_is_its_own_phase(self):
@@ -409,8 +495,9 @@ class TestNonFiniteValues:
         con = self._load(connect())
         assert con.execute(self.SQL).fetchall() == [(1,)]
         assert _tables_analyzed(con) == 2
-        con.execute("SET cbo = off")
-        assert con.execute(self.SQL).fetchall() == [(1,)]
+        assert con.execute(
+            "SELECT count(*) FROM m JOIN d ON m.k = d.k AND m.x < d.y"
+        ).fetchall() == [(1,)]
 
     def test_attached_table_analyzes_like_in_memory(self, tmp_path):
         path = tmp_path / "nonfinite.quackdb"

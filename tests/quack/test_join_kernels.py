@@ -438,8 +438,8 @@ class TestSpatialRTreeIndexJoin:
     """DuckDB-Spatial's RTREE is the same box index as TRTREE: its index
     nested-loop join probes a chunk in one ``probe_batch`` traversal and
     must return pgsim's rows.  No SQL operator plans an RTREE join, so
-    the test points the FROM-order nested-loop join (``SET cbo = off``)
-    at the index."""
+    the test points the nested-loop join of the FROM-order plan (``pts``
+    probing, ``zones`` built) at the index."""
 
     SQL = ("SELECT p.id, z.id FROM pts p, zones z"
            " WHERE ST_Intersects(z.g, p.g)")
@@ -467,7 +467,7 @@ class TestSpatialRTreeIndexJoin:
     @pytest.mark.parametrize("join_type", ["inner", "left"])
     @pytest.mark.parametrize("residual", [True, False],
                              ids=["residual", "no-residual"])
-    def test_matches_row_engine(self, join_type, residual):
+    def test_matches_row_engine(self, join_type, residual, from_order):
         from repro.observability import QueryStatistics
         from repro.quack.executor import ExecutionContext, execute_plan
         from repro.quack.plan import LogicalJoin
@@ -475,8 +475,8 @@ class TestSpatialRTreeIndexJoin:
 
         con = self._fill(core.connect())
         con.execute("CREATE INDEX zidx ON zones USING RTREE(g)")
-        con.execute("SET cbo = off")
-        plan = con._plan_select(parse_sql(self.SQL)[0])
+        with from_order():
+            plan = con._plan_select(parse_sql(self.SQL)[0])
         join = plan
         while not isinstance(join, LogicalJoin):
             join = join.children()[0]

@@ -113,15 +113,10 @@ class TestDifferential:
         for analyzed in (False, True):
             if analyzed:
                 con.execute("ANALYZE")
-            for cbo in ("on", "off"):
-                for zone_maps in ("on", "off"):
-                    con.execute(f"SET cbo = {cbo}")
-                    con.execute(f"SET zone_maps = {zone_maps}")
-                    for sql in _QUERIES:
-                        assert _multiset(con, sql) == reference[sql], (
-                            f"{config} analyzed={analyzed} cbo={cbo} "
-                            f"zone_maps={zone_maps}: {sql}"
-                        )
+            for sql in _QUERIES:
+                assert _multiset(con, sql) == reference[sql], (
+                    f"{config} analyzed={analyzed}: {sql}"
+                )
 
     def test_insert_select_reads_what_it_inserts(self):
         contents = []
@@ -278,7 +273,6 @@ class TestGatheredCells:
         con = _load(Database().connect())
         sql = ("SELECT f.id, d.name FROM f, d WHERE f.k < d.k AND d.cat = 3"
                " AND f.g = 1")
-        con.execute("SET cbo = off")
         plan = _plan(con, sql)
         while not isinstance(plan, LogicalJoin):
             (plan,) = plan.children()

@@ -509,17 +509,25 @@ class TestZoneMapSkipping:
         stats = con.last_query_stats
         assert stats.counter("storage.rowgroups_skipped") >= 3
 
-    def test_kill_switch(self, tmp_path):
-        _, att = self._attached(tmp_path)
-        att.execute("SET zone_maps = 'off'")
-        sql = "SELECT count(*) FROM t WHERE a BETWEEN 100 AND 110"
-        assert att.execute(sql).scalar() == 11
-        scanned, skipped = self._counters(att)
-        assert skipped == 0
-        assert att.execute("SHOW zone_maps").fetchall() == [("off",)]
-        att.execute("SET zone_maps = 'on'")
-        assert att.execute(sql).scalar() == 11
-        assert self._counters(att)[1] == 4
+    def test_only_columnar_scans_carry_prune_predicates(self):
+        """Heap tables keep no zone maps: pgsim's plan of the same
+        statement names no prune predicate, on a scan or in a join."""
+        sql = ("SELECT count(*) FROM t, t u WHERE t.a < 100"
+               " AND u.b = 'k00000001' AND t.a = u.a")
+        quack = _seeded_con(100)
+        heap = core.connect_baseline()
+        heap.execute("CREATE TABLE t(a BIGINT, b VARCHAR)")
+        heap.database.catalog.get_table("t").append_rows(
+            [(i, f"k{i:08d}") for i in range(100)]
+        )
+        plan = quack.execute("EXPLAIN " + sql).rows[0][0]
+        assert "[zonemap: a <]" in plan and "[zonemap: b =]" in plan
+        heap_plan = heap.execute("EXPLAIN " + sql).rows[0][0]
+        assert "zonemap" not in heap_plan
+        assert heap_plan == plan.replace(" [zonemap: a <]", "").replace(
+            " [zonemap: b =]", "")
+        assert heap.execute(sql).fetchall() == quack.execute(
+            sql).fetchall() == [(1,)]
 
     def test_stale_maps_after_update_stay_correct(self, tmp_path):
         _, att = self._attached(tmp_path)
@@ -579,9 +587,6 @@ class TestZoneMapSkipping:
             assert self._counters(att)[1] == 4, op
             assert sorted(con.execute(sql).fetchall()) == sorted(rows)
             assert self._counters(con)[1] == 4, op
-            con.execute("SET zone_maps = 'off'")
-            assert sorted(con.execute(sql).fetchall()) == sorted(rows)
-            con.execute("SET zone_maps = 'on'")
 
     def test_explain_analyze_shows_rowgroups(self, tmp_path):
         _, att = self._attached(tmp_path)
@@ -711,7 +716,7 @@ class TestSpill:
         assert con.execute(sql).fetchall() == baseline
         assert self._spill_counter(con, "storage.spilled_aggregates") == 0
 
-    def test_join_bit_identical(self):
+    def test_join_bit_identical(self, from_order):
         con = self._con()
         con.execute("CREATE TABLE dim(g BIGINT, name VARCHAR)")
         con.database.catalog.get_table("dim").append_rows(
@@ -719,16 +724,16 @@ class TestSpill:
         )
         # dim first in FROM order: the big table lands on the build
         # (right) side, its padded column read so that it rides along.
-        con.execute("SET cbo = off")
         sql = ("SELECT t.a, t.b, dim.name FROM dim, t "
                "WHERE t.g = dim.g AND t.a < 5000")
-        baseline = con.execute(sql).fetchall()
-        con.execute("SET memory_limit = 0.25")
-        got = con.execute(sql).fetchall()
-        assert got == baseline
-        assert self._spill_counter(con, "storage.spilled_joins") >= 1
-        con.execute("SET memory_limit = 0")
-        assert con.execute(sql).fetchall() == baseline
+        with from_order():
+            baseline = con.execute(sql).fetchall()
+            con.execute("SET memory_limit = 0.25")
+            got = con.execute(sql).fetchall()
+            assert got == baseline
+            assert self._spill_counter(con, "storage.spilled_joins") >= 1
+            con.execute("SET memory_limit = 0")
+            assert con.execute(sql).fetchall() == baseline
 
     def test_join_null_keys_dropped(self):
         con = Database().connect()
@@ -1634,16 +1639,17 @@ class TestSpilledOperatorsOnChunks:
         assert stats.counter("storage.spilled_aggregates") == 1
         assert stats.counter("quack.kernel_ops") >= 4
 
-    def test_join_with_residual_and_text_keys(self):
+    def test_join_with_residual_and_text_keys(self, from_order):
         con = self._con()
         # d first in FROM order: f lands on the build side and overflows.
-        con.execute("SET cbo = off")
         sql = ("SELECT f.id, d.w, f.x FROM d, f "
                "WHERE f.k = d.k AND f.id % 3 <> d.w % 3")
-        expected = repr(con.execute(sql).fetchall())
-        con.execute("SET memory_limit = 0.05")
-        assert repr(con.execute(sql).fetchall()) == expected
-        assert con.last_query_stats.counter("storage.spilled_joins") == 1
+        with from_order():
+            expected = repr(con.execute(sql).fetchall())
+            con.execute("SET memory_limit = 0.05")
+            assert repr(con.execute(sql).fetchall()) == expected
+            assert con.last_query_stats.counter(
+                "storage.spilled_joins") == 1
 
 
 class TestColumnarInsertSelect:

@@ -7,8 +7,9 @@ expected value here is worked out from SQL's three-valued logic instead:
 ``x IN S`` is ``x = ANY S``; ANY is TRUE when one comparison is TRUE, ALL
 is FALSE when one is FALSE; otherwise a NULL comparison makes the result
 NULL, and over the empty set ANY is FALSE and ALL TRUE, whatever x is.
-Comparison operators follow IEEE 754 here: NaN compares FALSE with every
-value, and ``0.0 = -0.0``.
+``=`` and ``<>`` make NaN equal to NaN, as PostgreSQL and DuckDB do;
+the ordering comparisons follow IEEE 754 (NaN compares FALSE with every
+value), and ``0.0 = -0.0``.
 """
 
 import math
@@ -44,6 +45,7 @@ def _value(con, sql):
 
 
 NULL = "CAST(NULL AS DOUBLE)"
+NAN_SQL = "CAST('NaN' AS DOUBLE)"
 
 #: (operand, set, {predicate: expected}) with None for NULL.
 CASES = [
@@ -68,6 +70,12 @@ CASES = [
     # 1.0 equals none of NaN, 0.0, -0.0 and differs from all of them.
     ("1.0", "zeros", {"IN": False, "NOT IN": True, "= ANY": False,
                       "<> ALL": True, "<= ALL": False}),
+    # NaN = NaN is TRUE; NaN <= NaN stays FALSE.
+    (NAN_SQL, "zeros", {"IN": True, "NOT IN": False, "= ANY": True,
+                        "<> ALL": False, "<= ALL": False}),
+    # NaN = 1 is FALSE, NaN = NULL NULL; NaN <> 1 is TRUE; NaN <= 1 FALSE.
+    (NAN_SQL, "nul", {"IN": None, "NOT IN": None, "= ANY": None,
+                      "<> ALL": None, "<= ALL": False}),
 ]
 
 
@@ -96,7 +104,9 @@ class TestScalarSubquery:
             _value(con, "(SELECT x FROM nul)")
 
     def test_nan_row(self, con):
-        assert math.isnan(_value(con, "(SELECT x FROM zeros WHERE x <> x)"))
+        assert math.isnan(
+            _value(con, "(SELECT x FROM zeros WHERE NOT x = 0.0)")
+        )
 
 
 class TestExists:
@@ -124,6 +134,31 @@ class TestInList:
         ("NULL IN (1, 3)", None),
         ("0.0 IN (-0.0)", True),
         ("CAST('NaN' AS DOUBLE) IN (1.0, 2.0)", False),
+        ("CAST('NaN' AS DOUBLE) IN (1.0, CAST('NaN' AS DOUBLE))", True),
     ])
     def test_three_valued(self, con, sql, expected):
         assert _value(con, sql) is expected
+
+
+class TestCorrelatedMemo:
+    """A correlated subquery runs once per distinct outer value; the memo
+    tells values apart exactly as the subquery could."""
+
+    def test_negative_zero_is_not_zero(self, con):
+        con.execute("CREATE TABLE s(x DOUBLE)")
+        con.execute("CREATE TABLE one(i INTEGER)")
+        con.database.catalog.get_table("s").append_rows([(0.0,), (-0.0,)])
+        con.execute("INSERT INTO one VALUES (1)")
+        assert con.execute(
+            "SELECT CAST(x AS VARCHAR),"
+            " (SELECT CAST(s.x AS VARCHAR) FROM one) FROM s"
+        ).fetchall() == [("0.0", "0.0"), ("-0.0", "-0.0")]
+
+    def test_list_outer_value(self, con):
+        con.execute("CREATE TABLE t(a INTEGER)")
+        con.execute("INSERT INTO t VALUES (1), (2), (2)")
+        assert con.execute(
+            "WITH s AS (SELECT a, list(a) AS l FROM t GROUP BY a)"
+            " SELECT a, (SELECT count(*) FROM t WHERE s.l IS NOT NULL"
+            " AND t.a = s.a) FROM s ORDER BY a"
+        ).fetchall() == [(1, 1), (2, 2)]
