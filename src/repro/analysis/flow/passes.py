@@ -628,7 +628,7 @@ def _trace_handle(rest: list[ast.stmt], name: str) -> str | None:
 #: optimizer's ``optimizer.cbo.`` wrapper) is not the ambient helper.
 COUNTER_FUNCS = frozenset({"count", "_count"})
 COUNTER_METHODS = frozenset({"bump"})
-GAUGE_FUNCS = frozenset({"gauge_max", "set_gauge"})
+GAUGE_FUNCS = frozenset({"gauge_max"})
 
 
 def _counter_call_kind(func: ast.expr) -> str | None:

@@ -23,6 +23,10 @@ ANL010    a ``*_selectivity`` estimator returns a value not wrapped in
           cardinality product built on it)
 ANL011    file I/O in a ``repro.quack`` module other than
           ``repro.quack.storage``
+ANL012    ``.bump(...)``/``.gauge_max(...)`` on a statistics handle
+          outside ``repro.observability`` and ``repro.quack.database``
+          (engine code records through the ambient ``count`` /
+          ``gauge_max``, a no-op when no query is active)
 ========  ==========================================================
 
 Undeclared counter/gauge names are the flow analyzer's FLOW002

@@ -59,6 +59,15 @@ _FILE_IO_CALLS = frozenset({
     "mkdtemp",
 })
 
+#: Modules that may record on a statistics handle (ANL012): the
+#: recorder itself, and the connection's end-of-statement bookkeeping,
+#: which runs after the query's statistics are no longer active.
+_STATISTICS_HANDLE_MODULES = ("repro.observability", "repro.quack.database")
+
+#: ``QueryStatistics`` recording methods (ANL012).
+_RECORDING_METHODS = frozenset({"bump", "gauge_max"})
+
+
 def check_module(tree: ast.Module, module: str | None,
                  filename: str) -> list[tuple[int, int, str, str]]:
     checker = _Checker(module, filename)
@@ -86,6 +95,7 @@ class _Checker:
             elif isinstance(node, ast.Call):
                 self.check_evaluate_batch(node)
                 self.check_file_io_boundary(node)
+                self.check_recording_channel(node)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 self.check_engine_imports(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -357,6 +367,31 @@ class _Checker:
                 f"route it through storage.open_path / SpillFile so "
                 f"persistence stays behind the storage seam",
             )
+
+    # -- ANL012: one way to record a figure ------------------------------------------
+
+    def check_recording_channel(self, node: ast.Call) -> None:
+        """Engine code records through the ambient ``count`` /
+        ``gauge_max`` / ``span`` of :mod:`repro.observability`, which
+        no-op when no query is active; a ``.bump(...)`` or
+        ``.gauge_max(...)`` on a held statistics handle is a second
+        channel that a caller without the handle silently bypasses."""
+        func = node.func
+        if not (isinstance(func, ast.Attribute)
+                and func.attr in _RECORDING_METHODS):
+            return
+        module = self.module
+        if module is None or any(
+            module == owner or module.startswith(owner + ".")
+            for owner in _STATISTICS_HANDLE_MODULES
+        ):
+            return
+        self.report(
+            node, "ANL012",
+            f"'.{func.attr}(...)' on a statistics handle outside "
+            f"repro.observability: record through the ambient "
+            f"count()/gauge_max() instead",
+        )
 
     # -- ANL010: selectivity estimators must clamp to [0, 1] -----------------------
 

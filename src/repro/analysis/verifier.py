@@ -29,6 +29,7 @@ from typing import Any
 
 import numpy as np
 
+from ..observability import count as _count
 from ..quack.plan import (
     BoundCase,
     BoundCast,
@@ -226,12 +227,10 @@ def verify_plan(plan: LogicalOperator, functions=None,
     _verify_operator(plan, functions, phase)
 
 
-def verify_planned(plan: LogicalOperator, functions, stats,
-                   phase: str) -> None:
+def verify_planned(plan: LogicalOperator, functions, phase: str) -> None:
     """Planner hook: verify and account one plan-verification pass."""
     verify_plan(plan, functions, phase=phase)
-    if stats is not None:
-        stats.bump("verify.plans")
+    _count("verify.plans")
 
 
 def _verify_operator(op: LogicalOperator, functions, phase: str) -> None:

@@ -337,8 +337,12 @@ class GeometryCodec:
         r.finish()
         return out
 
-    def zone_entry(self, vector: Vector) -> None:
-        return None  # a geometry has no box the zone maps read
+    def zone_entry(self, vector: Vector) -> ZoneMapEntry:
+        # Box-less on purpose: a geometry has a box (``stats.box_of``),
+        # but geometry columns are not probed by box, and the extents
+        # would only add to every stored segment.
+        return ZoneMapEntry(len(vector),
+                            int(np.count_nonzero(~vector.validity)))
 
     def boxes(self, vector: Vector) -> dict | None:
         return _boxes(geom_soa(vector), vector.validity, "xy")

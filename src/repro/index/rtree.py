@@ -18,7 +18,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..observability import current_stats
+from ..observability import count as _count
 
 Rect = tuple[float, ...]
 
@@ -349,12 +349,10 @@ class RTree:
     @staticmethod
     def _record_batch_search(probes: int, nodes_visited: int,
                              leaf_hits: int) -> None:
-        stats = current_stats()
-        if stats is not None:
-            stats.bump("rtree.batch_searches")
-            stats.bump("rtree.batch_probes", probes)
-            stats.bump("rtree.batch_nodes_visited", nodes_visited)
-            stats.bump("rtree.batch_leaf_hits", leaf_hits)
+        _count("rtree.batch_searches")
+        _count("rtree.batch_probes", probes)
+        _count("rtree.batch_nodes_visited", nodes_visited)
+        _count("rtree.batch_leaf_hits", leaf_hits)
 
     def search_contained(self, rect: Rect) -> list[Any]:
         """Row ids of entries fully contained in ``rect``."""
@@ -381,13 +379,11 @@ class RTree:
 
     @staticmethod
     def _record_search(nodes_visited: int, leaf_hits: int) -> None:
-        # Counted locally during traversal, flushed in one shot so the
-        # hot loop stays free of contextvar lookups.
-        stats = current_stats()
-        if stats is not None:
-            stats.bump("rtree.searches")
-            stats.bump("rtree.nodes_visited", nodes_visited)
-            stats.bump("rtree.leaf_hits", leaf_hits)
+        # Counted locally during traversal, flushed once per search so
+        # the hot loop stays free of contextvar lookups.
+        _count("rtree.searches")
+        _count("rtree.nodes_visited", nodes_visited)
+        _count("rtree.leaf_hits", leaf_hits)
 
     def all_items(self) -> Iterator[tuple[Rect, Any]]:
         stack = [self._root]

@@ -4,9 +4,13 @@ Everything here describes one query; nothing aggregates across queries
 or outlives the connection:
 
 * :mod:`.context` — a contextvar holding the active query's
-  :class:`QueryStatistics`; hot subsystems (R-tree, index probes,
-  kernels, TOAST) call :func:`count` unconditionally and it no-ops when
-  nothing is active.
+  :class:`QueryStatistics`.  The connection's statement entry points
+  (``execute``, ``explain_analyze``) create and :func:`activate` it;
+  everything below them — optimizer, verifier, executors, functions,
+  indexes, storage — records only through :func:`count`,
+  :func:`gauge_max` and :func:`span`, which no-op when nothing is
+  active.  No statistics handle is passed or stored below the
+  connection.
 * :mod:`.stats` — per-query counters, gauges, and the phase tracer's
   span tree (parse → bind → optimize → execute).
 * :mod:`.trace` — the execution timeline inside the execute phase and
@@ -26,8 +30,8 @@ from .context import (
     count,
     current_stats,
     gauge_max,
-    maybe_span,
     set_collection_enabled,
+    span,
 )
 from .querylog import QueryLog, QueryRecord
 from .stats import PHASES, QueryStatistics, Span, Tracer
@@ -48,7 +52,7 @@ __all__ = [
     "count",
     "current_stats",
     "gauge_max",
-    "maybe_span",
     "set_collection_enabled",
+    "span",
     "write_trace",
 ]

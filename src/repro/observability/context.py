@@ -7,9 +7,11 @@ lives in a :class:`contextvars.ContextVar`, so nested and concurrent
 queries (threads, asyncio tasks, interleaved generators within one
 thread via explicit activation) each see their own statistics object.
 
-Hot subsystems call :func:`count` / :func:`gauge_max`; both are no-ops
-when no query is active or collection is disabled, so library code can
-instrument unconditionally.
+The connection's statement entry points create and activate the
+statistics; everything below them records through :func:`count`,
+:func:`gauge_max` and :func:`span`.  All three are no-ops when no query
+is active (collection disabled activates none), so library code
+instruments unconditionally and never holds a statistics handle.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ def gauge_max(name: str, value: float) -> None:
         stats.gauge_max(name, value)
 
 
-def maybe_span(stats: QueryStatistics | None, name: str):
-    """A tracer span on ``stats``, or a no-op context when stats is None."""
+def span(name: str):
+    """A tracer span on the active query's statistics, or a no-op
+    context when no query is active."""
+    stats = _ACTIVE.get()
     if stats is None:
         return nullcontext()
     return stats.tracer.span(name)

@@ -2,8 +2,8 @@
 
 One :class:`QueryStatistics` is created per ``Connection.execute`` call
 (in both engines) and made ambient via :mod:`repro.observability.context`
-so hot subsystems — the R-tree, index probes, kernels, TOAST detoasting —
-can report without threading a handle through every call site.
+so everything below the connection — optimizer, executors, the R-tree,
+index probes, kernels, TOAST detoasting — reports without a handle.
 
 Counters use dotted names grouped by subsystem, e.g.::
 
@@ -15,10 +15,11 @@ Counters use dotted names grouped by subsystem, e.g.::
     pgsim.detoast            fetches of out-of-line (TOASTed) datums
     optimizer.rule.<name>    optimizer rule fire counts
 
-Each query's :class:`Tracer` records a tree of named, timed spans::
+Each query's :class:`Tracer` records a tree of named, timed spans,
+opened through the ambient :func:`~repro.observability.context.span`::
 
-    with stats.tracer.span("optimize"):
-        with stats.tracer.span("filter_pushdown"):
+    with span("optimize"):
+        with span("filter_pushdown"):
             ...
 
 Top-level spans are the query *phases* (parse, bind, analyze,
@@ -148,14 +149,6 @@ class QueryStatistics:
             )
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        if verification_enabled() and not is_declared_gauge(name):
-            raise VerificationError(
-                f"undeclared gauge {name!r}: declare it in "
-                f"repro.observability.registry"
-            )
-        self.gauges[name] = value
 
     # -- reading --------------------------------------------------------------
 

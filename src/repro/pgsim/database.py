@@ -10,7 +10,8 @@ INDEX`` every predicate is a sequential scan.
 
 from __future__ import annotations
 
-from ..observability import QueryStatistics, current_stats, maybe_span
+from ..observability import count as _count
+from ..observability import span
 from ..quack.catalog import Catalog, IndexType
 from ..quack.database import BaseConnection, BaseDatabase, Result
 from ..quack.plan import BoundExpr, LogicalOperator
@@ -42,18 +43,14 @@ class RowConnection(BaseConnection):
     TABLE = RowTable
 
     def _run_plan(self, plan: LogicalOperator) -> Result:
-        stats = current_stats()
-        ctx = ExecutionContext(stats=stats)
-        with maybe_span(stats, "execute"):
-            rows = list(execute_rows(plan, ctx))
-        if stats is not None:
-            stats.bump("executor.rows_returned", len(rows))
+        with span("execute"):
+            rows = list(execute_rows(plan, ExecutionContext()))
+        _count("executor.rows_returned", len(rows))
         return Result(plan.output_names(), plan.output_types(), rows)
 
     def _run_profiled(self, plan: LogicalOperator,
-                      stats: QueryStatistics | None,
                       profiler: PlanProfiler) -> int:
-        ctx = ExecutionContext(stats=stats, profiler=profiler)
+        ctx = ExecutionContext(profiler=profiler)
         return sum(1 for _ in execute_rows(plan, ctx))
 
     def _insert_select(self, table: RowTable, positions: list[int],

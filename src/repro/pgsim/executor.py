@@ -10,6 +10,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
+from ..observability import count as _count
 from ..quack.errors import ExecutionError
 from ..quack.keys import row_key, sort_comparator
 from .table import Varlena
@@ -276,10 +277,8 @@ def _join_candidates(op: LogicalJoin, ctx: ExecutionContext
             value = eval_row(left_expr, l_row, ctx)
             if value is None:
                 return []
-            if ctx.stats is not None:
-                ctx.stats.bump("executor.join_index_probes")
-            if ctx.profiler is not None:
-                ctx.profiler.annotate(op, "index_probes")
+            _count("executor.join_index_probes")
+            ctx.annotate(op, "index_probes")
             rows = map(index.table.fetch,
                        sorted(index.probe(op_name, value) or ()))
             return [row if project is None else project(row)

@@ -565,7 +565,7 @@ class Binder:
                     return BoundColumnRef(i, col.ltype, col.name)
 
         if isinstance(expr, ast.Literal):
-            return _bind_literal(expr)
+            return _bind_literal(expr.value)
         if isinstance(expr, ast.ColumnRef):
             return self._bind_column(expr)
         if isinstance(expr, ast.FunctionCall):
@@ -706,6 +706,12 @@ class Binder:
             return BoundNot(
                 self._coerce_boolean(self.bind_expr(expr.operand)), BOOLEAN
             )
+        literal = expr.operand
+        if (expr.op == "-" and isinstance(literal, ast.Literal)
+                and literal.type_hint is None
+                and type(literal.value) in (int, float)):
+            # A negative number is one literal: -2**63 is a BIGINT.
+            return _bind_literal(-literal.value)
         operand = self.bind_expr(expr.operand)
         if expr.op == "-":
             if isinstance(operand, BoundConstant) and isinstance(
@@ -830,8 +836,10 @@ class Binder:
 # ---------------------------------------------------------------------------
 
 
-def _bind_literal(expr: ast.Literal) -> BoundConstant:
-    value = expr.value
+def _bind_literal(value: Any) -> BoundConstant:
+    """A literal's constant; an integer takes the narrowest integer type
+    that holds it, and one past int64 has no type (there is no wider
+    integer, and a DOUBLE would round it)."""
     if value is None:
         return BoundConstant(None, SQLNULL)
     if isinstance(value, bool):
@@ -839,7 +847,10 @@ def _bind_literal(expr: ast.Literal) -> BoundConstant:
     if isinstance(value, int):
         if -(2**31) <= value < 2**31:
             return BoundConstant(value, INTEGER)
-        return BoundConstant(value, BIGINT)
+        if -(2**63) <= value < 2**63:
+            return BoundConstant(value, BIGINT)
+        raise BinderError(f"integer literal {value} is out of range "
+                          f"for BIGINT")
     if isinstance(value, float):
         return BoundConstant(value, DOUBLE)
     return BoundConstant(str(value), VARCHAR)

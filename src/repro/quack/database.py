@@ -38,8 +38,9 @@ from ..observability import (
     activate,
     collection_enabled,
     current_stats,
-    maybe_span,
+    span,
 )
+from ..observability import count as _count
 from ..observability.trace import chrome_trace, write_trace
 from . import storage
 from .binder import _NOT_CONSTANT, Binder, BinderContext, fold_constant
@@ -49,7 +50,13 @@ from .errors import BinderError, CatalogError, ExecutionError, QuackError
 from .executor import ExecutionContext, evaluate, execute_plan
 from .functions import FunctionRegistry
 from .optimizer import join_tables, optimize
-from .plan import BoundExpr, LogicalMaterializedCTE, LogicalOperator
+from .plan import (
+    BoundColumnRef,
+    BoundExpr,
+    LogicalMaterializedCTE,
+    LogicalOperator,
+    LogicalProject,
+)
 from .profiler import PlanProfiler
 from .sql import ast, parse_sql
 from .stats import analyze_table, needs_analyze
@@ -182,6 +189,14 @@ def _analyze(table: Any) -> None:
     table.changes_since_analyze = 0
 
 
+def _check_width(positions: list[int], values: list) -> None:
+    """An INSERT row or source must give one value per target column."""
+    if len(values) != len(positions):
+        raise ExecutionError(
+            f"INSERT expected {len(positions)} values, got {len(values)}"
+        )
+
+
 class BaseConnection:
     """The statement lifecycle both engines share.
 
@@ -214,7 +229,7 @@ class BaseConnection:
     def execute(self, sql: str) -> Result:
         """Execute a SQL script; returns the result of the last statement."""
         if not collection_enabled():
-            return self._execute_script(sql, None)
+            return self._execute_script(sql)
         stats = QueryStatistics()
         stats.trace = TraceCollector()
         self.last_query_stats = stats
@@ -223,7 +238,7 @@ class BaseConnection:
         result = Result()
         try:
             with activate(stats):
-                result = self._execute_script(sql, stats)
+                result = self._execute_script(sql)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             raise
@@ -280,9 +295,8 @@ class BaseConnection:
         return write_trace(self.last_query_stats, path,
                            meta={"engine": self.ENGINE})
 
-    def _execute_script(self, sql: str,
-                        stats: QueryStatistics | None) -> Result:
-        with maybe_span(stats, "parse"):
+    def _execute_script(self, sql: str) -> Result:
+        with span("parse"):
             statements = parse_sql(sql)
         result = Result()
         for stmt in statements:
@@ -311,7 +325,7 @@ class BaseConnection:
         stats.trace = TraceCollector()
         self.last_query_stats = stats
         with activate(stats):
-            with maybe_span(stats, "parse"):
+            with span("parse"):
                 statements = parse_sql(sql)
             if len(statements) != 1:
                 raise BinderError(
@@ -320,7 +334,7 @@ class BaseConnection:
             stmt = statements[0]
             if isinstance(stmt, ast.ExplainStatement):
                 stmt = stmt.inner
-            plan, profiler = self._profile_select(stmt, stats)
+            plan, profiler = self._profile_select(stmt)
         if len(stats.trace):
             stats.bump("trace.events", len(stats.trace))
         if format == "json":
@@ -329,17 +343,15 @@ class BaseConnection:
             return profiler.trace_dict(plan, stats, engine=self.ENGINE)
         return profiler.render(plan, stats)
 
-    def _profile_select(self, stmt: ast.Statement,
-                        stats: QueryStatistics | None
+    def _profile_select(self, stmt: ast.Statement
                         ) -> tuple[LogicalOperator, PlanProfiler]:
         """Plan one SELECT and run it with every operator instrumented —
         EXPLAIN ANALYZE in both its forms."""
         plan = self._plan_explained(stmt)
         profiler = PlanProfiler()
-        with maybe_span(stats, "execute"):
-            rows = self._run_profiled(plan, stats, profiler)
-        if stats is not None:
-            stats.bump("executor.rows_returned", rows)
+        with span("execute"):
+            rows = self._run_profiled(plan, profiler)
+        _count("executor.rows_returned", rows)
         return plan, profiler
 
     def _plan_explained(self, stmt: ast.Statement) -> LogicalOperator:
@@ -354,7 +366,6 @@ class BaseConnection:
         raise NotImplementedError
 
     def _run_profiled(self, plan: LogicalOperator,
-                      stats: QueryStatistics | None,
                       profiler: PlanProfiler) -> int:
         """Execute a plan under ``profiler``, discarding the rows;
         returns how many there were."""
@@ -405,9 +416,8 @@ class BaseConnection:
 
     def _execute_explain(self, stmt: ast.ExplainStatement) -> Result:
         if stmt.analyze:
-            stats = current_stats()
-            plan, profiler = self._profile_select(stmt.inner, stats)
-            text = profiler.render(plan, stats)
+            plan, profiler = self._profile_select(stmt.inner)
+            text = profiler.render(plan, current_stats())
         else:
             text = self._plan_explained(stmt.inner).explain()
         return Result(["explain"], [], [(text,)], plan_text=text)
@@ -493,38 +503,35 @@ class BaseConnection:
         ))
 
     def _plan_select(self, stmt: ast.SelectStatement) -> LogicalOperator:
-        stats = current_stats()
         binder = self._binder()
-        with maybe_span(stats, "bind"):
+        with span("bind"):
             plan = binder.bind_select(stmt)
             if binder.context.all_ctes:
                 plan = LogicalMaterializedCTE(binder.context.all_ctes, plan)
         if verification_enabled():
             from ..analysis.verifier import verify_planned
 
-            verify_planned(plan, self.database.functions, stats, "bind")
-        self._refresh_statistics(plan, stats)
-        with maybe_span(stats, "optimize"):
-            plan = optimize(plan, stats)
+            verify_planned(plan, self.database.functions, "bind")
+        self._refresh_statistics(plan)
+        with span("optimize"):
+            plan = optimize(plan)
         if verification_enabled():
             from ..analysis.verifier import verify_planned
 
-            verify_planned(plan, self.database.functions, stats, "optimize")
+            verify_planned(plan, self.database.functions, "optimize")
         return plan
 
-    def _refresh_statistics(self, plan: LogicalOperator,
-                            stats: QueryStatistics | None) -> None:
+    def _refresh_statistics(self, plan: LogicalOperator) -> None:
         """What autovacuum does for PostgreSQL and append-time statistics
         for DuckDB: every table a join of ``plan`` reads gets statistics
         before the optimizer orders the join, unless it has fresh ones."""
         stale = [t for t in join_tables(plan) if needs_analyze(t)]
         if not stale:
             return
-        with maybe_span(stats, "analyze"):
+        with span("analyze"):
             for table in stale:
                 _analyze(table)
-        if stats is not None:
-            stats.bump("optimizer.cbo.tables_analyzed", len(stale))
+        _count("optimizer.cbo.tables_analyzed", len(stale))
 
     # -- DDL ---------------------------------------------------------------------------
 
@@ -575,21 +582,39 @@ class BaseConnection:
     # -- DML ---------------------------------------------------------------------------
 
     def _execute_insert(self, stmt: ast.InsertStatement) -> Result:
+        """INSERT VALUES and INSERT … SELECT convert every value whose
+        type differs from its column's with the cast ``CAST`` and
+        ``UPDATE … SET`` bind, before anything is appended: a value that
+        does not convert fails the statement and leaves the table as it
+        was."""
         table = self.database.catalog.get_table(stmt.table)
         if stmt.columns is not None:
             positions = [table.column_index(c) for c in stmt.columns]
         else:
             positions = list(range(table.num_columns))
-        if stmt.query is not None:
-            count = self._insert_select(table, positions,
-                                        self._plan_select(stmt.query))
-            return Result(["Count"], [], [(count,)])
+        targets = [table.column_types[pos] for pos in positions]
         binder = self._binder()
+        if stmt.query is not None:
+            plan = self._plan_select(stmt.query)
+            _check_width(positions, plan.output_types())
+            exprs = [
+                binder.bind_cast(BoundColumnRef(i, ltype, name), target.name)
+                for i, (ltype, name, target) in enumerate(zip(
+                    plan.output_types(), plan.output_names(), targets
+                ))
+            ]
+            if any(not isinstance(e, BoundColumnRef) for e in exprs):
+                plan = LogicalProject(exprs, plan.output_names(), plan)
+            count = self._insert_select(table, positions, plan)
+            return Result(["Count"], [], [(count,)])
         rows = []
         for value_row in stmt.values or []:
+            _check_width(positions, value_row)
             row = []
-            for expr in value_row:
-                value = fold_constant(binder.bind_expr(expr))
+            for expr, target in zip(value_row, targets):
+                value = fold_constant(
+                    binder.bind_cast(binder.bind_expr(expr), target.name)
+                )
                 if value is _NOT_CONSTANT:
                     raise BinderError(
                         "INSERT VALUES must be constant expressions"
@@ -601,37 +626,16 @@ class BaseConnection:
 
     def _insert_rows(self, table: Any, positions: list[int],
                      rows: list) -> int:
-        """Map value rows into the table's column order, applying the
-        storage coercions, and append them; returns the row count."""
+        """Map value rows, already of the columns' types, into the
+        table's column order and append them; returns the row count."""
         full_rows = []
         for row in rows:
-            if len(row) != len(positions):
-                raise ExecutionError(
-                    f"INSERT expected {len(positions)} values, "
-                    f"got {len(row)}"
-                )
             full = [None] * table.num_columns
             for pos, value in zip(positions, row):
-                full[pos] = self._coerce_for_storage(
-                    value, table.column_types[pos]
-                )
+                full[pos] = value
             full_rows.append(tuple(full))
         table.append_rows(full_rows)
         return len(full_rows)
-
-    def _coerce_for_storage(self, value: Any, ltype: LogicalType) -> Any:
-        if value is None:
-            return None
-        if isinstance(value, str) and (ltype.is_user or
-                                       ltype.physical == "int64"):
-            cast = self.database.functions.find_cast(
-                self.database.types.lookup("VARCHAR"), ltype
-            )
-            if cast is not None:
-                return cast.apply(value)
-        if ltype.physical == "float64" and isinstance(value, int):
-            return float(value)
-        return value
 
     def _bind_over_table(self, table: Any, expr: ast.Expr):
         binder = self._binder()
@@ -723,73 +727,55 @@ class Connection(BaseConnection):
 
     # -- execution ---------------------------------------------------------------------
 
-    def _execution_context(self, stats,
-                           profiler=None) -> ExecutionContext:
+    def _execution_context(self, profiler=None) -> ExecutionContext:
         """The root context of one statement, carrying the connection's
         spill watermark."""
         limit = None
         if self._memory_limit_mb is not None:
             limit = int(self._memory_limit_mb * 1024 * 1024)
-        return ExecutionContext(stats=stats, profiler=profiler,
-                                memory_limit_bytes=limit)
+        return ExecutionContext(profiler=profiler, memory_limit_bytes=limit)
 
     def _run_plan(self, plan: LogicalOperator) -> Result:
-        stats = current_stats()
-        ctx = self._execution_context(stats)
+        ctx = self._execution_context()
         rows: list[tuple] = []
         chunks = 0
-        with maybe_span(stats, "execute"):
+        with span("execute"):
             for chunk in execute_plan(plan, ctx):
                 chunks += 1
                 rows.extend(chunk.rows())
-        if stats is not None:
-            stats.bump("executor.result_chunks", chunks)
-            stats.bump("executor.rows_returned", len(rows))
+        _count("executor.result_chunks", chunks)
+        _count("executor.rows_returned", len(rows))
         return Result(plan.output_names(), plan.output_types(), rows)
 
     def _run_profiled(self, plan: LogicalOperator,
-                      stats: QueryStatistics | None,
                       profiler: PlanProfiler) -> int:
-        ctx = self._execution_context(stats, profiler)
+        ctx = self._execution_context(profiler)
         return sum(chunk.count for chunk in execute_plan(plan, ctx))
 
     def _insert_select(self, table: Table, positions: list[int],
                        plan: LogicalOperator) -> int:
-        """INSERT … SELECT, column-wise: a source column of the target
-        column's own type is appended as arrays; any other goes through
-        the VALUES coercion value by value.  Unlisted columns are NULL."""
-        stats = current_stats()
-        ctx = self._execution_context(stats)
-        with maybe_span(stats, "execute"):
+        """INSERT … SELECT, column-wise: each source column, of its
+        target column's type, is appended as arrays.  Unlisted columns
+        are NULL."""
+        ctx = self._execution_context()
+        with span("execute"):
             # Drained before the first append: the target may be a source.
             chunks = [c for c in execute_plan(plan, ctx) if c.count]
         if not chunks:
             return 0
-        if len(chunks[0].vectors) != len(positions):
-            raise ExecutionError(
-                f"INSERT expected {len(positions)} values, "
-                f"got {len(chunks[0].vectors)}"
-            )
         source = concat_chunks(chunks).vectors
         count = len(source[0])
         columns = [Vector.constant(t, None, count)
                    for t in table.column_types]
         for pos, vector in zip(positions, source):
-            target = table.column_types[pos]
-            if vector.ltype != target:
-                vector = Vector.from_values(target, [
-                    self._coerce_for_storage(value, target)
-                    for value in vector.to_list()
-                ])
             columns[pos] = vector
         full = DataChunk(columns)
         for start in range(0, count, STANDARD_VECTOR_SIZE):
             table.append_chunk(
                 full.slice(slice(start, start + STANDARD_VECTOR_SIZE))
             )
-        if stats is not None:
-            stats.bump("executor.result_chunks", len(chunks))
-            stats.bump("executor.rows_returned", count)
+        _count("executor.result_chunks", len(chunks))
+        _count("executor.rows_returned", count)
         return count
 
     def _update(self, table: Table, assignments: list[tuple[int, BoundExpr]],

@@ -13,6 +13,8 @@ from typing import Iterator
 import numpy as np
 
 from ..analysis import config as _verification
+from ..observability import count as _count
+from ..observability import gauge_max
 from . import kernels
 from . import storage as _storage
 from .errors import ConversionError, ExecutionError
@@ -47,7 +49,7 @@ from .plan import (
     LogicalTableFunction,
     membership,
 )
-from .profiler import ExecutionContext, OperatorKernelStats, _execute_profiled
+from .profiler import ExecutionContext, _execute_profiled
 from .types import BIGINT, BOOLEAN, LogicalType
 from .vector import (
     _PHYSICAL_DTYPES,
@@ -57,14 +59,6 @@ from .vector import (
     boolean_selection,
     concat_chunks,
 )
-
-
-def _kernel_stats(op: "LogicalOperator",
-                  ctx: "ExecutionContext") -> OperatorKernelStats | None:
-    profiler = ctx.profiler
-    if profiler is None:
-        return None
-    return profiler.kernel_stats_for(op)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +129,10 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
             return _cast_rows(expr, child)
         first, inverse = distinct
         result = _cast_rows(expr, child.slice(first)).slice(inverse)
-        if ctx.stats is not None:
-            ctx.stats.bump("quack.distinct_rows_saved", count - len(first))
+        _count("quack.distinct_rows_saved", count - len(first))
         if _verification.VERIFICATION_ENABLED:
             _crosscheck_vectors(
-                result, _cast_rows(expr, child), ctx,
+                result, _cast_rows(expr, child),
                 f"cast to {target.name} distinct-argument evaluation",
             )
         return result
@@ -162,10 +155,11 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
 
 
 def _cast_rows(expr: BoundCast, source: Vector) -> Vector:
-    """Apply an extension cast function to every valid row."""
+    """Apply a registered cast function to every valid row, on plain
+    Python values like the row engine (its errors then name them alike)."""
     out = np.empty(len(source), dtype=object)
     validity = source.validity.copy()
-    data = source.data
+    data = source.data.tolist()
     for i in np.nonzero(validity)[0]:
         value = expr.cast.apply(data[i])
         out[i] = value
@@ -183,13 +177,12 @@ def _value_rows(vectors: list[Vector], count: int) -> list[tuple]:
 
 
 def _crosscheck_vectors(result: Vector, reference: Vector,
-                        ctx: ExecutionContext, what: str) -> None:
+                        what: str) -> None:
     """Verification mode: ``result`` must equal the plain evaluation."""
     from ..analysis.verifier import assert_vectors_match
 
     assert_vectors_match(result, reference, what)
-    if ctx.stats is not None:
-        ctx.stats.bump("verify.kernel_crosschecks")
+    _count("verify.kernel_crosschecks")
 
 
 def _pack(target: LogicalType, out: np.ndarray, validity: np.ndarray,
@@ -260,7 +253,7 @@ def _evaluate_conjunction(expr: BoundConjunction, chunk: DataChunk,
         else:
             decided[live[wins]] = True
             saw_null[live[~part.validity]] = True
-    _count_skipped(ctx, len(expr.args) * count - evaluated)
+    _count_skipped(len(expr.args) * count - evaluated)
     result = Vector(
         BOOLEAN, ~(decided | saw_null) if is_and else decided,
         decided | ~saw_null,
@@ -271,9 +264,9 @@ def _evaluate_conjunction(expr: BoundConjunction, chunk: DataChunk,
     return result
 
 
-def _count_skipped(ctx: ExecutionContext, rows: int) -> None:
-    if rows and ctx.stats is not None:
-        ctx.stats.bump("executor.conjunct_rows_skipped", rows)
+def _count_skipped(rows: int) -> None:
+    if rows:
+        _count("executor.conjunct_rows_skipped", rows)
 
 
 def _crosscheck_dense(evaluator, expr: BoundExpr, chunk: DataChunk,
@@ -286,8 +279,7 @@ def _crosscheck_dense(evaluator, expr: BoundExpr, chunk: DataChunk,
         reference = evaluator(expr, chunk, ctx, narrow=False)
     except (ExecutionError, ConversionError):
         return
-    _crosscheck_vectors(result, reference, ctx,
-                        f"selection-narrowed {what}")
+    _crosscheck_vectors(result, reference, f"selection-narrowed {what}")
 
 
 def _evaluate_in_list(expr: BoundInList, chunk: DataChunk,
@@ -351,7 +343,7 @@ def _evaluate_case(expr: BoundCase, chunk: DataChunk,
         validity[rows] = vec.validity
     if narrow:
         parts = 2 * len(expr.branches) + (expr.else_result is not None)
-        _count_skipped(ctx, parts * count - evaluated)
+        _count_skipped(parts * count - evaluated)
     result = Vector(expr.ltype, out, validity)
     if narrow and _verification.VERIFICATION_ENABLED:
         _crosscheck_dense(_evaluate_case, expr, chunk, ctx, result, "CASE")
@@ -405,19 +397,18 @@ def _instrumented(op: LogicalOperator, ctx: ExecutionContext,
     if ctx.profiler is not None:
         chunks = _execute_profiled(op, ctx, chunks, _chunk_width)
     if _verification.VERIFICATION_ENABLED:
-        return _execute_verified(op, ctx, chunks)
+        return _execute_verified(op, chunks)
     return chunks
 
 
-def _execute_verified(op: LogicalOperator, ctx: ExecutionContext,
+def _execute_verified(op: LogicalOperator,
                       chunks: Iterator[DataChunk]) -> Iterator[DataChunk]:
     """Stream an operator's output through the chunk verifier."""
     from ..analysis.verifier import verify_chunk
 
     for chunk in chunks:
         verify_chunk(op, chunk)
-        if ctx.stats is not None:
-            ctx.stats.bump("verify.chunks_checked")
+        _count("verify.chunks_checked")
         yield chunk
 
 
@@ -530,16 +521,11 @@ def _execute_get(op: LogicalGet,
                     for p in op.prune
                 ):
                     skip.add(seg)
-            total = len(maps)
-            if ctx.stats is not None:
-                ctx.stats.bump("storage.rowgroups_scanned",
-                               total - len(skip))
-                ctx.stats.bump("storage.rowgroups_skipped", len(skip))
-            if ctx.profiler is not None:
-                ctx.profiler.annotate(op, "rowgroups",
-                                      total - len(skip))
-                ctx.profiler.annotate(op, "rowgroups_skipped",
-                                      len(skip))
+            scanned = len(maps) - len(skip)
+            _count("storage.rowgroups_scanned", scanned)
+            _count("storage.rowgroups_skipped", len(skip))
+            ctx.annotate(op, "rowgroups", scanned)
+            ctx.annotate(op, "rowgroups_skipped", len(skip))
             if skip and _verification.verification_enabled():
                 _crosscheck_pruned_groups(op, skip, maps, ctx)
     for chunk, _ in op.table.scan(skip_groups=skip, columns=op.columns):
@@ -586,8 +572,7 @@ def _crosscheck_pruned_groups(op: LogicalGet, skip: set[int],
                     f"{table.name}, but a live row satisfies "
                     f"{pred.op_name} on column {pred.column}"
                 )
-        if ctx.stats is not None:
-            ctx.stats.bump("verify.zonemap_crosschecks")
+        _count("verify.zonemap_crosschecks")
         offset += count
 
 
@@ -625,22 +610,27 @@ def _materialize(owner: LogicalOperator, op: LogicalOperator,
         return None
     columns = concat_chunks(chunks).vectors
     _count_gathered(owner, ctx, len(columns[0]) * len(columns))
-    if ctx.stats is not None:
-        ctx.stats.bump("executor.materializations")
-        ctx.stats.bump("executor.materialized_chunks", len(chunks))
-        ctx.stats.gauge_max(
-            "executor.peak_materialized_rows", len(columns[0])
-        )
+    _count("executor.materializations")
+    _count("executor.materialized_chunks", len(chunks))
+    gauge_max("executor.peak_materialized_rows", len(columns[0]))
     return columns
 
 
 def _count_gathered(op: LogicalOperator, ctx: ExecutionContext,
                     cells: int) -> None:
     """Account ``cells`` (rows × columns) an operator copied."""
-    if ctx.stats is not None:
-        ctx.stats.bump("executor.gathered_cells", cells)
-    if ctx.profiler is not None:
-        ctx.profiler.annotate(op, "gathered_cells", cells)
+    _count("executor.gathered_cells", cells)
+    ctx.annotate(op, "gathered_cells", cells)
+
+
+def _count_dispatch(op: LogicalOperator, ctx: ExecutionContext,
+                    from_kernel: bool, rows: int = 0) -> None:
+    """Record one kernel-or-fallback dispatch of ``op`` over ``rows``
+    input rows: the query's ``quack.kernel_ops``/``quack.fallback_ops``
+    and the operator's annotations."""
+    _count("quack.kernel_ops" if from_kernel else "quack.fallback_ops")
+    ctx.annotate(op, "rows_in", rows)
+    ctx.annotate(op, "kernel" if from_kernel else "fallback")
 
 
 #: The pair batch of a left chunk that matches nothing.
@@ -771,15 +761,13 @@ def _index_pairs(op: LogicalJoin, ctx: ExecutionContext):
         id_lists = index.probe_batch(op_name, probe_vector.to_list())
         if _verification.VERIFICATION_ENABLED:
             _crosscheck_index_probe(op, index, op_name, probe_vector,
-                                    id_lists, ctx)
+                                    id_lists)
         probes = int(probe_vector.validity.sum())
         if probes:
-            if ctx.stats is not None:
-                ctx.stats.bump("executor.join_index_probes", probes)
-                ctx.stats.bump("executor.join_index_batches")
-            if ctx.profiler is not None:
-                ctx.profiler.annotate(op, "index_probes", probes)
-                ctx.profiler.annotate(op, "batches")
+            _count("executor.join_index_probes", probes)
+            _count("executor.join_index_batches")
+            ctx.annotate(op, "index_probes", probes)
+            ctx.annotate(op, "batches")
         left_rep: list[int] = []
         row_ids: list[int] = []
         for i, ids in enumerate(id_lists):
@@ -793,8 +781,7 @@ def _index_pairs(op: LogicalJoin, ctx: ExecutionContext):
 
 
 def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
-                            probe_vector: Vector, id_lists,
-                            ctx: ExecutionContext) -> None:
+                            probe_vector: Vector, id_lists) -> None:
     """Re-probe the index row-at-a-time and compare candidate sets
     against the batch traversal's output."""
     from ..analysis.errors import VerificationError
@@ -811,8 +798,7 @@ def _crosscheck_index_probe(op: LogicalJoin, index, op_name: str,
                 f"batch candidates {sorted(got_set)[:16]}, per-row probe "
                 f"{sorted(expected_set)[:16]}"
             )
-    if ctx.stats is not None:
-        ctx.stats.bump("verify.kernel_crosschecks")
+    _count("verify.kernel_crosschecks")
 
 
 def _hash_pairs(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
@@ -822,22 +808,14 @@ def _hash_pairs(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
         for left_chunk in execute_plan(op.left, ctx):
             yield left_chunk, _NO_PAIRS, _NO_PAIRS
         return
-    kstats = _kernel_stats(op, ctx)
-    qstats = ctx.stats
     probe = _hash_prober(op, right, ctx)
-    if qstats is not None:
-        qstats.bump("executor.join_build_rows", right.count)
-        qstats.bump("executor.join_kernel_builds")
-    if kstats is not None:
-        kstats.kernel += 1
+    _count("executor.join_build_rows", right.count)
+    _count("executor.join_kernel_builds")
+    ctx.annotate(op, "kernel")
     for left_chunk in execute_plan(op.left, ctx):
-        if kstats is not None:
-            kstats.rows_in += left_chunk.count
-            kstats.kernel += 1
-        if qstats is not None:
-            qstats.bump("executor.join_probe_rows", left_chunk.count)
-            qstats.bump("executor.join_kernel_probes")
-            qstats.bump("quack.kernel_ops")
+        _count("executor.join_probe_rows", left_chunk.count)
+        _count("executor.join_kernel_probes")
+        _count_dispatch(op, ctx, True, left_chunk.count)
         left_rows, right_rows = probe(left_chunk)
         yield left_chunk, left_rows, right_rows
 
@@ -865,8 +843,7 @@ def _hash_prober(op: LogicalJoin, right: DataChunk, ctx: ExecutionContext):
                 _hash_join_dict_probe(reference, probe_keys, left.count),
                 f"{op._explain_label()} JoinBuild.probe",
             )
-            if ctx.stats is not None:
-                ctx.stats.bump("verify.kernel_crosschecks")
+            _count("verify.kernel_crosschecks")
         return pairs
 
     return probe
@@ -909,7 +886,6 @@ def _hash_join_dict_probe(
 
 def _execute_aggregate(op: LogicalAggregate,
                        ctx: ExecutionContext) -> Iterator[DataChunk]:
-    kstats = _kernel_stats(op, ctx)
     out_types = op.output_types()
     chunks: list[DataChunk] | None = None
     if ctx.memory_limit_bytes is not None:
@@ -919,6 +895,7 @@ def _execute_aggregate(op: LogicalAggregate,
             return
         chunks = buffered
     columns = _materialize(op, op.child, ctx, chunks=chunks)
+    ctx.annotate(op, "rows_in", 0 if columns is None else len(columns[0]))
     if columns is None:
         if not op.groups:
             # Aggregates over an empty input produce one row of finals.
@@ -928,10 +905,7 @@ def _execute_aggregate(op: LogicalAggregate,
             )
             yield from _rows_to_chunks([finals], out_types)
         return
-    full = DataChunk(columns)
-    if kstats is not None:
-        kstats.rows_in += full.count
-    out, _ = _aggregate_reduce(op, full, ctx, kstats)
+    out, _ = _aggregate_reduce(op, DataChunk(columns), ctx)
     n_out = out.count
     for start in range(0, n_out, STANDARD_VECTOR_SIZE):
         yield out.slice(
@@ -940,8 +914,7 @@ def _execute_aggregate(op: LogicalAggregate,
 
 
 def _aggregate_reduce(op: LogicalAggregate, full: DataChunk,
-                      ctx: ExecutionContext,
-                      kstats) -> tuple[DataChunk, np.ndarray]:
+                      ctx: ExecutionContext) -> tuple[DataChunk, np.ndarray]:
     """Kernel aggregation of ``full``: the group rows in first-appearance
     order, and each group's first row in ``full``.  The no-GROUP-BY case
     is one implicit group."""
@@ -951,7 +924,7 @@ def _aggregate_reduce(op: LogicalAggregate, full: DataChunk,
                                                    full.count)
         if _verification.VERIFICATION_ENABLED:
             _crosscheck_factorize(op, group_vectors, codes,
-                                  representatives, ctx)
+                                  representatives)
     else:
         codes = np.zeros(full.count, dtype=np.int64)
         representatives = np.zeros(1, dtype=np.int64)
@@ -962,7 +935,7 @@ def _aggregate_reduce(op: LogicalAggregate, full: DataChunk,
     ]
     result.extend(
         _aggregate_specs_reduce(op, arg_vectors, codes,
-                                len(representatives), ctx, kstats)
+                                len(representatives), ctx)
     )
     return DataChunk(result), representatives
 
@@ -970,8 +943,7 @@ def _aggregate_reduce(op: LogicalAggregate, full: DataChunk,
 def _aggregate_specs_reduce(op: LogicalAggregate,
                             arg_vectors: list[list[Vector]],
                             codes: np.ndarray, n_groups: int,
-                            ctx: ExecutionContext,
-                            kstats) -> list[Vector]:
+                            ctx: ExecutionContext) -> list[Vector]:
     """Reduce every aggregate spec over pre-evaluated argument vectors
     (step_batch kernel with crosscheck, else the row loop).  DISTINCT is
     a selection, not a reducer feature: the spec reduces the first row
@@ -983,32 +955,21 @@ def _aggregate_specs_reduce(op: LogicalAggregate,
             keys = [Vector(BIGINT, codes), *args]
             tuple_codes, rows = kernels.factorize(keys, len(codes))
             if _verification.VERIFICATION_ENABLED:
-                _crosscheck_factorize(op, keys, tuple_codes, rows, ctx)
+                _crosscheck_factorize(op, keys, tuple_codes, rows)
             args, spec_codes = [v.slice(rows) for v in args], codes[rows]
         vec: Vector | None = None
         if spec.function.step_batch is not None:
             vec = spec.function.step_batch(args, spec_codes, n_groups,
                                            spec.ltype)
-        if vec is not None:
-            if kstats is not None:
-                kstats.kernel += 1
-            if ctx.stats is not None:
-                ctx.stats.bump("quack.kernel_ops")
-            if _verification.VERIFICATION_ENABLED:
-                _crosscheck_vectors(
-                    vec,
-                    _aggregate_spec_row_loop(spec, args, spec_codes,
-                                             n_groups),
-                    ctx,
-                    f"{op._explain_label()} "
-                    f"{spec.function.name}.step_batch",
-                )
-        else:
-            if kstats is not None:
-                kstats.fallback += 1
-            if ctx.stats is not None:
-                ctx.stats.bump("quack.fallback_ops")
+        _count_dispatch(op, ctx, vec is not None)
+        if vec is None:
             vec = _aggregate_spec_row_loop(spec, args, spec_codes, n_groups)
+        elif _verification.VERIFICATION_ENABLED:
+            _crosscheck_vectors(
+                vec,
+                _aggregate_spec_row_loop(spec, args, spec_codes, n_groups),
+                f"{op._explain_label()} {spec.function.name}.step_batch",
+            )
         result.append(vec)
     return result
 
@@ -1030,8 +991,8 @@ def _aggregate_spec_row_loop(spec, arg_vectors: list[Vector],
 
 
 def _crosscheck_factorize(op: LogicalOperator, vectors: list[Vector],
-                          codes: np.ndarray, representatives: np.ndarray,
-                          ctx: ExecutionContext) -> None:
+                          codes: np.ndarray,
+                          representatives: np.ndarray) -> None:
     """Re-derive the grouping with the row-wise seen-dict fallback and
     compare codes and representatives against the factorize kernel."""
     from ..analysis.verifier import assert_index_lists_match
@@ -1050,8 +1011,7 @@ def _crosscheck_factorize(op: LogicalOperator, vectors: list[Vector],
     where = f"{op._explain_label()} kernels.factorize"
     assert_index_lists_match(list(codes), expected_codes, where)
     assert_index_lists_match(list(representatives), expected_reps, where)
-    if ctx.stats is not None:
-        ctx.stats.bump("verify.kernel_crosschecks")
+    _count("verify.kernel_crosschecks")
 
 
 def _rows_to_chunks(rows: list[tuple],
@@ -1214,12 +1174,10 @@ def _external_sort(op: LogicalSort, buffered: list[DataChunk],
                                                    ctx)
             runs.append(run)
             from_kernel &= kernel_sorted
-        _count_sort(op, ctx, sum(run.rows for run in runs), from_kernel)
-        if ctx.stats is not None:
-            ctx.stats.bump("storage.spilled_sorts")
-            ctx.stats.bump("storage.spill_runs", len(runs))
-        if ctx.profiler is not None:
-            ctx.profiler.annotate(op, "spill_runs", len(runs))
+        _count_dispatch(op, ctx, from_kernel, sum(run.rows for run in runs))
+        _count("storage.spilled_sorts")
+        _count("storage.spill_runs", len(runs))
+        ctx.annotate(op, "spill_runs", len(runs))
         for chunk in kernels.merge_sorted_runs(
             [(run.read_chunks(), run.chunks) for run in runs],
             len(op.keys), key_specs,
@@ -1231,7 +1189,7 @@ def _external_sort(op: LogicalSort, buffered: list[DataChunk],
             full = concat_chunks(seen)
             _crosscheck_sort(
                 op, full, [evaluate(k, full, ctx) for k, _, _ in op.keys],
-                key_specs, concat_chunks(emitted), ctx,
+                key_specs, concat_chunks(emitted),
             )
     finally:
         for run in runs:
@@ -1244,7 +1202,6 @@ def _spilled_aggregate(op: LogicalAggregate, buffered: list[DataChunk],
     """Past-watermark GROUP BY: hash-partition rows on the group key,
     aggregate each partition with the in-memory kernels, order the group
     rows by the global index of their first input row."""
-    kstats = _kernel_stats(op, ctx)
     # Partitions are allocated inside the try: extend() appends each
     # spill file as it is created, so a failure partway through still
     # leaves every opened handle in the list the finally closes.
@@ -1258,16 +1215,13 @@ def _spilled_aggregate(op: LogicalAggregate, buffered: list[DataChunk],
         for chunk in _chain_chunks(buffered, overflow):
             if not chunk.count:
                 continue
-            if kstats is not None:
-                kstats.rows_in += chunk.count
             _scatter(chunk, [evaluate(g, chunk, ctx) for g in op.groups],
                      base, parts, drop_null_keys=False)
             base += chunk.count
-        if ctx.stats is not None:
-            ctx.stats.bump("storage.spilled_aggregates")
-            ctx.stats.bump("storage.spill_partitions", len(parts))
-        if ctx.profiler is not None:
-            ctx.profiler.annotate(op, "spill_partitions", len(parts))
+        ctx.annotate(op, "rows_in", base)
+        _count("storage.spilled_aggregates")
+        _count("storage.spill_partitions", len(parts))
+        ctx.annotate(op, "spill_partitions", len(parts))
         outs: list[DataChunk] = []
         firsts: list[np.ndarray] = []
         for part in parts:
@@ -1275,7 +1229,7 @@ def _spilled_aggregate(op: LogicalAggregate, buffered: list[DataChunk],
                 continue
             tagged = concat_chunks(list(part.read_chunks()))
             out, representatives = _aggregate_reduce(
-                op, DataChunk(tagged.vectors[:-1]), ctx, kstats
+                op, DataChunk(tagged.vectors[:-1]), ctx
             )
             outs.append(out)
             firsts.append(tagged.vectors[-1].data[representatives])
@@ -1297,8 +1251,6 @@ def _grace_hash_join(op: LogicalJoin, right_buffered: list[DataChunk],
     sides with global row indices; every partition pair joins into a
     spilled run sorted by (left, right) index, and the runs merge back
     into the in-memory probe-major order."""
-    kstats = _kernel_stats(op, ctx)
-    qstats = ctx.stats
     left_types = op.left.output_types()
     right_types = op.right.output_types()
     left_keys = [lk for lk, _ in op.equi_keys]
@@ -1318,8 +1270,7 @@ def _grace_hash_join(op: LogicalJoin, right_buffered: list[DataChunk],
         for chunk in _chain_chunks(right_buffered, right_overflow):
             if not chunk.count:
                 continue
-            if qstats is not None:
-                qstats.bump("executor.join_build_rows", chunk.count)
+            _count("executor.join_build_rows", chunk.count)
             # NULL keys never match an inner equi-join; drop them at
             # partitioning time exactly like the in-memory build/probe.
             _scatter(chunk, [evaluate(k, chunk, ctx) for k in right_keys],
@@ -1329,19 +1280,14 @@ def _grace_hash_join(op: LogicalJoin, right_buffered: list[DataChunk],
         for chunk in execute_plan(op.left, ctx):
             if not chunk.count:
                 continue
-            if kstats is not None:
-                kstats.rows_in += chunk.count
-            if qstats is not None:
-                qstats.bump("executor.join_probe_rows", chunk.count)
+            _count("executor.join_probe_rows", chunk.count)
             _scatter(chunk, [evaluate(k, chunk, ctx) for k in left_keys],
                      base, probe_parts, drop_null_keys=True)
             base += chunk.count
-        if qstats is not None:
-            qstats.bump("storage.spilled_joins")
-            qstats.bump("storage.spill_partitions", 2 * _SPILL_PARTITIONS)
-        if ctx.profiler is not None:
-            ctx.profiler.annotate(op, "spill_partitions",
-                                  _SPILL_PARTITIONS)
+        ctx.annotate(op, "rows_in", base)
+        _count("storage.spilled_joins")
+        _count("storage.spill_partitions", 2 * _SPILL_PARTITIONS)
+        ctx.annotate(op, "spill_partitions", _SPILL_PARTITIONS)
         runs: list[_storage.SpillFile] = []
         gather = _PairGather(op, ctx, None)
         for build_part, probe_part in zip(build_parts, probe_parts):
@@ -1385,21 +1331,6 @@ def _join_partition(op: LogicalJoin, gather: _PairGather,
 # -- sort / distinct ------------------------------------------------------------------
 
 
-def _count_sort(op: LogicalSort, ctx: ExecutionContext, rows: int,
-                from_kernel: bool) -> None:
-    kstats = _kernel_stats(op, ctx)
-    if kstats is not None:
-        kstats.rows_in += rows
-        if from_kernel:
-            kstats.kernel += 1
-        else:
-            kstats.fallback += 1
-    if ctx.stats is not None:
-        ctx.stats.bump(
-            "quack.kernel_ops" if from_kernel else "quack.fallback_ops"
-        )
-
-
 def _execute_sort(op: LogicalSort, ctx: ExecutionContext,
                   limit: int | None = None) -> Iterator[DataChunk]:
     """ORDER BY; with ``limit``, the in-memory path emits only the first
@@ -1420,17 +1351,17 @@ def _execute_sort(op: LogicalSort, ctx: ExecutionContext,
     key_vectors = [evaluate(k, full, ctx) for k, _, _ in op.keys]
     perm, from_kernel = kernels.order_permutation(key_vectors, key_specs,
                                                   limit)
-    _count_sort(op, ctx, full.count, from_kernel)
+    _count_dispatch(op, ctx, from_kernel, full.count)
     if from_kernel and _verification.VERIFICATION_ENABLED:
         _crosscheck_sort(op, full, key_vectors, key_specs,
-                         full.slice(perm), ctx)
+                         full.slice(perm))
     for start in range(0, len(perm), STANDARD_VECTOR_SIZE):
         yield full.slice(perm[start : start + STANDARD_VECTOR_SIZE])
 
 
 def _crosscheck_sort(op: LogicalSort, full: DataChunk,
                      key_vectors: list[Vector], key_specs,
-                     actual: DataChunk, ctx: ExecutionContext) -> None:
+                     actual: DataChunk) -> None:
     """Re-sort ``full`` row-wise with the comparator fallback and compare
     the row sequence against ``actual``, the kernel-sorted (in-memory,
     top-N or externally merged) output: the sorted rows, or their first
@@ -1443,8 +1374,7 @@ def _crosscheck_sort(op: LogicalSort, full: DataChunk,
         actual.rows(), full.slice(reference).rows(),
         f"{op._explain_label()} kernels.sort_permutation",
     )
-    if ctx.stats is not None:
-        ctx.stats.bump("verify.kernel_crosschecks")
+    _count("verify.kernel_crosschecks")
 
 
 def _execute_set_op(op: LogicalSetOp,
@@ -1464,18 +1394,14 @@ def _execute_set_op(op: LogicalSetOp,
 
 def _execute_distinct(op: LogicalDistinct,
                       ctx: ExecutionContext) -> Iterator[DataChunk]:
-    stats = _kernel_stats(op, ctx)
     columns = _materialize(op, op.child, ctx)
     if columns is None:
+        ctx.annotate(op, "rows_in", 0)
         return
     full = DataChunk(columns)
-    if stats is not None:
-        stats.rows_in += full.count
-        stats.kernel += 1
-    if ctx.stats is not None:
-        ctx.stats.bump("quack.kernel_ops")
+    _count_dispatch(op, ctx, True, full.count)
     codes, representatives = kernels.factorize(full.vectors, full.count)
     if _verification.VERIFICATION_ENABLED:
-        _crosscheck_factorize(op, full.vectors, codes, representatives, ctx)
+        _crosscheck_factorize(op, full.vectors, codes, representatives)
     for start in range(0, len(representatives), STANDARD_VECTOR_SIZE):
         yield full.slice(representatives[start : start + STANDARD_VECTOR_SIZE])

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from ..analysis.config import verification_enabled
 from ..analysis.errors import VerificationError
-from ..observability import current_stats
+from ..observability import count as _count
 from .errors import BinderError, ConversionError, ExecutionError, QuackError
 from .types import ANY, LogicalType, VARCHAR, implicit_cast_cost
 from .vector import Vector
@@ -83,9 +83,7 @@ class ScalarFunction:
         if self.evaluate_batch is not None:
             result = self.evaluate_batch(args, count)
             if result is not None:
-                stats = current_stats()
-                if stats is not None:
-                    stats.bump("quack.function_batch_ops")
+                _count("quack.function_batch_ops")
                 if verification_enabled():
                     self._crosscheck(result, args, count, "evaluate_batch")
                 return result
@@ -101,9 +99,7 @@ class ScalarFunction:
             result, self._row_loop(args, count),
             f"scalar function {self.name!r} {path}",
         )
-        stats = current_stats()
-        if stats is not None:
-            stats.bump("verify.kernel_crosschecks")
+        _count("verify.kernel_crosschecks")
 
     def _scalar_loop(self, args: list[Vector], count: int) -> Vector:
         """The row-wise path.  Join chunks repeat argument tuples (the
@@ -119,9 +115,7 @@ class ScalarFunction:
         result = self._row_loop(
             [a.slice(first) for a in args], len(first)
         ).slice(inverse)
-        stats = current_stats()
-        if stats is not None:
-            stats.bump("quack.distinct_rows_saved", count - len(first))
+        _count("quack.distinct_rows_saved", count - len(first))
         if verification_enabled():
             self._crosscheck(result, args, count,
                              "distinct-argument evaluation")

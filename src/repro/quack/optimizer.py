@@ -28,6 +28,7 @@ import math
 from typing import Any, Callable
 
 from ..analysis.config import verification_enabled
+from ..observability import count as _count
 from .binder import _NOT_CONSTANT, fold_constant
 from .plan import (
     BoundCase,
@@ -69,11 +70,11 @@ _HASH_BUILD_FACTOR = 2.0
 _CROSS_PENALTY = 10.0
 
 
-def optimize(plan: LogicalOperator, stats=None) -> LogicalOperator:
+def optimize(plan: LogicalOperator) -> LogicalOperator:
     """Rewrite a bound plan. Idempotent; returns a new tree — the input
     plan is never mutated, so a cached bound plan can be re-optimized.
 
-    ``stats`` (a :class:`repro.observability.QueryStatistics`) receives
+    The active query's statistics (:mod:`repro.observability`) receive
     per-rule fire counts under ``optimizer.rule.<name>`` and cost-based
     planning counters under ``optimizer.cbo.<name>``.  Every inner join,
     comma or explicit, goes through the one cost-based search.  The
@@ -92,7 +93,7 @@ def optimize(plan: LogicalOperator, stats=None) -> LogicalOperator:
         from ..analysis.verifier import RewriteVerifier
 
         verifier = RewriteVerifier()
-    optimizer = _Optimizer(stats, verifier)
+    optimizer = _Optimizer(verifier)
     return prune_columns(optimizer.rewrite(plan), verifier, optimizer._fire)
 
 
@@ -157,20 +158,18 @@ def _with(op: LogicalOperator, **fields) -> LogicalOperator:
     return clone
 
 
+def _count_cbo(name: str) -> None:
+    _count(f"optimizer.cbo.{name}")
+
+
 class _Optimizer:
-    def __init__(self, stats=None, verifier=None):
-        self._stats = stats
+    def __init__(self, verifier=None):
         self._verifier = verifier
 
     def _fire(self, rule: str, n: int = 1) -> None:
         if self._verifier is not None:
             self._verifier.note_fire(rule)
-        if self._stats is not None:
-            self._stats.bump(f"optimizer.rule.{rule}", n)
-
-    def _count(self, name: str, n: int = 1) -> None:
-        if self._stats is not None:
-            self._stats.bump(f"optimizer.cbo.{name}", n)
+        _count(f"optimizer.rule.{rule}", n)
 
     def _ranked(
         self,
@@ -252,8 +251,7 @@ class _Optimizer:
         self._verifier.check_filter_rewrite(
             snapshot, result, self._verifier.fired[mark:]
         )
-        if self._stats is not None:
-            self._stats.bump("verify.rules_checked")
+        _count("verify.rules_checked")
         return result
 
     def _rewrite_filter_inner(self, op: LogicalOperator) -> LogicalOperator:
@@ -363,11 +361,11 @@ class _Optimizer:
         searcher = _JoinSearch(n, widths, leaf_rows, edges)
         if n <= DP_MAX_RELATIONS:
             tree = searcher.dynamic_programming()
-            self._count("dp_plans")
+            _count_cbo("dp_plans")
         else:
             tree = searcher.greedy()
-            self._count("greedy_plans")
-        self._count("planned")
+            _count_cbo("greedy_plans")
+        _count_cbo("planned")
         self._fire("cbo_join_order")
 
         plan = self._build_cbo_tree(
@@ -438,7 +436,7 @@ class _Optimizer:
                 )
             if index_probe is not None:
                 self._fire("index_nl_join")
-                self._count("index_nl_joins")
+                _count_cbo("index_nl_joins")
                 residuals = crossing
             else:
                 for conj in crossing:
@@ -452,11 +450,11 @@ class _Optimizer:
                     else:
                         residuals.append(conj)
                 if equi_keys:
-                    self._count("hash_joins")
+                    _count_cbo("hash_joins")
                 elif residuals:
-                    self._count("nl_joins")
+                    _count_cbo("nl_joins")
                 else:
-                    self._count("cross_joins")
+                    _count_cbo("cross_joins")
             join_type = "inner" if (equi_keys or residuals) else "cross"
             join = LogicalJoin(
                 left_op,
@@ -473,7 +471,7 @@ class _Optimizer:
 
         root, _, _, _ = build(tree)
         if order != sorted(order):
-            self._count("reordered")
+            _count_cbo("reordered")
             types: list = []
             names: list[str] = []
             for leaf in leaves:

@@ -1,14 +1,17 @@
 """Per-query execution state and EXPLAIN ANALYZE instrumentation.
 
 An :class:`ExecutionContext` is one query's state — CTE plans and
-results, correlated parameters, the subquery memo — plus its
-observability scope: statistics, trace and optional profiler.  Both
-engines' executors run on it, and it owns the rules that do not depend
-on how a plan runs: the memo, CTE materialization and the index-scan
-probe.  Only quack reads its spill watermark.
+results, correlated parameters, the subquery memo — plus its optional
+profiler.  It carries no statistics: the query's counters, gauges and
+timeline are reached through the ambient
+:mod:`repro.observability` recorder.  Both engines' executors run on
+it, and it owns the rules that do not depend on how a plan runs: the
+memo, CTE materialization and the index-scan probe.  Only quack reads
+its spill watermark.
 
-A :class:`PlanProfiler` collects per-operator row counts, inclusive
-timings, kernel-vs-fallback telemetry, and free-form operator metrics
+A :class:`PlanProfiler` collects per-operator row counts and inclusive
+timings, plus one store of per-operator annotations: the
+kernel-vs-fallback triple (:data:`KERNEL_KEYS`) and free-form metrics
 (index probe counts, candidate counts).  Both executors drive it
 through the context and the one operator wrapper here,
 :func:`_execute_profiled` — profiling is a property of the context, not
@@ -34,7 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from ..observability import QueryStatistics
+from ..observability import QueryStatistics, current_stats
+from ..observability import count as _count
 from .errors import ExecutionError
 from .keys import exact_key
 from .plan import (
@@ -45,14 +49,10 @@ from .plan import (
 )
 
 
-@dataclass
-class OperatorKernelStats:
-    """Kernel-vs-fallback telemetry for one aggregate/sort/distinct
-    operator, surfaced by EXPLAIN ANALYZE."""
-
-    rows_in: int = 0
-    kernel: int = 0
-    fallback: int = 0
+#: The annotations of an operator's kernel-or-fallback dispatches (its
+#: input rows, kernel runs, row-loop runs): rendered first, in this
+#: order, and as the JSON ``"kernel"`` object.
+KERNEL_KEYS = ("rows_in", "kernel", "fallback")
 
 
 @dataclass
@@ -67,24 +67,26 @@ class PlanProfiler:
 
     def __init__(self):
         self.stats: dict[int, OperatorStats] = {}
-        #: Kernel-vs-fallback counters keyed by ``id(op)``; filled in by
-        #: the aggregate/sort/distinct operators while the profiler runs.
-        self.kernel_stats: dict[int, OperatorKernelStats] = {}
-        #: free-form per-operator counters (probes, candidates, ...)
+        #: per-operator annotations keyed by ``id(op)``: the
+        #: :data:`KERNEL_KEYS` and free-form counters (probes, ...)
         self.op_metrics: dict[int, dict[str, int]] = {}
 
     def stats_for(self, op: LogicalOperator) -> OperatorStats:
         return self.stats.setdefault(id(op), OperatorStats())
 
-    def kernel_stats_for(self, op: LogicalOperator) -> OperatorKernelStats:
-        found = self.kernel_stats.get(id(op))
-        if found is None:
-            found = self.kernel_stats[id(op)] = OperatorKernelStats()
-        return found
-
     def annotate(self, op: LogicalOperator, key: str, n: int = 1) -> None:
+        """Add ``n`` to ``op``'s annotation ``key`` (``n=0`` shows it)."""
         metrics = self.op_metrics.setdefault(id(op), {})
         metrics[key] = metrics.get(key, 0) + n
+
+    def _annotations(self, op: LogicalOperator
+                     ) -> tuple[dict[str, int] | None, dict[str, int]]:
+        """``op``'s kernel-or-fallback triple (None when it recorded
+        none of it) and its other annotations."""
+        metrics = dict(self.op_metrics.get(id(op), {}))
+        if not any(key in metrics for key in KERNEL_KEYS):
+            return None, metrics
+        return {key: metrics.pop(key, 0) for key in KERNEL_KEYS}, metrics
 
     # -- rendering ------------------------------------------------------------
 
@@ -98,14 +100,8 @@ class PlanProfiler:
         parts = [f"rows={stats.rows}"]
         if estimated is not None:
             parts.append(f"est={estimated}")
-        kstats = self.kernel_stats.get(id(op))
-        if kstats is not None:
-            parts.append(f"rows_in={kstats.rows_in}")
-            parts.append(f"kernel={kstats.kernel}")
-            parts.append(f"fallback={kstats.fallback}")
-        for key, value in sorted(
-            (self.op_metrics.get(id(op)) or {}).items()
-        ):
+        kernel, metrics = self._annotations(op)
+        for key, value in [*(kernel or {}).items(), *sorted(metrics.items())]:
             parts.append(f"{key}={value}")
         parts.append(f"{stats.seconds * 1000:.2f}ms")
         return f"({', '.join(parts)})"
@@ -158,16 +154,11 @@ class PlanProfiler:
                 node["rows"] = stats.rows
                 node["seconds"] = stats.seconds
                 node["invocations"] = stats.invocations
-            kstats = self.kernel_stats.get(id(op))
-            if kstats is not None:
-                node["kernel"] = {
-                    "rows_in": kstats.rows_in,
-                    "kernel": kstats.kernel,
-                    "fallback": kstats.fallback,
-                }
-            metrics = self.op_metrics.get(id(op))
+            kernel, metrics = self._annotations(op)
+            if kernel is not None:
+                node["kernel"] = kernel
             if metrics:
-                node["metrics"] = dict(metrics)
+                node["metrics"] = metrics
             node["children"] = [visit(child) for child in op.children()]
             return node
 
@@ -182,17 +173,16 @@ class PlanProfiler:
 
 class ExecutionContext:
     """Per-query state: CTE materializations, correlated parameters, the
-    subquery memo, and the observability scope (statistics + optional
-    plan profiler).  Both engines reach that state through the methods
-    below, passing the one engine-specific step — how a plan runs — as
-    ``run(plan, ctx)``.
+    subquery memo, and the optional plan profiler.  Both engines reach
+    that state through the methods below, passing the one
+    engine-specific step — how a plan runs — as ``run(plan, ctx)``.
 
     Profiling is context-scoped: a subquery runs on a copy of its
     query's context that differs only in ``params``, so subquery and CTE
     execution is captured too, and two queries' contexts never share
     mutable profiling state."""
 
-    def __init__(self, stats=None, profiler=None,
+    def __init__(self, profiler=None,
                  memory_limit_bytes: int | None = None):
         #: materialized CTEs: chunks under quack, tuples under pgsim
         self._cte_results: dict[int, list] = {}
@@ -201,18 +191,19 @@ class ExecutionContext:
         self.params: tuple = ()
         #: correlated subquery results: (id(plan), exact params) -> rows
         self._subquery_rows: dict[tuple, list[tuple]] = {}
-        #: the query's QueryStatistics (None when collection is disabled)
-        self.stats = stats
         #: PlanProfiler driving per-operator instrumentation (EXPLAIN
         #: ANALYZE); None for regular execution
         self.profiler = profiler
-        #: the query's TraceCollector (timeline events), shared by every
-        #: context of the query
-        self.trace = stats.trace if stats is not None else None
         #: ``SET memory_limit = <MB>`` watermark in bytes; None = no
         #: limit.  Blocking sinks (sort / hash-join build / aggregation)
         #: that materialize past it spill to disk and merge back.
         self.memory_limit_bytes = memory_limit_bytes
+
+    def annotate(self, op: LogicalOperator, key: str, n: int = 1) -> None:
+        """Add ``n`` to ``op``'s profiler annotation ``key``; a no-op
+        without a profiler."""
+        if self.profiler is not None:
+            self.profiler.annotate(op, key, n)
 
     def subquery_rows(self, plan: LogicalOperator, params: tuple,
                       run: Callable) -> list[tuple]:
@@ -253,12 +244,10 @@ class ExecutionContext:
             raise ExecutionError(
                 f"index {op.index.name} cannot serve {op.op_name}"
             )
-        if self.stats is not None:
-            self.stats.bump("executor.index_scans")
-            self.stats.bump("executor.index_candidates", len(row_ids))
-        if self.profiler is not None:
-            self.profiler.annotate(op, "probes")
-            self.profiler.annotate(op, "candidates", len(row_ids))
+        _count("executor.index_scans")
+        _count("executor.index_candidates", len(row_ids))
+        self.annotate(op, "probes")
+        self.annotate(op, "candidates", len(row_ids))
         return sorted(row_ids)
 
 
@@ -268,6 +257,8 @@ def _execute_profiled(op: LogicalOperator, ctx: ExecutionContext,
     """Stream ``items`` — ``op``'s output under either engine — through
     ``ctx.profiler``.  ``width(item)`` is the number of rows one
     item carries: a chunk's count, or 1 for a tuple."""
+    query = current_stats()
+    trace = query.trace if query is not None else None
     stats = ctx.profiler.stats_for(op)
     stats.invocations += 1
     rows_before = stats.rows
@@ -288,8 +279,8 @@ def _execute_profiled(op: LogicalOperator, ctx: ExecutionContext,
         # exhaustion, consumer time included — matching the inclusive
         # profiler clock), so nested operators nest on the lane and the
         # Volcano loop does not emit an event per row.
-        if ctx.trace is not None:
-            ctx.trace.emit(
+        if trace is not None:
+            trace.emit(
                 op._explain_label(), "operator", opened,
                 time.perf_counter() - opened,
                 rows=stats.rows - rows_before,

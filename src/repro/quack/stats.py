@@ -184,28 +184,43 @@ class _TimeSpanBox:
         self.tspan = span
 
 
-def box_of(value: Any) -> Any | None:
-    """Extract a bounding box from a value, duck-typed.
+class _PlaneBox:
+    """A geometry's extent as a box: ``x`` and ``y`` intervals only."""
 
-    Accepts STBox/TBox-shaped objects directly (``has_x``/``has_t``
-    properties), time spans (a ``timestamptz`` base type and bounds)
-    and temporal values exposing an ``stbox()`` method.  Returns
-    ``None`` when the value carries no box.
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
+
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
+        self.xmin, self.ymin, self.xmax, self.ymax = xmin, ymin, xmax, ymax
+
+
+def box_of(value: Any) -> Any | None:
+    """The bounding box of a value, the one the box index reads
+    (``repro.index.boxindex.value_box``), found duck-typed so the engine
+    imports no payload type: a temporal point and a non-empty geometry
+    give their stbox (a geometry's without time); any other temporal
+    value, a tstzspan and a tstzspanset their time span; an STBox is its
+    own box, and so is a TBox (its value span read on ``x``).  ``None``
+    for NULL and for any other value.
     """
     if value is None:
         return None
     if hasattr(value, "has_x") and hasattr(value, "has_t"):
         return value
+    ttype = getattr(value, "ttype", None)
+    if ttype is not None:
+        if ttype.name.startswith("tgeo"):
+            return value.stbox()
+        return _TimeSpanBox(value.tstzspan())
     basetype = getattr(value, "basetype", None)
-    if (getattr(basetype, "name", None) == "timestamptz"
-            and hasattr(value, "lower_inc")):
-        return _TimeSpanBox(value)
-    stbox = getattr(value, "stbox", None)
-    if callable(stbox):
-        try:
-            return stbox()
-        except Exception:
-            return None
+    if getattr(basetype, "name", None) == "timestamptz":
+        if hasattr(value, "lower_inc"):
+            return _TimeSpanBox(value)
+        if hasattr(value, "spans"):
+            return _TimeSpanBox(value.to_span())
+        return None
+    bounds = getattr(value, "bounds", None)
+    if callable(bounds) and callable(getattr(value, "is_empty", None)):
+        return None if value.is_empty() else _PlaneBox(*bounds())
     return None
 
 

@@ -35,7 +35,7 @@ def bump_either(stats, hit):
 
 
 def gauge_declared(stats):
-    stats.set_gauge("scan.peak_rows", 5)
+    stats.gauge_max("scan.peak_rows", 5)
 
 
 def gauge_undeclared(stats):

@@ -107,9 +107,9 @@ class TestCounterNames:
 
     def test_gauge_names_checked(self, tmp_path):
         assert snippet_keys(tmp_path, """\
-            stats.set_gauge("executor.peak_materialized_rows", 5)
+            gauge_max("executor.peak_materialized_rows", 5)
             stats.gauge_max("bogus.gauge", 1)
-            stats.set_gauge("verify.plans", 1)
+            stats.gauge_max("verify.plans", 1)
         """) == ["bogus.gauge", "verify.plans"]  # a counter is no gauge
 
     def test_conditional_name_checks_both_arms(self, tmp_path):
@@ -126,7 +126,7 @@ class TestCounterNames:
         """) == ["bogus.bare", "bogus.aliased"]
 
     def test_method_named_count_is_not_the_helper(self, tmp_path):
-        # the optimizer's ``self._count(rule)`` wraps its own prefix
+        # a method that wraps its own prefix
         assert snippet_keys(tmp_path, 'stats._count("dp_plans")\n') == []
 
     def test_frozenset_registry_is_read(self, tmp_path):

@@ -390,3 +390,38 @@ class TestSelectivityClamped:
         """
         assert codes(src, module="repro.quack.stats",
                      filename="stats.py") == []
+
+
+class TestOneRecordingChannel:
+    def test_handle_bump_flagged(self):
+        src = """
+            def probe(ctx, rows):
+                if ctx.stats is not None:
+                    ctx.stats.bump("executor.index_scans")
+                    ctx.stats.gauge_max("executor.peak_materialized_rows",
+                                        rows)
+        """
+        assert codes(src) == ["ANL012", "ANL012"]
+
+    def test_ambient_recorder_clean(self):
+        src = """
+            from ..observability import count as _count
+            from ..observability import gauge_max
+
+            def probe(rows):
+                _count("executor.index_scans")
+                gauge_max("executor.peak_materialized_rows", rows)
+        """
+        assert codes(src) == []
+
+    def test_recorder_and_connection_exempt(self):
+        src = """
+            def finish(stats):
+                stats.bump("querylog.records")
+        """
+        assert codes(src, module="repro.quack.database",
+                     filename="database.py") == []
+        assert codes(src, module="repro.observability.context",
+                     filename="context.py") == []
+        assert codes(src, module="repro.pgsim.database",
+                     filename="database.py") == ["ANL012"]

@@ -8,6 +8,7 @@ interleaved generators in one thread and parallel queries across threads
 and assert complete isolation.
 """
 
+import sys
 import threading
 
 import pytest
@@ -144,6 +145,65 @@ class TestThreads:
             t.join()
         assert not errors
         assert len(results) == 4
+
+
+class TestThreadCounters:
+    def test_two_threads_get_separate_counters(self):
+        """Counters recorded deep below the connection (conjunct
+        narrowing, materialization, kernel dispatch) land on the query
+        that ran them, never on another thread's: four workers, two per
+        query, with a short switch interval so statements interleave."""
+        sql = {
+            100: "SELECT a % 5, count(*) FROM t WHERE a % 3 = 0 AND "
+                 "(a > 100 OR a < 0) GROUP BY a % 5 ORDER BY 1",
+            900: "SELECT DISTINCT a % 11 FROM t WHERE a % 2 = 1 AND "
+                 "a > 900 ORDER BY 1",
+        }
+
+        def connect():
+            con = Database().connect()
+            con.execute("CREATE TABLE t(a INTEGER)")
+            con.execute(
+                "INSERT INTO t SELECT i FROM generate_series(1, 20000) "
+                "AS g(i)"
+            )
+            return con
+
+        alone = {
+            key: dict(connect().execute(text).stats().counters)
+            for key, text in sql.items()
+        }
+        assert alone[100] != alone[900]
+        keys = [100, 900, 100, 900]
+        cons = [connect() for _ in keys]
+        barrier = threading.Barrier(len(keys))
+        seen: list[list[dict]] = [[] for _ in keys]
+        errors = []
+
+        def worker(slot):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(10):
+                    stats = cons[slot].execute(sql[keys[slot]]).stats()
+                    seen[slot].append(dict(stats.counters))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,))
+                       for slot in range(len(keys))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for slot, key in enumerate(keys):
+            assert seen[slot] == [alone[key]] * 10
 
 
 class TestDifferential:

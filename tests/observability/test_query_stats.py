@@ -16,8 +16,8 @@ from repro.observability import (
     count,
     current_stats,
     gauge_max,
-    maybe_span,
     set_collection_enabled,
+    span,
 )
 from repro.pgsim import RowDatabase
 from repro.quack import Database
@@ -310,15 +310,90 @@ class TestAmbientContext:
         assert current_stats() is None
         assert stats.counter("rtree.searches") == 3
 
-    def test_maybe_span_none_is_noop(self):
-        with maybe_span(None, "parse"):
-            pass
+    def test_span_is_noop_without_active_stats(self):
+        assert current_stats() is None
+        with span("parse"):
+            assert current_stats() is None
+
+    def test_recorders_are_noops_with_collection_disabled(self, con):
+        last = con.last_query_stats
+        before = (dict(last.counters), dict(last.gauges),
+                  len(last.tracer.spans))
+        previous = set_collection_enabled(False)
+        try:
+            result = con.execute("SELECT count(*) FROM t WHERE a > 10")
+            assert current_stats() is None
+            count("executor.rows_returned")
+            gauge_max("executor.peak_materialized_rows", 1.0)
+            with span("execute"):
+                pass
+        finally:
+            set_collection_enabled(previous)
+        assert result.fetchall() == [(990,)]
+        assert result.stats() is None
+        assert con.last_query_stats is last
+        assert (dict(last.counters), dict(last.gauges),
+                len(last.tracer.spans)) == before
+
+    def test_span_records_on_active_stats(self):
+        stats = QueryStatistics()
+        with activate(stats):
+            with span("execute"):
+                with span("scan"):
+                    pass
+        (top,) = stats.tracer.spans
+        assert top.name == "execute"
+        assert [c.name for c in top.children] == ["scan"]
 
     def test_phase_sum_equals_total(self):
         stats = QueryStatistics()
-        for phase in ("parse", "bind", "optimize", "execute"):
-            with maybe_span(stats, phase):
-                pass
+        with activate(stats):
+            for phase in ("parse", "bind", "optimize", "execute"):
+                with span(phase):
+                    pass
         phases = stats.phase_seconds()
         assert set(phases) == {"parse", "bind", "optimize", "execute"}
         assert stats.total_seconds() == pytest.approx(sum(phases.values()))
+
+
+class TestDmlRecordsLikeSelect:
+    """UPDATE and DELETE evaluate their WHERE through the same executor
+    as SELECT, so they record the same executor counters for it."""
+
+    WHERE = ("b = 3 AND (a + 1 > 5 OR a < 0) AND "
+             "p && tstzspan '[2020-01-01, 2020-01-03]'")
+
+    @staticmethod
+    def make():
+        con = core.connect()
+        con.execute("CREATE TABLE t(a BIGINT, b BIGINT, p TGEOMPOINT)")
+        con.execute(
+            "INSERT INTO t SELECT i, i % 7, CAST('[Point(' || i || ' 0)"
+            "@2020-01-0' || (1 + i % 5) || ', Point(' || i || ' 1)"
+            "@2020-01-0' || (2 + i % 5) || ']' AS TGEOMPOINT) "
+            "FROM generate_series(1, 6000) AS g(i)"
+        )
+        return con
+
+    def skipped_by_select(self) -> int:
+        stats = self.make().execute(
+            f"SELECT count(*) FROM t WHERE {self.WHERE}"
+        ).stats()
+        skipped = stats.counter("executor.conjunct_rows_skipped")
+        assert skipped > 0
+        return skipped
+
+    def test_update(self):
+        con = self.make()
+        stats = con.execute(f"UPDATE t SET b = 0 WHERE {self.WHERE}").stats()
+        assert stats.counter("executor.conjunct_rows_skipped") == \
+            self.skipped_by_select()
+        assert con.execute("SELECT count(*) FROM t WHERE b = 0").scalar() \
+            == 857 + 514
+
+    def test_delete(self):
+        con = self.make()
+        stats = con.execute(f"DELETE FROM t WHERE {self.WHERE}").stats()
+        assert stats.counter("executor.conjunct_rows_skipped") == \
+            self.skipped_by_select()
+        assert con.execute("SELECT count(*) FROM t").scalar() == 6000 - 514

@@ -468,7 +468,7 @@ class TestSpatialRTreeIndexJoin:
     @pytest.mark.parametrize("residual", [True, False],
                              ids=["residual", "no-residual"])
     def test_matches_row_engine(self, join_type, residual, from_order):
-        from repro.observability import QueryStatistics
+        from repro.observability import QueryStatistics, activate
         from repro.quack.executor import ExecutionContext, execute_plan
         from repro.quack.plan import LogicalJoin
         from repro.quack.sql.parser import parse_sql
@@ -488,8 +488,9 @@ class TestSpatialRTreeIndexJoin:
         if not residual:
             join.residual = None
         stats = QueryStatistics()
-        rows = [row for chunk in execute_plan(plan, ExecutionContext(
-            stats=stats)) for row in chunk.rows()]
+        with activate(stats):
+            rows = [row for chunk in execute_plan(plan, ExecutionContext())
+                    for row in chunk.rows()]
         baseline = self._fill(core.connect_baseline()).execute(
             self.SQL if join_type == "inner" else self.LEFT_SQL
         ).fetchall()
