@@ -27,6 +27,9 @@ ANL012    ``.bump(...)``/``.gauge_max(...)`` on a statistics handle
           outside ``repro.observability`` and ``repro.quack.database``
           (engine code records through the ambient ``count`` /
           ``gauge_max``, a no-op when no query is active)
+ANL013    ``ExecutionContext(...)`` built outside ``repro.quack.database``
+          and ``repro.pgsim.database`` (a statement's plan runs only
+          through the connections' run hooks)
 ========  ==========================================================
 
 Undeclared counter/gauge names are the flow analyzer's FLOW002

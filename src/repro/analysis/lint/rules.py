@@ -67,6 +67,19 @@ _STATISTICS_HANDLE_MODULES = ("repro.observability", "repro.quack.database")
 #: ``QueryStatistics`` recording methods (ANL012).
 _RECORDING_METHODS = frozenset({"bump", "gauge_max"})
 
+#: The modules that build an ``ExecutionContext`` (ANL013): the two
+#: connections, whose run hooks are the one way a statement's plan runs.
+_EXECUTION_CONTEXT_MODULES = ("repro.quack.database", "repro.pgsim.database")
+
+
+def _module_in(module: str | None, owners) -> bool:
+    """Whether ``module`` is one of the allow-listed ``owners`` or a
+    submodule of one (ANL011-ANL013)."""
+    return module is not None and any(
+        module == owner or module.startswith(owner + ".")
+        for owner in owners
+    )
+
 
 def check_module(tree: ast.Module, module: str | None,
                  filename: str) -> list[tuple[int, int, str, str]]:
@@ -96,6 +109,7 @@ class _Checker:
                 self.check_evaluate_batch(node)
                 self.check_file_io_boundary(node)
                 self.check_recording_channel(node)
+                self.check_execution_context(node)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 self.check_engine_imports(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -345,7 +359,7 @@ class _Checker:
         module = self.module or ""
         if not module.startswith("repro.quack"):
             return
-        if module in _STORAGE_MODULES:
+        if _module_in(module, _STORAGE_MODULES):
             return
         func = node.func
         name = None
@@ -380,17 +394,32 @@ class _Checker:
         if not (isinstance(func, ast.Attribute)
                 and func.attr in _RECORDING_METHODS):
             return
-        module = self.module
-        if module is None or any(
-            module == owner or module.startswith(owner + ".")
-            for owner in _STATISTICS_HANDLE_MODULES
-        ):
+        if self.module is None or _module_in(self.module,
+                                             _STATISTICS_HANDLE_MODULES):
             return
         self.report(
             node, "ANL012",
             f"'.{func.attr}(...)' on a statistics handle outside "
             f"repro.observability: record through the ambient "
             f"count()/gauge_max() instead",
+        )
+
+    # -- ANL013: a statement runs through its connection ---------------------------
+
+    def check_execution_context(self, node: ast.Call) -> None:
+        """Only the connections build an ``ExecutionContext``, so every
+        statement runs its plan through their run hooks: a second
+        executor path drifts (it skips the optimizer, or the counters)."""
+        name = _dotted_name(node.func)
+        if name is None or name.split(".")[-1] != "ExecutionContext":
+            return
+        if self.module is None or _module_in(self.module,
+                                             _EXECUTION_CONTEXT_MODULES):
+            return
+        self.report(
+            node, "ANL013",
+            "ExecutionContext(...) built outside the connection modules: "
+            "run the statement's plan through the connection's run hooks",
         )
 
     # -- ANL010: selectivity estimators must clamp to [0, 1] -----------------------

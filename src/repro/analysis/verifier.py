@@ -56,6 +56,7 @@ from ..quack.plan import (
     LogicalSetOp,
     _children,
     operator_exprs,
+    split_conjuncts,
 )
 from ..quack.types import BOOLEAN, LogicalType, SQLNULL
 from ..quack.vector import DataChunk, Vector, _PHYSICAL_DTYPES
@@ -135,15 +136,6 @@ def fingerprint(expr: BoundExpr, delta=0) -> str:
     return f"<{type(expr).__name__}>"
 
 
-def _split_conjuncts(expr: BoundExpr) -> list[BoundExpr]:
-    if isinstance(expr, BoundConjunction) and expr.op == "AND":
-        out: list[BoundExpr] = []
-        for arg in expr.args:
-            out.extend(_split_conjuncts(arg))
-        return out
-    return [expr]
-
-
 def _permutation_transform(op: LogicalProject):
     """If ``op`` is a pure column permutation (every expression a bare
     column reference, bijective over the child's width), return the map
@@ -176,7 +168,7 @@ def _collect_conjuncts(op: LogicalOperator, delta,
     collection stops at pipeline breakers (aggregates, computing
     projections, …) whose internals pushdown never crosses."""
     if isinstance(op, LogicalFilter):
-        for conj in _split_conjuncts(op.condition):
+        for conj in split_conjuncts(op.condition):
             out.append(fingerprint(conj, delta))
         _collect_conjuncts(op.child, delta, out)
         return
@@ -196,7 +188,7 @@ def _collect_conjuncts(op: LogicalOperator, delta,
             ))
             out.append(f"=({', '.join(pair)})")
         if op.residual is not None:
-            for conj in _split_conjuncts(op.residual):
+            for conj in split_conjuncts(op.residual):
                 out.append(fingerprint(conj, delta))
         return
     if isinstance(op, LogicalProject):
@@ -273,27 +265,43 @@ def _verify_operator(op: LogicalOperator, functions, phase: str) -> None:
                 f"set operation arity mismatch: {left_arity} vs "
                 f"{right_arity} columns"
             )
-    if isinstance(op, LogicalIndexScan):
-        if not op.index.matches(op.op_name, op.index.column, op.constant):
-            fail(
-                f"index {op.index.name} does not advertise "
-                f"{op.op_name!r} on column {op.index.column!r}"
-            )
-    if isinstance(op, LogicalJoin) and op.index_probe is not None:
-        index, probe_op, _ = op.index_probe
-        if not index.matches(probe_op, index.column, None):
-            fail(
-                f"index {index.name} does not advertise {probe_op!r} "
-                f"on column {index.column!r}"
-            )
-        if op.residual is None:
-            fail("index nested-loop join without a recheck residual")
+    if isinstance(op, (LogicalGet, LogicalIndexScan)):
+        # ascending table columns, the row id (one past them) only last
+        ids = list(op.column_ids)
+        if not ids or ids != sorted(set(ids)) or not (
+                0 <= ids[0] <= ids[-1] <= len(op.table.column_types)):
+            fail(f"scan columns {ids} are not ascending table columns")
+    fault = _index_fault(op)
+    if fault is not None:
+        fail(fault[1])
 
     for expr, width in operator_exprs(op):
         _verify_expr(expr, width, functions, label, phase)
 
     for child in op.children():
         _verify_operator(child, functions, phase)
+
+
+def _index_fault(op: LogicalOperator) -> tuple[str, str] | None:
+    """``(rule, fault)`` of an index scan or index join whose index does
+    not serve it, or of an index join without its recheck residual,
+    naming the optimizer rule that builds it; None when sound."""
+    if isinstance(op, LogicalIndexScan):
+        rule, index, op_name, constant = (
+            "index_scan_injection", op.index, op.op_name, op.constant
+        )
+    elif isinstance(op, LogicalJoin) and op.index_probe is not None:
+        rule, (index, op_name, _), constant = (
+            "index_nl_join", op.index_probe, None
+        )
+        if op.residual is None:
+            return rule, "index nested-loop join without a recheck residual"
+    else:
+        return None
+    if index.matches(op_name, index.column, constant):
+        return None
+    return rule, (f"index {index.name} does not advertise {op_name!r} on "
+                  f"column {index.column!r}")
 
 
 def _verify_expr(expr: BoundExpr, width: int, functions, label: str,
@@ -459,27 +467,9 @@ class RewriteVerifier:
             )
 
     def _check_index_injections(self, op: LogicalOperator) -> None:
-        if isinstance(op, LogicalIndexScan):
-            index = op.index
-            if not index.matches(op.op_name, index.column, op.constant):
-                raise VerificationError(
-                    f"optimizer rule index_scan_injection: index "
-                    f"{index.name} does not advertise {op.op_name!r} on "
-                    f"column {index.column!r} (constant {op.constant!r})"
-                )
-        if isinstance(op, LogicalJoin) and op.index_probe is not None:
-            index, probe_op, _ = op.index_probe
-            if not index.matches(probe_op, index.column, None):
-                raise VerificationError(
-                    f"optimizer rule index_nl_join: index {index.name} "
-                    f"does not advertise {probe_op!r} on column "
-                    f"{index.column!r}"
-                )
-            if op.residual is None:
-                raise VerificationError(
-                    "optimizer rule index_nl_join: join lost its exact "
-                    "recheck residual"
-                )
+        fault = _index_fault(op)
+        if fault is not None:
+            raise VerificationError(f"optimizer rule {fault[0]}: {fault[1]}")
         for child in op.children():
             self._check_index_injections(child)
 

@@ -2,7 +2,7 @@
 
 Shares the connection layer of :mod:`repro.quack.database` — SQL front
 end, binder, optimizer, statement lifecycle, query log, EXPLAIN ANALYZE,
-settings and DDL — and supplies only what is row-store specific: heap
+settings, DDL, UPDATE and DELETE — and supplies only what is row-store specific: heap
 tables and tuple-at-a-time execution (see :mod:`.executor`).  GiST and
 B-tree index types are built in, mirroring PostgreSQL; without ``CREATE
 INDEX`` every predicate is a sequential scan.
@@ -14,9 +14,9 @@ from ..observability import count as _count
 from ..observability import span
 from ..quack.catalog import Catalog, IndexType
 from ..quack.database import BaseConnection, BaseDatabase, Result
-from ..quack.plan import BoundExpr, LogicalOperator
+from ..quack.plan import LogicalOperator
 from ..quack.profiler import ExecutionContext, PlanProfiler
-from .executor import eval_row, execute_rows
+from .executor import execute_rows
 from .indexes import BTreeIndex, GistIndex
 from .table import RowTable
 
@@ -56,28 +56,3 @@ class RowConnection(BaseConnection):
     def _insert_select(self, table: RowTable, positions: list[int],
                        plan: LogicalOperator) -> int:
         return self._insert_rows(table, positions, self._run_plan(plan).rows)
-
-    def _update(self, table: RowTable,
-                assignments: list[tuple[int, BoundExpr]],
-                where: BoundExpr | None) -> int:
-        ctx = ExecutionContext()
-        updated = 0
-        for rid, row in list(table.scan()):
-            if where is not None and not eval_row(where, row, ctx):
-                continue
-            new_row = list(row)
-            for index, bound in assignments:
-                new_row[index] = eval_row(bound, row, ctx)
-            table.update_row(rid, tuple(new_row))
-            updated += 1
-        if updated:
-            table.rebuild_indexes()
-        return updated
-
-    def _delete(self, table: RowTable, where: BoundExpr | None) -> int:
-        ctx = ExecutionContext()
-        return table.delete_rows([
-            rid
-            for rid, row in table.scan()
-            if where is None or eval_row(where, row, ctx)
-        ])

@@ -160,14 +160,19 @@ def _execute_operator(op: LogicalOperator,
         yield from execute_rows(op.child, ctx)
         return
     if isinstance(op, LogicalGet):
-        rows = (row for _, row in op.table.scan())
+        pairs = op.table.scan()
+        if op.reads_row_id:
+            rows = (row + (rid,) for rid, row in pairs)
+        else:
+            rows = (row for _, row in pairs)
         project = _projector(op)
         yield from rows if project is None else map(project, rows)
         return
     if isinstance(op, LogicalIndexScan):
         project = _projector(op)
+        fetch = _fetcher(op)
         for rid in ctx.index_scan_row_ids(op):
-            row = op.table.fetch(rid)
+            row = fetch(rid)
             if row is not None:
                 yield row if project is None else project(row)
         return
@@ -221,6 +226,15 @@ def _execute_operator(op: LogicalOperator,
             yield row
         return
     raise ExecutionError(f"cannot execute {type(op).__name__}")
+
+
+def _fetcher(op: LogicalIndexScan) -> Callable[[int], tuple | None]:
+    """Row id → the live heap row an index scan emits (None when
+    deleted), the row id appended when the scan emits it."""
+    fetch = op.table.fetch
+    if not op.reads_row_id:
+        return fetch
+    return lambda rid: None if (row := fetch(rid)) is None else row + (rid,)
 
 
 def _projector(op: LogicalGet | LogicalIndexScan | LogicalJoin

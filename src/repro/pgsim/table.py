@@ -2,10 +2,10 @@
 
 Tables hold Python row tuples (heap order), the analogue of PostgreSQL's
 row store; a datum too large for the row is TOASTed (:func:`toast`).
-The classes duck-type the parts of :class:`repro.quack.catalog` that the
-shared binder/optimizer touch (``column_names``, ``column_types``,
-``indexes``, ``column_index``) and feed indexes through quack's
-``TableIndex`` protocol (``append``, ``rebuild`` over ``scan_column``).
+A :class:`RowTable` is a :class:`repro.quack.catalog.BaseTable` (the
+schema, indexes, statistics and tombstones both engines share) and feeds
+its indexes through quack's ``TableIndex`` protocol (``append``,
+``rebuild`` over ``scan_column``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import zlib
 from typing import Any, Iterator, Sequence
 
 from ..observability import count as _count
-from ..quack.errors import CatalogError, ExecutionError
+from ..quack.catalog import BaseTable
+from ..quack.errors import ExecutionError
 from ..quack.types import LogicalType
 
 #: PostgreSQL's ``TOAST_TUPLE_THRESHOLD``: a datum whose flat layout is
@@ -65,39 +66,15 @@ def detoast(value: Any) -> Any:
     return value
 
 
-class RowTable:
+class RowTable(BaseTable):
     """A heap of row tuples."""
 
     def __init__(self, name: str, columns: list[tuple[str, LogicalType]]):
-        if not columns:
-            raise CatalogError("a table needs at least one column")
-        self.name = name
-        self.column_names = [c[0] for c in columns]
-        self.column_types = [c[1] for c in columns]
+        super().__init__(name, columns)
         self.rows: list[tuple] = []
-        self._deleted: set[int] = set()
-        self.indexes: list = []
-        #: optimizer statistics, as on quack's ``Table.stats``
-        self.stats = None
-        #: rows inserted, updated or deleted since ``stats`` was gathered
-        self.changes_since_analyze = 0
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.column_names)
-
-    def num_rows(self) -> int:
-        return len(self.rows) - len(self._deleted)
 
     def total_rows(self) -> int:
         return len(self.rows)
-
-    def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, col in enumerate(self.column_names):
-            if col.lower() == lowered:
-                return i
-        raise CatalogError(f"column {name!r} not in table {self.name!r}")
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> list[int]:
         start = len(self.rows)
@@ -116,7 +93,7 @@ class RowTable:
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
         """Yield (row_id, row) for live rows, heap order."""
-        deleted = self._deleted
+        deleted = self._deleted_ids
         for rid, row in enumerate(self.rows):
             if rid not in deleted:
                 yield rid, row
@@ -129,24 +106,25 @@ class RowTable:
         yield [row[column] for _, row in live], [rid for rid, _ in live]
 
     def fetch(self, row_id: int) -> tuple | None:
-        if row_id in self._deleted or not 0 <= row_id < len(self.rows):
+        if row_id in self._deleted_ids or not 0 <= row_id < len(self.rows):
             return None
         return self.rows[row_id]
 
-    def delete_rows(self, row_ids: Sequence[int]) -> int:
-        before = len(self._deleted)
-        self._deleted.update(int(r) for r in row_ids)
-        deleted = len(self._deleted) - before
-        self.changes_since_analyze += deleted
-        return deleted
-
-    def update_row(self, row_id: int, row: tuple) -> None:
-        self.rows[row_id] = self._heap_row(row)
+    def update_rows(self, row_ids: Sequence[int], positions: Sequence[int],
+                    values: Sequence[Sequence[Any]]) -> None:
+        """UPDATE: set column ``positions[k]`` of row ``row_ids[i]`` to
+        ``values[k][i]``.  Only the assigned datums are TOASTed again; an
+        unassigned one keeps its heap datum, so a TOAST pointer stays the
+        same pointer.  The indexes rebuild once."""
+        types = [self.column_types[p] for p in positions]
+        for i, row_id in enumerate(row_ids):
+            row = list(self.rows[row_id])
+            for position, ltype, column in zip(positions, types, values):
+                row[position] = toast(column[i], ltype)
+            self.rows[row_id] = tuple(row)
+        for index in self.indexes:
+            index.rebuild(self)
 
     def _heap_row(self, row: Sequence[Any]) -> tuple:
         return tuple(map(toast, row, self.column_types))
-
-    def rebuild_indexes(self) -> None:
-        for index in self.indexes:
-            index.rebuild(self)
 

@@ -16,6 +16,7 @@ from .catalog import Catalog
 from .errors import BinderError
 from .functions import FunctionRegistry, ScalarFunction
 from .plan import (
+    ROW_ID,
     AggregateSpec,
     BoundCase,
     BoundCast,
@@ -155,8 +156,31 @@ class Binder:
             self.context.all_ctes.append((cte_id, cte.name, plan))
         if isinstance(stmt, ast.CompoundSelect):
             return self._bind_compound(stmt)
-        plan = self._bind_select_body(stmt)
-        return plan
+        return self._bind_select_body(stmt)
+
+    def bind_dml(
+        self, stmt: "ast.UpdateStatement | ast.DeleteStatement"
+    ) -> LogicalOperator:
+        """An UPDATE's or DELETE's read plan, ``PROJECTION [rowid, CAST(e
+        AS type of c) …] / FILTER w / SEQ_SCAN t``: a row per row written,
+        its row id and an UPDATE's new values in SET order."""
+        table = self.context.catalog.get_table(stmt.table)
+        for name, ltype in zip(table.column_names, table.column_types):
+            self.scope.add(table.name, name, ltype)
+        row_id = len(table.column_types)
+        plan: LogicalOperator = LogicalGet(
+            table, columns=tuple(range(row_id + 1))
+        )
+        if stmt.where is not None:
+            condition = self._coerce_boolean(self.bind_expr(stmt.where))
+            plan = LogicalFilter(condition, plan)
+        exprs: list[BoundExpr] = [BoundColumnRef(row_id, BIGINT, ROW_ID)]
+        names = [ROW_ID]
+        for column, expr in getattr(stmt, "assignments", ()):
+            target = table.column_types[table.column_index(column)]
+            exprs.append(self.bind_cast(self.bind_expr(expr), target.name))
+            names.append(column)
+        return LogicalProject(exprs, names, plan)
 
     def _bind_compound(self, stmt: ast.CompoundSelect) -> LogicalOperator:
         left_binder = Binder(self.context, self.outer, self.ctes)
@@ -209,7 +233,7 @@ class Binder:
         if stmt.from_items:
             plan = self._bind_table_ref(stmt.from_items[0])
             for item in stmt.from_items[1:]:
-                right_plan = self._bind_table_ref_into_new_scope(item)
+                right_plan = self._bind_table_ref(item)
                 plan = LogicalJoin(plan, right_plan, "cross")
         else:
             plan = LogicalTableFunction(
@@ -372,11 +396,6 @@ class Binder:
             )
         raise BinderError(f"unsupported FROM item {type(ref).__name__}")
 
-    def _bind_table_ref_into_new_scope(
-        self, ref: ast.TableRef
-    ) -> LogicalOperator:
-        return self._bind_table_ref(ref)
-
     def _bind_table_function(
         self, ref: ast.TableFunctionRef
     ) -> LogicalOperator:
@@ -402,25 +421,14 @@ class Binder:
     # -- aggregation ------------------------------------------------------------------
 
     def _contains_aggregate(self, expr: ast.Expr) -> bool:
-        if isinstance(expr, ast.FunctionCall):
-            if self.context.functions.has_aggregate(expr.name) and not (
-                self.context.functions.has_scalar(expr.name)
-                and not expr.is_star
-                and not expr.distinct
-                and not self._prefer_aggregate(expr)
-            ):
-                if self.context.functions.has_aggregate(expr.name):
-                    return True
-            return any(self._contains_aggregate(a) for a in expr.args)
-        for child in _ast_children(expr):
-            if self._contains_aggregate(child):
-                return True
-        return False
-
-    def _prefer_aggregate(self, expr: ast.FunctionCall) -> bool:
-        # Names like min/max/count/sum/list are aggregates; a scalar with
-        # the same name only wins when the aggregate cannot apply.
-        return True
+        # Names like min/max/count/sum/list are aggregates even where a
+        # scalar of the same name exists.
+        if isinstance(expr, ast.FunctionCall) and (
+            self.context.functions.has_aggregate(expr.name)
+        ):
+            return True
+        return any(self._contains_aggregate(child)
+                   for child in _ast_children(expr))
 
     def _bind_aggregate(
         self, stmt: ast.SelectStatement, plan: LogicalOperator

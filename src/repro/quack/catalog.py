@@ -18,15 +18,14 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import CatalogError, ExecutionError
-from .types import LogicalType
-from .vector import DataChunk, STANDARD_VECTOR_SIZE, Vector, concat_vectors
-
-_PHYSICAL_DTYPES = {
-    "bool": np.bool_,
-    "int64": np.int64,
-    "float64": np.float64,
-    "object": object,
-}
+from .types import BIGINT, LogicalType
+from .vector import (
+    _PHYSICAL_DTYPES,
+    STANDARD_VECTOR_SIZE,
+    DataChunk,
+    Vector,
+    concat_vectors,
+)
 
 
 class ColumnData:
@@ -176,8 +175,10 @@ class ColumnData:
             position += STANDARD_VECTOR_SIZE
 
 
-class Table:
-    """A named columnar table."""
+class BaseTable:
+    """What both engines' tables share: the schema the binder and the
+    optimizer read, the attached indexes, optimizer statistics, and the
+    tombstones of deleted rows (a row id never moves)."""
 
     def __init__(self, name: str, columns: list[tuple[str, LogicalType]]):
         if not columns:
@@ -188,8 +189,6 @@ class Table:
         lowered = [c.lower() for c in self.column_names]
         if len(set(lowered)) != len(lowered):
             raise CatalogError(f"duplicate column name in table {name!r}")
-        self._columns = [ColumnData(t) for t in self.column_types]
-        self._deleted: list[np.ndarray] = []  # parallels sealed structure
         self._deleted_ids: set[int] = set()
         self.indexes: list["TableIndex"] = []
         #: per-table optimizer statistics (repro.quack.stats.TableStats):
@@ -200,6 +199,42 @@ class Table:
         self.stats = None
         #: rows inserted, updated or deleted since ``stats`` was gathered
         self.changes_since_analyze = 0
+
+    @property
+    def num_columns(self) -> int:
+        return len(self.column_types)
+
+    def total_rows(self) -> int:
+        """Rows stored, deleted ones included: one past the last row id."""
+        raise NotImplementedError
+
+    def num_rows(self) -> int:
+        return self.total_rows() - len(self._deleted_ids)
+
+    def column_index(self, name: str) -> int:
+        lowered = name.lower()
+        for i, col in enumerate(self.column_names):
+            if col.lower() == lowered:
+                return i
+        raise CatalogError(f"column {name!r} not in table {self.name!r}")
+
+    def delete_rows(self, row_ids: Sequence[int]) -> int:
+        before = len(self._deleted_ids)
+        self._deleted_ids.update(int(r) for r in row_ids)
+        deleted = len(self._deleted_ids) - before
+        self.changes_since_analyze += deleted
+        return deleted
+
+    def live_row_ids(self, row_ids: Sequence[int]) -> list[int]:
+        return [int(r) for r in row_ids if int(r) not in self._deleted_ids]
+
+
+class Table(BaseTable):
+    """A named columnar table."""
+
+    def __init__(self, name: str, columns: list[tuple[str, LogicalType]]):
+        super().__init__(name, columns)
+        self._columns = [ColumnData(t) for t in self.column_types]
         #: lazily-built per-row-group zone maps (storage.ZoneMapEntry per
         #: column, one list per sealed segment).  Sealed segments are
         #: immutable, so appends only *extend* this cache — a rewrite
@@ -210,24 +245,8 @@ class Table:
         # entries; same discipline as ColumnData._seal_lock.
         self._zone_lock = threading.Lock()
 
-    # -- metadata -----------------------------------------------------------------
-
-    @property
-    def num_columns(self) -> int:
-        return len(self._columns)
-
-    def num_rows(self) -> int:
-        return len(self._columns[0]) - len(self._deleted_ids)
-
     def total_rows(self) -> int:
         return len(self._columns[0])
-
-    def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, col in enumerate(self.column_names):
-            if col.lower() == lowered:
-                return i
-        raise CatalogError(f"column {name!r} not in table {self.name!r}")
 
     # -- mutation -----------------------------------------------------------------
 
@@ -266,19 +285,19 @@ class Table:
             index.append(vector.to_list(), row_ids.tolist())
         return row_ids
 
-    def delete_rows(self, row_ids: Sequence[int]) -> int:
-        before = len(self._deleted_ids)
-        self._deleted_ids.update(int(r) for r in row_ids)
-        deleted = len(self._deleted_ids) - before
-        self.changes_since_analyze += deleted
-        return deleted
-
-    def update_column(self, name: str, values: list[Any]) -> None:
-        """Rewrite one column in full row order (UPDATE execution path)."""
-        idx = self.column_index(name)
-        if len(values) != self.total_rows():
-            raise ExecutionError("update value count mismatch")
-        self._columns[idx].rewrite(values)
+    def update_rows(self, row_ids: Sequence[int], positions: Sequence[int],
+                    values: Sequence[Sequence[Any]]) -> None:
+        """UPDATE: set column ``positions[k]`` of row ``row_ids[i]`` to
+        ``values[k][i]``.  Each assigned column is rewritten once, keeping
+        its row-group boundaries; then the zone maps are dropped and the
+        indexes rebuilt, once."""
+        everything = np.arange(self.total_rows(), dtype=np.int64)
+        for position, new in zip(positions, values):
+            column = self._columns[position]
+            data = column.gather(everything).to_list()
+            for row_id, value in zip(row_ids, new):
+                data[row_id] = value
+            column.rewrite(data)
         self._zone_cache = []
         for index in self.indexes:
             index.rebuild(self)
@@ -346,7 +365,7 @@ class Table:
         without materializing them (zone-map pruning), and ``columns``
         (table column indices, all when None) picks the columns read, so
         a stored segment of any other column is never decoded."""
-        read = self._read(columns)
+        read, row_id = self._read(columns)
         for seg, offset, count, keep in self.segment_masks():
             if skip_groups and seg in skip_groups:
                 continue
@@ -355,6 +374,8 @@ class Table:
             if keep is not None:
                 vectors = [v.slice(keep) for v in vectors]
                 row_ids = row_ids[keep]
+            if row_id:
+                vectors.append(Vector(BIGINT, row_ids))
             yield DataChunk(vectors), row_ids
 
     def scan_column(self, name: str) -> Iterator[tuple[list, list[int]]]:
@@ -371,15 +392,22 @@ class Table:
         live = np.asarray(row_ids, dtype=np.int64)
         if self._deleted_ids:
             live = np.asarray(self.live_row_ids(live), dtype=np.int64)
-        return DataChunk([col.gather(live) for col in self._read(columns)])
+        read, row_id = self._read(columns)
+        vectors = [col.gather(live) for col in read]
+        if row_id:
+            vectors.append(Vector(BIGINT, live))
+        return DataChunk(vectors)
 
-    def _read(self, columns: Sequence[int] | None) -> list[ColumnData]:
+    def _read(self, columns: Sequence[int] | None
+              ) -> tuple[list[ColumnData], bool]:
+        """The stored columns ``columns`` lists, and whether it ends with
+        the row id (index ``num_columns``, :data:`repro.quack.plan.ROW_ID`)."""
         if columns is None:
-            return self._columns
-        return [self._columns[c] for c in columns]
-
-    def live_row_ids(self, row_ids: Sequence[int]) -> list[int]:
-        return [int(r) for r in row_ids if int(r) not in self._deleted_ids]
+            return self._columns, False
+        row_id = bool(columns) and columns[-1] == self.num_columns
+        if row_id:
+            columns = columns[:-1]
+        return [self._columns[c] for c in columns], row_id
 
 
 class TableIndex:

@@ -15,7 +15,8 @@ index types.
 
 :class:`BaseDatabase` and :class:`BaseConnection` are the engine-neutral
 layer both engines share — registries, statement lifecycle, query log,
-EXPLAIN ANALYZE, settings, DDL and ``INSERT … VALUES`` binding.  The
+EXPLAIN ANALYZE, settings, DDL, ``INSERT … VALUES``, and UPDATE and
+DELETE as plans.  The
 row-store baseline (:mod:`repro.pgsim`) subclasses them and supplies
 only its storage and execution, the same way :class:`Connection` does
 for quack.
@@ -26,8 +27,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
-
-import numpy as np
 
 from ..analysis.config import verification_enabled
 from ..observability import (
@@ -47,12 +46,11 @@ from .binder import _NOT_CONSTANT, Binder, BinderContext, fold_constant
 from .builtins import register_builtins
 from .catalog import Catalog, IndexTypeRegistry, Table
 from .errors import BinderError, CatalogError, ExecutionError, QuackError
-from .executor import ExecutionContext, evaluate, execute_plan
+from .executor import ExecutionContext, execute_plan
 from .functions import FunctionRegistry
 from .optimizer import join_tables, optimize
 from .plan import (
     BoundColumnRef,
-    BoundExpr,
     LogicalMaterializedCTE,
     LogicalOperator,
     LogicalProject,
@@ -65,11 +63,11 @@ from .vector import (
     STANDARD_VECTOR_SIZE,
     DataChunk,
     Vector,
-    boolean_selection,
     concat_chunks,
 )
 
 _SELECTS = (ast.SelectStatement, ast.CompoundSelect)
+_DML = (ast.UpdateStatement, ast.DeleteStatement)
 
 
 @dataclass
@@ -201,12 +199,13 @@ class BaseConnection:
     """The statement lifecycle both engines share.
 
     Parsing, binding, optimizing, statistics, the query log, traces,
-    EXPLAIN [ANALYZE], ANALYZE, SET/SHOW, DDL and ``INSERT … VALUES``
-    live here.  A subclass supplies its engine: how a plan runs into
-    result rows (:meth:`_run_plan`) and under a profiler
-    (:meth:`_run_profiled`), ``INSERT … SELECT`` into its table type
-    (:meth:`_insert_select`, which CTAS also uses), and ``UPDATE`` /
-    ``DELETE`` over bound expressions (:meth:`_update`, :meth:`_delete`).
+    EXPLAIN [ANALYZE], ANALYZE, SET/SHOW, DDL, ``INSERT … VALUES``,
+    ``UPDATE`` and ``DELETE`` live here.  A subclass supplies its engine:
+    how a plan runs into result rows (:meth:`_run_plan`) and under a
+    profiler (:meth:`_run_profiled`), and ``INSERT … SELECT`` into its
+    table type (:meth:`_insert_select`, which CTAS also uses).  Its table
+    type applies an UPDATE's or DELETE's rows (``update_rows``,
+    ``delete_rows``).
     """
 
     #: engine tag on query-log records, traces and JSON plans
@@ -347,22 +346,19 @@ class BaseConnection:
                         ) -> tuple[LogicalOperator, PlanProfiler]:
         """Plan one SELECT and run it with every operator instrumented —
         EXPLAIN ANALYZE in both its forms."""
-        plan = self._plan_explained(stmt)
+        if not isinstance(stmt, _SELECTS):
+            raise BinderError("EXPLAIN ANALYZE supports SELECT statements")
+        plan = self._plan(stmt)
         profiler = PlanProfiler()
         with span("execute"):
             rows = self._run_profiled(plan, profiler)
         _count("executor.rows_returned", rows)
         return plan, profiler
 
-    def _plan_explained(self, stmt: ast.Statement) -> LogicalOperator:
-        if not isinstance(stmt, _SELECTS):
-            raise BinderError("EXPLAIN supports SELECT statements")
-        return self._plan_select(stmt)
-
     # -- engine hooks -----------------------------------------------------------------
 
     def _run_plan(self, plan: LogicalOperator) -> Result:
-        """Execute a planned SELECT into a materialized :class:`Result`."""
+        """Execute a plan to its end into a materialized :class:`Result`."""
         raise NotImplementedError
 
     def _run_profiled(self, plan: LogicalOperator,
@@ -377,21 +373,11 @@ class BaseConnection:
         ``positions[i]``, the rest NULL); returns the row count."""
         raise NotImplementedError
 
-    def _update(self, table: Any, assignments: list[tuple[int, BoundExpr]],
-                where: BoundExpr | None) -> int:
-        """Set each ``(column index, expression)`` on the rows ``where``
-        selects (all rows when None); returns the updated count."""
-        raise NotImplementedError
-
-    def _delete(self, table: Any, where: BoundExpr | None) -> int:
-        """Delete the rows ``where`` selects; returns the deleted count."""
-        raise NotImplementedError
-
     # -- statement dispatch -----------------------------------------------------------
 
     def _execute_statement(self, stmt: ast.Statement) -> Result:
         if isinstance(stmt, _SELECTS):
-            return self._run_plan(self._plan_select(stmt))
+            return self._run_plan(self._plan(stmt))
         if isinstance(stmt, ast.ExplainStatement):
             return self._execute_explain(stmt)
         if isinstance(stmt, ast.CreateTableStatement):
@@ -400,10 +386,8 @@ class BaseConnection:
             return self._execute_create_index(stmt)
         if isinstance(stmt, ast.InsertStatement):
             return self._execute_insert(stmt)
-        if isinstance(stmt, ast.UpdateStatement):
-            return self._execute_update(stmt)
-        if isinstance(stmt, ast.DeleteStatement):
-            return self._execute_delete(stmt)
+        if isinstance(stmt, _DML):
+            return self._execute_dml(stmt)
         if isinstance(stmt, ast.DropStatement):
             return self._execute_drop(stmt)
         if isinstance(stmt, ast.AnalyzeStatement):
@@ -418,8 +402,12 @@ class BaseConnection:
         if stmt.analyze:
             plan, profiler = self._profile_select(stmt.inner)
             text = profiler.render(plan, current_stats())
+        elif isinstance(stmt.inner, (*_SELECTS, *_DML)):
+            text = self._plan(stmt.inner).explain()
         else:
-            text = self._plan_explained(stmt.inner).explain()
+            raise BinderError(
+                "EXPLAIN supports SELECT, UPDATE and DELETE statements"
+            )
         return Result(["explain"], [], [(text,)], plan_text=text)
 
     def _execute_analyze(self, stmt: ast.AnalyzeStatement) -> Result:
@@ -493,7 +481,7 @@ class BaseConnection:
             value = 1
         return Result([name], [], [(value,)])
 
-    # -- SELECT -------------------------------------------------------------------------
+    # -- planning -----------------------------------------------------------------------
 
     def _binder(self) -> Binder:
         return Binder(BinderContext(
@@ -502,10 +490,16 @@ class BaseConnection:
             self.database.types,
         ))
 
-    def _plan_select(self, stmt: ast.SelectStatement) -> LogicalOperator:
+    def _plan(self, stmt: ast.Statement) -> LogicalOperator:
+        """The optimized plan of a SELECT, or the read plan of an UPDATE
+        or DELETE (:meth:`Binder.bind_dml`): both take the same binder,
+        verification, statistics refresh and optimizer."""
         binder = self._binder()
         with span("bind"):
-            plan = binder.bind_select(stmt)
+            if isinstance(stmt, _SELECTS):
+                plan = binder.bind_select(stmt)
+            else:
+                plan = binder.bind_dml(stmt)
             if binder.context.all_ctes:
                 plan = LogicalMaterializedCTE(binder.context.all_ctes, plan)
         if verification_enabled():
@@ -542,7 +536,7 @@ class BaseConnection:
         if stmt.if_not_exists and catalog.has_table(stmt.name):
             return Result()
         if stmt.as_query is not None:
-            plan = self._plan_select(stmt.as_query)
+            plan = self._plan(stmt.as_query)
             table = self.TABLE(
                 stmt.name,
                 list(zip(plan.output_names(), plan.output_types())),
@@ -595,7 +589,7 @@ class BaseConnection:
         targets = [table.column_types[pos] for pos in positions]
         binder = self._binder()
         if stmt.query is not None:
-            plan = self._plan_select(stmt.query)
+            plan = self._plan(stmt.query)
             _check_width(positions, plan.output_types())
             exprs = [
                 binder.bind_cast(BoundColumnRef(i, ltype, name), target.name)
@@ -637,37 +631,24 @@ class BaseConnection:
         table.append_rows(full_rows)
         return len(full_rows)
 
-    def _bind_over_table(self, table: Any, expr: ast.Expr):
-        binder = self._binder()
-        for name, ltype in zip(table.column_names, table.column_types):
-            binder.scope.add(table.name, name, ltype)
-        return binder.bind_expr(expr), binder
-
-    def _bind_where(self, table: Any,
-                    where: ast.Expr | None) -> BoundExpr | None:
-        if where is None:
-            return None
-        return self._bind_over_table(table, where)[0]
-
-    def _execute_update(self, stmt: ast.UpdateStatement) -> Result:
+    def _execute_dml(
+        self, stmt: ast.UpdateStatement | ast.DeleteStatement
+    ) -> Result:
+        """UPDATE and DELETE run their read plan to its end before the
+        first write, so no statement reads what it wrote (Halloween-safe);
+        the table then applies the row ids and, for an UPDATE, the new
+        values."""
         table = self.database.catalog.get_table(stmt.table)
-        assignments = []
-        for column, expr in stmt.assignments:
-            bound, binder = self._bind_over_table(table, expr)
-            index = table.column_index(column)
-            target_type = table.column_types[index]
-            if bound.ltype != target_type:
-                bound = binder.bind_cast(bound, target_type.name)
-            assignments.append((index, bound))
-        updated = self._update(table, assignments,
-                               self._bind_where(table, stmt.where))
-        table.changes_since_analyze += updated
-        return Result(["Count"], [], [(updated,)])
-
-    def _execute_delete(self, stmt: ast.DeleteStatement) -> Result:
-        table = self.database.catalog.get_table(stmt.table)
-        deleted = self._delete(table, self._bind_where(table, stmt.where))
-        return Result(["Count"], [], [(deleted,)])
+        rows = self._run_plan(self._plan(stmt)).rows
+        if isinstance(stmt, ast.DeleteStatement):
+            count = table.delete_rows([row[0] for row in rows])
+            return Result(["Count"], [], [(count,)])
+        if rows:
+            row_ids, *values = zip(*rows)
+            positions = [table.column_index(c) for c, _ in stmt.assignments]
+            table.update_rows(row_ids, positions, values)
+        table.changes_since_analyze += len(rows)
+        return Result(["Count"], [], [(len(rows),)])
 
 
 class Connection(BaseConnection):
@@ -777,44 +758,3 @@ class Connection(BaseConnection):
         _count("executor.result_chunks", len(chunks))
         _count("executor.rows_returned", count)
         return count
-
-    def _update(self, table: Table, assignments: list[tuple[int, BoundExpr]],
-                where: BoundExpr | None) -> int:
-        # Compute new full-column value lists.
-        total = table.total_rows()
-        new_values: dict[int, list] = {
-            index: table._columns[index]
-            .gather(np.arange(total, dtype=np.int64))
-            .to_list()
-            for index, _ in assignments
-        }
-        ctx = ExecutionContext()
-        updated = 0
-        for chunk, row_ids in table.scan():
-            if where is not None:
-                mask = boolean_selection(evaluate(where, chunk, ctx))
-            else:
-                mask = np.ones(chunk.count, dtype=np.bool_)
-            if not mask.any():
-                continue
-            targets = row_ids[mask].tolist()
-            for index, bound in assignments:
-                values = evaluate(bound, chunk, ctx).slice(mask).to_list()
-                column_values = new_values[index]
-                for row_id, value in zip(targets, values):
-                    column_values[row_id] = value
-            updated += int(mask.sum())
-        for index, values in new_values.items():
-            table.update_column(table.column_names[index], values)
-        return updated
-
-    def _delete(self, table: Table, where: BoundExpr | None) -> int:
-        ctx = ExecutionContext()
-        to_delete: list[int] = []
-        for chunk, row_ids in table.scan():
-            if where is None:
-                to_delete.extend(int(r) for r in row_ids)
-                continue
-            mask = boolean_selection(evaluate(where, chunk, ctx))
-            to_delete.extend(int(row_ids[i]) for i in np.nonzero(mask)[0])
-        return table.delete_rows(to_delete)

@@ -543,37 +543,25 @@ def _crosscheck_pruned_groups(op: LogicalGet, skip: set[int],
     from ..analysis.errors import VerificationError
 
     table = op.table
-    offset = 0
-    for seg in range(table._columns[0].segment_count()):
-        count = table._columns[0].segment_rows(seg)
+    for seg, _, _, keep in table.segment_masks():
         if seg not in skip:
-            offset += count
             continue
         chunk = DataChunk(
             [col.segment_vector(seg) for col in table._columns]
         )
-        live = np.fromiter(
-            ((offset + i) not in table._deleted_ids
-             for i in range(count)),
-            dtype=np.bool_,
-            count=count,
-        )
         for pred in op.prune:
-            if pred.expr is None:
-                continue
-            if not _storage.zone_map_prunes(
+            if pred.expr is None or not _storage.zone_map_prunes(
                 zone_maps[seg][pred.column], pred.op_name, pred.constant
             ):
                 continue
             mask = boolean_selection(evaluate(pred.expr, chunk, ctx))
-            if bool(np.logical_and(mask, live).any()):
+            if (mask if keep is None else mask & keep).any():
                 raise VerificationError(
                     f"zone map pruned row group {seg} of "
                     f"{table.name}, but a live row satisfies "
                     f"{pred.op_name} on column {pred.column}"
                 )
         _count("verify.zonemap_crosschecks")
-        offset += count
 
 
 # -- streaming fragments (filter/project chains) ------------------------------

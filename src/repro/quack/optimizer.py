@@ -57,6 +57,7 @@ from .plan import (
     LogicalSort,
     PrunePredicate,
     cost_class,
+    split_conjuncts,
 )
 from . import stats as table_stats
 from . import storage
@@ -138,7 +139,7 @@ def _flatten(
         width = len(op.left.output_types())
         on = left_on + [_rebase(conj, width) for conj in right_on]
         if op.residual is not None:
-            on.extend(_split_conjuncts(op.residual))
+            on.extend(split_conjuncts(op.residual))
         return left_leaves + right_leaves, on
     return [op], []
 
@@ -257,7 +258,7 @@ class _Optimizer:
     def _rewrite_filter_inner(self, op: LogicalOperator) -> LogicalOperator:
         if isinstance(op, LogicalFilter):
             leaves, conjuncts = _flatten(op.child)
-            conjuncts += _split_conjuncts(op.condition)
+            conjuncts += split_conjuncts(op.condition)
         else:
             leaves, conjuncts = _flatten(op)
         if len(leaves) == 1:
@@ -502,7 +503,8 @@ class _Optimizer:
                     if index.matches(op_name, column_name, constant):
                         self._fire("index_scan_injection")
                         scan = LogicalIndexScan(
-                            leaf.table, index, op_name, constant
+                            leaf.table, index, op_name, constant,
+                            columns=leaf.columns,
                         )
                         # Keep every conjunct (including the matched one)
                         # as a recheck filter: exact and cheap on the
@@ -816,7 +818,7 @@ def _estimate_conjunct(conj: BoundExpr,
     resolved by ``resolver`` (flat column index → ColumnStats)."""
     if isinstance(conj, BoundConjunction):
         if conj.op == "AND":
-            return _estimate_and(_split_conjuncts(conj), resolver)
+            return _estimate_and(split_conjuncts(conj), resolver)
         miss = 1.0
         for arg in conj.args:
             miss *= 1.0 - _estimate_conjunct(arg, resolver)
@@ -937,15 +939,6 @@ def _estimate_and(conjuncts: list[BoundExpr],
 # ---------------------------------------------------------------------------
 # Expression utilities
 # ---------------------------------------------------------------------------
-
-
-def _split_conjuncts(expr: BoundExpr) -> list[BoundExpr]:
-    if isinstance(expr, BoundConjunction) and expr.op == "AND":
-        out: list[BoundExpr] = []
-        for arg in expr.args:
-            out.extend(_split_conjuncts(arg))
-        return out
-    return [expr]
 
 
 def _combine(conjuncts: list[BoundExpr]) -> BoundExpr:

@@ -17,7 +17,7 @@ from .catalog import Table, TableIndex
 from .errors import ExecutionError
 from .functions import AggregateFunction, CastFunction, ScalarFunction
 from .keys import row_key
-from .types import LogicalType
+from .types import BIGINT, LogicalType
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,13 @@ def _children(expr: BoundExpr) -> list[BoundExpr]:
         operand = [] if expr.operand is None else [expr.operand]
         return [*expr.outer_params_exprs, *operand]
     return []
+
+
+def split_conjuncts(expr: BoundExpr) -> list[BoundExpr]:
+    """The operands of a (nested) AND, or the expression itself."""
+    if isinstance(expr, BoundConjunction) and expr.op == "AND":
+        return [c for arg in expr.args for c in split_conjuncts(arg)]
+    return [expr]
 
 
 def cost_class(expr: BoundExpr) -> int:
@@ -283,14 +290,14 @@ class LogicalOperator:
     def children(self) -> list["LogicalOperator"]:
         return []
 
-    def explain(self, indent: int = 0) -> str:
-        label = self._explain_label()
-        if self.estimated_rows is not None:
-            label += f" (est={self.estimated_rows})"
-        lines = [" " * indent + label]
-        for child in self.children():
-            lines.append(child.explain(indent + 2))
-        return "\n".join(lines)
+    def explain(self) -> str:
+        return "\n".join(
+            head + op._explain_label() + (
+                "" if op.estimated_rows is None
+                else f" (est={op.estimated_rows})"
+            )
+            for head, op in plan_lines(self)
+        )
 
     def _explain_label(self) -> str:
         return type(self).__name__.replace("Logical", "").upper()
@@ -313,10 +320,17 @@ class PrunePredicate:
     expr: Any = None
 
 
+#: The row-id pseudo-column, a BIGINT: index ``len(table.column_types)``
+#: in a scan's ``columns``.  Only UPDATE's and DELETE's plans read it.
+ROW_ID = "rowid"
+
+
 class _ScanColumns:
     """The table columns a scan emits: ``columns`` lists them by table
     column index (the required-columns rule sets it); ``None`` is every
-    column in table order."""
+    column in table order.  The row id (:data:`ROW_ID`), when listed, is
+    the last column: the binder lists it last, and pruning keeps the
+    order."""
 
     columns: tuple[int, ...] | None
 
@@ -326,17 +340,24 @@ class _ScanColumns:
             return tuple(range(len(self.table.column_types)))
         return self.columns
 
+    @property
+    def reads_row_id(self) -> bool:
+        return (self.columns is not None
+                and self.columns[-1] == len(self.table.column_types))
+
     def output_types(self) -> list[LogicalType]:
         types = self.table.column_types
         if self.columns is None:
             return list(types)
-        return [types[c] for c in self.columns]
+        return [types[c] if c < len(types) else BIGINT
+                for c in self.columns]
 
     def output_names(self) -> list[str]:
         names = self.table.column_names
         if self.columns is None:
             return list(names)
-        return [names[c] for c in self.columns]
+        return [names[c] if c < len(names) else ROW_ID
+                for c in self.columns]
 
 
 @dataclass
@@ -699,3 +720,32 @@ def operator_exprs(op: LogicalOperator):
         width = len(op.child.output_types())
         for key, _, _ in op.keys:
             yield key, width
+
+
+def plan_lines(op: LogicalOperator, indent: int = 0,
+               prefix: str = "") -> Iterator[tuple[str, LogicalOperator]]:
+    """``(head, operator)`` per line of a printed plan: the operator,
+    then the plans of the subqueries in its expressions (their roots
+    marked ``SUBQUERY``), then its children, each two spaces in."""
+    yield " " * indent + prefix, op
+    for plan in subquery_plans(op):
+        yield from plan_lines(plan, indent + 2, "SUBQUERY ")
+    for child in op.children():
+        yield from plan_lines(child, indent + 2)
+
+
+def subquery_plans(op: LogicalOperator) -> list[LogicalOperator]:
+    """The plans of the subqueries in ``op``'s own expressions, in
+    expression order (a subquery nested in one of them belongs to its
+    plan)."""
+    plans: list[LogicalOperator] = []
+
+    def visit(expr: BoundExpr) -> None:
+        if isinstance(expr, BoundSubqueryExpr):
+            plans.append(expr.plan)
+        for child in _children(expr):
+            visit(child)
+
+    for expr, _ in operator_exprs(op):
+        visit(expr)
+    return plans

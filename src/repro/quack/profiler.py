@@ -25,6 +25,9 @@ Rendered text, DuckDB-style::
       FILTER                     (rows=120, 2.1ms)
         SEQ_SCAN trips           (rows=5000, 0.4ms)
 
+The plan of a subquery prints under the operator whose expression holds
+it, its root marked ``SUBQUERY``, before the operator's input.
+
 Timing is inclusive of children (each operator's clock runs while it
 waits on its input), so the root time is the query's total.
 :meth:`PlanProfiler.to_dict` is the ``format="json"`` structured tree.
@@ -46,6 +49,8 @@ from .plan import (
     LogicalIndexScan,
     LogicalMaterializedCTE,
     LogicalOperator,
+    plan_lines,
+    subquery_plans,
 )
 
 
@@ -115,15 +120,10 @@ class PlanProfiler:
             if counters:
                 lines.append(f"COUNTERS {counters}")
 
-        def visit(op: LogicalOperator, indent: int) -> None:
-            lines.append(
-                f"{' ' * indent}{op._explain_label()}  "
-                f"{self._annotation(op)}"
-            )
-            for child in op.children():
-                visit(child, indent + 2)
-
-        visit(plan, 0)
+        lines.extend(
+            f"{head}{op._explain_label()}  {self._annotation(op)}"
+            for head, op in plan_lines(plan)
+        )
         return "\n".join(lines)
 
     def trace_dict(self, plan: LogicalOperator,
@@ -159,6 +159,9 @@ class PlanProfiler:
                 node["kernel"] = kernel
             if metrics:
                 node["metrics"] = metrics
+            subqueries = subquery_plans(op)
+            if subqueries:
+                node["subqueries"] = [visit(plan) for plan in subqueries]
             node["children"] = [visit(child) for child in op.children()]
             return node
 

@@ -18,7 +18,6 @@ import dataclasses
 from .optimizer import _remap, _with
 from .plan import (
     BoundExpr,
-    BoundSubqueryExpr,
     LogicalAggregate,
     LogicalCTERef,
     LogicalFilter,
@@ -30,9 +29,9 @@ from .plan import (
     LogicalOperator,
     LogicalProject,
     LogicalSort,
-    _children,
     cost_class,
     operator_exprs,
+    subquery_plans,
 )
 
 #: old output index → new output index, for every surviving column
@@ -97,8 +96,7 @@ class _Pruner:
               required: set[int]) -> tuple[LogicalOperator, Remap]:
         if self.collecting:
             # Builds nothing: what reaches each CTE scan is all it needs.
-            for expr, _ in operator_exprs(op):
-                _read_subquery_ctes(expr, self.cte_reads)
+            _read_subquery_ctes(op, self.cte_reads)
             if isinstance(op, (LogicalGet, LogicalIndexScan)):
                 return op, {}
         if isinstance(op, (LogicalGet, LogicalIndexScan)):
@@ -245,20 +243,15 @@ class _Pruner:
         return _with(op, ctes=ctes, child=child), remap
 
 
-def _read_subquery_ctes(expr: BoundExpr,
+def _read_subquery_ctes(op: LogicalOperator,
                         reads: dict[int, set[int]]) -> None:
-    """Subquery plans stay as bound: every CTE one of them scans in
-    ``expr`` is read whole."""
-    if isinstance(expr, BoundSubqueryExpr):
-        stack = [expr.plan]
-        while stack:
-            op = stack.pop()
-            if isinstance(op, LogicalCTERef):
-                reads.setdefault(op.cte_id, set()).update(
-                    range(len(op.types))
-                )
-            for inner, _ in operator_exprs(op):
-                _read_subquery_ctes(inner, reads)
-            stack.extend(op.children())
-    for child in _children(expr):
-        _read_subquery_ctes(child, reads)
+    """Subquery plans stay as bound: every CTE that a subquery in
+    ``op``'s expressions scans, at any depth, is read whole."""
+    stack = subquery_plans(op)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LogicalCTERef):
+            reads.setdefault(node.cte_id, set()).update(
+                range(len(node.types))
+            )
+        stack.extend([*subquery_plans(node), *node.children()])

@@ -425,3 +425,31 @@ class TestOneRecordingChannel:
                      filename="context.py") == []
         assert codes(src, module="repro.pgsim.database",
                      filename="database.py") == ["ANL012"]
+
+
+class TestOneExecutorPath:
+    def test_context_outside_connections_flagged(self):
+        src = """
+            from .profiler import ExecutionContext
+            from . import profiler
+
+            def delete(table, where):
+                ctx = ExecutionContext()
+                other = profiler.ExecutionContext(profiler=None)
+                return ctx, other
+        """
+        assert codes(src) == ["ANL013", "ANL013"]
+        assert codes(src, module="repro.core.extension",
+                     filename="extension.py") == ["ANL013", "ANL013"]
+
+    def test_connections_build_contexts(self):
+        src = """
+            from .profiler import ExecutionContext
+
+            def run(plan, profiler):
+                return ExecutionContext(profiler=profiler)
+        """
+        assert codes(src, module="repro.quack.database",
+                     filename="database.py") == []
+        assert codes(src, module="repro.pgsim.database",
+                     filename="database.py") == []

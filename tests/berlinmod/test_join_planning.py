@@ -31,7 +31,7 @@ def con(request, city):
 
 
 def _plan(con, number):
-    return con._plan_select(parse_sql(get_query(number).sql)[0])
+    return con._plan(parse_sql(get_query(number).sql)[0])
 
 
 def _nodes(op):

@@ -122,7 +122,7 @@ class TestEngineWork:
         from repro.quack.sql.parser import parse_sql
 
         sql = get_query(10).sql
-        plan = duck._plan_select(parse_sql(sql)[0])
+        plan = duck._plan(parse_sql(sql)[0])
         tree = duck.explain_analyze(sql, format="json")
         joins = list(_joins(plan, tree["plan"]))
         assert len(joins) == 3

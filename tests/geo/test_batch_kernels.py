@@ -848,5 +848,5 @@ def test_conjunct_order_is_unchanged(city, scenario):
     if scenario == "mobilitydb_idx":
         orders.update(CONJUNCT_ORDER_INDEXED)
     for number, expected in orders.items():
-        plan = con._plan_select(parse_sql(get_query(number).sql)[0])
+        plan = con._plan(parse_sql(get_query(number).sql)[0])
         assert _conjunctions(plan, []) == expected, f"Q{number}"

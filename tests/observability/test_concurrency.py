@@ -24,7 +24,7 @@ from repro.quack.sql import parse_sql
 
 def _quack_plan(con, sql):
     (stmt,) = parse_sql(sql)
-    return con._plan_select(stmt)
+    return con._plan(stmt)
 
 
 class TestInterleavedGenerators:
@@ -73,8 +73,8 @@ class TestInterleavedGenerators:
         )
         (stmt_a,) = parse_sql("SELECT a FROM t WHERE a <= 200")
         (stmt_b,) = parse_sql("SELECT a FROM t WHERE a <= 10")
-        plan_a = con._plan_select(stmt_a)
-        plan_b = con._plan_select(stmt_b)
+        plan_a = con._plan(stmt_a)
+        plan_b = con._plan(stmt_b)
 
         prof_a, prof_b = PlanProfiler(), PlanProfiler()
         gen_a = execute_rows(plan_a, ExecutionContext(profiler=prof_a))

@@ -1,0 +1,205 @@
+"""UPDATE and DELETE are plans: ``PROJECTION [rowid, new values] /
+FILTER / SEQ_SCAN``, bound, optimized and run like a SELECT on both
+engines, then applied by the table.
+
+So a WHERE that SELECT prunes by zone map or answers by index scan is
+pruned or index-scanned here too, a SET expression runs only on the
+rows the WHERE keeps, and EXPLAIN prints the plan.  The statements that
+read the table they write, correlated subqueries in SET, indexed and
+attached tables are checked against pgsim's rows."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import core
+from repro.pgsim import RowDatabase
+from repro.quack import Database
+from repro.quack.errors import BinderError
+
+ENGINES = {"quack": Database, "pgsim": RowDatabase}
+
+
+@pytest.fixture(params=sorted(ENGINES))
+def con(request):
+    return ENGINES[request.param]().connect()
+
+
+def _rows(con, table: str = "t") -> list[tuple]:
+    return sorted(con.execute(f"SELECT * FROM {table}").fetchall(),
+                  key=repr)
+
+
+def _on_both(*statements: str, setup=()) -> list[tuple]:
+    """Run ``setup`` then ``statements`` on each engine; the final rows
+    of ``t``, equal on both."""
+    results = []
+    for database in (Database, RowDatabase):
+        con = database().connect()
+        for sql in (*setup, *statements):
+            con.execute(sql)
+        results.append(_rows(con))
+    quack, pgsim = results
+    assert quack == pgsim
+    return quack
+
+
+def _six_thousand(con) -> None:
+    """6,000 rows in three row groups, ``a`` ascending."""
+    con.execute("CREATE TABLE t(a BIGINT, b BIGINT)")
+    con.execute("INSERT INTO t SELECT i, i % 7 "
+                "FROM generate_series(1, 6000) AS g(i)")
+
+
+class TestSetRunsOnKeptRows:
+    def test_set_cast_skips_rows_the_where_rejects(self, con):
+        con.execute("CREATE TABLE t(a BIGINT, s VARCHAR)")
+        con.execute("INSERT INTO t VALUES (1, '5'), (2, 'x')")
+        result = con.execute(
+            "UPDATE t SET a = CAST(s AS BIGINT) WHERE s <> 'x'"
+        )
+        assert result.fetchall() == [(1,)]
+        assert _rows(con) == [(2, "x"), (5, "5")]
+
+
+class TestWherePlansLikeSelect:
+    def test_delete_skips_row_groups(self):
+        con = Database().connect()
+        _six_thousand(con)
+        select = con.execute("SELECT count(*) FROM t WHERE a < 100").stats()
+        stats = con.execute("DELETE FROM t WHERE a < 100").stats()
+        assert select.counter("storage.rowgroups_skipped") == 2
+        assert stats.counter("storage.rowgroups_skipped") == 2
+        assert con.execute("SELECT count(*) FROM t").scalar() == 6000 - 99
+
+    def test_update_skips_row_groups(self):
+        con = Database().connect()
+        _six_thousand(con)
+        stats = con.execute("UPDATE t SET b = -1 WHERE a > 5990").stats()
+        assert stats.counter("storage.rowgroups_skipped") == 2
+        assert con.execute(
+            "SELECT min(a), count(*) FROM t WHERE b = -1"
+        ).fetchall() == [(5991, 10)]
+
+    def test_pgsim_delete_scans_the_index(self):
+        con = RowDatabase().connect()
+        _six_thousand(con)
+        con.execute("CREATE INDEX ta ON t USING BTREE(a)")
+        stats = con.execute("DELETE FROM t WHERE a = 5").stats()
+        assert stats.counter("executor.index_scans") == 1
+        assert con.execute(
+            "SELECT count(*) FROM t WHERE a BETWEEN 4 AND 6"
+        ).scalar() == 2
+
+    def test_explain_pushes_the_filter_into_the_scan(self):
+        con = Database().connect()
+        _six_thousand(con)
+        assert con.explain("DELETE FROM t WHERE a < 100").splitlines() == [
+            "PROJECTION [rowid]",
+            "  FILTER",
+            "    SEQ_SCAN t [zonemap: a <]",
+        ]
+        assert con.explain(
+            "UPDATE t SET b = a + 1 WHERE a > 5990"
+        ).splitlines() == [
+            "PROJECTION [rowid, b]",
+            "  FILTER",
+            "    SEQ_SCAN t [zonemap: a >]",
+        ]
+        row = RowDatabase().connect()
+        _six_thousand(row)
+        row.execute("CREATE INDEX ta ON t USING BTREE(a)")
+        assert row.explain("DELETE FROM t WHERE a = 5").splitlines() == [
+            "PROJECTION [rowid]",
+            "  FILTER",
+            "    BTREE_INDEX_SCAN t (a = …)",
+        ]
+
+    def test_explain_analyze_of_dml_is_refused(self, con):
+        con.execute("CREATE TABLE t(a BIGINT)")
+        with pytest.raises(BinderError, match="SELECT"):
+            con.execute("EXPLAIN ANALYZE UPDATE t SET a = 1")
+        assert _rows(con) == []
+
+
+class TestAgainstPgsim:
+    SETUP = (
+        "CREATE TABLE t(a BIGINT, b BIGINT, s VARCHAR)",
+        "INSERT INTO t SELECT i, i % 5, 'r' || i "
+        "FROM generate_series(1, 30) AS g(i)",
+    )
+
+    def test_update_after_delete(self):
+        rows = _on_both(
+            "DELETE FROM t WHERE a % 3 = 0",
+            "UPDATE t SET b = a * 10, s = s || '!' WHERE a > 20",
+            setup=self.SETUP,
+        )
+        assert len(rows) == 20
+        assert (22, 220, "r22!") in rows and (21, 1, "r21") not in rows
+        assert (20, 0, "r20") in rows
+
+    def test_delete_reads_the_table_it_writes(self):
+        rows = _on_both(
+            "DELETE FROM t WHERE a IN (SELECT a FROM t WHERE b = 0)",
+            "DELETE FROM t WHERE a > (SELECT avg(a) FROM t)",
+            setup=self.SETUP,
+        )
+        # 24 rows survive the first delete, averaging 15.5
+        assert [row[0] for row in sorted(rows)] == [
+            a for a in range(1, 16) if a % 5
+        ]
+
+    def test_correlated_subquery_in_set(self):
+        rows = _on_both(
+            "CREATE TABLE u(k BIGINT, y BIGINT)",
+            "INSERT INTO u VALUES (1, 5), (1, 7), (2, 3), (40, 1)",
+            "UPDATE t SET b = (SELECT max(y) FROM u WHERE u.k = t.a) "
+            "WHERE a < 4",
+            setup=self.SETUP,
+        )
+        assert [row[:2] for row in sorted(rows)[:4]] == [
+            (1, 7), (2, 3), (3, None), (4, 4)
+        ]
+
+    def test_two_column_set_on_an_indexed_table(self):
+        box = ("CAST('STBOX X((' || {0} || ',' || {0} || '),(' || "
+               "({0} + 1) || ',' || ({0} + 1) || '))' AS STBOX)")
+        probe = ("SELECT id FROM t WHERE b && "
+                 "STBOX 'STBOX X((104,104),(112,112))' ORDER BY id")
+        results = []
+        for con, index in ((core.connect(), "TRTREE"),
+                           (core.connect_baseline(), "GIST")):
+            con.execute("CREATE TABLE t(id BIGINT, b STBOX)")
+            con.execute(f"INSERT INTO t SELECT i, {box.format('i')} "
+                        "FROM generate_series(1, 40) AS g(i)")
+            con.execute(f"CREATE INDEX tb ON t USING {index}(b)")
+            con.execute(
+                f"UPDATE t SET id = id + 1000, b = {box.format('id + 100')} "
+                "WHERE b && STBOX 'STBOX X((5,5),(20,20))'"
+            )
+            assert f"{index}_INDEX_SCAN" in con.explain(probe)
+            results.append(con.execute(probe).fetchall())
+        quack, pgsim = results
+        assert quack == pgsim == [(1000 + i,) for i in range(4, 13)]
+
+    def test_attached_table_round_trips(self, tmp_path):
+        path = tmp_path / "dml.quackdb"
+        con = Database().connect()
+        for sql in self.SETUP:
+            con.execute(sql)
+        con.execute(f"CHECKPOINT '{path}'")
+        statements = (
+            "DELETE FROM t WHERE b = 1",
+            "UPDATE t SET s = 'u' || a, b = b + 100 WHERE a > 12",
+        )
+        attached = Database().connect()
+        attached.execute(f"ATTACH '{path}'")
+        for sql in statements:
+            attached.execute(sql)
+        attached.execute("CHECKPOINT")
+        reopened = Database().connect()
+        reopened.execute(f"ATTACH '{path}'")
+        rows = _on_both(*statements, setup=self.SETUP)
+        assert _rows(attached) == _rows(reopened) == rows
+        assert (13, 103, "u13") in rows and len(rows) == 24

@@ -476,7 +476,7 @@ class TestSpatialRTreeIndexJoin:
         con = self._fill(core.connect())
         con.execute("CREATE INDEX zidx ON zones USING RTREE(g)")
         with from_order():
-            plan = con._plan_select(parse_sql(self.SQL)[0])
+            plan = con._plan(parse_sql(self.SQL)[0])
         join = plan
         while not isinstance(join, LogicalJoin):
             join = join.children()[0]

@@ -132,7 +132,7 @@ class TestDifferential:
 
 
 def _plan(con, sql):
-    return con._plan_select(parse_sql(sql)[0])
+    return con._plan(parse_sql(sql)[0])
 
 
 def _scans(plan):

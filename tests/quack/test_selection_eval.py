@@ -274,7 +274,7 @@ def test_counters_are_recorded_and_rendered():
 
 
 def _filter_condition(con, sql):
-    plan = con._plan_select(parse_sql(sql)[0])
+    plan = con._plan(parse_sql(sql)[0])
     while not hasattr(plan, "condition"):
         plan = plan.children()[0]
     return plan.condition

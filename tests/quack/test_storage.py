@@ -103,14 +103,26 @@ class TestTable:
         chunk = table.fetch(np.array([1, 2, 3], dtype=np.int64))
         assert chunk.rows() == [(1, "r"), (3, "r")]
 
-    def test_update_column(self):
+    def test_update_rows(self):
         table = self._table()
-        table.append_rows([(1, "x"), (2, "y")])
-        table.update_column("b", ["X", "Y"])
+        table.append_rows([(1, "x"), (2, "y"), (3, "z")])
+        table.update_rows([0, 2], [1, 0], [["X", "Z"], [10, 30]])
         rows = []
         for chunk, _ in table.scan():
             rows.extend(chunk.rows())
-        assert rows == [(1, "X"), (2, "Y")]
+        assert rows == [(10, "X"), (2, "y"), (30, "Z")]
+
+    def test_scan_and_fetch_emit_row_ids_last(self):
+        table = self._table()
+        table.append_rows([(i, "r") for i in range(5)])
+        table.delete_rows([2])
+        row_id = table.num_columns
+        (chunk, row_ids), = table.scan(columns=(1, row_id))
+        assert chunk.rows() == [("r", i) for i in (0, 1, 3, 4)]
+        assert row_ids.tolist() == [0, 1, 3, 4]
+        fetched = table.fetch(np.array([1, 2, 3], dtype=np.int64),
+                              (0, row_id))
+        assert fetched.rows() == [(1, 1), (3, 3)]
 
     def test_column_index_case_insensitive(self):
         table = self._table()
