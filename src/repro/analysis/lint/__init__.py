@@ -5,8 +5,9 @@ Rules (all reported as ``path:line:col CODE message``):
 ========  ==========================================================
 ANL001    bare ``except:`` clause
 ANL002    ``raise KernelFallback`` outside the kernel modules
-ANL004    cross-engine import (pgsim ↔ quack internals, or an engine
-          import from the observability layer)
+ANL004    cross-engine import (pgsim ↔ quack internals, an engine
+          import from the observability layer, or quack importing an
+          extension package: ``repro.core``/``index``/``geo``/``meos``)
 ANL005    mutation of a ``Vector``'s ``data``/``validity`` payload
           outside the owning module
 ANL006    ``evaluate_batch`` registration without a reachable scalar

@@ -23,7 +23,8 @@ _KERNEL_FALLBACK_MODULES = frozenset({
 #: quack submodules the pgsim row engine imports: the shared connection
 #: layer (``database``, which owns parsing, binding and optimizing), the
 #: plan it executes, the profiler both executors report to, the catalog's
-#: index-type registration, errors, types and the shared key helpers.
+#: index-type registration, errors, types, the shared key helpers and
+#: the one box rule.
 #: Executor internals — kernels, vectors, the chunk executor — are
 #: quack-private.
 _PGSIM_ALLOWED_QUACK = frozenset({
@@ -34,10 +35,15 @@ _PGSIM_ALLOWED_QUACK = frozenset({
     "database",
     "profiler",
     "keys",
+    "boxes",
 })
 
 #: Module owning the Vector payload (may mutate data/validity freely).
 _VECTOR_OWNER_MODULES = frozenset({"repro.quack.vector"})
+#: What the engine may not import (``repro.meos.timetypes`` aside, the
+#: date and time I/O): the payload types live outside it.
+_EXTENSION_PACKAGES = frozenset({"repro.core", "repro.index", "repro.geo",
+                                 "repro.meos"})
 
 #: The one quack module allowed to touch the filesystem (ANL011).  All
 #: persistence, spill, and CSV I/O routes through its ``open_path`` /
@@ -209,6 +215,13 @@ class _Checker:
                 return (
                     f"quack imports pgsim ({target}): the columnar "
                     f"engine must not depend on the row engine"
+                )
+            package = ".".join(target.split(".")[:2])
+            if package in _EXTENSION_PACKAGES and not target.startswith(
+                    "repro.meos.timetypes"):
+                return (
+                    f"quack imports an extension package ({target}): "
+                    f"the engine reads payloads duck-typed"
                 )
         elif module.startswith("repro.observability"):
             for engine in ("repro.quack", "repro.pgsim"):

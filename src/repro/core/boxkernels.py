@@ -6,12 +6,12 @@ supplies the columnar half of that claim: views of the payloads in an
 object vector, extracted once per distinct payload and cached on the
 :class:`~repro.quack.vector.Vector` that owns them (a gather of a
 stored column asks the column) — the bounding boxes as
-struct-of-arrays (:class:`BoxSoA`), the coordinates of geometries in
-CSR layout (:class:`~repro.geo.GeomCSR`), the instants of temporal
-points in CSR layout (:class:`~repro.meos.kernels.TempCSR`, from which
-their boxes and trajectories derive as arrays) and time spans as bound
-arrays — and ``evaluate_batch`` kernels for ``&&`` / ``@>`` / ``<@``
-between stboxes, temporal points, time spans and stboxes, for
+struct-of-arrays (:class:`~repro.quack.boxes.BoxSoA`), the coordinates
+of geometries in CSR layout (:class:`~repro.geo.GeomCSR`), the instants
+of temporal points in CSR layout (:class:`~repro.meos.kernels.TempCSR`,
+from which their boxes and trajectories derive as arrays) and time
+spans as bound arrays — and ``evaluate_batch`` kernels for ``&&`` /
+``@>`` / ``<@`` between stboxes, temporal points, time spans and stboxes, for
 ``eIntersects``, and for ``atTime`` / ``length`` / ``eDwithin`` /
 ``tDwithin``.
 
@@ -35,54 +35,10 @@ from .. import geo
 from ..meos import STBox
 from ..meos import kernels as temporal
 from ..observability import count as _count
+from ..quack.boxes import BoxSoA
 from ..quack.kernels import distinct_rows
 from ..quack.types import BOOLEAN, LogicalType
 from ..quack.vector import Vector, ViewVector
-
-
-class BoxSoA:
-    """Struct-of-arrays bounding boxes for one object vector.
-
-    ``ok[i]`` is True when row ``i`` held a value with a usable bounding
-    box; spatial/time bounds are float64 (NaN when the dimension is
-    absent, with ``has_x``/``has_t`` as the authoritative masks).
-    """
-
-    __slots__ = ("ok", "has_x", "has_t", "xmin", "ymin", "xmax", "ymax",
-                 "tmin", "tmax", "srid")
-
-    def __init__(self, count: int):
-        self.ok = np.zeros(count, dtype=np.bool_)
-        self.has_x = np.zeros(count, dtype=np.bool_)
-        self.has_t = np.zeros(count, dtype=np.bool_)
-        self.xmin = np.full(count, np.nan)
-        self.ymin = np.full(count, np.nan)
-        self.xmax = np.full(count, np.nan)
-        self.ymax = np.full(count, np.nan)
-        self.tmin = np.full(count, np.nan)
-        self.tmax = np.full(count, np.nan)
-        self.srid = np.zeros(count, dtype=np.int64)
-
-    def fill(self, i: int, box: STBox) -> None:
-        self.ok[i] = True
-        if box.has_x:
-            self.has_x[i] = True
-            self.xmin[i] = box.xmin
-            self.ymin[i] = box.ymin
-            self.xmax[i] = box.xmax
-            self.ymax[i] = box.ymax
-        if box.has_t:
-            self.has_t[i] = True
-            self.tmin[i] = float(box.tspan.lower)
-            self.tmax[i] = float(box.tspan.upper)
-        self.srid[i] = box.srid
-
-    def take(self, rows: np.ndarray) -> "BoxSoA":
-        """The boxes of ``rows`` (a gather on every array)."""
-        out = BoxSoA.__new__(BoxSoA)
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name)[rows])
-        return out
 
 
 def _extract(vector: Vector, build: Callable[[Vector], Any]) -> Any:
@@ -97,11 +53,14 @@ def _extract(vector: Vector, build: Callable[[Vector], Any]) -> Any:
     return build(vector.slice(first)).take(inverse)
 
 
-def _object_view(key: Any, build: Callable[[Vector], Any]):
+def _object_view(key: tuple[str, ...], build: Callable[[Vector], Any]):
     """A view of object vectors, built once per distinct payload and
-    cached under ``key``; other vectors have none."""
+    cached under ``key``; other vectors have none.  Each build counts
+    as ``quack.view_builds.<key>``."""
+    name = ".".join(key)
 
     def extract(vector: Vector) -> Any:
+        _count(f"quack.view_builds.{name}")
         return _extract(vector, build)
 
     def view(vector: Vector) -> Any:
@@ -112,15 +71,8 @@ def _object_view(key: Any, build: Callable[[Vector], Any]):
     return view
 
 
-def _stbox_rows(rows: Vector) -> BoxSoA:
-    soa = BoxSoA(len(rows))
-    for i, box in enumerate(rows.to_list()):
-        if isinstance(box, STBox):
-            soa.fill(i, box)
-    return soa
-
-
-stbox_soa = _object_view(("box_soa", "stbox"), _stbox_rows)
+stbox_soa = _object_view(("box_soa", "stbox"),
+                         lambda rows: BoxSoA.of_values(rows.to_list()))
 
 _SPAN = ("span",)
 #: ``tstzspan`` bounds of a vector as arrays.
@@ -136,11 +88,14 @@ temp_csr = _object_view(
 )
 
 
-def _derived_view(key: Any, base: Callable[[Vector], Any],
+def _derived_view(key: tuple[str, ...], base: Callable[[Vector], Any],
                   derive: Callable[[Any], Any]):
-    """A view that is an array derivation of another view."""
+    """A view that is an array derivation of another view, counted like
+    one."""
+    name = ".".join(key)
 
     def build(vector: Vector) -> Any:
+        _count(f"quack.view_builds.{name}")
         return derive(base(vector))
 
     def view(vector: Vector) -> Any:

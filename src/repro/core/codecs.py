@@ -6,8 +6,10 @@ of a flat layout with integers delta-narrowed.  ``encode`` declines
 (``None``: the pickle fallback) what it cannot give back bit for bit;
 ``decode`` raises ``ValueError`` on bytes it did not write.  The same
 layout of one value, uncompressed, is the row store's datum
-(``encode_datum``/``decode_datum``), and ``boxes`` hands ANALYZE the
-per-row box bounds without building a value.  DESIGN.md has the layouts.
+(``encode_datum``/``decode_datum``).  ``boxes`` is the column's
+:class:`~repro.quack.boxes.BoxSoA` off those arrays, built without a
+value, which ANALYZE and (unless ``zone_box`` is false) the zone maps
+read.  DESIGN.md has the layouts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .. import geo
 from ..geo.kernels import offsets, ranges
 from ..meos import kernels as temporal
 from ..meos.temporal.ttypes import temporal_type
-from ..quack.storage import ZoneMapEntry, narrow_dtype
+from ..quack.storage import narrow_dtype
 from ..quack.vector import Vector, ViewVector
 from .boxkernels import (
     _SPAN,
@@ -90,16 +92,6 @@ class _Reader:
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise ValueError("trailing bytes after the segment")
-
-
-def _boxes(soa, valid: np.ndarray, axes: str) -> dict | None:
-    """Per-axis bounds of the valid rows off their cached box arrays (what
-    ANALYZE's extent histograms read); ``None`` when a row has no box the
-    kernels read."""
-    if not soa.ok[valid].all():
-        return None
-    return {axis: (getattr(soa, axis + "min")[valid],
-                   getattr(soa, axis + "max")[valid]) for axis in axes}
 
 
 class TemporalPointCodec:
@@ -202,24 +194,7 @@ class TemporalPointCodec:
         index[validity] = held
         return temporal.TempCSR(index, store)
 
-    def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
-        """Extents over every instant in row, then instant order, so a
-        zero bound has the sign the value walk gives it."""
-        csr, valid = temp_csr(vector), vector.validity
-        ids, nulls = csr.index[valid], int(np.count_nonzero(~valid))
-        if not len(ids) or (ids < 0).any():
-            return None if len(ids) else ZoneMapEntry(len(vector), nulls)
-        lo, hi = csr.store.inst_start[ids], csr.store.inst_start[ids + 1]
-        insts, _ = ranges(lo, hi - lo)
-        x, y, t = csr.store.x[insts], csr.store.y[insts], csr.store.t
-        return ZoneMapEntry(rows=len(vector), nulls=nulls, box={
-            "x": (float(x[np.argmin(x)]), float(x[np.argmax(x)])),
-            "y": (float(y[np.argmin(y)]), float(y[np.argmax(y)])),
-            "t": (float(t[lo].min()), float(t[hi - 1].max())),
-        }, box_complete=True)
-
-    def boxes(self, vector: Vector) -> dict | None:
-        return _boxes(tpoint_soa(vector), vector.validity, "xyt")
+    boxes = staticmethod(tpoint_soa)
 
 
 class SpanCodec:
@@ -272,21 +247,7 @@ class SpanCodec:
             getattr(spans, slot)[validity] = values
         return spans
 
-    def zone_entry(self, vector: Vector) -> ZoneMapEntry | None:
-        # a span's box is its time interval (``stats.box_of``)
-        spans, valid = span_cols(vector), vector.validity
-        if not spans.ok[valid].all():
-            return None
-        entry = ZoneMapEntry(rows=len(vector),
-                             nulls=int(np.count_nonzero(~valid)))
-        if entry.non_null:
-            entry.box = {"t": (float(spans.lower[valid].min()),
-                               float(spans.upper[valid].max()))}
-            entry.box_complete = True
-        return entry
-
-    def boxes(self, vector: Vector) -> dict | None:
-        return _boxes(span_soa(vector), vector.validity, "t")
+    boxes = staticmethod(span_soa)
 
 
 _WKB_TYPES = (geo.Point, geo.LineString, geo.Polygon, geo.MultiPoint,
@@ -303,6 +264,9 @@ def _wkb_exact(geom, srid) -> bool:
 
 class GeometryCodec:
     name = "wkb"
+    # Box-less zone entries on purpose: geometry columns are not probed
+    # by box, and the extents would only add to every stored segment.
+    zone_box = False
 
     def encode(self, vector: Vector) -> bytes | None:
         return _deflate(self._layout(vector.data[vector.validity].tolist()))
@@ -337,15 +301,7 @@ class GeometryCodec:
         r.finish()
         return out
 
-    def zone_entry(self, vector: Vector) -> ZoneMapEntry:
-        # Box-less on purpose: a geometry has a box (``stats.box_of``),
-        # but geometry columns are not probed by box, and the extents
-        # would only add to every stored segment.
-        return ZoneMapEntry(len(vector),
-                            int(np.count_nonzero(~vector.validity)))
-
-    def boxes(self, vector: Vector) -> dict | None:
-        return _boxes(geom_soa(vector), vector.validity, "xy")
+    boxes = staticmethod(geom_soa)
 
 
 TCSR_CODEC = TemporalPointCodec()

@@ -1,24 +1,21 @@
 """The MobilityDuck ``TRTREE`` index (paper §4).
 
 A :class:`repro.index.BoxIndex` over the (x, y, t) rectangles of an
-``stbox`` column — or of any value with such a box (temporal points,
-geometries, time spans) — serving ``&&``, ``@>`` and ``<@``: STR bulk
-load on ``CREATE INDEX`` (§4.2.2), quadratic insert on append (§4.2.1).
-What is TRTREE's own is SRID normalization (§4.2.2/§4.3, the type's
-``normalize_srid``): entries and queries are brought to the SRID of the
-first indexed value that has one.
+``stbox`` column — or of any value with a box
+(:func:`repro.quack.boxes.bounding_box`: temporal values, geometries,
+time spans, tboxes) — serving ``&&``, ``@>`` and ``<@``: STR bulk load
+on ``CREATE INDEX`` (§4.2.2), quadratic insert on append (§4.2.1).
 """
 
 from __future__ import annotations
 
-from ..index import BoxIndex, BoxIndexType, box_rect
+from ..index import BoxIndex, BoxIndexType
 from ..quack.catalog import IndexType
 
 #: Avoid a naming conflict with DuckDB-Spatial's RTREE (paper §4.1).
 TYPE_NAME = "TRTREE"
 
-TRTREE = BoxIndexType(TYPE_NAME, ("&&", "@>", "<@"), box_rect,
-                      normalize_srid=True)
+TRTREE = BoxIndexType(TYPE_NAME, ("&&", "@>", "<@"))
 
 
 class RTreeIndex(BoxIndex):

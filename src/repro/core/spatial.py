@@ -17,6 +17,7 @@ from typing import Any
 
 from .. import geo
 from ..index import BoxIndexType
+from ..quack.boxes import Box, bounding_box
 from ..quack.extension import ExtensionUtil, make_user_type
 from ..quack.functions import AggregateFunction, ScalarFunction
 from ..quack.types import (
@@ -74,21 +75,20 @@ class Box2D:
 BOX2D_TYPE = make_user_type("BOX_2D", Box2D)
 
 
-def _geometry_rect(value: Any) -> tuple[float, ...] | None:
-    """The (x, y) rectangle of a geometry, or of a value that stands for
-    one; None for an empty geometry or any other value."""
+def _geometry_box(value: Any) -> Box | None:
+    """The box of a geometry, or of a value that stands for one; None
+    for an empty geometry or any other value."""
     try:
-        geom = _as_geometry(value)
+        return bounding_box(_as_geometry(value))
     except ValueError:
         return None
-    return None if geom.is_empty() else geom.bounds()
 
 
 #: DuckDB-Spatial's native RTREE over GEOMETRY bounding boxes: 2-D,
 #: registered on the columnar engine only (MobilityDB/PostGIS index
 #: geometry through GiST).
-RTREE = BoxIndexType("RTREE", ("&&", "st_intersects"), _geometry_rect,
-                     dimensions=2)
+RTREE = BoxIndexType("RTREE", ("&&", "st_intersects"), _geometry_box,
+                     axes="xy")
 
 
 def load(database) -> None:

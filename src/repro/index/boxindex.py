@@ -15,68 +15,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .. import geo
-from ..meos import STBox, Span, SpanSet, Temporal
-from ..meos.basetypes import TSTZ
 from ..observability import count as _count
+from ..quack.boxes import Box, bounding_box
 from ..quack.catalog import TableIndex
 from .rtree import Rect, RTree
 
 #: Half-range of a dimension a value does not have.
 UNBOUNDED = 4e18
-
-
-def value_box(value: Any) -> STBox | Span | None:
-    """The box that stands for a value: an stbox, or a tstzspan for a
-    value with no space.  A temporal point and a geometry give their
-    stbox, any other temporal value and a tstzspanset their tstzspan.
-    None for NULL, an empty geometry or any other value."""
-    if isinstance(value, Temporal):
-        return (value.stbox() if value.ttype.name.startswith("tgeo")
-                else value.tstzspan())
-    if isinstance(value, SpanSet) and value.basetype is TSTZ:
-        return value.to_span()
-    if isinstance(value, geo.Geometry):
-        return None if value.is_empty() else STBox.from_geometry(value)
-    if isinstance(value, STBox) or (isinstance(value, Span)
-                                    and value.basetype is TSTZ):
-        return value
-    return None
-
-
-def box_rect(value: Any) -> Rect | None:
-    """The ``(x, y, t)`` rectangle of :func:`value_box`; a dimension the
-    box lacks spans ``±UNBOUNDED``.  None when the value has no box: it
-    is neither indexed nor probed."""
-    box = value_box(value)
-    if box is None:
-        return None
-    lower, upper = [-UNBOUNDED] * 3, [UNBOUNDED] * 3
-    if isinstance(box, STBox):
-        if box.has_x:
-            lower[:2] = box.xmin, box.ymin
-            upper[:2] = box.xmax, box.ymax
-        box = box.tspan
-    if box is not None:
-        lower[2], upper[2] = float(box.lower), float(box.upper)
-    return (*lower, *upper)
+_EVERYWHERE = (-UNBOUNDED, UNBOUNDED)
 
 
 @dataclass(frozen=True)
 class BoxIndexType:
     """All that TRTREE, RTREE and GiST differ in: the ``USING`` name, the
-    (lower-case) operators served, a value's rectangle of ``2 *
-    dimensions`` coordinates (or None), whether ``CREATE INDEX``
-    STR-packs the rows (``bulk``) or inserts them one by one, and
-    whether stboxes are first brought to the SRID of the first indexed
-    value that has one (``normalize_srid``, TRTREE's §4.2.2/§4.3 rule)."""
+    (lower-case) operators served, a value's box (:func:`bounding_box`
+    of the value, or of what it stands for), the box axes the rectangles
+    span, and whether ``CREATE INDEX`` STR-packs the rows (``bulk``) or
+    inserts them one by one."""
 
     name: str
     ops: tuple[str, ...]
-    rect: Callable[[Any], Rect | None]
-    dimensions: int = 3
+    box: Callable[[Any], Box | None] = bounding_box
+    axes: str = "xyt"
     bulk: bool = True
-    normalize_srid: bool = False
 
 
 class BoxIndex(TableIndex):
@@ -86,18 +47,23 @@ class BoxIndex(TableIndex):
         super().__init__(name, table, column, kind.name)
         self.kind = kind
         self._key = kind.name.lower()
-        self._srid = 0
         self.rebuild(table)
 
     def rect(self, value: Any) -> Rect | None:
-        """The rectangle that indexes or probes ``value``."""
-        if self.kind.normalize_srid:
-            value = box = value_box(value)
-            if isinstance(box, STBox) and box.srid:
-                self._srid = self._srid or box.srid
-                if box.srid != self._srid:
-                    value = box.transform(self._srid)
-        return self.kind.rect(value)
+        """The rectangle a probe of ``value`` searches: its box's, or
+        everywhere when an entry's box has another SRID, since the exact
+        operator raises on that entry as in a sequential scan.  None
+        when the value has no box: it is neither indexed nor probed."""
+        box = self.kind.box(value)
+        if box is None:
+            return None
+        axes, srid = box
+        return self._pad({} if srid and self._srids - {srid} else axes)
+
+    def _pad(self, axes: dict) -> Rect:
+        """The rectangle of a box; an axis it lacks spans ``±UNBOUNDED``."""
+        sides = [axes.get(axis, _EVERYWHERE) for axis in self.kind.axes]
+        return (*(lo for lo, _ in sides), *(hi for _, hi in sides))
 
     def __len__(self) -> int:
         return len(self._tree)
@@ -106,7 +72,9 @@ class BoxIndex(TableIndex):
 
     def rebuild(self, table) -> None:
         """Build over the table's live rows (CREATE INDEX, UPDATE)."""
-        self._tree = RTree(self.kind.dimensions)
+        self._tree = RTree(len(self.kind.axes))
+        #: the nonzero SRIDs of the entries' boxes
+        self._srids: set[int] = set()
         #: per-partition entries of the bulk pipeline (phase 1)
         self._partitions: list[list[tuple[Rect, int]]] = []
         for values, row_ids in table.scan_column(self.column):
@@ -130,7 +98,7 @@ class BoxIndex(TableIndex):
 
     def bulk_construct(self, entries: list[tuple[Rect, int]]) -> None:
         """Phase 3: STR-pack all entries into the tree."""
-        self._tree = RTree.bulk_load(entries, self.kind.dimensions)
+        self._tree = RTree.bulk_load(entries, len(self.kind.axes))
 
     def append(self, values: Sequence[Any], row_ids: Sequence[int]) -> None:
         """Insert appended rows one at a time (the paper's
@@ -140,8 +108,14 @@ class BoxIndex(TableIndex):
 
     def _entries(self, values: Sequence[Any],
                  row_ids: Sequence[int]) -> list[tuple[Rect, int]]:
-        return [(rect, row_id) for value, row_id in zip(values, row_ids)
-                if (rect := self.rect(value)) is not None]
+        entries = []
+        for value, row_id in zip(values, row_ids):
+            box = self.kind.box(value)
+            if box is not None:
+                entries.append((self._pad(box[0]), row_id))
+                if box[1]:
+                    self._srids.add(box[1])
+        return entries
 
     # -- scan matching (§4.3) --------------------------------------------------------
 

@@ -106,6 +106,8 @@ DECLARED_COUNTERS = frozenset({
 DECLARED_PREFIXES = (
     "optimizer.rule.",
     "optimizer.cbo.",
+    # derived-view builds per view key (``quack.view_builds.tcsr``, …)
+    "quack.view_builds.",
 )
 
 #: Every fixed gauge name.

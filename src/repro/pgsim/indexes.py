@@ -3,7 +3,7 @@
 MobilityDB accelerates spatiotemporal predicates with GiST indexes over
 the bounding boxes of temporal values; the baseline's GIST is the box
 index (:class:`repro.index.BoxIndex`) over the (x, y, t) rectangle of
-each value (stbox, tgeompoint, tstzspan, geometry), built the way
+each value's box (:func:`repro.quack.boxes.bounding_box`), built the way
 PostgreSQL builds a GiST — row by row — and reading each heap datum
 through its detoast.  BTREE serves equality on scalar columns.
 """
@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..index import BoxIndex, BoxIndexType, box_rect
+from ..index import BoxIndex, BoxIndexType
 from ..observability import count as _count
+from ..quack.boxes import bounding_box
 from ..quack.catalog import TableIndex
 from ..quack.errors import ExecutionError
 from ..quack.keys import hashable_key
 from .table import detoast
 
 GIST = BoxIndexType(
-    "GIST", ("&&", "@>", "<@"), lambda value: box_rect(detoast(value)),
+    "GIST", ("&&", "@>", "<@"), lambda value: bounding_box(detoast(value)),
     bulk=False,
 )
 

@@ -15,11 +15,10 @@ value clamped to ``[0, 1]`` via :func:`clamp01` (enforced by lint rule
 ANL010): a selectivity outside the unit interval silently corrupts every
 cardinality product built on top of it.
 
-The module is engine-neutral on purpose: payload boxes come from the
-type codec's arrays or, duck-typed, from the values (``xmin``/``tspan``
-attributes, a ``stbox()`` method) rather than ``isinstance`` checks
-against ``repro.meos`` classes, and a pgsim heap is transposed into
-vectors, so row tables analyze identically through the shared frontend.
+The module is engine-neutral on purpose: payload boxes are
+:mod:`repro.quack.boxes`' (duck-typed, no ``repro.meos`` import), and a
+pgsim heap is transposed into vectors, so row tables analyze identically
+through the shared frontend.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from .boxes import AXES, bounding_box, column_boxes
 from .vector import DataChunk, Vector
 
 #: Number of equi-width buckets in value and box-center histograms.
@@ -174,85 +174,6 @@ def as_number(value: Any) -> float | None:
     return None
 
 
-class _TimeSpanBox:
-    """A time span as a box: only a ``t`` interval, the axis the span
-    codec's column statistics and zone maps use."""
-
-    __slots__ = ("tspan",)
-
-    def __init__(self, span: Any):
-        self.tspan = span
-
-
-class _PlaneBox:
-    """A geometry's extent as a box: ``x`` and ``y`` intervals only."""
-
-    __slots__ = ("xmin", "ymin", "xmax", "ymax")
-
-    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
-        self.xmin, self.ymin, self.xmax, self.ymax = xmin, ymin, xmax, ymax
-
-
-def box_of(value: Any) -> Any | None:
-    """The bounding box of a value, the one the box index reads
-    (``repro.index.boxindex.value_box``), found duck-typed so the engine
-    imports no payload type: a temporal point and a non-empty geometry
-    give their stbox (a geometry's without time); any other temporal
-    value, a tstzspan and a tstzspanset their time span; an STBox is its
-    own box, and so is a TBox (its value span read on ``x``).  ``None``
-    for NULL and for any other value.
-    """
-    if value is None:
-        return None
-    if hasattr(value, "has_x") and hasattr(value, "has_t"):
-        return value
-    ttype = getattr(value, "ttype", None)
-    if ttype is not None:
-        if ttype.name.startswith("tgeo"):
-            return value.stbox()
-        return _TimeSpanBox(value.tstzspan())
-    basetype = getattr(value, "basetype", None)
-    if getattr(basetype, "name", None) == "timestamptz":
-        if hasattr(value, "lower_inc"):
-            return _TimeSpanBox(value)
-        if hasattr(value, "spans"):
-            return _TimeSpanBox(value.to_span())
-        return None
-    bounds = getattr(value, "bounds", None)
-    if callable(bounds) and callable(getattr(value, "is_empty", None)):
-        return None if value.is_empty() else _PlaneBox(*bounds())
-    return None
-
-
-def box_intervals(box: Any) -> dict[str, tuple[float, float]]:
-    """The per-axis ``[lo, hi]`` intervals of a bounding box.
-
-    Axes: ``x``/``y`` (STBox spatial corners, or a TBox value span on
-    ``x``), ``t`` (time span as epoch seconds).  Missing axes are simply
-    absent from the result.
-    """
-    intervals: dict[str, tuple[float, float]] = {}
-    xmin = getattr(box, "xmin", None)
-    if xmin is not None:
-        intervals["x"] = (float(xmin), float(box.xmax))
-        ymin = getattr(box, "ymin", None)
-        if ymin is not None:
-            intervals["y"] = (float(ymin), float(box.ymax))
-    vspan = getattr(box, "vspan", None)
-    if vspan is not None and "x" not in intervals:
-        lo = as_number(vspan.lower)
-        hi = as_number(vspan.upper)
-        if lo is not None and hi is not None:
-            intervals["x"] = (lo, hi)
-    tspan = getattr(box, "tspan", None)
-    if tspan is not None:
-        lo = as_number(tspan.lower)
-        hi = as_number(tspan.upper)
-        if lo is not None and hi is not None:
-            intervals["t"] = (lo, hi)
-    return intervals
-
-
 # ---------------------------------------------------------------------------
 # ANALYZE: one column-wise pass over the table
 # ---------------------------------------------------------------------------
@@ -313,7 +234,7 @@ def _column_stats(name: str, ltype: Any,
             [v.data[v.validity] for v in vectors]
         ))
     elif ltype.is_user:
-        _payload_stats(stats, ltype, vectors)
+        _payload_stats(stats, vectors)
     else:
         _object_stats(stats, [
             value for v in vectors for value in v.data[v.validity].tolist()
@@ -356,48 +277,22 @@ def _object_stats(stats: ColumnStats, values: list) -> None:
     stats.histogram = _build_histogram(np.array(numbers, dtype=np.float64))
 
 
-def _payload_stats(stats: ColumnStats, ltype: Any,
-                   vectors: list[Vector]) -> None:
+def _payload_stats(stats: ColumnStats, vectors: list[Vector]) -> None:
     """Extension payloads: every value counts as distinct (nothing is
-    hashed) and the boxes come off the type codec's arrays where it has
-    them, so no payload object is built or asked for its box."""
+    hashed), and the box histograms read the column's boxes
+    (:func:`column_boxes`: the type codec's arrays where it has them,
+    so no payload object is built or asked for its box)."""
     stats.distinct_count = stats.non_null_count
-    codec = ltype.codec
-    parts = [codec.boxes(v) for v in vectors] if codec is not None else []
-    if parts and all(part is not None for part in parts):
-        intervals = {
-            axis: tuple(np.concatenate([part[axis][k] for part in parts])
-                        for k in (0, 1))
-            for axis in parts[0]
-        }
-        stats.box_count = stats.non_null_count if intervals else 0
-    else:
-        intervals, stats.box_count = _walk_boxes(
-            value for v in vectors for value in v.data[v.validity].tolist()
-        )
-    for axis, (lo, hi) in intervals.items():
+    parts = [column_boxes(v) for v in vectors]
+    held = [boxes.ok & v.validity for boxes, v in zip(parts, vectors)]
+    stats.box_count = int(sum(np.count_nonzero(has) for has in held))
+    for axis in AXES:
+        lo, hi = (np.concatenate([boxes.bounds(axis)[k][has]
+                                  for boxes, has in zip(parts, held)])
+                  for k in (0, 1))
         dimension = _dimension_stats(lo, hi)
         if dimension is not None:
             stats.box_dimensions[axis] = dimension
-
-
-def _walk_boxes(values) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
-                                 int]:
-    """Per-axis box bounds of the values that carry a box, and how many
-    did."""
-    bounds: dict[str, tuple[list[float], list[float]]] = {}
-    count = 0
-    for value in values:
-        box = box_of(value)
-        if box is None:
-            continue
-        count += 1
-        for axis, (lo, hi) in box_intervals(box).items():
-            los, his = bounds.setdefault(axis, ([], []))
-            los.append(lo)
-            his.append(hi)
-    return {axis: (np.array(los), np.array(his))
-            for axis, (los, his) in bounds.items()}, count
 
 
 def _dimension_stats(lo: np.ndarray, hi: np.ndarray) -> DimensionStats | None:
@@ -494,24 +389,10 @@ def overlap_selectivity(stats: ColumnStats | None, probe: Any) -> float:
     box prefilter): per shared axis, the fraction of box centers within
     the probe interval expanded by the mean half-width, multiplied under
     an independence assumption."""
-    box = box_of(probe)
-    if stats is None or box is None or not stats.box_dimensions:
-        return clamp01(DEFAULT_OVERLAP_SELECTIVITY)
-    probe_intervals = box_intervals(box)
-    fraction = 1.0
-    shared = False
-    for axis, dim in stats.box_dimensions.items():
-        interval = probe_intervals.get(axis)
-        if interval is None:
-            continue
-        shared = True
-        lo, hi = interval
-        fraction *= dim.center_histogram.fraction_between(
-            lo - dim.mean_half_width, hi + dim.mean_half_width
-        )
-    if not shared:
-        return clamp01(DEFAULT_OVERLAP_SELECTIVITY)
-    return clamp01(max(fraction, _floor(stats)))
+    fraction = _box_fraction(stats, probe,
+                             lambda lo, hi, half: (lo - half, hi + half))
+    return clamp01(DEFAULT_OVERLAP_SELECTIVITY if fraction is None
+                   else fraction)
 
 
 def containment_selectivity(stats: ColumnStats | None, probe: Any,
@@ -519,27 +400,35 @@ def containment_selectivity(stats: ColumnStats | None, probe: Any,
     """Selectivity of ``column @> probe`` (``column_contains_probe``)
     or ``column <@ probe``: the center must sit in the interval where a
     mean-width box satisfies the containment on every shared axis."""
-    box = box_of(probe)
+    if column_contains_probe:
+        fraction = _box_fraction(stats, probe,
+                                 lambda lo, hi, half: (hi - half, lo + half))
+    else:
+        fraction = _box_fraction(stats, probe,
+                                 lambda lo, hi, half: (lo + half, hi - half))
+    return clamp01(DEFAULT_CONTAINS_SELECTIVITY if fraction is None
+                   else fraction)
+
+
+def _box_fraction(stats: ColumnStats | None, probe: Any,
+                  window) -> float | None:
+    """The share of the column's box centers inside ``window(lo, hi,
+    mean half-width)`` of the probe's interval, multiplied over the
+    shared axes and floored at one row; None when no axis is shared."""
+    box = bounding_box(probe)
     if stats is None or box is None or not stats.box_dimensions:
-        return clamp01(DEFAULT_CONTAINS_SELECTIVITY)
-    probe_intervals = box_intervals(box)
+        return None
     fraction = 1.0
     shared = False
     for axis, dim in stats.box_dimensions.items():
-        interval = probe_intervals.get(axis)
+        interval = box[0].get(axis)
         if interval is None:
             continue
         shared = True
-        lo, hi = interval
-        half = dim.mean_half_width
-        if column_contains_probe:
-            window = (hi - half, lo + half)
-        else:
-            window = (lo + half, hi - half)
-        fraction *= dim.center_histogram.fraction_between(*window)
-    if not shared:
-        return clamp01(DEFAULT_CONTAINS_SELECTIVITY)
-    return clamp01(max(fraction, _floor(stats)))
+        fraction *= dim.center_histogram.fraction_between(
+            *window(*interval, dim.mean_half_width)
+        )
+    return max(fraction, _floor(stats)) if shared else None
 
 
 def overlap_join_selectivity(left: ColumnStats | None,

@@ -21,11 +21,11 @@ The JSON footer carries the format version, schema, index definitions,
 per-segment byte offsets, and a per-row-group **zone map** per column:
 min/max over the numeric image (:func:`repro.quack.stats.as_number`),
 string bounds for text, null counts, and per-axis bounding-box extents
-for spatial/temporal columns.  Scans with pushed-down conjuncts consult
-the zone maps (see :func:`zone_map_prunes`) and skip non-qualifying row
-groups *before* decompression; readers are lazily materialized
-memory-mapped :class:`StorageColumn` segments, so a skipped group is
-never decoded.
+with their SRID for spatial/temporal columns.  Scans with pushed-down
+conjuncts consult the zone maps (see :func:`zone_map_prunes`) and skip
+non-qualifying row groups *before* decompression; readers are lazily
+materialized memory-mapped :class:`StorageColumn` segments, so a skipped
+group is never decoded.
 
 The same module owns the **spill files** used by the spillable operators
 (external sort runs, grace hash-join partitions, aggregation partials)
@@ -54,7 +54,8 @@ from ..analysis.errors import VerificationError
 from ..observability import count
 from .catalog import ColumnData, Table
 from .errors import QuackError
-from .stats import as_number, box_intervals, box_of
+from .boxes import AXES, BoxSoA, bounding_box, column_boxes
+from .stats import as_number
 from .types import LogicalType
 from .vector import STANDARD_VECTOR_SIZE, DataChunk, Vector, concat_vectors
 
@@ -237,6 +238,8 @@ class ZoneMapEntry:
     numeric_complete: bool = False
     string_complete: bool = False
     box_complete: bool = False
+    #: The one SRID of the group's boxes (0: none).
+    srid: int = 0
 
     @property
     def non_null(self) -> int:
@@ -252,6 +255,8 @@ class ZoneMapEntry:
             out["box"] = {axis: list(iv) for axis, iv in
                           (self.box or {}).items()}
             out["bc"] = True
+            if self.srid:
+                out["s"] = self.srid
         return out
 
     @classmethod
@@ -269,14 +274,16 @@ class ZoneMapEntry:
             numeric_complete=bool(raw.get("nc")),
             string_complete=bool(raw.get("sc")),
             box_complete=bool(raw.get("bc")),
+            srid=int(raw.get("s", 0)),
         )
 
 
 def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
     """Bounds, null count and box extents of one sealed segment: NumPy
-    reductions for native columns, the type codec's reading of its
-    arrays, list builtins for text, a value walk only for the other
-    extension payloads."""
+    reductions for native columns, list builtins for text, a value walk
+    for the numbers and text of other object columns, and for extension
+    payloads a reduction of the column's boxes (:func:`column_boxes`;
+    a type codec's payloads are neither numbers nor text)."""
     rows = len(vector)
     valid = vector.validity
     non_null = int(np.count_nonzero(valid))
@@ -294,26 +301,28 @@ def compute_zone_entry(vector: Vector) -> ZoneMapEntry:
             entry.lo = float(values[np.argmin(values)])
             entry.hi = float(values[np.argmax(values)])
         return entry
-    if vector.ltype.codec is not None:
-        entry = vector.ltype.codec.zone_entry(vector)
-        if entry is not None:
-            return entry
-    values = vector.data[valid].tolist()
-    if values and set(map(type, values)) == {str}:
-        return ZoneMapEntry(rows=rows, nulls=nulls, slo=min(values),
-                            shi=max(values), string_complete=True)
-    return _walk_zone_entry(rows, nulls, values)
+    codec = vector.ltype.codec
+    if codec is not None:
+        entry = ZoneMapEntry(rows=rows, nulls=nulls)
+    else:
+        values = vector.data[valid].tolist()
+        if values and set(map(type, values)) == {str}:
+            return ZoneMapEntry(rows=rows, nulls=nulls, slo=min(values),
+                                shi=max(values), string_complete=True)
+        entry = _walk_zone_entry(rows, nulls, values)
+    if non_null and vector.ltype.is_user and getattr(codec, "zone_box",
+                                                     True):
+        _reduce_boxes(entry, column_boxes(vector), valid)
+    return entry
 
 
 def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
     """Zone entry of an object segment that is not pure text, from its
-    non-NULL ``values``: extension payloads give box extents, anything
-    with a numeric image (:func:`as_number`) gives numeric bounds."""
+    non-NULL ``values``: numeric bounds over what has a numeric image
+    (:func:`as_number`), string bounds over the text."""
     lo = hi = None
     slo = shi = None
-    n_num = n_str = n_box = 0
-    axes: dict[str, tuple[float, float]] = {}
-    axis_hits: dict[str, int] = {}
+    n_num = n_str = 0
     for value in values:
         number = as_number(value)
         if number is not None:
@@ -321,29 +330,11 @@ def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
             if number == number:  # NaN never matches a comparison
                 lo = number if lo is None else min(lo, number)
                 hi = number if hi is None else max(hi, number)
-            continue
-        if isinstance(value, str):
+        elif isinstance(value, str):
             n_str += 1
             slo = value if slo is None or value < slo else slo
             shi = value if shi is None or value > shi else shi
-            continue
-        box = box_of(value)
-        if box is not None:
-            intervals = box_intervals(box)
-            if intervals:
-                n_box += 1
-                for axis, (alo, ahi) in intervals.items():
-                    known = axes.get(axis)
-                    if known is None:
-                        axes[axis] = (alo, ahi)
-                    else:
-                        axes[axis] = (min(known[0], alo), max(known[1], ahi))
-                    axis_hits[axis] = axis_hits.get(axis, 0) + 1
     non_null = rows - nulls
-    # Only axes every boxed value contributed to are sound for pruning:
-    # a value without a ``t`` span is unconstrained on ``t``.
-    axes = {axis: iv for axis, iv in axes.items()
-            if axis_hits.get(axis, 0) == n_box}
     return ZoneMapEntry(
         rows=rows,
         nulls=nulls,
@@ -351,18 +342,36 @@ def _walk_zone_entry(rows: int, nulls: int, values: list) -> ZoneMapEntry:
         hi=hi,
         slo=slo,
         shi=shi,
-        box=axes or None,
         numeric_complete=non_null > 0 and n_num == non_null,
         string_complete=non_null > 0 and n_str == non_null,
-        box_complete=non_null > 0 and n_box == non_null,
     )
+
+
+def _reduce_boxes(entry: ZoneMapEntry, boxes: BoxSoA,
+                  valid: np.ndarray) -> None:
+    """The group's box: per axis, the min/max of its rows' bounds, where
+    every non-NULL row has a box with that axis (a row without ``t`` is
+    unconstrained on ``t``), and their one SRID.  Rows without a box,
+    or boxes of two SRIDs, leave the group box-less."""
+    srids = np.unique(boxes.srid[valid])
+    srids = srids[srids != 0]
+    if not boxes.ok[valid].all() or len(srids) > 1:
+        return
+    box = {}
+    for axis in AXES:
+        lo, hi = (bound[valid] for bound in boxes.bounds(axis))
+        if not np.isnan(lo).any():
+            box[axis] = (float(lo[np.argmin(lo)]), float(hi[np.argmax(hi)]))
+    entry.box, entry.box_complete = box or None, True
+    entry.srid = int(srids[0]) if len(srids) else 0
 
 
 def zone_map_prunes(entry: ZoneMapEntry, op_name: str,
                     constant: Any) -> bool:
     """``True`` when the zone map *proves* no row in the group satisfies
     ``column <op> constant`` — the conservative default is ``False``
-    (cannot prune)."""
+    (cannot prune).  A box probe in an SRID other than the group's
+    prunes nothing: the exact operator raises there."""
     if entry.rows == 0:
         return True
     op = op_name.lower() if op_name not in _COMPARISON_OPS else op_name
@@ -382,13 +391,11 @@ def zone_map_prunes(entry: ZoneMapEntry, op_name: str,
     if op in _OVERLAP_OPS or op in _CONTAINS_OPS:
         if entry.non_null == 0:
             return True
-        if not entry.box_complete or not entry.box:
+        box = bounding_box(constant)
+        if not entry.box_complete or not entry.box or box is None or (
+                entry.srid and box[1] not in (0, entry.srid)):
             return False
-        box = box_of(constant)
-        if box is None:
-            return False
-        probe_intervals = box_intervals(box)
-        for axis, (plo, phi) in probe_intervals.items():
+        for axis, (plo, phi) in box[0].items():
             extent = entry.box.get(axis)
             if extent is None:
                 continue

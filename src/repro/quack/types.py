@@ -30,7 +30,8 @@ class LogicalType:
     #: Marks types registered by extensions.
     is_user: bool = False
     #: The extension's segment codec, tried before the pickle fallback
-    #: (:mod:`.storage`; ``repro.core.codecs`` shows the protocol).
+    #: (:mod:`.storage`), whose ``boxes`` are the column's box arrays
+    #: (:mod:`.boxes`); ``repro.core.codecs`` shows the protocol.
     codec: Any = field(default=None, compare=False)
 
     def __str__(self) -> str:

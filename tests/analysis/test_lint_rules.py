@@ -100,6 +100,23 @@ class TestEngineImportBoundaries:
             src, module="repro.quack.executor", filename="executor.py"
         ) == ["ANL004"]
 
+    @pytest.mark.parametrize("src", [
+        "from ..core.boxkernels import BoxSoA\nuse(BoxSoA)\n",
+        "from ..index import BoxIndex\nuse(BoxIndex)\n",
+        "from .. import geo\nuse(geo)\n",
+        "import repro.geo.kernels\nuse(repro)\n",
+        "from ..meos import STBox\nuse(STBox)\n",
+    ])
+    def test_quack_importing_an_extension_package_flagged(self, src):
+        assert codes(
+            src, module="repro.quack.stats", filename="stats.py"
+        ) == ["ANL004"]
+
+    def test_quack_importing_meos_time_io_clean(self):
+        src = ("from ..meos.timetypes import format_date\n"
+               "use(format_date)\n")
+        assert codes(src, module="repro.quack.io", filename="io.py") == []
+
     def test_observability_importing_engine_flagged(self):
         src = "from repro.quack.vector import Vector\nuse(Vector)\n"
         assert codes(

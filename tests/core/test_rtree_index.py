@@ -5,8 +5,8 @@ import pytest
 
 from repro import core
 from repro.core.rtree_index import RTreeIndex
-from repro.index import box_rect
 from repro.meos import STBox, stbox
+from repro.quack.errors import ExecutionError
 
 
 INSERT = (
@@ -140,24 +140,32 @@ class TestScanMatching:
         assert moved == 1
 
 
-class TestSridNormalization:
+class TestSrid:
     def test_rect_conversion(self):
-        box = STBox(0, 0, 2, 2)
-        rect = box_rect(box)
-        assert rect[0] == 0 and rect[4] == 2
+        con = core.connect()
+        con.execute("CREATE TABLE g(box stbox)")
+        con.execute("CREATE INDEX rt ON g USING TRTREE(box)")
+        rect = con.database.catalog.indexes["rt"].rect(STBox(0, 0, 2, 2))
+        assert rect[0] == 0 and rect[3] == 2
         assert rect[2] < -1e18 and rect[5] > 1e18  # unbounded time
 
-    def test_query_in_other_srid_transformed(self):
+    def test_query_in_other_srid_searches_everything(self):
         con = core.connect()
         con.execute("CREATE TABLE g(box stbox)")
         con.execute("CREATE INDEX rt ON g USING TRTREE(box)")
         # Index in UTM 48N metres around Hanoi.
         con.execute(
             "INSERT INTO g VALUES "
-            "('SRID=32648;STBOX X((585000,2325000),(586000,2326000))')"
+            "('SRID=32648;STBOX X((585000,2325000),(586000,2326000))'), "
+            "('SRID=32648;STBOX X((0,0),(1,1))')"
         )
         index = con.database.catalog.indexes["rt"]
-        # Probe with a WGS84 box covering Hanoi: must be normalized.
+        # A WGS84 probe: ``&&`` raises on every entry, so the index
+        # skips none of them and the recheck raises as a scan would.
         query = STBox(105.7, 20.9, 106.0, 21.2, srid=4326)
-        hits = index.probe("&&", query)
-        assert hits == [0]
+        assert sorted(index.probe("&&", query)) == [0, 1]
+        with pytest.raises(ExecutionError, match="SRID mismatch"):
+            con.execute("SELECT count(*) FROM g WHERE box && "
+                        "'SRID=4326;STBOX X((105.7,20.9),(106,21.2))'"
+                        "::STBOX").fetchall()
+        assert index.probe("&&", STBox(0, 0, 0.5, 0.5, srid=32648)) == [1]

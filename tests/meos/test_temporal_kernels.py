@@ -34,7 +34,12 @@ from repro.quack.functions import _materialize
 from repro.quack.sql.lexer import Token, tokenize
 from repro.quack import storage
 from repro.quack.types import BIGINT, BOOLEAN, DOUBLE
-from repro.quack.vector import Vector, ViewVector, concat_vectors
+from repro.quack.vector import (
+    STANDARD_VECTOR_SIZE,
+    Vector,
+    ViewVector,
+    concat_vectors,
+)
 
 T0 = 1_700_000_000_000_000
 STEP = 1_000_000
@@ -645,6 +650,48 @@ def test_views_outlive_the_statement(duck, monkeypatch):
     duck.execute(get_query(9).sql).fetchall()
     duck.execute(get_query(13).sql).fetchall()
     assert not walked
+
+
+def _view_builds(con, statements):
+    """``quack.view_builds.*`` of running ``statements`` once each."""
+    totals = {}
+    for sql in statements:
+        for name, value in con.execute(sql).stats().counters.items():
+            if name.startswith("quack.view_builds."):
+                totals[name] = totals.get(name, 0) + value
+    return totals
+
+
+def test_warm_passes_lay_out_no_trip(city, unverified):
+    """``quack.view_builds.tcsr`` counts the CSR layouts of temporal
+    points: after the first pass of the 17 queries, the trips' layout
+    belongs to the stored column and no later pass builds one."""
+    con = prepare_scenario("mobilityduck", city)
+    statements = [query.sql for query in QUERIES]
+    assert _view_builds(con, statements)["quack.view_builds.tcsr"] >= 1
+    for _ in range(2):
+        assert "quack.view_builds.tcsr" not in _view_builds(con, statements)
+
+
+@pytest.mark.parametrize("rows", [
+    STANDARD_VECTOR_SIZE,
+    pytest.param(STANDARD_VECTOR_SIZE + 52, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 11(a): chunks of two row groups concatenate into "
+               "a vector with no source, so every statement lays the "
+               "trips out again")),
+])
+def test_a_second_statement_lays_out_no_trip(rows, unverified):
+    con = core.connect()
+    con.execute("CREATE TABLE t(id BIGINT, trip TGEOMPOINT)")
+    con.database.catalog.get_table("t").append_rows([
+        (i, meos.tgeompoint(f"[POINT({i % 50} 0)@2020-01-01, "
+                            f"POINT({i % 50 + 1} 1)@2020-01-02]"))
+        for i in range(rows)
+    ])
+    sql = "SELECT max(length(trip)) FROM t"
+    assert _view_builds(con, [sql]) == {"quack.view_builds.tcsr": 1}
+    assert _view_builds(con, [sql]) == {}
 
 
 # -- @> with an instant -------------------------------------------------------------

@@ -944,6 +944,7 @@ from repro.meos.temporal.base import TInstant, TSequence, TSequenceSet
 from repro.meos.temporal.ttypes import TGEOMPOINT
 from repro.pgsim import RowDatabase
 from repro.quack import kernels
+from repro.quack.boxes import AXES, bounding_box
 from repro.quack.vector import DataChunk, ViewVector
 
 _NAN = float("nan")
@@ -1293,14 +1294,17 @@ class TestPartitionCodes:
 
 
 def _reference_zone_entry(vector):
-    """The per-value loop ``compute_zone_entry`` replaced (test-only)."""
-    from repro.quack.stats import as_number, box_intervals, box_of
+    """The per-value loop ``compute_zone_entry`` replaced (test-only):
+    numbers and text walked, each value's box from the rule."""
+    from repro.quack.stats import as_number
 
     rows = len(vector)
     nulls = int(np.count_nonzero(~vector.validity))
+    boxed = vector.ltype.is_user and \
+        getattr(vector.ltype.codec, "zone_box", True)
     lo = hi = slo = shi = None
     n_num = n_str = n_box = 0
-    axes, axis_hits = {}, {}
+    axes, axis_hits, srids = {}, {}, set()
     for i in range(rows):
         value = vector.value(i)
         if value is None:
@@ -1317,25 +1321,28 @@ def _reference_zone_entry(vector):
             slo = value if slo is None or value < slo else slo
             shi = value if shi is None or value > shi else shi
             continue
-        box = box_of(value)
+        box = bounding_box(value) if boxed else None
         if box is not None:
-            intervals = box_intervals(box)
-            if intervals:
-                n_box += 1
-                for axis, (alo, ahi) in intervals.items():
-                    known = axes.get(axis)
-                    axes[axis] = (alo, ahi) if known is None else \
-                        (min(known[0], alo), max(known[1], ahi))
-                    axis_hits[axis] = axis_hits.get(axis, 0) + 1
+            n_box += 1
+            srids.add(box[1])
+            for axis, (alo, ahi) in box[0].items():
+                known = axes.get(axis)
+                axes[axis] = (alo, ahi) if known is None else \
+                    (min(known[0], alo), max(known[1], ahi))
+                axis_hits[axis] = axis_hits.get(axis, 0) + 1
     non_null = rows - nulls
-    axes = {a: iv for a, iv in axes.items() if axis_hits.get(a, 0) == n_box}
-    return storage.ZoneMapEntry(
+    entry = storage.ZoneMapEntry(
         rows=rows, nulls=nulls, lo=lo, hi=hi, slo=slo, shi=shi,
-        box=axes or None,
         numeric_complete=non_null > 0 and n_num == non_null,
         string_complete=non_null > 0 and n_str == non_null,
-        box_complete=non_null > 0 and n_box == non_null,
     )
+    srids.discard(0)
+    if non_null and n_box == non_null and len(srids) <= 1:
+        entry.box = {a: iv for a, iv in axes.items()
+                     if axis_hits[a] == n_box} or None
+        entry.box_complete = True
+        entry.srid = srids.pop() if srids else 0
+    return entry
 
 
 def _segments(ltype, values):
@@ -1369,21 +1376,22 @@ class TestZoneEntryProperty:
         assert repr(got.to_json()) == repr(expected.to_json())
 
     @given(st.one_of(
-        _segments(_TGEOMPOINT, st.sampled_from(_PLANAR)),
         _segments(_TGEOMPOINT, st.sampled_from(_TEMPORALS)),
         _segments(_TSTZSPAN, st.sampled_from(_SPANS)),
+        _segments(GEOMETRY_TYPE,
+                  st.deferred(lambda: st.sampled_from(_GEOMETRIES))),
     ))
     @settings(max_examples=200, deadline=None)
-    def test_array_entries_equal_the_value_walk(self, vector):
-        """Temporal points and spans read their zone entry off the
-        arrays (the codec's), never off the objects."""
-        got = vector.ltype.codec.zone_entry(vector)
-        expected = storage._walk_zone_entry(
-            len(vector), int(np.count_nonzero(~vector.validity)),
-            vector.data[vector.validity].tolist(),
-        )
-        assert got is not None and got == expected
-        assert repr(got.to_json()) == repr(expected.to_json())
+    def test_column_arrays_equal_the_rule(self, vector):
+        """Temporal points, spans and geometries give their boxes off the
+        codec's arrays, never off the objects: row by row, the box and
+        SRID the rule gives each value."""
+        boxes = vector.ltype.codec.boxes(vector)
+        for i, value in enumerate(vector.to_list()):
+            got = {axis: (lo[i], hi[i]) for axis in AXES
+                   for lo, hi in (boxes.bounds(axis),) if not np.isnan(lo[i])}
+            assert ((got, int(boxes.srid[i])) if boxes.ok[i] else None) \
+                == bounding_box(value)
 
     @pytest.mark.parametrize("ltype", [BIGINT, DOUBLE, BOOLEAN, VARCHAR,
                                        STBOX_TYPE, _TGEOMPOINT, _TSTZSPAN])
