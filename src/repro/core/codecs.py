@@ -23,7 +23,7 @@ from .. import geo
 from ..geo.kernels import offsets, ranges
 from ..meos import kernels as temporal
 from ..meos.temporal.ttypes import temporal_type
-from ..quack.storage import narrow_dtype
+from ..quack.compression import narrow_dtype
 from ..quack.vector import Vector, ViewVector
 from .boxkernels import (
     _SPAN,

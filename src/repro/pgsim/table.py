@@ -15,7 +15,6 @@ from typing import Any, Iterator, Sequence
 
 from ..observability import count as _count
 from ..quack.catalog import BaseTable
-from ..quack.errors import ExecutionError
 from ..quack.types import LogicalType
 
 #: PostgreSQL's ``TOAST_TUPLE_THRESHOLD``: a datum whose flat layout is
@@ -77,12 +76,9 @@ class RowTable(BaseTable):
         return len(self.rows)
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> list[int]:
+        self.check_widths(rows)
         start = len(self.rows)
         for row in rows:
-            if len(row) != self.num_columns:
-                raise ExecutionError(
-                    f"expected {self.num_columns} values, got {len(row)}"
-                )
             self.rows.append(self._heap_row(row))
         row_ids = list(range(start, len(self.rows)))
         self.changes_since_analyze += len(row_ids)

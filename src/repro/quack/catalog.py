@@ -11,6 +11,7 @@ Indexes attach to tables through the pluggable :class:`IndexType` registry
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -33,28 +34,51 @@ class ColumnData:
 
     A sealed segment *is* a :class:`Vector`, the same object for every
     scan, so the derived views cached on it (box arrays, CSR layouts)
-    are built once per column, not once per query."""
+    are built once per column, not once per query.  The tail holds the
+    vectors appended since, fewer than :data:`STANDARD_VECTOR_SIZE` rows
+    in all: values are converted when they are appended, never when a
+    read seals them."""
 
-    __slots__ = ("ltype", "segments", "tail", "tail_validity", "_seal_lock")
+    __slots__ = ("ltype", "segments", "tail", "_seal_lock")
 
     def __init__(self, ltype: LogicalType):
         self.ltype = ltype
         self.segments: list[Vector] = []
-        self.tail: list[Any] = []
-        self.tail_validity: list[bool] = []
+        self.tail: list[Vector] = []
         # Read paths (scan/gather) seal lazily; two client threads
         # sharing a database and sealing the same column concurrently
         # would double-append the tail as two segments without this lock.
         self._seal_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self.segments) + len(self.tail)
+        return sum(len(s) for s in self.segments) + sum(map(len, self.tail))
 
-    def append(self, value: Any) -> None:
-        self.tail.append(value)
-        self.tail_validity.append(value is not None)
-        if len(self.tail) >= STANDARD_VECTOR_SIZE:
-            self.seal()
+    def extend(self, values: Sequence[Any]) -> None:
+        """Append Python ``values`` (``None``: NULL); one the column
+        cannot hold raises :class:`ConversionError` and appends none."""
+        self.push(Vector.from_values(self.ltype, values))
+
+    def push(self, vector: Vector) -> None:
+        """Append converted rows to the tail; each full
+        :data:`STANDARD_VECTOR_SIZE` rows of it seal as a segment."""
+        with self._seal_lock:
+            self.tail.append(vector)
+            if sum(map(len, self.tail)) < STANDARD_VECTOR_SIZE:
+                return
+            merged, size = self._merged(), STANDARD_VECTOR_SIZE
+            pieces = [Vector(self.ltype, merged.data[at:at + size],
+                             merged.validity[at:at + size])
+                      for at in range(0, len(merged), size)]
+            full = len(merged) // size
+            self.segments += pieces[:full]
+            self.tail = pieces[full:]
+
+    def _merged(self) -> Vector:
+        if len(self.tail) == 1:
+            return self.tail[0]
+        return Vector(self.ltype,
+                      np.concatenate([v.data for v in self.tail]),
+                      np.concatenate([v.validity for v in self.tail]))
 
     def append_vector(self, vector: Vector) -> None:
         self.seal()
@@ -73,26 +97,9 @@ class ColumnData:
         if not self.tail:
             return
         with self._seal_lock:
-            if not self.tail:  # another thread sealed while we waited
-                return
-            dtype = _PHYSICAL_DTYPES[self.ltype.physical]
-            if self.ltype.physical == "object":
-                data = np.empty(len(self.tail), dtype=object)
-                for i, v in enumerate(self.tail):
-                    data[i] = v
-            else:
-                fill = False if self.ltype.physical == "bool" else 0
-                data = np.fromiter(
-                    (fill if v is None else v for v in self.tail),
-                    dtype=dtype,
-                    count=len(self.tail),
-                )
-            self.segments.append(Vector(
-                self.ltype, data,
-                np.array(self.tail_validity, dtype=np.bool_),
-            ))
-            self.tail.clear()
-            self.tail_validity.clear()
+            if self.tail:  # else another thread sealed while we waited
+                self.segments.append(self._merged())
+                self.tail = []
 
     # -- sealed-segment access ----------------------------------------------------
     #
@@ -156,23 +163,21 @@ class ColumnData:
         maps — stay segment-aligned."""
         self.seal()
         counts = [self.segment_rows(i) for i in range(self.segment_count())]
-        self._reseal(data, counts)
+        segments = self._resealed(data, counts)
+        with self._seal_lock:
+            self.segments = segments
 
-    def _reseal(self, data: list[Any], counts: list[int]) -> None:
-        """Re-seal ``data`` into segments of ``counts`` rows each; any
-        remainder (a previously empty column) chunks at vector size."""
-        self.segments.clear()
-        position = 0
-        for rows in counts:
-            self.tail = list(data[position:position + rows])
-            self.tail_validity = [v is not None for v in self.tail]
-            self.seal()
-            position += rows
-        while position < len(data):
-            self.tail = list(data[position:position + STANDARD_VECTOR_SIZE])
-            self.tail_validity = [v is not None for v in self.tail]
-            self.seal()
-            position += STANDARD_VECTOR_SIZE
+    def _resealed(self, data: list[Any], counts: list[int]) -> list[Vector]:
+        """``data`` as segments of ``counts`` rows each, any remainder (a
+        previously empty column) at vector size; converted before the
+        caller replaces anything."""
+        cuts = [0, *itertools.accumulate(counts)]
+        cuts += range(cuts[-1] + STANDARD_VECTOR_SIZE, len(data),
+                      STANDARD_VECTOR_SIZE)
+        if cuts[-1] < len(data):
+            cuts.append(len(data))
+        return [Vector.from_values(self.ltype, data[start:stop])
+                for start, stop in zip(cuts, cuts[1:])]
 
 
 class BaseTable:
@@ -218,6 +223,14 @@ class BaseTable:
                 return i
         raise CatalogError(f"column {name!r} not in table {self.name!r}")
 
+    def check_widths(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Raise before an append when any row is not one value a column."""
+        for row in rows:
+            if len(row) != self.num_columns:
+                raise ExecutionError(
+                    f"expected {self.num_columns} values, got {len(row)}"
+                )
+
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         before = len(self._deleted_ids)
         self._deleted_ids.update(int(r) for r in row_ids)
@@ -251,15 +264,21 @@ class Table(BaseTable):
     # -- mutation -----------------------------------------------------------------
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> np.ndarray:
-        """Append rows; returns their row ids and feeds attached indexes."""
+        """Append rows; returns their row ids and feeds attached indexes.
+        Each batch of :data:`STANDARD_VECTOR_SIZE` rows is transposed once
+        and converted column by column, all before the first append: a
+        row of the wrong width or a value its column cannot hold raises
+        and leaves the table as it was."""
+        self.check_widths(rows)
+        batches = [
+            [Vector.from_values(ltype, values) for ltype, values in
+             zip(self.column_types, zip(*rows[at:at + STANDARD_VECTOR_SIZE]))]
+            for at in range(0, len(rows), STANDARD_VECTOR_SIZE)
+        ]
         start = self.total_rows()
-        for row in rows:
-            if len(row) != self.num_columns:
-                raise ExecutionError(
-                    f"expected {self.num_columns} values, got {len(row)}"
-                )
-            for col, value in zip(self._columns, row):
-                col.append(value)
+        for batch in batches:
+            for col, vector in zip(self._columns, batch):
+                col.push(vector)
         row_ids = np.arange(start, start + len(rows), dtype=np.int64)
         self.changes_since_analyze += len(rows)
         for index in self.indexes:

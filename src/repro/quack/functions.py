@@ -220,7 +220,7 @@ class AggregateFunction:
     step_batch: Callable[
         [list[Vector], Any, int, LogicalType], "Vector | None"
     ] | None = None
-    #: Unused: perfbench/spans.py reads it; ROADMAP item 5(a) removes it.
+    #: Unused: perfbench/spans.py reads it; ROADMAP item 1(g) removes it.
     combine: Callable[..., Any] | None = None
 
     def result_type_for(self, args: tuple[LogicalType, ...]) -> LogicalType:

@@ -9,16 +9,15 @@ The on-disk format (``*.quackdb``) is a single file::
 
 Rows are re-chunked into fixed-size **row groups** (default
 :data:`repro.quack.vector.STANDARD_VECTOR_SIZE` rows).  Each column of a
-row group is one encoded *segment*: dictionary encoding for text, delta
-(frame-of-reference) encoding for int64 payloads — which covers
-``TIMESTAMP``/``DATE``, both epoch-integer physicals — bit-packed
-booleans, raw float64 bytes, an extension type's own codec
-(:attr:`LogicalType.codec`), and a zlib-pickled fallback for the other
-extension payloads.  Validity is a separate packed bitmap per segment,
-elided when all rows are valid.
+row group is one encoded *segment*: an extension type's own codec
+(:attr:`LogicalType.codec`), else a lightweight codec of
+:mod:`repro.quack.compression` (bit-packed integers, ALP doubles, packed
+dictionaries) whose parameters sit in the payload's header.  Validity is
+a separate packed bitmap per segment, elided when all rows are valid.
 
 The JSON footer carries the format version, schema, index definitions,
-per-segment byte offsets, and a per-row-group **zone map** per column:
+per-segment codec and byte offsets, and a per-row-group **zone map** per
+column:
 min/max over the numeric image (:func:`repro.quack.stats.as_number`),
 string bounds for text, null counts, and per-axis bounding-box extents
 with their SRID for spatial/temporal columns.  Scans with pushed-down
@@ -35,7 +34,6 @@ inside ``repro.quack`` to this module.
 
 from __future__ import annotations
 
-import itertools
 import json
 import mmap
 import os
@@ -53,14 +51,16 @@ from ..analysis.config import verification_enabled
 from ..analysis.errors import VerificationError
 from ..observability import count
 from .catalog import ColumnData, Table
+from .compression import decode_segment, encode_segment
 from .errors import QuackError
 from .boxes import AXES, BoxSoA, bounding_box, column_boxes
 from .stats import as_number
 from .types import LogicalType
 from .vector import STANDARD_VECTOR_SIZE, DataChunk, Vector, concat_vectors
 
-#: On-disk format version (3: extension codecs); newer files are refused.
-FORMAT_VERSION = 3
+#: On-disk format version (3: extension codecs; 4: lightweight codecs with
+#: in-payload headers); newer files are refused.
+FORMAT_VERSION = 4
 
 _MAGIC = b"QUACKDB2"
 _TRAILER_SIZE = 8 + len(_MAGIC)  # u64 footer offset + magic echo
@@ -73,9 +73,6 @@ ROW_GROUP_SIZE = STANDARD_VECTOR_SIZE
 #: against ``SET memory_limit`` (exact byte accounting of extension
 #: objects would require walking them).
 _OBJECT_SLOT_BYTES = 64
-
-_DELTA_WIDTHS = (np.int8, np.int16, np.int32, np.int64)
-_CODE_WIDTHS = (np.uint8, np.uint16, np.uint32)
 
 #: What decoding bytes a codec did not write raises.
 _CORRUPT = (ValueError, IndexError, EOFError, zlib.error, struct.error,
@@ -101,7 +98,7 @@ def open_path(path: str, mode: str = "r", **kwargs: Any):
 
 
 # ---------------------------------------------------------------------------
-# Segment codecs
+# Validity bitmaps
 # ---------------------------------------------------------------------------
 
 
@@ -117,99 +114,6 @@ def decode_validity(payload: bytes, rows: int) -> np.ndarray:
         return np.ones(rows, dtype=np.bool_)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=rows)
     return bits.astype(np.bool_)
-
-
-def narrow_dtype(values: np.ndarray) -> np.dtype:
-    """The narrowest of int8/16/32/64 holding the int64 ``values``."""
-    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    return next(np.dtype(w) for w in _DELTA_WIDTHS
-                if np.iinfo(w).min <= lo and hi <= np.iinfo(w).max)
-
-
-def encode_segment(vector: Vector) -> tuple[str, bytes, dict]:
-    """Encode one segment; returns ``(codec, payload, meta)``."""
-    physical, codec = vector.ltype.physical, vector.ltype.codec
-    payload = codec.encode(vector) if codec is not None else None
-    if payload is not None:  # from the views: a decoded view builds nothing
-        return codec.name, payload, {}
-    data = vector.data
-    if physical == "bool":
-        return "bitpack", np.packbits(data.astype(np.bool_)).tobytes(), {}
-    if physical == "int64":
-        values = data.astype(np.int64, copy=False)
-        if len(values) == 0:
-            return "delta", b"", {"first": 0, "width": "int64"}
-        deltas = np.diff(values)
-        width = narrow_dtype(deltas)
-        return "delta", deltas.astype(width).tobytes(), {
-            "first": int(values[0]),
-            "width": width.name,
-        }
-    if physical == "float64":
-        return "raw", data.astype(np.float64, copy=False).tobytes(), {}
-    # Object payloads: dictionary-encode when the segment is pure text,
-    # otherwise fall back to a zlib-compressed pickle.
-    values = data.tolist()
-    if not vector.validity.all():
-        values = [v if ok else None
-                  for v, ok in zip(values, vector.validity.tolist())]
-    present = [v for v in values if v is not None]
-    if all(issubclass(t, str) for t in set(map(type, present))):
-        uniques = sorted(set(present))
-        mapping = {v: i for i, v in enumerate(uniques)}
-        codes = np.fromiter(
-            map(mapping.get, values, itertools.repeat(0)),  # NULL -> 0
-            dtype=np.int64,
-            count=len(values),
-        )
-        width = _CODE_WIDTHS[-1]
-        for candidate in _CODE_WIDTHS:
-            if len(uniques) <= np.iinfo(candidate).max + 1:
-                width = candidate
-                break
-        dict_blob = json.dumps(uniques, ensure_ascii=False).encode("utf-8")
-        return "dict", dict_blob + codes.astype(width).tobytes(), {
-            "dict_bytes": len(dict_blob),
-            "width": np.dtype(width).name,
-            "cardinality": len(uniques),
-        }
-    return "pickle", zlib.compress(
-        pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
-    ), {}
-
-
-def decode_segment(codec: str, payload: bytes, meta: dict, rows: int,
-                   ltype: LogicalType, validity: np.ndarray) -> Vector:
-    """Inverse of :func:`encode_segment`: the segment as a vector with
-    ``validity`` (a view vector where the type's codec wrote it)."""
-    if ltype.codec is not None and codec == ltype.codec.name:
-        return ltype.codec.decode(payload, rows, ltype, validity)
-    if codec == "bitpack":
-        data = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                             count=rows).astype(np.bool_)
-    elif codec == "delta":
-        data = np.full(rows, int(meta["first"]), dtype=np.int64)
-        data[1:] += np.cumsum(np.frombuffer(
-            payload, dtype=np.dtype(meta["width"]), count=max(rows - 1, 0)
-        ), dtype=np.int64)
-    elif codec == "raw":
-        data = np.frombuffer(payload, dtype=np.float64, count=rows)
-    elif codec == "dict":
-        dict_bytes = int(meta["dict_bytes"])
-        uniques = json.loads(bytes(payload[:dict_bytes]).decode("utf-8"))
-        # an all-NULL segment has no value: validity masks every slot
-        lookup = np.empty(max(len(uniques), 1), dtype=object)
-        for i, value in enumerate(uniques):
-            lookup[i] = value
-        data = lookup[np.frombuffer(payload[dict_bytes:], count=rows,
-                                    dtype=np.dtype(meta["width"]))]
-    elif codec == "pickle":
-        data = np.empty(rows, dtype=object)
-        for i, value in enumerate(pickle.loads(zlib.decompress(payload))):
-            data[i] = value
-    else:
-        raise QuackError(f"unknown segment codec {codec!r}")
-    return Vector(ltype, data, validity)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +343,7 @@ class SegmentRef:
     validity_offset: int
     validity_length: int
     rows: int
+    #: a version 2/3 footer's codec parameters (version 4: in the payload)
     meta: dict = field(default_factory=dict)
     zone: ZoneMapEntry | None = None
 
@@ -450,6 +355,8 @@ class StorageFile:
 
     def __init__(self, path: str):
         self.path = path
+        #: the footer's format version, once read
+        self.version = 0
         try:
             self._handle = open_path(path, "rb")
         except OSError as exc:
@@ -539,8 +446,8 @@ class StorageColumn(ColumnData):
                 self.source.read(ref.validity_offset, ref.validity_length),
                 ref.rows,
             )
-            vector = decode_segment(ref.codec, payload, ref.meta, ref.rows,
-                                    self.ltype, validity)
+            vector = decode_segment(ref.codec, payload, ref.rows,
+                                    self.ltype, validity, ref.meta)
         except _CORRUPT as exc:
             raise QuackError(f"{self.source.path}: corrupt {ref.codec} "
                              f"segment {index}: {exc}") from exc
@@ -576,10 +483,12 @@ class StorageColumn(ColumnData):
         # in-memory segments so sibling storage columns stay aligned.
         self.seal()
         counts = [self.segment_rows(i) for i in range(self.segment_count())]
+        segments = self._resealed(data, counts)
         with self._decode_lock:
             self.refs = []
             self._decoded.clear()
-        self._reseal(data, counts)
+        with self._seal_lock:
+            self.segments = segments
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +555,11 @@ def write_database(database: Any, path: str) -> int:
 
 
 def _stored_segment(column: ColumnData, seg: int) -> bool:
-    """Whether ``seg`` of ``column`` is still an on-disk segment (a
-    rewritten or in-memory column has none)."""
-    return isinstance(column, StorageColumn) and seg < len(column.refs)
+    """Whether ``seg`` of ``column`` is still an on-disk segment of this
+    format version, to copy as it stands (a rewritten or in-memory column
+    has none; an older file's codecs are re-encoded)."""
+    return isinstance(column, StorageColumn) and seg < len(column.refs) \
+        and column.source.version == FORMAT_VERSION
 
 
 class _SegmentWriter:
@@ -715,12 +626,12 @@ class _SegmentWriter:
         for part in parts:
             if isinstance(part, Vector):
                 zone = compute_zone_entry(part)
-                codec, payload, meta = encode_segment(part)
+                codec, payload = encode_segment(part)
                 validity_blob = encode_validity(part.validity)
             else:
                 column, seg = part
                 ref = column.refs[seg]
-                codec, meta = ref.codec, ref.meta
+                codec = ref.codec
                 payload = column.source.read(ref.offset, ref.length)
                 validity_blob = column.source.read(ref.validity_offset,
                                                    ref.validity_length)
@@ -731,16 +642,13 @@ class _SegmentWriter:
                                            validity_blob)
             self.handle.write(payload)
             self.handle.write(validity_blob)
-            descriptor = {
+            descriptors.append({
                 "codec": codec,
                 "offset": self.offset,
                 "length": len(payload),
                 "voffset": self.offset + len(payload),
                 "vlength": len(validity_blob),
-            }
-            if meta:
-                descriptor["meta"] = meta
-            descriptors.append(descriptor)
+            })
             zones.append(zone.to_json())
             self.offset += len(payload) + len(validity_blob)
         return {"rows": rows, "columns": descriptors, "zones": zones}
@@ -754,9 +662,9 @@ def _verify_copied_segment(column: "StorageColumn", seg: int,
     queries memoized on them since."""
     ref = column.refs[seg]
     vector = column.segment_vector(seg)
-    codec, encoded, meta = encode_segment(vector)
+    codec, encoded = encode_segment(vector)
     if not (
-        codec == ref.codec and meta == ref.meta
+        codec == ref.codec
         and encode_validity(vector.validity) == validity_blob
         and (codec == "pickle" or encoded == payload)
     ):
@@ -782,37 +690,7 @@ def read_database(database: Any, path: str) -> int:
     # partial table instantiation — this handler closes it instead of
     # relying on every raise site to remember to.
     try:
-        if source.read(0, len(_MAGIC)) != _MAGIC:
-            raise QuackError(f"{path}: not a quack database file")
-        if len(source) < len(_MAGIC) + _TRAILER_SIZE:
-            raise QuackError(
-                f"{path}: not a quack database file: truncated"
-            )
-        trailer = source.read(len(source) - _TRAILER_SIZE, _TRAILER_SIZE)
-        if trailer[8:] != _MAGIC:
-            raise QuackError(
-                f"{path}: not a quack database file: missing footer "
-                "trailer"
-            )
-        (footer_offset,) = struct.unpack("<Q", trailer[:8])
-        try:
-            footer = json.loads(source.read(
-                footer_offset,
-                len(source) - _TRAILER_SIZE - footer_offset,
-            ).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise QuackError(
-                f"{path}: not a quack database file: bad footer: {exc}"
-            ) from exc
-        version = footer.get("format_version")
-        if not isinstance(version, int) or \
-                footer.get("magic") != "quackdb":
-            raise QuackError(f"{path}: not a quack database file")
-        if version > FORMAT_VERSION:
-            raise QuackError(
-                f"{path}: format version {version} is newer than the "
-                f"supported version {FORMAT_VERSION}"
-            )
+        footer = _read_footer(source)
         # The footer records extension *names* for diagnostics only: the
         # caller must have loaded them already (types resolve by name
         # through the database's registry).
@@ -827,6 +705,62 @@ def read_database(database: Any, path: str) -> int:
         raise
     count("storage.tables_attached", loaded)
     return loaded
+
+
+def _read_footer(source: StorageFile) -> dict:
+    """The checked JSON footer of an open file; sets ``source.version``."""
+    path = source.path
+    if source.read(0, len(_MAGIC)) != _MAGIC:
+        raise QuackError(f"{path}: not a quack database file")
+    if len(source) < len(_MAGIC) + _TRAILER_SIZE:
+        raise QuackError(f"{path}: not a quack database file: truncated")
+    trailer = source.read(len(source) - _TRAILER_SIZE, _TRAILER_SIZE)
+    if trailer[8:] != _MAGIC:
+        raise QuackError(
+            f"{path}: not a quack database file: missing footer trailer"
+        )
+    (footer_offset,) = struct.unpack("<Q", trailer[:8])
+    try:
+        footer = json.loads(source.read(
+            footer_offset,
+            len(source) - _TRAILER_SIZE - footer_offset,
+        ).decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise QuackError(
+            f"{path}: not a quack database file: bad footer: {exc}"
+        ) from exc
+    version = footer.get("format_version")
+    if not isinstance(version, int) or footer.get("magic") != "quackdb":
+        raise QuackError(f"{path}: not a quack database file")
+    if version > FORMAT_VERSION:
+        raise QuackError(
+            f"{path}: format version {version} is newer than the "
+            f"supported version {FORMAT_VERSION}"
+        )
+    source.version = version
+    return footer
+
+
+def describe(path: str) -> list[tuple[str, str, str, int, int, int]]:
+    """Where a file's bytes go, read from its footer alone: ``(table,
+    column, codec, payload bytes, validity bytes, rows)`` per column and
+    codec, in file order."""
+    source = StorageFile(path)
+    try:
+        footer = _read_footer(source)
+    finally:
+        source.close()
+    totals: dict[tuple[str, str, str], list[int]] = {}
+    for entry in footer.get("tables", []):
+        for group in entry.get("row_groups", []):
+            for (column, _), segment in zip(entry["columns"],
+                                            group["columns"]):
+                total = totals.setdefault(
+                    (entry["name"], column, segment["codec"]), [0, 0, 0])
+                total[0] += int(segment["length"])
+                total[1] += int(segment["vlength"])
+                total[2] += int(group["rows"])
+    return [key + tuple(total) for key, total in totals.items()]
 
 
 def _instantiate_table(database: Any, entry: dict,
@@ -873,9 +807,11 @@ def _rebuild_indexes(database: Any, table: Table,
 
 
 class SpillFile:
-    """:class:`DataChunk` batches as encoded column segments in an
-    anonymous temp file — the database file's codecs, one length-prefixed
-    JSON header per chunk.
+    """:class:`DataChunk` batches in an anonymous temp file, one
+    length-prefixed JSON header per chunk.  Native columns are written
+    raw — a run is read back once, by the statement that wrote it, so
+    compressing it would only cost time — and object columns through
+    the database file's codecs (:func:`encode_segment`).
 
     One writer, then one sequential reader — exactly the lifecycle of a
     sort run or a join/aggregation partition.  The file is unlinked on
@@ -892,9 +828,11 @@ class SpillFile:
         columns = []
         blobs = []
         for vector in chunk.vectors:
-            codec, payload, meta = encode_segment(vector)
+            codec, payload = encode_segment(vector) \
+                if vector.ltype.physical == "object" \
+                else ("raw", vector.data.tobytes())
             validity_blob = encode_validity(vector.validity)
-            columns.append([codec, len(payload), len(validity_blob), meta])
+            columns.append([codec, len(payload), len(validity_blob)])
             blobs += (payload, validity_blob)
         header = json.dumps({"rows": chunk.count,
                              "columns": columns}).encode("utf-8")
@@ -916,12 +854,12 @@ class SpillFile:
             header = json.loads(self._handle.read(length))
             rows = header["rows"]
             vectors = []
-            for ltype, (codec, size, vsize, meta) in zip(
-                    self.types, header["columns"]):
+            for ltype, (codec, size, vsize) in zip(self.types,
+                                                   header["columns"]):
                 payload = self._handle.read(size)
                 validity = decode_validity(self._handle.read(vsize), rows)
-                vectors.append(decode_segment(codec, payload, meta, rows,
-                                              ltype, validity))
+                vectors.append(decode_segment(codec, payload, rows, ltype,
+                                              validity))
             yield DataChunk(vectors)
 
     def close(self) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..analysis.config import verification_enabled
 from ..analysis.errors import VerificationError
-from .errors import ExecutionError
+from .errors import ConversionError, ExecutionError
 from .types import BOOLEAN, LogicalType
 
 STANDARD_VECTOR_SIZE = 2048
@@ -150,23 +150,25 @@ class Vector:
 
     @classmethod
     def from_values(cls, ltype: LogicalType, values: Iterable[Any]) -> "Vector":
-        items = list(values)
+        """The Python ``values`` (``None``: NULL) as one vector, converted
+        in one pass; a value the physical type cannot hold raises
+        :class:`ConversionError`.  Validity is an identity test, never
+        the conversion's (``np.fromiter`` reads ``None`` as a NaN)."""
+        items = values if isinstance(values, (list, tuple)) else list(values)
         count = len(items)
         validity = np.fromiter(
             (v is not None for v in items), dtype=np.bool_, count=count
         )
-        dtype = _PHYSICAL_DTYPES[ltype.physical]
-        if ltype.physical == "object":
-            data = np.empty(count, dtype=object)
-            for i, v in enumerate(items):
-                data[i] = v
-        else:
+        if ltype.physical != "object" and not validity.all():
             fill = False if ltype.physical == "bool" else 0
-            data = np.fromiter(
-                (fill if v is None else v for v in items),
-                dtype=dtype,
-                count=count,
-            )
+            items = [fill if v is None else v for v in items]
+        try:
+            data = np.fromiter(items, dtype=_PHYSICAL_DTYPES[ltype.physical],
+                               count=count)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConversionError(
+                f"cannot store a value as {ltype.name}: {exc}"
+            ) from None
         return cls(ltype, data, validity)
 
     @classmethod

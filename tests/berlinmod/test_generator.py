@@ -11,6 +11,7 @@ from repro.berlinmod import (
     generate,
     make_districts,
 )
+from repro.berlinmod import network
 from repro.berlinmod.network import SPEED_KMH, make_network
 from repro.berlinmod.regions import population_weights
 from repro.meos.temporal import Interp
@@ -59,22 +60,20 @@ class TestDistricts:
 
 class TestNetwork:
     def test_connected(self):
-        import networkx as nx
-
         net = make_network(make_districts())
-        assert nx.is_connected(net.graph)
+        assert len(net.graph.components()) == 1
 
     def test_road_categories_present(self):
         net = make_network(make_districts())
         categories = {
             data["category"]
-            for _, _, data in net.graph.edges(data=True)
+            for _, _, data in _edges(net.graph)
         }
         assert categories == {"sidestreet", "mainstreet", "freeway"}
 
     def test_edge_weights_consistent(self):
         net = make_network(make_districts())
-        for _, _, data in net.graph.edges(data=True):
+        for _, _, data in _edges(net.graph):
             expected = data["length"] / data["speed"]
             assert data["seconds"] == pytest.approx(expected)
             assert data["speed"] == pytest.approx(
@@ -158,7 +157,7 @@ class TestGeneratedDataset:
         assert dataset.trips
         categories = {
             data["category"]
-            for _, _, data in dataset.network.graph.edges(data=True)
+            for _, _, data in _edges(dataset.network.graph)
         }
         assert "freeway" in categories
 
@@ -166,28 +165,52 @@ class TestGeneratedDataset:
         # perfbench loads generate(0.0002, 4711); skipping unreachable
         # rim nodes must not move a byte of it (digest taken before the
         # fix).
-        dataset = generate(0.0002, seed=4711)
-        graph = dataset.network.graph
-        digest = hashlib.sha1()
-        for node in sorted(graph.nodes):
-            digest.update(
-                repr((node, sorted(graph.nodes[node].items()))).encode()
-            )
-        for a, b in sorted(tuple(sorted(edge)) for edge in graph.edges):
-            digest.update(
-                repr((a, b, sorted(graph.edges[a, b].items()))).encode()
-            )
-        for vehicle in dataset.vehicles:
-            digest.update(repr(vehicle).encode())
-        for trip in dataset.trips:
-            digest.update(repr((
-                trip.trip_id, trip.vehicle_id, trip.day, trip.seq_no,
-                trip.source_node, trip.target_node, trip.trip.as_text(),
-                str(trip.traj),
-            )).encode())
-        assert digest.hexdigest() == (
+        assert _city_digest(generate(0.0002, seed=4711)) == (
             "d2efcc0aec947ac9413427b8845abbb990c83ddf"
         )
+
+    @pytest.mark.parametrize("sf,seed", [(0.0002, 4711), (0.0001, 129),
+                                         (0.0005, 7)])
+    def test_city_is_the_networkx_routed_one(self, monkeypatch, sf, seed):
+        """The adjacency-dict graph lays out, splits and routes the city
+        exactly as networkx does."""
+        nx = pytest.importorskip("networkx")
+
+        class NxGraph(network.Graph):
+            def _nx(self):
+                if not hasattr(self, "_mirror"):
+                    self._mirror = nx.Graph()
+                    self._mirror.add_nodes_from(self.nodes.items())
+                    self._mirror.add_edges_from(
+                        (a, b, d) for a, out in self.adj.items()
+                        for b, d in out.items())
+                return self._mirror
+
+            def shortest_path(self, source, target, weight):
+                try:
+                    return nx.shortest_path(self._nx(), source, target,
+                                            weight=weight)
+                except nx.NetworkXNoPath:
+                    return None
+
+            def components(self):
+                return list(nx.connected_components(self._nx()))
+
+            def subgraph(self, keep):
+                # networkx's order, this graph's (upgraded) attributes
+                copy = self._nx().subgraph(keep).copy()
+                out = NxGraph()
+                for node in copy.nodes:
+                    out.add_node(node, **self.nodes[node])
+                for a, b in copy.edges:
+                    out.add_edge(a, b, **self.adj[a][b])
+                return out
+
+        expected = _city_digest(generate(sf, seed=seed))
+        monkeypatch.setattr(network, "Graph", NxGraph)
+        routed = generate(sf, seed=seed)
+        assert isinstance(routed.network.graph, NxGraph)
+        assert _city_digest(routed) == expected
 
     def test_size_grows_with_scale(self, dataset):
         bigger = generate(0.002)
@@ -219,3 +242,33 @@ class TestExports:
         regions = regions_to_geojson(dataset)
         assert len(regions["features"]) == 12
         assert regions["features"][0]["properties"]["population"] > 0
+
+
+def _city_digest(dataset) -> str:
+    """Every table of a generated city: the road graph, the vehicles and
+    the trips."""
+    graph = dataset.network.graph
+    digest = hashlib.sha1()
+    for node in sorted(graph.nodes):
+        digest.update(
+            repr((node, sorted(graph.nodes[node].items()))).encode()
+        )
+    for a, b in sorted(tuple(sorted(edge[:2])) for edge in _edges(graph)):
+        digest.update(
+            repr((a, b, sorted(graph.adj[a][b].items()))).encode()
+        )
+    for vehicle in dataset.vehicles:
+        digest.update(repr(vehicle).encode())
+    for trip in dataset.trips:
+        digest.update(repr((
+            trip.trip_id, trip.vehicle_id, trip.day, trip.seq_no,
+            trip.source_node, trip.target_node, trip.trip.as_text(),
+            str(trip.traj),
+        )).encode())
+    return digest.hexdigest()
+
+
+def _edges(graph):
+    """Each edge once, as ``(a, b, attributes)``."""
+    return [(a, b, data) for a, out in graph.adj.items()
+            for b, data in out.items() if a < b]

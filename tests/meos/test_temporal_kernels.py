@@ -246,9 +246,9 @@ def test_stored_arrays_give_back_the_temporals(trips, rng):
     the same temporals, and the objects it builds are the stored ones;
     a gather writes only the temporals it holds."""
     vector = Vector.from_values(_TGEOMPOINT, trips)
-    codec, payload, meta = storage.encode_segment(vector)
+    codec, payload = storage.encode_segment(vector)
     assert codec == "tcsr"
-    back = storage.decode_segment(codec, payload, meta, len(trips),
+    back = storage.decode_segment(codec, payload, len(trips),
                                   _TGEOMPOINT, vector.validity)
     assert isinstance(back, ViewVector)
     assert [_bits(v) for v in kernels.length_rows(temp_csr(back))[0]] == \
@@ -257,8 +257,8 @@ def test_stored_arrays_give_back_the_temporals(trips, rng):
     rows = np.array([rng.randrange(len(trips)) for _ in trips[:3]],
                     dtype=np.int64)
     gathered = back.take(rows)
-    codec, payload, meta = storage.encode_segment(gathered)
-    again = storage.decode_segment(codec, payload, meta, len(rows),
+    codec, payload = storage.encode_segment(gathered)
+    again = storage.decode_segment(codec, payload, len(rows),
                                    _TGEOMPOINT, gathered.validity)
     held = {id(trips[i]) for i in rows.tolist() if trips[i] is not None}
     assert len(temp_csr(again).store) == len(held)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.quack.catalog import ColumnData, Table
-from repro.quack.errors import CatalogError, ExecutionError
+from repro.quack.errors import CatalogError, ConversionError, ExecutionError
 from repro.quack.types import BIGINT, VARCHAR
 from repro.quack.vector import STANDARD_VECTOR_SIZE
 
@@ -13,7 +13,7 @@ class TestColumnData:
     def test_append_and_seal(self):
         col = ColumnData(BIGINT)
         for i in range(10):
-            col.append(i)
+            col.extend((i,))
         assert len(col) == 10
         chunks = list(col.chunks())
         assert sum(len(c) for c in chunks) == 10
@@ -21,21 +21,21 @@ class TestColumnData:
     def test_auto_seal_at_vector_size(self):
         col = ColumnData(BIGINT)
         for i in range(STANDARD_VECTOR_SIZE + 5):
-            col.append(i)
+            col.extend((i,))
         assert len(col.segments) >= 1
         assert len(col) == STANDARD_VECTOR_SIZE + 5
 
     def test_nulls_tracked(self):
         col = ColumnData(VARCHAR)
-        col.append("a")
-        col.append(None)
+        col.extend(("a",))
+        col.extend((None,))
         vec = next(col.chunks())
         assert vec.to_list() == ["a", None]
 
     def test_gather_across_segments(self):
         col = ColumnData(BIGINT)
         for i in range(STANDARD_VECTOR_SIZE * 2 + 10):
-            col.append(i)
+            col.extend((i,))
         picks = np.array(
             [0, STANDARD_VECTOR_SIZE, STANDARD_VECTOR_SIZE * 2 + 9],
             dtype=np.int64,
@@ -46,14 +46,14 @@ class TestColumnData:
 
     def test_gather_out_of_range(self):
         col = ColumnData(BIGINT)
-        col.append(1)
+        col.extend((1,))
         with pytest.raises(ExecutionError):
             col.gather(np.array([5], dtype=np.int64))
 
     def test_rewrite(self):
         col = ColumnData(BIGINT)
-        col.append(1)
-        col.append(2)
+        col.extend((1,))
+        col.extend((2,))
         col.rewrite([10, None])
         vec = next(col.chunks())
         assert vec.to_list() == [10, None]
@@ -75,6 +75,47 @@ class TestTable:
         table = self._table()
         with pytest.raises(ExecutionError):
             table.append_rows([(1,)])
+
+    @pytest.mark.parametrize("engine", ["quack", "pgsim"])
+    def test_a_short_row_appends_nothing(self, engine):
+        con = (Database if engine == "quack" else RowDatabase)().connect()
+        con.execute("CREATE TABLE t(a BIGINT, b VARCHAR)")
+        table = con.database.catalog.get_table("t")
+        with pytest.raises(ExecutionError, match="expected 2 values"):
+            table.append_rows([(1, "a"), (2,)])
+        assert con.execute("SELECT count(*) FROM t").scalar() == 0
+
+    def test_a_value_that_does_not_convert_appends_nothing(self):
+        con = Database().connect()
+        con.execute("CREATE TABLE t(a BIGINT, b VARCHAR)")
+        table = con.database.catalog.get_table("t")
+        table.append_rows([(1, "a")])
+        rows = [(i, "ok") for i in range(STANDARD_VECTOR_SIZE + 3)]
+        with pytest.raises(ConversionError, match="BIGINT"):
+            table.append_rows(rows + [("x", "b")])
+        assert con.execute("SELECT a, b FROM t").fetchall() == [(1, "a")]
+        table.append_rows([(2, None)])
+        assert con.execute("SELECT a, b FROM t").fetchall() == \
+            [(1, "a"), (2, None)]
+
+    def test_rows_seal_at_vector_size(self):
+        table = self._table()
+        table.append_rows([(i, None) for i in range(10)])
+        table.append_rows([(i, "r") for i in range(2 * STANDARD_VECTOR_SIZE)])
+        column = table._columns[0]
+        assert [len(s) for s in column.segments] == [STANDARD_VECTOR_SIZE] * 2
+        assert sum(map(len, column.tail)) == 10
+        assert column.gather(np.arange(12)).to_list() == \
+            list(range(10)) + [0, 1]
+        assert table._columns[1].gather(np.array([9, 10])).to_list() == \
+            [None, "r"]
+
+    def test_nulls_of_a_double_column_stay_null(self):
+        table = Table("d", [("x", DOUBLE)])
+        table.append_rows([(None,), (float("nan"),), (1.5,)])
+        (chunk, _), = table.scan()
+        values = chunk.vectors[0].to_list()
+        assert values[0] is None and math.isnan(values[1]) and values[2] == 1.5
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(CatalogError):
@@ -161,11 +202,11 @@ from repro.quack.vector import Vector
 
 def _codec_round_trip(ltype, values):
     vector = Vector.from_values(ltype, values)
-    codec, payload, meta = storage.encode_segment(vector)
+    codec, payload = storage.encode_segment(vector)
     validity = storage.decode_validity(
         storage.encode_validity(vector.validity), len(values)
     )
-    back = storage.decode_segment(codec, payload, meta, len(values), ltype,
+    back = storage.decode_segment(codec, payload, len(values), ltype,
                                   validity)
     return codec, back.to_list()
 
@@ -184,11 +225,11 @@ def _same_floats(got, expected):
 
 
 class TestCodecs:
-    def test_int_delta_with_nulls(self):
+    def test_int_with_nulls(self):
         values = [1, None, 3, 1_000_000, -5, None, 7]
         codec, got = _codec_round_trip(BIGINT, values)
         assert got == values
-        assert codec == "delta"
+        assert codec == "int"
 
     def test_int_extremes(self):
         values = [-(2**62), 2**62, 0, -1]
@@ -206,11 +247,11 @@ class TestCodecs:
         assert got == values
         assert codec == "dict"
 
-    def test_bool_bitpack(self):
+    def test_bool_int(self):
         values = [True, False, None, True] * 9
         codec, got = _codec_round_trip(BOOLEAN, values)
         assert got == values
-        assert codec == "bitpack"
+        assert codec == "int"
 
     def test_all_null_segment(self):
         values = [None] * 17
@@ -1020,8 +1061,8 @@ class TestSpillFileChunks:
         monkeypatch.setattr(temporal_kernels._Store, "_build",
                             lambda self, g: built.append(g) or build(self, g))
         trips = Vector.from_values(_TGEOMPOINT, _PLANAR + [None])
-        codec, payload, meta = storage.encode_segment(trips)
-        decoded = storage.decode_segment(codec, payload, meta, len(trips),
+        codec, payload = storage.encode_segment(trips)
+        decoded = storage.decode_segment(codec, payload, len(trips),
                                          _TGEOMPOINT, trips.validity)
         rows = np.array([3, 3, len(trips) - 1, 1])
         taken = decoded.take(rows)
@@ -1838,7 +1879,7 @@ class TestPayloadCodecs:
         footer = json.loads(raw[footer_offset:-16])
         (group,) = footer["tables"][0]["row_groups"]
         assert [c["codec"] for c in group["columns"]] == \
-            ["delta", "tcsr", "span", "wkb"]
+            ["int", "tcsr", "span", "wkb"]
         att = core.connect()
         att.execute(f"ATTACH '{path}'")
         got = att.execute("SELECT * FROM g").fetchall()
@@ -1849,11 +1890,11 @@ class TestPayloadCodecs:
 
 def _round_trip_vector(ltype, values):
     vector = Vector.from_values(ltype, values)
-    codec, payload, meta = storage.encode_segment(vector)
+    codec, payload = storage.encode_segment(vector)
     validity = storage.decode_validity(
         storage.encode_validity(vector.validity), len(values)
     )
-    return codec, storage.decode_segment(codec, payload, meta, len(values),
+    return codec, storage.decode_segment(codec, payload, len(values),
                                          ltype, validity)
 
 
