@@ -77,6 +77,7 @@ class RowTable(BaseTable):
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> list[int]:
         self.check_widths(rows)
+        self.check_values(list(zip(*rows)))
         start = len(self.rows)
         for row in rows:
             self.rows.append(self._heap_row(row))

@@ -1,8 +1,10 @@
 """Catalog and columnar storage.
 
-Tables store data column-wise in sealed NumPy segments plus an append tail,
-so sequential scans hand out zero-copy vector slices — the quack analogue
-of DuckDB's row groups.  Deletes are tombstones; updates rewrite columns.
+Tables store data column-wise in sealed segments plus an append tail —
+the quack analogue of DuckDB's row groups.  A segment is in memory or a
+stored segment of an attached file that decodes on first touch; scans
+hand out its vector as it is.  Deletes are tombstones; an update
+replaces the segments it touches.
 
 Indexes attach to tables through the pluggable :class:`IndexType` registry
 (paper §4.1: ``RegisterIndexType``); the concrete box index behind
@@ -11,14 +13,16 @@ Indexes attach to tables through the pluggable :class:`IndexType` registry
 
 from __future__ import annotations
 
-import itertools
 import threading
+from functools import partial
+from operator import is_not
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CatalogError, ExecutionError
+from ..analysis.config import verification_enabled
+from .errors import CatalogError, ConversionError, ExecutionError
 from .types import BIGINT, LogicalType
 from .vector import (
     _PHYSICAL_DTYPES,
@@ -29,29 +33,45 @@ from .vector import (
 )
 
 
+@dataclass(slots=True, eq=False)
+class Segment:
+    """One sealed row group of one column.
+
+    ``vector`` holds its rows, or is None while they are still the
+    ``stored`` bytes of an attached file (a
+    :class:`repro.quack.storage.SegmentRef`), which decode on first
+    touch.  ``zone`` caches the segment's zone-map entry; a stored
+    segment's comes from the file's footer."""
+
+    rows: int
+    vector: Vector | None = None
+    stored: Any = None
+    zone: Any = None
+
+
 class ColumnData:
-    """Append-only storage of one column: sealed segments + tail buffer.
-
-    A sealed segment *is* a :class:`Vector`, the same object for every
-    scan, so the derived views cached on it (box arrays, CSR layouts)
-    are built once per column, not once per query.  The tail holds the
+    """One column: its sealed segments in row order, then a tail of the
     vectors appended since, fewer than :data:`STANDARD_VECTOR_SIZE` rows
-    in all: values are converted when they are appended, never when a
-    read seals them."""
+    in all.
 
-    __slots__ = ("ltype", "segments", "tail", "_seal_lock")
+    A segment's vector is the same object for every scan, so the derived
+    views cached on it (box arrays, CSR layouts) are built once per
+    column, not once per query.  Values are converted when they are
+    appended, never when a read seals them.  One lock guards the
+    segment list and the first decode of a stored segment: client
+    threads sharing a database seal and decode lazily from their
+    reads."""
+
+    __slots__ = ("ltype", "segments", "tail", "_lock")
 
     def __init__(self, ltype: LogicalType):
         self.ltype = ltype
-        self.segments: list[Vector] = []
+        self.segments: list[Segment] = []
         self.tail: list[Vector] = []
-        # Read paths (scan/gather) seal lazily; two client threads
-        # sharing a database and sealing the same column concurrently
-        # would double-append the tail as two segments without this lock.
-        self._seal_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self.segments) + sum(map(len, self.tail))
+        return sum(s.rows for s in self.segments) + sum(map(len, self.tail))
 
     def extend(self, values: Sequence[Any]) -> None:
         """Append Python ``values`` (``None``: NULL); one the column
@@ -61,7 +81,7 @@ class ColumnData:
     def push(self, vector: Vector) -> None:
         """Append converted rows to the tail; each full
         :data:`STANDARD_VECTOR_SIZE` rows of it seal as a segment."""
-        with self._seal_lock:
+        with self._lock:
             self.tail.append(vector)
             if sum(map(len, self.tail)) < STANDARD_VECTOR_SIZE:
                 return
@@ -70,114 +90,111 @@ class ColumnData:
                              merged.validity[at:at + size])
                       for at in range(0, len(merged), size)]
             full = len(merged) // size
-            self.segments += pieces[:full]
+            self.segments += [Segment(size, p) for p in pieces[:full]]
             self.tail = pieces[full:]
 
     def _merged(self) -> Vector:
+        """The tail's rows as one plain vector of the column's type (a
+        pushed vector may be a gather or a view of another: the segment
+        keeps its rows, not its source)."""
+        dtype = _PHYSICAL_DTYPES[self.ltype.physical]
         if len(self.tail) == 1:
-            return self.tail[0]
+            (only,) = self.tail
+            return Vector(self.ltype, np.asarray(only.data, dtype=dtype),
+                          only.validity)
         return Vector(self.ltype,
-                      np.concatenate([v.data for v in self.tail]),
+                      np.concatenate([v.data for v in self.tail], dtype=dtype),
                       np.concatenate([v.validity for v in self.tail]))
-
-    def append_vector(self, vector: Vector) -> None:
-        self.seal()
-        # Same guard as seal(): the segment list is read by client
-        # threads sealing concurrently, so every write goes through it.
-        with self._seal_lock:
-            self.segments.append(Vector(
-                self.ltype,
-                np.array(vector.data,
-                         dtype=_PHYSICAL_DTYPES[self.ltype.physical],
-                         copy=True),
-                np.array(vector.validity, copy=True),
-            ))
 
     def seal(self) -> None:
         if not self.tail:
             return
-        with self._seal_lock:
+        with self._lock:
             if self.tail:  # else another thread sealed while we waited
-                self.segments.append(self._merged())
+                merged = self._merged()
+                self.segments.append(Segment(len(merged), merged))
                 self.tail = []
 
     # -- sealed-segment access ----------------------------------------------------
-    #
-    # Scans, zone maps, and random access all go through this small
-    # segment API so lazily-decoded storage columns
-    # (repro.quack.storage.StorageColumn) can override it: a skipped row
-    # group is then never decompressed.
-
-    def segment_count(self) -> int:
-        self.seal()
-        return len(self.segments)
-
-    def segment_rows(self, index: int) -> int:
-        return len(self.segments[index])
 
     def segment_vector(self, index: int) -> Vector:
-        return self.segments[index]
+        """The rows of sealed segment ``index``; a stored one decodes
+        once, on first touch."""
+        segment = self.segments[index]
+        vector = segment.vector
+        if vector is None:
+            with self._lock:
+                if segment.vector is None:
+                    segment.vector = segment.stored.decode(self.ltype, index)
+                vector = segment.vector
+        elif segment.stored is not None and verification_enabled():
+            segment.stored.verify(vector, index, segment.zone)
+        return vector
 
     def zone_entry(self, index: int):
-        """The zone map of one sealed segment (storage columns serve the
-        footer entry instead of touching the payload)."""
-        from .storage import compute_zone_entry
+        """The zone map of sealed segment ``index``, computed once."""
+        segment = self.segments[index]
+        if segment.zone is None:
+            from .storage import compute_zone_entry
 
-        return compute_zone_entry(self.segment_vector(index))
+            segment.zone = compute_zone_entry(self.segment_vector(index))
+        return segment.zone
 
     def chunks(self) -> Iterator[Vector]:
-        for index in range(self.segment_count()):
+        self.seal()
+        for index in range(len(self.segments)):
             yield self.segment_vector(index)
 
-    def gather(self, row_ids: np.ndarray) -> Vector:
-        """Random access fetch by global row offsets: a gather of the one
-        segment the rows fall in, else of each segment's rows."""
+    def _by_segment(
+        self, row_ids: Sequence[int]
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(segment, positions in row_ids, offsets in the segment)``
+        of each sealed segment that global row offsets ``row_ids`` fall
+        in, in segment order."""
         self.seal()
         row_ids = np.asarray(row_ids, dtype=np.int64)
         bad = (row_ids < 0) | (row_ids >= len(self))
         if bad.any():
             raise ExecutionError(f"row id {row_ids[bad][0]} out of range")
-        bounds = np.cumsum(
-            [0] + [self.segment_rows(i) for i in range(self.segment_count())]
-        )
+        bounds = np.cumsum([0] + [s.rows for s in self.segments])
         seg = np.searchsorted(bounds, row_ids, side="right") - 1
-        offsets = row_ids - bounds[seg]
-        touched = np.unique(seg)
-        if len(touched) == 1:
-            return self.segment_vector(int(touched[0])).take(offsets)
-        if not len(touched):
-            return Vector.empty(self.ltype, 0)
         order = np.argsort(seg, kind="stable")
-        cuts = np.searchsorted(seg[order], touched)
-        parts = [
-            self.segment_vector(int(s)).take(offsets[rows])
-            for s, rows in zip(touched, np.split(order, cuts[1:]))
-        ]
-        back = np.empty(len(order), dtype=np.int64)
-        back[order] = np.arange(len(order))
-        return concat_vectors(parts).take(back)
+        touched, starts = np.unique(seg[order], return_index=True)
+        for s, picks in zip(touched.tolist(), np.split(order, starts[1:])):
+            yield s, picks, row_ids[picks] - bounds[s]
 
-    def rewrite(self, data: list[Any]) -> None:
-        """Replace the whole column (UPDATE path), preserving the
-        existing row-group boundaries so sibling columns — and their zone
-        maps — stay segment-aligned."""
-        self.seal()
-        counts = [self.segment_rows(i) for i in range(self.segment_count())]
-        segments = self._resealed(data, counts)
-        with self._seal_lock:
-            self.segments = segments
+    def gather(self, row_ids: np.ndarray) -> Vector:
+        """Random access fetch by global row offsets: a gather of the one
+        segment the rows fall in, else of each segment's rows."""
+        parts = [(picks, self.segment_vector(s).take(offsets))
+                 for s, picks, offsets in self._by_segment(row_ids)]
+        if len(parts) == 1:
+            return parts[0][1]
+        if not parts:
+            return Vector.empty(self.ltype, 0)
+        back = np.empty(len(row_ids), dtype=np.int64)
+        back[np.concatenate([picks for picks, _ in parts])] = \
+            np.arange(len(row_ids))
+        return concat_vectors([part for _, part in parts]).take(back)
 
-    def _resealed(self, data: list[Any], counts: list[int]) -> list[Vector]:
-        """``data`` as segments of ``counts`` rows each, any remainder (a
-        previously empty column) at vector size; converted before the
-        caller replaces anything."""
-        cuts = [0, *itertools.accumulate(counts)]
-        cuts += range(cuts[-1] + STANDARD_VECTOR_SIZE, len(data),
-                      STANDARD_VECTOR_SIZE)
-        if cuts[-1] < len(data):
-            cuts.append(len(data))
-        return [Vector.from_values(self.ltype, data[start:stop])
-                for start, stop in zip(cuts, cuts[1:])]
+    def update(self, row_ids: Sequence[int], values: Sequence[Any]) -> None:
+        """Set row ``row_ids[i]`` to ``values[i]`` (UPDATE), converted
+        before anything is replaced.  Only the segments holding those
+        rows are replaced, by patched in-memory copies; every other
+        segment keeps its vector and views, its zone entry and its
+        stored bytes."""
+        new = Vector.from_values(self.ltype, values)
+        replaced = {}
+        for s, picks, offsets in self._by_segment(row_ids):
+            old = self.segment_vector(s)
+            data, validity = old.data.copy(), old.validity.copy()
+            data[offsets] = new.data[picks]
+            validity[offsets] = new.validity[picks]
+            replaced[s] = Segment(len(data),
+                                  Vector(self.ltype, data, validity))
+        with self._lock:
+            for s, segment in replaced.items():
+                self.segments[s] = segment
 
 
 class BaseTable:
@@ -231,6 +248,29 @@ class BaseTable:
                     f"expected {self.num_columns} values, got {len(row)}"
                 )
 
+    def check_values(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Raise :class:`ConversionError` before an append when a column
+        of a builtin native type is handed a value it does not hold
+        exactly: text in a BOOLEAN or number column, a float in an
+        integer one, an int outside int64.  ``columns`` are the rows
+        transposed; each is judged by the set of its values' types."""
+        for ltype, values in zip(self.column_types, columns):
+            if ltype.is_user or ltype.physical == "object":
+                continue
+            kinds = set(map(type, values))
+            refused = (str, float) if ltype.physical == "int64" else (str,)
+            for kind in kinds:
+                if issubclass(kind, refused):
+                    raise ConversionError(f"cannot store a {kind.__name__}"
+                                          f" value as {ltype.name}")
+            if ltype.physical == "int64" and int in kinds:
+                ints = values if type(None) not in kinds else \
+                    list(filter(partial(is_not, None), values))
+                if min(ints) < -2 ** 63 or max(ints) >= 2 ** 63:
+                    raise ConversionError(
+                        f"cannot store an int outside int64 as {ltype.name}"
+                    )
+
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         before = len(self._deleted_ids)
         self._deleted_ids.update(int(r) for r in row_ids)
@@ -248,33 +288,30 @@ class Table(BaseTable):
     def __init__(self, name: str, columns: list[tuple[str, LogicalType]]):
         super().__init__(name, columns)
         self._columns = [ColumnData(t) for t in self.column_types]
-        #: lazily-built per-row-group zone maps (storage.ZoneMapEntry per
-        #: column, one list per sealed segment).  Sealed segments are
-        #: immutable, so appends only *extend* this cache — a rewrite
-        #: (UPDATE) resets it so pruning never trusts stale bounds.
-        self._zone_cache: list[list] = []
-        # Two client threads sharing a database and extending the lazy
-        # zone cache concurrently would interleave duplicate segment
-        # entries; same discipline as ColumnData._seal_lock.
-        self._zone_lock = threading.Lock()
 
     def total_rows(self) -> int:
         return len(self._columns[0])
+
+    def _seal(self) -> None:
+        """Seal every column's tail, so all end on the same segment."""
+        for col in self._columns:
+            col.seal()
 
     # -- mutation -----------------------------------------------------------------
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> np.ndarray:
         """Append rows; returns their row ids and feeds attached indexes.
-        Each batch of :data:`STANDARD_VECTOR_SIZE` rows is transposed once
-        and converted column by column, all before the first append: a
-        row of the wrong width or a value its column cannot hold raises
-        and leaves the table as it was."""
+        Each batch of :data:`STANDARD_VECTOR_SIZE` rows is transposed once,
+        checked and converted column by column, all before the first
+        append: a row of the wrong width or a value its column cannot
+        hold raises and leaves the table as it was."""
         self.check_widths(rows)
-        batches = [
-            [Vector.from_values(ltype, values) for ltype, values in
-             zip(self.column_types, zip(*rows[at:at + STANDARD_VECTOR_SIZE]))]
-            for at in range(0, len(rows), STANDARD_VECTOR_SIZE)
-        ]
+        batches = []
+        for at in range(0, len(rows), STANDARD_VECTOR_SIZE):
+            columns = list(zip(*rows[at:at + STANDARD_VECTOR_SIZE]))
+            self.check_values(columns)
+            batches.append([Vector.from_values(ltype, values) for ltype,
+                            values in zip(self.column_types, columns)])
         start = self.total_rows()
         for batch in batches:
             for col, vector in zip(self._columns, batch):
@@ -287,8 +324,9 @@ class Table(BaseTable):
         return row_ids
 
     def append_chunk(self, chunk: DataChunk) -> np.ndarray:
-        """Append a chunk of rows column-wise, as one sealed segment;
-        returns their row ids and feeds attached indexes."""
+        """Append a chunk of rows column-wise, each column of its
+        target's type; returns their row ids and feeds attached
+        indexes."""
         if len(chunk.vectors) != self.num_columns:
             raise ExecutionError(
                 f"expected {self.num_columns} values, "
@@ -296,7 +334,7 @@ class Table(BaseTable):
             )
         start = self.total_rows()
         for col, vector in zip(self._columns, chunk.vectors):
-            col.append_vector(vector)
+            col.push(vector)
         row_ids = np.arange(start, start + chunk.count, dtype=np.int64)
         self.changes_since_analyze += chunk.count
         for index in self.indexes:
@@ -307,49 +345,35 @@ class Table(BaseTable):
     def update_rows(self, row_ids: Sequence[int], positions: Sequence[int],
                     values: Sequence[Sequence[Any]]) -> None:
         """UPDATE: set column ``positions[k]`` of row ``row_ids[i]`` to
-        ``values[k][i]``.  Each assigned column is rewritten once, keeping
-        its row-group boundaries; then the zone maps are dropped and the
-        indexes rebuilt, once."""
-        everything = np.arange(self.total_rows(), dtype=np.int64)
+        ``values[k][i]``.  Each assigned column replaces only the
+        segments that hold those rows (:meth:`ColumnData.update`); then
+        the indexes rebuild, once."""
+        self._seal()
         for position, new in zip(positions, values):
-            column = self._columns[position]
-            data = column.gather(everything).to_list()
-            for row_id, value in zip(row_ids, new):
-                data[row_id] = value
-            column.rewrite(data)
-        self._zone_cache = []
+            self._columns[position].update(row_ids, new)
         for index in self.indexes:
             index.rebuild(self)
 
     # -- zone maps ----------------------------------------------------------------
 
     def zone_maps(self) -> list[list] | None:
-        """Per-sealed-segment zone maps, one entry list per column.
+        """Per-sealed-segment zone maps, one entry list per column; each
+        segment computes its entry once and keeps it until an UPDATE
+        replaces the segment.
 
-        Returns ``None`` when the columns are not uniformly segmented
-        (e.g. after a whole-vector append) — pruning by segment index
-        would then be unsound.  Entries are conservative under
-        tombstones: a pruned group provably holds no matching stored
-        row, deleted or not.
+        Returns ``None`` when the columns are not segmented alike —
+        pruning by segment index would then be unsound.  Every table
+        write seals all columns at the same rows, so this guards an
+        invariant rather than a case that arises.  Entries are
+        conservative under tombstones: a pruned group provably holds no
+        matching stored row, deleted or not.
         """
-        for col in self._columns:
-            col.seal()
-        num_segments = self._columns[0].segment_count()
-        for col in self._columns[1:]:
-            if col.segment_count() != num_segments:
-                return None
-        for seg in range(num_segments):
-            rows = self._columns[0].segment_rows(seg)
-            if any(col.segment_rows(seg) != rows
-                   for col in self._columns[1:]):
-                return None
-        with self._zone_lock:
-            while len(self._zone_cache) < num_segments:
-                seg = len(self._zone_cache)
-                self._zone_cache.append(
-                    [col.zone_entry(seg) for col in self._columns]
-                )
-            return self._zone_cache[:num_segments]
+        self._seal()
+        rows = [[s.rows for s in col.segments] for col in self._columns]
+        if any(counts != rows[0] for counts in rows[1:]):
+            return None
+        return [[col.zone_entry(seg) for col in self._columns]
+                for seg in range(len(rows[0]))]
 
     # -- scan ---------------------------------------------------------------------
 
@@ -359,14 +383,12 @@ class Table(BaseTable):
         """``(segment, first row id, rows, keep)`` per sealed segment;
         ``keep`` masks the live rows, ``None`` when the segment holds no
         tombstone."""
-        for col in self._columns:
-            col.seal()
+        self._seal()
         deleted = np.sort(np.fromiter(self._deleted_ids, dtype=np.int64,
                                       count=len(self._deleted_ids)))
         offset = 0
-        first = self._columns[0]
-        for seg in range(first.segment_count()):
-            count = first.segment_rows(seg)
+        for seg, segment in enumerate(self._columns[0].segments):
+            count = segment.rows
             keep = None
             lo, hi = np.searchsorted(deleted, (offset, offset + count))
             if lo < hi:

@@ -679,10 +679,10 @@ class Connection(BaseConnection):
     def _execute_attach(self, stmt: ast.AttachStatement) -> Result:
         """Bind an on-disk database file to this Database.
 
-        An existing file loads immediately — tables come back over
-        memory-mapped :class:`~.storage.StorageColumn`\\ s whose segments
-        decompress lazily on first scan.  A new path just arms
-        ``CHECKPOINT`` to write there."""
+        An existing file loads immediately — tables come back as columns
+        of stored segments in the memory-mapped file, each decompressed
+        on first touch.  A new path just arms ``CHECKPOINT`` to write
+        there."""
         import os
 
         self.database.attached_path = stmt.path

@@ -15,7 +15,7 @@ from typing import Any
 from . import storage
 from .database import Result
 from .errors import QuackError
-from .types import BIGINT, BOOLEAN, DOUBLE, LogicalType, VARCHAR
+from .types import BIGINT, BOOLEAN, DOUBLE, INTEGER, LogicalType, VARCHAR
 
 
 def result_to_columns(result: Result) -> dict[str, list[Any]]:
@@ -158,7 +158,7 @@ def read_csv(connection, path: str, table_name: str,
         for value, ltype in zip(raw, types):
             if value == "":
                 row.append(None)
-            elif ltype == BIGINT:
+            elif ltype in (BIGINT, INTEGER):
                 row.append(int(value))
             elif ltype == DOUBLE:
                 row.append(float(value))

@@ -22,9 +22,10 @@ min/max over the numeric image (:func:`repro.quack.stats.as_number`),
 string bounds for text, null counts, and per-axis bounding-box extents
 with their SRID for spatial/temporal columns.  Scans with pushed-down
 conjuncts consult the zone maps (see :func:`zone_map_prunes`) and skip
-non-qualifying row groups *before* decompression; readers are lazily
-materialized memory-mapped :class:`StorageColumn` segments, so a skipped
-group is never decoded.
+non-qualifying row groups *before* decompression.  An attached table's
+columns are plain :class:`~repro.quack.catalog.ColumnData` whose
+segments point into the memory-mapped file (:class:`SegmentRef`) and
+decode on first touch, so a skipped group is never decoded.
 
 The same module owns the **spill files** used by the spillable operators
 (external sort runs, grace hash-join partitions, aggregation partials)
@@ -40,7 +41,6 @@ import os
 import pickle
 import struct
 import tempfile
-import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -50,7 +50,7 @@ import numpy as np
 from ..analysis.config import verification_enabled
 from ..analysis.errors import VerificationError
 from ..observability import count
-from .catalog import ColumnData, Table
+from .catalog import ColumnData, Segment, Table
 from .compression import decode_segment, encode_segment
 from .errors import QuackError
 from .boxes import AXES, BoxSoA, bounding_box, column_boxes
@@ -64,10 +64,6 @@ FORMAT_VERSION = 4
 
 _MAGIC = b"QUACKDB2"
 _TRAILER_SIZE = 8 + len(_MAGIC)  # u64 footer offset + magic echo
-
-#: Rows per on-disk row group — matches the execution vector size so one
-#: decoded segment is exactly one scan chunk.
-ROW_GROUP_SIZE = STANDARD_VECTOR_SIZE
 
 #: Flat per-slot estimate for object payloads when sizing working sets
 #: against ``SET memory_limit`` (exact byte accounting of extension
@@ -329,29 +325,14 @@ def _range_prunes(op: str, lo: Any, hi: Any, probe: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lazily-decoded storage columns
+# Stored segments
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SegmentRef:
-    """One encoded column segment inside a ``.quackdb`` file."""
-
-    codec: str
-    offset: int
-    length: int
-    validity_offset: int
-    validity_length: int
-    rows: int
-    #: a version 2/3 footer's codec parameters (version 4: in the payload)
-    meta: dict = field(default_factory=dict)
-    zone: ZoneMapEntry | None = None
-
-
 class StorageFile:
-    """An open, memory-mapped ``.quackdb`` file shared by the lazy
-    columns loaded out of it; kept alive by the tables that reference
-    it."""
+    """An open, memory-mapped ``.quackdb`` file shared by the stored
+    segments loaded out of it; kept alive by the segments that
+    reference it."""
 
     def __init__(self, path: str):
         self.path = path
@@ -382,113 +363,57 @@ class StorageFile:
         self._handle.close()
 
 
-class StorageColumn(ColumnData):
-    """A column whose sealed row groups live in a :class:`StorageFile`.
+@dataclass
+class SegmentRef:
+    """Where one encoded column segment sits inside a ``.quackdb`` file:
+    the ``stored`` part of a :class:`~repro.quack.catalog.Segment`."""
 
-    Stored segments decode on first touch and are cached as whole
-    :class:`Vector` objects so derived ``_aux`` views (box SoA caches)
-    survive repeated scans; the cache is dropped on :meth:`rewrite`, so a
-    reload can never serve a stale fingerprint.  Appends after load land
-    in the in-memory tail/segments inherited from :class:`ColumnData`,
-    ordered *after* every stored group.
-    """
+    source: StorageFile
+    codec: str
+    offset: int
+    length: int
+    validity_offset: int
+    validity_length: int
+    rows: int
+    #: a version 2/3 footer's codec parameters (version 4: in the payload)
+    meta: dict = field(default_factory=dict)
 
-    __slots__ = ("source", "refs", "_decoded", "_decode_lock")
+    def payload(self) -> tuple[bytes, bytes]:
+        """The segment's encoded payload and validity bytes."""
+        return (self.source.read(self.offset, self.length),
+                self.source.read(self.validity_offset, self.validity_length))
 
-    def __init__(self, ltype: LogicalType, source: StorageFile,
-                 refs: list[SegmentRef]):
-        super().__init__(ltype)
-        self.source = source
-        self.refs = refs
-        self._decoded: dict[int, Vector] = {}
-        self._decode_lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return sum(ref.rows for ref in self.refs) + super().__len__()
-
-    def segment_count(self) -> int:
-        self.seal()
-        return len(self.refs) + len(self.segments)
-
-    def segment_rows(self, index: int) -> int:
-        if index < len(self.refs):
-            return self.refs[index].rows
-        return len(self.segments[index - len(self.refs)])
-
-    def segment_vector(self, index: int) -> Vector:
-        if index >= len(self.refs):
-            return self.segments[index - len(self.refs)]
-        cached = self._decoded.get(index)
-        if cached is not None:
-            if verification_enabled():
-                self._verify_decoded(index, cached)
-            return cached
-        with self._decode_lock:
-            cached = self._decoded.get(index)
-            if cached is None:
-                cached = self._decode(index)
-                self._decoded[index] = cached
-        return cached
-
-    def zone_entry(self, index: int) -> ZoneMapEntry:
-        if index < len(self.refs):
-            ref = self.refs[index]
-            if ref.zone is None:
-                ref.zone = compute_zone_entry(self.segment_vector(index))
-            return ref.zone
-        return compute_zone_entry(self.segment_vector(index))
-
-    def _decode(self, index: int) -> Vector:
-        ref = self.refs[index]
-        payload = self.source.read(ref.offset, ref.length)
+    def decode(self, ltype: LogicalType, index: int) -> Vector:
+        """The segment's rows; bytes its codec did not write raise
+        :class:`QuackError` naming the file and the segment."""
+        payload, validity_blob = self.payload()
         try:
-            validity = decode_validity(
-                self.source.read(ref.validity_offset, ref.validity_length),
-                ref.rows,
-            )
-            vector = decode_segment(ref.codec, payload, ref.rows,
-                                    self.ltype, validity, ref.meta)
+            validity = decode_validity(validity_blob, self.rows)
+            vector = decode_segment(self.codec, payload, self.rows, ltype,
+                                    validity, self.meta)
         except _CORRUPT as exc:
-            raise QuackError(f"{self.source.path}: corrupt {ref.codec} "
+            raise QuackError(f"{self.source.path}: corrupt {self.codec} "
                              f"segment {index}: {exc}") from exc
         count("storage.segments_decoded")
         if verification_enabled():
-            self._verify_decoded(index, vector)
+            self.verify(vector, index)
         return vector
 
-    def _verify_decoded(self, index: int, vector: Vector) -> None:
+    def verify(self, vector: Vector, index: int,
+               zone: ZoneMapEntry | None = None) -> None:
         """Decompressed-chunk verification: the decoded vector must still
         match its footer metadata, and any cached derived ``_aux`` views
         must match the payload they were built from."""
-        ref = self.refs[index]
-        if len(vector) != ref.rows:
-            raise VerificationError(
-                f"storage segment {index} of {self.source.path}: decoded "
-                f"{len(vector)} rows, footer says {ref.rows}"
-            )
-        if ref.zone is not None:
+        where = f"storage segment {index} of {self.source.path}"
+        if len(vector) != self.rows:
+            raise VerificationError(f"{where}: decoded {len(vector)} rows, "
+                                    f"footer says {self.rows}")
+        if zone is not None:
             nulls = int(np.count_nonzero(~vector.validity))
-            if nulls != ref.zone.nulls:
-                raise VerificationError(
-                    f"storage segment {index} of {self.source.path}: "
-                    f"decoded {nulls} NULLs, zone map says {ref.zone.nulls}"
-                )
+            if nulls != zone.nulls:
+                raise VerificationError(f"{where}: decoded {nulls} NULLs, "
+                                        f"zone map says {zone.nulls}")
         vector.verify_aux_fresh("storage decoded chunk")
-
-    def rewrite(self, data: list[Any]) -> None:
-        # Drop every stored segment *and* the decoded-vector cache in one
-        # motion: a stale cached Vector here would keep serving _aux
-        # views fingerprinted against the pre-rewrite payload.  The
-        # stored row-group boundaries carry over to the rebuilt
-        # in-memory segments so sibling storage columns stay aligned.
-        self.seal()
-        counts = [self.segment_rows(i) for i in range(self.segment_count())]
-        segments = self._resealed(data, counts)
-        with self._decode_lock:
-            self.refs = []
-            self._decoded.clear()
-        with self._seal_lock:
-            self.segments = segments
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +480,12 @@ def write_database(database: Any, path: str) -> int:
 
 
 def _stored_segment(column: ColumnData, seg: int) -> bool:
-    """Whether ``seg`` of ``column`` is still an on-disk segment of this
-    format version, to copy as it stands (a rewritten or in-memory column
-    has none; an older file's codecs are re-encoded)."""
-    return isinstance(column, StorageColumn) and seg < len(column.refs) \
-        and column.source.version == FORMAT_VERSION
+    """Whether segment ``seg`` of ``column`` is still the stored segment
+    of a file of this format version, to copy as it stands (an updated
+    or in-memory segment is not; an older file's codecs are
+    re-encoded)."""
+    stored = column.segments[seg].stored
+    return stored is not None and stored.source.version == FORMAT_VERSION
 
 
 class _SegmentWriter:
@@ -573,7 +499,7 @@ class _SegmentWriter:
 
     def write_table(self, table: Table) -> list[dict]:
         """Write ``table``'s live rows as row groups of
-        :data:`ROW_GROUP_SIZE`; returns their footer entries.
+        :data:`STANDARD_VECTOR_SIZE`; returns their footer entries.
 
         A sealed segment that arrives on a group boundary without
         tombstones, and is itself a whole group (full, or the table's
@@ -587,8 +513,8 @@ class _SegmentWriter:
         pending: list[Vector] | None = None  # rows short of a full group
         segments = list(table.segment_masks())
         for seg, _, rows, keep in segments:
-            whole = rows == ROW_GROUP_SIZE or (
-                0 < rows < ROW_GROUP_SIZE and seg == segments[-1][0]
+            whole = rows == STANDARD_VECTOR_SIZE or (
+                0 < rows < STANDARD_VECTOR_SIZE and seg == segments[-1][0]
             )
             if pending is None and keep is None and whole:
                 groups.append(self._write_group(rows, [
@@ -605,10 +531,10 @@ class _SegmentWriter:
                            for p, v in zip(pending, vectors)]
             total = len(vectors[0])
             start = 0
-            while total - start >= ROW_GROUP_SIZE:
-                stop = start + ROW_GROUP_SIZE
+            while total - start >= STANDARD_VECTOR_SIZE:
+                stop = start + STANDARD_VECTOR_SIZE
                 groups.append(self._write_group(
-                    ROW_GROUP_SIZE,
+                    STANDARD_VECTOR_SIZE,
                     [v.slice(slice(start, stop)) for v in vectors],
                 ))
                 start = stop
@@ -630,11 +556,8 @@ class _SegmentWriter:
                 validity_blob = encode_validity(part.validity)
             else:
                 column, seg = part
-                ref = column.refs[seg]
-                codec = ref.codec
-                payload = column.source.read(ref.offset, ref.length)
-                validity_blob = column.source.read(ref.validity_offset,
-                                                   ref.validity_length)
+                codec = column.segments[seg].stored.codec
+                payload, validity_blob = column.segments[seg].stored.payload()
                 zone = column.zone_entry(seg)
                 count("storage.segments_copied")
                 if verification_enabled():
@@ -654,22 +577,22 @@ class _SegmentWriter:
         return {"rows": rows, "columns": descriptors, "zones": zones}
 
 
-def _verify_copied_segment(column: "StorageColumn", seg: int,
+def _verify_copied_segment(column: ColumnData, seg: int,
                            payload: bytes, validity_blob: bytes) -> None:
     """Verification mode: a segment copied verbatim must be what
     re-encoding its decoded rows would have written, byte for byte —
     except under the pickle fallback, whose objects carry whatever state
     queries memoized on them since."""
-    ref = column.refs[seg]
+    stored = column.segments[seg].stored
     vector = column.segment_vector(seg)
     codec, encoded = encode_segment(vector)
     if not (
-        codec == ref.codec
+        codec == stored.codec
         and encode_validity(vector.validity) == validity_blob
         and (codec == "pickle" or encoded == payload)
     ):
         raise VerificationError(
-            f"storage segment {seg} of {column.source.path}: verbatim "
+            f"storage segment {seg} of {stored.source.path}: verbatim "
             f"copy differs from the re-encoded segment"
         )
     count("verify.segment_copy_crosschecks")
@@ -770,26 +693,21 @@ def _instantiate_table(database: Any, entry: dict,
         for name, type_name in entry["columns"]
     ]
     table = Table(entry["name"], columns)
-    refs: list[list[SegmentRef]] = [[] for _ in columns]
     for group in entry.get("row_groups", []):
+        rows = int(group["rows"])
         zones = group.get("zones") or [None] * len(columns)
-        for ci, descriptor in enumerate(group["columns"]):
-            zone_raw = zones[ci]
-            refs[ci].append(SegmentRef(
+        for column, descriptor, zone in zip(table._columns, group["columns"],
+                                            zones):
+            column.segments.append(Segment(rows, stored=SegmentRef(
+                source=source,
                 codec=descriptor["codec"],
                 offset=int(descriptor["offset"]),
                 length=int(descriptor["length"]),
                 validity_offset=int(descriptor["voffset"]),
                 validity_length=int(descriptor["vlength"]),
-                rows=int(group["rows"]),
+                rows=rows,
                 meta=descriptor.get("meta", {}),
-                zone=ZoneMapEntry.from_json(zone_raw)
-                if zone_raw is not None else None,
-            ))
-    table._columns = [
-        StorageColumn(ltype, source, column_refs)
-        for (_, ltype), column_refs in zip(columns, refs)
-    ]
+            ), zone=ZoneMapEntry.from_json(zone) if zone else None))
     return table
 
 

@@ -156,13 +156,20 @@ class Vector:
         the conversion's (``np.fromiter`` reads ``None`` as a NaN)."""
         items = values if isinstance(values, (list, tuple)) else list(values)
         count = len(items)
-        validity = np.fromiter(
-            (v is not None for v in items), dtype=np.bool_, count=count
-        )
-        if ltype.physical != "object" and not validity.all():
-            fill = False if ltype.physical == "bool" else 0
-            items = [fill if v is None else v for v in items]
+        native = ltype.physical != "object"
         try:
+            # A number never equals None: a NULL-free number column skips
+            # the identity walk after one C-level ``None in`` scan.
+            if native and None not in items:
+                validity = np.ones(count, dtype=np.bool_)
+            else:
+                validity = np.fromiter(
+                    (v is not None for v in items), dtype=np.bool_,
+                    count=count
+                )
+            if native and not validity.all():
+                fill = False if ltype.physical == "bool" else 0
+                items = [fill if v is None else v for v in items]
             data = np.fromiter(items, dtype=_PHYSICAL_DTYPES[ltype.physical],
                                count=count)
         except (TypeError, ValueError, OverflowError) as exc:

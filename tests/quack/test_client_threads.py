@@ -3,16 +3,18 @@ exist for.
 
 quack executes each statement serially on the calling thread, but two
 client threads may run statements against one ``Database`` at once.
-They share the sealed column segments, the lazy zone-map cache and the
-``Vector._aux`` views built on stored columns, which is what
-``ColumnData._seal_lock``, ``Table._zone_lock`` and
-``_AUX_PUBLISH_LOCK`` guard.
+They share each column's segments — sealed from the tail, or decoded
+from an attached file, on first touch — and the ``Vector._aux`` views
+built on them, which is what the one column lock ``ColumnData._lock``
+and ``_AUX_PUBLISH_LOCK`` guard.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.observability import QueryStatistics, activate
 from repro.quack import Database, QuackError
 from repro.quack.types import DOUBLE
 from repro.quack.vector import Vector
@@ -100,8 +102,8 @@ class TestAuxPublish:
 
 
 class TestSealRace:
-    """ColumnData.seal under concurrent readers: the tail must seal into
-    exactly one segment, never two."""
+    """ColumnData.seal under concurrent readers: under the column lock
+    the tail seals into exactly one segment, never two."""
 
     def test_concurrent_seal_single_segment(self, db):
         con = db.connect()
@@ -132,6 +134,51 @@ class TestSealRace:
             ).fetchall() == [(1000, sum(range(1000)))]
         finally:
             con.execute("DROP TABLE sealme")
+
+
+class TestDecodeRace:
+    """Concurrent first touches of stored segments: under the column
+    lock each decodes once, and every reader gets the same vector."""
+
+    def test_concurrent_decode_single_vector(self, db, tmp_path):
+        path = tmp_path / "big.quackdb"
+        db.connect().execute(f"CHECKPOINT '{path}'")
+        for _ in range(3):  # a fresh attach each round, nothing decoded
+            fresh = Database()
+            fresh.connect().execute(f"ATTACH '{path}'")
+            segments = [(column, i)
+                        for column in fresh.catalog.get_table("big")._columns
+                        for i in range(len(column.segments))]
+            assert len(segments) > 4
+            assert all(column.segments[i].vector is None
+                       for column, i in segments)
+            stats = QueryStatistics()
+            results = [None] * 8
+            barrier = threading.Barrier(8)
+
+            def reader(slot):
+                barrier.wait(timeout=30)
+                with activate(stats):
+                    results[slot] = [column.segment_vector(i)
+                                     for column, i in segments]
+
+            threads = [
+                threading.Thread(target=reader, args=(i,)) for i in range(8)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for k, (column, i) in enumerate(segments):
+                assert {id(vectors[k]) for vectors in results} == \
+                    {id(column.segments[i].vector)}
+            assert stats.counter("storage.segments_decoded") == len(segments)
 
 
 class TestSoak:

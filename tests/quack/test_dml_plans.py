@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import core
+from repro import core, meos
 from repro.pgsim import RowDatabase
 from repro.quack import Database
 from repro.quack.errors import BinderError
@@ -203,3 +203,53 @@ class TestAgainstPgsim:
         rows = _on_both(*statements, setup=self.SETUP)
         assert _rows(attached) == _rows(reopened) == rows
         assert (13, 103, "u13") in rows and len(rows) == 24
+
+
+class TestUpdateReplacesOnlyItsSegments:
+    """An UPDATE replaces, in each assigned column, only the segments
+    holding the rows it writes: every other segment keeps its stored
+    bytes, its zone entry and its derived views."""
+
+    ROWS = 100_000  # 49 row groups
+
+    def _load(self, con):
+        con.execute("CREATE TABLE t(a BIGINT, b BIGINT, s VARCHAR)")
+        con.database.catalog.get_table("t").append_rows(
+            [(i, i, f"s{i % 11}") for i in range(self.ROWS)])
+
+    def test_attached_update_decodes_and_rewrites_one_segment(
+            self, tmp_path, unverified):
+        path = tmp_path / "t.quackdb"
+        con = Database().connect()
+        self._load(con)
+        con.execute(f"CHECKPOINT '{path}'")
+        att = Database().connect()
+        att.execute(f"ATTACH '{path}'")
+        update = "UPDATE t SET s = 'y' WHERE b = 3"
+        stats = att.execute(update).stats()
+        assert stats.counter("storage.segments_decoded") <= 2
+        att.execute(f"CHECKPOINT '{tmp_path / 'next.quackdb'}'")
+        assert att.last_query_stats.counter(
+            "storage.segments_copied") == 49 * 3 - 1
+        skip = att.execute("SELECT count(*) FROM t WHERE b < 100").stats()
+        assert skip.counter("storage.rowgroups_skipped") == 48
+        row = RowDatabase().connect()
+        self._load(row)
+        row.execute(update)
+        assert _rows(att) == _rows(row)
+
+    def test_untouched_groups_keep_their_layout(self, unverified):
+        con = core.connect()
+        con.execute("CREATE TABLE tr(id BIGINT, trip TGEOMPOINT)")
+        con.database.catalog.get_table("tr").append_rows([
+            (i, meos.tgeompoint(f"[POINT({i % 50} 0)@2020-01-01, "
+                                f"POINT({i % 50 + 1} 1)@2020-01-02]"))
+            for i in range(4096)
+        ])
+        con.execute("SELECT max(length(trip)) FROM tr").fetchall()
+        con.execute("UPDATE tr SET trip = '[POINT(0 0)@2020-01-01, "
+                    "POINT(3 4)@2020-01-02]' WHERE id = 3")
+        result = con.execute(
+            "SELECT max(length(trip)) FROM tr WHERE id >= 2048")
+        assert result.stats().counter("quack.view_builds.tcsr") <= 1
+        assert result.fetchall() == [(2 ** 0.5,)]

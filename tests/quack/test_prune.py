@@ -248,7 +248,8 @@ class TestDecodedSegments:
         con.execute(f"CHECKPOINT '{path}'")
         fresh = Database().connect()
         fresh.execute(f"ATTACH '{path}'")
-        groups = len(fresh.database.catalog.get_table("f")._columns[0].refs)
+        column = fresh.database.catalog.get_table("f")._columns[0]
+        groups = len(column.segments)
         assert groups == 2
         result = fresh.execute("SELECT max(g), sum(x) FROM f")
         assert result.stats().counter("storage.segments_decoded") == 2 * groups

@@ -9,54 +9,87 @@ from repro.quack.types import BIGINT, VARCHAR
 from repro.quack.vector import STANDARD_VECTOR_SIZE
 
 
-class TestColumnData:
-    def test_append_and_seal(self):
-        col = ColumnData(BIGINT)
-        for i in range(10):
-            col.extend((i,))
-        assert len(col) == 10
-        chunks = list(col.chunks())
-        assert sum(len(c) for c in chunks) == 10
+@pytest.fixture(params=["memory", "attached"])
+def column_of(request, tmp_path):
+    """``column_of(ltype, values)``: a column holding ``values``, appended
+    in memory or attached from the file it was checkpointed to (every
+    segment then stored, decoded on first touch)."""
 
-    def test_auto_seal_at_vector_size(self):
-        col = ColumnData(BIGINT)
+    def make(ltype, values):
+        if request.param == "memory":
+            col = ColumnData(ltype)
+            col.extend(list(values))
+            return col
+        path = tmp_path / "column.quackdb"
+        con = Database().connect()
+        con.execute(f"CREATE TABLE c(v {ltype.name})")
+        con.database.catalog.get_table("c").append_rows(
+            [(v,) for v in values])
+        con.execute(f"CHECKPOINT '{path}'")
+        fresh = Database().connect()
+        fresh.execute(f"ATTACH '{path}'")
+        col = fresh.database.catalog.get_table("c")._columns[0]
+        assert all(s.stored is not None for s in col.segments)
+        return col
+
+    return make
+
+
+class TestColumnData:
+    """One column store: the same behaviour whether the segments were
+    appended in memory or attached from a file."""
+
+    def test_length_and_chunks(self, column_of):
+        col = column_of(BIGINT, range(10))
+        assert len(col) == 10
+        assert [v for c in col.chunks() for v in c.to_list()] == \
+            list(range(10))
+
+    def test_appends_seal_at_vector_size(self, column_of):
+        col = column_of(BIGINT, [0, 1, 2])
         for i in range(STANDARD_VECTOR_SIZE + 5):
             col.extend((i,))
-        assert len(col.segments) >= 1
-        assert len(col) == STANDARD_VECTOR_SIZE + 5
+        assert len(col) == STANDARD_VECTOR_SIZE + 8
+        assert STANDARD_VECTOR_SIZE in [s.rows for s in col.segments]
+        assert [v for c in col.chunks() for v in c.to_list()] == \
+            [0, 1, 2] + list(range(STANDARD_VECTOR_SIZE + 5))
 
-    def test_nulls_tracked(self):
-        col = ColumnData(VARCHAR)
-        col.extend(("a",))
-        col.extend((None,))
-        vec = next(col.chunks())
-        assert vec.to_list() == ["a", None]
+    def test_nulls_tracked(self, column_of):
+        col = column_of(VARCHAR, ["a", None])
+        assert next(col.chunks()).to_list() == ["a", None]
 
-    def test_gather_across_segments(self):
-        col = ColumnData(BIGINT)
-        for i in range(STANDARD_VECTOR_SIZE * 2 + 10):
-            col.extend((i,))
-        picks = np.array(
-            [0, STANDARD_VECTOR_SIZE, STANDARD_VECTOR_SIZE * 2 + 9],
-            dtype=np.int64,
-        )
-        assert col.gather(picks).to_list() == [
-            0, STANDARD_VECTOR_SIZE, STANDARD_VECTOR_SIZE * 2 + 9
-        ]
+    def test_gather_across_segments(self, column_of):
+        n = STANDARD_VECTOR_SIZE * 2 + 10
+        col = column_of(BIGINT, range(n))
+        picks = [n - 1, 0, STANDARD_VECTOR_SIZE, 5]
+        assert col.gather(np.array(picks, dtype=np.int64)).to_list() == picks
 
-    def test_gather_out_of_range(self):
-        col = ColumnData(BIGINT)
-        col.extend((1,))
+    def test_gather_out_of_range(self, column_of):
+        col = column_of(BIGINT, [1])
         with pytest.raises(ExecutionError):
             col.gather(np.array([5], dtype=np.int64))
 
-    def test_rewrite(self):
-        col = ColumnData(BIGINT)
-        col.extend((1,))
-        col.extend((2,))
-        col.rewrite([10, None])
-        vec = next(col.chunks())
-        assert vec.to_list() == [10, None]
+    def test_update_replaces_only_the_touched_segment(self, column_of):
+        n = STANDARD_VECTOR_SIZE * 2 + 10
+        col = column_of(BIGINT, range(n))
+        col.seal()
+        before = list(col.segments)
+        views = before[1].vector
+        col.update([3, 1], [None, 10])
+        assert col.gather(np.arange(5)).to_list() == [0, 10, 2, None, 4]
+        assert col.segments[0] is not before[0]
+        assert col.segments[0].stored is None
+        assert col.segments[1:] == before[1:]
+        assert before[1].vector is views  # not decoded by the update
+
+    def test_update_converts_before_it_replaces(self, column_of):
+        col = column_of(BIGINT, range(STANDARD_VECTOR_SIZE + 1))
+        col.seal()
+        before = list(col.segments)
+        with pytest.raises(ConversionError):
+            col.update([0, STANDARD_VECTOR_SIZE], [7, "x"])
+        assert col.segments == before
+        assert col.gather(np.array([0])).to_list() == [0]
 
 
 class TestTable:
@@ -85,6 +118,27 @@ class TestTable:
             table.append_rows([(1, "a"), (2,)])
         assert con.execute("SELECT count(*) FROM t").scalar() == 0
 
+    @pytest.mark.parametrize("engine", ["quack", "pgsim"])
+    @pytest.mark.parametrize("row", [
+        ("false", 1, 2.5),      # text in a BOOLEAN column
+        (False, 1.7, 2.5),      # a float in an integer column
+        (False, 1, "2.5"),      # text in a DOUBLE column
+        (False, 2 ** 63, 2.5),  # an int outside int64
+        ("false", 1.7, "2.5"),
+    ])
+    def test_a_value_of_the_wrong_python_type_appends_nothing(self, engine,
+                                                              row):
+        """Both engines refuse what one would convert and the other keep
+        as given (quack once stored 'false' as TRUE and 1.7 as 1)."""
+        con = (Database if engine == "quack" else RowDatabase)().connect()
+        con.execute("CREATE TABLE t(b BOOLEAN, k BIGINT, x DOUBLE)")
+        table = con.database.catalog.get_table("t")
+        with pytest.raises(ConversionError, match="cannot store"):
+            table.append_rows([(True, 0, 0.5), row])
+        table.append_rows([(True, -2 ** 63, 1), (None, 2 ** 63 - 1, None)])
+        assert con.execute("SELECT * FROM t").fetchall() == \
+            [(True, -2 ** 63, 1.0), (None, 2 ** 63 - 1, None)]
+
     def test_a_value_that_does_not_convert_appends_nothing(self):
         con = Database().connect()
         con.execute("CREATE TABLE t(a BIGINT, b VARCHAR)")
@@ -103,7 +157,7 @@ class TestTable:
         table.append_rows([(i, None) for i in range(10)])
         table.append_rows([(i, "r") for i in range(2 * STANDARD_VECTOR_SIZE)])
         column = table._columns[0]
-        assert [len(s) for s in column.segments] == [STANDARD_VECTOR_SIZE] * 2
+        assert [s.rows for s in column.segments] == [STANDARD_VECTOR_SIZE] * 2
         assert sum(map(len, column.tail)) == 10
         assert column.gather(np.arange(12)).to_list() == \
             list(range(10)) + [0, 1]
@@ -1503,10 +1557,11 @@ class TestCheckpointCopy:
         att.execute(f"CHECKPOINT '{copied}'")
         # untouched: 3 groups x 4 columns; appended: its 2 full groups;
         # deleted: groups 0 (full) — group 1 holds the tombstone and
-        # everything after it is re-chunked; updated: 3 columns of 3
-        # groups (x was rewritten); cut: nothing lands on a boundary.
+        # everything after it is re-chunked; updated: every segment but
+        # x's first (the one UPDATE wrote); cut: nothing lands on a
+        # boundary.
         assert att.last_query_stats.counter("storage.segments_copied") == \
-            12 + 8 + 4 + 9
+            12 + 8 + 4 + 11
         monkeypatch.setattr(storage, "_stored_segment",
                             lambda column, seg: False)
         att.execute(f"CHECKPOINT '{encoded}'")
@@ -1610,8 +1665,8 @@ class TestCheckpointCopy:
         try:
             att.execute(f"CHECKPOINT '{tmp_path / 'out.quackdb'}'")
             stats = att.last_query_stats
-            assert stats.counter("storage.segments_copied") == 33
-            assert stats.counter("verify.segment_copy_crosschecks") == 33
+            assert stats.counter("storage.segments_copied") == 35
+            assert stats.counter("verify.segment_copy_crosschecks") == 35
         finally:
             set_verification_enabled(
                 os.environ.get("REPRO_VERIFICATION") == "1"
@@ -2053,7 +2108,8 @@ class TestViewsStayArrays:
                   if table.stats is not None]
         assert stats.counter("optimizer.cbo.tables_analyzed") == len(joined)
         assert stats.counter("storage.segments_decoded") == sum(
-            len(column.refs) for table in joined for column in table._columns
+            len(column.segments)
+            for table in joined for column in table._columns
         )
         assert built == []
 
