@@ -31,6 +31,9 @@ ANL012    ``.bump(...)``/``.gauge_max(...)`` on a statistics handle
 ANL013    ``ExecutionContext(...)`` built outside ``repro.quack.database``
           and ``repro.pgsim.database`` (a statement's plan runs only
           through the connections' run hooks)
+ANL014    a call of ``distinct_rows`` anywhere but in
+          ``repro.quack.kernels.per_distinct`` (distinct-argument
+          evaluation, its counter and its cross-check live in one place)
 ========  ==========================================================
 
 Undeclared counter/gauge names are the flow analyzer's FLOW002

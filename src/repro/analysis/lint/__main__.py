@@ -19,7 +19,7 @@ from .fixes import fix_unused_imports
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Project-specific AST lint (ANL000–ANL011).",
+        description="Project-specific AST lint (ANL000–ANL014).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

@@ -77,6 +77,11 @@ _RECORDING_METHODS = frozenset({"bump", "gauge_max"})
 #: connections, whose run hooks are the one way a statement's plan runs.
 _EXECUTION_CONTEXT_MODULES = ("repro.quack.database", "repro.pgsim.database")
 
+#: ``kernels.distinct_rows`` and the one function that may call it
+#: (ANL014): every distinct-argument evaluation goes through
+#: ``per_distinct``, which counts the rows saved and cross-checks.
+_DISTINCT_ROWS_HOME = ("repro.quack.kernels", "per_distinct")
+
 
 def _module_in(module: str | None, owners) -> bool:
     """Whether ``module`` is one of the allow-listed ``owners`` or a
@@ -125,6 +130,7 @@ class _Checker:
         self.check_unused_imports(tree)
         self.check_module_mutables(tree)
         self.check_trace_guards(tree)
+        self.check_distinct_rows_calls(tree)
 
     # -- ANL001: bare except ------------------------------------------------------
 
@@ -434,6 +440,30 @@ class _Checker:
             "ExecutionContext(...) built outside the connection modules: "
             "run the statement's plan through the connection's run hooks",
         )
+
+    # -- ANL014: one distinct-argument evaluation ---------------------------------
+
+    def check_distinct_rows_calls(self, tree: ast.Module) -> None:
+        """``distinct_rows`` is called only by ``per_distinct``
+        beside it: a second caller would repeat the factorize/gather
+        rule without its counter or its verification cross-check."""
+        module, caller = _DISTINCT_ROWS_HOME
+        allowed: set[int] = set()
+        if self.module == module:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == caller:
+                    allowed = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            name = _dotted_name(node.func)
+            if name is None or name.split(".")[-1] != "distinct_rows":
+                continue
+            self.report(
+                node, "ANL014",
+                "distinct_rows called outside kernels.per_distinct: "
+                "run the function through per_distinct instead",
+            )
 
     # -- ANL010: selectivity estimators must clamp to [0, 1] -----------------------
 

@@ -22,7 +22,13 @@ an exact answer (time-span boundaries whose inclusivity flags matter,
 SRID mismatches and dimensionality errors that must surface as
 exceptions, geometry that has to be looked at).  Only the undecided
 rows go on, once per distinct argument pair, to the exact batch kernel
-where the predicate has one and to the scalar operator otherwise.
+where the predicate has one and to the function's row loop otherwise.
+
+No kernel holds a scalar function: ``ScalarFunction.evaluate`` calls a
+hook as ``evaluate_batch(args, count, row_loop)``, and the rows a kernel
+does not answer run through ``row_loop``, the function's own row path
+(:func:`repro.quack.functions.row_loop`), so they see the values, and
+raise the errors, that the plain row loop and the row engine do.
 """
 
 from __future__ import annotations
@@ -32,25 +38,12 @@ from typing import Any, Callable
 import numpy as np
 
 from .. import geo
-from ..meos import STBox
 from ..meos import kernels as temporal
 from ..observability import count as _count
 from ..quack.boxes import BoxSoA
-from ..quack.kernels import distinct_rows
+from ..quack.kernels import per_distinct
 from ..quack.types import BOOLEAN, LogicalType
 from ..quack.vector import Vector, ViewVector
-
-
-def _extract(vector: Vector, build: Callable[[Vector], Any]) -> Any:
-    """``build`` a row-aligned view (anything with ``take``) of the
-    vector.  Join chunks and constant vectors repeat payload objects:
-    each distinct one is converted once and the rows gathered."""
-    distinct = distinct_rows([vector], len(vector))
-    if distinct is None:
-        return build(vector)
-    first, inverse = distinct
-    _count("quack.distinct_rows_saved", len(vector) - len(first))
-    return build(vector.slice(first)).take(inverse)
 
 
 def _object_view(key: tuple[str, ...], build: Callable[[Vector], Any]):
@@ -61,7 +54,10 @@ def _object_view(key: tuple[str, ...], build: Callable[[Vector], Any]):
 
     def extract(vector: Vector) -> Any:
         _count(f"quack.view_builds.{name}")
-        return _extract(vector, build)
+        # Join chunks and constant vectors repeat payload objects: each
+        # distinct one is converted once and the rows gathered.
+        return per_distinct(lambda rows, _: build(rows[0]), [vector],
+                            len(vector))
 
     def view(vector: Vector) -> Any:
         if vector.ltype.physical != "object":
@@ -257,64 +253,39 @@ def eintersects_decide(a: BoxSoA, b: BoxSoA):
 # ---------------------------------------------------------------------------
 
 
-def _distinct_args(args: list[Vector], count: int):
-    """Join chunks repeat argument tuples: the arguments cut to the
-    first row of each distinct tuple, and the map back (``None``: every
-    row is its own)."""
-    distinct = distinct_rows(args, count)
-    if distinct is None:
-        return args, None
-    first, inverse = distinct
-    _count("quack.distinct_rows_saved", count - len(first))
-    return [a.slice(first) for a in args], inverse
+#: A function's row path, ``row_loop(args, count) -> Vector``.
+RowLoop = Callable[[list[Vector], int], Vector]
 
 
-def _scalar_patch(args: list[Vector], rows: np.ndarray,
-                  scalar_fn: Callable[..., Any], values: np.ndarray,
-                  validity: np.ndarray) -> None:
-    """``scalar_fn`` at ``rows``, the rows a kernel does not answer,
+def _decline(row_loop: RowLoop, args: list[Vector], rows: np.ndarray,
+             values: np.ndarray, validity: np.ndarray) -> None:
+    """``row_loop`` on ``rows``, the rows a kernel does not answer,
     written into ``values`` / ``validity``: it raises what the kernel
     cannot, at its row."""
-    payloads = [a.slice(rows).data.tolist() for a in args]
-    for i, row in zip(rows.tolist(), zip(*payloads)):
-        result = scalar_fn(*row)
-        if result is None:
-            validity[i] = False
-        else:
-            values[i] = result
-
-
-def _scalar_rows(scalar_fn: Callable[[Any, Any], Any]):
-    """The exact answer one row at a time: ``scalar_fn`` on payloads."""
-
-    def exact(va: Vector, vb: Vector):
-        data = np.zeros(len(va), dtype=np.bool_)
-        valid = np.ones(len(va), dtype=np.bool_)
-        _scalar_patch([va, vb], np.arange(len(va)), scalar_fn, data, valid)
-        return data, valid
-
-    return exact
+    if len(rows):
+        answer = row_loop([a.slice(rows) for a in args], len(rows))
+        values[rows] = answer.data
+        validity[rows] = answer.validity
 
 
 def intersects_exact(
     csr_a: Callable[[Vector], geo.GeomCSR | None],
     csr_b: Callable[[Vector], geo.GeomCSR | None],
-    scalar_fn: Callable[[Any, Any], Any],
 ):
     """The exact half of ``eIntersects``: ``geo.intersects_rows`` on the
     CSR views of the undecided rows.  A row whose payload has no CSR
-    form goes to ``scalar_fn``, which raises what the kernel cannot."""
+    form is declined to the row loop, which raises what the kernel
+    cannot."""
 
-    def exact(va: Vector, vb: Vector):
+    def exact(va: Vector, vb: Vector, row_loop: RowLoop) -> Vector:
         a, b = csr_a(va), csr_b(vb)
         if a is None or b is None:
-            return _scalar_rows(scalar_fn)(va, vb)
+            return row_loop([va, vb], len(va))
         data = geo.intersects_rows(a, b)
         valid = np.ones(len(data), dtype=np.bool_)
-        _scalar_patch([va, vb],
-                      np.flatnonzero(~(a.usable() & b.usable())),
-                      scalar_fn, data, valid)
-        return data, valid
+        _decline(row_loop, [va, vb],
+                 np.flatnonzero(~(a.usable() & b.usable())), data, valid)
+        return Vector(BOOLEAN, data, valid)
 
     return exact
 
@@ -323,21 +294,19 @@ def make_batch(
     extract_a: Callable[[Vector], BoxSoA | None],
     extract_b: Callable[[Vector], BoxSoA | None],
     decide: Callable[[BoxSoA, BoxSoA], tuple[np.ndarray, np.ndarray]],
-    scalar_fn: Callable[[Any, Any], Any],
-    exact: Callable[[Vector, Vector], tuple] | None = None,
+    exact: Callable[[Vector, Vector, RowLoop], Vector] | None = None,
 ):
     """Build an ``evaluate_batch`` hook for a binary box predicate.
 
     The decided rows are answered from the SoA comparison masks; the
     remaining valid rows get the exact answer (geometry, inclusivity
     flags, and error raising all live there) once per distinct argument
-    pair: from ``exact(va, vb) -> (data, valid)`` on those rows when
-    given, else from ``scalar_fn`` row by row.
+    pair: from ``exact(va, vb, row_loop) -> BOOLEAN vector`` on those
+    rows when given, else from the function's row loop.
     """
-    if exact is None:
-        exact = _scalar_rows(scalar_fn)
 
-    def batch(args: list[Vector], count: int) -> Vector | None:
+    def batch(args: list[Vector], count: int,
+              row_loop: RowLoop) -> Vector | None:
         va, vb = args[0], args[1]
         a = extract_a(va)
         b = extract_b(vb)
@@ -351,14 +320,17 @@ def make_batch(
         rest = np.flatnonzero(validity & ~decided)
         _count("quack.bbox_rows_decided", int(decided.sum()))
         if len(rest):
-            pair, inverse = _distinct_args(
-                [va.slice(rest), vb.slice(rest)], len(rest)
+            def answer(pair: list[Vector], n: int) -> Vector:
+                _count("quack.bbox_rows_scalar", n)
+                if exact is None:
+                    return row_loop(pair, n)
+                return exact(*pair, row_loop)
+
+            undecided = per_distinct(
+                answer, [va.slice(rest), vb.slice(rest)], len(rest)
             )
-            _count("quack.bbox_rows_scalar", len(pair[0]))
-            values, valid = exact(*pair)
-            if inverse is not None:
-                values, valid = values[inverse], valid[inverse]
-            data[rest], validity[rest] = values, valid
+            data[rest] = undecided.data
+            validity[rest] = undecided.validity
         return Vector(BOOLEAN, data, validity)
 
     return batch
@@ -368,7 +340,8 @@ def geometry_batch(kernel: Callable[..., np.ndarray], return_type):
     """Build an ``evaluate_batch`` hook for a function of two geometries
     (and trailing native arguments) out of a ``geo`` row kernel."""
 
-    def batch(args: list[Vector], count: int) -> Vector | None:
+    def batch(args: list[Vector], count: int,
+              row_loop: RowLoop) -> Vector | None:
         a, b = geom_csr(args[0]), geom_csr(args[1])
         if a is None or b is None:
             return None
@@ -388,17 +361,16 @@ def geometry_batch(kernel: Callable[..., np.ndarray], return_type):
 
 
 def temporal_batch(kernel: Callable[..., tuple[np.ndarray, np.ndarray]],
-                   operands: int, return_type: LogicalType,
-                   scalar_fn: Callable[..., Any]):
+                   operands: int, return_type: LogicalType):
     """Build an ``evaluate_batch`` hook for a function of ``operands``
     temporal points (and trailing native arguments) out of a
     :mod:`repro.meos.kernels` row kernel, run once per distinct
     argument tuple.  ``kernel(*views, *arrays) -> (values, declined)``:
-    a declined row gets ``scalar_fn``; a ``None`` among object values
-    is a NULL."""
+    a declined row goes to the function's row loop; a ``None`` among
+    object values is a NULL."""
 
-    def batch(args: list[Vector], count: int) -> Vector | None:
-        args, inverse = _distinct_args(args, count)
+    def run(args: list[Vector], count: int,
+            row_loop: RowLoop) -> Vector | None:
         views = [temp_csr(a) for a in args[:operands]]
         if any(view is None for view in views):
             return None
@@ -406,25 +378,29 @@ def temporal_batch(kernel: Callable[..., tuple[np.ndarray, np.ndarray]],
         values, declined = kernel(
             *views, *(a.data for a in args[operands:])
         )
-        _scalar_patch(args, np.flatnonzero(declined & validity),
-                      scalar_fn, values, validity)
+        _decline(row_loop, args, np.flatnonzero(declined & validity),
+                 values, validity)
         if values.dtype == object:
             validity &= np.array([v is not None for v in values.tolist()],
                                  dtype=np.bool_)
-        result = Vector(return_type, values, validity)
-        return result if inverse is None else result.slice(inverse)
+        return Vector(return_type, values, validity)
+
+    def batch(args: list[Vector], count: int,
+              row_loop: RowLoop) -> Vector | None:
+        return per_distinct(lambda rows, n: run(rows, n, row_loop),
+                            args, count)
 
     return batch
 
 
-def at_period_batch(ltype: LogicalType, scalar_fn: Callable[..., Any]):
+def at_period_batch(ltype: LogicalType):
     """``evaluate_batch`` for ``atTime(temporal point, tstzspan)``: the
     result vector's payload is the kernel's :class:`TempCSR`, so the
     next kernel reads arrays and objects exist only if something reads
     ``data``.  A chunk with a declined row hands back objects."""
 
-    def batch(args: list[Vector], count: int) -> Vector | None:
-        args, inverse = _distinct_args(args, count)
+    def run(args: list[Vector], count: int,
+            row_loop: RowLoop) -> Vector | None:
         csr, spans = temp_csr(args[0]), span_cols(args[1])
         if csr is None or spans is None:
             return None
@@ -432,25 +408,28 @@ def at_period_batch(ltype: LogicalType, scalar_fn: Callable[..., Any]):
         declined = np.flatnonzero(
             declined & args[0].validity & args[1].validity
         )
-        if len(declined):
-            values = result.objects()
-            _scalar_patch(args, declined, scalar_fn, values,
-                          np.ones(len(values), dtype=np.bool_))
-            out = Vector.from_values(ltype, values.tolist())
-        else:
-            out = ViewVector(ltype, _TEMP_CSR, result, result.readable())
-        return out if inverse is None else out.slice(inverse)
+        if not len(declined):
+            return ViewVector(ltype, _TEMP_CSR, result, result.readable())
+        values = result.objects()
+        _decline(row_loop, args, declined, values,
+                 np.ones(len(values), dtype=np.bool_))
+        return Vector.from_values(ltype, values.tolist())
+
+    def batch(args: list[Vector], count: int,
+              row_loop: RowLoop) -> Vector | None:
+        return per_distinct(lambda rows, n: run(rows, n, row_loop),
+                            args, count)
 
     return batch
 
 
-def contains_instant_batch(extract: Callable[[Vector], BoxSoA | None],
-                           scalar_fn: Callable[[Any, Any], Any]):
+def contains_instant_batch(extract: Callable[[Vector], BoxSoA | None]):
     """``evaluate_batch`` for ``@>(time extent, timestamptz)``: strictly
-    inside the bounds is true, outside false, on a bound the scalar
-    operator reads the inclusivity flag."""
+    inside the bounds is true, outside false, on a bound the function's
+    row loop reads the inclusivity flag."""
 
-    def batch(args: list[Vector], count: int) -> Vector | None:
+    def batch(args: list[Vector], count: int,
+              row_loop: RowLoop) -> Vector | None:
         box = extract(args[0])
         if box is None:
             return None
@@ -464,7 +443,7 @@ def contains_instant_batch(extract: Callable[[Vector], BoxSoA | None],
         _count("quack.bbox_rows_decided", int((inside | outside).sum()))
         rest = np.flatnonzero(validity & ~inside & ~outside)
         _count("quack.bbox_rows_scalar", len(rest))
-        _scalar_patch(args, rest, scalar_fn, inside, validity)
+        _decline(row_loop, args, rest, inside, validity)
         return Vector(BOOLEAN, inside, validity)
 
     return batch
@@ -472,13 +451,7 @@ def contains_instant_batch(extract: Callable[[Vector], BoxSoA | None],
 
 # Premade kernels for the stbox/stbox operators registered in
 # functions/boxes.py.
-STBOX_OVERLAPS_BATCH = make_batch(
-    stbox_soa, stbox_soa, overlaps_decide, STBox.overlaps
-)
-STBOX_CONTAINS_BATCH = make_batch(
-    stbox_soa, stbox_soa, contains_decide, STBox.contains
-)
-STBOX_CONTAINED_BATCH = make_batch(
-    stbox_soa, stbox_soa, lambda a, b: contains_decide(b, a),
-    lambda a, b: b.contains(a),
-)
+STBOX_OVERLAPS_BATCH = make_batch(stbox_soa, stbox_soa, overlaps_decide)
+STBOX_CONTAINS_BATCH = make_batch(stbox_soa, stbox_soa, contains_decide)
+STBOX_CONTAINED_BATCH = make_batch(stbox_soa, stbox_soa,
+                                   lambda a, b: contains_decide(b, a))

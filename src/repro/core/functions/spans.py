@@ -78,7 +78,7 @@ def register(database) -> None:
             scalar(op, (ltype, ltype), BOOLEAN, method)
         # Span-vs-value.
         scalar("@>", (ltype, value_type), BOOLEAN, Span.contains_value,
-               batch=contains_instant_batch(span_soa, Span.contains_value)
+               batch=contains_instant_batch(span_soa)
                if name == "tstzspan" else None)
         scalar("<@", (value_type, ltype), BOOLEAN,
                lambda v, s: s.contains_value(v))

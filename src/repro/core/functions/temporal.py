@@ -187,7 +187,7 @@ def register(database) -> None:
         # kernels read; other types stay row-wise.
         spatial = TEMPORAL_BASE[name] == "geometry"
         scalar("atTime", (ltype, _TSTZSPAN), ltype, _at_time,
-               kernel=at_period_batch(ltype, _at_time) if spatial else None)
+               kernel=at_period_batch(ltype) if spatial else None)
         scalar("atTime", (ltype, _TSTZSPANSET), ltype, _at_time)
         scalar("atTime", (ltype, _TSTZSET), ltype, _at_time)
         scalar("atTime", (ltype, TIMESTAMP), ltype,
@@ -254,11 +254,11 @@ def register(database) -> None:
             return t.tstzspan().overlaps(s)
 
         scalar("&&", (ltype, _TSTZSPAN), BOOLEAN, _overlaps_span,
-               batch=make_batch(tpoint_soa, span_soa, overlaps_decide,
-                                _overlaps_span) if spatial else None)
+               batch=make_batch(tpoint_soa, span_soa, overlaps_decide)
+               if spatial else None)
         scalar("&&", (_TSTZSPAN, ltype), BOOLEAN, _span_overlaps,
-               batch=make_batch(span_soa, tpoint_soa, overlaps_decide,
-                                _span_overlaps) if spatial else None)
+               batch=make_batch(span_soa, tpoint_soa, overlaps_decide)
+               if spatial else None)
         scalar("&&", (ltype, _TSTZSPANSET), BOOLEAN,
                lambda t, ss: ss.overlaps(t.time()))
         scalar("&&", (_TSTZSPANSET, ltype), BOOLEAN,
@@ -267,7 +267,7 @@ def register(database) -> None:
             return t.tstzspan().contains_value(int(ts))
 
         scalar("@>", (ltype, TIMESTAMP), BOOLEAN, _contains_instant,
-               batch=contains_instant_batch(tpoint_soa, _contains_instant)
+               batch=contains_instant_batch(tpoint_soa)
                if spatial else None)
 
     # -- numeric temporal extras -----------------------------------------------------

@@ -113,12 +113,10 @@ def register(database) -> None:
             return geo.encode_wkb(meos.trajectory(t))
 
         scalar("trajectory", (ltype,), BLOB, trajectory_wkb,
-               kernel=temporal_batch(kernels.trajectory_rows, 1, BLOB,
-                                     trajectory_wkb))
+               kernel=temporal_batch(kernels.trajectory_rows, 1, BLOB))
         scalar("trajectory_gs", (ltype,), GSERIALIZED_TYPE, meos.trajectory)
         scalar("length", (ltype,), DOUBLE, meos.length,
-               kernel=temporal_batch(kernels.length_rows, 1, DOUBLE,
-                                     meos.length))
+               kernel=temporal_batch(kernels.length_rows, 1, DOUBLE))
         scalar("cumulativeLength", (ltype,), _TFLOAT, meos.cumulative_length)
         scalar("speed", (ltype,), _TFLOAT, meos.speed)
         scalar("twcentroid", (ltype,), BLOB,
@@ -170,16 +168,12 @@ def register(database) -> None:
                    _eintersects_tg,
                    batch=make_batch(
                        tpoint_soa, geom_soa, eintersects_decide,
-                       _eintersects_tg,
-                       intersects_exact(tpoint_csr, geom_csr,
-                                        _eintersects_tg)))
+                       intersects_exact(tpoint_csr, geom_csr)))
             scalar("eIntersects", (geom_in, ltype), BOOLEAN,
                    _eintersects_gt,
                    batch=make_batch(
                        geom_soa, tpoint_soa, eintersects_decide,
-                       _eintersects_gt,
-                       intersects_exact(geom_csr, tpoint_csr,
-                                        _eintersects_gt)))
+                       intersects_exact(geom_csr, tpoint_csr)))
             scalar("aIntersects", (ltype, geom_in), BOOLEAN,
                    lambda t, g: meos.a_intersects(t, as_geometry(g)))
             scalar("tIntersects", (ltype, geom_in), _TBOOL,
@@ -199,18 +193,14 @@ def register(database) -> None:
             return box.contains(t.stbox())
 
         scalar("&&", (ltype, STBOX_TYPE), BOOLEAN, _tp_overlaps_box,
-               batch=make_batch(tpoint_soa, stbox_soa, overlaps_decide,
-                                _tp_overlaps_box))
+               batch=make_batch(tpoint_soa, stbox_soa, overlaps_decide))
         scalar("&&", (STBOX_TYPE, ltype), BOOLEAN, _box_overlaps_tp,
-               batch=make_batch(stbox_soa, tpoint_soa, overlaps_decide,
-                                _box_overlaps_tp))
+               batch=make_batch(stbox_soa, tpoint_soa, overlaps_decide))
         scalar("@>", (STBOX_TYPE, ltype), BOOLEAN, _box_contains_tp,
-               batch=make_batch(stbox_soa, tpoint_soa, contains_decide,
-                                _box_contains_tp))
+               batch=make_batch(stbox_soa, tpoint_soa, contains_decide))
         scalar("<@", (ltype, STBOX_TYPE), BOOLEAN, _tp_in_box,
                batch=make_batch(tpoint_soa, stbox_soa,
-                                lambda a, b: contains_decide(b, a),
-                                _tp_in_box))
+                                lambda a, b: contains_decide(b, a)))
 
     # Temporal point vs temporal point.
     def _tp_overlaps_tp(x, y):
@@ -220,13 +210,11 @@ def register(database) -> None:
         for b in (_TGEOMPOINT, _TGEOMETRY):
             scalar("&&", (a, b), BOOLEAN, _tp_overlaps_tp,
                    batch=make_batch(tpoint_soa, tpoint_soa,
-                                    overlaps_decide, _tp_overlaps_tp))
+                                    overlaps_decide))
             scalar("tDwithin", (a, b, DOUBLE), _TBOOL, meos.t_dwithin,
-                   kernel=temporal_batch(kernels.tdwithin_rows, 2, _TBOOL,
-                                         meos.t_dwithin))
+                   kernel=temporal_batch(kernels.tdwithin_rows, 2, _TBOOL))
             scalar("eDwithin", (a, b, DOUBLE), BOOLEAN, meos.e_dwithin,
-                   kernel=temporal_batch(kernels.edwithin_rows, 2, BOOLEAN,
-                                         meos.e_dwithin))
+                   kernel=temporal_batch(kernels.edwithin_rows, 2, BOOLEAN))
             scalar("aDwithin", (a, b, DOUBLE), BOOLEAN, meos.a_dwithin)
             scalar("distance", (a, b), _TFLOAT, meos.temporal_distance)
             scalar("nearestApproachDistance", (a, b), DOUBLE,

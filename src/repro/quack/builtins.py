@@ -111,6 +111,14 @@ def _bigint_binop(np_op, py_op: Callable[[int, int], int]):
     return fn_vector
 
 
+def _power(base: float, exponent: float) -> float:
+    """C ``pow``, as DuckDB computes ``power``: NaN where the result is
+    not real (Python's ``pow`` returns a complex there) and ±inf for
+    zero to a negative power (where Python's raises)."""
+    with np.errstate(all="ignore"):
+        return float(np.power(float(base), float(exponent)))
+
+
 def _nan(value: Any) -> bool:
     return isinstance(value, float) and value != value
 
@@ -344,7 +352,7 @@ def _register_math(registry: FunctionRegistry) -> None:
         ScalarFunction("sqrt", (DOUBLE,), DOUBLE, fn_scalar=math.sqrt)
     )
     registry.register_scalar(
-        ScalarFunction("power", (DOUBLE, DOUBLE), DOUBLE, fn_scalar=pow)
+        ScalarFunction("power", (DOUBLE, DOUBLE), DOUBLE, fn_scalar=_power)
     )
     registry.register_scalar(
         ScalarFunction("ln", (DOUBLE,), DOUBLE, fn_scalar=math.log)

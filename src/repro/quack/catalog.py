@@ -356,9 +356,14 @@ class Table(BaseTable):
 
     # -- zone maps ----------------------------------------------------------------
 
-    def zone_maps(self) -> list[list] | None:
-        """Per-sealed-segment zone maps, one entry list per column; each
-        segment computes its entry once and keeps it until an UPDATE
+    def zone_maps(
+        self, columns: Sequence[int] | None = None
+    ) -> list[list] | None:
+        """Per-sealed-segment zone maps: one entry list per segment,
+        holding the entries of ``columns`` in that order (default:
+        every column).  A scan asks only for the columns it prunes on,
+        so a payload column nothing prunes on lays out no view.  Each
+        segment computes an entry once and keeps it until an UPDATE
         replaces the segment.
 
         Returns ``None`` when the columns are not segmented alike —
@@ -372,7 +377,10 @@ class Table(BaseTable):
         rows = [[s.rows for s in col.segments] for col in self._columns]
         if any(counts != rows[0] for counts in rows[1:]):
             return None
-        return [[col.zone_entry(seg) for col in self._columns]
+        picked = self._columns if columns is None else [
+            self._columns[c] for c in columns
+        ]
+        return [[col.zone_entry(seg) for col in picked]
                 for seg in range(len(rows[0]))]
 
     # -- scan ---------------------------------------------------------------------

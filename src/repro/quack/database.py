@@ -413,10 +413,10 @@ class BaseConnection:
     def _execute_analyze(self, stmt: ast.AnalyzeStatement) -> Result:
         """Collect optimizer statistics for one table (or all tables).
 
-        Attached tables whose zone maps cover every segment skip the
-        full scan: the footer statistics are exact for row counts and
-        min/max and close enough for histograms, so ANALYZE on a
-        freshly attached database touches no segment payloads."""
+        Every table, attached or in memory, is read in full:
+        ``stats.analyze_table`` scans every live row (an attached
+        table decodes each segment it has not decoded yet) and replaces
+        ``table.stats``; the zone maps are not consulted."""
         catalog = self.database.catalog
         if stmt.table is not None:
             tables = [catalog.get_table(stmt.table)]

@@ -18,6 +18,8 @@ from ..observability import gauge_max
 from . import kernels
 from . import storage as _storage
 from .errors import ConversionError, ExecutionError
+from .functions import _materialize as _pack_values
+from .functions import row_loop, value_rows
 from .kernels import hashable_key as _hashable
 from .optimizer import _remap
 from .plan import (
@@ -124,18 +126,12 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
     if expr.cast is not None:
         # Cast functions are pure: convert each distinct source value of
         # the chunk once and gather.
-        distinct = kernels.distinct_rows([child], count)
-        if distinct is None:
-            return _cast_rows(expr, child)
-        first, inverse = distinct
-        result = _cast_rows(expr, child.slice(first)).slice(inverse)
-        _count("quack.distinct_rows_saved", count - len(first))
-        if _verification.VERIFICATION_ENABLED:
-            _crosscheck_vectors(
-                result, _cast_rows(expr, child),
-                f"cast to {target.name} distinct-argument evaluation",
-            )
-        return result
+        apply = expr.cast.apply
+        return kernels.per_distinct(
+            lambda vectors, n: row_loop(apply, vectors, n, target),
+            [child], count,
+            f"cast to {target.name} distinct-argument evaluation",
+        )
     # Builtin physical casts.
     if target.physical == child.ltype.physical:
         return child.with_type(target)
@@ -143,37 +139,14 @@ def _evaluate_cast(expr: BoundCast, chunk: DataChunk,
         dtype = {"int64": np.int64, "float64": np.float64,
                  "bool": np.bool_}[target.physical]
         if child.ltype.physical == "object":
-            out = _pack_object_array(child.data, child.validity, dtype,
-                                     count)
-            return Vector(target, out, child.validity.copy())
+            return _pack_values(target, child.data, child.validity.copy(),
+                                count)
         if target.physical == "int64" and child.ltype.physical == "float64":
             return Vector(target, np.rint(child.data).astype(np.int64),
                           child.validity.copy())
         return Vector(target, child.data.astype(dtype),
                       child.validity.copy())
     return Vector.from_values(target, child.to_list())
-
-
-def _cast_rows(expr: BoundCast, source: Vector) -> Vector:
-    """Apply a registered cast function to every valid row, on plain
-    Python values like the row engine (its errors then name them alike)."""
-    out = np.empty(len(source), dtype=object)
-    validity = source.validity.copy()
-    data = source.data.tolist()
-    for i in np.nonzero(validity)[0]:
-        value = expr.cast.apply(data[i])
-        out[i] = value
-        if value is None:
-            validity[i] = False
-    return _pack(expr.ltype, out, validity, len(source))
-
-
-def _value_rows(vectors: list[Vector], count: int) -> list[tuple]:
-    """One tuple of plain Python values per row, read column-wise
-    (``count`` empty tuples when there are no vectors)."""
-    if not vectors:
-        return [()] * count
-    return list(zip(*[v.to_list() for v in vectors]))
 
 
 def _crosscheck_vectors(result: Vector, reference: Vector,
@@ -183,36 +156,6 @@ def _crosscheck_vectors(result: Vector, reference: Vector,
 
     assert_vectors_match(result, reference, what)
     _count("verify.kernel_crosschecks")
-
-
-def _pack(target: LogicalType, out: np.ndarray, validity: np.ndarray,
-          count: int) -> Vector:
-    if target.physical == "object":
-        return Vector(target, out, validity)
-    dtype = {"int64": np.int64, "float64": np.float64, "bool": np.bool_}[
-        target.physical
-    ]
-    return Vector(target, _pack_object_array(out, validity, dtype, count),
-                  validity)
-
-
-def _pack_object_array(out: np.ndarray, validity: np.ndarray, dtype,
-                       count: int) -> np.ndarray:
-    """Narrow an object array to ``dtype``, zero-filling NULL slots."""
-    try:
-        if validity.all():
-            return out.astype(dtype)
-        data = np.zeros(count, dtype=dtype)
-        data[validity] = out[validity].astype(dtype)
-        return data
-    except (TypeError, ValueError, OverflowError):
-        # Payloads NumPy cannot narrow in bulk (e.g. mixed objects whose
-        # __int__/__float__ must run row-wise): original loop.
-        data = np.zeros(count, dtype=dtype)
-        for i in range(count):
-            if validity[i]:
-                data[i] = out[i]
-        return data
 
 
 def _evaluate_conjunction(expr: BoundConjunction, chunk: DataChunk,
@@ -337,8 +280,8 @@ def _evaluate_case(expr: BoundCase, chunk: DataChunk,
             # values, like the row engine's results.
             data = data.astype(object)
             if physical != "object":
-                data = _pack_object_array(data, vec.validity, out.dtype,
-                                          len(rows))
+                data = _pack_values(expr.ltype, data, vec.validity,
+                                    len(rows)).data
         out[rows] = data
         validity[rows] = vec.validity
     if narrow:
@@ -353,7 +296,7 @@ def _evaluate_case(expr: BoundCase, chunk: DataChunk,
 def _evaluate_subquery(expr: BoundSubqueryExpr, chunk: DataChunk,
                        ctx: ExecutionContext) -> Vector:
     count = chunk.count
-    params = _value_rows(
+    params = value_rows(
         [evaluate(p, chunk, ctx) for p in expr.outer_params_exprs], count
     )
     operands = [None] * count if expr.operand is None else (
@@ -366,7 +309,7 @@ def _evaluate_subquery(expr: BoundSubqueryExpr, chunk: DataChunk,
         )
     validity = np.fromiter((v is not None for v in out), dtype=np.bool_,
                            count=count)
-    return _pack(expr.ltype, out, validity, count)
+    return _pack_values(expr.ltype, out, validity, count)
 
 
 def _plan_rows(plan: LogicalOperator, ctx: ExecutionContext) -> list[tuple]:
@@ -510,8 +453,12 @@ def _execute_get(op: LogicalGet,
     """
     skip: set[int] | None = None
     if op.prune:
-        maps = op.table.zone_maps()
+        columns = sorted({p.column for p in op.prune})
+        maps = op.table.zone_maps(columns)
         if maps is not None:
+            # Per segment: table column -> zone entry, for the pruned
+            # columns only.
+            maps = [dict(zip(columns, entries)) for entries in maps]
             skip = set()
             for seg, entries in enumerate(maps):
                 if any(
@@ -534,7 +481,8 @@ def _execute_get(op: LogicalGet,
 
 
 def _crosscheck_pruned_groups(op: LogicalGet, skip: set[int],
-                              zone_maps: list, ctx: ExecutionContext) -> None:
+                              zone_maps: list[dict],
+                              ctx: ExecutionContext) -> None:
     """Decode every zone-map-skipped row group and prove no live row
     satisfies a conjunct whose zone map claimed to prune it (the
     skip-vs-full-scan differential of the verification layer).  Only the
@@ -968,7 +916,7 @@ def _aggregate_spec_row_loop(spec, arg_vectors: list[Vector],
     aggregates, or kernels that declined the payload type)."""
     fn = spec.function
     states = [fn.init() for _ in range(n_groups)]
-    rows = _value_rows(arg_vectors, len(codes))
+    rows = value_rows(arg_vectors, len(codes))
     for group, values in zip(codes.tolist(), rows):
         if values and not fn.accepts_null and any(
             v is None for v in values
@@ -988,7 +936,7 @@ def _crosscheck_factorize(op: LogicalOperator, vectors: list[Vector],
     expected_codes: list[int] = []
     expected_reps: list[int] = []
     first: dict[tuple, int] = {}
-    for i, row in enumerate(_value_rows(vectors, len(codes))):
+    for i, row in enumerate(value_rows(vectors, len(codes))):
         key = tuple(map(_hashable, row))
         code = first.get(key)
         if code is None:

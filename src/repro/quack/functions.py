@@ -19,7 +19,7 @@ from ..analysis.errors import VerificationError
 from ..observability import count as _count
 from .errors import BinderError, ConversionError, ExecutionError, QuackError
 from .types import ANY, LogicalType, VARCHAR, implicit_cast_cost
-from .vector import Vector
+from .vector import _PHYSICAL_DTYPES, Vector
 
 #: Engine errors (and verification failures) pass through unwrapped.
 _ENGINE_ERRORS = (QuackError, VerificationError)
@@ -44,12 +44,14 @@ class ScalarFunction:
     handles_null: bool = False
     #: Variadic functions accept any number of trailing args of the last type.
     varargs: bool = False
-    #: Optional chunk-at-a-time kernel ``(args, count) -> Vector | None``.
-    #: Returning None declines the chunk (unsupported payloads) and the
-    #: per-row ``fn_scalar`` loop runs instead.
-    evaluate_batch: Callable[[list[Vector], int], "Vector | None"] | None = (
-        None
-    )
+    #: Optional chunk-at-a-time kernel ``(args, count, row_loop) ->
+    #: Vector | None``.  ``row_loop(args, count)`` is the function's own
+    #: row path, for the rows the kernel does not answer; returning None
+    #: declines the whole chunk (unsupported payloads) to that path.
+    evaluate_batch: Callable[
+        [list[Vector], int, Callable[[list[Vector], int], Vector]],
+        "Vector | None",
+    ] | None = None
     #: Whether ``evaluate_batch`` settles most rows with a cheap bound
     #: test (``&&`` and friends), so that the optimizer ranks the
     #: conjunct before per-row Python (``plan.cost_class`` 1).  A kernel
@@ -81,78 +83,32 @@ class ScalarFunction:
         if self.fn_vector is not None:
             return self.fn_vector(args, count)
         if self.evaluate_batch is not None:
-            result = self.evaluate_batch(args, count)
+            result = self.evaluate_batch(args, count, self._row_loop)
             if result is not None:
                 _count("quack.function_batch_ops")
                 if verification_enabled():
-                    self._crosscheck(result, args, count, "evaluate_batch")
+                    # The kernel must match the plain row loop row for row.
+                    from ..analysis.verifier import assert_vectors_match
+
+                    assert_vectors_match(
+                        result, self._row_loop(args, count),
+                        f"scalar function {self.name!r} evaluate_batch",
+                    )
+                    _count("verify.kernel_crosschecks")
                 return result
-        return self._scalar_loop(args, count)
-
-    def _crosscheck(self, result: Vector, args: list[Vector], count: int,
-                    path: str) -> None:
-        """Verification mode: re-run the plain row loop and require
-        ``path``'s output to match it row for row."""
-        from ..analysis.verifier import assert_vectors_match
-
-        assert_vectors_match(
-            result, self._row_loop(args, count),
-            f"scalar function {self.name!r} {path}",
-        )
-        _count("verify.kernel_crosschecks")
-
-    def _scalar_loop(self, args: list[Vector], count: int) -> Vector:
-        """The row-wise path.  Join chunks repeat argument tuples (the
-        same trip against the same period once per row of a third,
-        crossed-in table), so a non-volatile function runs once per
-        distinct tuple of the chunk and the results are gathered back."""
-        distinct = (
-            None if self.volatile else kernels.distinct_rows(args, count)
-        )
-        if distinct is None:
+        if self.volatile:
             return self._row_loop(args, count)
-        first, inverse = distinct
-        result = self._row_loop(
-            [a.slice(first) for a in args], len(first)
-        ).slice(inverse)
-        _count("quack.distinct_rows_saved", count - len(first))
-        if verification_enabled():
-            self._crosscheck(result, args, count,
-                             "distinct-argument evaluation")
-        return result
+        return kernels.per_distinct(
+            self._row_loop, args, count,
+            f"scalar function {self.name!r} distinct-argument evaluation",
+        )
 
     def _row_loop(self, args: list[Vector], count: int) -> Vector:
-        """``fn_scalar`` on every row (also the cross-check reference
-        under verification mode)."""
-        out = np.empty(count, dtype=object)
-        validity = np.ones(count, dtype=np.bool_)
-        columns = [a.data for a in args]
-        fn = self.fn_scalar
-        if self.handles_null:
-            valid_masks = [a.validity for a in args]
-            for i in range(count):
-                out[i] = fn(*[
-                    col[i] if mask[i] else None
-                    for col, mask in zip(columns, valid_masks)
-                ])
-                if out[i] is None:
-                    validity[i] = False
-        else:
-            if args and not all(a.all_valid() for a in args):
-                combined = np.logical_and.reduce(
-                    [a.validity for a in args]
-                )
-            else:
-                combined = None
-            for i in range(count):
-                if combined is not None and not combined[i]:
-                    validity[i] = False
-                    continue
-                result = fn(*[col[i] for col in columns])
-                out[i] = result
-                if result is None:
-                    validity[i] = False
-        return _materialize(self.return_type, out, validity, count)
+        """The function's row path: ``fn_scalar`` on every row
+        (:func:`row_loop`).  A kernel gets it for the rows it declines;
+        it is also the cross-check reference under verification mode."""
+        return row_loop(self.fn_scalar, args, count, self.return_type,
+                        self.handles_null)
 
     def evaluate_row(self, args: list[Any]) -> Any:
         """Row-wise evaluation (used by the pgsim volcano engine)."""
@@ -182,17 +138,57 @@ class ScalarFunction:
         return types[:n]
 
 
+def row_loop(fn: Callable[..., Any], args: list[Vector], count: int,
+             return_type: LogicalType,
+             handles_null: bool = False) -> Vector:
+    """The one per-row path: ``fn`` on each row's plain Python values
+    (:meth:`Vector.to_list`, the values the row engine's
+    ``evaluate_row`` passes), skipping a row with a NULL argument unless
+    ``handles_null``; a ``None`` result is NULL.  Scalar functions, the
+    rows a kernel declines and casts (``CastFunction.apply``) all run
+    here."""
+    rows = value_rows(args, count)
+    if handles_null or all(a.all_valid() for a in args):
+        live = range(count)
+    else:
+        live = np.flatnonzero(
+            np.logical_and.reduce([a.validity for a in args])
+        ).tolist()
+    out = np.empty(count, dtype=object)
+    for i in live:
+        out[i] = fn(*rows[i])
+    validity = np.fromiter((v is not None for v in out.tolist()),
+                           dtype=np.bool_, count=count)
+    return _materialize(return_type, out, validity, count)
+
+
+def value_rows(vectors: list[Vector], count: int) -> list[tuple]:
+    """One tuple of plain Python values per row, read column-wise
+    (``count`` empty tuples when there are no vectors)."""
+    if not vectors:
+        return [()] * count
+    return list(zip(*[v.to_list() for v in vectors]))
+
+
 def _materialize(
     ltype: LogicalType, out: np.ndarray, validity: np.ndarray, count: int
 ) -> Vector:
+    """Results in an object array as a vector of ``ltype``: a native
+    type converts the valid cells at once (NULL slots stay zero)."""
     if ltype.physical == "object":
         return Vector(ltype, out, validity)
-    dtype = {"bool": np.bool_, "int64": np.int64, "float64": np.float64}[
-        ltype.physical
-    ]
-    # One conversion of the valid cells; NULL slots stay zero.
-    data = np.zeros(count, dtype=dtype)
-    data[validity] = out[validity].astype(dtype)
+    dtype = _PHYSICAL_DTYPES[ltype.physical]
+    try:
+        if validity.all():
+            return Vector(ltype, out.astype(dtype), validity)
+        data = np.zeros(count, dtype=dtype)
+        data[validity] = out[validity].astype(dtype)
+    except (TypeError, ValueError, OverflowError):
+        # Cells NumPy cannot narrow in bulk (objects whose
+        # ``__int__``/``__float__`` must run): one at a time.
+        data = np.zeros(count, dtype=dtype)
+        for i in np.flatnonzero(validity).tolist():
+            data[i] = out[i]
     return Vector(ltype, data, validity)
 
 

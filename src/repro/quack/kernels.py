@@ -35,8 +35,9 @@ The kernels built on them:
   leading key can place (top-N).  :func:`order_permutation` adds the
   row-wise comparator fallback for keys NumPy cannot order.
 * :func:`distinct_rows` — factorizes a function's argument vectors by
-  identity/bit pattern so pure scalar functions, extension casts and box
-  extraction run once per distinct argument tuple of a chunk.
+  identity/bit pattern, and :func:`per_distinct`, its one caller, runs
+  a pure scalar function, an extension cast, a kernel or a view
+  extraction once per distinct argument tuple of a chunk.
 * :func:`merge_sorted_runs` — the external sort's stable block merge: one
   block per run in memory, re-sorted with the same permutation kernel.
 * :func:`partition_codes` — chunk-independent hash partitioning of key
@@ -49,10 +50,12 @@ surface) and are re-exported here for the kernel implementations.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..analysis.config import verification_enabled
+from ..observability import count as _count
 from .keys import _NULL_KEY, hashable_key, sort_comparator
 from .types import LogicalType
 from .vector import (
@@ -73,6 +76,7 @@ __all__ = [
     "merge_sorted_runs",
     "order_permutation",
     "partition_codes",
+    "per_distinct",
     "segment_first_valid",
     "segment_reduce",
     "sort_comparator",
@@ -283,6 +287,36 @@ def distinct_rows(
     inverse = np.empty(count, dtype=np.int64)
     inverse[order] = renumber[np.cumsum(starts) - 1]
     return first[rank], inverse
+
+
+def per_distinct(run: Callable[[list[Vector], int], Any],
+                 vectors: list[Vector], count: int,
+                 check: str | None = None) -> Any:
+    """``run(vectors, count)`` once per distinct argument tuple: on the
+    first row of each (:func:`distinct_rows`), its result — anything
+    with ``take``; ``None`` declines — gathered back to every row, the
+    rows saved counted as ``quack.distinct_rows_saved``.  Join chunks
+    repeat argument tuples (the same trip against the same period once
+    per row of a third, crossed-in table), and a pure function gives
+    each the same answer.
+
+    Under verification mode a ``check`` label re-runs ``run`` on every
+    row and demands the same vector, blaming ``check``."""
+    distinct = distinct_rows(vectors, count)
+    if distinct is None:
+        return run(vectors, count)
+    first, inverse = distinct
+    _count("quack.distinct_rows_saved", count - len(first))
+    result = run([v.slice(first) for v in vectors], len(first))
+    if result is None:
+        return None
+    result = result.take(inverse)
+    if check is not None and verification_enabled():
+        from ..analysis.verifier import assert_vectors_match
+
+        assert_vectors_match(result, run(vectors, count), check)
+        _count("verify.kernel_crosschecks")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,36 @@ class TestOneRecordingChannel:
                      filename="database.py") == ["ANL012"]
 
 
+class TestOneDistinctArgumentEvaluation:
+    def test_calls_outside_the_helper_flagged(self):
+        src = """
+            from . import kernels
+            from .kernels import distinct_rows
+
+            def evaluate(args, count):
+                first, inverse = distinct_rows(args, count)
+                return kernels.distinct_rows(args, count)
+        """
+        assert codes(src) == ["ANL014", "ANL014"]
+        assert codes(src, module="repro.core.boxkernels",
+                     filename="boxkernels.py") == ["ANL014", "ANL014"]
+
+    def test_only_per_distinct_calls_it(self):
+        src = """
+            def distinct_rows(vectors, count):
+                return None
+
+            def per_distinct(run, vectors, count, check=None):
+                distinct = distinct_rows(vectors, count)
+                return run(vectors, count) if distinct is None else distinct
+
+            def factorize(vectors, count):
+                return distinct_rows(vectors, count)
+        """
+        assert codes(src, module="repro.quack.kernels",
+                     filename="kernels.py") == ["ANL014"]
+
+
 class TestOneExecutorPath:
     def test_context_outside_connections_flagged(self):
         src = """

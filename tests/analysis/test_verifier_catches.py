@@ -271,7 +271,7 @@ class TestKernelCrosscheck:
             arg_types=(INTEGER,),
             return_type=INTEGER,
             fn_scalar=lambda x: x + 1,
-            evaluate_batch=lambda args, count: Vector.from_values(
+            evaluate_batch=lambda args, count, row_loop: Vector.from_values(
                 INTEGER, [0] * count
             ),
         )
@@ -287,7 +287,7 @@ class TestKernelCrosscheck:
             arg_types=(INTEGER,),
             return_type=INTEGER,
             fn_scalar=lambda x: x + 1,
-            evaluate_batch=lambda args, count: Vector.from_values(
+            evaluate_batch=lambda args, count, row_loop: Vector.from_values(
                 INTEGER, [int(v) + 1 for v in args[0].data]
             ),
         )

@@ -30,7 +30,7 @@ from repro.meos import Span, TSTZ, kernels
 from repro.meos.temporal import Interp, TInstant, TSequence, TSequenceSet
 from repro.meos.temporal.ttypes import TGEOMPOINT
 from repro.quack.errors import ExecutionError, ParserError
-from repro.quack.functions import _materialize
+from repro.quack.functions import _materialize, row_loop
 from repro.quack.sql.lexer import Token, tokenize
 from repro.quack import storage
 from repro.quack.types import BIGINT, BOOLEAN, DOUBLE
@@ -437,6 +437,11 @@ def test_constant_payload_vector_is_one_row_gathered():
     assert cols.lower.tolist() == [T0] * 40 and cols.ok.all()
 
 
+def _at_time_rows(args, count):
+    """``atTime``'s row path, for the rows the kernel declines."""
+    return row_loop(lambda t, w: t.at_time(w), args, count, _TGEOMPOINT)
+
+
 def test_view_vector_builds_objects_only_when_read(monkeypatch):
     built = []
     build = kernels._Store._build
@@ -447,8 +452,8 @@ def test_view_vector_builds_objects_only_when_read(monkeypatch):
                 meos.parse_timestamptz("2025-01-01 18:00:00"), True, True,
                 TSTZ)
     spans = Vector.constant(SPAN_TYPES["tstzspan"], span, len(trips))
-    batch = boxkernels.at_period_batch(_TGEOMPOINT, lambda t, w: t.at_time(w))
-    result = batch([trips, spans], len(trips))
+    batch = boxkernels.at_period_batch(_TGEOMPOINT)
+    result = batch([trips, spans], len(trips), _at_time_rows)
     assert isinstance(result, ViewVector)
     assert result.validity.tolist() == trips.validity.tolist()
     # gathers stay views, and read the same arrays
@@ -480,8 +485,8 @@ def test_concurrent_readers_see_one_payload():
                 meos.parse_timestamptz("2025-01-01 18:00:00"), True, True,
                 TSTZ)
     spans = Vector.constant(SPAN_TYPES["tstzspan"], span, len(trips))
-    batch = boxkernels.at_period_batch(_TGEOMPOINT, lambda t, w: t.at_time(w))
-    result = batch([trips, spans], len(trips))
+    batch = boxkernels.at_period_batch(_TGEOMPOINT)
+    result = batch([trips, spans], len(trips), _at_time_rows)
     seen, start = [], threading.Barrier(8)
 
     def read():

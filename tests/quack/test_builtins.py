@@ -1,5 +1,7 @@
 """Built-in scalar function and aggregate coverage (both engines)."""
 
+import math
+
 import pytest
 
 from repro.pgsim import RowDatabase
@@ -65,6 +67,16 @@ class TestMathFunctions:
         assert con.execute("SELECT sqrt(16.0)").scalar() == 4.0
         assert con.execute("SELECT power(2.0, 10.0)").scalar() == 1024.0
         assert con.execute("SELECT ln(1.0)").scalar() == 0.0
+
+    def test_power_off_the_real_line(self, con):
+        """NaN for a negative base to a fractional power, inf for zero to
+        a negative one, on both engines (C ``pow``, as DuckDB)."""
+        con.execute("CREATE TABLE p(x DOUBLE, y DOUBLE)")
+        con.execute("INSERT INTO p VALUES (-8.0, 0.5), (0.0, -1.0), "
+                    "(-2.0, 3.0)")
+        got = [r[0] for r in con.execute("SELECT power(x, y) FROM p")
+               .fetchall()]
+        assert math.isnan(got[0]) and got[1:] == [math.inf, -8.0]
 
     def test_greatest_least(self, con):
         assert con.execute("SELECT greatest(1, 7, 3)").scalar() == 7

@@ -239,13 +239,7 @@ class TestUpdateReplacesOnlyItsSegments:
         assert _rows(att) == _rows(row)
 
     def test_untouched_groups_keep_their_layout(self, unverified):
-        con = core.connect()
-        con.execute("CREATE TABLE tr(id BIGINT, trip TGEOMPOINT)")
-        con.database.catalog.get_table("tr").append_rows([
-            (i, meos.tgeompoint(f"[POINT({i % 50} 0)@2020-01-01, "
-                                f"POINT({i % 50 + 1} 1)@2020-01-02]"))
-            for i in range(4096)
-        ])
+        con = _trips()
         con.execute("SELECT max(length(trip)) FROM tr").fetchall()
         con.execute("UPDATE tr SET trip = '[POINT(0 0)@2020-01-01, "
                     "POINT(3 4)@2020-01-02]' WHERE id = 3")
@@ -253,3 +247,35 @@ class TestUpdateReplacesOnlyItsSegments:
             "SELECT max(length(trip)) FROM tr WHERE id >= 2048")
         assert result.stats().counter("quack.view_builds.tcsr") <= 1
         assert result.fetchall() == [(2 ** 0.5,)]
+
+    def test_zone_maps_lay_out_only_the_columns_a_scan_prunes_on(
+            self, unverified):
+        """The WHERE prunes on ``id``: neither the UPDATE nor the SELECT
+        lays out a ``trip`` view for a zone entry; the SELECT lays out
+        the one group its ``length`` reads."""
+        con = _trips()
+        update = con.execute("UPDATE tr SET trip = '[POINT(0 0)@2020-01-01, "
+                             "POINT(3 4)@2020-01-02]' WHERE id = 3").stats()
+        assert update.counter("storage.rowgroups_skipped") == 1
+        assert update.counter("quack.view_builds.tcsr") == 0
+        assert update.counter("quack.view_builds.box_soa.tpoint") == 0
+        select = con.execute(
+            "SELECT max(length(trip)) FROM tr WHERE id >= 2048")
+        stats = select.stats()
+        assert stats.counter("storage.rowgroups_skipped") == 1
+        assert stats.counter("quack.view_builds.tcsr") == 1
+        assert stats.counter("quack.view_builds.box_soa.tpoint") == 0
+        assert select.fetchall() == [(2 ** 0.5,)]
+
+
+def _trips():
+    """An in-memory 4,096-row ``tr(id BIGINT, trip TGEOMPOINT)``: two
+    row groups."""
+    con = core.connect()
+    con.execute("CREATE TABLE tr(id BIGINT, trip TGEOMPOINT)")
+    con.database.catalog.get_table("tr").append_rows([
+        (i, meos.tgeompoint(f"[POINT({i % 50} 0)@2020-01-01, "
+                            f"POINT({i % 50 + 1} 1)@2020-01-02]"))
+        for i in range(4096)
+    ])
+    return con
